@@ -182,7 +182,7 @@ def run_stage(
 
     trace = IOTrace()
     for worker in session.workers:
-        trace.records.extend(worker.io_trace.records)
+        trace.merge(worker.io_trace)
     cycles = sum(worker.stats.usage.cpu_cycles for worker in session.workers)
     rows = sum(worker.stats.rows_processed for worker in session.workers)
     disk_time = media.trace_time(trace.io_sizes(), trace.seek_count())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..common.errors import FormatError
 from .stream import StreamInfo, StreamKind
@@ -54,19 +55,26 @@ class StripeMeta:
         """All streams belonging to one feature, in file order."""
         return [info for info in self.streams if info.feature_id == feature_id]
 
+    @cached_property
+    def _stream_index(self) -> dict[tuple[int, StreamKind], StreamInfo]:
+        # Built on the first lookup, so only readers pay for it; reversed
+        # so that a repeated key resolves to its first stream in file order.
+        return {
+            (info.feature_id, info.kind): info for info in reversed(self.streams)
+        }
+
     def stream(self, feature_id: int, kind: StreamKind) -> StreamInfo:
         """The unique stream of (feature, kind); raises if missing."""
-        for info in self.streams:
-            if info.feature_id == feature_id and info.kind is kind:
-                return info
-        raise FormatError(f"stripe has no stream ({feature_id}, {kind.value})")
+        try:
+            return self._stream_index[(feature_id, kind)]
+        except KeyError:
+            raise FormatError(
+                f"stripe has no stream ({feature_id}, {kind.value})"
+            ) from None
 
     def has_stream(self, feature_id: int, kind: StreamKind) -> bool:
         """Whether the stripe wrote a (feature, kind) stream."""
-        return any(
-            info.feature_id == feature_id and info.kind is kind
-            for info in self.streams
-        )
+        return (feature_id, kind) in self._stream_index
 
     @property
     def byte_extent(self) -> tuple[int, int]:

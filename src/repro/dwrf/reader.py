@@ -33,9 +33,12 @@ from .writer import DwrfFile
 Fetcher = Callable[[int, int], bytes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IORecord:
-    """One physical read: placement plus how much of it was useful."""
+    """One physical read: placement plus how much of it was useful.
+
+    Slotted: a serving worker issues tens of thousands of these per run.
+    """
 
     offset: int
     length: int
@@ -49,9 +52,21 @@ class IORecord:
 
 @dataclass
 class IOTrace:
-    """Accumulated physical I/O issued by a reader."""
+    """Accumulated physical I/O issued by a reader.
+
+    ``bytes_read`` (total bytes fetched from the device) and
+    ``useful_bytes`` (bytes that belonged to projected streams) are
+    running totals kept by :meth:`add`: reading them costs a long-lived
+    worker the same on its millionth stripe as on its first.
+    """
 
     records: list[IORecord] = field(default_factory=list)
+    bytes_read: int = field(default=0, init=False)
+    useful_bytes: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        given, self.records = self.records, []
+        self._extend(given)
 
     def add(self, offset: int, length: int, useful_bytes: int | None = None) -> None:
         """Record one read; *useful_bytes* defaults to the full length."""
@@ -59,21 +74,21 @@ class IOTrace:
         if not 0 <= useful <= length:
             raise FormatError("useful bytes out of range")
         self.records.append(IORecord(offset, length, useful))
+        self.bytes_read += length
+        self.useful_bytes += useful
+
+    def merge(self, other: "IOTrace") -> None:
+        """Append every read of *other*, in order, through :meth:`add`."""
+        self._extend(other.records)
+
+    def _extend(self, records: list[IORecord]) -> None:
+        for record in records:
+            self.add(record.offset, record.length, record.useful_bytes)
 
     @property
     def io_count(self) -> int:
         """Number of physical reads issued."""
         return len(self.records)
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes fetched from the device."""
-        return sum(record.length for record in self.records)
-
-    @property
-    def useful_bytes(self) -> int:
-        """Bytes that belonged to projected streams."""
-        return sum(record.useful_bytes for record in self.records)
 
     @property
     def overread_fraction(self) -> float:

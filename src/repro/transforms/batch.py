@@ -116,6 +116,13 @@ class SparseColumn:
             )
         return cls(offsets, values, packed_weights)
 
+    @classmethod
+    def from_optional(cls, values: np.ndarray, presence: np.ndarray) -> "SparseColumn":
+        """One-ID lists: row *i* holds ``values[i]`` where present, else nothing."""
+        offsets = np.zeros(len(presence) + 1, dtype=np.int64)
+        np.cumsum(presence, out=offsets[1:])
+        return cls(offsets, values[presence])
+
     def to_lists(self) -> list[list[int]]:
         """Per-row Python lists (testing convenience)."""
         return [list(map(int, self.row(i))) for i in range(len(self))]

@@ -30,12 +30,17 @@ class TransformDag:
     """A set of op nodes over raw and intermediate feature columns."""
 
     nodes: list[DagNode] = field(default_factory=list)
+    # compile()'s result, reused by every batch until add() changes the DAG.
+    _order: tuple[DagNode, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def add(self, output_id: int, op: Transform) -> "TransformDag":
         """Append a node; returns self for chaining."""
         if any(node.output_id == output_id for node in self.nodes):
             raise TransformError(f"duplicate output feature {output_id}")
         self.nodes.append(DagNode(output_id, op))
+        self._order = None
         return self
 
     def output_ids(self) -> list[int]:
@@ -50,12 +55,17 @@ class TransformDag:
             required |= set(node.op.input_ids) - produced
         return required
 
-    def compile(self) -> list[DagNode]:
+    def compile(self) -> tuple[DagNode, ...]:
         """Topologically order the nodes; raises on cycles.
 
         Node inputs may be raw features (assumed present in the batch)
         or other nodes' outputs.
         """
+        if self._order is None:
+            self._order = tuple(self._topological_order())
+        return self._order
+
+    def _topological_order(self) -> list[DagNode]:
         produced = {node.output_id: node for node in self.nodes}
         ordered: list[DagNode] = []
         state: dict[int, int] = {}  # 0 = unvisited, 1 = visiting, 2 = done

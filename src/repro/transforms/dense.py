@@ -110,8 +110,4 @@ class Onehot(_DenseUnary):
     def apply(self, batch: FeatureBatch) -> Column:
         column = self._input(batch)
         buckets = np.searchsorted(self.borders, column.values, side="right")
-        lists = [
-            [int(bucket)] if present else []
-            for bucket, present in zip(buckets, column.presence)
-        ]
-        return SparseColumn.from_lists(lists)
+        return SparseColumn.from_optional(buckets, column.presence)

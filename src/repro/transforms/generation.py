@@ -159,14 +159,9 @@ class Bucketize(Transform):
 
     def apply(self, batch: FeatureBatch) -> Column:
         column = batch.column(self._input_id)
-        if isinstance(column, DenseColumn):
-            buckets = np.searchsorted(self.borders, column.values, side="right")
-            lists = [
-                [int(b)] if present else []
-                for b, present in zip(buckets, column.presence)
-            ]
-            return SparseColumn.from_lists(lists)
         buckets = np.searchsorted(self.borders, column.values, side="right")
+        if isinstance(column, DenseColumn):
+            return SparseColumn.from_optional(buckets, column.presence)
         return SparseColumn(column.offsets.copy(), buckets.astype(np.int64))
 
 

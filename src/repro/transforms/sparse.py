@@ -33,16 +33,14 @@ class _SparseUnary(Transform):
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer — a real, well-mixed 64-bit hash."""
-    x = values.astype(np.uint64)
+    x = values.astype(np.uint64)  # a private copy: mixed in place below
     with np.errstate(over="ignore"):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(
-            0xFFFFFFFFFFFFFFFF
-        )
-        x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & np.uint64(
-            0xFFFFFFFFFFFFFFFF
-        )
-        x = x ^ (x >> np.uint64(31))
+        x += np.uint64(0x9E3779B97F4A7C15)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
     return x
 
 
@@ -84,13 +82,13 @@ class FirstX(_SparseUnary):
     def apply(self, batch: FeatureBatch) -> Column:
         column = self._input(batch)
         lengths = np.minimum(column.lengths(), self.x)
-        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        keep = np.concatenate(
-            [
-                np.arange(column.offsets[i], column.offsets[i] + lengths[i])
-                for i in range(len(column))
-            ]
-        ).astype(np.int64) if len(column) else np.empty(0, dtype=np.int64)
+        offsets = np.zeros(len(column) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        # Kept element k of the output sits where its row starts in the
+        # input plus its position within the row, all rows flat.
+        keep = np.arange(offsets[-1], dtype=np.int64) + np.repeat(
+            column.offsets[:-1] - offsets[:-1], lengths
+        )
         values = column.values[keep]
         weights = None if column.weights is None else column.weights[keep]
         return SparseColumn(offsets, values, weights)
