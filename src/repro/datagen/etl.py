@@ -78,11 +78,14 @@ class StreamingJoiner:
             feature_log = self._pending.pop(event.request_id, None)
             if feature_log is None:
                 continue  # event without (or after) features: dropped
+            # The labeled sample is the logged features plus a label: it
+            # takes the record's maps as they are.  Nothing may mutate
+            # them (retention replaces a row's map when it reaps).
             row = Row(
                 label=label_from_event(event),
-                dense=dict(feature_log.dense),
-                sparse={fid: list(ids) for fid, ids in feature_log.sparse.items()},
-                scores={fid: list(ws) for fid, ws in feature_log.scores.items()},
+                dense=feature_log.dense,
+                sparse=feature_log.sparse,
+                scores=feature_log.scores,
             )
             self._output.write((feature_log.timestamp, row))
             self.stats.joined += 1
@@ -135,7 +138,7 @@ class BatchPartitioner:
             self._cursor = record.lsn + 1
             timestamp, row = record.payload
             name = self.partition_name_for(timestamp)
-            if name not in self._table.partition_names():
+            if name not in self._table:
                 self._table.create_partition(name)
             self._table.partition(name).append(row)
             written += 1

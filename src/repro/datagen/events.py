@@ -9,17 +9,24 @@ holds the observed outcome, joined later by ETL on the request ID.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class FeatureLog:
-    """Features generated for one recommendation request."""
+    """Features generated for one recommendation request.
+
+    The maps and the per-feature sequences in them are the ones the
+    serving host built for the request: the log shares them with the
+    producer and, after the join, with the labeled sample, so nobody
+    downstream may mutate them.
+    """
 
     request_id: int
     timestamp: float
     dense: dict[int, float] = field(default_factory=dict)
-    sparse: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    scores: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    sparse: dict[int, Sequence[int]] = field(default_factory=dict)
+    scores: dict[int, Sequence[float]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

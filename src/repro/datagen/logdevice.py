@@ -8,7 +8,6 @@ downstream consumers have checkpointed past a prefix.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -28,15 +27,15 @@ class Log:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._records: OrderedDict[int, Any] = OrderedDict()
-        self._next_lsn = 0
+        # Payloads of the readable LSNs in order: _records[i] holds LSN
+        # _trim_point + i, so reads slice and trims delete a prefix.
+        self._records: list[Any] = []
         self._trim_point = 0  # records below this LSN are gone
 
     def append(self, payload: Any) -> int:
         """Append a record; returns its LSN."""
-        lsn = self._next_lsn
-        self._records[lsn] = payload
-        self._next_lsn += 1
+        lsn = self.head_lsn
+        self._records.append(payload)
         return lsn
 
     def read_from(self, lsn: int, limit: int | None = None) -> list[LogRecord]:
@@ -45,13 +44,12 @@ class Log:
             raise StorageError(
                 f"log {self.name}: LSN {lsn} is below trim point {self._trim_point}"
             )
-        out = []
-        for record_lsn, payload in self._records.items():
-            if record_lsn >= lsn:
-                out.append(LogRecord(record_lsn, payload))
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
+        start = lsn - self._trim_point
+        stop = None if limit is None else start + max(limit, 0)
+        return [
+            LogRecord(record_lsn, payload)
+            for record_lsn, payload in enumerate(self._records[start:stop], lsn)
+        ]
 
     def tail(self, from_lsn: int) -> Iterator[LogRecord]:
         """Iterate records from *from_lsn* to the current end."""
@@ -59,20 +57,17 @@ class Log:
 
     def trim(self, up_to_lsn: int) -> int:
         """Drop records below *up_to_lsn*; returns how many were dropped."""
-        if up_to_lsn > self._next_lsn:
+        if up_to_lsn > self.head_lsn:
             raise StorageError("cannot trim beyond the log head")
-        dropped = 0
-        for lsn in list(self._records):
-            if lsn < up_to_lsn:
-                del self._records[lsn]
-                dropped += 1
-        self._trim_point = max(self._trim_point, up_to_lsn)
+        dropped = max(0, up_to_lsn - self._trim_point)
+        del self._records[:dropped]
+        self._trim_point += dropped
         return dropped
 
     @property
     def head_lsn(self) -> int:
         """LSN the next append will receive."""
-        return self._next_lsn
+        return self._trim_point + len(self._records)
 
     @property
     def trim_point(self) -> int:

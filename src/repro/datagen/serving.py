@@ -81,18 +81,20 @@ class ServingSimulator:
     def _serve(self, row, timestamp: float) -> int:
         request_id = self._next_request_id
         self._next_request_id += 1
+        # *row* was generated for this request and is dropped on return,
+        # so the log takes its maps over instead of copying them.
         features = FeatureLog(
             request_id=request_id,
             timestamp=timestamp,
-            dense=dict(row.dense),
-            sparse={fid: tuple(ids) for fid, ids in row.sparse.items()},
-            scores={fid: tuple(ws) for fid, ws in row.scores.items()},
+            dense=row.dense,
+            sparse=row.sparse,
+            scores=row.scores,
         )
         self._daemon.log(FEATURES_CATEGORY, features)
 
         if self._rng.random() >= self._event_loss_rate:
             signal = next(iter(row.dense.values()), 0.0)
-            p = float(np.clip(self._engagement_rate + 0.1 * signal, 0.01, 0.99))
+            p = min(max(self._engagement_rate + 0.1 * signal, 0.01), 0.99)
             event = EventLog(
                 request_id=request_id,
                 timestamp=timestamp + float(self._rng.exponential(30.0)),

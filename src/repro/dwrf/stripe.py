@@ -14,6 +14,7 @@ This is the core of the format.  Two layouts are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -109,26 +110,36 @@ class _DenseAccumulator:
 
 
 class _SparseAccumulator:
-    """Row indices, lengths, and flat IDs/scores of one sparse feature."""
+    """Row indices and per-row id / score sequences of one sparse feature.
 
-    __slots__ = ("rows", "lengths", "values", "scores")
+    The sequences are the rows' own, held by reference: they are read
+    once, when the stripe packs, and never copied or mutated.
+    """
+
+    __slots__ = ("rows", "ids", "scores")
 
     def __init__(self) -> None:
         self.rows: list[int] = []
-        self.lengths: list[int] = []
-        self.values: list[int] = []
-        self.scores: list[float] = []
+        self.ids: list[Sequence[int]] = []
+        self.scores: list[Sequence[float]] = []
+
+
+def _flatten(sequences: list[Sequence], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, concatenated values) of one feature's per-row sequences."""
+    lengths = np.fromiter(map(len, sequences), np.int64, len(sequences))
+    values = np.fromiter(chain.from_iterable(sequences), dtype, int(lengths.sum()))
+    return lengths, values
 
 
 class StripeColumnarBuilder:
     """Accumulates rows column-wise so a stripe packs without row scans.
 
     Each :meth:`add_row` walks only the features the row actually
-    logged (one pass over its maps); :meth:`build` packs every
-    feature's accumulated arrays in stream order.  This replaces the
-    per-feature ``[... for row in rows]`` scans, which cost
-    O(features x rows) regardless of coverage, while producing
-    byte-identical streams.
+    logged (one pass over its maps) and keeps a reference to each id and
+    score sequence; :meth:`build` flattens every feature's sequences
+    once and packs them in stream order.  This replaces the per-feature
+    ``[... for row in rows]`` scans, which cost O(features x rows)
+    regardless of coverage, while producing byte-identical streams.
     """
 
     def __init__(self, schema: TableSchema, options: EncodingOptions) -> None:
@@ -163,11 +174,10 @@ class StripeColumnarBuilder:
             if acc is None:
                 acc = self._sparse[fid] = _SparseAccumulator()
             acc.rows.append(index)
-            acc.lengths.append(len(ids))
-            acc.values.extend(ids)
+            acc.ids.append(ids)
             if fid in self._scored_ids:
                 try:
-                    acc.scores.extend(row.scores[fid])
+                    acc.scores.append(row.scores[fid])
                 except KeyError:
                     raise FormatError(
                         f"scored feature {fid} logged without score weights"
@@ -222,26 +232,28 @@ class StripeColumnarBuilder:
                     _seal(encoding.pack_bitmap(presence), options),
                 )
             )
+            lengths, values = _flatten(sparse_acc.ids, np.int64)
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_LENGTHS,
-                    _seal(encoding.encode_ints(sparse_acc.lengths), options),
+                    _seal(encoding.encode_ints(lengths), options),
                 )
             )
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_VALUES,
-                    _seal(encoding.encode_ints(sparse_acc.values), options),
+                    _seal(encoding.encode_ints(values), options),
                 )
             )
             if spec.ftype is FeatureType.SCORED_SPARSE:
+                _, scores = _flatten(sparse_acc.scores, "<f4")
                 streams.append(
                     PendingStream(
                         fid,
                         StreamKind.SCORE_VALUES,
-                        _seal(encoding.pack_floats(sparse_acc.scores), options),
+                        _seal(encoding.pack_floats(scores), options),
                     )
                 )
         return streams

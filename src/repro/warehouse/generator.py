@@ -142,6 +142,11 @@ class SampleGenerator:
         """
         rng = self._rng
         rows = [Row(label=label) for label in rng.integers(0, 2, size=n).astype(float).tolist()]
+        # Each row's maps, bound once: the scatter loops below run per
+        # logged value and would otherwise re-resolve them every time.
+        dense_of = [row.dense for row in rows]
+        sparse_of = [row.sparse for row in rows]
+        scores_of = [row.scores for row in rows]
         for spec in schema.logged_features():
             coverage = self._coverages.get(spec.feature_id, spec.coverage)
             present = np.flatnonzero(rng.random(n) < coverage)
@@ -151,7 +156,7 @@ class SampleGenerator:
             if spec.ftype is FeatureType.DENSE:
                 values = rng.normal(size=present.size).tolist()
                 for index, value in zip(present.tolist(), values):
-                    rows[index].dense[fid] = value
+                    dense_of[index][fid] = value
             else:
                 mean_len = self._lengths.get(fid, spec.avg_sparse_length or 1.0)
                 lengths = rng.geometric(1.0 / max(mean_len, 1.0), size=present.size)
@@ -162,11 +167,10 @@ class SampleGenerator:
                 weights = rng.random(size=total) if scored else None
                 flat_list = flat.tolist()
                 weight_list = None if weights is None else weights.tolist()
-                for j, index in enumerate(present.tolist()):
-                    lo, hi = offsets[j], offsets[j + 1]
-                    rows[index].sparse[fid] = flat_list[lo:hi]
+                for index, lo, hi in zip(present.tolist(), offsets, offsets[1:]):
+                    sparse_of[index][fid] = flat_list[lo:hi]
                     if scored:
-                        rows[index].scores[fid] = weight_list[lo:hi]
+                        scores_of[index][fid] = weight_list[lo:hi]
         return rows
 
     def iter_rows(self, schema: TableSchema, n: int, chunk: int = 256):

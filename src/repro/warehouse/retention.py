@@ -82,10 +82,25 @@ def _reap_deprecated(
     for feature_id in to_reap:
         schema.remove_feature(feature_id)
         for row in table.scan():
-            row.dense.pop(feature_id, None)
-            row.sparse.pop(feature_id, None)
-            row.scores.pop(feature_id, None)
+            if feature_id in row.dense:
+                row.dense = _without(row.dense, feature_id)
+            if feature_id in row.sparse:
+                row.sparse = _without(row.sparse, feature_id)
+            if feature_id in row.scores:
+                row.scores = _without(row.scores, feature_id)
     return to_reap
+
+
+def _without(features: dict, feature_id: int) -> dict:
+    """*features* minus one feature, as a new map.
+
+    A published row shares its maps with the serving-time feature record
+    it was joined from, and that record stays readable until Scribe's
+    own retention trims it.  Reaping therefore replaces a row's map
+    rather than popping from it: the table forgets the feature, the raw
+    log is not rewritten behind its readers.
+    """
+    return {fid: value for fid, value in features.items() if fid != feature_id}
 
 
 def verify_reaped(table: Table, feature_id: int) -> bool:

@@ -18,6 +18,10 @@ class Row:
     ``dense`` maps feature ID → float, ``sparse`` maps feature ID → list
     of categorical IDs, and ``scores`` maps feature ID → per-categorical
     float weights (parallel to the ID list of the same feature).
+
+    A row that came through the serving log shares its maps with the
+    logged feature record: to change a stored row, give it a new map
+    (as retention does) instead of mutating the one it holds.
     """
 
     label: float

@@ -50,6 +50,9 @@ class Table:
     def __len__(self) -> int:
         return len(self._partitions)
 
+    def __contains__(self, name: str) -> bool:
+        return name in self._partitions
+
     def partition_names(self) -> list[str]:
         """All partition names in insertion (chronological) order."""
         return list(self._partitions)

@@ -61,6 +61,33 @@ class TestLog:
         assert [r.payload for r in log.read_from(1)] == ["b"]
 
 
+    def test_reads_after_trim_keep_their_lsns(self):
+        log = Log("l")
+        for x in range(10):
+            log.append(x)
+        log.trim(4)
+        assert log.head_lsn == 10
+        assert [(r.lsn, r.payload) for r in log.read_from(6, limit=2)] == [(6, 6), (7, 7)]
+        assert [r.lsn for r in log.read_from(4)] == list(range(4, 10))
+        assert log.read_from(10) == []
+
+    def test_earlier_trim_point_drops_nothing(self):
+        log = Log("l")
+        for x in range(6):
+            log.append(x)
+        log.trim(4)
+        assert log.trim(2) == 0
+        assert log.trim_point == 4
+        assert len(log) == 2
+
+    def test_limit_bounds_the_read(self):
+        log = Log("l")
+        for x in range(5):
+            log.append(x)
+        assert [r.lsn for r in log.read_from(1, limit=10)] == [1, 2, 3, 4]
+        assert log.read_from(1, limit=0) == []
+
+
 class TestLogDevice:
     def test_get_or_create(self):
         device = LogDevice()

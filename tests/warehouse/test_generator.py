@@ -92,6 +92,19 @@ class TestRowGeneration:
         measured = sum(1 for r in bulk if fid in r.sparse) / len(bulk)
         assert measured == pytest.approx(spec_coverage, abs=0.12)
 
+    def test_bulk_rows_share_no_container(self):
+        # The write path hands a row's maps and sequences on by
+        # reference, so two rows must never alias one another's.
+        gen = make_generator(seed=2, n_scored=3, avg_coverage=0.9)
+        schema = gen.build_schema("t")
+        rows = gen.generate_rows(schema, 120) + gen.generate_rows(schema, 40)
+        containers = []
+        for row in rows:
+            containers += [row.dense, row.sparse, row.scores]
+            containers += [*row.sparse.values(), *row.scores.values()]
+        assert all(type(c) in (dict, list) for c in containers)
+        assert len({id(c) for c in containers}) == len(containers)
+
     def test_populate_table(self):
         gen = make_generator()
         schema = gen.build_schema("t")

@@ -62,6 +62,14 @@ class TestTable:
         table.drop_partition("p0")
         assert table.partition_names() == []
 
+    def test_membership_by_partition_name(self):
+        table = Table(make_schema())
+        table.create_partition("p0")
+        assert "p0" in table
+        assert "p1" not in table
+        table.drop_partition("p0")
+        assert "p0" not in table
+
     def test_duplicate_partition_rejected(self):
         table = Table(make_schema())
         table.create_partition("p0")
