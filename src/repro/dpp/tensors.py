@@ -72,20 +72,23 @@ class TensorBatch:
         """Materialize tensors from a transformed feature batch.
 
         *output_ids* selects which columns become tensors (the model's
-        input features); by default all columns do.
+        input features); by default all columns do.  Column arrays are
+        write-once (see :mod:`repro.transforms.batch`), so labels and
+        sparse arrays are handed over by reference.
         """
         ids = output_ids if output_ids is not None else sorted(batch.columns)
-        tensors = cls(labels=batch.labels.copy())
+        tensors = cls(labels=batch.labels)
         for fid in ids:
             column = batch.column(fid)
             if isinstance(column, DenseColumn):
-                values = np.where(column.presence, column.values, 0.0)
-                tensors.dense[fid] = values.astype(np.float32)
+                tensors.dense[fid] = np.where(
+                    column.presence, column.values, np.float32(0.0)
+                )
             elif isinstance(column, SparseColumn):
-                tensors.sparse_offsets[fid] = column.offsets.copy()
-                tensors.sparse_values[fid] = column.values.copy()
+                tensors.sparse_offsets[fid] = column.offsets
+                tensors.sparse_values[fid] = column.values
                 if column.weights is not None:
-                    tensors.sparse_weights[fid] = column.weights.copy()
+                    tensors.sparse_weights[fid] = column.weights
             else:  # pragma: no cover - defensive
                 raise DppError(f"unsupported column type for feature {fid}")
         return tensors

@@ -113,6 +113,7 @@ class DppWorker:
             master, ReplicatedMaster
         ) else master.spec
         self.buffer: deque[TensorBatch] = deque()
+        self._buffered_bytes = 0  # sum of nbytes() over self.buffer
         self.stats = WorkerStats()
         self.io_trace = IOTrace()
         self.alive = True
@@ -138,6 +139,7 @@ class DppWorker:
             {batch.split_id for batch in self.buffer if batch.split_id is not None}
         )
         self.buffer.clear()
+        self._buffered_bytes = 0
         if self.tracer.enabled:
             self.tracer.instant(
                 "worker.fail", actor=self.worker_id, stranded=len(stranded)
@@ -267,9 +269,8 @@ class DppWorker:
                 sequence=-1 if tensors.sequence is None else tensors.sequence,
             )
         self.stats.batches_produced += 1
-        self.stats.usage.memory_resident_bytes = sum(
-            t.nbytes() for t in self.buffer
-        )
+        self._buffered_bytes += tensors.nbytes()
+        self.stats.usage.memory_resident_bytes = self._buffered_bytes
 
     @property
     def buffered_batches(self) -> int:
@@ -295,6 +296,7 @@ class DppWorker:
         if not self.buffer:
             return None
         batch = self.buffer.popleft()
+        self._buffered_bytes -= batch.nbytes()
         self.stats.batches_served += 1
         if self.tracer.enabled:
             self.tracer.instant(
@@ -433,13 +435,6 @@ class DppWorker:
                 )
 
     @staticmethod
-    def _count_values(batch: FeatureBatch) -> int:
-        total = batch.n_rows  # labels
-        for column in batch.columns.values():
-            total += len(column.values)
-        return total
-
-    @staticmethod
     def _count_row_values(rows) -> int:
         total = len(rows)  # labels
         for row in rows:
@@ -463,25 +458,7 @@ class DppWorker:
             stop = min(start + size, batch.n_rows)
             piece = FeatureBatch(labels=batch.labels[start:stop])
             for fid, column in batch.columns.items():
-                if isinstance(column, DenseColumn):
-                    piece.add_column(
-                        fid,
-                        DenseColumn(
-                            column.values[start:stop], column.presence[start:stop]
-                        ),
-                    )
-                else:
-                    offsets = column.offsets[start : stop + 1]
-                    base = offsets[0]
-                    values = column.values[base : offsets[-1]]
-                    weights = (
-                        None
-                        if column.weights is None
-                        else column.weights[base : offsets[-1]]
-                    )
-                    piece.add_column(
-                        fid, SparseColumn(offsets - base, values, weights)
-                    )
+                piece.add_column(fid, column.rows(start, stop))
             yield piece
 
     # -- load ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from .acceleration import (
 )
 from .base import OpClass, OpCost, Transform, op_by_name, register, registered_ops
 from .batch import Column, DenseColumn, FeatureBatch, SparseColumn
-from .cost import CostReport, estimate_dag_cost, execute_with_cost
+from .cost import CostReport, execute_with_cost
 from .dag import DagNode, TransformDag
 from .dense import BoxCox, Clamp, Logit, Onehot
 from .generation import Bucketize, Cartesian, GetLocalHour, NGram, Sampling
@@ -58,7 +58,6 @@ __all__ = [
     "SparseColumn",
     "Transform",
     "TransformDag",
-    "estimate_dag_cost",
     "execute_with_cost",
     "op_by_name",
     "register",

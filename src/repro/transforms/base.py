@@ -65,12 +65,14 @@ class Transform(abc.ABC):
 
     def input_elements(self, batch: FeatureBatch) -> int:
         """Number of input elements, the unit the cost model charges by."""
-        total = 0
-        for fid in self.input_ids:
-            column = batch.column(fid)
-            if hasattr(column, "values") and column.values.ndim == 1:
-                total += len(column.values)
+        total = sum(len(batch.column(fid).values) for fid in self.input_ids)
         return max(total, batch.n_rows)
+
+    def fusion_key(self) -> tuple | None:
+        """Ops with equal keys compute one elementwise ``kernel(values)``
+        over a single dense input, so the session plan may run a run of
+        them as one 2-D call; ``None`` (the default) opts out."""
+        return None
 
 
 _REGISTRY: dict[str, type[Transform]] = {}

@@ -6,6 +6,13 @@ The in-memory layout here is the *flatmap* format the paper adopted
 rows — dense features as a value array plus presence mask, sparse
 features as offsets + flat value arrays — matching both the DWRF
 on-disk format and the final tensor format.
+
+Arrays are write-once: an array placed in a :class:`DenseColumn`,
+:class:`SparseColumn` or ``TensorBatch`` is never written again, by
+anyone.  That is what lets an op whose output keeps its input's row
+structure share the input's ``offsets``/``weights``/``presence``, lets
+a row slice be a view, and lets tensors take a column's arrays by
+reference; a caller that wants to scribble takes a ``copy()`` first.
 """
 
 from __future__ import annotations
@@ -39,8 +46,12 @@ class DenseColumn:
         return self.values.nbytes + self.presence.nbytes
 
     def copy(self) -> "DenseColumn":
-        """Deep copy (transforms are functional)."""
+        """Deep copy: arrays the caller may write to."""
         return DenseColumn(self.values.copy(), self.presence.copy())
+
+    def rows(self, start: int, stop: int) -> "DenseColumn":
+        """Rows ``start:stop`` as views of this column's arrays."""
+        return DenseColumn(self.values[start:stop], self.presence[start:stop])
 
 
 @dataclass
@@ -58,13 +69,13 @@ class SparseColumn:
     weights: np.ndarray | None = None  # float32, total ids
 
     def __post_init__(self) -> None:
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.offsets = offsets = np.asarray(self.offsets, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.int64)
-        if self.offsets.ndim != 1 or len(self.offsets) == 0:
+        if offsets.ndim != 1 or len(offsets) == 0:
             raise TransformError("offsets must be a non-empty 1-D array")
-        if self.offsets[0] != 0 or self.offsets[-1] != len(self.values):
+        if offsets[0] != 0 or offsets[-1] != len(self.values):
             raise TransformError("offsets must start at 0 and end at len(values)")
-        if np.any(np.diff(self.offsets) < 0):
+        if (offsets[1:] < offsets[:-1]).any():
             raise TransformError("offsets must be non-decreasing")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=np.float32)
@@ -80,7 +91,29 @@ class SparseColumn:
 
     def lengths(self) -> np.ndarray:
         """Per-row list lengths."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @classmethod
+    def _checked(cls, offsets, values, weights) -> "SparseColumn":
+        """A column over offsets a checked column already vouches for:
+        typed arrays in, no second scan of the offsets."""
+        column = cls.__new__(cls)
+        column.offsets, column.values, column.weights = offsets, values, weights
+        return column
+
+    def with_values(self, values, weights) -> "SparseColumn":
+        """Same rows, other int64 IDs (and float32 *weights* or None) one
+        for one: ``offsets`` is shared, not copied."""
+        if len(values) != len(self.values):
+            raise TransformError("values must map this column's IDs one for one")
+        return self._checked(self.offsets, values, weights)
+
+    def rows(self, start: int, stop: int) -> "SparseColumn":
+        """Rows ``start:stop``: rebased offsets over views of the flat arrays."""
+        offsets = self.offsets[start : stop + 1]
+        first, last = offsets[0], offsets[-1]
+        weights = None if self.weights is None else self.weights[first:last]
+        return self._checked(offsets - first, self.values[first:last], weights)
 
     def nbytes(self) -> int:
         """Resident bytes of the column."""
@@ -90,7 +123,7 @@ class SparseColumn:
         return total
 
     def copy(self) -> "SparseColumn":
-        """Deep copy (transforms are functional)."""
+        """Deep copy: arrays the caller may write to."""
         return SparseColumn(
             self.offsets.copy(),
             self.values.copy(),

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from ..common.errors import TransformError
 from ..common.serialization import ReportBase, require_keys
-from .base import OpClass, Transform
+from .base import OpClass
 from .batch import FeatureBatch
-from .dag import TransformDag
+from .dag import CLASS_SLOTS, TransformDag
 
 
 @dataclass
@@ -32,14 +32,6 @@ class CostReport(ReportBase):
         default_factory=lambda: {cls: 0.0 for cls in OpClass}
     )
     elements: int = 0
-
-    def charge(self, op: Transform, elements: int) -> None:
-        """Charge one op application over *elements* input elements."""
-        cycles = op.cost.cycles_per_element * elements
-        self.cycles += cycles
-        self.mem_bytes += op.cost.mem_bytes_per_element * elements
-        self.cycles_by_class[op.op_class] += cycles
-        self.elements += elements
 
     def merge(self, other: "ReportBase") -> "CostReport":
         """Accumulate another report into this one (returns self)."""
@@ -101,29 +93,34 @@ class CostReport(ReportBase):
 
 def execute_with_cost(dag: TransformDag, batch: FeatureBatch) -> CostReport:
     """Execute *dag* on *batch* while charging the cost model."""
-    report = CostReport()
-    for node in dag.compile():
-        elements = node.op.input_elements(batch)
-        batch.add_column(node.output_id, node.op.apply(batch))
-        report.charge(node.op, elements)
-    return report
-
-
-def estimate_dag_cost(dag: TransformDag, batch: FeatureBatch) -> CostReport:
-    """Charge costs without mutating the batch (planning mode).
-
-    Input element counts for derived inputs are approximated by the raw
-    inputs feeding them, which is exact for normalization chains and a
-    mild underestimate for expansion ops.
-    """
-    report = CostReport()
-    for node in dag.compile():
-        elements = 0
-        for fid in node.op.input_ids:
-            if fid in batch.columns:
-                column = batch.columns[fid]
-                elements += len(getattr(column, "values", [])) or batch.n_rows
+    columns = batch.columns
+    n_rows = batch.n_rows
+    # One charge per node, on locals, in node order: the same additions
+    # in the same order as a report charged node at a time.
+    cycles = mem_bytes = 0.0
+    total_elements = 0
+    cycles_by_slot = [0.0] * len(CLASS_SLOTS)
+    for step in dag.plan():
+        outputs = step.apply(batch)
+        for node, charge, column in zip(step.nodes, step.charges, outputs):
+            cycles_per_element, mem_bytes_per_element, slot, input_ids = charge
+            if input_ids is None:
+                elements = node.op.input_elements(batch)
             else:
-                elements += batch.n_rows
-        report.charge(node.op, max(elements, batch.n_rows))
-    return report
+                elements = 0
+                for fid in input_ids:
+                    elements += len(columns[fid].values)
+                if elements < n_rows:
+                    elements = n_rows
+            if len(column) != n_rows:
+                raise TransformError(
+                    f"column of {len(column)} rows in a batch of {n_rows}"
+                )
+            columns[node.output_id] = column
+            node_cycles = cycles_per_element * elements
+            cycles += node_cycles
+            mem_bytes += mem_bytes_per_element * elements
+            cycles_by_slot[slot] += node_cycles
+            total_elements += elements
+    by_class = dict(zip(CLASS_SLOTS, cycles_by_slot))
+    return CostReport(cycles, mem_bytes, by_class, total_elements)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..common.errors import TransformError
-from .base import Transform
-from .batch import FeatureBatch
+from .base import OpClass, Transform
+from .batch import Column, DenseColumn, FeatureBatch
 
 
 @dataclass(frozen=True)
@@ -25,13 +27,52 @@ class DagNode:
     op: Transform
 
 
+CLASS_SLOTS = {op_class: slot for slot, op_class in enumerate(OpClass)}
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    """One call of a session plan: a node, or a run of consecutive nodes
+    with equal ``fusion_key()`` (22-32 ``Logit`` nodes over 250 floats
+    each, per batch) whose stacked inputs take one 2-D kernel call."""
+
+    nodes: tuple[DagNode, ...]
+    #: Per node, resolved once: cycles and DRAM bytes per element, class
+    #: slot, and the input IDs that size it (None: the op sizes itself).
+    charges: tuple[tuple[float, float, int, tuple[int, ...] | None], ...]
+
+    @classmethod
+    def of(cls, nodes: list[DagNode]) -> "PlanStep":
+        def charge(op: Transform) -> tuple:
+            sized_by_inputs = type(op).input_elements is Transform.input_elements
+            return (
+                op.cost.cycles_per_element,
+                op.cost.mem_bytes_per_element,
+                CLASS_SLOTS[op.op_class],
+                op.input_ids if sized_by_inputs else None,
+            )
+
+        return cls(tuple(nodes), tuple(charge(node.op) for node in nodes))
+
+    def apply(self, batch: FeatureBatch) -> list[Column]:
+        """The output column of each node, in order."""
+        if len(self.nodes) == 1:
+            return [self.nodes[0].op.apply(batch)]
+        inputs = [batch.dense(node.op.input_ids[0]) for node in self.nodes]
+        values = self.nodes[0].op.kernel(np.stack([col.values for col in inputs]))
+        return [DenseColumn(row, col.presence) for row, col in zip(values, inputs)]
+
+
 @dataclass
 class TransformDag:
     """A set of op nodes over raw and intermediate feature columns."""
 
     nodes: list[DagNode] = field(default_factory=list)
-    # compile()'s result, reused by every batch until add() changes the DAG.
+    # compile()'s and plan()'s results, reused until add() changes the DAG.
     _order: tuple[DagNode, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _plan: tuple[PlanStep, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -40,7 +81,7 @@ class TransformDag:
         if any(node.output_id == output_id for node in self.nodes):
             raise TransformError(f"duplicate output feature {output_id}")
         self.nodes.append(DagNode(output_id, op))
-        self._order = None
+        self._order = self._plan = None
         return self
 
     def output_ids(self) -> list[int]:
@@ -90,10 +131,31 @@ class TransformDag:
             visit(node)
         return ordered
 
+    def plan(self) -> tuple[PlanStep, ...]:
+        """The compiled order cut into steps: what executing a batch would
+        otherwise rediscover, worked out once per session."""
+        if self._plan is None:
+            runs: list[list[DagNode]] = []
+            for node in self.compile():
+                key = node.op.fusion_key()
+                run = runs[-1] if runs else []
+                if (
+                    key is not None
+                    and run
+                    and run[0].op.fusion_key() == key
+                    and all(node.op.input_ids[0] != prior.output_id for prior in run)
+                ):
+                    run.append(node)
+                else:
+                    runs.append([node])
+            self._plan = tuple(PlanStep.of(run) for run in runs)
+        return self._plan
+
     def execute(self, batch: FeatureBatch) -> FeatureBatch:
         """Run every node in dependency order, attaching outputs to *batch*."""
-        for node in self.compile():
-            batch.add_column(node.output_id, node.op.apply(batch))
+        from .cost import execute_with_cost  # the one executor; it imports us
+
+        execute_with_cost(self, batch)
         return batch
 
     def __len__(self) -> int:

@@ -14,7 +14,13 @@ from .batch import Column, DenseColumn, FeatureBatch, SparseColumn
 
 
 class _DenseUnary(Transform):
-    """Shared plumbing for single-input dense ops."""
+    """Shared plumbing for single-input dense ops.
+
+    An op whose output at a row depends on that row's value alone gives
+    a ``kernel`` over float32 values of any shape, and a ``fusion_key``:
+    that is what lets the session plan stack the inputs of equal ops and
+    make one call.  The others override ``apply``.
+    """
 
     op_class = OpClass.DENSE_NORMALIZATION
     cost = OpCost(cycles_per_element=4.0, mem_bytes_per_element=12.0)
@@ -29,6 +35,10 @@ class _DenseUnary(Transform):
     def _input(self, batch: FeatureBatch) -> DenseColumn:
         return batch.dense(self._input_id)
 
+    def apply(self, batch: FeatureBatch) -> Column:
+        column = self._input(batch)
+        return DenseColumn(self.kernel(column.values), column.presence)
+
 
 @register
 class BoxCox(_DenseUnary):
@@ -42,13 +52,19 @@ class BoxCox(_DenseUnary):
 
     def apply(self, batch: FeatureBatch) -> Column:
         column = self._input(batch)
-        # Box-Cox requires positive inputs; shift so the minimum is 1.
-        shifted = column.values - column.values.min() + 1.0
+        present = column.presence
+        if not present.any():
+            return column  # nothing to normalize: filler throughout
+        # Box-Cox requires positive inputs; shift so the smallest present
+        # value is 1.  Absent slots hold filler, which must neither set
+        # the shift nor go below it: they are pinned to 1 (-> 0.0).
+        low = column.values[present].min()
+        shifted = np.where(present, column.values - low + 1.0, np.float32(1.0))
         if self.lmbda == 0.0:
             values = np.log(shifted)
         else:
             values = (np.power(shifted, self.lmbda) - 1.0) / self.lmbda
-        return DenseColumn(values.astype(np.float32), column.presence.copy())
+        return DenseColumn(values.astype(np.float32), column.presence)
 
 
 @register
@@ -63,11 +79,13 @@ class Logit(_DenseUnary):
             raise TransformError("eps must be in (0, 0.5)")
         self.eps = eps
 
-    def apply(self, batch: FeatureBatch) -> Column:
-        column = self._input(batch)
-        p = np.clip(column.values, self.eps, 1.0 - self.eps)
-        values = np.log(p / (1.0 - p))
-        return DenseColumn(values.astype(np.float32), column.presence.copy())
+    def fusion_key(self) -> tuple:
+        return (Logit, self.eps)
+
+    def kernel(self, values: np.ndarray) -> np.ndarray:
+        p = np.clip(values, self.eps, 1.0 - self.eps)
+        p /= 1.0 - p
+        return np.log(p, out=p).astype(np.float32, copy=False)
 
 
 @register
@@ -84,10 +102,11 @@ class Clamp(_DenseUnary):
         self.lo = lo
         self.hi = hi
 
-    def apply(self, batch: FeatureBatch) -> Column:
-        column = self._input(batch)
-        values = np.clip(column.values, self.lo, self.hi)
-        return DenseColumn(values.astype(np.float32), column.presence.copy())
+    def fusion_key(self) -> tuple:
+        return (Clamp, self.lo, self.hi)
+
+    def kernel(self, values: np.ndarray) -> np.ndarray:
+        return np.clip(values, self.lo, self.hi).astype(np.float32, copy=False)
 
 
 @register

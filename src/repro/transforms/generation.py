@@ -56,9 +56,9 @@ class Cartesian(Transform):
         right_size = np.repeat(right_lengths, counts)
         a = left.values[np.repeat(left.offsets[:-1], counts) + k // right_size]
         b = right.values[np.repeat(right.offsets[:-1], counts) + k % right_size]
-        with np.errstate(over="ignore"):
-            mixed = splitmix64(a * np.int64(1_000_003) + b)
-        return SparseColumn(offsets, (mixed >> np.uint64(1)).astype(np.int64))
+        mixed = splitmix64(a * np.int64(1_000_003) + b)
+        mixed >>= np.uint64(1)
+        return SparseColumn(offsets, mixed.view(np.int64))
 
 
 @register
@@ -87,32 +87,36 @@ class NGram(Transform):
 
     def apply(self, batch: FeatureBatch) -> Column:
         columns = [batch.sparse(fid) for fid in self._input_ids]
-        n_rows = batch.n_rows
-        sequence, seq_offsets = self._concatenate_rows(columns, n_rows)
-        seq_lengths = np.diff(seq_offsets)
-        windows = np.maximum(seq_lengths - (self.n - 1), 0)
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        sequence, seq_offsets = self._concatenate_rows(columns)
+        tail = self.n - 1  # positions at the end of a row that start no window
+        windows = np.maximum(seq_offsets[1:] - seq_offsets[:-1] - tail, 0)
+        offsets = np.zeros(len(windows) + 1, dtype=np.int64)
         np.cumsum(windows, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
+        if offsets[-1] == 0:
             return SparseColumn(offsets, np.empty(0, dtype=np.int64))
-        # Window k of a row starts at its sequence offset + k; the
-        # n-gram hash folds the n positions iteratively, all rows flat.
-        base = np.repeat(seq_offsets[:-1], windows) + (
-            np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], windows)
-        )
-        mixed = np.zeros(total, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for j in range(self.n):
-                mixed = splitmix64(
-                    mixed.astype(np.int64) * np.int64(31) + sequence[base + j]
-                )
-        return SparseColumn(offsets, (mixed >> np.uint64(1)).astype(np.int64))
+        # Every position starts a window, its row permitting: fold the n
+        # positions over contiguous shifted slices of the whole sequence
+        # and drop the windows that ran into the next row afterwards.
+        span = len(sequence) - tail
+        ids = sequence.view(np.uint64)
+        mixed = splitmix64(ids[:span])
+        for j in range(1, self.n):
+            mixed *= np.uint64(31)
+            mixed += ids[j : j + span]
+            mixed = splitmix64(mixed)
+        mixed >>= np.uint64(1)
+        values = mixed.view(np.int64)
+        if tail:
+            # keep[p + tail]: position p starts a window.  The pad is for
+            # rows shorter than the tail, which mark an earlier row's tail.
+            keep = np.ones(len(sequence) + tail, dtype=bool)
+            for back in range(tail):
+                keep[seq_offsets[1:] + back] = False
+            values = values[keep[tail : tail + span]]
+        return SparseColumn(offsets, values)
 
     @staticmethod
-    def _concatenate_rows(
-        columns: list[SparseColumn], n_rows: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _concatenate_rows(columns: list[SparseColumn]) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise concatenation of several sparse columns, flat.
 
         Returns ``(values, offsets)`` where each row's span holds its
@@ -120,18 +124,19 @@ class NGram(Transform):
         """
         if len(columns) == 1:
             return columns[0].values, columns[0].offsets
-        lengths = np.stack([column.lengths() for column in columns])
+        n_rows = len(columns[0])
+        runs = np.empty((n_rows, len(columns)), dtype=np.int64)
         seq_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(lengths.sum(axis=0), out=seq_offsets[1:])
-        values = np.empty(int(seq_offsets[-1]), dtype=np.int64)
-        prior = np.zeros(n_rows, dtype=np.int64)
-        for column, column_lengths in zip(columns, lengths):
-            reps = column_lengths
-            within = np.arange(len(column.values), dtype=np.int64) - np.repeat(
-                column.offsets[:-1], reps
-            )
-            values[np.repeat(seq_offsets[:-1] + prior, reps) + within] = column.values
-            prior += column_lengths
+        for index, column in enumerate(columns):
+            np.subtract(column.offsets[1:], column.offsets[:-1], out=runs[:, index])
+            seq_offsets += column.offsets
+        # Which column each slot of the result takes from: row 0's run
+        # from column 0, row 0's run from column 1, ..., then row 1's.
+        source = np.tile(np.arange(len(columns), dtype=np.int8), n_rows)
+        source = np.repeat(source, runs.ravel())
+        values = np.empty(len(source), dtype=np.int64)
+        for index, column in enumerate(columns):
+            values[source == index] = column.values
         return values, seq_offsets
 
 
@@ -162,7 +167,7 @@ class Bucketize(Transform):
         buckets = np.searchsorted(self.borders, column.values, side="right")
         if isinstance(column, DenseColumn):
             return SparseColumn.from_optional(buckets, column.presence)
-        return SparseColumn(column.offsets.copy(), buckets.astype(np.int64))
+        return column.with_values(buckets.astype(np.int64, copy=False), None)
 
 
 @register
@@ -187,7 +192,7 @@ class GetLocalHour(Transform):
         column = batch.dense(self._input_id)
         local = column.values.astype(np.float64) + self.utc_offset_hours * 3_600.0
         hours = np.mod(np.floor(local / 3_600.0), 24.0)
-        return DenseColumn(hours.astype(np.float32), column.presence.copy())
+        return DenseColumn(hours.astype(np.float32), column.presence)
 
 
 @register

@@ -2,7 +2,9 @@
 
 SigridHash, FirstX, PositiveModulus, MapId, Enumerate, ComputeScore, and
 IdListTransform operate on categorical ID lists; they are the middle
-cost class (~20% of transform cycles, Section 6.4).
+cost class (~20% of transform cycles, Section 6.4).  Every op here is a
+fixed number of passes over the flat arrays except IdListTransform, the
+one remaining per-row loop.
 """
 
 from __future__ import annotations
@@ -31,17 +33,36 @@ class _SparseUnary(Transform):
         return batch.sparse(self._input_id)
 
 
-def splitmix64(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer — a real, well-mixed 64-bit hash."""
-    x = values.astype(np.uint64)  # a private copy: mixed in place below
-    with np.errstate(over="ignore"):
-        x += np.uint64(0x9E3779B97F4A7C15)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
+_GOLDEN, _MASK64 = 0x9E3779B97F4A7C15, (1 << 64) - 1
+_ROUNDS = (  # xor with self >> shift, then multiply (the last round does not)
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+    (np.uint64(31), None),
+)
+
+
+def splitmix64(values: np.ndarray, salt: int = 0) -> np.ndarray:
+    """Vectorized splitmix64 finalizer of ``values + salt`` — a real,
+    well-mixed 64-bit hash.  *values*, any 64-bit integer array, is read
+    as unsigned and left alone: the sum is the one temporary, mixed in
+    place (unsigned array arithmetic wraps silently, as the hash does)."""
+    x = values.view(np.uint64) + np.uint64((salt + _GOLDEN) & _MASK64)
+    scratch = np.empty_like(x)
+    for shift, multiplier in _ROUNDS:
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        if multiplier is not None:
+            x *= multiplier
     return x
+
+
+def floor_mod(values: np.ndarray, modulus) -> np.ndarray:
+    """``values % modulus`` (positive scalar) as ``v - (v // m) * m``: numpy
+    divides an array by a scalar with multiply-shift but takes ``%`` with
+    a hardware divide per element.  Exact even where ``(v // m) * m`` wraps."""
+    quotient = values // modulus
+    quotient *= modulus
+    return np.subtract(values, quotient, out=quotient)
 
 
 @register
@@ -60,10 +81,9 @@ class SigridHash(_SparseUnary):
 
     def apply(self, batch: FeatureBatch) -> Column:
         column = self._input(batch)
-        hashed = splitmix64(column.values + np.int64(self.salt))
-        values = (hashed % np.uint64(self.table_size)).astype(np.int64)
-        weights = None if column.weights is None else column.weights.copy()
-        return SparseColumn(column.offsets.copy(), values, weights)
+        hashed = splitmix64(column.values, self.salt)
+        hashed = floor_mod(hashed, np.uint64(self.table_size))
+        return column.with_values(hashed.view(np.int64), column.weights)
 
 
 @register
@@ -109,9 +129,9 @@ class PositiveModulus(_SparseUnary):
 
     def apply(self, batch: FeatureBatch) -> Column:
         column = self._input(batch)
-        values = np.mod(column.values, self.modulus)  # numpy % is already positive
-        weights = None if column.weights is None else column.weights.copy()
-        return SparseColumn(column.offsets.copy(), values.astype(np.int64), weights)
+        # Floor division, so the remainder is already positive.
+        values = floor_mod(column.values, np.int64(self.modulus))
+        return column.with_values(values, column.weights)
 
 
 @register
@@ -125,16 +145,20 @@ class MapId(_SparseUnary):
         super().__init__(input_id)
         self.mapping = dict(mapping)
         self.default = default
+        # Sorted keys and their targets, plus one closing (0 -> default)
+        # slot for IDs above every key: matching it is the same as a miss.
+        keys = sorted(self.mapping)
+        self._keys = np.array(keys + [0], dtype=np.int64)
+        self._targets = np.array(
+            [self.mapping[key] for key in keys] + [default], dtype=np.int64
+        )
 
     def apply(self, batch: FeatureBatch) -> Column:
         column = self._input(batch)
-        values = np.fromiter(
-            (self.mapping.get(int(v), self.default) for v in column.values),
-            dtype=np.int64,
-            count=len(column.values),
-        )
-        weights = None if column.weights is None else column.weights.copy()
-        return SparseColumn(column.offsets.copy(), values, weights)
+        slot = np.searchsorted(self._keys[:-1], column.values)
+        hit = self._keys[slot] == column.values
+        values = np.where(hit, self._targets[slot], self.default)
+        return column.with_values(values, column.weights)
 
 
 @register
@@ -146,11 +170,10 @@ class Enumerate(_SparseUnary):
 
     def apply(self, batch: FeatureBatch) -> Column:
         column = self._input(batch)
-        positions = np.concatenate(
-            [np.arange(n, dtype=np.int64) for n in column.lengths()]
-        ) if len(column.values) else np.empty(0, dtype=np.int64)
-        weights = None if column.weights is None else column.weights.copy()
-        return SparseColumn(column.offsets.copy(), positions, weights)
+        positions = np.arange(len(column.values), dtype=np.int64) - np.repeat(
+            column.offsets[:-1], column.lengths()
+        )
+        return column.with_values(positions, column.weights)
 
 
 @register
@@ -181,8 +204,8 @@ class ComputeScore(Transform):
                 f"ComputeScore requires a scored feature, {self._input_id} has no weights"
             )
         weights = column.weights * self.scale + self.bias
-        return SparseColumn(
-            column.offsets.copy(), column.values.copy(), weights.astype(np.float32)
+        return column.with_values(
+            column.values, weights.astype(np.float32, copy=False)
         )
 
 

@@ -63,6 +63,37 @@ class TestWorkerProcessing:
         while worker.buffer:
             assert worker.serve_batch().n_rows <= 32
 
+    def test_rebatched_pieces_are_the_stripes_rows(self, published):
+        """Pieces are views of the stripe batch whose rebased offsets skip
+        the constructor's scan; they must pass it all the same, and be
+        the stripe's rows."""
+        whole = make_session(published, n_workers=1, batch_size=64)
+        cut = make_session(published, n_workers=1, batch_size=24)  # 24+24+16
+        split = whole.master.request_split(whole.workers[0].worker_id)
+        assert split == cut.master.request_split(cut.workers[0].worker_id)
+        (stripe,) = whole.workers[0].extract_batches(split)
+        pieces = list(cut.workers[0].extract_batches(split))
+        assert [piece.n_rows for piece in pieces] == [24, 24, 16]
+        row = 0
+        for piece in pieces:
+            stop = row + piece.n_rows
+            assert np.array_equal(piece.labels, stripe.labels[row:stop])
+            for fid, column in piece.columns.items():
+                source = stripe.columns[fid]
+                if isinstance(column, SparseColumn):
+                    SparseColumn(column.offsets, column.values, column.weights)
+                    assert column.to_lists() == source.to_lists()[row:stop]
+                    assert (column.weights is None) == (source.weights is None)
+                    if column.weights is not None:
+                        first, last = source.offsets[row], source.offsets[stop]
+                        assert np.array_equal(column.weights, source.weights[first:last])
+                else:
+                    DenseColumn(column.values, column.presence)
+                    assert np.array_equal(column.values, source.values[row:stop])
+                    assert np.array_equal(column.presence, source.presence[row:stop])
+            row = stop
+        assert row == stripe.n_rows
+
     def test_dead_worker_raises(self, published):
         session = make_session(published)
         worker = session.workers[0]
