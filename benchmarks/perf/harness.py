@@ -222,8 +222,8 @@ def _fleet_workload():
     exploratory bursts land as co-scheduled batches, not a Poisson
     trickle), on a region wide enough to admit every wave: the steady
     stretches between waves are where a fleet simulator spends real
-    sweeps, and they keep the region above the vectorized-tick
-    threshold for most of the run.
+    sweeps, and the region stays 8 to 32 jobs wide for most of the run
+    (four times the widest sweep-grid epoch).
     """
     from repro.cluster.job import JobKind
     from repro.fleet import FleetConfig, FleetJobSpec, PoolConfig, StorageFabric

@@ -19,8 +19,9 @@ closed-form next fire time, and every driver merge-fires the earliest
 of (heap head, due periodic) in one batched drain loop.  A periodic
 occurrence costs no heap push/pop; its reschedule is one float add.
 Next fire times chain as ``now + interval`` (not ``t0 + k*interval``)
-because the fleet's fused/reference byte-identity proofs require the
-exact IEEE-754 sums the self-rescheduling formulation produced.
+because the fleet's byte-identity pins and reference-oracle suites
+require the exact IEEE-754 sums the self-rescheduling formulation
+produced.
 
 Deterministic FIFO tie-breaking at equal timestamps is preserved: the
 monotonically increasing ``seq`` orders heap events and periodic

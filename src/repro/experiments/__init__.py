@@ -29,11 +29,10 @@ speaks one contract:
   instead of aborting the sweep.
 
 ``python -m repro.experiments {list,run,sweep}`` is the CLI face.
-``repro.sweep`` remains as a deprecated alias of the sweep half.
 """
 
 from .base import Scenario, scenario_from_json, scenario_kinds
-from .grid import ScenarioGrid, ScenarioSpec, grid_from_json, quick_grid
+from .grid import ScenarioGrid, grid_from_json, quick_grid
 from .journal import RunJournal, cell_identities, grid_hash, load_journal, spec_hash
 from .registry import (
     RegistryEntry,
@@ -89,7 +88,6 @@ __all__ = [
     "Scenario",
     "ScenarioGrid",
     "ScenarioResult",
-    "ScenarioSpec",
     "SweepArena",
     "SweepReport",
     "SweepRunner",

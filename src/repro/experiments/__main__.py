@@ -8,7 +8,7 @@ Subcommands::
     # Run one registered scenario (any kind), archive its report
     python -m repro.experiments run chaos/worst-case --seed 3 --out report.json
 
-    # Fan a fleet-scenario grid across processes (the old repro.sweep)
+    # Fan a fleet-scenario grid across processes
     python -m repro.experiments sweep --quick --jobs 4 --out sweep.json
     python -m repro.experiments sweep --grid grid.json --seeds 0,1,2,3
 

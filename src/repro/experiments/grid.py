@@ -25,9 +25,6 @@ from .scenarios import (
     mix_from_overrides,
 )
 
-#: Back-compat name: the fleet kind *is* the old sweep cell spec.
-ScenarioSpec = FleetRegionScenario
-
 
 @dataclass(frozen=True)
 class ScenarioGrid:

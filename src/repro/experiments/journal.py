@@ -30,10 +30,10 @@ dropped; that cell simply recomputes.  Validation is per *cell*, not
 per file: every journaled record must name a cell of the *current*
 grid with an identical spec hash — so a grid that **grew** resumes
 incrementally (old cells skipped, new cells computed), while a grid
-whose overlapping cells changed is refused loudly (recovering wrong
+whose overlapping cells changed is rejected loudly (recovering wrong
 numbers silently would poison the paper's surfaces).  A record line
 that is newline-terminated but unparseable means real corruption, not
-a crash artifact, and is also refused.
+a crash artifact, and is also rejected.
 
 The determinism contract extends through here: a journaled result is
 restored bit-for-bit (the row round-trips the repo's strict JSON

@@ -38,8 +38,7 @@ campaign — supervises it:
 Both arrays live in anonymous ``mmap`` shared maps (``MAP_SHARED``),
 so worker writes are visible to the parent without any serialization.
 The engine requires the ``fork`` start method (Linux/macOS CPython);
-callers fall back to the futures-based path where ``fork`` is
-unavailable.
+the runners execute inline where ``fork`` is unavailable.
 
 Determinism: chunking only partitions the index space.  Every scenario
 seeds itself, results land at their grid index, retried chunks

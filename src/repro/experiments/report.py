@@ -189,6 +189,21 @@ class ScenarioResult:
         return cls(**revive_floats(row, cls._FLOAT_FIELDS))
 
 
+def merge_extras(into: dict, other: dict) -> None:
+    """Fold *other*'s report extras into *into*, in place.
+
+    The pool's ``fault_tolerance`` incident counters add key by key (a
+    merged report saw both runs' incidents); every other key is
+    replaced by *other*'s value.
+    """
+    counters = dict(into.get("fault_tolerance", {}))
+    for key, count in other.get("fault_tolerance", {}).items():
+        counters[key] = counters.get(key, 0) + count
+    into.update(other)
+    if counters:
+        into["fault_tolerance"] = dict(sorted(counters.items()))
+
+
 @dataclass
 class SweepReport(ReportBase):
     """Results of one sweep, plus the aggregation surfaces over them."""
@@ -355,7 +370,7 @@ class SweepReport(ReportBase):
         )
         self.total_wall_s += other.total_wall_s
         self.jobs = max(self.jobs, other.jobs)
-        self.extras.update(other.extras)
+        merge_extras(self.extras, other.extras)
         return self
 
     # -- rendering -------------------------------------------------------------

@@ -8,10 +8,9 @@ Two runners share one persistent-pool fan-out engine
   (parameter rows written once, workers rebuild scenarios zero-copy
   and fold flat metrics into the columnar results table in place), and
   the parent materializes the
-  :class:`~repro.experiments.report.SweepReport` in a single merge.
-  (This is the old ``repro.sweep.SweepRunner``, unchanged in observable
-  behavior: deterministic per-scenario seeding, results independent of
-  process count, chunk size, and scheduling.)
+  :class:`~repro.experiments.report.SweepReport` in a single merge
+  (deterministic per-scenario seeding, results independent of process
+  count, chunk size, and scheduling).
 * :class:`ExperimentRunner` — the general plane: fans *any* mix of
   registered scenario kinds (fleet regions, chaos sessions, timed DPP
   simulations) across the same persistent pool via :func:`fan_out` and
@@ -23,8 +22,8 @@ Two runners share one persistent-pool fan-out engine
 Both rely on the scenario contract: every scenario seeds itself and
 reports sort canonically before aggregation — process scheduling can
 never leak into the artifact.  Where the ``fork`` start method is
-unavailable, :func:`fan_out` falls back to a futures pool with
-per-item pickling (same results, lower throughput).
+unavailable both runners execute inline, as ``jobs=1`` does (same
+bytes, one core).
 
 Both runners also inherit the pool's fault tolerance (see
 :mod:`repro.experiments.pool`): dead workers respawn, their chunks
@@ -42,7 +41,6 @@ from __future__ import annotations
 import os
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -60,34 +58,11 @@ from .pool import (
     fork_available,
     run_chunked,
 )
-from .report import FailureReport, ScenarioResult, SweepReport
+from .report import FailureReport, ScenarioResult, SweepReport, merge_extras
 from .scenarios import FleetRegionScenario, MAX_EVENTS_PER_SCENARIO
 
 #: ``progress(done, total)`` — called after each completed item.
 ProgressFn = Callable[[int, int], None]
-
-
-def _fan_out_futures(
-    items: Sequence,
-    fn: Callable,
-    jobs: int,
-    progress: ProgressFn | None = None,
-) -> list:
-    """Futures-pool fallback for platforms without ``fork``.
-
-    Per-item pickling both ways — the pre-persistent-pool engine, kept
-    only as the portability path.
-    """
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        if progress is None:
-            chunksize = max(1, len(items) // (jobs * 4))
-            return list(pool.map(fn, items, chunksize=chunksize))
-        futures = [pool.submit(fn, item) for item in items]
-        done = 0
-        for _ in as_completed(futures):
-            done += 1
-            progress(done, len(futures))
-        return [future.result() for future in futures]
 
 
 def fan_out(
@@ -102,11 +77,12 @@ def fan_out(
 ) -> list:
     """Apply *fn* over *items*, inline or across persistent workers.
 
-    ``jobs=1`` (or a single item) runs inline — no pool overhead,
-    easiest to debug, what CI determinism tests use.  Otherwise items
-    ship to long-lived forked workers in index chunks (*chunk_size*
-    cells per task, auto-tuned from the batch size and *jobs* when
-    None); *items* and *fn* are inherited by the fork, never pickled.
+    ``jobs=1`` (or a single item, or a platform without the ``fork``
+    start method) runs inline — no pool overhead, easiest to debug,
+    what CI determinism tests use.  Otherwise items ship to long-lived
+    forked workers in index chunks (*chunk_size* cells per task,
+    auto-tuned from the batch size and *jobs* when None); *items* and
+    *fn* are inherited by the fork, never pickled.
     Results come back in input order regardless of engine, jobs, or
     chunk size, so fan-out width cannot reorder them.
 
@@ -119,13 +95,13 @@ def fan_out(
     killing its worker past *policy*'s retry budget — is quarantined:
     ``on_item_failed(index, detail)`` supplies the replacement value
     for its result slot and the batch completes.  Without it failures
-    re-raise (the legacy fail-fast contract).  The inline and futures
-    paths honor the same hook for in-process exceptions, so ``jobs=1``
-    and ``jobs=N`` quarantine identically.  *stats*, when provided,
+    re-raise (the legacy fail-fast contract).  The inline path honors
+    the same hook for in-process exceptions, so ``jobs=1`` and
+    ``jobs=N`` quarantine identically.  *stats*, when provided,
     accumulates the pool's incident counters.
     """
     n_items = len(items)
-    if jobs == 1 or n_items <= 1:
+    if jobs == 1 or n_items <= 1 or not fork_available():
         results = []
         for index, item in enumerate(items):
             try:
@@ -141,8 +117,6 @@ def fan_out(
             if progress is not None:
                 progress(len(results), n_items)
         return results
-    if not fork_available():  # pragma: no cover - platform-dependent
-        return _fan_out_futures(items, fn, jobs, progress)
     results = [None] * n_items
     failed: dict[int, str] = {}
 
@@ -191,8 +165,7 @@ def run_scenario_spec(
 ) -> ScenarioResult:
     """Run one fleet scenario to completion (or horizon) and reduce it.
 
-    Module top-level so it fans through ``ProcessPoolExecutor``
-    unchanged.  The reduction rides the simulator's flat summary path
+    The reduction rides the simulator's flat summary path
     (:meth:`~repro.fleet.simulator.FleetSimulator.run_summary`): no
     :class:`~repro.fleet.report.FleetReport` envelope is ever
     materialized — only the eleven aggregate numbers, bit-identical to
@@ -355,7 +328,7 @@ class SweepRunner:
                 on_cell(index, failed)
 
         wrapped_progress = cell_progress if progress is not None else None
-        if self.jobs == 1 or len(remaining) <= 1:
+        if self.jobs == 1 or len(remaining) <= 1 or not fork_available():
             # Inline execution batches journal appends at the same
             # granularity the pool would have chunked at, so serial and
             # pooled runs pay comparable (amortised) fsync costs.
@@ -394,23 +367,6 @@ class SweepRunner:
                 # when an exception or interrupt cuts the loop short.
                 if on_chunk is not None and batch:
                     on_chunk(batch)
-        elif not fork_available():  # pragma: no cover - platform-dependent
-            fn = run_scenario_spec_traced if traced else run_scenario_spec
-            specs = [arena.scenario_for(index) for index in remaining]
-            for position, out in enumerate(
-                _fan_out_futures(specs, fn, self.jobs, wrapped_progress)
-            ):
-                index = remaining[position]
-                if traced:
-                    result, trace = out
-                    traces.append(trace)
-                else:
-                    result = out
-                arena.store(index, result)
-                if on_chunk is not None:
-                    on_chunk([index])
-                elif on_cell is not None:
-                    on_cell(index)
         else:
             for _start, _stop, payload in run_chunked(
                 _sweep_chunk_work(arena, traced, remaining),
@@ -753,7 +709,7 @@ class ExperimentReport(ReportBase):
         )
         self.total_wall_s += other.total_wall_s
         self.jobs = max(self.jobs, other.jobs)
-        self.extras.update(other.extras)
+        merge_extras(self.extras, other.extras)
         return self
 
     def render(self) -> str:

@@ -4,7 +4,7 @@
   region: a seeded arrival trace from a :class:`~repro.fleet.jobs.FleetMix`
   replayed against one :class:`~repro.fleet.simulator.FleetSimulator`,
   optionally under a fleet-level fault storm.  This is the cell type
-  sweeps expand to (it *is* the old ``repro.sweep.ScenarioSpec``).
+  sweeps expand to.
 * :class:`ChaosSessionScenario` (``kind="chaos"``) — one executable DPP
   session (published synthetic table and all) driven through a scripted
   and/or seeded :class:`~repro.chaos.faults.FaultSchedule` by

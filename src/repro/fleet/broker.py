@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from ..common.errors import ConfigError, StorageError
 from ..telemetry.tracer import NULL_TRACER, Tracer
 from ..tectonic.filesystem import TectonicFilesystem
@@ -37,72 +35,48 @@ def max_min_share(demands: Sequence[float], capacity: float) -> list[float]:
     remainder is split evenly among the still-unsatisfied.  Returns one
     grant per demand, summing to at most *capacity*.
 
-    Vectorized as one sorted prefix-sum pass: in ascending demand
-    order, the water level at position *i* is
+    One sorted prefix-sum pass: in ascending demand order, the water
+    level at position *i* is
     ``(capacity - sum(smaller demands)) / (n - i)``; every demand below
     its level is fully granted, and the first demand above it fixes the
     level that all remaining (still-unsatisfied) demands share.  This
-    runs per tick per tier in the fleet simulator, where the
-    sequential water-filling loop was a measured hot spot.
+    runs per tick per tier in the fleet simulator, over tens of jobs —
+    sizes at which plain Python beats numpy's per-call dispatch.
     """
     if capacity < 0:
         raise ConfigError("capacity cannot be negative")
     n = len(demands)
-    if n == 0:
-        return []
-    if n < 128:
-        # Uncontended fast path: when capacity covers the total ask,
-        # the water level sits above every demand and each job is
-        # granted exactly what it asked — no sort needed.  (At any
-        # position the remaining capacity covers the remaining demands,
-        # all at least the current one, so ``asked <= fair`` always
-        # holds and the full loop would copy demands through verbatim.)
-        total = 0.0
-        for asked in demands:
-            total += asked
-            if asked < 0.0:
-                raise ConfigError("demands cannot be negative")
-        if total <= capacity:
-            return list(demands)
-        # Small-n path: numpy's per-call dispatch dwarfs the actual
-        # arithmetic at fleet-tick sizes (tens of jobs).  Identical
-        # float sequence to the array path below: the prefix sum is
-        # accumulated in the same ascending order.
-        order = sorted(range(n), key=demands.__getitem__)
-        grants = [0.0] * n
-        filled_below = 0.0
-        level = None
-        cut = n
-        for position, index in enumerate(order):
-            asked = demands[index]
-            fair = (capacity - filled_below) / (n - position)
-            if asked > fair:
-                level = fair
-                cut = position
-                break
-            grants[index] = asked
-            filled_below += asked
-        if level is not None:
-            for index in order[cut:]:
-                grants[index] = level
-        return grants
-    asked = np.asarray(demands, dtype=float)
-    if asked.min() < 0:
-        raise ConfigError("demands cannot be negative")
-    if float(asked.sum()) <= capacity:  # uncontended: grants == demands
-        return asked.tolist()
-    order = np.argsort(asked, kind="stable")
-    ranked = asked[order]
-    filled_below = np.concatenate(([0.0], np.cumsum(ranked)[:-1]))
-    level = (capacity - filled_below) / np.arange(n, 0, -1)
-    unsatisfied = ranked > level
-    granted = ranked.copy()
-    if unsatisfied.any():
-        first = int(np.argmax(unsatisfied))
-        granted[first:] = level[first]
-    grants = np.empty(n)
-    grants[order] = granted
-    return grants.tolist()
+    # Uncontended fast path: when capacity covers the total ask, the
+    # water level sits above every demand and each job is granted
+    # exactly what it asked — no sort needed.  (At any position the
+    # remaining capacity covers the remaining demands, all at least the
+    # current one, so ``asked <= fair`` always holds and the full loop
+    # would copy demands through verbatim.)
+    total = 0.0
+    for asked in demands:
+        total += asked
+        if asked < 0.0:
+            raise ConfigError("demands cannot be negative")
+    if total <= capacity:
+        return list(demands)
+    order = sorted(range(n), key=demands.__getitem__)
+    grants = [0.0] * n
+    filled_below = 0.0
+    level = None
+    cut = n
+    for position, index in enumerate(order):
+        asked = demands[index]
+        fair = (capacity - filled_below) / (n - position)
+        if asked > fair:
+            level = fair
+            cut = position
+            break
+        grants[index] = asked
+        filled_below += asked
+    if level is not None:
+        for index in order[cut:]:
+            grants[index] = level
+    return grants
 
 
 @dataclass(frozen=True)
@@ -389,14 +363,12 @@ class StorageBroker:
     def apportion_shares(
         self, ids: Sequence[int], demands: Sequence[float]
     ) -> tuple[list[float], list[float], list[float]]:
-        """Fused-path apportionment: grant arrays, no per-job objects.
+        """Apportionment as grant lists, no per-job objects.
 
         *ids* must be sorted ascending with *demands* aligned — the
-        order :meth:`apportion` uses, so both entry points produce
-        bit-identical grants.  Returns ``(hdd, ssd, absorbed)`` lists
-        aligned with *ids*; the fleet simulator's vectorized tick
-        consumes them directly instead of building one
-        :class:`BandwidthGrant` per job per tick.
+        order :meth:`apportion` uses.  Returns ``(hdd, ssd, absorbed)``
+        lists aligned with *ids*; :meth:`apportion` wraps them into one
+        :class:`BandwidthGrant` per job.
         """
         absorbed = [self.cache_absorbed_fraction(i) for i in ids]
         ssd_demands = [d * a for d, a in zip(demands, absorbed)]

@@ -16,16 +16,14 @@ simulation on a single :class:`~repro.common.simclock.SimClock`:
   fleet size and the :class:`~repro.fleet.allocator.GlobalDppAllocator`
   arbitrates all proposals against one power-bounded worker pool.
 
-The tick dynamics run in one of two modes with identical semantics:
-the default **fused** mode coalesces the per-job state update into
-vectorized numpy passes over all active jobs (demand declaration,
-grant application, consumption, stall accrual), while the **reference**
-mode keeps the original one-Python-loop-per-phase structure.  Both
-modes share the same event ordering and the same floating-point
-operations, so a fixed job trace produces *bit-identical*
-:class:`~repro.fleet.report.FleetReport`\\ s either way — the
-equivalence suite (``tests/fleet/test_tick_equivalence.py``) holds the
-fused hot path to that contract.
+The tick dynamics are one coalesced scalar pass over per-epoch column
+lists (demand declaration, grant application, consumption, stall
+accrual) at every fleet width, plus steady stretches that defer proven
+fixed-point ticks.  The one-Python-loop-per-phase reference it must
+match bit for bit lives in ``tests/fleet/oracles.py``; the differential
+suites there (``test_tick_equivalence.py``,
+``test_tick_differential.py``) hold this pass to byte-identical
+:class:`~repro.fleet.report.FleetReport`\\ s.
 
 The result is a :class:`~repro.fleet.report.FleetReport`: per-job
 throughput, contention slowdown, queue delay, and shared-resource
@@ -44,7 +42,7 @@ from ..common.errors import ConfigError, SchedulingError
 from ..common.simclock import SimClock
 from ..dpp.analytical import worker_throughput
 from ..telemetry.tracer import NULL_TRACER, Tracer
-from ..dpp.autoscaler import AutoscalerConfig, AutoscalingController
+from ..dpp.autoscaler import AutoscalerConfig
 from ..workloads.hardware import V100_TRAINER, TrainerNodeSpec
 from .allocator import (
     KIND_PRIORITY,
@@ -58,13 +56,6 @@ from .jobs import FleetJobSpec
 from .report import FleetReport, FleetSample, JobOutcome
 
 _EPS = 1e-9
-
-#: Active-job count from which the fused tick switches its coalesced
-#: pass from the tight scalar loop to numpy array operations.  Below
-#: this, per-ufunc dispatch overhead outweighs the vectorized
-#: arithmetic; measured crossover on CPython 3.11 / numpy 2.x is
-#: around a few dozen jobs.
-_VECTOR_MIN = 32
 
 
 def _fleet_autoscaler_config() -> AutoscalerConfig:
@@ -126,7 +117,6 @@ class _ActiveJob:
     spec: FleetJobSpec
     outcome: JobOutcome
     worker_qps: float
-    controller: AutoscalingController
     requested: int
     # Cached spec constants (admission-time resolution).
     demand_sps: float = 0.0
@@ -167,12 +157,12 @@ class _ActiveJob:
 
 
 class _EpochColumns:
-    """Membership-epoch columnar state for the fused tick.
+    """Membership-epoch columnar state for the tick and control passes.
 
     Allocated once per membership epoch (the active-job set changing is
     the only boundary) and mutated in place every tick, so the hot loop
-    is pure list/array arithmetic with no per-tick re-materialization
-    and no Python-object attribute traffic.  Two groups live here:
+    is pure list arithmetic with no per-tick re-materialization and no
+    Python-object attribute traffic.  Two groups live here:
 
     * **static columns** — rates, caps, targets, cache absorption —
       resolved once at epoch build;
@@ -186,9 +176,6 @@ class _EpochColumns:
       ``live`` column is the one exception: ``job.live_workers`` stays
       authoritative (control grants, crashes, and maturation mutate
       it) and the column mirrors it at each of those points.
-
-    The numpy views of the static columns are only built for epochs
-    wide enough to take the vectorized tick path.
     """
 
     __slots__ = (
@@ -198,8 +185,6 @@ class _EpochColumns:
         "live", "buffer", "done", "stall", "wsec", "gbytes", "rate",
         "supplies", "ssd_in", "hdd_in",
         "done_d", "stall_d", "wsec_d", "gbytes_d",
-        "qps_arr", "demand_arr", "rx_arr", "cap_arr", "target_arr",
-        "absorbed_arr", "one_minus_arr",
     )
 
 
@@ -216,10 +201,10 @@ class _SteadyStretch:
 
     A stretch defers those accumulations — and, untraced, the sample
     rows themselves: fast ticks just count themselves, and settling
-    (a) replays the deferred count as one fused ``acc += delta`` per
-    tick over a stacked ``(4, n)`` float64 array — the exact same
-    IEEE-754 addition sequence the reference would have executed job
-    by job — and (b) appends the deferred rows with their tick times
+    (a) replays the deferred count as one ``acc += delta`` per tick
+    over a stacked ``(4, n)`` float64 array — the exact same IEEE-754
+    addition sequence the full tick would have executed job by job —
+    and (b) appends the deferred rows with their tick times
     rebuilt by the same chained ``t + tick`` float adds the clock's
     periodic reschedule performs, so byte-identity survives both.
     ``remaining`` bounds the stretch so no job can cross its
@@ -268,19 +253,13 @@ _STRETCH_UNBOUNDED = 0x7FFFFFFFFFFFFFFF
 
 
 class FleetSimulator:
-    """Discrete-event, multi-tenant datacenter-region simulator.
-
-    *fused* selects the vectorized tick (default).  ``fused=False``
-    runs the per-callback reference dynamics — same semantics, kept as
-    the equivalence baseline and for single-stepping comprehension.
-    """
+    """Discrete-event, multi-tenant datacenter-region simulator."""
 
     def __init__(
         self,
         config: FleetConfig,
         jobs: list[FleetJobSpec],
         clock: SimClock | None = None,
-        fused: bool = True,
         tracer: Tracer | None = None,
     ) -> None:
         if not jobs:
@@ -294,7 +273,6 @@ class FleetSimulator:
             raise ConfigError("job ids must be unique")
         self.config = config
         self.clock = clock or SimClock()
-        self.fused = fused
         self.broker = StorageBroker(config.fabric)
         # One budget object serves both the allocator's worker cap
         # (when configured) and the per-tick power accounting; an
@@ -335,22 +313,14 @@ class FleetSimulator:
         # sample is O(1) instead of a sum over active jobs.
         self._live_total = 0
         self._pending_total = 0
-        # Membership-epoch columnar state for the fused tick: rebuilt
-        # only when a job is admitted or finishes, not every tick.
+        # Membership-epoch columnar state: rebuilt only when a job is
+        # admitted or finishes, not every tick.
         self._static: _EpochColumns | None = None
         # Open steady-state stretch (fixed-point fast path), if any.
         self._stretch: _SteadyStretch | None = None
-        # Memoized tier apportionments, keyed by exact demand vectors
-        # (+ derate): max_min_share is pure, so a hit replays the
-        # identical grant floats without re-water-filling.
-        self._grant_memo: dict = {}
         self._chains_started = False
         self._tick_handle = None
         self._control_handle = None
-        # The tick body is bound once: untraced runs dispatch straight
-        # into the dynamics with zero telemetry bookkeeping on the
-        # periodic callback path.
-        self._tick_core = self._tick_fused if fused else self._tick_reference
         # Telemetry: the tracer rides the simulation clock.  Disabled
         # (the shared NULL_TRACER) every hot-path site costs one
         # `tracer.enabled` check; enabled, the clock hook counts every
@@ -413,7 +383,6 @@ class FleetSimulator:
                 spec=spec,
                 outcome=outcome,
                 worker_qps=worker_qps,
-                controller=AutoscalingController(self.config.autoscaler),
                 requested=0,
                 demand_sps=demand,
                 rx_bytes_per_sample=spec.storage_rx_bytes_per_sample,
@@ -513,14 +482,16 @@ class FleetSimulator:
     def _control(self) -> None:
         """Per-job autoscalers propose; the global allocator disposes.
 
-        With a live columnar epoch the proposal pass reads the fluid
-        state straight from the columns, with the controller's
-        aggregate policy (:meth:`AutoscalingController.evaluate_uniform`)
+        The proposal pass reads the fluid state straight from the
+        epoch's columns (building them first when the round opens the
+        epoch, as an admission-time round does), with the controller's
+        aggregate policy
+        (:meth:`~repro.dpp.autoscaler.AutoscalingController.evaluate_uniform`)
         inlined — same branch structure, same arithmetic, minus one
         method call and one decision record per job per period.  The
-        object path remains for epoch boundaries (a control round
-        triggered by admission) and the reference mode, which never
-        builds columns.
+        fluid state maps onto the controller's inputs as buffered
+        *seconds of demand* for buffered batches and achieved rate over
+        worker capacity for CPU utilization.
 
         During a steady stretch whose previous control round was a
         fixed point (cache hit *and* every grant a no-op), the whole
@@ -542,67 +513,63 @@ class FleetSimulator:
             )
             return
         static = self._static
-        if static is not None:
-            jobs = static.jobs
-            live = static.live
-            buffer = static.buffer
-            rate = static.rate
-            demand = static.demand
-            qps = static.qps
-            scaler = self.config.autoscaler
-            min_buf = scaler.min_buffered_per_worker
-            drain_buf = scaler.drain_buffered_per_worker
-            low_util = scaler.low_utilization
-            up_step = scaler.scale_up_step
-            drain_step = scaler.drain_step
-            min_w = scaler.min_workers
-            max_w = scaler.max_workers
-            rows = []
-            append = rows.append
-            for i, job in enumerate(jobs):
-                n_live = live[i]
-                if n_live <= 0:
-                    delta = up_step
-                else:
-                    buffered = float(int(buffer[i] / demand[i]))
-                    supply = n_live * qps[i]
-                    if supply > 0:
-                        utilization = rate[i] / supply
-                        if utilization > 1.0:
-                            utilization = 1.0
-                    else:
+        if static is None:
+            static = self._build_columns()
+        jobs = static.jobs
+        live = static.live
+        buffer = static.buffer
+        rate = static.rate
+        demand = static.demand
+        qps = static.qps
+        scaler = self.config.autoscaler
+        min_buf = scaler.min_buffered_per_worker
+        drain_buf = scaler.drain_buffered_per_worker
+        low_util = scaler.low_utilization
+        up_step = scaler.scale_up_step
+        drain_step = scaler.drain_step
+        min_w = scaler.min_workers
+        max_w = scaler.max_workers
+        rows = []
+        append = rows.append
+        for i, job in enumerate(jobs):
+            n_live = live[i]
+            if n_live <= 0:
+                delta = up_step
+            else:
+                buffered = float(int(buffer[i] / demand[i]))
+                supply = n_live * qps[i]
+                if supply > 0:
+                    utilization = rate[i] / supply
+                    if utilization > 1.0:
                         utilization = 1.0
-                    if utilization < 0.0:
-                        utilization = 0.0
-                    if buffered >= min_buf and (
-                        buffered <= drain_buf
-                        or utilization >= low_util
-                        or n_live <= min_w
-                    ):
-                        delta = 0
-                    elif buffered < min_buf:
-                        headroom = max_w - n_live
-                        delta = up_step if up_step < headroom else headroom
-                    else:
-                        drainable = n_live - min_w
-                        delta = -(
-                            drain_step if drain_step < drainable else drainable
-                        )
-                requested = job.requested + delta
-                ceiling = 2 * job.base_workers
-                if ceiling < 1:
-                    ceiling = 1
-                if requested > ceiling:
-                    requested = ceiling
-                if requested < 1:
-                    requested = 1
-                job.requested = requested
-                append((job.priority, job.spec.job_id, requested, 1))
-        else:
-            rows = [
-                (job.priority, job.spec.job_id, self._desired_workers(job), 1)
-                for job in self._active.values()
-            ]
+                else:
+                    utilization = 1.0
+                if utilization < 0.0:
+                    utilization = 0.0
+                if buffered >= min_buf and (
+                    buffered <= drain_buf
+                    or utilization >= low_util
+                    or n_live <= min_w
+                ):
+                    delta = 0
+                elif buffered < min_buf:
+                    headroom = max_w - n_live
+                    delta = up_step if up_step < headroom else headroom
+                else:
+                    drainable = n_live - min_w
+                    delta = -(
+                        drain_step if drain_step < drainable else drainable
+                    )
+            requested = job.requested + delta
+            ceiling = 2 * job.base_workers
+            if ceiling < 1:
+                ceiling = 1
+            if requested > ceiling:
+                requested = ceiling
+            if requested < 1:
+                requested = 1
+            job.requested = requested
+            append((job.priority, job.spec.job_id, requested, 1))
         active_trainers = self.config.n_trainer_nodes - self._free_trainers
         cache = self._alloc_cache
         hit = (
@@ -631,47 +598,21 @@ class FleetSimulator:
                 dict(granted),
                 self.allocator.rounds[-1].pool_limit,
             )
-        if static is not None:
-            live = static.live
-            changed = False
-            for index, job in enumerate(static.jobs):
-                target = granted.get(job.spec.job_id, 0)
-                # An exact-size grant is a no-op in _apply_grant; skip
-                # the call (and track whether anything moved — the
-                # stretch, if open, survives only no-op rounds).
-                if target != job.live_workers + job.pending_count:
-                    changed = True
-                    self._apply_grant(job, target)
-                    live[index] = job.live_workers
-            if stretch is not None:
-                if changed:
-                    self._settle_stretch()
-                elif hit:
-                    stretch.control_steady = True
-        else:
-            for job in self._active.values():
-                self._apply_grant(job, granted.get(job.spec.job_id, 0))
-
-    def _desired_workers(self, job: _ActiveJob) -> int:
-        """Evolve the job's ask with its per-job autoscaling controller.
-
-        The fluid state maps onto the controller's aggregate inputs:
-        buffered *seconds of demand* stand in for buffered batches, and
-        achieved rate over worker capacity for CPU utilization.  Every
-        worker in the fluid model reports identically, so the O(1)
-        :meth:`~repro.dpp.autoscaler.AutoscalingController.evaluate_uniform`
-        replaces materializing one telemetry record per worker — the
-        old control-path hot spot.
-        """
-        buffered_s = job.buffer_samples / job.demand_sps
-        supply = job.live_workers * job.worker_qps
-        utilization = min(1.0, job.last_rate / supply) if supply > 0 else 1.0
-        delta = job.controller.evaluate_uniform(
-            job.live_workers, int(buffered_s), utilization
-        ).delta
-        ceiling = max(1, 2 * job.base_workers)
-        job.requested = max(1, min(ceiling, job.requested + delta))
-        return job.requested
+        changed = False
+        for index, job in enumerate(jobs):
+            target = granted.get(job.spec.job_id, 0)
+            # An exact-size grant is a no-op in _apply_grant; skip
+            # the call (and track whether anything moved — the
+            # stretch, if open, survives only no-op rounds).
+            if target != job.live_workers + job.pending_count:
+                changed = True
+                self._apply_grant(job, target)
+                live[index] = job.live_workers
+        if stretch is not None:
+            if changed:
+                self._settle_stretch()
+            elif hit:
+                stretch.control_steady = True
 
     def _apply_grant(self, job: _ActiveJob, target: int) -> None:
         """Reshape a job's worker fleet toward its granted size."""
@@ -707,10 +648,7 @@ class FleetSimulator:
 
         Runs once per membership epoch — the *only* per-epoch
         materialization cost; every tick thereafter mutates these
-        columns in place.  For epochs wide enough to take the
-        vectorized tick, the mutable state columns are float64 arrays
-        (in-place ufunc targets); narrow epochs keep plain lists for
-        the tight scalar loop.
+        columns (plain lists at every width) in place.
         """
         jobs = tuple(self._active.values())
         n = len(jobs)
@@ -728,8 +666,8 @@ class FleetSimulator:
         ]
         static.absorbed = absorbed
         static.one_minus = [1.0 - a for a in absorbed]
-        # Matches the reference's per-tick `+=` accumulation: same
-        # operands, same order, every tick of this epoch.
+        # The same left-to-right `+=` the per-job loop would run every
+        # tick of this epoch: same operands, same order.
         total_demand = 0.0
         for value in demand:
             total_demand += value
@@ -737,47 +675,19 @@ class FleetSimulator:
         static.supplies = [0.0] * n
         static.ssd_in = [0.0] * n
         static.hdd_in = [0.0] * n
-        if n >= _VECTOR_MIN:
-            static.qps_arr = np.asarray(static.qps)
-            static.demand_arr = np.asarray(demand)
-            static.rx_arr = np.asarray(static.rx)
-            static.cap_arr = np.asarray(static.cap)
-            static.target_arr = np.asarray(static.target)
-            static.absorbed_arr = np.asarray(absorbed)
-            static.one_minus_arr = np.asarray(static.one_minus)
-            static.live = np.fromiter(
-                (j.live_workers for j in jobs), float, n
-            )
-            static.buffer = np.fromiter(
-                (j.buffer_samples for j in jobs), float, n
-            )
-            static.done = np.fromiter(
-                (j.outcome.samples_done for j in jobs), float, n
-            )
-            static.stall = np.fromiter(
-                (j.outcome.stall_s for j in jobs), float, n
-            )
-            static.wsec = np.fromiter(
-                (j.outcome.worker_seconds for j in jobs), float, n
-            )
-            static.gbytes = np.fromiter(
-                (j.outcome.granted_bytes for j in jobs), float, n
-            )
-            static.rate = np.fromiter((j.last_rate for j in jobs), float, n)
-        else:
-            static.live = [j.live_workers for j in jobs]
-            static.buffer = [j.buffer_samples for j in jobs]
-            static.done = [j.outcome.samples_done for j in jobs]
-            static.stall = [j.outcome.stall_s for j in jobs]
-            static.wsec = [j.outcome.worker_seconds for j in jobs]
-            static.gbytes = [j.outcome.granted_bytes for j in jobs]
-            static.rate = [j.last_rate for j in jobs]
-            # Per-tick accumulator deltas, captured by the scalar loop
-            # so a fixed-point tick can open a steady stretch.
-            static.done_d = [0.0] * n
-            static.stall_d = [0.0] * n
-            static.wsec_d = [0.0] * n
-            static.gbytes_d = [0.0] * n
+        static.live = [j.live_workers for j in jobs]
+        static.buffer = [j.buffer_samples for j in jobs]
+        static.done = [j.outcome.samples_done for j in jobs]
+        static.stall = [j.outcome.stall_s for j in jobs]
+        static.wsec = [j.outcome.worker_seconds for j in jobs]
+        static.gbytes = [j.outcome.granted_bytes for j in jobs]
+        static.rate = [j.last_rate for j in jobs]
+        # Per-tick accumulator deltas, captured by the tick loop so a
+        # fixed-point tick can open a steady stretch.
+        static.done_d = [0.0] * n
+        static.stall_d = [0.0] * n
+        static.wsec_d = [0.0] * n
+        static.gbytes_d = [0.0] * n
         self._static = static
         return static
 
@@ -785,10 +695,10 @@ class FleetSimulator:
         """Write the epoch's state columns back to the job objects.
 
         Anything observing jobs through the object graph (reports,
-        admission-time control rounds, the next epoch's column build)
-        runs after a flush, so the columnar staleness is invisible
-        outside the tick.  ``live`` is skipped: ``job.live_workers``
-        is authoritative and the column only mirrors it.
+        the next epoch's column build) runs after a flush, so the
+        columnar staleness is invisible outside the tick.  ``live`` is
+        skipped: ``job.live_workers`` is authoritative and the column
+        only mirrors it.
         """
         buffer = static.buffer
         done = static.done
@@ -797,22 +707,24 @@ class FleetSimulator:
         gbytes = static.gbytes
         rate = static.rate
         for i, job in enumerate(static.jobs):
-            job.buffer_samples = float(buffer[i])
-            job.last_rate = float(rate[i])
+            job.buffer_samples = buffer[i]
+            job.last_rate = rate[i]
             outcome = job.outcome
-            outcome.samples_done = float(done[i])
-            outcome.stall_s = float(stall[i])
-            outcome.worker_seconds = float(wsec[i])
-            outcome.granted_bytes = float(gbytes[i])
+            outcome.samples_done = done[i]
+            outcome.stall_s = stall[i]
+            outcome.worker_seconds = wsec[i]
+            outcome.granted_bytes = gbytes[i]
 
     def _settle_stretch(self) -> None:
         """Replay an open stretch's deferred accumulator ticks.
 
-        Each deferred tick becomes one fused ``acc += delta`` over the
-        stacked ``(4, n)`` accumulator — the same per-job IEEE-754
-        additions, in the same tick order, that the slow path would
-        have executed, so the settled columns are bit-identical to
-        never having deferred at all.
+        Each deferred tick is one ``acc += delta`` over the stacked
+        ``(4, n)`` accumulator — the same per-job IEEE-754 additions,
+        in the same tick order, that the full tick would have executed,
+        so the settled columns are bit-identical to never having
+        deferred at all.  ``ufunc.accumulate`` along a stacked step axis
+        runs them at C speed: it is defined left-to-right, with no
+        pairwise reassociation.
         """
         stretch = self._stretch
         if stretch is None:
@@ -822,24 +734,12 @@ class FleetSimulator:
         if not k:
             return
         static = self._static
-        acc = np.array([static.done, static.stall, static.wsec, static.gbytes])
         delta = stretch.delta
-        if k < 32:
-            count = k
-            while count:
-                acc += delta
-                count -= 1
-        else:
-            # Long stretch: the same sequential additions, computed by
-            # ufunc.accumulate (defined left-to-right, no pairwise
-            # reassociation) along a stacked step axis — C speed, bit-
-            # identical to the Python replay loop.
-            steps = np.empty((k + 1,) + acc.shape)
-            steps[0] = acc
-            steps[1:] = delta
-            np.add.accumulate(steps, axis=0, out=steps)
-            acc = steps[k]
-        done_row, stall_row, wsec_row, gbytes_row = acc.tolist()
+        steps = np.empty((k + 1,) + delta.shape)
+        steps[0] = (static.done, static.stall, static.wsec, static.gbytes)
+        steps[1:] = delta
+        np.add.accumulate(steps, axis=0, out=steps)
+        done_row, stall_row, wsec_row, gbytes_row = steps[k].tolist()
         static.done[:] = done_row
         static.stall[:] = stall_row
         static.wsec[:] = wsec_row
@@ -906,20 +806,26 @@ class FleetSimulator:
         stretch.t_next = now + tick
         self._stretch = stretch
 
-    def _invalidate_static(self) -> None:
-        """Close the membership epoch: settle, flush columns, drop them."""
+    def _sync_jobs(self) -> None:
+        """Land deferred stretch ticks and the state columns on the job
+        objects; the epoch stays alive (the columns remain the truth for
+        the next tick)."""
         static = self._static
         if static is not None:
             self._settle_stretch()
             self._flush_columns(static)
-            self._static = None
+
+    def _invalidate_static(self) -> None:
+        """Close the membership epoch: settle, flush columns, drop them."""
+        self._sync_jobs()
+        self._static = None
 
     def _retire(self, static: _EpochColumns, indices: list[int]) -> None:
         """Finish the tick's completed jobs (closing the epoch first).
 
         The flush must precede the first :meth:`_finish`: a finish can
-        trigger admission and an allocation round, which read survivor
-        jobs through the object graph.
+        trigger admission and an allocation round, which builds the next
+        epoch's columns from the survivor job objects.
         """
         jobs = static.jobs
         self._flush_columns(static)
@@ -929,14 +835,8 @@ class FleetSimulator:
 
     # -- dynamics -------------------------------------------------------------
 
-    def _grant_capacities(self) -> tuple[float, float]:
-        """Current per-tier deliverable bandwidth (derated)."""
-        broker = self.broker
-        derate = broker.bandwidth_derate
-        return broker._hdd_bandwidth * derate, broker._ssd_bandwidth * derate
-
-    def _tick_fused(self) -> None:
-        """Fused dynamics: one coalesced pass over the epoch's columns.
+    def _tick(self) -> None:
+        """The tick dynamics: one coalesced pass over the epoch's columns.
 
         The per-tier apportionment is inlined (no per-job
         :class:`~repro.fleet.broker.BandwidthGrant` objects, no
@@ -944,12 +844,10 @@ class FleetSimulator:
         the demand multiset, not input order), and both the constants
         and the fluid state come from the membership-epoch columns — no
         per-tick re-materialization, no Python-object attribute traffic
-        in the inner loops.  Above ``_VECTOR_MIN`` active jobs the pass
-        runs as in-place numpy array operations; below it, where ufunc
-        dispatch would dominate the arithmetic, as one tight scalar
-        loop over the column lists.  Both flavors execute the same
-        IEEE-754 operations per job as :meth:`_tick_reference`, so all
-        three produce bit-identical reports.
+        in the inner loops.  The pass executes the same IEEE-754
+        operations per job as the per-phase reference loop in
+        ``tests/fleet/oracles.py``, so both produce bit-identical
+        reports.
 
         When a previous tick proved a fixed point (see
         :class:`_SteadyStretch`), the tick collapses to counting one
@@ -982,9 +880,6 @@ class FleetSimulator:
         n = len(jobs)
         if not n:
             self._sample(now, 0.0, 0.0, 0.0)
-            return
-        if n >= _VECTOR_MIN:
-            self._tick_vector(now, tick, static)
             return
 
         # Phase 1: mature in-flight launches.  Maturation is the one
@@ -1029,25 +924,10 @@ class FleetSimulator:
 
         # Phase 3: produce at the granted rate, consume trainer demand,
         # accrue stalls, cap the buffer — all into the state columns.
-        # Apportionment is memoized on the exact demand vectors: during
-        # ramps the same contended water-filling recurs across nearby
-        # ticks (launch plateaus between spin-up maturations), and the
-        # function is pure, so replaying the cached grants is the
-        # identical float sequence.
         broker = self.broker
         derate = broker.bandwidth_derate
-        memo_key = (tuple(ssd_in), tuple(hdd_in), derate)
-        memo = self._grant_memo
-        grants = memo.get(memo_key)
-        if grants is None:
-            grants = (
-                max_min_share(ssd_in, broker._ssd_bandwidth * derate),
-                max_min_share(hdd_in, broker._hdd_bandwidth * derate),
-            )
-            if len(memo) >= 16:
-                memo.clear()
-            memo[memo_key] = grants
-        ssd_grants, hdd_grants = grants
+        ssd_grants = max_min_share(ssd_in, broker._ssd_bandwidth * derate)
+        hdd_grants = max_min_share(hdd_in, broker._hdd_bandwidth * derate)
         target = static.target
         done = static.done
         stall = static.stall
@@ -1135,165 +1015,6 @@ class FleetSimulator:
                 )
         self._sample(now, total_rate, total_demand, granted_bps)
 
-    def _tick_vector(self, now: float, tick: float, static: _EpochColumns) -> None:
-        """Large-fleet flavor of the fused tick: in-place numpy passes.
-
-        The state columns *are* float64 arrays for vector-width epochs,
-        so the whole tick is elementwise ufuncs mutating them in place —
-        no per-tick gather from the job objects, no per-job writeback.
-        Elementwise float64 ufuncs are IEEE-identical to the scalar
-        arithmetic, and the scalar totals accumulate over ``tolist()``
-        in the reference's iteration order — that is what keeps the
-        modes bit-identical.
-        """
-        jobs = static.jobs
-        live = static.live
-        if self._pending_total:
-            for index, job in enumerate(jobs):
-                if job.pending:
-                    matured = job.mature_pending(now)
-                    if matured:
-                        self._live_total += matured
-                        self._pending_total -= matured
-                        live[index] = job.live_workers
-
-        # Phase 2: declared demand (refill whenever there is headroom),
-        # split per tier by cache absorption and water-filled.
-        buffer = static.buffer
-        done = static.done
-        supply = live * static.qps_arr
-        wanted = np.where(
-            buffer < static.cap_arr,
-            supply,
-            np.minimum(supply, static.demand_arr),
-        )
-        demand_bytes = wanted * static.rx_arr
-        hdd_capacity, ssd_capacity = self._grant_capacities()
-        ssd_grants = max_min_share(
-            (demand_bytes * static.absorbed_arr).tolist(), ssd_capacity
-        )
-        hdd_grants = max_min_share(
-            (demand_bytes * static.one_minus_arr).tolist(), hdd_capacity
-        )
-        grants = np.add(hdd_grants, ssd_grants)
-
-        # Phase 3: produce at the granted rate, consume trainer demand,
-        # accrue stalls, cap the buffer — in place on the state columns.
-        rate = static.rate
-        np.minimum(supply, grants / static.rx_arr, out=rate)
-        available = buffer + rate * tick
-        need = np.minimum(static.demand_arr * tick, static.target_arr - done)
-        consumed = np.minimum(need, available)
-        stalled = (need > _EPS) & (consumed < need - _EPS)
-        if stalled.any():
-            stall_inc = tick * (1.0 - consumed[stalled] / need[stalled])
-            static.stall[stalled] += stall_inc
-        else:
-            stall_inc = None
-        new_buffer = np.minimum(available - consumed, static.cap_arr)
-        steady = bool((new_buffer == buffer).all())
-        buffer[:] = new_buffer
-        done += consumed
-        wsec_inc = live * tick
-        static.wsec += wsec_inc
-        gbytes_inc = grants * tick
-        static.gbytes += gbytes_inc
-        total_rate = sum(rate.tolist())
-        granted_bps = sum(grants.tolist())
-        total_demand = static.total_demand
-        finished = done >= static.target_arr - _EPS
-        if finished.any():
-            self._retire(static, np.nonzero(finished)[0].tolist())
-        elif steady and not self._pending_total:
-            # Same fixed-point reasoning as the scalar flavor, with the
-            # margin guard evaluated as array arithmetic.
-            progressing = consumed > 0.0
-            if progressing.any():
-                floor = np.maximum(static.demand_arr * tick, _EPS)
-                margins = static.target_arr - floor - done
-                remaining = (
-                    int((margins[progressing] / consumed[progressing]).min())
-                    - 4
-                )
-            else:
-                remaining = _STRETCH_UNBOUNDED
-            if remaining > 0:
-                stall_d = np.zeros(len(jobs))
-                if stall_inc is not None:
-                    stall_d[stalled] = stall_inc
-                self._open_stretch(
-                    _SteadyStretch(
-                        remaining,
-                        np.array([consumed, stall_d, wsec_inc, gbytes_inc]),
-                        total_rate,
-                        total_demand,
-                        granted_bps,
-                    ),
-                    now,
-                    tick,
-                )
-        self._sample(now, total_rate, total_demand, granted_bps)
-
-    def _tick_reference(self) -> None:
-        """Per-callback dynamics: one Python pass per phase, per job.
-
-        This is the pre-fusion structure — the equivalence baseline the
-        vectorized tick is tested against byte for byte.
-        """
-        now = self.clock.now
-        tick = self.config.tick_s
-        for job in self._active.values():
-            matured = job.mature_pending(now)
-            self._live_total += matured
-            self._pending_total -= matured
-
-        # Declare storage demand: workers refill buffers whenever there
-        # is headroom, so demand reflects what the job *could* read.
-        demands: dict[int, float] = {}
-        for job_id, job in self._active.items():
-            supply = job.live_workers * job.worker_qps
-            cap = job.buffer_cap_samples
-            wanted = supply if job.buffer_samples < cap else min(
-                supply, job.demand_sps
-            )
-            demands[job_id] = wanted * job.rx_bytes_per_sample
-        grants = self.broker.apportion(demands) if demands else {}
-
-        total_rate = 0.0
-        total_demand = 0.0
-        granted_bps = 0.0
-        finished: list[_ActiveJob] = []
-        for job_id, job in self._active.items():
-            spec = job.spec
-            grant = grants[job_id]
-            supply = job.live_workers * job.worker_qps
-            rate = min(
-                supply, grant.total_bytes_per_s / job.rx_bytes_per_sample
-            )
-            job.last_rate = rate
-            produced = rate * tick
-            available = job.buffer_samples + produced
-            need = min(
-                job.demand_sps * tick,
-                spec.target_samples - job.outcome.samples_done,
-            )
-            consumed = min(need, available)
-            if need > _EPS and consumed < need - _EPS:
-                job.outcome.stall_s += tick * (1.0 - consumed / need)
-            job.buffer_samples = min(available - consumed, job.buffer_cap_samples)
-            job.outcome.samples_done += consumed
-            job.outcome.worker_seconds += job.live_workers * tick
-            job.outcome.granted_bytes += grant.total_bytes_per_s * tick
-            total_rate += rate
-            total_demand += job.demand_sps
-            granted_bps += grant.total_bytes_per_s
-            if job.outcome.samples_done >= spec.target_samples - _EPS:
-                finished.append(job)
-        for job in finished:
-            self._finish(job)
-
-        self._sample(now, total_rate, total_demand, granted_bps)
-
     def _sample(
         self, now: float, total_rate: float, total_demand: float, granted_bps: float
     ) -> None:
@@ -1346,7 +1067,7 @@ class FleetSimulator:
         """Traced flavor of the periodic tick occurrence.
 
         Untraced fleets bind the periodic callback straight to the
-        dynamics (``_tick_core``) with no wrapper at all — the
+        dynamics (:meth:`_tick`) with no wrapper at all — the
         disabled-tracer overhead on the tick path is zero.  This
         wrapper records the span bounds itself and emits the finished
         span directly (:meth:`~repro.telemetry.tracer.Tracer.
@@ -1355,7 +1076,7 @@ class FleetSimulator:
         lives in :meth:`_finish` for both flavors.
         """
         start = self.clock.now
-        self._tick_core()
+        self._tick()
         self.tracer.emit_span("fleet.tick", "fleet", start, 0.0)
 
     def _control_event(self) -> None:
@@ -1375,16 +1096,14 @@ class FleetSimulator:
         # Periodic processes ride the clock's heap-free side list; each
         # is cancelled once the fleet has no work left, matching the
         # old self-rescheduling chains occurrence for occurrence.
-        tick_callback = self._tick_event if self._traced else self._tick_core
+        tick_callback = self._tick_event if self._traced else self._tick
         self._tick_handle = self.clock.every(self.config.tick_s, tick_callback)
         self._control_handle = self.clock.every(
             self.config.control_period_s, self._control_event
         )
 
-    def run(
-        self, horizon_s: float | None = None, max_events: int = 5_000_000
-    ) -> FleetReport:
-        """Run to completion (or *horizon_s*) and build the report.
+    def _drive(self, horizon_s: float | None, max_events: int) -> None:
+        """Advance the clock to completion (or *horizon_s*).
 
         Without a horizon the clock is stepped only while fleet work
         remains: on a shared clock, foreign events interleave up to the
@@ -1404,6 +1123,12 @@ class FleetSimulator:
                     f"fleet exceeded {max_events} events (starved jobs "
                     "never finish; pass horizon_s to bound such runs)"
                 )
+
+    def run(
+        self, horizon_s: float | None = None, max_events: int = 5_000_000
+    ) -> FleetReport:
+        """Run to completion (or *horizon_s*) and build the report."""
+        self._drive(horizon_s, max_events)
         return self.report()
 
     def run_summary(
@@ -1419,19 +1144,7 @@ class FleetSimulator:
         to reducing :meth:`run`'s report (see
         ``tests/fleet/test_flat_summary.py``).
         """
-        if not self._chains_started:
-            self.schedule()
-        if horizon_s is not None:
-            self.clock.run_until(self.clock.now + horizon_s)
-        else:
-            fired = self.clock.run_while(
-                self._work_remaining, max_events=max_events
-            )
-            if fired >= max_events:
-                raise SchedulingError(
-                    f"fleet exceeded {max_events} events (starved jobs "
-                    "never finish; pass horizon_s to bound such runs)"
-                )
+        self._drive(horizon_s, max_events)
         return self.result_summary()
 
     def result_summary(self) -> dict:
@@ -1445,10 +1158,7 @@ class FleetSimulator:
         properties would raise on (no makespan, no finished job, no
         jobs), matching ``ScenarioResult.from_fleet_report``'s guards.
         """
-        static = self._static
-        if static is not None:
-            self._settle_stretch()
-            self._flush_columns(static)
+        self._sync_jobs()
         rows = self._sample_rows
         tick_s = self.config.tick_s
         # One pass over the raw rows replaces the report's four
@@ -1519,13 +1229,7 @@ class FleetSimulator:
 
     def report(self) -> FleetReport:
         """Snapshot the current outcome set as a report."""
-        # Mid-run snapshots must see current fluid state; the epoch
-        # stays alive (columns remain the truth for the next tick),
-        # but deferred stretch ticks must land first.
-        static = self._static
-        if static is not None:
-            self._settle_stretch()
-            self._flush_columns(static)
+        self._sync_jobs()  # mid-run snapshots must see current fluid state
         rows = self._sample_rows
         # Row layout is FleetSample field order; index 0 is time_s,
         # index 1 active_jobs.

@@ -301,3 +301,46 @@ class TestOtherKinds:
         revived = assert_byte_identical_round_trip(report)
         assert revived.stall_fraction == report.stall_fraction
         assert revived.scaling_decisions == report.scaling_decisions
+
+
+def _sweep_with(name, extras):
+    result = ScenarioResult.empty(f"{name}/seed0", name, 0, wall_s=0.0)
+    return SweepReport(results=[result], extras=extras)
+
+
+def _experiment_with(name, extras):
+    from repro.experiments import ExperimentEntry, ExperimentReport, FailureReport
+
+    entry = ExperimentEntry(
+        name=name,
+        scenario_kind="fleet",
+        wall_s=0.0,
+        report=FailureReport(scenario=name, error="x"),
+    )
+    return ExperimentReport(entries=[entry], extras=extras)
+
+
+@pytest.mark.parametrize("make", (_sweep_with, _experiment_with))
+class TestMergedPoolIncidents:
+    """Merging reports adds the pool's incident counters key by key."""
+
+    def test_counters_sum(self, make):
+        a = make("a", {"fault_tolerance": {"requeues": 2, "respawns": 1}})
+        b = make("b", {"fault_tolerance": {"requeues": 1}, "note": "b"})
+        merged = a.merge(b)
+        assert merged.extras == {
+            "fault_tolerance": {"requeues": 3, "respawns": 1},
+            "note": "b",  # any other key: the later report's value
+        }
+        # The argument is left as it was.
+        assert b.extras["fault_tolerance"] == {"requeues": 1}
+
+    def test_one_side_without_the_block(self, make):
+        incidents = {"quarantined_cells": 1, "requeues": 2}
+        clean = make("a", {})
+        assert clean.merge(make("b", {"fault_tolerance": dict(incidents)})).extras == {
+            "fault_tolerance": incidents
+        }
+        noisy = make("c", {"fault_tolerance": dict(incidents)})
+        assert noisy.merge(make("d", {})).extras == {"fault_tolerance": incidents}
+        assert make("e", {}).merge(make("f", {})).extras == {}

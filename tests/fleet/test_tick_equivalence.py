@@ -1,11 +1,13 @@
-"""The fused fleet tick is bit-identical to the per-callback reference.
+"""The fleet tick is bit-identical to the per-callback reference.
 
-The fused hot path (scalar below the vectorization crossover, numpy
-above it) must be a *pure* optimization: for any job trace and any
-mid-run fault injection, both modes produce byte-identical
-:class:`~repro.fleet.report.FleetReport`\\ s — every outcome float,
-every tick sample, exactly equal.  Dataclass equality compares all of
-that with exact ``==`` floats, so one drifted ULP anywhere fails.
+The production hot path (one columnar pass, steady stretches, the
+allocation replay cache) must be a *pure* optimization: for any job
+trace and any mid-run fault injection, it and the reference oracle
+(:class:`tests.fleet.oracles.ReferenceFleetSimulator`) produce
+byte-identical :class:`~repro.fleet.report.FleetReport`\\ s — every
+outcome float, every tick sample, exactly equal.  Dataclass equality
+compares all of that with exact ``==`` floats, so one drifted ULP
+anywhere fails.
 """
 
 import dataclasses
@@ -22,8 +24,9 @@ from repro.fleet import (
     PoolConfig,
     StorageFabric,
 )
-from repro.fleet.simulator import _VECTOR_MIN
 from repro.workloads.models import RM1, RM2, RM3
+
+from .oracles import ReferenceFleetSimulator
 
 MODELS = (RM1, RM2, RM3)
 
@@ -45,8 +48,8 @@ def generated_jobs(seed, duration_s=3.0 * 3600):
     return JobGenerator(mix, seed=seed).generate(duration_s)
 
 
-def run_mode(config, jobs, fused, faults=None, horizon_s=None):
-    simulator = FleetSimulator(config, list(jobs), fused=fused)
+def run_engine(engine, config, jobs, faults=None, horizon_s=None):
+    simulator = engine(config, list(jobs))
     if faults:
         simulator.schedule()
         for at_s, action in faults:
@@ -73,10 +76,10 @@ class TestTickEquivalence:
     def test_generated_traces_bit_identical(self, seed):
         config = make_config()
         jobs = generated_jobs(seed)
-        fused = run_mode(config, jobs, fused=True)
-        reference = run_mode(config, jobs, fused=False)
-        assert_identical(fused, reference)
-        assert fused.jobs_completed > 0
+        production = run_engine(FleetSimulator, config, jobs)
+        reference = run_engine(ReferenceFleetSimulator, config, jobs)
+        assert_identical(production, reference)
+        assert production.jobs_completed > 0
 
     @pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS)
     def test_chaos_injection_bit_identical(self, seed):
@@ -90,13 +93,13 @@ class TestTickEquivalence:
             (3_000.0, lambda s, j=crash_targets[-1]: s.inject_worker_crash(j, 2)),
             (4_800.0, lambda s: s.degrade_storage(1.0)),
         ]
-        fused = run_mode(config, jobs, fused=True, faults=faults)
-        reference = run_mode(config, jobs, fused=False, faults=faults)
-        assert_identical(fused, reference)
+        production = run_engine(FleetSimulator, config, jobs, faults=faults)
+        reference = run_engine(ReferenceFleetSimulator, config, jobs, faults=faults)
+        assert_identical(production, reference)
 
-    def test_vector_path_bit_identical(self):
-        """Enough concurrency to cross onto the numpy flavor."""
-        n_jobs = _VECTOR_MIN + 8
+    def test_wide_region_bit_identical(self):
+        """Concurrency well past anything the sweep grids reach."""
+        n_jobs = 40
         config = make_config(
             fabric=StorageFabric(n_hdd_nodes=200, n_ssd_cache_nodes=16),
             n_trainer_nodes=2 * n_jobs,
@@ -116,22 +119,22 @@ class TestTickEquivalence:
             )
             for i in range(n_jobs)
         ]
-        fused = run_mode(config, jobs, fused=True)
-        reference = run_mode(config, jobs, fused=False)
-        assert fused.peak_concurrency >= _VECTOR_MIN  # numpy flavor exercised
-        assert_identical(fused, reference)
+        production = run_engine(FleetSimulator, config, jobs)
+        reference = run_engine(ReferenceFleetSimulator, config, jobs)
+        assert production.peak_concurrency >= 32
+        assert_identical(production, reference)
 
     def test_horizon_cut_bit_identical(self):
         """Reports snapshotted mid-flight (unfinished jobs) also agree."""
         config = make_config(n_trainer_nodes=4)
         jobs = generated_jobs(7)
-        fused = run_mode(config, jobs, fused=True, horizon_s=2_400.0)
-        reference = run_mode(config, jobs, fused=False, horizon_s=2_400.0)
-        assert_identical(fused, reference)
+        production = run_engine(FleetSimulator, config, jobs, horizon_s=2_400.0)
+        reference = run_engine(ReferenceFleetSimulator, config, jobs, horizon_s=2_400.0)
+        assert_identical(production, reference)
 
 
 class TestChaosInvariants:
-    """Fault injection on the fused path keeps the fleet's books closed."""
+    """Fault injection on the production tick keeps the fleet's books closed."""
 
     @pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS)
     def test_crashes_lose_rate_not_samples(self, seed):
@@ -142,7 +145,7 @@ class TestChaosInvariants:
             (1_800.0, lambda s: s.degrade_storage(0.5)),
             (3_600.0, lambda s: s.degrade_storage(1.0)),
         ]
-        report = run_mode(config, jobs, fused=True, faults=faults)
+        report = run_engine(FleetSimulator, config, jobs, faults=faults)
         for outcome in report.finished_outcomes():
             assert outcome.samples_done == pytest.approx(
                 outcome.spec.target_samples, rel=1e-6

@@ -5,7 +5,7 @@ import pytest
 from repro.chaos.faults import FaultEvent, FaultKind
 from repro.common.errors import ConfigError
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
-from repro.sweep import ScenarioGrid, grid_from_json
+from repro.experiments import ScenarioGrid, grid_from_json
 
 
 def tiny_config():

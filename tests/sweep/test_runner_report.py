@@ -8,7 +8,7 @@ import pytest
 from repro.chaos.faults import FaultEvent, FaultKind
 from repro.common.errors import ConfigError
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
-from repro.sweep import (
+from repro.experiments import (
     CELL_METRICS,
     ScenarioGrid,
     SweepReport,
@@ -163,11 +163,14 @@ class TestReport:
 
 class TestCli:
     def test_quick_grid_writes_artifact(self, tmp_path, capsys):
-        from repro.sweep.__main__ import main
+        from repro.experiments.__main__ import main
 
         out = tmp_path / "sweep.json"
         assert (
-            main(["--quick", "--seeds", "0,1", "--jobs", "1", "--out", str(out)])
+            main(
+                ["sweep", "--quick", "--seeds", "0,1", "--jobs", "1",
+                 "--out", str(out)]
+            )
             == 0
         )
         payload = json.loads(out.read_text())
@@ -175,7 +178,7 @@ class TestCli:
         assert "Scenario sweep" in capsys.readouterr().out
 
     def test_json_grid_via_flag(self, tmp_path, capsys):
-        from repro.sweep.__main__ import main
+        from repro.experiments.__main__ import main
 
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(
@@ -188,7 +191,10 @@ class TestCli:
             )
         )
         out = tmp_path / "report.json"
-        assert main(["--grid", str(grid_path), "--out", str(out), "--quiet"]) == 0
+        assert (
+            main(["sweep", "--grid", str(grid_path), "--out", str(out), "--quiet"])
+            == 0
+        )
         assert json.loads(out.read_text())["scenarios"]
 
 
