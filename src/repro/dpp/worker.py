@@ -12,6 +12,12 @@ Two real code paths model the in-memory-format ablation (Table 12, FM):
 * flatmap path — decode DWRF streams directly into columnar batches,
   skipping row materialization.
 
+Both arms sit on one decode, :meth:`DwrfReader.decode_stripe` (fetch →
+verify → unseal → flat arrays, planned once per reader and stripe): the
+row arm cuts its arrays into rows inside ``DwrfReader.read_stripe``,
+the flatmap arm wraps them as columns here.  A worker keeps one reader
+per file.
+
 Resource usage is charged through an analytical cost model on top of
 the real byte/value counts the extract path produces.
 """
@@ -28,8 +34,6 @@ from ..common.resources import ResourceUsage
 from ..telemetry.tracer import NULL_TRACER, Tracer
 from ..dwrf.layout import FileFooter, FileLayout
 from ..dwrf.reader import DwrfReader, IOTrace, ReadOptions
-from ..dwrf.stream import ROW_LEVEL, StreamKind
-from ..dwrf.stripe import decode_flattened_feature, decode_labels
 from ..tectonic.filesystem import TectonicFilesystem
 from ..transforms.batch import DenseColumn, FeatureBatch, SparseColumn
 from ..transforms.cost import CostReport, execute_with_cost
@@ -116,6 +120,8 @@ class DppWorker:
         self._buffered_bytes = 0  # sum of nbytes() over self.buffer
         self.stats = WorkerStats()
         self.io_trace = IOTrace()
+        self._readers: dict[str, DwrfReader] = {}
+        self._projection_order = sorted(self.spec.projection)
         self.alive = True
         self.draining = False
         self._crash_after_batches: int | None = None
@@ -313,22 +319,31 @@ class DppWorker:
 
     # -- extract ------------------------------------------------------------
 
+    def _reader(self, file_name: str) -> DwrfReader:
+        """This worker's reader over one file, built on first use."""
+        reader = self._readers.get(file_name)
+        if reader is None:
+            footer = self.footers[file_name]
+            is_map_layout = footer.options.layout is FileLayout.MAP
+            reader = self._readers[file_name] = DwrfReader(
+                footer,
+                self.filesystem.fetcher(file_name),
+                ReadOptions(
+                    projection=None if is_map_layout else self.spec.projection,
+                    coalesce_window=self.spec.coalesce_window,
+                ),
+                trace=self.io_trace,
+            )
+        return reader
+
     def _extract_split(self, split: Split):
-        footer = self.footers[split.file_name]
-        is_map_layout = footer.options.layout is FileLayout.MAP
-        read_options = ReadOptions(
-            projection=None if is_map_layout else self.spec.projection,
-            coalesce_window=self.spec.coalesce_window,
-        )
+        reader = self._reader(split.file_name)
         before_bytes = self.io_trace.bytes_read
         before_useful = self.io_trace.useful_bytes
-        reader = DwrfReader(
-            footer,
-            self.filesystem.fetcher(split.file_name),
-            read_options,
-            trace=self.io_trace,
+        use_flatmap = (
+            self.config.in_memory_flatmap
+            and reader.footer.options.layout is not FileLayout.MAP
         )
-        use_flatmap = self.config.in_memory_flatmap and not is_map_layout
         for stripe_index in range(split.stripe_start, split.stripe_end):
             if use_flatmap:
                 batch, n_values = self._read_stripe_columnar(reader, stripe_index)
@@ -339,7 +354,7 @@ class DppWorker:
                 # the extract inefficiency feature flattening removes.
                 rows = reader.read_stripe(stripe_index, self.schema)
                 n_values = self._count_row_values(rows)
-                batch = FeatureBatch.from_rows(rows, sorted(self.spec.projection))
+                batch = FeatureBatch.from_rows(rows, self._projection_order)
                 conversion_values = n_values
             self._ensure_projection_columns(batch)
             compressed = self.io_trace.bytes_read - before_bytes
@@ -357,34 +372,16 @@ class DppWorker:
         self, reader: DwrfReader, stripe_index: int
     ) -> tuple[FeatureBatch, int]:
         """Direct DWRF-streams → columnar-batch decode (flatmap path)."""
-        stripe = reader.footer.stripes[stripe_index]
-        payloads = reader._fetch_streams(stripe)
-        options = reader.footer.options
-        labels = decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)], options)
+        labels, features = reader.decode_stripe(stripe_index, self.schema)
+        row_count = reader.footer.stripes[stripe_index].row_count
         batch = FeatureBatch(labels=labels)
         n_values = len(labels)
-        for fid in sorted(self.spec.projection):
-            if not stripe.has_stream(fid, StreamKind.PRESENCE):
-                continue
-            spec = self.schema.get(fid)
-            if spec.ftype is FeatureType.DENSE:
-                value_payload = payloads[(fid, StreamKind.DENSE_VALUES)]
-                lengths_payload = None
-            else:
-                value_payload = payloads[(fid, StreamKind.SPARSE_VALUES)]
-                lengths_payload = payloads[(fid, StreamKind.SPARSE_LENGTHS)]
-            scores_payload = payloads.get((fid, StreamKind.SCORE_VALUES))
-            decoded = decode_flattened_feature(
-                spec.ftype,
-                stripe.row_count,
-                options,
-                payloads[(fid, StreamKind.PRESENCE)],
-                value_payload,
-                lengths_payload,
-                scores_payload,
-            )
-            if spec.ftype is FeatureType.DENSE:
-                full = np.zeros(stripe.row_count, dtype=np.float32)
+        for fid in self._projection_order:
+            decoded = features.get(fid)
+            if decoded is None:
+                continue  # feature absent from this stripe
+            if decoded.dense_values is not None:
+                full = np.zeros(row_count, dtype=np.float32)
                 full[decoded.presence] = decoded.dense_values
                 batch.add_column(fid, DenseColumn(full, decoded.presence))
                 n_values += len(decoded.dense_values)
@@ -392,7 +389,7 @@ class DppWorker:
                 # Decoded flat arrays become the column's backing
                 # storage directly; absent rows get empty spans.
                 column = SparseColumn(
-                    decoded.row_offsets(stripe.row_count),
+                    decoded.row_offsets(row_count),
                     decoded.sparse_values,
                     decoded.scores,
                 )

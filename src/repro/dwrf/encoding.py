@@ -94,24 +94,24 @@ def encode_ints(values) -> bytes:
 def decode_ints(data: bytes) -> np.ndarray:
     """Inverse of :func:`encode_ints`; returns an int64 array.
 
-    Width-8 payloads decode zero-copy: the returned array is a
+    Width-8 payloads decode without widening: the returned array is a
     read-only view over the stream bytes (``copy=False`` semantics), so
     callers that need to mutate must ``.copy()`` first — attempting an
     in-place write raises instead of silently corrupting the stream.
     """
     if not data:
         raise FormatError("empty integer stream")
-    width, payload = data[0], data[1:]
-    if width == 4:
-        dtype = "<i4"
-    elif width == 8:
-        dtype = "<i8"
-    else:
+    width = data[0]
+    if width not in (4, 8):
         raise FormatError(f"unknown integer stream width {width}")
-    if len(payload) % width:
+    if (len(data) - 1) % width:
         raise FormatError("integer stream length not a multiple of its width")
-    array = np.frombuffer(payload, dtype=dtype)
-    return array.astype(np.int64, copy=False)
+    if width == 4:
+        # Widening copies anyway, so read past the tag byte in place.
+        return np.frombuffer(data, dtype="<i4", offset=1).astype(np.int64)
+    # The view sits on a copy that drops the tag byte, which aligns it:
+    # arithmetic on an unaligned int64 array runs at about half speed.
+    return np.frombuffer(data[1:], dtype="<i8").astype(np.int64, copy=False)
 
 
 def pack_floats(values: Sequence[float]) -> bytes:
@@ -135,8 +135,10 @@ def unpack_bitmap(data: bytes, count: int) -> np.ndarray:
     """Unpack *count* booleans from a bitmap into a bool array."""
     if count > len(data) * 8:
         raise FormatError("bitmap shorter than requested count")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return bits[:count].astype(bool)
+    bits = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), count=count, bitorder="little"
+    )
+    return bits.view(bool)
 
 
 def _xor_cipher(data: bytes) -> bytes:

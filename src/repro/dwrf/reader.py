@@ -11,13 +11,24 @@ The reader is where the paper's storage-layer story plays out:
 
 Every byte fetched goes through an :class:`IOTrace`, which downstream
 storage models consume to compute seeks, IOPS, and throughput.
+
+A stripe costs one pass.  What depends only on the footer and the
+:class:`ReadOptions` — which streams are needed, how :func:`plan_reads`
+groups them into physical reads, where each stream sits inside its read
+and which payloads make up each projected feature — is worked out on
+the first read of a stripe and kept on the reader.  What depends on
+bytes happens in one loop (:meth:`DwrfReader._fetch_streams`: fetch →
+CRC → unseal) followed by one decode, :meth:`DwrfReader.decode_stripe`,
+which the row arm (:meth:`DwrfReader.read_stripe`) and the DPP worker's
+columnar arm both consume.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,19 +36,19 @@ from ..common.errors import FormatError
 from ..common.stats import DistributionSummary, summarize
 from ..warehouse.row import Row
 from ..warehouse.schema import FeatureType, TableSchema
-from .layout import FileFooter, FileLayout, StripeMeta
+from . import encoding
+from .layout import FileFooter, FileLayout
 from .stream import ROW_LEVEL, StreamKind
-from .stripe import decode_flattened_feature, decode_labels, decode_map_stripe
+from .stripe import DecodedFeature, decode_flattened_feature, decode_map_stripe
 from .writer import DwrfFile
 
 Fetcher = Callable[[int, int], bytes]
 
 
-@dataclass(frozen=True, slots=True)
-class IORecord:
+class IORecord(NamedTuple):
     """One physical read: placement plus how much of it was useful.
 
-    Slotted: a serving worker issues tens of thousands of these per run.
+    A tuple: a serving worker issues tens of thousands of these per run.
     """
 
     offset: int
@@ -140,38 +151,74 @@ class ReadOptions:
 
 @dataclass(frozen=True)
 class _Range:
+    """A byte range; a planned read also names the ranges it covers."""
+
     offset: int
     length: int
+    members: tuple = ()
 
     @property
     def end(self) -> int:
         return self.offset + self.length
 
 
-def plan_reads(needed: Sequence[_Range], window: int) -> list[tuple[_Range, int]]:
+def plan_reads(needed: Sequence, window: int) -> list[tuple[_Range, int]]:
     """Group needed byte ranges into physical reads.
 
-    Returns ``(physical range, useful bytes)`` pairs.  With window 0
-    each needed range becomes its own read.  Otherwise consecutive
-    ranges merge greedily while the merged span stays within *window*.
+    *needed* is anything with ``offset``, ``length`` and ``end``.
+    Returns ``(physical range, useful bytes)`` pairs in offset order;
+    each physical range lists the needed ranges it covers as
+    ``members``.  With window 0 each needed range becomes its own read.
+    Otherwise consecutive ranges merge greedily while the merged span
+    stays within *window*.
     """
     if not needed:
         return []
-    ordered = sorted(needed, key=lambda r: r.offset)
+    ordered = sorted(needed, key=attrgetter("offset"))
     reads: list[tuple[_Range, int]] = []
-    start = ordered[0].offset
-    end = ordered[0].end
-    useful = ordered[0].length
+    first = ordered[0]
+    start, end, useful, members = first.offset, first.end, first.length, [first]
     for rng in ordered[1:]:
         merged_end = max(end, rng.end)
         if window and merged_end - start <= window:
             end = merged_end
             useful += rng.length
+            members.append(rng)
         else:
-            reads.append((_Range(start, end - start), useful))
-            start, end, useful = rng.offset, rng.end, rng.length
-    reads.append((_Range(start, end - start), useful))
+            reads.append((_Range(start, end - start, tuple(members)), useful))
+            start, end, useful, members = rng.offset, rng.end, rng.length, [rng]
+    reads.append((_Range(start, end - start, tuple(members)), useful))
     return reads
+
+
+class _StripePlan(NamedTuple):
+    """How one stripe is read under one reader's options.
+
+    ``reads`` are the physical reads in issue order, each
+    ``(offset, length, useful bytes, members)`` with a member
+    ``(start, end, StreamInfo)`` locating one needed stream inside the
+    read.  Members across all reads, in order, number the stripe's
+    payloads; the remaining fields are positions in that numbering,
+    with ``-1`` (the payload list ends in a ``None``) for a stream the
+    stripe does not have.  ``features`` holds, per projected feature
+    present in the stripe and in the footer's feature order,
+    ``(feature_id, presence, dense values, lengths, sparse values,
+    scores)``.
+    """
+
+    reads: tuple
+    labels: int
+    map_rows: int
+    features: tuple
+
+
+_FEATURE_KINDS = (
+    StreamKind.PRESENCE,
+    StreamKind.DENSE_VALUES,
+    StreamKind.SPARSE_LENGTHS,
+    StreamKind.SPARSE_VALUES,
+    StreamKind.SCORE_VALUES,
+)
 
 
 class DwrfReader:
@@ -188,6 +235,9 @@ class DwrfReader:
         self._fetch = fetcher
         self.options = options or ReadOptions()
         self.trace = trace if trace is not None else IOTrace()
+        # One plan per stripe, built on its first read.  The footer and
+        # the options are immutable, so a plan is never invalidated.
+        self._plans: list[_StripePlan | None] = [None] * len(footer.stripes)
 
     @classmethod
     def for_file(
@@ -201,117 +251,142 @@ class DwrfReader:
 
         return cls(dwrf_file.footer, fetch, options)
 
-    # -- stream selection -------------------------------------------------
+    # -- planning ------------------------------------------------------------
 
-    def _needed_streams(self, stripe: StripeMeta) -> list:
+    def _plan(self, index: int) -> _StripePlan:
+        plan = self._plans[index]
+        if plan is None:
+            plan = self._plans[index] = self._plan_stripe(index)
+        return plan
+
+    def _plan_stripe(self, index: int) -> _StripePlan:
         projection = self.options.projection
-        infos = []
-        for info in stripe.streams:
-            if info.feature_id == ROW_LEVEL:
-                infos.append(info)
-            elif projection is None or info.feature_id in projection:
-                infos.append(info)
-        return infos
+        needed = [
+            info
+            for info in self.footer.stripes[index].streams
+            if info.feature_id == ROW_LEVEL
+            or projection is None
+            or info.feature_id in projection
+        ]
+        reads = []
+        positions: dict[tuple[int, StreamKind], int] = {}
+        n_payloads = 0
+        for physical, useful in plan_reads(needed, self.options.coalesce_window):
+            members = []
+            for info in physical.members:
+                # The first stream in file order wins a repeated key, as
+                # StripeMeta's stream index has it.
+                positions.setdefault((info.feature_id, info.kind), n_payloads)
+                n_payloads += 1
+                start = info.offset - physical.offset
+                members.append((start, start + info.length, info))
+            reads.append((physical.offset, physical.length, useful, tuple(members)))
+        features = []
+        for fid in self.footer.feature_ids:
+            if projection is not None and fid not in projection:
+                continue
+            if (fid, StreamKind.PRESENCE) not in positions:
+                continue  # feature absent from this stripe
+            features.append(
+                (fid, *(positions.get((fid, kind), -1) for kind in _FEATURE_KINDS))
+            )
+        return _StripePlan(
+            tuple(reads),
+            positions.get((ROW_LEVEL, StreamKind.LABEL), -1),
+            positions.get((ROW_LEVEL, StreamKind.MAP_ROWS), -1),
+            tuple(features),
+        )
 
     # -- physical reads ----------------------------------------------------
 
-    def _fetch_streams(self, stripe: StripeMeta) -> dict[tuple[int, StreamKind], bytes]:
-        """Fetch the stripe's needed streams, honoring coalescing."""
-        needed = self._needed_streams(stripe)
-        ranges = [_Range(info.offset, info.length) for info in needed]
-        window = self.options.coalesce_window
-        blob: dict[int, bytes] = {}
-        for physical, useful in plan_reads(ranges, window):
-            data = self._fetch(physical.offset, physical.length)
-            if len(data) != physical.length:
-                raise FormatError("short read from fetcher")
-            self.trace.add(physical.offset, physical.length, useful)
-            blob[physical.offset] = data
+    def _fetch_streams(self, plan: _StripePlan) -> list[bytes | None]:
+        """Fetch the planned reads; verify and unseal each needed stream.
 
-        # Slice each needed stream back out of the fetched spans,
-        # verifying integrity against the footer's CRC.
-        spans = sorted(blob.items())
-        result: dict[tuple[int, StreamKind], bytes] = {}
-        for info in needed:
-            payload = _slice_from_spans(spans, info.offset, info.length)
-            if info.checksum and zlib.crc32(payload) != info.checksum:
-                raise FormatError(
-                    f"checksum mismatch in stream ({info.feature_id}, "
-                    f"{info.kind.value}) at offset {info.offset}: "
-                    "corrupt replica or torn read"
-                )
-            result[(info.feature_id, info.kind)] = payload
-        return result
+        Returns the stripe's payloads in plan order plus a trailing
+        ``None``.  Over-read bytes are fetched and accounted, never
+        sliced out, checked or unsealed.
+        """
+        fetch = self._fetch
+        record = self.trace.add
+        crc32 = zlib.crc32
+        unseal = encoding.unseal
+        compress = self.footer.options.compress
+        encrypt = self.footer.options.encrypt
+        payloads: list[bytes | None] = []
+        for offset, length, useful, members in plan.reads:
+            data = fetch(offset, length)
+            if len(data) != length:
+                raise FormatError("short read from fetcher")
+            record(offset, length, useful)
+            for start, end, info in members:
+                sealed = data[start:end]
+                if info.checksum and crc32(sealed) != info.checksum:
+                    raise FormatError(
+                        f"checksum mismatch in stream ({info.feature_id}, "
+                        f"{info.kind.value}) at offset {info.offset}: "
+                        "corrupt replica or torn read"
+                    )
+                payloads.append(unseal(sealed, compress=compress, encrypt=encrypt))
+        payloads.append(None)
+        return payloads
+
+    # -- decode ------------------------------------------------------------
+
+    def decode_stripe(
+        self, index: int, schema: TableSchema
+    ) -> tuple[np.ndarray, dict[int, DecodedFeature]]:
+        """Read one flattened stripe into flat arrays.
+
+        Returns the labels and, per projected feature the stripe holds
+        (in the footer's feature order), its :class:`DecodedFeature`.
+        """
+        plan = self._plan(index)
+        payloads = self._fetch_streams(plan)
+        row_count = self.footer.stripes[index].row_count
+        features: dict[int, DecodedFeature] = {}
+        for fid, presence, dense, lengths, sparse, scores in plan.features:
+            ftype = schema.get(fid).ftype
+            features[fid] = decode_flattened_feature(
+                ftype,
+                row_count,
+                payloads[presence],
+                payloads[dense if ftype is FeatureType.DENSE else sparse],
+                payloads[lengths],
+                payloads[scores],
+            )
+        return encoding.unpack_floats(payloads[plan.labels]), features
 
     # -- row materialization -----------------------------------------------
 
     def read_stripe(self, index: int, schema: TableSchema) -> list[Row]:
         """Materialize rows of one stripe under the projection."""
-        stripe = self.footer.stripes[index]
-        payloads = self._fetch_streams(stripe)
-        options = self.footer.options
-        if options.layout is FileLayout.MAP:
-            projection = (
-                set(self.options.projection)
-                if self.options.projection is not None
-                else None
-            )
+        if self.footer.options.layout is FileLayout.MAP:
+            plan = self._plan(index)
+            payloads = self._fetch_streams(plan)
+            projection = self.options.projection
             return decode_map_stripe(
-                payloads[(ROW_LEVEL, StreamKind.LABEL)],
-                payloads[(ROW_LEVEL, StreamKind.MAP_ROWS)],
-                stripe.row_count,
-                options,
-                projection,
+                payloads[plan.labels],
+                payloads[plan.map_rows],
+                self.footer.stripes[index].row_count,
+                None if projection is None else set(projection),
             )
-        return self._decode_flattened(stripe, payloads, schema)
-
-    def _decode_flattened(
-        self,
-        stripe: StripeMeta,
-        payloads: dict[tuple[int, StreamKind], bytes],
-        schema: TableSchema,
-    ) -> list[Row]:
-        options = self.footer.options
-        labels = decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)], options)
+        labels, features = self.decode_stripe(index, schema)
         rows = [Row(label=label) for label in labels.tolist()]
-        projection = self.options.projection
-        for fid in self.footer.feature_ids:
-            if projection is not None and fid not in projection:
-                continue
-            if not stripe.has_stream(fid, StreamKind.PRESENCE):
-                continue  # feature absent from this stripe
-            spec = schema.get(fid)
-            presence_payload = payloads[(fid, StreamKind.PRESENCE)]
-            if spec.ftype is FeatureType.DENSE:
-                value_payload = payloads[(fid, StreamKind.DENSE_VALUES)]
-                lengths_payload = None
-            else:
-                value_payload = payloads[(fid, StreamKind.SPARSE_VALUES)]
-                lengths_payload = payloads[(fid, StreamKind.SPARSE_LENGTHS)]
-            scores_payload = payloads.get((fid, StreamKind.SCORE_VALUES))
-            decoded = decode_flattened_feature(
-                spec.ftype,
-                stripe.row_count,
-                options,
-                presence_payload,
-                value_payload,
-                lengths_payload,
-                scores_payload,
-            )
+        for fid, decoded in features.items():
             present_indices = np.flatnonzero(decoded.presence)
-            if spec.ftype is FeatureType.DENSE:
+            if decoded.dense_values is not None:
                 values = decoded.dense_values.tolist()
-                for cursor, index in enumerate(present_indices):
-                    rows[index].dense[fid] = values[cursor]
+                for cursor, row_index in enumerate(present_indices):
+                    rows[row_index].dense[fid] = values[cursor]
                 continue
             # Row materialization is the deliberately-costly ablation
             # arm: flat arrays are cut back into per-row Python lists.
             offsets = decoded.present_offsets().tolist()
             flat = decoded.sparse_values.tolist()
             flat_scores = None if decoded.scores is None else decoded.scores.tolist()
-            for cursor, index in enumerate(present_indices):
+            for cursor, row_index in enumerate(present_indices):
                 lo, hi = offsets[cursor], offsets[cursor + 1]
-                row = rows[index]
+                row = rows[row_index]
                 row.sparse[fid] = flat[lo:hi]
                 if flat_scores is not None:
                     row.scores[fid] = flat_scores[lo:hi]
@@ -321,14 +396,3 @@ class DwrfReader:
         """Iterate every row in the file under the projection."""
         for index in range(len(self.footer.stripes)):
             yield from self.read_stripe(index, schema)
-
-
-def _slice_from_spans(
-    spans: list[tuple[int, bytes]], offset: int, length: int
-) -> bytes:
-    """Extract ``[offset, offset+length)`` from fetched (offset, data) spans."""
-    for span_offset, data in spans:
-        if span_offset <= offset and offset + length <= span_offset + len(data):
-            start = offset - span_offset
-            return data[start : start + length]
-    raise FormatError(f"range [{offset}, {offset + length}) not fetched")

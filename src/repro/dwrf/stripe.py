@@ -31,10 +31,6 @@ def _seal(payload: bytes, options: EncodingOptions) -> bytes:
     return encoding.seal(payload, compress=options.compress, encrypt=options.encrypt)
 
 
-def _unseal(data: bytes, options: EncodingOptions) -> bytes:
-    return encoding.unseal(data, compress=options.compress, encrypt=options.encrypt)
-
-
 def _ordered_feature_ids(schema: TableSchema, options: EncodingOptions) -> list[int]:
     """Stream order within a stripe.
 
@@ -273,18 +269,16 @@ def decode_map_stripe(
     label_payload: bytes,
     rows_payload: bytes,
     row_count: int,
-    options: EncodingOptions,
     projection: set[int] | None = None,
 ) -> list[Row]:
-    """Decode a MAP-layout stripe back into rows.
+    """Decode a MAP-layout stripe's unsealed streams back into rows.
 
     Note the essential inefficiency this models: the *entire* stripe is
     decoded even when *projection* wants a handful of features — the
     filter applies only after decoding.
     """
-    labels = encoding.unpack_floats(_unseal(label_payload, options)).tolist()
-    payload = _unseal(rows_payload, options)
-    header, rest = _split_varint_header(payload)
+    labels = encoding.unpack_floats(label_payload).tolist()
+    header, rest = _split_varint_header(rows_payload)
     int_payload, float_payload = rest[:header], rest[header:]
     ints = encoding.decode_ints(int_payload).tolist()
     floats = encoding.unpack_floats(float_payload).tolist()
@@ -326,7 +320,7 @@ def _split_varint_header(payload: bytes) -> tuple[int, bytes]:
     return header, payload[cursor:]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecodedFeature:
     """One feature's streams decoded into flat arrays (no per-row lists).
 
@@ -366,35 +360,29 @@ class DecodedFeature:
 def decode_flattened_feature(
     spec_type: FeatureType,
     row_count: int,
-    options: EncodingOptions,
     presence_payload: bytes,
-    value_payload: bytes,
+    value_payload: bytes | None,
     lengths_payload: bytes | None = None,
     scores_payload: bytes | None = None,
 ) -> DecodedFeature:
-    """Decode one feature's streams from a flattened stripe.
+    """Decode one feature's unsealed streams from a flattened stripe.
 
-    Returns a :class:`DecodedFeature` of flat numpy arrays; decoding
-    never materializes per-row Python lists.
+    A payload is ``None`` when the stripe has no such stream.  Returns a
+    :class:`DecodedFeature` of flat numpy arrays; decoding never
+    materializes per-row Python lists.
     """
-    presence = encoding.unpack_bitmap(_unseal(presence_payload, options), row_count)
+    if value_payload is None:
+        raise FormatError("feature missing values stream")
+    presence = encoding.unpack_bitmap(presence_payload, row_count)
     if spec_type is FeatureType.DENSE:
-        values = encoding.unpack_floats(_unseal(value_payload, options))
-        return DecodedFeature(presence=presence, dense_values=values)
+        return DecodedFeature(presence, encoding.unpack_floats(value_payload))
     if lengths_payload is None:
         raise FormatError("sparse feature missing lengths stream")
-    lengths = encoding.decode_ints(_unseal(lengths_payload, options))
-    flat = encoding.decode_ints(_unseal(value_payload, options))
+    lengths = encoding.decode_ints(lengths_payload)
+    flat = encoding.decode_ints(value_payload)
     scores: np.ndarray | None = None
     if spec_type is FeatureType.SCORED_SPARSE:
         if scores_payload is None:
             raise FormatError("scored feature missing scores stream")
-        scores = encoding.unpack_floats(_unseal(scores_payload, options))
-    return DecodedFeature(
-        presence=presence, lengths=lengths, sparse_values=flat, scores=scores
-    )
-
-
-def decode_labels(payload: bytes, options: EncodingOptions) -> np.ndarray:
-    """Decode a label stream into a float32 array."""
-    return encoding.unpack_floats(_unseal(payload, options))
+        scores = encoding.unpack_floats(scores_payload)
+    return DecodedFeature(presence, None, lengths, flat, scores)

@@ -40,7 +40,7 @@ class Block:
         """Read a byte range from a materialized block."""
         if self.data is None:
             raise StorageError("cannot read payload of a virtual block")
-        if offset < 0 or offset + length > self.length:
+        if offset < 0 or length < 0 or offset + length > self.length:
             raise StorageError(
                 f"read [{offset}, {offset + length}) outside block of {self.length}"
             )

@@ -14,6 +14,7 @@ reads "through" real placement and I/O accounting.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..common.errors import StorageError
@@ -24,16 +25,25 @@ from .node import StorageNode
 
 @dataclass
 class TectonicFile:
-    """Metadata for one append-only file."""
+    """Metadata for one append-only file.
+
+    ``blocks``, ``length`` (total bytes) and ``block_starts`` (each
+    block's offset in the file) change only in :meth:`add_block`, the
+    one place a block joins a file, so a read finds its first block by
+    bisection.
+    """
 
     name: str
-    blocks: list[Block] = field(default_factory=list)
+    blocks: list[Block] = field(default_factory=list, init=False)
     sealed: bool = False
+    length: int = field(default=0, init=False)
+    block_starts: list[int] = field(default_factory=list, init=False)
 
-    @property
-    def length(self) -> int:
-        """Total bytes in the file."""
-        return sum(block.length for block in self.blocks)
+    def add_block(self, block: Block) -> None:
+        """Append *block* at the current end of the file."""
+        self.block_starts.append(self.length)
+        self.blocks.append(block)
+        self.length += block.length
 
 
 class TectonicFilesystem:
@@ -119,7 +129,7 @@ class TectonicFilesystem:
         replicas = self._pick_replicas()
         for node_id in replicas:
             self.nodes[node_id].allocate(length)
-        file.blocks.append(
+        file.add_block(
             Block(
                 block_id=next(self._block_ids),
                 file_name=file.name,
@@ -140,30 +150,23 @@ class TectonicFilesystem:
     def read(self, name: str, offset: int, length: int) -> bytes:
         """Read a byte range, touching each covering block's replica."""
         file = self.file(name)
-        if offset < 0 or offset + length > file.length:
+        end = offset + length
+        if offset < 0 or length < 0 or end > file.length:
             raise StorageError(
-                f"read [{offset}, {offset + length}) beyond file of {file.length}"
+                f"read [{offset}, {end}) beyond file of {file.length}"
             )
-        out = bytearray()
-        cursor = 0
-        remaining_offset = offset
-        remaining_length = length
-        for block in file.blocks:
-            block_start = cursor
-            block_end = cursor + block.length
-            cursor = block_end
-            if block_end <= remaining_offset:
-                continue
-            if remaining_length <= 0:
-                break
-            inner_offset = remaining_offset - block_start
-            take = min(block.length - inner_offset, remaining_length)
-            node = self._route_replica(block)
-            node.record_read(take)
-            out.extend(block.read(inner_offset, take))
-            remaining_offset += take
-            remaining_length -= take
-        return bytes(out)
+        starts = file.block_starts
+        index = bisect_right(starts, offset) - 1
+        pieces = []
+        while offset < end:
+            block = file.blocks[index]
+            inner_offset = offset - starts[index]
+            take = min(block.length - inner_offset, end - offset)
+            self._route_replica(block).record_read(take)
+            pieces.append(block.read(inner_offset, take))
+            offset += take
+            index += 1
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
     def _route_replica(self, block: Block) -> StorageNode:
         """Round-robin reads across a block's replicas."""

@@ -1,18 +1,38 @@
-"""Reference implementation the stripe builder is tested against.
+"""Reference implementations the DWRF write and read paths are tested against.
 
-This is the ``StripeColumnarBuilder`` that ``repro.dwrf.stripe`` shipped
-before the write path stopped re-copying samples, kept verbatim as an
-oracle: ``add_row`` copies every id and score value into per-feature
-flat lists (``extend``) and records every length as it goes.
+*Write path.*  ``PerValueStripeBuilder`` is the ``StripeColumnarBuilder``
+that ``repro.dwrf.stripe`` shipped before the write path stopped
+re-copying samples, kept verbatim as an oracle: ``add_row`` copies every
+id and score value into per-feature flat lists (``extend``) and records
+every length as it goes.
+
+*Read path.*  The ``oracle_*`` functions at the bottom are the bodies
+``repro.dwrf.reader``, ``repro.dwrf.stripe``, ``repro.dwrf.encoding``
+and ``repro.dpp.worker`` shipped before a stripe became one planned
+pass: every needed range re-planned per call, fetched spans searched
+linearly per stream, payloads kept in a dict keyed ``(feature_id,
+StreamKind)``, each stream unsealed where it is decoded, and the
+select-the-payloads block written out once per consumer.  They take a
+:class:`~repro.dwrf.DwrfReader` only for its ``footer``, ``options``,
+``trace`` and fetcher.
 """
+
+import zlib
 
 import numpy as np
 
 from repro.common.errors import FormatError
 from repro.dwrf import encoding
-from repro.dwrf.layout import EncodingOptions
+from repro.dwrf.layout import EncodingOptions, FileLayout
+from repro.dwrf.reader import _Range, plan_reads
 from repro.dwrf.stream import ROW_LEVEL, PendingStream, StreamKind
-from repro.dwrf.stripe import _ordered_feature_ids, _seal
+from repro.dwrf.stripe import (
+    DecodedFeature,
+    _ordered_feature_ids,
+    _seal,
+    _split_varint_header,
+)
+from repro.transforms.batch import DenseColumn, FeatureBatch, SparseColumn
 from repro.warehouse.row import Row
 from repro.warehouse.schema import FeatureType, TableSchema
 
@@ -156,3 +176,250 @@ class PerValueStripeBuilder:
                     )
                 )
         return streams
+
+
+# -- read path -----------------------------------------------------------------
+
+
+def _unseal(data: bytes, options: EncodingOptions) -> bytes:
+    return encoding.unseal(data, compress=options.compress, encrypt=options.encrypt)
+
+
+def oracle_unpack_bitmap(data: bytes, count: int) -> np.ndarray:
+    if count > len(data) * 8:
+        raise FormatError("bitmap shorter than requested count")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    return bits[:count].astype(bool)
+
+
+def oracle_decode_ints(data: bytes) -> np.ndarray:
+    if not data:
+        raise FormatError("empty integer stream")
+    width, payload = data[0], data[1:]
+    if width == 4:
+        dtype = "<i4"
+    elif width == 8:
+        dtype = "<i8"
+    else:
+        raise FormatError(f"unknown integer stream width {width}")
+    if len(payload) % width:
+        raise FormatError("integer stream length not a multiple of its width")
+    array = np.frombuffer(payload, dtype=dtype)
+    return array.astype(np.int64, copy=False)
+
+
+def _slice_from_spans(spans, offset: int, length: int) -> bytes:
+    """Extract ``[offset, offset+length)`` from fetched (offset, data) spans."""
+    for span_offset, data in spans:
+        if span_offset <= offset and offset + length <= span_offset + len(data):
+            start = offset - span_offset
+            return data[start : start + length]
+    raise FormatError(f"range [{offset}, {offset + length}) not fetched")
+
+
+def oracle_fetch_streams(reader, stripe) -> dict:
+    """Fetch the stripe's needed streams, honoring coalescing."""
+    projection = reader.options.projection
+    needed = []
+    for info in stripe.streams:
+        if info.feature_id == ROW_LEVEL:
+            needed.append(info)
+        elif projection is None or info.feature_id in projection:
+            needed.append(info)
+    ranges = [_Range(info.offset, info.length) for info in needed]
+    window = reader.options.coalesce_window
+    blob: dict[int, bytes] = {}
+    for physical, useful in plan_reads(ranges, window):
+        data = reader._fetch(physical.offset, physical.length)
+        if len(data) != physical.length:
+            raise FormatError("short read from fetcher")
+        reader.trace.add(physical.offset, physical.length, useful)
+        blob[physical.offset] = data
+
+    # Slice each needed stream back out of the fetched spans,
+    # verifying integrity against the footer's CRC.
+    spans = sorted(blob.items())
+    result = {}
+    for info in needed:
+        payload = _slice_from_spans(spans, info.offset, info.length)
+        if info.checksum and zlib.crc32(payload) != info.checksum:
+            raise FormatError(
+                f"checksum mismatch in stream ({info.feature_id}, "
+                f"{info.kind.value}) at offset {info.offset}: "
+                "corrupt replica or torn read"
+            )
+        result[(info.feature_id, info.kind)] = payload
+    return result
+
+
+def oracle_decode_flattened_feature(
+    spec_type,
+    row_count,
+    options,
+    presence_payload,
+    value_payload,
+    lengths_payload=None,
+    scores_payload=None,
+) -> DecodedFeature:
+    presence = oracle_unpack_bitmap(_unseal(presence_payload, options), row_count)
+    if spec_type is FeatureType.DENSE:
+        values = encoding.unpack_floats(_unseal(value_payload, options))
+        return DecodedFeature(presence=presence, dense_values=values)
+    if lengths_payload is None:
+        raise FormatError("sparse feature missing lengths stream")
+    lengths = oracle_decode_ints(_unseal(lengths_payload, options))
+    flat = oracle_decode_ints(_unseal(value_payload, options))
+    scores = None
+    if spec_type is FeatureType.SCORED_SPARSE:
+        if scores_payload is None:
+            raise FormatError("scored feature missing scores stream")
+        scores = encoding.unpack_floats(_unseal(scores_payload, options))
+    return DecodedFeature(
+        presence=presence, lengths=lengths, sparse_values=flat, scores=scores
+    )
+
+
+def _oracle_decode_labels(payload: bytes, options: EncodingOptions) -> np.ndarray:
+    return encoding.unpack_floats(_unseal(payload, options))
+
+
+def _oracle_decode_map_stripe(
+    label_payload, rows_payload, row_count, options, projection=None
+) -> list[Row]:
+    labels = encoding.unpack_floats(_unseal(label_payload, options)).tolist()
+    payload = _unseal(rows_payload, options)
+    header, rest = _split_varint_header(payload)
+    int_payload, float_payload = rest[:header], rest[header:]
+    ints = oracle_decode_ints(int_payload).tolist()
+    floats = encoding.unpack_floats(float_payload).tolist()
+
+    rows: list[Row] = []
+    ii = 0  # int cursor
+    fi = 0  # float cursor
+    for r in range(row_count):
+        row = Row(label=labels[r])
+        n_dense = ints[ii]; ii += 1
+        for _ in range(n_dense):
+            fid = ints[ii]; ii += 1
+            value = floats[fi]; fi += 1
+            row.dense[fid] = value
+        n_sparse = ints[ii]; ii += 1
+        for _ in range(n_sparse):
+            fid = ints[ii]; ii += 1
+            length = ints[ii]; ii += 1
+            row.sparse[fid] = ints[ii : ii + length]; ii += length
+        n_scores = ints[ii]; ii += 1
+        for _ in range(n_scores):
+            fid = ints[ii]; ii += 1
+            length = ints[ii]; ii += 1
+            row.scores[fid] = floats[fi : fi + length]; fi += length
+        rows.append(row.project(projection) if projection is not None else row)
+    return rows
+
+
+def oracle_read_stripe(reader, index: int, schema: TableSchema) -> list[Row]:
+    """Materialize rows of one stripe under the projection."""
+    stripe = reader.footer.stripes[index]
+    payloads = oracle_fetch_streams(reader, stripe)
+    options = reader.footer.options
+    if options.layout is FileLayout.MAP:
+        projection = (
+            set(reader.options.projection)
+            if reader.options.projection is not None
+            else None
+        )
+        return _oracle_decode_map_stripe(
+            payloads[(ROW_LEVEL, StreamKind.LABEL)],
+            payloads[(ROW_LEVEL, StreamKind.MAP_ROWS)],
+            stripe.row_count,
+            options,
+            projection,
+        )
+    labels = _oracle_decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)], options)
+    rows = [Row(label=label) for label in labels.tolist()]
+    projection = reader.options.projection
+    for fid in reader.footer.feature_ids:
+        if projection is not None and fid not in projection:
+            continue
+        if not stripe.has_stream(fid, StreamKind.PRESENCE):
+            continue  # feature absent from this stripe
+        spec = schema.get(fid)
+        presence_payload = payloads[(fid, StreamKind.PRESENCE)]
+        if spec.ftype is FeatureType.DENSE:
+            value_payload = payloads[(fid, StreamKind.DENSE_VALUES)]
+            lengths_payload = None
+        else:
+            value_payload = payloads[(fid, StreamKind.SPARSE_VALUES)]
+            lengths_payload = payloads[(fid, StreamKind.SPARSE_LENGTHS)]
+        scores_payload = payloads.get((fid, StreamKind.SCORE_VALUES))
+        decoded = oracle_decode_flattened_feature(
+            spec.ftype,
+            stripe.row_count,
+            options,
+            presence_payload,
+            value_payload,
+            lengths_payload,
+            scores_payload,
+        )
+        present_indices = np.flatnonzero(decoded.presence)
+        if spec.ftype is FeatureType.DENSE:
+            values = decoded.dense_values.tolist()
+            for cursor, row_index in enumerate(present_indices):
+                rows[row_index].dense[fid] = values[cursor]
+            continue
+        offsets = decoded.present_offsets().tolist()
+        flat = decoded.sparse_values.tolist()
+        flat_scores = None if decoded.scores is None else decoded.scores.tolist()
+        for cursor, row_index in enumerate(present_indices):
+            lo, hi = offsets[cursor], offsets[cursor + 1]
+            row = rows[row_index]
+            row.sparse[fid] = flat[lo:hi]
+            if flat_scores is not None:
+                row.scores[fid] = flat_scores[lo:hi]
+    return rows
+
+
+def oracle_read_stripe_columnar(
+    reader, stripe_index: int, projection, schema: TableSchema
+) -> tuple[FeatureBatch, int]:
+    """``DppWorker._read_stripe_columnar`` with its own payload selection."""
+    stripe = reader.footer.stripes[stripe_index]
+    payloads = oracle_fetch_streams(reader, stripe)
+    options = reader.footer.options
+    labels = _oracle_decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)], options)
+    batch = FeatureBatch(labels=labels)
+    n_values = len(labels)
+    for fid in sorted(projection):
+        if not stripe.has_stream(fid, StreamKind.PRESENCE):
+            continue
+        spec = schema.get(fid)
+        if spec.ftype is FeatureType.DENSE:
+            value_payload = payloads[(fid, StreamKind.DENSE_VALUES)]
+            lengths_payload = None
+        else:
+            value_payload = payloads[(fid, StreamKind.SPARSE_VALUES)]
+            lengths_payload = payloads[(fid, StreamKind.SPARSE_LENGTHS)]
+        scores_payload = payloads.get((fid, StreamKind.SCORE_VALUES))
+        decoded = oracle_decode_flattened_feature(
+            spec.ftype,
+            stripe.row_count,
+            options,
+            payloads[(fid, StreamKind.PRESENCE)],
+            value_payload,
+            lengths_payload,
+            scores_payload,
+        )
+        if spec.ftype is FeatureType.DENSE:
+            full = np.zeros(stripe.row_count, dtype=np.float32)
+            full[decoded.presence] = decoded.dense_values
+            batch.add_column(fid, DenseColumn(full, decoded.presence))
+            n_values += len(decoded.dense_values)
+        else:
+            column = SparseColumn(
+                decoded.row_offsets(stripe.row_count),
+                decoded.sparse_values,
+                decoded.scores,
+            )
+            batch.add_column(fid, column)
+            n_values += len(column.values)
+    return batch, n_values

@@ -74,6 +74,38 @@ class TestAppendOnly:
             fs.read("f", 0, 10)
 
 
+class TestReadBounds:
+    def test_negative_length_rejected(self):
+        # offset + length shrinks under a negative length, so the bound
+        # check alone let these through and they read as b"".
+        fs = small_fs(chunk_bytes=4)
+        fs.create("f")
+        fs.append("f", b"0123456789")
+        for offset in (0, 5, 10, 12):
+            with pytest.raises(StorageError):
+                fs.read("f", offset, -3)
+        with pytest.raises(StorageError):
+            fs.file("f").blocks[1].read(4, -2)
+        assert fs.total_io() == (0, 0)
+
+    @pytest.mark.parametrize("offset", [0, 4, 5, 10])
+    def test_zero_length_read_is_empty_and_touches_no_node(self, offset):
+        # At the start, on a block boundary, mid-block and at end of file.
+        fs = small_fs(chunk_bytes=4)
+        fs.create("f")
+        fs.append("f", b"0123456789")
+        assert fs.read("f", offset, 0) == b""
+        assert fs.total_io() == (0, 0)
+        assert fs._replica_rr == 0
+
+    def test_zero_length_read_of_an_empty_file(self):
+        fs = small_fs()
+        fs.create("f")
+        assert fs.read("f", 0, 0) == b""
+        with pytest.raises(StorageError):
+            fs.read("f", 1, 0)
+
+
 class TestReplication:
     def test_each_block_has_n_replicas(self):
         fs = small_fs(chunk_bytes=8, replication=3)
