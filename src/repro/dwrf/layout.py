@@ -30,7 +30,8 @@ class EncodingOptions:
     ``stripe_rows`` is the number of rows per stripe — the "large
     stripes" optimization (Table 12, LS) raises it.  ``feature_order``
     optionally fixes the on-disk ordering of per-feature streams within
-    each stripe; feature reordering (FR) passes popularity order here.
+    each stripe; feature reordering (FR) passes popularity order here,
+    each feature at most once.
     """
 
     layout: FileLayout = FileLayout.FLATTENED
@@ -42,6 +43,10 @@ class EncodingOptions:
     def __post_init__(self) -> None:
         if self.stripe_rows <= 0:
             raise FormatError("stripe_rows must be positive")
+        order = self.feature_order or ()
+        if len(set(order)) != len(order):
+            repeated = sorted({fid for fid in order if order.count(fid) > 1})
+            raise FormatError(f"feature_order repeats features {repeated}")
 
 
 @dataclass(frozen=True)

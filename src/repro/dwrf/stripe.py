@@ -14,13 +14,14 @@ This is the core of the format.  Two layouts are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from ..common.errors import FormatError
-from ..warehouse.row import Row
+from ..warehouse.row import Row, SampleBatch
 from ..warehouse.schema import FeatureType, TableSchema
 from . import encoding
 from .layout import EncodingOptions, FileLayout
@@ -44,8 +45,8 @@ def _ordered_feature_ids(schema: TableSchema, options: EncodingOptions) -> list[
         return ids
     known = set(ids)
     ordered = [fid for fid in options.feature_order if fid in known]
-    remaining = [fid for fid in ids if fid not in set(ordered)]
-    return ordered + remaining
+    placed = set(ordered)
+    return ordered + [fid for fid in ids if fid not in placed]
 
 
 def encode_stripe(
@@ -127,23 +128,133 @@ def _flatten(sequences: list[Sequence], dtype) -> tuple[np.ndarray, np.ndarray]:
     return lengths, values
 
 
+def _check_kind(fid: int, ftype: FeatureType, dense: bool, sparse: bool) -> None:
+    """Refuse values whose physical kind contradicts the schema's."""
+    if ftype is FeatureType.DENSE:
+        if sparse:
+            raise FormatError(f"dense feature {fid} logged sparse values")
+    elif dense:
+        raise FormatError(f"sparse feature {fid} logged dense values")
+
+
+# A run's piece of one feature is a tuple of parallel sequences led by
+# the stripe rows that logged it: (rows, values) when dense, (rows,
+# lengths, ids) when sparse, (rows, lengths, ids, scores) when scored.
+
+
+class _MapRun:
+    """Consecutive stripe rows whose maps are their content.
+
+    Folded per feature as the rows arrive, one pass over each row's maps.
+    """
+
+    def __init__(self) -> None:
+        self.dense: dict[int, _DenseAccumulator] = {}
+        self.sparse: dict[int, _SparseAccumulator] = {}
+
+    def cut(self, fid: int, ftype: FeatureType) -> tuple | None:
+        """This run's piece of feature *fid*; None if no row logged it."""
+        dense = self.dense.get(fid)
+        sparse = self.sparse.get(fid)
+        if dense is None and sparse is None:
+            return None
+        _check_kind(fid, ftype, dense is not None, sparse is not None)
+        if sparse is None:
+            return dense.rows, dense.values
+        piece = (sparse.rows, *_flatten(sparse.ids, np.int64))
+        if ftype is FeatureType.SCORED_SPARSE:
+            piece += (_flatten(sparse.scores, "<f4")[1],)
+        return piece
+
+
+class _BatchRun:
+    """Consecutive stripe rows cut from one batch whose arrays are its content.
+
+    ``indices`` lists the batch rows, in stripe order, from stripe row
+    ``start`` on.  A feature's piece costs what the run's own rows cost,
+    however long the batch's columns are: a binary search into the
+    column, then slices when the run is batch rows ``i, i + 1, ...`` and
+    a gather when it is any other selection.
+    """
+
+    def __init__(self, batch: SampleBatch, start: int, index: int) -> None:
+        self.batch = batch
+        self.start = start
+        self.indices = [index]
+
+    @cached_property
+    def taken(self) -> np.ndarray:
+        return np.asarray(self.indices)
+
+    @cached_property
+    def consecutive(self) -> bool:
+        return bool((np.diff(self.taken) == 1).all())
+
+    def cut(self, fid: int, ftype: FeatureType) -> tuple | None:
+        """This run's piece of feature *fid*; None if no row logged it."""
+        column = self.batch.columns.get(fid)
+        if column is None or not len(column.rows):
+            return None
+        taken = self.taken
+        if self.consecutive:
+            lo, hi = column.rows.searchsorted((taken[0], taken[0] + len(taken)))
+            rows = column.rows[lo:hi] + (self.start - taken[0])
+            at = slice(lo, hi)
+        else:
+            # Where each taken row would sit in the column, and whether
+            # the column lists it there.
+            at = column.rows.searchsorted(taken).clip(max=len(column.rows) - 1)
+            logged = column.rows[at] == taken
+            rows = self.start + np.flatnonzero(logged)
+            at = at[logged]
+        if not len(rows):
+            return None
+        dense = column.values is not None
+        _check_kind(fid, ftype, dense, not dense)
+        if dense:
+            return rows, column.values[at]
+        scored = ftype is FeatureType.SCORED_SPARSE
+        if scored and column.scores is None:
+            raise FormatError(f"scored feature {fid} logged without score weights")
+        lengths = column.lengths[at]
+        starts = column.starts
+        if self.consecutive:
+            flat = slice(starts[lo], starts[hi])
+        else:
+            # Each taken row's span of ids, laid end to end.
+            ends = np.cumsum(lengths)
+            flat = np.arange(ends[-1]) + np.repeat(starts[at] - ends + lengths, lengths)
+        if scored:
+            return rows, lengths, column.ids[flat], column.scores[flat]
+        return rows, lengths, column.ids[flat]
+
+
+def _joined(parts: tuple) -> Sequence:
+    """One sequence out of a feature's per-run parts."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class StripeColumnarBuilder:
     """Accumulates rows column-wise so a stripe packs without row scans.
 
-    Each :meth:`add_row` walks only the features the row actually
-    logged (one pass over its maps) and keeps a reference to each id and
-    score sequence; :meth:`build` flattens every feature's sequences
-    once and packs them in stream order.  This replaces the per-feature
-    ``[... for row in rows]`` scans, which cost O(features x rows)
-    regardless of coverage, while producing byte-identical streams.
+    Rows arrive in *runs*.  A row cut from a :class:`SampleBatch` whose
+    arrays are still its content (nobody has read a map of that batch:
+    the one-truth rule of :mod:`repro.warehouse.row`) only extends the
+    current batch run with its batch row; :meth:`build` then cuts each
+    feature's piece of the run out of the batch's column.  Any other
+    row is read through its maps: :meth:`add_row` walks only the
+    features the row actually logged (one pass over its maps) and keeps
+    a reference to each id and score sequence, and :meth:`build`
+    flattens every feature's sequences once.  Either way a feature's
+    streams are its runs' pieces back to back, byte-identical to
+    packing every row value by value.
     """
 
     def __init__(self, schema: TableSchema, options: EncodingOptions) -> None:
         self.schema = schema
         self.options = options
         self._labels: list[float] = []
-        self._dense: dict[int, _DenseAccumulator] = {}
-        self._sparse: dict[int, _SparseAccumulator] = {}
+        self._runs: list[_MapRun | _BatchRun] = []
         self._scored_ids = {
             spec.feature_id
             for spec in schema
@@ -156,37 +267,46 @@ class StripeColumnarBuilder:
         return len(self._labels)
 
     def add_row(self, row: Row) -> None:
-        """Fold one row's feature maps into the per-feature columns."""
+        """Add one row: extend the batch run it continues, or fold its maps."""
         index = len(self._labels)
         self._labels.append(row.label)
+        run = self._runs[-1] if self._runs else None
+        batch = row.batch
+        if batch is not None and not batch.maps_built:
+            if isinstance(run, _BatchRun) and run.batch is batch:
+                run.indices.append(row.index)
+            else:
+                self._runs.append(_BatchRun(batch, index, row.index))
+            return
+        if not isinstance(run, _MapRun):
+            run = _MapRun()
+            self._runs.append(run)
+        sparse, scores = row.sparse, row.scores
         for fid, value in row.dense.items():
-            acc = self._dense.get(fid)
+            acc = run.dense.get(fid)
             if acc is None:
-                acc = self._dense[fid] = _DenseAccumulator()
+                acc = run.dense[fid] = _DenseAccumulator()
             acc.rows.append(index)
             acc.values.append(value)
-        for fid, ids in row.sparse.items():
-            acc = self._sparse.get(fid)
+        for fid, ids in sparse.items():
+            acc = run.sparse.get(fid)
             if acc is None:
-                acc = self._sparse[fid] = _SparseAccumulator()
+                acc = run.sparse[fid] = _SparseAccumulator()
             acc.rows.append(index)
             acc.ids.append(ids)
             if fid in self._scored_ids:
                 try:
-                    acc.scores.append(row.scores[fid])
+                    acc.scores.append(scores[fid])
                 except KeyError:
                     raise FormatError(
                         f"scored feature {fid} logged without score weights"
                     ) from None
-        if row.scores:
-            for fid in row.scores:
-                if fid not in row.sparse:
-                    raise FormatError(
-                        f"feature {fid} logged score weights without ids"
-                    )
+        for fid in scores:
+            if fid not in sparse:
+                raise FormatError(f"feature {fid} logged score weights without ids")
 
     def build(self) -> list[PendingStream]:
-        """Pack the accumulated columns into the stripe's streams."""
+        """Pack the accumulated runs into the stripe's streams."""
         if not self._labels:
             raise FormatError("cannot encode an empty stripe")
         options = self.options
@@ -195,32 +315,17 @@ class StripeColumnarBuilder:
         streams = [PendingStream(ROW_LEVEL, StreamKind.LABEL, _seal(labels, options))]
 
         for fid in _ordered_feature_ids(self.schema, options):
-            spec = self.schema.get(fid)
-            dense_acc = self._dense.get(fid)
-            sparse_acc = self._sparse.get(fid)
-            if dense_acc is None and sparse_acc is None:
+            ftype = self.schema.get(fid).ftype
+            pieces = [
+                piece
+                for run in self._runs
+                if (piece := run.cut(fid, ftype)) is not None
+            ]
+            if not pieces:
                 continue  # feature absent from the whole stripe: no streams
-            if spec.ftype is FeatureType.DENSE:
-                if sparse_acc is not None:
-                    raise FormatError(f"dense feature {fid} logged sparse values")
-                presence = np.zeros(n, dtype=bool)
-                presence[dense_acc.rows] = True
-                streams.append(
-                    PendingStream(
-                        fid,
-                        StreamKind.PRESENCE,
-                        _seal(encoding.pack_bitmap(presence), options),
-                    )
-                )
-                values = encoding.pack_floats(dense_acc.values)
-                streams.append(
-                    PendingStream(fid, StreamKind.DENSE_VALUES, _seal(values, options))
-                )
-                continue
-            if dense_acc is not None:
-                raise FormatError(f"sparse feature {fid} logged dense values")
+            rows, *columns = map(_joined, zip(*pieces))
             presence = np.zeros(n, dtype=bool)
-            presence[sparse_acc.rows] = True
+            presence[rows] = True
             streams.append(
                 PendingStream(
                     fid,
@@ -228,28 +333,32 @@ class StripeColumnarBuilder:
                     _seal(encoding.pack_bitmap(presence), options),
                 )
             )
-            lengths, values = _flatten(sparse_acc.ids, np.int64)
+            if ftype is FeatureType.DENSE:
+                values = encoding.pack_floats(columns[0])
+                streams.append(
+                    PendingStream(fid, StreamKind.DENSE_VALUES, _seal(values, options))
+                )
+                continue
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_LENGTHS,
-                    _seal(encoding.encode_ints(lengths), options),
+                    _seal(encoding.encode_ints(columns[0]), options),
                 )
             )
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_VALUES,
-                    _seal(encoding.encode_ints(values), options),
+                    _seal(encoding.encode_ints(columns[1]), options),
                 )
             )
-            if spec.ftype is FeatureType.SCORED_SPARSE:
-                _, scores = _flatten(sparse_acc.scores, "<f4")
+            if ftype is FeatureType.SCORED_SPARSE:
                 streams.append(
                     PendingStream(
                         fid,
                         StreamKind.SCORE_VALUES,
-                        _seal(encoding.pack_floats(scores), options),
+                        _seal(encoding.pack_floats(columns[2]), options),
                     )
                 )
         return streams

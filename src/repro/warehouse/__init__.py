@@ -14,7 +14,7 @@ from .retention import (
     enforce_retention,
     verify_reaped,
 )
-from .row import Row
+from .row import FeatureColumn, Row, SampleBatch
 from .schema import FeatureSpec, FeatureStatus, FeatureType, TableSchema
 from .table import Partition, Table
 
@@ -25,11 +25,13 @@ __all__ = [
     "verify_reaped",
     "Catalog",
     "DatasetProfile",
+    "FeatureColumn",
     "FeatureSpec",
     "FeatureStatus",
     "FeatureType",
     "Partition",
     "Row",
+    "SampleBatch",
     "SampleGenerator",
     "Table",
     "TableSchema",

@@ -6,6 +6,12 @@ per-feature coverage (fraction of samples logging the feature), the
 sparse list lengths, and the categorical ID distributions.  This module
 generates samples whose statistics match a declared profile, so that
 downstream systems (DWRF, DPP) exercise realistic data shapes.
+
+Bulk generation hands over columns: :meth:`SampleGenerator.generate_batch`
+returns the arrays it drew as a :class:`~repro.warehouse.row.SampleBatch`
+and the rows are views of it.  Under that module's one-truth rule the
+arrays are what the DWRF writer packs until somebody reads a row's maps;
+the maps are built then, once per batch, and are the content from there.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import ConfigError
-from .row import Row
+from .row import FeatureColumn, Row, SampleBatch
 from .schema import FeatureSpec, FeatureStatus, FeatureType, TableSchema
 from .table import Table
 
@@ -78,6 +84,8 @@ class SampleGenerator:
         beta = (1 - profile.avg_coverage) * concentration
 
         def draw_coverage() -> float:
+            if profile.avg_coverage == 1:
+                return 1.0  # every sample logs every feature; Beta(alpha, 0) is no law
             # Clamp away from 0 so every feature appears occasionally.
             return float(np.clip(self._rng.beta(alpha, beta), 0.01, 1.0))
 
@@ -133,20 +141,18 @@ class SampleGenerator:
                     row.scores[spec.feature_id] = rng.random(size=length).tolist()
         return row
 
-    def generate_rows(self, schema: TableSchema, n: int) -> list[Row]:
-        """Vectorized bulk generation of *n* samples.
+    def generate_batch(self, schema: TableSchema, n: int) -> SampleBatch:
+        """Vectorized bulk generation of *n* samples, as columns.
 
         Statistically identical to *n* calls of :meth:`generate_row`
         but draws per-feature vectors across all rows at once, which is
-        what makes MB-scale ablation datasets affordable.
+        what makes MB-scale ablation datasets affordable.  The draws
+        stay the arrays they are: nothing here leaves numpy.
         """
+        _check_row_count(n)
         rng = self._rng
-        rows = [Row(label=label) for label in rng.integers(0, 2, size=n).astype(float).tolist()]
-        # Each row's maps, bound once: the scatter loops below run per
-        # logged value and would otherwise re-resolve them every time.
-        dense_of = [row.dense for row in rows]
-        sparse_of = [row.sparse for row in rows]
-        scores_of = [row.scores for row in rows]
+        labels = rng.integers(0, 2, size=n).astype(float)
+        columns: dict[int, FeatureColumn] = {}
         for spec in schema.logged_features():
             coverage = self._coverages.get(spec.feature_id, spec.coverage)
             present = np.flatnonzero(rng.random(n) < coverage)
@@ -154,24 +160,26 @@ class SampleGenerator:
                 continue
             fid = spec.feature_id
             if spec.ftype is FeatureType.DENSE:
-                values = rng.normal(size=present.size).tolist()
-                for index, value in zip(present.tolist(), values):
-                    dense_of[index][fid] = value
-            else:
-                mean_len = self._lengths.get(fid, spec.avg_sparse_length or 1.0)
-                lengths = rng.geometric(1.0 / max(mean_len, 1.0), size=present.size)
-                total = int(lengths.sum())
-                flat = rng.integers(0, self.profile.id_vocab_size, size=total)
-                offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
-                scored = spec.ftype is FeatureType.SCORED_SPARSE
-                weights = rng.random(size=total) if scored else None
-                flat_list = flat.tolist()
-                weight_list = None if weights is None else weights.tolist()
-                for index, lo, hi in zip(present.tolist(), offsets, offsets[1:]):
-                    sparse_of[index][fid] = flat_list[lo:hi]
-                    if scored:
-                        scores_of[index][fid] = weight_list[lo:hi]
-        return rows
+                columns[fid] = FeatureColumn(
+                    present, values=rng.normal(size=present.size)
+                )
+                continue
+            mean_len = self._lengths.get(fid, spec.avg_sparse_length or 1.0)
+            lengths = rng.geometric(1.0 / max(mean_len, 1.0), size=present.size)
+            total = int(lengths.sum())
+            ids = rng.integers(0, self.profile.id_vocab_size, size=total)
+            scored = spec.ftype is FeatureType.SCORED_SPARSE
+            columns[fid] = FeatureColumn(
+                present,
+                lengths=lengths,
+                ids=ids,
+                scores=rng.random(size=total) if scored else None,
+            )
+        return SampleBatch(labels, columns)
+
+    def generate_rows(self, schema: TableSchema, n: int) -> list[Row]:
+        """*n* samples drawn as one batch, as views of its rows."""
+        return self.generate_batch(schema, n).rows()
 
     def iter_rows(self, schema: TableSchema, n: int, chunk: int = 256):
         """Stream *n* samples, drawing them in vectorized chunks.
@@ -182,6 +190,7 @@ class SampleGenerator:
         """
         if chunk <= 0:
             raise ConfigError("chunk must be positive")
+        _check_row_count(n)
         remaining = n
         while remaining > 0:
             block = min(chunk, remaining)
@@ -192,9 +201,15 @@ class SampleGenerator:
         self, table: Table, partition_names: list[str], rows_per_partition: int
     ) -> None:
         """Fill *table* with fresh partitions of generated samples."""
+        _check_row_count(rows_per_partition)
         for name in partition_names:
             partition = table.create_partition(name)
             partition.rows.extend(self.generate_rows(table.schema, rows_per_partition))
+
+
+def _check_row_count(n: int) -> None:
+    if n < 0:
+        raise ConfigError(f"cannot generate {n} rows")
 
 
 def measured_coverage(table: Table, feature_id: int) -> float:
