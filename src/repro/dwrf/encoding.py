@@ -21,10 +21,12 @@ import numpy as np
 from ..common.errors import FormatError
 
 _XOR_KEY = bytes(range(251, 0, -7))  # fixed 36-byte rolling key
+KEY_PERIOD = len(_XOR_KEY)
 _XOR_KEY_ARRAY = np.frombuffer(_XOR_KEY, dtype=np.uint8)
-# Pre-tiled key covering typical stripe payloads; slicing from index 0
-# preserves the rolling phase, larger payloads re-tile on demand.
-_XOR_KEY_TILE = np.resize(_XOR_KEY_ARRAY, 1 << 20)
+# Pre-tiled key covering typical stripe payloads (whole periods, just
+# under 1 MiB); slicing from index 0 preserves the rolling phase, larger
+# payloads re-tile on demand.
+_XOR_KEY_TILE = np.tile(_XOR_KEY_ARRAY, (1 << 20) // KEY_PERIOD)
 
 
 def zigzag_encode(value: int) -> int:
@@ -150,6 +152,18 @@ def _xor_cipher(data: bytes) -> bytes:
     else:
         key = np.resize(_XOR_KEY_ARRAY, array.size)  # cyclic tile of the key
     return np.bitwise_xor(array, key).tobytes()
+
+
+def xor_in_place(buffer: np.ndarray) -> None:
+    """Apply the cipher to a writable uint8 *buffer* where it lies.
+
+    The key restarts at the buffer's first byte, so every sealed stream
+    laid at a multiple of :data:`KEY_PERIOD` is deciphered (XOR is its
+    own inverse) exactly as :func:`unseal` would decipher it alone.
+    """
+    for lo in range(0, buffer.size, _XOR_KEY_TILE.size):  # whole periods
+        part = buffer[lo : lo + _XOR_KEY_TILE.size]
+        np.bitwise_xor(part, _XOR_KEY_TILE[: part.size], out=part)
 
 
 def seal(payload: bytes, *, compress: bool = True, encrypt: bool = True) -> bytes:

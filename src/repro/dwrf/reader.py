@@ -15,12 +15,17 @@ storage models consume to compute seeks, IOPS, and throughput.
 A stripe costs one pass.  What depends only on the footer and the
 :class:`ReadOptions` — which streams are needed, how :func:`plan_reads`
 groups them into physical reads, where each stream sits inside its read
-and which payloads make up each projected feature — is worked out on
-the first read of a stripe and kept on the reader.  What depends on
-bytes happens in one loop (:meth:`DwrfReader._fetch_streams`: fetch →
-CRC → unseal) followed by one decode, :meth:`DwrfReader.decode_stripe`,
-which the row arm (:meth:`DwrfReader.read_stripe`) and the DPP worker's
-columnar arm both consume.
+and in a scratch buffer, the reads' :class:`IORecord` s with their
+totals, and which payloads make up each projected feature — is worked
+out on the first read of a stripe and kept on the reader.  What depends
+on bytes runs once per stripe, not once per stream
+(:meth:`DwrfReader._fetch_streams`: fetch → CRC → copy each needed
+stream into the reader's scratch, then one XOR, one inflate per stream
+from where it lies, one trace extension) followed by one decode,
+:meth:`DwrfReader.decode_stripe`, which the row arm
+(:meth:`DwrfReader.read_stripe`) and the DPP worker's columnar arm both
+consume.  :func:`encoding.unseal` stays the single-payload statement of
+the same thing, and the scratch form is tested against it.
 """
 
 from __future__ import annotations
@@ -87,6 +92,15 @@ class IOTrace:
         self.records.append(IORecord(offset, length, useful))
         self.bytes_read += length
         self.useful_bytes += useful
+
+    def extend(
+        self, records: Sequence[IORecord], bytes_read: int, useful_bytes: int
+    ) -> None:
+        """Append *records*, whose totals the caller already holds (a
+        stripe plan's reads): one step however many reads there are."""
+        self.records.extend(records)
+        self.bytes_read += bytes_read
+        self.useful_bytes += useful_bytes
 
     def merge(self, other: "IOTrace") -> None:
         """Append every read of *other*, in order, through :meth:`add`."""
@@ -194,19 +208,30 @@ def plan_reads(needed: Sequence, window: int) -> list[tuple[_Range, int]]:
 class _StripePlan(NamedTuple):
     """How one stripe is read under one reader's options.
 
-    ``reads`` are the physical reads in issue order, each
-    ``(offset, length, useful bytes, members)`` with a member
-    ``(start, end, StreamInfo)`` locating one needed stream inside the
-    read.  Members across all reads, in order, number the stripe's
-    payloads; the remaining fields are positions in that numbering,
-    with ``-1`` (the payload list ends in a ``None``) for a stream the
-    stripe does not have.  ``features`` holds, per projected feature
-    present in the stripe and in the footer's feature order,
-    ``(feature_id, presence, dense values, lengths, sparse values,
-    scores)``.
+    ``reads`` are the physical reads in issue order, each ``(offset,
+    length, members)`` with a member ``(start, end, slot, slot end,
+    StreamInfo)`` locating one needed stream inside the read and inside
+    the reader's scratch buffer; ``records`` are the same reads as the
+    :class:`IORecord` s the trace gains, with their totals in
+    ``bytes_read`` and ``useful_bytes``.  ``slots`` lists every
+    member's ``(slot, slot end)`` in order; each slot starts at a
+    multiple of the cipher's key period, so one XOR over the first
+    ``scratch_bytes`` of the scratch deciphers them all.  Members in
+    that order number the stripe's payloads; the remaining fields are
+    positions in that numbering, with ``-1`` (the payload list ends in
+    a ``None``) for a stream the stripe does not have.  ``features``
+    holds, per projected feature present in the stripe and in the
+    footer's feature order, ``(feature_id, presence, dense values,
+    lengths, sparse values, scores)``.  Nothing here grows with the
+    streams' bytes.
     """
 
     reads: tuple
+    records: tuple
+    bytes_read: int
+    useful_bytes: int
+    slots: tuple
+    scratch_bytes: int
     labels: int
     map_rows: int
     features: tuple
@@ -238,6 +263,10 @@ class DwrfReader:
         # One plan per stripe, built on its first read.  The footer and
         # the options are immutable, so a plan is never invalidated.
         self._plans: list[_StripePlan | None] = [None] * len(footer.stripes)
+        # Where a stripe's sealed streams are deciphered: grows to the
+        # largest stripe read so far, never shrinks, never outlives a
+        # call as anything a caller holds (payloads are fresh bytes).
+        self._scratch = np.empty(0, dtype=np.uint8)
 
     @classmethod
     def for_file(
@@ -268,19 +297,22 @@ class DwrfReader:
             or projection is None
             or info.feature_id in projection
         ]
-        reads = []
+        reads, records, slots = [], [], []
         positions: dict[tuple[int, StreamKind], int] = {}
-        n_payloads = 0
+        slot = slot_end = 0
         for physical, useful in plan_reads(needed, self.options.coalesce_window):
             members = []
             for info in physical.members:
                 # The first stream in file order wins a repeated key, as
                 # StripeMeta's stream index has it.
-                positions.setdefault((info.feature_id, info.kind), n_payloads)
-                n_payloads += 1
+                positions.setdefault((info.feature_id, info.kind), len(slots))
                 start = info.offset - physical.offset
-                members.append((start, start + info.length, info))
-            reads.append((physical.offset, physical.length, useful, tuple(members)))
+                slot = slot_end + -slot_end % encoding.KEY_PERIOD
+                slot_end = slot + info.length
+                slots.append((slot, slot_end))
+                members.append((start, start + info.length, slot, slot_end, info))
+            reads.append((physical.offset, physical.length, tuple(members)))
+            records.append(IORecord(physical.offset, physical.length, useful))
         features = []
         for fid in self.footer.feature_ids:
             if projection is not None and fid not in projection:
@@ -292,6 +324,11 @@ class DwrfReader:
             )
         return _StripePlan(
             tuple(reads),
+            tuple(records),
+            sum(record.length for record in records),
+            sum(record.useful_bytes for record in records),
+            tuple(slots),
+            slot_end,
             positions.get((ROW_LEVEL, StreamKind.LABEL), -1),
             positions.get((ROW_LEVEL, StreamKind.MAP_ROWS), -1),
             tuple(features),
@@ -303,30 +340,53 @@ class DwrfReader:
         """Fetch the planned reads; verify and unseal each needed stream.
 
         Returns the stripe's payloads in plan order plus a trailing
-        ``None``.  Over-read bytes are fetched and accounted, never
-        sliced out, checked or unsealed.
+        ``None``.  Each needed stream is checked against its CRC and
+        copied to its slot in the scratch while its read is in hand;
+        then the cipher comes off every slot in one pass and each stream
+        inflates straight from the scratch.  Over-read bytes are fetched
+        and accounted, never copied, checked or deciphered.  The trace
+        gains the stripe's reads in one step once all are fetched — or,
+        when a fetch or a checksum fails, the reads served by then.
         """
+        if plan.scratch_bytes > self._scratch.size:
+            self._scratch = np.empty(plan.scratch_bytes, dtype=np.uint8)
+        scratch = self._scratch.data
         fetch = self._fetch
-        record = self.trace.add
         crc32 = zlib.crc32
-        unseal = encoding.unseal
-        compress = self.footer.options.compress
-        encrypt = self.footer.options.encrypt
-        payloads: list[bytes | None] = []
-        for offset, length, useful, members in plan.reads:
-            data = fetch(offset, length)
-            if len(data) != length:
-                raise FormatError("short read from fetcher")
-            record(offset, length, useful)
-            for start, end, info in members:
-                sealed = data[start:end]
-                if info.checksum and crc32(sealed) != info.checksum:
-                    raise FormatError(
-                        f"checksum mismatch in stream ({info.feature_id}, "
-                        f"{info.kind.value}) at offset {info.offset}: "
-                        "corrupt replica or torn read"
-                    )
-                payloads.append(unseal(sealed, compress=compress, encrypt=encrypt))
+        fetched = 0
+        try:
+            for offset, length, members in plan.reads:
+                data = fetch(offset, length)
+                if len(data) != length:
+                    raise FormatError("short read from fetcher")
+                fetched += 1
+                for start, end, slot, slot_end, info in members:
+                    sealed = data[start:end]
+                    if info.checksum and crc32(sealed) != info.checksum:
+                        raise FormatError(
+                            f"checksum mismatch in stream ({info.feature_id}, "
+                            f"{info.kind.value}) at offset {info.offset}: "
+                            "corrupt replica or torn read"
+                        )
+                    scratch[slot:slot_end] = sealed
+        except BaseException:
+            for record in plan.records[:fetched]:
+                self.trace.add(*record)
+            raise
+        self.trace.extend(plan.records, plan.bytes_read, plan.useful_bytes)
+        options = self.footer.options
+        if options.encrypt:
+            encoding.xor_in_place(self._scratch[: plan.scratch_bytes])
+        payloads: list[bytes | None]
+        if options.compress:
+            inflate = zlib.decompress
+            try:
+                payloads = [inflate(scratch[lo:hi]) for lo, hi in plan.slots]
+            except zlib.error as exc:
+                raise FormatError(f"corrupt compressed stream: {exc}") from exc
+        else:
+            # Copies, so nothing decoded aliases the scratch.
+            payloads = [scratch[lo:hi].tobytes() for lo, hi in plan.slots]
         payloads.append(None)
         return payloads
 

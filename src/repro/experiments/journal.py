@@ -148,9 +148,14 @@ class RunJournal:
     sweep runner journals at chunk granularity.
     """
 
-    def __init__(self, path: pathlib.Path, stream: IO[str]) -> None:
+    def __init__(
+        self, path: pathlib.Path, stream: IO[str], identities: list[tuple[str, str]]
+    ) -> None:
         self.path = path
         self._stream = stream
+        # The grid's cell_identities, hashed once per open journal: the
+        # header or the resume check used them, appenders read them here.
+        self.identities = identities
 
     # -- construction ----------------------------------------------------------
 
@@ -171,7 +176,7 @@ class RunJournal:
             "cells": len(identities),
         }
         stream = open(target, "w")
-        journal = cls(target, stream)
+        journal = cls(target, stream, identities)
         journal._write_line(header)
         return journal
 
@@ -221,7 +226,7 @@ class RunJournal:
                 )
             restored[index] = ScenarioResult.from_row(record["result"])
         stream = open(target, "a")
-        return cls(target, stream), restored
+        return cls(target, stream, identities), restored
 
     # -- appending -------------------------------------------------------------
 

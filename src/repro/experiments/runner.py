@@ -49,7 +49,7 @@ from ..common.serialization import ReportBase, require_keys, revive_float
 from ..telemetry.tracer import Trace, Tracer, merge_traces
 from .base import Scenario
 from .grid import ScenarioGrid
-from .journal import RunJournal, cell_identities
+from .journal import RunJournal
 from .pool import (
     PoolPolicy,
     PoolStats,
@@ -426,7 +426,6 @@ class SweepRunner:
         start = time.perf_counter()
         journal: RunJournal | None = None
         restored: dict[int, ScenarioResult] = {}
-        identities: list[tuple[str, str]] | None = None
         if journal_path is not None:
             if resume:
                 journal, restored = RunJournal.resume_or_create(
@@ -434,7 +433,6 @@ class SweepRunner:
                 )
             else:
                 journal = RunJournal.create(journal_path, self.grid, grid_name)
-            identities = cell_identities(self.grid)
         stats = PoolStats()
         statuses: dict[int, tuple[str, str]] = {}
         arena = SweepArena(self.grid)
@@ -447,7 +445,7 @@ class SweepRunner:
             journaled.add(index)
             if result is None:  # computed cell: the row is in the arena
                 result = arena.result_for(index)
-            journal.append_result(identities[index][1], result)
+            journal.append_result(journal.identities[index][1], result)
 
         def journal_chunk(indices: list[int]) -> None:
             # One batch append per completed chunk: the parent rebuilds
@@ -458,7 +456,9 @@ class SweepRunner:
                 if index in journaled:
                     continue
                 journaled.add(index)
-                pairs.append((identities[index][1], arena.result_for(index)))
+                pairs.append(
+                    (journal.identities[index][1], arena.result_for(index))
+                )
             if pairs:
                 journal.append_results(pairs)
 

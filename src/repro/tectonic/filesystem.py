@@ -148,25 +148,39 @@ class TectonicFilesystem:
     # -- reads ---------------------------------------------------------------
 
     def read(self, name: str, offset: int, length: int) -> bytes:
-        """Read a byte range, touching each covering block's replica."""
+        """Read a byte range, touching each covering block's replica.
+
+        The bytes are taken before any node is charged, so a read that
+        raises (a virtual block in the range) is not accounted as served.
+        """
         file = self.file(name)
         end = offset + length
         if offset < 0 or length < 0 or end > file.length:
             raise StorageError(
                 f"read [{offset}, {end}) beyond file of {file.length}"
             )
+        if not length:
+            return b""  # touches no block
         starts = file.block_starts
         index = bisect_right(starts, offset) - 1
+        block = file.blocks[index]
+        inner_offset = offset - starts[index]
+        if inner_offset + length <= block.length:
+            data = block.read(inner_offset, length)
+            self._route_replica(block).record_read(length)
+            return data
+        first = index
         pieces = []
         while offset < end:
             block = file.blocks[index]
             inner_offset = offset - starts[index]
             take = min(block.length - inner_offset, end - offset)
-            self._route_replica(block).record_read(take)
             pieces.append(block.read(inner_offset, take))
             offset += take
             index += 1
-        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+        for block, piece in zip(file.blocks[first:index], pieces):
+            self._route_replica(block).record_read(len(piece))
+        return b"".join(pieces)
 
     def _route_replica(self, block: Block) -> StorageNode:
         """Round-robin reads across a block's replicas."""

@@ -56,13 +56,13 @@ class StorageNode:
             raise StorageError("release out of range")
         self.used_bytes -= n_bytes
 
-    def record_read(self, n_bytes: int, *, sequential: bool = False) -> float:
-        """Account one served read; returns its service time."""
-        self.served.io_count += 1
-        self.served.bytes_read += n_bytes
+    def record_read(self, n_bytes: int, *, sequential: bool = False) -> None:
+        """Account one served read (device time: :meth:`ServedIO.busy_time`)."""
+        served = self.served
+        served.io_count += 1
+        served.bytes_read += n_bytes
         if not sequential:
-            self.served.seeks += 1
-        return self.media.service_time(n_bytes, sequential=sequential)
+            served.seeks += 1
 
     @property
     def utilization(self) -> float:

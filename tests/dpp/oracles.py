@@ -1,62 +1,33 @@
-"""The DPP Master: work distribution, fault tolerance, checkpointing.
+"""Reference implementations the DPP master is tested against.
 
-The control plane of DPP (Section 3.2.1).  The master serves splits to
-workers on request, tracks progress, periodically checkpoints reader
-state, detects failed workers and requeues their in-flight splits
-(workers are stateless, so no worker-side restore is needed), and is
-itself replicated to avoid a single point of failure.
+``OracleDppMaster`` and ``OracleReplicatedMaster`` are the master pair
+``repro.dpp.master`` shipped before it kept running counts: every
+``request_split`` scans the records from the first one, every progress
+property re-counts all of them, and the replicated pair re-snapshots
+the whole table into a fresh checkpoint after each mutation.  Quadratic
+in session size, and the plainest statement of what the production
+master must hand out, count and checkpoint.
 """
 
-from __future__ import annotations
+from dataclasses import dataclass
 
-from dataclasses import dataclass, field
-
-from ..common.errors import DppError
-from ..common.hashing import stable_fraction
-from ..telemetry.tracer import NULL_TRACER, Tracer
-from ..dwrf.layout import FileFooter
-from .spec import SessionSpec
-from .split import Split, SplitState, plan_splits
-
-
-@dataclass(frozen=True)
-class MasterCheckpoint:
-    """Durable snapshot of reader state: which splits completed."""
-
-    session_table: str
-    completed_split_ids: frozenset[int]
+from repro.common.errors import DppError
+from repro.dpp.master import MasterCheckpoint, _sample_splits
+from repro.dpp.split import Split, SplitState, plan_splits
+from repro.telemetry.tracer import NULL_TRACER
 
 
 @dataclass
 class _SplitRecord:
     split: Split
-    position: int  # index in dataset order
     state: SplitState = SplitState.PENDING
     assigned_to: str | None = None
 
 
-def _sample_splits(splits: list[Split], rate: float) -> list[Split]:
-    """Deterministic split-level row sampling (pushdown).
-
-    Splits are kept by a *process-stable* hash of their identity
-    (:func:`~repro.common.hashing.stable_fraction` — never the salted
-    builtin ``hash()``), so the sample is identical across master
-    restarts, replicas, and PYTHONHASHSEED values — a requirement for
-    exactly-once epoch semantics under failover.  At least one split
-    always survives.
-    """
-    kept = [
-        split
-        for split in splits
-        if stable_fraction(split.file_name, split.stripe_start) < rate
-    ]
-    return kept or splits[:1]
-
-
-class DppMaster:
+class OracleDppMaster:
     """Serves splits, tracks progress, and survives worker failures."""
 
-    def __init__(self, spec: SessionSpec, files: dict[str, FileFooter]) -> None:
+    def __init__(self, spec, files) -> None:
         expected = set(spec.partitions)
         missing = expected - set(files)
         if missing:
@@ -68,21 +39,12 @@ class DppMaster:
         if spec.row_sample_rate < 1.0:
             splits = _sample_splits(splits, spec.row_sample_rate)
         self._records: dict[int, _SplitRecord] = {
-            split.split_id: _SplitRecord(split, position)
-            for position, split in enumerate(splits)
+            split.split_id: _SplitRecord(split) for split in splits
         }
-        # What a scan of the records would find, kept at the one place a
-        # split changes state (_move): splits per state, and the lowest
-        # position that may hold a PENDING split, so handing out the
-        # next split and reading progress cost the same at any size.
-        self._order = list(self._records.values())
-        self._counts = dict.fromkeys(SplitState, 0)
-        self._counts[SplitState.PENDING] = len(self._order)
-        self._cursor = 0
         self._registered_workers: set[str] = set()
         # Settable telemetry recorder (kept out of the constructor so
         # every existing call site and pickle path stays unchanged).
-        self.tracer: Tracer = NULL_TRACER
+        self.tracer = NULL_TRACER
 
     # -- worker membership ---------------------------------------------------
 
@@ -107,14 +69,16 @@ class DppMaster:
         """
         self._registered_workers.discard(worker_id)
         requeued = []
-        for record in self._order:
+        for record in self._records.values():
             if record.state is SplitState.ASSIGNED and record.assigned_to == worker_id:
-                self._move(record, SplitState.PENDING)
+                record.state = SplitState.PENDING
+                record.assigned_to = None
                 requeued.append(record.split.split_id)
         for split_id in stranded_split_ids:
             record = self._record(split_id)
             if record.state is SplitState.COMPLETED:
-                self._move(record, SplitState.PENDING)
+                record.state = SplitState.PENDING
+                record.assigned_to = None
                 requeued.append(split_id)
         if self.tracer.enabled:
             for split_id in requeued:
@@ -142,14 +106,10 @@ class DppMaster:
         """Hand the next pending split to *worker_id*; None when drained."""
         if worker_id not in self._registered_workers:
             raise DppError(f"unregistered worker {worker_id!r} requested a split")
-        order = self._order
-        # Nothing below the cursor is PENDING, so this is the scan from
-        # the first record with its known-fruitless prefix skipped.
-        while self._cursor < len(order):
-            record = order[self._cursor]
-            self._cursor += 1
+        for record in self._records.values():
             if record.state is SplitState.PENDING:
-                self._move(record, SplitState.ASSIGNED, worker_id)
+                record.state = SplitState.ASSIGNED
+                record.assigned_to = worker_id
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "split.assign",
@@ -167,7 +127,8 @@ class DppMaster:
             raise DppError(
                 f"split {split_id} not assigned to worker {worker_id!r}"
             )
-        self._move(record, SplitState.COMPLETED)
+        record.state = SplitState.COMPLETED
+        record.assigned_to = None
         if self.tracer.enabled:
             self.tracer.instant(
                 "split.complete",
@@ -184,10 +145,12 @@ class DppMaster:
         (the new epoch starts draining behind them).  Returns the
         number of splits reopened.
         """
-        reopened = self._counts[SplitState.COMPLETED]
-        for record in self._order:
+        reopened = 0
+        for record in self._records.values():
             if record.state is SplitState.COMPLETED:
-                self._move(record, SplitState.PENDING)
+                record.state = SplitState.PENDING
+                record.assigned_to = None
+                reopened += 1
         if self.tracer.enabled and reopened:
             self.tracer.instant("epoch.begin", actor="master", reopened=reopened)
         return reopened
@@ -197,18 +160,6 @@ class DppMaster:
             return self._records[split_id]
         except KeyError:
             raise DppError(f"unknown split {split_id}") from None
-
-    def _move(
-        self, record: _SplitRecord, state: SplitState, owner: str | None = None
-    ) -> None:
-        """Every state change of a split, so the counts and the cursor
-        never disagree with the records."""
-        self._counts[record.state] -= 1
-        self._counts[state] += 1
-        record.state = state
-        record.assigned_to = owner
-        if state is SplitState.PENDING and record.position < self._cursor:
-            self._cursor = record.position
 
     # -- progress ---------------------------------------------------------------
 
@@ -232,17 +183,19 @@ class DppMaster:
     @property
     def completed_splits(self) -> int:
         """Number of completed splits."""
-        return self._counts[SplitState.COMPLETED]
+        return sum(
+            1 for r in self._records.values() if r.state is SplitState.COMPLETED
+        )
 
     @property
     def pending_splits(self) -> int:
         """Number of splits not yet assigned."""
-        return self._counts[SplitState.PENDING]
+        return sum(1 for r in self._records.values() if r.state is SplitState.PENDING)
 
     @property
     def assigned_splits(self) -> int:
         """Number of splits currently in flight."""
-        return self._counts[SplitState.ASSIGNED]
+        return sum(1 for r in self._records.values() if r.state is SplitState.ASSIGNED)
 
     @property
     def done(self) -> bool:
@@ -279,32 +232,32 @@ class DppMaster:
             raise DppError(f"checkpoint references unknown splits: {sorted(unknown)}")
         for split_id, record in self._records.items():
             if split_id in checkpoint.completed_split_ids:
-                self._move(record, SplitState.COMPLETED)
+                record.state = SplitState.COMPLETED
             else:
-                self._move(record, SplitState.PENDING)
+                record.state = SplitState.PENDING
+            record.assigned_to = None
 
 
-class ReplicatedMaster:
+class OracleReplicatedMaster:
     """Primary/standby master pair (the master "is replicated to avoid
     being a single point of failure", Section 3.2.1).
 
     The primary serves all traffic and ships every state change to the
     standby synchronously (we model replication as shared-nothing
-    shipping of each mutation's change to the completed set, so a
-    mutation costs the standby what it changed, not the whole table).
-    ``fail_over`` promotes the standby, losing nothing.
+    checkpoint shipping on each mutation).  ``fail_over`` promotes the
+    standby, losing nothing.
     """
 
-    def __init__(self, spec: SessionSpec, files: dict[str, FileFooter]) -> None:
+    def __init__(self, spec, files) -> None:
         self._spec = spec
         self._files = dict(files)
-        self.primary = DppMaster(spec, files)
-        self._standby_completed: set[int] = set()
+        self.primary = OracleDppMaster(spec, files)
+        self._standby_checkpoint = self.primary.checkpoint()
         self._standby_workers: set[str] = set()
         self.failovers = 0
-        self.tracer: Tracer = NULL_TRACER
+        self.tracer = NULL_TRACER
 
-    def attach_tracer(self, tracer: Tracer) -> None:
+    def attach_tracer(self, tracer) -> None:
         """Report master activity through *tracer* (carried across
         fail-overs onto each promoted replica)."""
         self.tracer = tracer
@@ -322,7 +275,7 @@ class ReplicatedMaster:
     def complete_split(self, worker_id: str, split_id: int) -> None:
         """Delegate to the primary, then replicate state."""
         self.primary.complete_split(worker_id, split_id)
-        self._standby_completed.add(split_id)
+        self._standby_checkpoint = self.primary.checkpoint()
 
     def worker_failed(
         self, worker_id: str, stranded_split_ids: tuple[int, ...] | list[int] = ()
@@ -330,19 +283,19 @@ class ReplicatedMaster:
         """Delegate to the primary, mirror membership, and replicate.
 
         Reopening a stranded COMPLETED split mutates durable state, so
-        the standby must hear of it — otherwise a failover would
-        resurrect the split as completed while its batches died with
-        the worker.
+        the standby checkpoint must be reshipped — otherwise a failover
+        would resurrect the split as completed while its batches died
+        with the worker.
         """
         self._standby_workers.discard(worker_id)
         requeued = self.primary.worker_failed(worker_id, stranded_split_ids)
-        self._standby_completed.difference_update(requeued)
+        self._standby_checkpoint = self.primary.checkpoint()
         return requeued
 
     def begin_epoch(self) -> int:
         """Delegate to the primary, then replicate the reopened state."""
         reopened = self.primary.begin_epoch()
-        self._standby_completed.clear()  # every completed split reopened
+        self._standby_checkpoint = self.primary.checkpoint()
         return reopened
 
     def checkpoint(self) -> MasterCheckpoint:
@@ -357,7 +310,7 @@ class ReplicatedMaster:
         durable checkpoint into it.
         """
         self.primary.restore(checkpoint)
-        self._standby_completed = set(checkpoint.completed_split_ids)
+        self._standby_checkpoint = self.primary.checkpoint()
 
     def fail_over(self) -> None:
         """Kill the primary and promote a fresh replica from shipped state.
@@ -365,10 +318,8 @@ class ReplicatedMaster:
         In-flight (assigned) splits are requeued — workers simply fetch
         them again; completed state is preserved exactly.
         """
-        replacement = DppMaster(self._spec, self._files)
-        replacement.restore(
-            MasterCheckpoint(self._spec.table_name, frozenset(self._standby_completed))
-        )
+        replacement = OracleDppMaster(self._spec, self._files)
+        replacement.restore(self._standby_checkpoint)
         for worker_id in self._standby_workers:
             replacement.register_worker(worker_id)
         replacement.tracer = self.tracer

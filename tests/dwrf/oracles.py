@@ -15,6 +15,13 @@ StreamKind)``, each stream unsealed where it is decoded, and the
 select-the-payloads block written out once per consumer.  They take a
 :class:`~repro.dwrf.DwrfReader` only for its ``footer``, ``options``,
 ``trace`` and fetcher.
+
+``oracle_fetch_planned_streams`` is the later body: the one planned loop
+``DwrfReader._fetch_streams`` ran before the byte-dependent half of a
+stripe moved to a scratch buffer — one ``trace.add`` per read as it is
+fetched, and per needed stream a slice, a CRC and its own
+``encoding.unseal`` call (two array allocations for the XOR each).  It
+reads a plan only for its ``reads`` and ``records``.
 """
 
 import zlib
@@ -250,6 +257,33 @@ def oracle_fetch_streams(reader, stripe) -> dict:
             )
         result[(info.feature_id, info.kind)] = payload
     return result
+
+
+def oracle_fetch_planned_streams(reader, plan) -> list:
+    """Fetch the planned reads; verify and unseal each needed stream."""
+    fetch = reader._fetch
+    record = reader.trace.add
+    crc32 = zlib.crc32
+    unseal = encoding.unseal
+    compress = reader.footer.options.compress
+    encrypt = reader.footer.options.encrypt
+    payloads = []
+    for (offset, length, members), (_, _, useful) in zip(plan.reads, plan.records):
+        data = fetch(offset, length)
+        if len(data) != length:
+            raise FormatError("short read from fetcher")
+        record(offset, length, useful)
+        for start, end, *_, info in members:
+            sealed = data[start:end]
+            if info.checksum and crc32(sealed) != info.checksum:
+                raise FormatError(
+                    f"checksum mismatch in stream ({info.feature_id}, "
+                    f"{info.kind.value}) at offset {info.offset}: "
+                    "corrupt replica or torn read"
+                )
+            payloads.append(unseal(sealed, compress=compress, encrypt=encrypt))
+    payloads.append(None)
+    return payloads
 
 
 def oracle_decode_flattened_feature(

@@ -7,6 +7,10 @@ per-consumer bodies that did the same work before.  Both must produce
 the same arrays byte for byte, the same rows, the same ``IOTrace``
 records in the same order and the same storage-node accounting, and
 refuse the same damaged inputs with the same words.
+
+The byte-dependent half of that pass (``_fetch_streams``) is also held
+to the per-stream loop it replaced, ``oracle_fetch_planned_streams``:
+same payloads, and the same ``IOTrace`` *after* a refusal.
 """
 
 import dataclasses
@@ -29,7 +33,11 @@ from repro.tectonic import TectonicFilesystem
 from repro.transforms.batch import DenseColumn
 from repro.warehouse import FeatureSpec, FeatureType, Row, TableSchema
 
-from .oracles import oracle_read_stripe, oracle_read_stripe_columnar
+from .oracles import (
+    oracle_fetch_planned_streams,
+    oracle_read_stripe,
+    oracle_read_stripe_columnar,
+)
 
 DENSE_IDS = (1, 2, 3)
 SPARSE_IDS = (10, 11)
@@ -369,3 +377,133 @@ def test_bad_stream_lengths_are_refused_in_the_same_words(
     )
     ours, theirs = refusals(lambda: DwrfReader.for_file(damaged, options))
     assert ours == theirs == text
+
+
+# -- the trace a refusal leaves behind -----------------------------------------
+
+REFUSAL_WINDOWS = (0, 512, 1_310_720)
+
+
+def refusal_file(window):
+    """Two stripes of ten streams, ~1.3 KB each: ten reads at window 0,
+    a few of several streams each at 512, one at 1 310 720."""
+    rows = [
+        Row(
+            label=float(i % 2),
+            dense={1: (i * 7919 % 1009) / 3},
+            sparse={10: [i * 104_729 % 65_521, i], 20: [2**40 + i * 15_485_863]},
+            scores={20: [(i * 31 % 17) / 7]},
+        )
+        for i in range(80)
+    ]
+    dwrf_file = write_table_partition(rows, SCHEMA, EncodingOptions(stripe_rows=40))
+    options = ReadOptions(None, window)
+    reads = DwrfReader.for_file(dwrf_file, options)._plan(1).reads
+    streams_per_read = [len(members) for *_, members in reads]
+    assert sum(streams_per_read) == 10
+    if window == 0:
+        assert len(reads) == 10
+    elif window == 512:
+        assert 1 < len(reads) < 10 and max(streams_per_read) > 1
+    else:
+        assert len(reads) == 1
+    return dwrf_file, options, streams_per_read
+
+
+def refused_fetch(fetch_streams, footer, fetcher, options):
+    """(words, trace) after *fetch_streams* refuses stripe 1."""
+    reader = DwrfReader(footer, fetcher, options)
+    with pytest.raises(FormatError) as caught:
+        fetch_streams(reader, reader._plan(1))
+    return str(caught.value), reader.trace
+
+
+BODIES = (DwrfReader._fetch_streams, oracle_fetch_planned_streams)
+
+
+def assert_same_trace(ours, theirs):
+    assert ours.records == theirs.records
+    assert ours.bytes_read == theirs.bytes_read
+    assert ours.useful_bytes == theirs.useful_bytes
+    assert ours.bytes_read == sum(record.length for record in ours.records)
+    assert ours.useful_bytes == sum(record.useful_bytes for record in ours.records)
+
+
+@pytest.mark.parametrize("window", REFUSAL_WINDOWS)
+def test_a_short_read_leaves_the_same_trace(window):
+    dwrf_file, options, streams_per_read = refusal_file(window)
+    for bad in range(len(streams_per_read)):
+        traces = []
+        for fetch_streams in BODIES:
+            calls = iter(range(len(streams_per_read)))
+
+            def short(offset, length):
+                cut = next(calls) == bad
+                return dwrf_file.data[offset : offset + length - cut]
+
+            words, trace = refused_fetch(
+                fetch_streams, dwrf_file.footer, short, options
+            )
+            assert words == "short read from fetcher"
+            assert trace.io_count == bad  # the reads before it, not the short one
+            traces.append(trace)
+        assert_same_trace(*traces)
+
+
+@pytest.mark.parametrize("window", REFUSAL_WINDOWS)
+def test_a_checksum_mismatch_leaves_the_same_trace(window):
+    dwrf_file, options, streams_per_read = refusal_file(window)
+    io_counts = []
+    for info in dwrf_file.footer.stripes[1].streams:
+        data = bytearray(dwrf_file.data)
+        data[info.offset] ^= 0x01
+        damaged = dataclasses.replace(dwrf_file, data=bytes(data))
+        fetcher = DwrfReader.for_file(damaged)._fetch
+        (ours_words, ours), (theirs_words, theirs) = (
+            refused_fetch(fetch_streams, damaged.footer, fetcher, options)
+            for fetch_streams in BODIES
+        )
+        assert ours_words == theirs_words
+        assert f"({info.feature_id}, {info.kind.value})" in ours_words
+        assert_same_trace(ours, theirs)
+        io_counts.append(ours.io_count)
+    # Up to and including the read that held the bad stream.
+    assert io_counts == [
+        position + 1
+        for position, n_streams in enumerate(streams_per_read)
+        for _ in range(n_streams)
+    ]
+
+
+@pytest.mark.parametrize("window", REFUSAL_WINDOWS)
+def test_a_corrupt_deflate_stream_leaves_every_fetched_read_in_the_trace(window):
+    """Where the two bodies part, on purpose.  The replaced loop inflated
+    each stream before it fetched the next read, so it stopped fetching
+    at the bad one; the scratch form has fetched the whole stripe before
+    it inflates anything.  Each trace holds what its reader really
+    fetched — the old one a prefix of the new, the new one every read
+    of the stripe — and that is what the storage nodes say they served."""
+    dwrf_file, options, streams_per_read = refusal_file(window)
+    unchecked = with_streams(
+        dwrf_file, lambda info: dataclasses.replace(info, checksum=0)
+    )
+    clean = DwrfReader.for_file(unchecked, options)
+    clean.read_stripe(1, SCHEMA)
+    assert clean.trace.io_count == len(streams_per_read)
+    for info in unchecked.footer.stripes[1].streams:
+        data = bytearray(unchecked.data)
+        data[info.offset] ^= 0xFF
+        damaged = dataclasses.replace(unchecked, data=bytes(data))
+        outcomes = []
+        for fetch_streams in BODIES:
+            filesystem = stored(damaged, 1 << 20)
+            words, trace = refused_fetch(
+                fetch_streams, damaged.footer, filesystem.fetcher("f"), options
+            )
+            assert filesystem.total_io() == (trace.io_count, trace.bytes_read)
+            outcomes.append((words, trace))
+        (ours_words, ours), (theirs_words, theirs) = outcomes
+        assert ours_words == theirs_words
+        assert ours_words.startswith("corrupt compressed stream")
+        assert_same_trace(ours, clean.trace)
+        assert theirs.records == ours.records[: theirs.io_count]

@@ -222,3 +222,55 @@ class TestResume:
                     assert math.isnan(revived), field_name
                 else:
                     assert revived == value, field_name
+
+
+class TestGridIsHashedOncePerRun:
+    """A journaled run hashes each cell's spec once — for the header (or
+    the resume check) and for the records alike — not once in the
+    journal and again in the runner before the pool forks."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        from repro.experiments import journal as journal_module
+
+        calls = []
+
+        def counting_spec_hash(scenario):
+            calls.append(scenario.name)
+            return spec_hash(scenario)
+
+        monkeypatch.setattr(journal_module, "spec_hash", counting_spec_hash)
+        return calls
+
+    def test_create_arm(self, tmp_path, hashed):
+        grid = tiny_grid()
+        path = tmp_path / "run.journal.jsonl"
+        SweepRunner(grid, jobs=1).run(journal_path=path)
+        assert hashed == [scenario.name for scenario in grid.expand()]
+        # The records carry those same hashes.
+        assert [(r["name"], r["spec_hash"]) for r in load_journal(path).records] == (
+            cell_identities(grid)
+        )
+
+    @pytest.mark.parametrize("kept_lines", [0, 1, 3, None])
+    def test_resume_arm(self, tmp_path, hashed, kept_lines):
+        """Missing file's twin (empty), header only, killed after two
+        cells, and complete: each resumes with one pass over the grid."""
+        grid = tiny_grid()
+        path = tmp_path / "run.journal.jsonl"
+        SweepRunner(grid, jobs=1).run(journal_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:kept_lines]))
+        del hashed[:]
+        SweepRunner(grid, jobs=1).run(journal_path=path, resume=True)
+        assert hashed == [scenario.name for scenario in grid.expand()]
+        assert [(r["name"], r["spec_hash"]) for r in load_journal(path).records] == (
+            cell_identities(grid)
+        )
+
+    def test_resume_arm_without_a_file(self, tmp_path, hashed):
+        grid = tiny_grid()
+        SweepRunner(grid, jobs=1).run(
+            journal_path=tmp_path / "absent.journal.jsonl", resume=True
+        )
+        assert hashed == [scenario.name for scenario in grid.expand()]

@@ -106,6 +106,60 @@ class TestReadBounds:
             fs.read("f", 1, 0)
 
 
+class TestRefusedReadChargesNothing:
+    """A read that raises was not served: no node's counters move and
+    the replica round-robin stays where it was.  (Charging each block
+    as the loop reached it left ``total_io()`` at ``(2, 100)`` and the
+    cursor two on for a read that returned nothing.)"""
+
+    def mixed(self, *kinds):
+        fs = small_fs(chunk_bytes=50)
+        fs.create("f")
+        for kind in kinds:
+            if kind == "real":
+                fs.append("f", bytes(50))
+            else:
+                fs.append_virtual("f", 50)
+        return fs
+
+    @staticmethod
+    def accounting(fs):
+        served = [
+            (node.served.io_count, node.served.bytes_read, node.served.seeks)
+            for node in fs.nodes
+        ]
+        return fs.total_io(), fs._replica_rr, served
+
+    def assert_refused(self, fs, offset, length):
+        before = self.accounting(fs)
+        with pytest.raises(StorageError, match="virtual block"):
+            fs.read("f", offset, length)
+        assert self.accounting(fs) == before
+
+    def test_materialized_blocks_then_a_virtual_one(self):
+        fs = self.mixed("real", "real", "virtual")
+        self.assert_refused(fs, 0, 150)
+        self.assert_refused(fs, 60, 60)
+        assert fs.total_io() == (0, 0) and fs._replica_rr == 0
+        # The materialized part alone still reads, and is charged.
+        assert fs.read("f", 0, 100) == bytes(100)
+        assert fs.total_io() == (2, 100) and fs._replica_rr == 2
+        self.assert_refused(fs, 0, 150)
+
+    def test_a_virtual_block_first(self):
+        fs = self.mixed("virtual", "real")
+        self.assert_refused(fs, 0, 100)
+        self.assert_refused(fs, 10, 20)  # inside the virtual block alone
+        self.assert_refused(fs, 40, 20)
+        assert fs.read("f", 50, 50) == bytes(50)
+        assert fs.total_io() == (1, 50)
+
+    def test_a_virtual_block_in_the_middle(self):
+        fs = self.mixed("real", "virtual", "real")
+        self.assert_refused(fs, 0, 150)
+        self.assert_refused(fs, 40, 70)
+
+
 class TestReplication:
     def test_each_block_has_n_replicas(self):
         fs = small_fs(chunk_bytes=8, replication=3)

@@ -27,6 +27,10 @@ def accounting(filesystem):
 
 
 appends = st.tuples(st.just("append"), st.sampled_from("ab"), st.binary(max_size=40))
+# Size-only blocks: any read that touches one is refused, whole.
+virtual_appends = st.tuples(
+    st.just("append_virtual"), st.sampled_from("ab"), st.integers(0, 40)
+)
 # Offsets and lengths as fractions of the file, snapped below so that
 # block boundaries, whole blocks and the end of the file come up often.
 reads = st.tuples(
@@ -70,6 +74,50 @@ def test_reads_interleaved_with_appends_match_the_oracle(chunk_bytes, program):
             oracle_read(theirs, name, 1, size)
         assert str(ours_error.value) == str(theirs_error.value)
     assert accounting(ours) == accounting(theirs)
+
+
+def outcome(call):
+    try:
+        return call()
+    except StorageError as refusal:
+        return str(refusal)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 16),
+    st.lists(appends | virtual_appends | reads, max_size=30),
+)
+def test_a_read_touching_a_virtual_block_is_refused_and_charges_nothing(
+    chunk_bytes, program
+):
+    """Files of materialized and size-only blocks in any order: a read
+    returns the oracle's bytes and charges the oracle's nodes, or is
+    refused in the oracle's words with the accounting as it found it."""
+    ours, theirs = small_fs(chunk_bytes, n_nodes=5), small_fs(chunk_bytes, n_nodes=5)
+    for filesystem in (ours, theirs):
+        filesystem.create("a")
+        filesystem.create("b")
+    for step, name, argument in program:
+        if step != "read":
+            getattr(ours, step)(name, argument)
+            getattr(theirs, step)(name, argument)
+            continue
+        where, extent, snap_start, snap_end = argument
+        size = ours.file(name).length
+        offset = int(where * size)
+        if snap_start:
+            offset -= offset % chunk_bytes
+        end = offset + int(extent * (size - offset))
+        if snap_end:
+            end = min(size, end + -end % chunk_bytes)
+        before = accounting(ours)
+        result = outcome(lambda: ours.read(name, offset, end - offset))
+        assert result == outcome(lambda: oracle_read(theirs, name, offset, end - offset))
+        assert accounting(ours) == accounting(theirs)
+        if isinstance(result, str):
+            assert result == "cannot read payload of a virtual block"
+            assert accounting(ours) == before
 
 
 def lines_executed(call) -> int:
