@@ -14,16 +14,18 @@ speaks one contract:
   :func:`list_scenarios` / :func:`build_scenario` name the repo's
   experiment vocabulary, with the fleet mixes, chaos acceptance
   scenarios, and quick-grid cells built in;
-* the **runners** (:mod:`runner`) — :class:`ExperimentRunner` fans any
-  mix of scenario kinds across processes; :class:`SweepRunner` is the
-  fleet-grid specialization aggregating percentile surfaces
-  (:mod:`grid`, :mod:`report`);
+* **one engine, two front-ends** (:mod:`runner`) — :func:`fan_out`
+  maps a function over items, inline or across the supervised pool;
+  :class:`ExperimentRunner` fans any mix of scenario kinds through it,
+  :class:`SweepRunner` fans a fleet grid through it and aggregates
+  percentile surfaces (:mod:`grid`, :mod:`report`); tracing is the
+  ``trace=True`` argument of either ``run``;
 * the **telemetry schema** — every run returns a
   :class:`~repro.common.serialization.ReportBase`, so all artifacts
   serialize, revive, merge, and diff the same way;
 * the **fault-tolerance plane** (:mod:`journal`, :mod:`pool`) —
-  :class:`RunJournal` appends one fsync'd record per completed cell so
-  a killed sweep resumes byte-identically (``sweep --resume``), while
+  :class:`RunJournal` appends each completed chunk of cells under one
+  fsync so a killed sweep resumes byte-identically (``sweep --resume``), while
   the supervised pool requeues chunks from dead workers, respawns them
   under capped backoff, and bisects-and-quarantines poison cells
   instead of aborting the sweep.

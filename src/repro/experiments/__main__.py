@@ -28,7 +28,6 @@ import dataclasses
 import sys
 import time
 
-from ..common.errors import ConfigError
 from ..telemetry.logs import configure_logging
 from .base import scenario_kinds
 from .grid import ScenarioGrid, grid_from_json, quick_grid
@@ -134,11 +133,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             grid = dataclasses.replace(grid, seeds=seeds)
 
     journal_path = args.resume or args.journal
-    if args.trace and journal_path:
-        raise ConfigError(
-            "--trace cannot be combined with --journal/--resume: traced "
-            "runs keep the fail-fast contract (see SweepRunner.run_traced)"
-        )
     policy = PoolPolicy(chunk_timeout_s=args.chunk_timeout)
     runner = SweepRunner(
         grid,
@@ -149,20 +143,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     progress = None if args.quiet else _progress_printer(args.name)
     try:
-        if args.trace:
-            report, trace = runner.run_traced(
-                grid_name=args.name, progress=progress
-            )
-        else:
-            report, trace = (
-                runner.run(
-                    grid_name=args.name,
-                    progress=progress,
-                    journal_path=journal_path,
-                    resume=bool(args.resume),
-                ),
-                None,
-            )
+        outcome = runner.run(
+            grid_name=args.name,
+            progress=progress,
+            journal_path=journal_path,
+            resume=bool(args.resume),
+            trace=bool(args.trace),
+        )
     except KeyboardInterrupt:
         # Workers are already terminated and the journal closed (every
         # append was fsync'd), so the campaign is safe to pick up.
@@ -174,6 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 130
+    report, trace = outcome if args.trace else (outcome, None)
     if not args.quiet:
         print(report.render())
     if args.out:

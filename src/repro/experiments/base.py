@@ -74,18 +74,15 @@ class Scenario(abc.ABC):
     seed: int
 
     @abc.abstractmethod
-    def run(self) -> "ReportBase":
-        """Execute the experiment and return its report."""
+    def run(self, tracer: "Tracer | None" = None) -> "ReportBase":
+        """Execute the experiment and return its report.
 
-    def run_traced(self, tracer: "Tracer") -> "ReportBase":
-        """Execute while recording spans and metrics into *tracer*.
-
-        The built-in kinds thread the tracer through their execution
-        engines; a kind without instrumentation falls back to an
-        untraced run (the tracer still captures nothing rather than
-        failing, so mixed batches trace what they can).
+        With *tracer* the run also records spans and metrics into it;
+        the report is the same either way.  The built-in kinds thread
+        the tracer through their execution engines; a kind without
+        instrumentation ignores it (the tracer captures nothing rather
+        than failing, so mixed batches trace what they can).
         """
-        return self.run()
 
     @abc.abstractmethod
     def params(self) -> dict:

@@ -1,9 +1,9 @@
 """Scenario grids: the cartesian space a sweep explores.
 
 A grid names its axes — seeds, workload mixes, fleet configs, fault
-schedules — and :meth:`ScenarioGrid.expand` flattens them into one
-:class:`~repro.experiments.scenarios.FleetRegionScenario` per
-cell×seed.  Scenarios are frozen dataclasses built from the library's
+schedules — and :meth:`ScenarioGrid.scenario_at` maps a flat index to
+one :class:`~repro.experiments.scenarios.FleetRegionScenario` per
+cell×seed (:meth:`ScenarioGrid.expand` lists them all).  Scenarios are frozen dataclasses built from the library's
 own frozen config types, so they pickle cleanly across process
 boundaries and hash stably into per-scenario seeds.
 """
@@ -59,28 +59,33 @@ class ScenarioGrid:
             len(self.mixes) * len(self.configs) * len(self.faults) * len(self.seeds)
         )
 
+    def scenario_at(self, index: int) -> FleetRegionScenario:
+        """Cell *index* of the expansion: mixes outermost, then configs,
+        then fault schedules, seeds innermost.  This is the one
+        statement of the order — journals, arenas and reports all index
+        cells by it."""
+        if not 0 <= index < len(self):
+            raise ConfigError(f"grid has no cell {index}")
+        index, seed_index = divmod(index, len(self.seeds))
+        index, fault_index = divmod(index, len(self.faults))
+        mix_index, config_index = divmod(index, len(self.configs))
+        mix_name, mix = self.mixes[mix_index]
+        config_name, config = self.configs[config_index]
+        fault_name, events = self.faults[fault_index]
+        seed = self.seeds[seed_index]
+        return FleetRegionScenario(
+            name=f"{mix_name}/{config_name}/{fault_name}/seed{seed}",
+            trace_seed=seed,
+            mix=mix,
+            config=config,
+            duration_s=self.duration_s,
+            horizon_s=self.horizon_s,
+            faults=events,
+        )
+
     def expand(self) -> list[FleetRegionScenario]:
-        """All scenarios, in deterministic axis-major order."""
-        scenarios: list[FleetRegionScenario] = []
-        for mix_name, mix in self.mixes:
-            for config_name, config in self.configs:
-                for fault_name, events in self.faults:
-                    for seed in self.seeds:
-                        scenarios.append(
-                            FleetRegionScenario(
-                                name=(
-                                    f"{mix_name}/{config_name}/"
-                                    f"{fault_name}/seed{seed}"
-                                ),
-                                trace_seed=seed,
-                                mix=mix,
-                                config=config,
-                                duration_s=self.duration_s,
-                                horizon_s=self.horizon_s,
-                                faults=events,
-                            )
-                        )
-        return scenarios
+        """All scenarios, in :meth:`scenario_at` order."""
+        return [self.scenario_at(index) for index in range(len(self))]
 
 
 # -- JSON grid specs -----------------------------------------------------------

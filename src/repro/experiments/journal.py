@@ -39,6 +39,18 @@ The determinism contract extends through here: a journaled result is
 restored bit-for-bit (the row round-trips the repo's strict JSON
 dialect), so "SIGKILL'd and resumed" and "never killed" produce
 byte-identical reports.
+
+What the journal does **not** protect against: damage *inside* a
+record's ``result`` row that leaves the line valid JSON.  Records carry
+no checksum, so a flipped digit of a metric (or a changed character of
+the row's own ``name`` / ``cell`` / ``status`` strings) restores as
+written and the resumed report differs from the interrupted run's —
+silently.  Everything else in the file is covered (the header's magic
+and version, each record's ``name`` and ``spec_hash``, every key and
+structural character either refuses or restores identical rows;
+``tests/experiments/test_runner_contract.py`` flips every byte).
+Records are a frozen format, so closing the gap takes a per-record CRC
+under a journal VERSION 2.
 """
 
 from __future__ import annotations
@@ -71,8 +83,8 @@ def spec_hash(scenario: Scenario) -> str:
 
 
 def cell_identities(grid: ScenarioGrid) -> list[tuple[str, str]]:
-    """``(name, spec_hash)`` per cell, in the grid's expansion order —
-    the index positions match :class:`~repro.experiments.pool.SweepArena`."""
+    """``(name, spec_hash)`` per cell, in the grid's expansion order
+    (position *i* is ``grid.scenario_at(i)``)."""
     return [(scenario.name, spec_hash(scenario)) for scenario in grid.expand()]
 
 
@@ -141,11 +153,9 @@ class RunJournal:
 
     Construction goes through :meth:`create` (fresh journal) or
     :meth:`resume_or_create` (recover what a previous run completed,
-    then continue appending to the same file).  :meth:`append_result`
-    flushes and fsyncs per record: once the call returns, that cell
-    survives any crash.  :meth:`append_results` amortises that — one
-    flush and one fsync cover a whole chunk of cells, which is how the
-    sweep runner journals at chunk granularity.
+    then continue appending to the same file).  :meth:`append_results`
+    writes a chunk of cells under one flush and one fsync, which is how
+    the sweep runner journals at chunk granularity.
     """
 
     def __init__(
@@ -177,7 +187,7 @@ class RunJournal:
         }
         stream = open(target, "w")
         journal = cls(target, stream, identities)
-        journal._write_line(header)
+        journal._write_lines([header])
         return journal
 
     @classmethod
@@ -225,54 +235,24 @@ class RunJournal:
                     "--journal path instead"
                 )
             restored[index] = ScenarioResult.from_row(record["result"])
+        if contents.torn:
+            # Cut the crash artifact off, or the first record appended
+            # would be glued onto it: one terminated, unparseable line,
+            # which the *next* resume must refuse as corruption.
+            with open(target, "r+b") as damaged:
+                damaged.truncate(damaged.read().rfind(b"\n") + 1)
         stream = open(target, "a")
         return cls(target, stream, identities), restored
 
     # -- appending -------------------------------------------------------------
 
-    def _write_line(self, record: dict) -> None:
-        self._stream.write(
-            json.dumps(
-                null_specials(record), sort_keys=True, separators=(",", ":")
-            )
-            + "\n"
-        )
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
-
-    def append_result(self, cell_hash: str, result: ScenarioResult) -> None:
-        """Durably record one completed (or quarantined) cell."""
-        self._write_line(
-            {
-                "name": result.name,
-                "spec_hash": cell_hash,
-                "result": result.to_row(),
-            }
-        )
-
-    def append_results(
-        self, pairs: Iterable[tuple[str, ScenarioResult]]
-    ) -> None:
-        """Durably record a batch of completed cells.
-
-        All records are written in order, then flushed and fsync'd
-        once: the batch becomes durable together, at one disk round
-        trip instead of one per cell.  Each line is byte-identical to
-        what :meth:`append_result` would have written for that cell.
-        """
+    def _write_lines(self, records: Iterable[dict]) -> None:
+        """Write *records* in order, then flush and fsync once."""
         wrote = False
-        for cell_hash, result in pairs:
+        for record in records:
             self._stream.write(
                 json.dumps(
-                    null_specials(
-                        {
-                            "name": result.name,
-                            "spec_hash": cell_hash,
-                            "result": result.to_row(),
-                        }
-                    ),
-                    sort_keys=True,
-                    separators=(",", ":"),
+                    null_specials(record), sort_keys=True, separators=(",", ":")
                 )
                 + "\n"
             )
@@ -281,12 +261,24 @@ class RunJournal:
             self._stream.flush()
             os.fsync(self._stream.fileno())
 
+    def append_results(
+        self, pairs: Iterable[tuple[str, ScenarioResult]]
+    ) -> None:
+        """Durably record a batch of completed (or quarantined) cells.
+
+        The batch becomes durable together, at one disk round trip
+        instead of one per cell.  Once the call returns, those cells
+        survive any crash.
+        """
+        self._write_lines(
+            {
+                "name": result.name,
+                "spec_hash": cell_hash,
+                "result": result.to_row(),
+            }
+            for cell_hash, result in pairs
+        )
+
     def close(self) -> None:
         if not self._stream.closed:
             self._stream.close()
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,12 +1,12 @@
-"""Self-healing persistent fork-pool engine and shared-memory arenas.
+"""Self-healing persistent fork-pool engine and the shared results arena.
 
-The old fan-out engine paid per-cell costs that dwarfed the simulation
-itself on large grids: every :class:`~repro.experiments.scenarios`
-scenario was pickled into a pool worker, every flat result pickled
-back, and the ``ProcessPoolExecutor`` respawned its interpreter state
-per sweep.  This module replaces that with the persistent-pool shape,
-and — since one dead worker must never sink a 100k-cell overnight
-campaign — supervises it:
+One engine, two front-ends: :func:`~repro.experiments.runner.fan_out`
+is the only code that decides between running inline and running here,
+and both runners (:class:`~repro.experiments.runner.SweepRunner`,
+:class:`~repro.experiments.runner.ExperimentRunner`) are calls to it.
+Nothing per cell is pickled in either direction, workers outlive their
+chunks, and — since one dead worker must never sink a 100k-cell
+overnight campaign — the pool is supervised:
 
 * :func:`run_chunked` — long-lived ``fork``\\ ed workers drain *chunks*
   (contiguous ``[start, stop)`` index ranges) assigned one at a time
@@ -25,20 +25,20 @@ campaign — supervises it:
   (retry budget, backoff, timeout, fault injection) and the incident
   counters (requeues, respawns, bisections, timeouts, quarantined
   cells) surfaced in sweep artifacts.
-* :class:`SweepArena` — the expanded scenario grid as shared-memory
-  numpy arrays: a parameter table written once by the parent
-  (axis indices + seed per scenario; workers rebuild scenarios
-  zero-copy from the fork-inherited axis tuples) and a columnar result
-  table workers fold flat metrics into in place.  The parent
+* :class:`SweepArena` — a sweep's results as one shared-memory numpy
+  table workers fold flat metrics into in place (row *i* belongs to
+  ``grid.scenario_at(i)``; scenarios themselves are rebuilt from the
+  fork-inherited grid, never stored or pickled).  The parent
   materializes every :class:`~repro.experiments.report.ScenarioResult`
   in one pass after the pool drains — a single merge, independent of
   chunk scheduling, retries, and respawns (results land at fixed grid
   indices, so re-running a chunk is idempotent).
 
-Both arrays live in anonymous ``mmap`` shared maps (``MAP_SHARED``),
+The table lives in an anonymous ``mmap`` shared map (``MAP_SHARED``),
 so worker writes are visible to the parent without any serialization.
 The engine requires the ``fork`` start method (Linux/macOS CPython);
-the runners execute inline where ``fork`` is unavailable.
+:func:`~repro.experiments.runner.fan_out`, the one caller, executes
+inline where ``fork`` is unavailable.
 
 Determinism: chunking only partitions the index space.  Every scenario
 seeds itself, results land at their grid index, retried chunks
@@ -77,14 +77,12 @@ import numpy as np
 from ..common.errors import ConfigError
 from .grid import ScenarioGrid
 from .report import ScenarioResult
-from .scenarios import FleetRegionScenario
 
 #: ``work(start, stop, cell_done)`` over one chunk of the index space;
 #: ``cell_done`` (when not None) must be called once per finished cell
-#: as ``cell_done(index, payload=None)`` — the index keys progress
-#: deduplication across chunk retries, the optional payload rides the
-#: completion message back to the parent's ``on_cell`` observer.
-ChunkWork = Callable[[int, int, Callable[..., None] | None], Any]
+#: as ``cell_done(index)`` — the index keys progress deduplication
+#: across chunk retries.
+ChunkWork = Callable[[int, int, Callable[[int], None] | None], Any]
 
 #: Worker-side fault-injection hook: ``hook(event, start, stop)``;
 #: the only event today is ``"chunk"``, fired before a chunk executes.
@@ -256,8 +254,8 @@ def _worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent_pid = os.getppid()
 
-    def cell_done(index: int, payload: Any = None) -> None:
-        conn.send(("cell", index, payload))
+    def cell_done(index: int) -> None:
+        conn.send(("cell", index))
 
     sender = cell_done if want_cells else None
     while True:
@@ -344,7 +342,6 @@ def run_chunked(
     chunk_size: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     policy: PoolPolicy | None = None,
-    on_cell: Callable[[int, Any], None] | None = None,
     on_cell_failed: Callable[[int, str], None] | None = None,
     on_chunk: Callable[[int, int], None] | None = None,
     stats: PoolStats | None = None,
@@ -364,9 +361,6 @@ def run_chunked(
       deterministic, pid-free detail string) and the run completes;
       without it the isolated cell raises (the original exception for
       in-chunk raises, a ``RuntimeError`` for worker deaths);
-    * *on_cell* observes each cell completion exactly once (``(index,
-      payload)``, deduplicated across chunk retries, in completion
-      order) — the per-cell journal append point;
     * *on_chunk* observes each successfully completed chunk once, as
       ``on_chunk(start, stop)``, after every cell in the range is done
       (a worker reports cells before its chunk ``ok`` on the same
@@ -395,15 +389,13 @@ def run_chunked(
     completed: list[tuple[int, int, Any]] = []
     seen: set[int] = set()  # resolved cell indices (dedup across retries)
     context = multiprocessing.get_context("fork")
-    want_cells = progress is not None or on_cell is not None
+    want_cells = progress is not None
     slots = [_Slot() for _ in range(min(jobs, len(queue)))]
 
-    def resolve_cell(index: int, payload: Any) -> None:
+    def resolve_cell(index: int) -> None:
         if index in seen:
             return  # a retried chunk re-reporting an already-done cell
         seen.add(index)
-        if on_cell is not None:
-            on_cell(index, payload)
         if progress is not None:
             progress(len(seen), n_items)
 
@@ -427,10 +419,7 @@ def run_chunked(
             raise RuntimeError(f"poison cell {index}: {detail}")
         stats.quarantined_cells += 1
         on_cell_failed(index, detail)
-        if index not in seen:
-            seen.add(index)
-            if progress is not None:
-                progress(len(seen), n_items)
+        resolve_cell(index)
         active -= 1
 
     def drain(slot: _Slot) -> None:
@@ -444,7 +433,7 @@ def run_chunked(
                 return
             kind = message[0]
             if kind == "cell":
-                resolve_cell(message[1], message[2])
+                resolve_cell(message[1])
             elif kind == "ok":
                 chunk = slot.chunk
                 slot.chunk = None
@@ -640,17 +629,14 @@ _INT_COLUMNS = frozenset(
 
 
 class SweepArena:
-    """A :class:`ScenarioGrid`, expanded into shared-memory arrays.
+    """The results of a :class:`ScenarioGrid` as one shared-memory table.
 
-    ``params`` is an ``(n, 4)`` int64 table — mix / config / fault axis
-    indices plus the trace seed, one row per scenario in the grid's
-    axis-major expansion order, written once by the parent.  Workers
-    never unpickle a scenario: :meth:`scenario_for` rebuilds it from
-    the fork-inherited axis tuples and the shared row.  ``results`` is
-    the ``(n, len(RESULT_COLUMNS))`` float64 columnar accumulator
-    workers :meth:`store` flat metrics into; both live in anonymous
-    shared ``mmap`` regions, so cross-process writes need no
-    serialization at all.
+    ``results`` is the ``(n, len(RESULT_COLUMNS))`` float64 columnar
+    accumulator, row *i* for ``grid.scenario_at(i)``, that workers
+    :meth:`store` flat metrics into.  It lives in an anonymous shared
+    ``mmap`` region, so cross-process writes need no serialization at
+    all; what a cell *is* (name, seed, axis values) is never stored —
+    the fork-inherited grid answers that from the index.
 
     The arena carries only the numeric result tail.  Cell *status*
     (``ok`` vs ``quarantined``) is parent-side state — the runner
@@ -661,49 +647,14 @@ class SweepArena:
     def __init__(self, grid: ScenarioGrid) -> None:
         self.grid = grid
         n = len(grid)
-        self._params_map = mmap.mmap(-1, n * 4 * 8)
-        self.params = np.frombuffer(
-            self._params_map, dtype=np.int64, count=n * 4
-        ).reshape(n, 4)
         self._results_map = mmap.mmap(-1, n * len(RESULT_COLUMNS) * 8)
         self.results = np.frombuffer(
             self._results_map, dtype=np.float64, count=n * len(RESULT_COLUMNS)
         ).reshape(n, len(RESULT_COLUMNS))
         self.results.fill(np.nan)  # unwritten rows are visibly poisoned
-        index = 0
-        params = self.params
-        for mix_index in range(len(grid.mixes)):
-            for config_index in range(len(grid.configs)):
-                for fault_index in range(len(grid.faults)):
-                    for seed in grid.seeds:
-                        params[index, 0] = mix_index
-                        params[index, 1] = config_index
-                        params[index, 2] = fault_index
-                        params[index, 3] = seed
-                        index += 1
 
     def __len__(self) -> int:
-        return len(self.params)
-
-    def scenario_for(self, index: int) -> FleetRegionScenario:
-        """Rebuild scenario *index* — same name, seed, and axis values
-        as ``grid.expand()[index]``, with zero pickling."""
-        grid = self.grid
-        mix_index, config_index, fault_index, seed = (
-            int(value) for value in self.params[index]
-        )
-        mix_name, mix = grid.mixes[mix_index]
-        config_name, config = grid.configs[config_index]
-        fault_name, faults = grid.faults[fault_index]
-        return FleetRegionScenario(
-            name=f"{mix_name}/{config_name}/{fault_name}/seed{seed}",
-            trace_seed=seed,
-            mix=mix,
-            config=config,
-            duration_s=grid.duration_s,
-            horizon_s=grid.horizon_s,
-            faults=faults,
-        )
+        return len(self.results)
 
     def store(self, index: int, result: ScenarioResult) -> None:
         """Fold one scenario's numeric tail into the results table."""
@@ -713,14 +664,7 @@ class SweepArena:
 
     def result_for(self, index: int) -> ScenarioResult:
         """Revive one stored result from the shared columnar row."""
-        grid = self.grid
-        mix_index, config_index, fault_index, seed = (
-            int(value) for value in self.params[index]
-        )
-        cell = (
-            f"{grid.mixes[mix_index][0]}/{grid.configs[config_index][0]}/"
-            f"{grid.faults[fault_index][0]}"
-        )
+        spec = self.grid.scenario_at(index)
         row = self.results[index]
         values = {
             column: (
@@ -731,13 +675,13 @@ class SweepArena:
             for position, column in enumerate(RESULT_COLUMNS)
         }
         return ScenarioResult(
-            name=f"{cell}/seed{seed}",
-            cell=cell,
-            trace_seed=seed,
+            name=spec.name,
+            cell=spec.cell,
+            trace_seed=spec.trace_seed,
             **values,
         )
 
     def materialize(self) -> list[ScenarioResult]:
         """All results, revived in grid order — the single parent-side
         merge, independent of which worker ran which chunk."""
-        return [self.result_for(index) for index in range(len(self.params))]
+        return [self.result_for(index) for index in range(len(self))]

@@ -10,17 +10,22 @@ argue from.  Rendering reuses the :mod:`repro.analysis.report` table
 style, and the report speaks the shared
 :class:`~repro.common.serialization.ReportBase` telemetry surface so
 sweeps archive, revive, merge, and diff like every other report.
+:class:`BatchReport` is the half of that a sweep shares with an
+:class:`~repro.experiments.runner.ExperimentReport`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 from ..analysis.report import render_table
 from ..common.errors import ConfigError
 from ..common.serialization import (
     ReportBase,
+    dump_json,
+    null_specials,
     percentile_summary,
     require_keys,
     revive_floats,
@@ -78,55 +83,24 @@ class ScenarioResult:
     )
 
     @classmethod
-    def from_fleet_report(
+    def blank(
         cls,
         name: str,
         cell: str,
         trace_seed: int,
-        report,
-        events_fired: int,
-        wall_s: float,
+        wall_s: float = 0.0,
+        status: str = "ok",
+        error: str = "",
     ) -> "ScenarioResult":
-        """Reduce a FleetReport (guarding its raising aggregates)."""
-        finished = report.finished_outcomes()
-        return cls(
-            name=name,
-            cell=cell,
-            trace_seed=trace_seed,
-            jobs_submitted=report.jobs_submitted,
-            jobs_completed=len(finished),
-            peak_concurrency=report.peak_concurrency,
-            makespan_s=report.makespan_s,
-            aggregate_samples_per_s=(
-                report.aggregate_samples_per_s if report.makespan_s > 0 else math.nan
-            ),
-            mean_slowdown=report.mean_slowdown if finished else math.nan,
-            mean_stall_fraction=(
-                sum(o.stall_fraction for o in finished) / len(finished)
-                if finished
-                else math.nan
-            ),
-            p95_queue_delay_s=(
-                report.p95_queue_delay_s if report.jobs_submitted else math.nan
-            ),
-            mean_storage_utilization=report.mean_storage_utilization,
-            peak_storage_utilization=report.peak_storage_utilization,
-            peak_power_watts=max(
-                (s.power_watts for s in report.samples), default=0.0
-            ),
-            events_fired=events_fired,
-            wall_s=wall_s,
-        )
+        """A cell that ran no jobs: zero counts, ``nan`` ratios.
 
-    @classmethod
-    def failed(
-        cls, name: str, cell: str, trace_seed: int, error: str
-    ) -> "ScenarioResult":
-        """A quarantined poison cell: zero/nan metrics plus the
-        deterministic failure detail, so the sweep reports the loss
-        instead of aborting.  ``wall_s`` is pinned to zero — a crash's
-        elapsed time is not reproducible and must not leak into the
-        byte-identity contract."""
+        As it stands it is the legal zero-arrival cell (reported rather
+        than poisoning the whole sweep).  With ``status="quarantined"``
+        and the deterministic failure detail in *error* it is a poison
+        cell, so the sweep reports the loss instead of aborting; leave
+        *wall_s* at zero there — a crash's elapsed time is not
+        reproducible and must not leak into the byte-identity contract.
+        """
         return cls(
             name=name,
             cell=cell,
@@ -143,32 +117,9 @@ class ScenarioResult:
             peak_storage_utilization=0.0,
             peak_power_watts=0.0,
             events_fired=0,
-            wall_s=0.0,
-            status="quarantined",
+            wall_s=wall_s,
+            status=status,
             error=error,
-        )
-
-    @classmethod
-    def empty(cls, name: str, cell: str, trace_seed: int, wall_s: float):
-        """The legal zero-arrival cell: report the empty outcome rather
-        than poisoning the whole sweep."""
-        return cls(
-            name=name,
-            cell=cell,
-            trace_seed=trace_seed,
-            jobs_submitted=0,
-            jobs_completed=0,
-            peak_concurrency=0,
-            makespan_s=0.0,
-            aggregate_samples_per_s=math.nan,
-            mean_slowdown=math.nan,
-            mean_stall_fraction=math.nan,
-            p95_queue_delay_s=math.nan,
-            mean_storage_utilization=0.0,
-            peak_storage_utilization=0.0,
-            peak_power_watts=0.0,
-            events_fired=0,
-            wall_s=wall_s,
         )
 
     def to_row(self) -> dict:
@@ -204,22 +155,109 @@ def merge_extras(into: dict, other: dict) -> None:
         into["fault_tolerance"] = dict(sorted(counters.items()))
 
 
+class BatchReport(ReportBase):
+    """What a sweep and an experiment batch have in common.
+
+    Both are a list of named rows (each with ``name``, ``status`` and
+    ``wall_s``) under ``total_wall_s`` / ``jobs`` / ``extras``.  The
+    subclass is the dataclass that owns those fields; it names the
+    attribute holding its rows and the payload key they serialize
+    under, and inherits the canonical order, the quarantine view, the
+    deterministic bytes and the merge.
+    """
+
+    #: Attribute holding the rows, and their key in :meth:`payload`.
+    rows_attr: ClassVar[str]
+    rows_key: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        # Canonical order: aggregation must not depend on completion
+        # order across worker processes.
+        self._set_rows(self._rows())
+
+    def _rows(self) -> list:
+        return getattr(self, self.rows_attr)
+
+    def _set_rows(self, rows: list) -> None:
+        setattr(self, self.rows_attr, sorted(rows, key=lambda row: row.name))
+
+    @property
+    def quarantined(self) -> list:
+        """Rows the self-healing pool isolated, in name order."""
+        return [row for row in self._rows() if row.status == "quarantined"]
+
+    def deterministic_payload(self) -> dict:
+        """The payload with every wall-clock field neutralized.
+
+        Wall time and the fault-tolerance incident counters are the two
+        legitimately execution-dependent surfaces in an artifact (a
+        retried chunk changes the counters, not the science); zeroing
+        ``total_wall_s``, ``jobs``, and per-row ``wall_s`` and dropping
+        ``extras["fault_tolerance"]`` leaves exactly the bytes the
+        determinism contract covers — serial == pooled ==
+        crashed-and-resumed.  Quarantine statuses and error details
+        *are* covered: a poison cell quarantines identically every run.
+        """
+        payload = self.payload()
+        payload["total_wall_s"] = 0.0
+        payload["jobs"] = 0
+        payload["extras"] = {
+            key: value
+            for key, value in payload["extras"].items()
+            if key != "fault_tolerance"
+        }
+        for row in payload[self.rows_key]:
+            row["wall_s"] = 0.0
+        return payload
+
+    def deterministic_json(self) -> str:
+        """Canonical JSON of :meth:`deterministic_payload` — the string
+        byte-identity tests and the CI resume-smoke compare."""
+        return dump_json(
+            null_specials(
+                {
+                    "report": self.report_kind,
+                    "payload": self.deterministic_payload(),
+                }
+            )
+        )
+
+    def merge(self, other: "ReportBase") -> "BatchReport":
+        """Fold another batch of the same kind in (e.g. a later seed
+        batch over the same grid): rows concatenate under canonical
+        order, wall time accumulates, incident counters add.  Row names
+        must be disjoint."""
+        kind = type(self).__name__
+        if not isinstance(other, type(self)):
+            raise ConfigError(f"can only merge {kind} into {kind}")
+        collisions = {row.name for row in self._rows()} & {
+            row.name for row in other._rows()
+        }
+        if collisions:
+            raise ConfigError(
+                f"cannot merge {kind}s re-running scenarios: "
+                f"{sorted(collisions)[:5]}"
+            )
+        self._set_rows(self._rows() + other._rows())
+        self.total_wall_s += other.total_wall_s
+        self.jobs = max(self.jobs, other.jobs)
+        merge_extras(self.extras, other.extras)
+        return self
+
+
 @dataclass
-class SweepReport(ReportBase):
+class SweepReport(BatchReport):
     """Results of one sweep, plus the aggregation surfaces over them."""
 
     report_kind = "sweep"
+    rows_attr = "results"
+    rows_key = "scenarios"
 
     results: list[ScenarioResult]
     grid_name: str = "sweep"
     total_wall_s: float = 0.0
     jobs: int = 1  # process fan-out the sweep ran with
     extras: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # Canonical order: aggregation must not depend on completion
-        # order across worker processes.
-        self.results = sorted(self.results, key=lambda r: r.name)
 
     # -- aggregation -----------------------------------------------------------
 
@@ -262,11 +300,6 @@ class SweepReport(ReportBase):
         if self.total_wall_s <= 0:
             raise ConfigError("sweep recorded no wall time")
         return len(self.results) / self.total_wall_s
-
-    @property
-    def quarantined(self) -> list[ScenarioResult]:
-        """Poison cells the self-healing pool isolated, in name order."""
-        return [r for r in self.results if r.status == "quarantined"]
 
     # -- shared telemetry surface ----------------------------------------------
 
@@ -313,65 +346,6 @@ class SweepReport(ReportBase):
             "sweep.total_wall_s": self.total_wall_s,
             "sweep.quarantined": float(len(self.quarantined)),
         }
-
-    def deterministic_payload(self) -> dict:
-        """The payload with every wall-clock field neutralized.
-
-        Wall time and the fault-tolerance incident counters are the two
-        legitimately execution-dependent surfaces in a sweep artifact
-        (a retried chunk changes the counters, not the science);
-        zeroing ``total_wall_s``, ``jobs``, and per-row ``wall_s`` and
-        dropping ``extras["fault_tolerance"]`` leaves exactly the bytes
-        the determinism contract covers — serial == pooled ==
-        crashed-and-resumed.  Quarantine statuses and error details
-        *are* covered: a poison cell quarantines identically every run.
-        """
-        payload = self.payload()
-        payload["total_wall_s"] = 0.0
-        payload["jobs"] = 0
-        payload["extras"] = {
-            key: value
-            for key, value in payload["extras"].items()
-            if key != "fault_tolerance"
-        }
-        for row in payload["scenarios"]:
-            row["wall_s"] = 0.0
-        return payload
-
-    def deterministic_json(self) -> str:
-        """Canonical JSON of :meth:`deterministic_payload` — the string
-        byte-identity tests and the CI resume-smoke compare."""
-        from ..common.serialization import dump_json, null_specials
-
-        return dump_json(
-            null_specials(
-                {
-                    "report": self.report_kind,
-                    "payload": self.deterministic_payload(),
-                }
-            )
-        )
-
-    def merge(self, other: "ReportBase") -> "SweepReport":
-        """Fold another sweep in (e.g. a later seed batch over the same
-        grid): results concatenate under canonical order, wall time
-        accumulates, and the surfaces re-derive lazily."""
-        if not isinstance(other, SweepReport):
-            raise ConfigError("can only merge SweepReport into SweepReport")
-        collisions = {r.name for r in self.results} & {
-            r.name for r in other.results
-        }
-        if collisions:
-            raise ConfigError(
-                f"cannot merge sweeps re-running scenarios: {sorted(collisions)[:5]}"
-            )
-        self.results = sorted(
-            self.results + other.results, key=lambda r: r.name
-        )
-        self.total_wall_s += other.total_wall_s
-        self.jobs = max(self.jobs, other.jobs)
-        merge_extras(self.extras, other.extras)
-        return self
 
     # -- rendering -------------------------------------------------------------
 

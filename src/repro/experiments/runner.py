@@ -1,39 +1,36 @@
-"""The experiment executors: scenarios across cores, results reduced.
+"""The experiment executor: one engine, two front-ends.
 
-Two runners share one persistent-pool fan-out engine
-(:mod:`repro.experiments.pool`):
+:func:`fan_out` is the engine — "apply a function to every item,
+inline or across the persistent self-healing pool
+(:mod:`repro.experiments.pool`), and report completed index ranges" —
+and the only place that chooses between the two.  The runners are
+front-ends that pick the cell function and what to do with the
+outcomes:
 
-* :class:`SweepRunner` — the fleet-grid specialization: the grid
-  expands into a shared-memory :class:`~repro.experiments.pool.SweepArena`
-  (parameter rows written once, workers rebuild scenarios zero-copy
-  and fold flat metrics into the columnar results table in place), and
-  the parent materializes the
-  :class:`~repro.experiments.report.SweepReport` in a single merge
-  (deterministic per-scenario seeding, results independent of process
-  count, chunk size, and scheduling).
-* :class:`ExperimentRunner` — the general plane: fans *any* mix of
-  registered scenario kinds (fleet regions, chaos sessions, timed DPP
-  simulations) across the same persistent pool via :func:`fan_out` and
-  collects each scenario's full report into an
-  :class:`ExperimentReport`, itself a
-  :class:`~repro.common.serialization.ReportBase` whose JSON embeds
+* :class:`SweepRunner` — the fleet grid: a cell runs
+  ``grid.scenario_at(index)`` and folds its flat metrics into the
+  shared-memory :class:`~repro.experiments.pool.SweepArena`, the parent
+  materializes the :class:`~repro.experiments.report.SweepReport` in a
+  single merge.  It also speaks the run-journal protocol
+  (:mod:`repro.experiments.journal`): pass ``journal_path`` and every
+  completed chunk of cells is durably logged, pass ``resume=True`` and
+  a killed sweep picks up where it stopped — with a final report
+  byte-identical (modulo wall clock) to a run that was never
+  interrupted.
+* :class:`ExperimentRunner` — any mix of registered scenario kinds
+  (fleet regions, chaos sessions, timed DPP simulations, serving load
+  tests): a cell returns the scenario's full report and the batch
+  collects them into an :class:`ExperimentReport`, whose JSON embeds
   every child report envelope.
+
+Tracing is an argument, not a second entry point: ``run(trace=True)``
+on either runner returns ``(report, merged trace)``.
 
 Both rely on the scenario contract: every scenario seeds itself and
 reports sort canonically before aggregation — process scheduling can
-never leak into the artifact.  Where the ``fork`` start method is
-unavailable both runners execute inline, as ``jobs=1`` does (same
-bytes, one core).
-
-Both runners also inherit the pool's fault tolerance (see
-:mod:`repro.experiments.pool`): dead workers respawn, their chunks
-retry, and isolated poison cells quarantine as failed results instead
-of aborting the campaign.  :class:`SweepRunner` additionally speaks
-the run-journal protocol (:mod:`repro.experiments.journal`): pass
-``journal_path`` and every completed cell is durably logged, pass
-``resume=True`` and a killed sweep picks up where it stopped — with a
-final report byte-identical (modulo wall clock) to a run that was
-never interrupted.
+never leak into the artifact.  Both inherit the pool's fault tolerance:
+dead workers respawn, their chunks retry, and isolated poison cells
+quarantine as failed results instead of aborting the campaign.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .pool import (
     fork_available,
     run_chunked,
 )
-from .report import FailureReport, ScenarioResult, SweepReport, merge_extras
+from .report import BatchReport, FailureReport, ScenarioResult, SweepReport
 from .scenarios import FleetRegionScenario, MAX_EVENTS_PER_SCENARIO
 
 #: ``progress(done, total)`` — called after each completed item.
@@ -74,6 +71,7 @@ def fan_out(
     policy: PoolPolicy | None = None,
     on_item_failed: Callable[[int, str], object] | None = None,
     stats: PoolStats | None = None,
+    on_chunk: Callable[[int, int], None] | None = None,
 ) -> list:
     """Apply *fn* over *items*, inline or across persistent workers.
 
@@ -90,35 +88,62 @@ def fan_out(
     order, which process scheduling may permute; only the counts are
     meaningful, never an item identity.
 
+    *on_chunk* observes finished work as index ranges:
+    ``on_chunk(start, stop)`` once every item in the range is done —
+    the point where a caller makes a batch of results durable.  The
+    inline arm walks the same ranges the pool would chunk at; when an
+    exception or interrupt cuts one short, the finished prefix is still
+    reported before the exception propagates.  Every index that
+    finishes is covered exactly once; a quarantined index never is.
+
     Fault tolerance (see :func:`~repro.experiments.pool.run_chunked`):
     with *on_item_failed* a poison item — one that keeps raising or
     killing its worker past *policy*'s retry budget — is quarantined:
-    ``on_item_failed(index, detail)`` supplies the replacement value
-    for its result slot and the batch completes.  Without it failures
-    re-raise (the legacy fail-fast contract).  The inline path honors
-    the same hook for in-process exceptions, so ``jobs=1`` and
-    ``jobs=N`` quarantine identically.  *stats*, when provided,
-    accumulates the pool's incident counters.
+    ``on_item_failed(index, detail)`` is called the moment the item is
+    isolated, supplies the replacement value for its result slot, and
+    the batch completes.  Without it failures re-raise (the fail-fast
+    contract).  The inline path honors the same hook for in-process
+    exceptions, so ``jobs=1`` and ``jobs=N`` quarantine identically.
+    *stats*, when provided, accumulates the pool's incident counters.
     """
     n_items = len(items)
-    if jobs == 1 or n_items <= 1 or not fork_available():
-        results = []
-        for index, item in enumerate(items):
-            try:
-                results.append(fn(item))
-            except Exception as exc:
-                if on_item_failed is None:
-                    raise
-                if stats is not None:
-                    stats.quarantined_cells += 1
-                results.append(
-                    on_item_failed(index, f"{type(exc).__name__}: {exc}")
-                )
-            if progress is not None:
-                progress(len(results), n_items)
+    if n_items == 0:
+        return []
+    if jobs == 1 or n_items == 1 or not fork_available():
+        size = chunk_size or auto_chunk_size(n_items, jobs)
+        results: list = []
+        reported = 0  # every finished index below this has been reported
+
+        def report(stop: int) -> None:
+            nonlocal reported
+            if on_chunk is not None and stop > reported:
+                on_chunk(reported, stop)
+            reported = stop
+
+        try:
+            for index, item in enumerate(items):
+                try:
+                    results.append(fn(item))
+                except Exception as exc:
+                    if on_item_failed is None:
+                        raise
+                    report(index)
+                    if stats is not None:
+                        stats.quarantined_cells += 1
+                    results.append(
+                        on_item_failed(index, f"{type(exc).__name__}: {exc}")
+                    )
+                    reported = index + 1
+                if (index + 1) % size == 0:
+                    report(index + 1)
+                if progress is not None:
+                    progress(index + 1, n_items)
+        finally:
+            # Finished-but-unreported items are handed over even when an
+            # exception or interrupt cuts the loop short.
+            report(len(results))
         return results
     results = [None] * n_items
-    failed: dict[int, str] = {}
 
     def work(start: int, stop: int, cell_done) -> list:
         chunk = []
@@ -128,6 +153,9 @@ def fan_out(
                 cell_done(index)
         return chunk
 
+    def quarantine(index: int, detail: str) -> None:
+        results[index] = on_item_failed(index, detail)
+
     for start, stop, payload in run_chunked(
         work,
         n_items,
@@ -136,15 +164,10 @@ def fan_out(
         progress=progress,
         policy=policy,
         stats=stats,
-        on_cell_failed=(
-            None
-            if on_item_failed is None
-            else lambda index, detail: failed.setdefault(index, detail)
-        ),
+        on_cell_failed=None if on_item_failed is None else quarantine,
+        on_chunk=on_chunk,
     ):
         results[start:stop] = payload
-    for index, detail in failed.items():
-        results[index] = on_item_failed(index, detail)
     return results
 
 
@@ -157,7 +180,18 @@ def _resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-# -- the sweep specialization --------------------------------------------------
+def _traced(run: Callable, scenario) -> tuple[object, Trace]:
+    """``run(scenario, tracer)`` under a tracer built *here*.
+
+    Tracers never cross a process boundary: each call builds its own in
+    the executing process and freezes it into a picklable
+    :class:`~repro.telemetry.tracer.Trace` for the trip back.
+    """
+    tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
+    return run(scenario, tracer), tracer.freeze()
+
+
+# -- the sweep front-end -------------------------------------------------------
 
 
 def run_scenario_spec(
@@ -174,10 +208,10 @@ def run_scenario_spec(
     start = time.perf_counter()
     simulator = spec.build(tracer=tracer)
     if simulator is None:
-        return ScenarioResult.empty(
-            name=spec.name,
-            cell=spec.cell,
-            trace_seed=spec.trace_seed,
+        return ScenarioResult.blank(
+            spec.name,
+            spec.cell,
+            spec.trace_seed,
             wall_s=time.perf_counter() - start,
         )
     fired_before = simulator.clock.fired
@@ -198,57 +232,17 @@ def run_scenario_spec(
 def run_scenario_spec_traced(
     spec: FleetRegionScenario,
 ) -> tuple[ScenarioResult, Trace]:
-    """Traced counterpart of :func:`run_scenario_spec`.
-
-    Each invocation builds its *own* tracer — tracers never cross a
-    process boundary; only the frozen (picklable) trace ships back.
-    """
-    tracer = Tracer(scenario=spec.name, seed=spec.trace_seed)
-    result = run_scenario_spec(spec, tracer)
-    return result, tracer.freeze()
-
-
-def _sweep_chunk_work(arena: SweepArena, traced: bool, indices: Sequence[int]):
-    """The in-worker chunk body: run cells, fold metrics into the arena.
-
-    Numeric results land directly in the shared columnar table — the
-    chunk's queue envelope is empty (untraced) or just the frozen
-    per-cell traces (traced).  The closure and the arena it captures
-    cross into workers via fork, never pickle.
-
-    *indices* maps pool positions to arena indices: a resumed sweep
-    pools only over the cells its journal is missing, so position ``p``
-    computes arena cell ``indices[p]``.  ``cell_done`` reports the pool
-    position (the pool's dedup key); the arena store happens *before*
-    the completion message, so the parent's journal observer always
-    sees the finished row in the shared map.
-    """
-
-    def work(start: int, stop: int, cell_done) -> list[Trace] | None:
-        traces: list[Trace] | None = [] if traced else None
-        for position in range(start, stop):
-            index = indices[position]
-            spec = arena.scenario_for(index)
-            if traced:
-                result, trace = run_scenario_spec_traced(spec)
-                traces.append(trace)
-            else:
-                result = run_scenario_spec(spec)
-            arena.store(index, result)
-            if cell_done is not None:
-                cell_done(position)
-        return traces
-
-    return work
+    """:func:`run_scenario_spec` with a fresh per-cell tracer."""
+    return _traced(run_scenario_spec, spec)
 
 
 class SweepRunner:
     """Fans a :class:`ScenarioGrid` across a persistent worker pool.
 
-    The grid expands into a shared-memory :class:`SweepArena`; both the
-    serial and pooled paths run every scenario through the same arena
-    store/materialize cycle, so process count and chunk size are
-    provably invisible in the artifact.
+    Results land in a shared-memory :class:`SweepArena` at their grid
+    index; serial and pooled runs go through the same store/materialize
+    cycle, so process count and chunk size are provably invisible in
+    the artifact.
     """
 
     def __init__(
@@ -273,142 +267,14 @@ class SweepRunner:
         self.policy = policy if policy is not None else PoolPolicy()
         self.quarantine = quarantine
 
-    def _execute(
-        self,
-        arena: SweepArena,
-        traced: bool,
-        progress: ProgressFn | None,
-        restored: dict[int, ScenarioResult] | None = None,
-        on_cell: Callable[[int], None] | None = None,
-        on_chunk: Callable[[list[int]], None] | None = None,
-        statuses: dict[int, tuple[str, str]] | None = None,
-        stats: PoolStats | None = None,
-    ) -> list[Trace]:
-        """Run the grid through *arena*; returns any traces in
-        grid-index order.
-
-        *restored* maps arena indices to journaled results: those cells
-        are stored, not recomputed.  *on_chunk*, when given, observes
-        freshly computed arena indices in completed batches — one call
-        per pool chunk (the rows are already in the arena), which is
-        the once-per-chunk journal append point.  *on_cell* observes
-        single cells: ``on_cell(index)`` for computed cells when no
-        *on_chunk* is wired (legacy per-cell journaling) and
-        ``on_cell(index, failed_result)`` for quarantined ones (the
-        arena row carries only numbers; the status must ride the
-        callback).  With *statuses* (quarantine enabled) poison cells
-        store a failed result and record ``(status, error)`` there
-        instead of aborting; *stats* accumulates the pool's incident
-        counters.
-        """
-        n_cells = len(arena)
-        restored = restored if restored is not None else {}
-        for index, result in restored.items():
-            arena.store(index, result)
-            if statuses is not None and result.status != "ok":
-                statuses[index] = (result.status, result.error)
-        remaining = [i for i in range(n_cells) if i not in restored]
-        offset = n_cells - len(remaining)
-        traces: list[Trace] = []
-
-        def cell_progress(done: int, _total: int) -> None:
-            progress(offset + done, n_cells)
-
-        def quarantine_cell(index: int, detail: str) -> None:
-            spec = arena.scenario_for(index)
-            failed = ScenarioResult.failed(
-                name=spec.name,
-                cell=spec.cell,
-                trace_seed=spec.trace_seed,
-                error=detail,
-            )
-            arena.store(index, failed)
-            statuses[index] = ("quarantined", detail)
-            if on_cell is not None:
-                on_cell(index, failed)
-
-        wrapped_progress = cell_progress if progress is not None else None
-        if self.jobs == 1 or len(remaining) <= 1 or not fork_available():
-            # Inline execution batches journal appends at the same
-            # granularity the pool would have chunked at, so serial and
-            # pooled runs pay comparable (amortised) fsync costs.
-            batch: list[int] = []
-            batch_cells = (
-                auto_chunk_size(len(remaining), 1) if remaining else 1
-            )
-            try:
-                for done, index in enumerate(remaining, start=1):
-                    spec = arena.scenario_for(index)
-                    try:
-                        if traced:
-                            result, trace = run_scenario_spec_traced(spec)
-                            traces.append(trace)
-                        else:
-                            result = run_scenario_spec(spec)
-                    except Exception as exc:
-                        if statuses is None:
-                            raise
-                        if stats is not None:
-                            stats.quarantined_cells += 1
-                        quarantine_cell(index, f"{type(exc).__name__}: {exc}")
-                    else:
-                        arena.store(index, result)
-                        if on_chunk is not None:
-                            batch.append(index)
-                            if len(batch) >= batch_cells:
-                                on_chunk(batch)
-                                batch = []
-                        elif on_cell is not None:
-                            on_cell(index)
-                    if wrapped_progress is not None:
-                        wrapped_progress(done, len(remaining))
-            finally:
-                # Completed-but-unjournaled cells become durable even
-                # when an exception or interrupt cuts the loop short.
-                if on_chunk is not None and batch:
-                    on_chunk(batch)
-        else:
-            for _start, _stop, payload in run_chunked(
-                _sweep_chunk_work(arena, traced, remaining),
-                len(remaining),
-                jobs=self.jobs,
-                chunk_size=self.chunk_cells,
-                progress=wrapped_progress,
-                policy=self.policy,
-                stats=stats,
-                on_cell=(
-                    None
-                    if on_cell is None or on_chunk is not None
-                    else lambda position, _payload: on_cell(
-                        remaining[position]
-                    )
-                ),
-                on_cell_failed=(
-                    None
-                    if statuses is None
-                    else lambda position, detail: quarantine_cell(
-                        remaining[position], detail
-                    )
-                ),
-                on_chunk=(
-                    None
-                    if on_chunk is None
-                    else lambda start, stop: on_chunk(
-                        [remaining[p] for p in range(start, stop)]
-                    )
-                ),
-            ):
-                if traced:
-                    traces.extend(payload)
-        return traces
-
     def run(
         self,
         grid_name: str = "sweep",
         progress: ProgressFn | None = None,
         journal_path: str | pathlib.Path | None = None,
         resume: bool = False,
-    ) -> SweepReport:
+        trace: bool = False,
+    ) -> SweepReport | tuple[SweepReport, Trace]:
         """Execute every scenario; returns the aggregated report.
 
         With *journal_path* every completed cell is durably appended to
@@ -418,60 +284,103 @@ class SweepRunner:
         on resume.  With *resume* the
         journal is validated against this grid first and its cells are
         restored instead of recomputed — the resumed report is
-        byte-identical (modulo wall clock) to an uninterrupted run.
+        byte-identical (modulo wall clock) to an uninterrupted run,
+        quarantined cells included: a restored record keeps its status
+        whatever this runner's ``quarantine`` flag says.
         On ``KeyboardInterrupt`` the journal is already durable: the
         interrupt propagates after the pool shuts down, and the caller
         can offer ``--resume``.
+
+        With *trace* every cell runs under its own tracer and the
+        return value is ``(report, merged trace)`` — one process per
+        cell, in canonical (name-sorted) order regardless of fan-out
+        width or chunking.  Traced runs are fail-fast whatever
+        ``quarantine`` says and take no journal: a quarantined or
+        restored cell would hole the merged trace, and trace captures
+        are debugging runs where failing loudly is the point.
         """
+        if resume and journal_path is None:
+            raise ConfigError("resume=True needs the journal_path to resume from")
+        if trace and journal_path is not None:
+            raise ConfigError(
+                "a traced sweep takes no journal: cells restored from one "
+                "would be missing from the merged trace"
+            )
         start = time.perf_counter()
+        grid = self.grid
         journal: RunJournal | None = None
         restored: dict[int, ScenarioResult] = {}
         if journal_path is not None:
             if resume:
                 journal, restored = RunJournal.resume_or_create(
-                    journal_path, self.grid, grid_name
+                    journal_path, grid, grid_name
                 )
             else:
-                journal = RunJournal.create(journal_path, self.grid, grid_name)
-        stats = PoolStats()
+                journal = RunJournal.create(journal_path, grid, grid_name)
+        arena = SweepArena(grid)
+        # The arena row carries only numbers; what else a quarantined
+        # cell's result holds is kept here, by grid index.
         statuses: dict[int, tuple[str, str]] = {}
-        arena = SweepArena(self.grid)
+        for index, result in restored.items():
+            arena.store(index, result)
+            if result.status != "ok":
+                statuses[index] = (result.status, result.error)
+        # A resumed sweep runs only the cells its journal is missing:
+        # position p of the fan-out is grid cell remaining[p].
+        remaining = [i for i in range(len(grid)) if i not in restored]
 
-        journaled: set[int] = set()
+        def run_cell(index: int) -> Trace | None:
+            spec = grid.scenario_at(index)
+            if trace:
+                result, cell_trace = run_scenario_spec_traced(spec)
+            else:
+                result, cell_trace = run_scenario_spec(spec), None
+            # Stored before the engine reports the cell finished, so the
+            # parent's journal append always finds the row.
+            arena.store(index, result)
+            return cell_trace
 
-        def journal_cell(index: int, result: ScenarioResult | None = None) -> None:
-            if index in journaled:
-                return
-            journaled.add(index)
-            if result is None:  # computed cell: the row is in the arena
-                result = arena.result_for(index)
-            journal.append_result(journal.identities[index][1], result)
+        def journal_cells(first: int, last: int) -> None:
+            # One append per finished chunk; the parent rebuilds each
+            # record from the arena columns, so the worker never
+            # serialized anything per cell.
+            journal.append_results(
+                (journal.identities[index][1], arena.result_for(index))
+                for index in remaining[first:last]
+            )
 
-        def journal_chunk(indices: list[int]) -> None:
-            # One batch append per completed chunk: the parent rebuilds
-            # each cell's journal envelope from the arena columns, so
-            # the worker never serialized anything per cell.
-            pairs = []
-            for index in indices:
-                if index in journaled:
-                    continue
-                journaled.add(index)
-                pairs.append(
-                    (journal.identities[index][1], arena.result_for(index))
-                )
-            if pairs:
-                journal.append_results(pairs)
+        def quarantine_cell(position: int, detail: str) -> None:
+            index = remaining[position]
+            spec = grid.scenario_at(index)
+            failed = ScenarioResult.blank(
+                spec.name,
+                spec.cell,
+                spec.trace_seed,
+                status="quarantined",
+                error=detail,
+            )
+            arena.store(index, failed)
+            statuses[index] = (failed.status, failed.error)
+            if journal is not None:
+                journal.append_results([(journal.identities[index][1], failed)])
 
+        def cell_progress(done: int, _total: int) -> None:
+            progress(len(restored) + done, len(grid))
+
+        stats = PoolStats()
         try:
-            self._execute(
-                arena,
-                traced=False,
-                progress=progress,
-                restored=restored,
-                on_cell=journal_cell if journal is not None else None,
-                on_chunk=journal_chunk if journal is not None else None,
-                statuses=statuses if self.quarantine else None,
+            traces = fan_out(
+                remaining,
+                run_cell,
+                self.jobs,
+                progress=None if progress is None else cell_progress,
+                chunk_size=self.chunk_cells,
+                policy=self.policy,
+                on_item_failed=(
+                    quarantine_cell if self.quarantine and not trace else None
+                ),
                 stats=stats,
+                on_chunk=None if journal is None else journal_cells,
             )
         finally:
             if journal is not None:
@@ -479,42 +388,22 @@ class SweepRunner:
         results = arena.materialize()
         for index, (status, error) in statuses.items():
             results[index] = replace(results[index], status=status, error=error)
-        extras: dict = {}
-        if stats.any():
-            extras["fault_tolerance"] = stats.as_dict()
-        return SweepReport(
+        report = SweepReport(
             results=results,
             grid_name=grid_name,
             total_wall_s=time.perf_counter() - start,
             jobs=self.jobs,
-            extras=extras,
+            extras=_incident_extras(stats),
         )
-
-    def run_traced(
-        self, grid_name: str = "sweep", progress: ProgressFn | None = None
-    ) -> tuple[SweepReport, Trace]:
-        """Execute with per-cell tracing; the merged trace holds one
-        process per cell, in canonical (name-sorted) order regardless
-        of fan-out width or chunking.
-
-        Traced runs keep the legacy fail-fast contract (no quarantine,
-        no journal): a quarantined cell would hole the merged trace,
-        and trace captures are debugging runs where failing loudly is
-        the point.
-        """
-        start = time.perf_counter()
-        arena = SweepArena(self.grid)
-        traces = self._execute(arena, traced=True, progress=progress)
-        report = SweepReport(
-            results=arena.materialize(),
-            grid_name=grid_name,
-            total_wall_s=time.perf_counter() - start,
-            jobs=self.jobs,
-        )
-        return report, merge_traces(traces)
+        return (report, merge_traces(traces)) if trace else report
 
 
-# -- the general plane ---------------------------------------------------------
+def _incident_extras(stats: PoolStats) -> dict:
+    """Report extras for a run: the pool's incident counters, if any."""
+    return {"fault_tolerance": stats.as_dict()} if stats.any() else {}
+
+
+# -- the general front-end -----------------------------------------------------
 
 
 @dataclass
@@ -554,10 +443,12 @@ class ExperimentEntry:
         )
 
 
-def run_experiment(scenario: Scenario) -> ExperimentEntry:
+def run_experiment(
+    scenario: Scenario, tracer: Tracer | None = None
+) -> ExperimentEntry:
     """Run one scenario of any kind; module top-level for pickling."""
     start = time.perf_counter()
-    report = scenario.run()
+    report = scenario.run(tracer)
     return ExperimentEntry(
         name=scenario.name,
         scenario_kind=scenario.kind,
@@ -569,26 +460,12 @@ def run_experiment(scenario: Scenario) -> ExperimentEntry:
 def run_experiment_traced(
     scenario: Scenario,
 ) -> tuple[ExperimentEntry, Trace]:
-    """Run one scenario of any kind with a fresh per-scenario tracer.
-
-    The tracer is built in the executing process (tracers never cross
-    a process boundary) and frozen into a picklable
-    :class:`~repro.telemetry.tracer.Trace` for the return trip.
-    """
-    tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
-    start = time.perf_counter()
-    report = scenario.run_traced(tracer)
-    entry = ExperimentEntry(
-        name=scenario.name,
-        scenario_kind=scenario.kind,
-        wall_s=time.perf_counter() - start,
-        report=report,
-    )
-    return entry, tracer.freeze()
+    """:func:`run_experiment` with a fresh per-scenario tracer."""
+    return _traced(run_experiment, scenario)
 
 
 @dataclass
-class ExperimentReport(ReportBase):
+class ExperimentReport(BatchReport):
     """A batch of heterogeneous scenario runs under one envelope.
 
     Unlike a sweep (hundreds of cells, reduced in-worker), an
@@ -598,6 +475,7 @@ class ExperimentReport(ReportBase):
     """
 
     report_kind = "experiments"
+    rows_attr = rows_key = "entries"
 
     entries: list[ExperimentEntry]
     experiment_name: str = "experiment"
@@ -605,21 +483,12 @@ class ExperimentReport(ReportBase):
     jobs: int = 1
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # Canonical order, same contract as SweepReport.
-        self.entries = sorted(self.entries, key=lambda e: e.name)
-
     def entry(self, name: str) -> ExperimentEntry:
         """Look one scenario's entry up by name."""
         for candidate in self.entries:
             if candidate.name == name:
                 return candidate
         raise ConfigError(f"no experiment entry named {name!r}")
-
-    @property
-    def quarantined(self) -> list[ExperimentEntry]:
-        """Scenarios the self-healing pool isolated, in name order."""
-        return [e for e in self.entries if e.status == "quarantined"]
 
     def payload(self) -> dict:
         return {
@@ -660,57 +529,6 @@ class ExperimentReport(ReportBase):
         for kind, count in sorted(kinds.items()):
             flat[f"experiments.scenarios.{kind}"] = float(count)
         return flat
-
-    def deterministic_payload(self) -> dict:
-        """The payload with wall clocks and incident counters
-        neutralized — the bytes the determinism contract covers (same
-        convention as :meth:`SweepReport.deterministic_payload`)."""
-        payload = self.payload()
-        payload["total_wall_s"] = 0.0
-        payload["jobs"] = 0
-        payload["extras"] = {
-            key: value
-            for key, value in payload["extras"].items()
-            if key != "fault_tolerance"
-        }
-        for row in payload["entries"]:
-            row["wall_s"] = 0.0
-        return payload
-
-    def deterministic_json(self) -> str:
-        """Canonical JSON of :meth:`deterministic_payload`."""
-        from ..common.serialization import dump_json, null_specials
-
-        return dump_json(
-            null_specials(
-                {
-                    "report": self.report_kind,
-                    "payload": self.deterministic_payload(),
-                }
-            )
-        )
-
-    def merge(self, other: "ReportBase") -> "ExperimentReport":
-        """Fold another batch in (disjoint scenario names required)."""
-        if not isinstance(other, ExperimentReport):
-            raise ConfigError(
-                "can only merge ExperimentReport into ExperimentReport"
-            )
-        collisions = {e.name for e in self.entries} & {
-            e.name for e in other.entries
-        }
-        if collisions:
-            raise ConfigError(
-                f"cannot merge batches re-running scenarios: "
-                f"{sorted(collisions)[:5]}"
-            )
-        self.entries = sorted(
-            self.entries + other.entries, key=lambda e: e.name
-        )
-        self.total_wall_s += other.total_wall_s
-        self.jobs = max(self.jobs, other.jobs)
-        merge_extras(self.extras, other.extras)
-        return self
 
     def render(self) -> str:
         """Per-scenario table: kind, wall time, headline metrics."""
@@ -790,46 +608,38 @@ class ExperimentRunner:
         self,
         experiment_name: str = "experiment",
         progress: ProgressFn | None = None,
-    ) -> ExperimentReport:
-        """Execute every scenario; returns the batched report."""
+        trace: bool = False,
+    ) -> ExperimentReport | tuple[ExperimentReport, Trace]:
+        """Execute every scenario; returns the batched report.
+
+        With *trace* every scenario runs under its own tracer and the
+        return value is ``(report, merged trace)`` — one process per
+        scenario (names are unique within a batch, so the merge cannot
+        collide).  Traced runs are fail-fast whatever ``quarantine``
+        says: a quarantined scenario would hole the merged trace.
+        """
         start = time.perf_counter()
         stats = PoolStats()
-        entries = fan_out(
+        outcomes = fan_out(
             self.scenarios,
-            run_experiment,
+            run_experiment_traced if trace else run_experiment,
             self.jobs,
             progress,
             policy=self.policy,
-            on_item_failed=self._quarantined_entry if self.quarantine else None,
+            on_item_failed=(
+                self._quarantined_entry
+                if self.quarantine and not trace
+                else None
+            ),
             stats=stats,
         )
-        extras: dict = {}
-        if stats.any():
-            extras["fault_tolerance"] = stats.as_dict()
-        return ExperimentReport(
-            entries=entries,
-            experiment_name=experiment_name,
-            total_wall_s=time.perf_counter() - start,
-            jobs=self.jobs,
-            extras=extras,
-        )
-
-    def run_traced(
-        self,
-        experiment_name: str = "experiment",
-        progress: ProgressFn | None = None,
-    ) -> tuple[ExperimentReport, Trace]:
-        """Execute with per-scenario tracing; the merged trace holds
-        one process per scenario (names are unique within a batch, so
-        the merge cannot collide)."""
-        start = time.perf_counter()
-        pairs = fan_out(
-            self.scenarios, run_experiment_traced, self.jobs, progress
-        )
         report = ExperimentReport(
-            entries=[entry for entry, _ in pairs],
+            entries=[entry for entry, _ in outcomes] if trace else outcomes,
             experiment_name=experiment_name,
             total_wall_s=time.perf_counter() - start,
             jobs=self.jobs,
+            extras=_incident_extras(stats),
         )
-        return report, merge_traces([trace for _, trace in pairs])
+        if trace:
+            return report, merge_traces(cell_trace for _, cell_trace in outcomes)
+        return report

@@ -275,7 +275,9 @@ class FleetRegionScenario(Scenario):
             )
         return simulator
 
-    def _execute(self, tracer: "Tracer | None") -> FleetReport:
+    def run(self, tracer: "Tracer | None" = None) -> FleetReport:
+        """Run the region to completion (or horizon); full fleet report.
+        A *tracer* records tick phases and job lifecycles."""
         simulator = self.build(tracer=tracer)
         if simulator is None:
             return FleetReport(
@@ -286,14 +288,6 @@ class FleetRegionScenario(Scenario):
         return simulator.run(
             horizon_s=self.horizon_s, max_events=MAX_EVENTS_PER_SCENARIO
         )
-
-    def run(self) -> FleetReport:
-        """Run the region to completion (or horizon); full fleet report."""
-        return self._execute(None)
-
-    def run_traced(self, tracer: "Tracer") -> FleetReport:
-        """Run with *tracer* recording tick phases and job lifecycles."""
-        return self._execute(tracer)
 
     # -- serialization ---------------------------------------------------------
 
@@ -439,7 +433,10 @@ class ChaosSessionScenario(Scenario):
             )
         return FaultSchedule(events)
 
-    def _execute(self, tracer: "Tracer | None") -> ReportBase:
+    def run(self, tracer: "Tracer | None" = None) -> ReportBase:
+        """Drive the session through its schedule.  A *tracer* records
+        rounds, faults, and the split lifecycle (time axis: the round
+        index)."""
         from ..chaos.runner import ChaosRunner
 
         runner = ChaosRunner(
@@ -451,14 +448,6 @@ class ChaosSessionScenario(Scenario):
             tracer=tracer,
         )
         return runner.run()
-
-    def run(self) -> ReportBase:
-        return self._execute(None)
-
-    def run_traced(self, tracer: "Tracer") -> ReportBase:
-        """Run with *tracer* recording rounds, faults, and the split
-        lifecycle (time axis: the round index)."""
-        return self._execute(tracer)
 
     # -- serialization ---------------------------------------------------------
 
@@ -556,7 +545,10 @@ class DppTimelineScenario(Scenario):
 
     # -- execution -------------------------------------------------------------
 
-    def _execute(self, tracer: "Tracer | None") -> ReportBase:
+    def run(self, tracer: "Tracer | None" = None) -> ReportBase:
+        """Run the closed loop for ``duration_s``.  A *tracer* records
+        buffer/fleet counters and scaling decisions on the simulation's
+        virtual clock."""
         from ..dpp.autoscaler import AutoscalerConfig
         from ..dpp.simulation import SimulationConfig, TimedDppSimulation
 
@@ -575,14 +567,6 @@ class DppTimelineScenario(Scenario):
                 when, lambda count=count: simulation.inject_worker_loss(count)
             )
         return simulation.run(self.duration_s)
-
-    def run(self) -> ReportBase:
-        return self._execute(None)
-
-    def run_traced(self, tracer: "Tracer") -> ReportBase:
-        """Run with *tracer* recording buffer/fleet counters and
-        scaling decisions on the simulation's virtual clock."""
-        return self._execute(tracer)
 
     # -- serialization ---------------------------------------------------------
 

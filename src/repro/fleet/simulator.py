@@ -1156,7 +1156,8 @@ class FleetSimulator:
         properties, so every float is bit-identical to the
         report-mediated reduction.  ``nan`` marks aggregates the report
         properties would raise on (no makespan, no finished job, no
-        jobs), matching ``ScenarioResult.from_fleet_report``'s guards.
+        jobs), matching the report-mediated reduction's guards
+        (``tests/fleet/oracles.py`` ``result_from_fleet_report``).
         """
         self._sync_jobs()
         rows = self._sample_rows

@@ -195,16 +195,11 @@ class ServingScenario(Scenario):
             self.plane_config(), master, factory, tracer=tracer
         )
 
-    def _execute(self, tracer: "Tracer | None") -> ServingReport:
+    def run(self, tracer: "Tracer | None" = None) -> ServingReport:
+        """Run the load test.  A *tracer* records per-item spans,
+        queue-depth gauges, and admission-control decisions in virtual
+        time."""
         return self.build_plane(tracer).run()
-
-    def run(self) -> ServingReport:
-        return self._execute(None)
-
-    def run_traced(self, tracer: "Tracer") -> ServingReport:
-        """Run with *tracer* recording per-item spans, queue-depth
-        gauges, and admission-control decisions in virtual time."""
-        return self._execute(tracer)
 
     # -- serialization ---------------------------------------------------------
 

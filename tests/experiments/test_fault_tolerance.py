@@ -257,6 +257,68 @@ class TestJournaledResume:
         ]
         assert resumed.deterministic_json() == first.deterministic_json()
 
+    @pytest.mark.parametrize("fail_with", [KeyboardInterrupt, ValueError])
+    def test_serial_journal_holds_exactly_the_finished_cells(
+        self, tmp_path, monkeypatch, fail_with
+    ):
+        """An interrupt (or, fail-fast, a raising cell) mid-batch: the
+        cells that finished before it are durable, nothing else is, and
+        the journal resumes to the uninterrupted bytes."""
+        from repro.experiments import load_journal
+
+        grid = chaos_grid(seeds=(0, 1, 2))
+        names = [spec.name for spec in grid.expand()]
+        real = runner_module.run_scenario_spec
+
+        def cut_short(spec, tracer=None):
+            if spec.name == names[3]:  # mid-batch: batches are 2 cells
+                raise fail_with("stop here")
+            return real(spec, tracer)
+
+        path = tmp_path / "run.journal.jsonl"
+        with monkeypatch.context() as patched:
+            patched.setattr(runner_module, "run_scenario_spec", cut_short)
+            with pytest.raises(fail_with):
+                SweepRunner(grid, jobs=1, quarantine=False).run(
+                    grid_name="chaos", journal_path=path
+                )
+        assert [r["name"] for r in load_journal(path).records] == names[:3]
+        resumed = SweepRunner(grid, jobs=1).run(
+            grid_name="chaos", journal_path=path, resume=True
+        )
+        clean = SweepRunner(grid, jobs=1).run(grid_name="chaos")
+        assert resumed.deterministic_json() == clean.deterministic_json()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_resume_keeps_a_quarantined_record(self, tmp_path, jobs):
+        """``--no-quarantine --resume`` over a journal that holds a
+        quarantined record: the flag governs cells this run computes,
+        not what an earlier run already wrote down."""
+        from repro.experiments import quick_grid
+
+        grid = quick_grid((0, 1))
+        path = tmp_path / "run.journal.jsonl"
+        policy = fast_policy(
+            fault_hook=fault_raise_on_cell(1, "injected poison cell")
+        )
+        first = SweepRunner(grid, jobs=2, chunk_cells=1, policy=policy).run(
+            journal_path=path
+        )
+        assert [r.name for r in first.quarantined] == ["default/base/none/seed1"]
+        whole = path.read_text().splitlines(keepends=True)
+        poisoned = next(line for line in whole if '"quarantined"' in line)
+        # The interrupted run: it got as far as the poison cell's record
+        # and one healthy one.
+        healthy = next(line for line in whole[1:] if line != poisoned)
+        path.write_text(whole[0] + poisoned + healthy)
+        resumed = SweepRunner(grid, jobs=jobs, quarantine=False).run(
+            journal_path=path, resume=True
+        )
+        assert [(r.name, r.status, r.error) for r in resumed.quarantined] == [
+            (r.name, r.status, r.error) for r in first.quarantined
+        ]
+        assert resumed.deterministic_json() == first.deterministic_json()
+
 
 def _sweep_command(journal, out, jobs=2, seeds="0,1,2,3,4,5"):
     grid = {

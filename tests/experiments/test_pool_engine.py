@@ -32,6 +32,8 @@ from repro.experiments import (
 )
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
 
+from .oracles import naive_expand
+
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="persistent pool requires fork"
 )
@@ -113,10 +115,11 @@ class TestSweepArena:
     def test_scenarios_match_grid_expansion(self):
         grid = pool_grid()
         arena = SweepArena(grid)
-        expanded = grid.expand()
+        expanded = naive_expand(grid)
         assert len(arena) == len(expanded)
+        assert grid.expand() == expanded
         for index, spec in enumerate(expanded):
-            assert arena.scenario_for(index) == spec
+            assert grid.scenario_at(index) == spec
 
     def test_store_materialize_round_trips_exactly(self):
         from repro.experiments import run_scenario_spec
@@ -126,7 +129,7 @@ class TestSweepArena:
         arena = SweepArena(grid)
         direct = []
         for index in range(len(arena)):
-            result = run_scenario_spec(arena.scenario_for(index))
+            result = run_scenario_spec(grid.scenario_at(index))
             direct.append(result)
             arena.store(index, result)
         revived = arena.materialize()
@@ -152,12 +155,12 @@ class TestSweepDeterminism:
 
     def test_traced_reports_and_merged_traces_are_byte_identical(self):
         grid = pool_grid()
-        base_report, base_trace = SweepRunner(grid, jobs=1).run_traced()
+        base_report, base_trace = SweepRunner(grid, jobs=1).run(trace=True)
         base_trace_json = base_trace.to_json()
         for jobs, chunk in ((3, None), (2, 2)):
             report, trace = SweepRunner(
                 grid, jobs=jobs, chunk_cells=chunk
-            ).run_traced()
+            ).run(trace=True)
             assert sweep_bytes(report) == sweep_bytes(base_report), (jobs, chunk)
             assert trace.to_json() == base_trace_json, (jobs, chunk)
 
@@ -185,9 +188,9 @@ class TestExperimentDeterminism:
     def test_mixed_kinds_traced_merge_identical(self):
         base_report, base_trace = ExperimentRunner(
             self.batch(), jobs=1
-        ).run_traced("mixed")
-        report, trace = ExperimentRunner(self.batch(), jobs=3).run_traced(
-            "mixed"
+        ).run("mixed", trace=True)
+        report, trace = ExperimentRunner(self.batch(), jobs=3).run(
+            "mixed", trace=True
         )
         assert experiment_bytes(report) == experiment_bytes(base_report)
         assert trace.to_json() == base_trace.to_json()
@@ -207,6 +210,102 @@ def _raise_on_three(value):
     if value == 3:
         raise ValueError("cell 3 is poisoned")
     return value
+
+
+def _interrupt_on_six(value):
+    if value == 6:
+        raise KeyboardInterrupt
+    return value
+
+
+class TestChunkReports:
+    """``on_chunk`` is where a caller makes finished work durable: every
+    index that finishes is covered by exactly one range, inline and
+    pooled, whatever cuts the run short."""
+
+    def test_inline_arm_walks_the_pool_s_ranges(self):
+        ranges = []
+        fan_out(
+            list(range(10)),
+            _square,
+            jobs=1,
+            chunk_size=4,
+            on_chunk=lambda start, stop: ranges.append((start, stop)),
+        )
+        assert ranges == [(0, 4), (4, 8), (8, 10)]
+
+    def test_inline_arm_reports_the_finished_prefix_when_fn_raises(self):
+        ranges = []
+        with pytest.raises(ValueError, match="cell 3 is poisoned"):
+            fan_out(
+                list(range(8)),
+                _raise_on_three,
+                jobs=1,
+                chunk_size=5,
+                on_chunk=lambda start, stop: ranges.append((start, stop)),
+            )
+        assert ranges == [(0, 3)]
+
+    def test_inline_arm_reports_the_finished_prefix_on_interrupt(self):
+        ranges = []
+        with pytest.raises(KeyboardInterrupt):
+            fan_out(
+                list(range(12)),
+                _interrupt_on_six,
+                jobs=1,
+                chunk_size=4,
+                on_chunk=lambda start, stop: ranges.append((start, stop)),
+            )
+        assert ranges == [(0, 4), (4, 6)]
+
+    def test_inline_arm_never_covers_a_quarantined_index(self):
+        ranges, failed = [], []
+
+        def on_item_failed(index, detail):
+            # Called the moment the item is isolated: its finished
+            # predecessors have been reported, nothing after it has.
+            failed.append((index, detail, list(ranges)))
+            return None
+
+        results = fan_out(
+            list(range(8)),
+            _raise_on_three,
+            jobs=1,
+            chunk_size=4,
+            on_item_failed=on_item_failed,
+            on_chunk=lambda start, stop: ranges.append((start, stop)),
+        )
+        assert results == [0, 1, 2, None, 4, 5, 6, 7]
+        assert failed == [(3, "ValueError: cell 3 is poisoned", [(0, 3)])]
+        assert ranges == [(0, 3), (4, 8)]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("chunk_size", [1, 3, None])
+    def test_pooled_arm_covers_every_index_once_under_kill_and_requeue(
+        self, tmp_path, jobs, chunk_size
+    ):
+        from repro.experiments import PoolPolicy, PoolStats, fault_kill_on_cell
+
+        ranges = []
+        stats = PoolStats()
+        policy = PoolPolicy(
+            backoff_base_s=0.001,
+            backoff_cap_s=0.01,
+            fault_hook=fault_kill_on_cell(5, once_marker=tmp_path / "died"),
+        )
+        results = fan_out(
+            list(range(12)),
+            _square,
+            jobs=jobs,
+            chunk_size=chunk_size,
+            policy=policy,
+            stats=stats,
+            on_chunk=lambda start, stop: ranges.append((start, stop)),
+        )
+        assert results == [value * value for value in range(12)]
+        assert stats.requeues >= 1
+        covered = [i for start, stop in ranges for i in range(start, stop)]
+        assert sorted(covered) == list(range(12))
 
 
 class TestPoolFailureModes:

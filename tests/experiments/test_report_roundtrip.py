@@ -176,7 +176,7 @@ class TestSweepReport:
         assert revived.results == []
 
     def test_nan_results_round_trip(self):
-        empty = ScenarioResult.empty("cell/seed0", "cell", 0, wall_s=0.25)
+        empty = ScenarioResult.blank("cell/seed0", "cell", 0, wall_s=0.25)
         report = SweepReport(results=[empty], grid_name="nan-run")
         revived = assert_byte_identical_round_trip(report)
         assert math.isnan(revived.results[0].aggregate_samples_per_s)
@@ -203,8 +203,12 @@ class TestSweepReport:
             clone.merge(report)
 
     def test_quarantined_result_round_trips(self):
-        failed = ScenarioResult.failed(
-            "cell/seed0", "cell", 0, error="worker died with exit code 9"
+        failed = ScenarioResult.blank(
+            "cell/seed0",
+            "cell",
+            0,
+            status="quarantined",
+            error="worker died with exit code 9",
         )
         report = SweepReport(results=[failed], grid_name="poisoned")
         revived = assert_byte_identical_round_trip(report)
@@ -304,7 +308,7 @@ class TestOtherKinds:
 
 
 def _sweep_with(name, extras):
-    result = ScenarioResult.empty(f"{name}/seed0", name, 0, wall_s=0.0)
+    result = ScenarioResult.blank(f"{name}/seed0", name, 0, wall_s=0.0)
     return SweepReport(results=[result], extras=extras)
 
 

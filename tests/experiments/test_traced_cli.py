@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.common import report_from_json
+from repro.common.errors import ConfigError
+from repro.experiments import SweepRunner, quick_grid
 from repro.experiments.__main__ import main
 from repro.telemetry import Trace, validate_chrome_trace
 from repro.telemetry.__main__ import main as telemetry_main
@@ -91,6 +95,34 @@ class TestSweepTrace:
             == 0
         )
         assert capsys.readouterr().err == ""
+
+
+class TestRefusedArguments:
+    """Two arguments that cannot be honoured are refused by the runner,
+    for library callers and the CLI alike — never silently dropped."""
+
+    def test_resume_without_a_journal_path(self):
+        with pytest.raises(ConfigError, match="journal_path"):
+            SweepRunner(quick_grid((0,)), jobs=1).run(resume=True)
+
+    def test_trace_with_a_journal(self, tmp_path):
+        journal = tmp_path / "run.journal.jsonl"
+        with pytest.raises(ConfigError, match="traced sweep takes no journal"):
+            SweepRunner(quick_grid((0,)), jobs=1).run(
+                trace=True, journal_path=journal
+            )
+        assert not journal.exists()
+
+    @pytest.mark.parametrize("flag", ["--journal", "--resume"])
+    def test_cli_trace_with_a_journal(self, tmp_path, flag):
+        journal = tmp_path / "run.journal.jsonl"
+        trace = tmp_path / "trace.json"
+        with pytest.raises(ConfigError):
+            main(
+                ["sweep", "--quick", "--seeds", "0", "--quiet",
+                 "--trace", str(trace), flag, str(journal)]
+            )
+        assert not journal.exists() and not trace.exists()
 
 
 class TestVerbosity:

@@ -12,9 +12,17 @@ path left out: no epoch columns, no steady stretches, no allocation
 replay cache, one :class:`~repro.fleet.broker.BandwidthGrant` per job
 per tick, one controller decision per job per round, and the allocator
 called (through its validating :meth:`allocate` entry) every round.
+
+:func:`result_from_fleet_report` is the report-mediated reduction of a
+run to a sweep's flat row — ``ScenarioResult.from_fleet_report`` until
+sweeps stopped building a ``FleetReport`` per cell — kept as the oracle
+for ``FleetSimulator.run_summary``.
 """
 
+import math
+
 from repro.dpp.autoscaler import AutoscalingController
+from repro.experiments.report import ScenarioResult
 from repro.fleet import FleetSimulator, WorkerRequest
 
 _EPS = 1e-9
@@ -26,6 +34,46 @@ def rounds_of(simulator: FleetSimulator) -> list[tuple]:
         (r.time_s, r.pool_limit, sorted(r.granted.items()))
         for r in simulator.allocator.rounds
     ]
+
+
+def result_from_fleet_report(
+    name: str,
+    cell: str,
+    trace_seed: int,
+    report,
+    events_fired: int,
+    wall_s: float,
+) -> ScenarioResult:
+    """Reduce a FleetReport (guarding its raising aggregates)."""
+    finished = report.finished_outcomes()
+    return ScenarioResult(
+        name=name,
+        cell=cell,
+        trace_seed=trace_seed,
+        jobs_submitted=report.jobs_submitted,
+        jobs_completed=len(finished),
+        peak_concurrency=report.peak_concurrency,
+        makespan_s=report.makespan_s,
+        aggregate_samples_per_s=(
+            report.aggregate_samples_per_s if report.makespan_s > 0 else math.nan
+        ),
+        mean_slowdown=report.mean_slowdown if finished else math.nan,
+        mean_stall_fraction=(
+            sum(o.stall_fraction for o in finished) / len(finished)
+            if finished
+            else math.nan
+        ),
+        p95_queue_delay_s=(
+            report.p95_queue_delay_s if report.jobs_submitted else math.nan
+        ),
+        mean_storage_utilization=report.mean_storage_utilization,
+        peak_storage_utilization=report.peak_storage_utilization,
+        peak_power_watts=max(
+            (s.power_watts for s in report.samples), default=0.0
+        ),
+        events_fired=events_fired,
+        wall_s=wall_s,
+    )
 
 
 class ReferenceFleetSimulator(FleetSimulator):

@@ -3,7 +3,7 @@
 ``FleetSimulator.run_summary`` / ``result_summary`` skip the
 ``FleetReport`` envelope entirely; every aggregate they emit must be
 the exact float the report-mediated reduction
-(``ScenarioResult.from_fleet_report`` over ``run()``'s report) would
+(``oracles.result_from_fleet_report`` over ``run()``'s report) would
 produce — same operands, same accumulation order, one drifted ULP
 fails.
 """
@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro.experiments.report import ScenarioResult
 from repro.fleet import (
     FleetConfig,
     FleetMix,
@@ -21,6 +20,8 @@ from repro.fleet import (
     PoolConfig,
     StorageFabric,
 )
+
+from .oracles import result_from_fleet_report
 
 SUMMARY_FIELDS = (
     "jobs_submitted",
@@ -55,7 +56,7 @@ def generated_jobs(seed, duration_s=3.0 * 3600):
 def reduce_via_report(config, jobs, horizon_s=None):
     simulator = FleetSimulator(config, list(jobs))
     report = simulator.run(horizon_s=horizon_s)
-    reduced = ScenarioResult.from_fleet_report(
+    reduced = result_from_fleet_report(
         name="n", cell="c", trace_seed=0, report=report,
         events_fired=0, wall_s=0.0,
     )
@@ -108,7 +109,7 @@ class TestFlatSummary:
         simulator.clock.run_until(4_000.0)
         flat = simulator.result_summary()
         report = simulator.report()
-        reduced = ScenarioResult.from_fleet_report(
+        reduced = result_from_fleet_report(
             name="n", cell="c", trace_seed=0, report=report,
             events_fired=0, wall_s=0.0,
         )

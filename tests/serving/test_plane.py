@@ -116,7 +116,7 @@ class TestAutoscaling:
 class TestProvenance:
     def test_transform_items_link_back_to_extract_parents(self):
         tracer = Tracer(scenario="test/serving", seed=0)
-        scenario(n_requests=60).run_traced(tracer)
+        scenario(n_requests=60).run(tracer)
         trace = tracer.freeze()
         events = [e for p in trace.processes for e in p.events]
         parents = {
@@ -137,7 +137,7 @@ class TestProvenance:
 
     def test_queue_depth_gauges_are_recorded(self):
         tracer = Tracer(scenario="test/serving", seed=0)
-        scenario().run_traced(tracer)
+        scenario().run(tracer)
         trace = tracer.freeze()
         counters = {
             e.name

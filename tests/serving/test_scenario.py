@@ -97,7 +97,7 @@ class TestDeterminism:
     def test_traced_runs_are_byte_identical_too(self):
         def traced():
             tracer = Tracer(scenario="test/serving", seed=0)
-            report = small().run_traced(tracer)
+            report = small().run(tracer)
             return report.to_json(), tracer.freeze().to_json()
 
         first_report, first_trace = traced()
@@ -107,7 +107,7 @@ class TestDeterminism:
 
     def test_tracing_does_not_perturb_the_report(self):
         tracer = Tracer(scenario="test/serving", seed=0)
-        traced = small().run_traced(tracer)
+        traced = small().run(tracer)
         assert tracer.event_count > 0
         assert traced.to_json() == small().run().to_json()
 
@@ -124,10 +124,10 @@ class TestDeterminism:
 
         serial_report, serial_trace = ExperimentRunner(
             batch(), jobs=1
-        ).run_traced("serving")
+        ).run("serving", trace=True)
         pooled_report, pooled_trace = ExperimentRunner(
             batch(), jobs=2
-        ).run_traced("serving")
+        ).run("serving", trace=True)
         serial = {e.name: e.report.to_json() for e in serial_report.entries}
         pooled = {e.name: e.report.to_json() for e in pooled_report.entries}
         assert serial == pooled

@@ -27,15 +27,15 @@ def batch():
 
 class TestSerialVsParallel:
     def test_experiment_traces_identical_across_jobs(self):
-        _, serial = ExperimentRunner(batch(), jobs=1).run_traced("det")
-        _, parallel = ExperimentRunner(batch(), jobs=3).run_traced("det")
+        _, serial = ExperimentRunner(batch(), jobs=1).run("det", trace=True)
+        _, parallel = ExperimentRunner(batch(), jobs=3).run("det", trace=True)
         assert serial.to_json() == parallel.to_json()
         assert serial.metrics()["trace.events"] > 0
 
     def test_sweep_traces_identical_across_jobs(self):
         grid = quick_grid(seeds=(0, 1))
-        _, serial = SweepRunner(grid, jobs=1).run_traced("det")
-        _, parallel = SweepRunner(grid, jobs=2).run_traced("det")
+        _, serial = SweepRunner(grid, jobs=1).run("det", trace=True)
+        _, parallel = SweepRunner(grid, jobs=2).run("det", trace=True)
         assert serial.to_json() == parallel.to_json()
         assert len(serial.processes) == len(grid.expand())
 
@@ -67,7 +67,7 @@ class TestTracingIsPassive:
 
 class TestRoundTrips:
     def test_experiment_trace_revives_byte_identically(self):
-        _, trace = ExperimentRunner(batch(), jobs=1).run_traced("rt")
+        _, trace = ExperimentRunner(batch(), jobs=1).run("rt", trace=True)
         text = trace.to_json()
         revived = report_from_json(text)
         assert revived == trace
@@ -78,7 +78,7 @@ class TestRoundTrips:
 
         scenario = build_scenario("dpp/worker-churn", seed=3)
         tracer = Tracer(scenario=scenario.name, seed=3)
-        scenario.run_traced(tracer)
+        scenario.run(tracer)
         snapshot = tracer.metrics.snapshot()
         text = snapshot.to_json()
         assert snapshot.metrics()  # instrumented planes did record
