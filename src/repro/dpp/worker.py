@@ -18,6 +18,13 @@ row arm cuts its arrays into rows inside ``DwrfReader.read_stripe``,
 the flatmap arm wraps them as columns here.  A worker keeps one reader
 per file.
 
+Beside its readers a worker keeps the flatmap of every stripe it has
+been handed twice, and from the third hand-over on verifies the
+stripe's reads instead of decoding them again (:class:`DppWorker` says
+what that does and does not change).  The memo has no size limit and no
+eviction: it holds at most the decoded stripes this worker re-reads,
+and lives and dies with the worker.
+
 Resource usage is charged through an analytical cost model on top of
 the real byte/value counts the extract path produces.
 """
@@ -94,7 +101,30 @@ class WorkerStats:
 
 
 class DppWorker:
-    """One stateless preprocessing worker."""
+    """One stateless preprocessing worker.
+
+    "Stateless" is a statement about the *modelled* worker: nothing it
+    did before changes what a split costs, reads or yields, so the
+    master can hand any split to any worker and a dead worker is
+    replaced by requeuing its splits.  The host process does reuse
+    work.  The paper's jobs re-read the same popular bytes (Section 5,
+    Figure 7), and a master that begins another epoch hands a worker
+    stripes it has already decoded; so the worker keeps the flatmap —
+    labels, projected columns, value count — of every stripe it has
+    been handed *twice*, and from the third hand-over on makes, charges
+    and verifies the stripe's reads (:meth:`DwrfReader.verify_stripe`)
+    and wraps the kept columns in a fresh batch instead of unsealing
+    and decoding the same bytes again.  Storage bytes, replica routing,
+    ``IOTrace``, extract cycles and ``stats`` are those of a decoded
+    read, and damaged bytes are refused as a decoding read refuses them.
+
+    The rule is read off the input, not set: a stripe read once is not
+    kept (a single-pass job keeps nothing), and a stripe with a needed
+    stream that carries no checksum is never kept, because nothing
+    would prove its bytes unchanged.  What is kept is what the second
+    decode produced anyway (≈5 KB for a 64-row stripe of five projected
+    features), read-only, until the worker fails, retires or is dropped.
+    """
 
     def __init__(
         self,
@@ -121,6 +151,11 @@ class DppWorker:
         self.stats = WorkerStats()
         self.io_trace = IOTrace()
         self._readers: dict[str, DwrfReader] = {}
+        # (reader, stripe) -> None after a first read of a checksummed
+        # stripe, its (labels, columns, value count) after a second.
+        self._flatmaps: dict[
+            tuple[DwrfReader, int], tuple[np.ndarray, dict, int] | None
+        ] = {}
         self._projection_order = sorted(self.spec.projection)
         self.alive = True
         self.draining = False
@@ -134,10 +169,11 @@ class DppWorker:
     def fail(self) -> None:
         """Kill the worker (fault injection); master requeues its work.
 
-        The buffer dies with the process.  Batches still buffered for
-        already-COMPLETED splits are reported as *stranded* so the
-        master reopens those splits — without this, completed-but-
-        unserved data would silently never reach a trainer.
+        The buffer and the kept flatmaps die with the process.  Batches
+        still buffered for already-COMPLETED splits are reported as
+        *stranded* so the master reopens those splits — without this,
+        completed-but-unserved data would silently never reach a
+        trainer.
         """
         self.alive = False
         self.draining = False
@@ -146,6 +182,7 @@ class DppWorker:
         )
         self.buffer.clear()
         self._buffered_bytes = 0
+        self._flatmaps.clear()
         if self.tracer.enabled:
             self.tracer.instant(
                 "worker.fail", actor=self.worker_id, stranded=len(stranded)
@@ -170,6 +207,7 @@ class DppWorker:
             )
         self.alive = False
         self.draining = False
+        self._flatmaps.clear()
         self.master.worker_failed(self.worker_id)
 
     def inject_crash(self, after_batches: int = 1) -> None:
@@ -371,7 +409,18 @@ class DppWorker:
     def _read_stripe_columnar(
         self, reader: DwrfReader, stripe_index: int
     ) -> tuple[FeatureBatch, int]:
-        """Direct DWRF-streams → columnar-batch decode (flatmap path)."""
+        """Direct DWRF-streams → columnar-batch decode (flatmap path).
+
+        From this worker's third read of a stripe on, its reads are
+        made and verified and the batch wraps the columns kept at the
+        second; a transform adds columns to the batch, never to them.
+        """
+        key = (reader, stripe_index)
+        kept = self._flatmaps.get(key)
+        if kept is not None:
+            reader.verify_stripe(stripe_index)
+            labels, columns, n_values = kept
+            return FeatureBatch(labels, dict(columns)), n_values
         labels, features = reader.decode_stripe(stripe_index, self.schema)
         row_count = reader.footer.stripes[stripe_index].row_count
         batch = FeatureBatch(labels=labels)
@@ -395,6 +444,17 @@ class DppWorker:
                 )
                 batch.add_column(fid, column)
                 n_values += len(column.values)
+        if key in self._flatmaps:
+            # Write-once by contract (transforms/batch.py); read-only so
+            # that a breach raises instead of reaching the next epoch.
+            batch.labels.flags.writeable = False
+            for column in batch.columns.values():
+                for array in vars(column).values():
+                    if array is not None:
+                        array.flags.writeable = False
+            self._flatmaps[key] = (batch.labels, dict(batch.columns), n_values)
+        elif reader.stripe_checksummed(stripe_index):
+            self._flatmaps[key] = None
         return batch, n_values
 
     def _ensure_projection_columns(self, batch: FeatureBatch) -> None:

@@ -18,10 +18,15 @@ groups them into physical reads, where each stream sits inside its read
 and in a scratch buffer, the reads' :class:`IORecord` s with their
 totals, and which payloads make up each projected feature — is worked
 out on the first read of a stripe and kept on the reader.  What depends
-on bytes runs once per stripe, not once per stream
-(:meth:`DwrfReader._fetch_streams`: fetch → CRC → copy each needed
-stream into the reader's scratch, then one XOR, one inflate per stream
-from where it lies, one trace extension) followed by one decode,
+on bytes runs once per stripe, not once per stream, in two halves.
+:meth:`DwrfReader._fetch_verified` is the half storage and the trace
+see: fetch each planned read, check its length, check every needed
+stream against its CRC, one trace extension.  It is the whole of
+:meth:`DwrfReader.verify_stripe`, for a caller that still holds what
+the stripe decodes to and needs only the reads made, charged and
+proven unchanged.  :meth:`DwrfReader._fetch_streams` runs the same loop
+with the reader's scratch to copy each verified stream into, then one
+XOR and one inflate per stream from where it lies; one decode follows,
 :meth:`DwrfReader.decode_stripe`, which the row arm
 (:meth:`DwrfReader.read_stripe`) and the DPP worker's columnar arm both
 consume.  :func:`encoding.unseal` stays the single-payload statement of
@@ -217,13 +222,14 @@ class _StripePlan(NamedTuple):
     member's ``(slot, slot end)`` in order; each slot starts at a
     multiple of the cipher's key period, so one XOR over the first
     ``scratch_bytes`` of the scratch deciphers them all.  Members in
-    that order number the stripe's payloads; the remaining fields are
-    positions in that numbering, with ``-1`` (the payload list ends in
-    a ``None``) for a stream the stripe does not have.  ``features``
+    that order number the stripe's payloads; ``labels``, ``map_rows``
+    and the entries of ``features`` are positions in that numbering,
+    with ``-1`` (the payload list ends in a ``None``) for a stream the
+    stripe does not have.  ``features``
     holds, per projected feature present in the stripe and in the
     footer's feature order, ``(feature_id, presence, dense values,
-    lengths, sparse values, scores)``.  Nothing here grows with the
-    streams' bytes.
+    lengths, sparse values, scores)``.  ``checksummed`` says every
+    member carries a CRC.  Nothing here grows with the streams' bytes.
     """
 
     reads: tuple
@@ -235,6 +241,7 @@ class _StripePlan(NamedTuple):
     labels: int
     map_rows: int
     features: tuple
+    checksummed: bool
 
 
 _FEATURE_KINDS = (
@@ -332,25 +339,23 @@ class DwrfReader:
             positions.get((ROW_LEVEL, StreamKind.LABEL), -1),
             positions.get((ROW_LEVEL, StreamKind.MAP_ROWS), -1),
             tuple(features),
+            all(info.checksum for info in needed),
         )
 
     # -- physical reads ----------------------------------------------------
 
-    def _fetch_streams(self, plan: _StripePlan) -> list[bytes | None]:
-        """Fetch the planned reads; verify and unseal each needed stream.
+    def _fetch_verified(
+        self, plan: _StripePlan, scratch: memoryview | None = None
+    ) -> None:
+        """Fetch the planned reads and verify each needed stream.
 
-        Returns the stripe's payloads in plan order plus a trailing
-        ``None``.  Each needed stream is checked against its CRC and
-        copied to its slot in the scratch while its read is in hand;
-        then the cipher comes off every slot in one pass and each stream
-        inflates straight from the scratch.  Over-read bytes are fetched
-        and accounted, never copied, checked or deciphered.  The trace
+        Every read is length-checked and every needed stream checked
+        against its CRC while its read is in hand; given a *scratch*,
+        the stream is then copied to its slot there.  Over-read bytes
+        are fetched and accounted, never copied or checked.  The trace
         gains the stripe's reads in one step once all are fetched — or,
         when a fetch or a checksum fails, the reads served by then.
         """
-        if plan.scratch_bytes > self._scratch.size:
-            self._scratch = np.empty(plan.scratch_bytes, dtype=np.uint8)
-        scratch = self._scratch.data
         fetch = self._fetch
         crc32 = zlib.crc32
         fetched = 0
@@ -368,12 +373,26 @@ class DwrfReader:
                             f"{info.kind.value}) at offset {info.offset}: "
                             "corrupt replica or torn read"
                         )
-                    scratch[slot:slot_end] = sealed
+                    if scratch is not None:
+                        scratch[slot:slot_end] = sealed
         except BaseException:
             for record in plan.records[:fetched]:
                 self.trace.add(*record)
             raise
         self.trace.extend(plan.records, plan.bytes_read, plan.useful_bytes)
+
+    def _fetch_streams(self, plan: _StripePlan) -> list[bytes | None]:
+        """Fetch the planned reads; verify and unseal each needed stream.
+
+        Returns the stripe's payloads in plan order plus a trailing
+        ``None``.  :meth:`_fetch_verified` lays the verified streams in
+        the scratch; then the cipher comes off every slot in one pass
+        and each stream inflates straight from the scratch.
+        """
+        if plan.scratch_bytes > self._scratch.size:
+            self._scratch = np.empty(plan.scratch_bytes, dtype=np.uint8)
+        scratch = self._scratch.data
+        self._fetch_verified(plan, scratch)
         options = self.footer.options
         if options.encrypt:
             encoding.xor_in_place(self._scratch[: plan.scratch_bytes])
@@ -389,6 +408,21 @@ class DwrfReader:
             payloads = [scratch[lo:hi].tobytes() for lo, hi in plan.slots]
         payloads.append(None)
         return payloads
+
+    def verify_stripe(self, index: int) -> None:
+        """Make, charge and verify one stripe's reads; decode nothing.
+
+        Storage and the trace see exactly what :meth:`decode_stripe`
+        shows them, and the same damage is refused with the same words
+        at the same read.
+        """
+        self._fetch_verified(self._plan(index))
+
+    def stripe_checksummed(self, index: int) -> bool:
+        """Whether every needed stream of the stripe carries a CRC —
+        only then does a clean :meth:`verify_stripe` prove the bytes
+        are the ones an earlier decode saw."""
+        return self._plan(index).checksummed
 
     # -- decode ------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any, Callable, Coroutine
 
 from ..common.errors import ReproError
-from ..common.simclock import SimClock
+from ..common.simclock import EventHandle, SimClock
 
 
 class KernelError(ReproError):
@@ -36,7 +36,7 @@ class KernelError(ReproError):
 class Task:
     """One spawned coroutine and its lifecycle flags."""
 
-    __slots__ = ("coro", "name", "finished", "cancelled", "result")
+    __slots__ = ("coro", "name", "finished", "cancelled", "result", "timer")
 
     def __init__(self, coro: Coroutine, name: str) -> None:
         self.coro = coro
@@ -44,17 +44,21 @@ class Task:
         self.finished = False
         self.cancelled = False
         self.result: Any = None
+        self.timer: EventHandle | None = None  # the sleep it last took
 
     def cancel(self) -> None:
         """Stop the task; its ``finally`` blocks run, then it is done.
 
-        Safe on finished tasks (no-op).  Parked tasks are simply never
-        resumed again: the queues and timers skip finished tasks.
+        Safe on finished tasks (no-op).  A sleeping task takes its
+        timer with it; a task parked on a queue is simply never resumed
+        again: the queues skip finished tasks.
         """
         if self.finished:
             return
         self.finished = True
         self.cancelled = True
+        if self.timer is not None:
+            self.timer.cancel()  # a no-op if it has fired
         self.coro.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -78,7 +82,7 @@ class _Sleep:
         return (yield self)
 
     def block(self, kernel: "Kernel", task: Task) -> None:
-        kernel.clock.schedule(self.delay, lambda: kernel.resume(task))
+        task.timer = kernel.clock.schedule(self.delay, lambda: kernel.resume(task))
 
 
 class _Park:
@@ -173,9 +177,11 @@ class Kernel:
                 return
 
     def cancel_all(self) -> None:
-        """Cancel every unfinished task (plane teardown)."""
+        """Cancel every unfinished task and forget them all (plane
+        teardown): nothing the tasks held stays reachable from here."""
         for task in self.tasks:
             task.cancel()
+        self.tasks.clear()
         self._ready.clear()
 
 
@@ -212,6 +218,13 @@ class Queue:
     @property
     def full(self) -> bool:
         return len(self._items) >= self.capacity
+
+    def clear(self) -> None:
+        """Drop queued items and parked waiters (plane teardown); the
+        lifetime counters stay."""
+        self._items.clear()
+        self._getters.clear()
+        self._putters.clear()
 
     # -- the endpoints ---------------------------------------------------------
 

@@ -149,7 +149,7 @@ class _Member:
 
     def __init__(self, name: str, worker: DppWorker) -> None:
         self.name = name
-        self.worker = worker
+        self.worker: DppWorker | None = worker
         self.task: Task | None = None
         self.busy = False
         self.draining = False
@@ -208,6 +208,12 @@ class WorkerPool:
                 member.task.cancel()
                 member.retired = True
             return
+
+    def release(self) -> None:
+        """Let go of every member's worker and task (plane teardown);
+        the flags ``size`` counts from stay."""
+        for member in self.members:
+            member.worker = member.task = None
 
     def autoscale_tick(self, output_queue: Queue) -> int:
         n = self.size
@@ -511,7 +517,15 @@ class ServingPlane:
             kernel.run(until=lambda: self._done)
         finally:
             control.cancel()
+            # Release what a finished plane no longer needs, so workers,
+            # readers and queued batches go when the caller lets go and
+            # not when the cycle collector next runs.  What _seal reads
+            # (pool sizes and stats, queue peaks, latencies) stays.
             kernel.cancel_all()
+            for queue in self._queues:
+                queue.clear()
+            self.extract_pool.release()
+            self.transform_pool.release()
         return self._seal()
 
     def _seal(self) -> ServingReport:

@@ -7,14 +7,28 @@ property re-counts all of them, and the replicated pair re-snapshots
 the whole table into a fresh checkpoint after each mutation.  Quadratic
 in session size, and the plainest statement of what the production
 master must hand out, count and checkpoint.
+
+``OracleDppWorker`` is the worker ``repro.dpp.worker`` shipped before it
+kept the flatmaps of stripes it re-reads: every hand-over of a stripe
+fetches, verifies, unseals, decodes and builds its columns afresh
+(``_read_stripe_columnar`` below is that body), through readers whose
+``_fetch_streams`` is the one-piece body kept beside the other read
+oracles in ``tests/dwrf/oracles.py``.
 """
 
+import types
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.errors import DppError
 from repro.dpp.master import MasterCheckpoint, _sample_splits
 from repro.dpp.split import Split, SplitState, plan_splits
+from repro.dpp.worker import DppWorker
 from repro.telemetry.tracer import NULL_TRACER
+from repro.transforms.batch import DenseColumn, FeatureBatch, SparseColumn
+
+from ..dwrf.oracles import oracle_fetch_scratch_streams
 
 
 @dataclass
@@ -334,3 +348,37 @@ class OracleReplicatedMaster:
     def done(self) -> bool:
         """Whether the session has completed every split."""
         return self.primary.done
+
+
+class OracleDppWorker(DppWorker):
+    """A worker that decodes every stripe on every read."""
+
+    def _reader(self, file_name):
+        reader = super()._reader(file_name)
+        reader._fetch_streams = types.MethodType(oracle_fetch_scratch_streams, reader)
+        return reader
+
+    def _read_stripe_columnar(self, reader, stripe_index):
+        """Direct DWRF-streams → columnar-batch decode (flatmap path)."""
+        labels, features = reader.decode_stripe(stripe_index, self.schema)
+        row_count = reader.footer.stripes[stripe_index].row_count
+        batch = FeatureBatch(labels=labels)
+        n_values = len(labels)
+        for fid in self._projection_order:
+            decoded = features.get(fid)
+            if decoded is None:
+                continue  # feature absent from this stripe
+            if decoded.dense_values is not None:
+                full = np.zeros(row_count, dtype=np.float32)
+                full[decoded.presence] = decoded.dense_values
+                batch.add_column(fid, DenseColumn(full, decoded.presence))
+                n_values += len(decoded.dense_values)
+            else:
+                column = SparseColumn(
+                    decoded.row_offsets(row_count),
+                    decoded.sparse_values,
+                    decoded.scores,
+                )
+                batch.add_column(fid, column)
+                n_values += len(column.values)
+        return batch, n_values

@@ -22,6 +22,11 @@ stripe moved to a scratch buffer — one ``trace.add`` per read as it is
 fetched, and per needed stream a slice, a CRC and its own
 ``encoding.unseal`` call (two array allocations for the XOR each).  It
 reads a plan only for its ``reads`` and ``records``.
+
+``oracle_fetch_scratch_streams`` is the body after that: the one-piece
+``DwrfReader._fetch_streams`` as it stood before its fetch-and-verify
+loop was split off to also serve reads that decode nothing — the copy
+into the scratch sits inside the loop, unconditionally.
 """
 
 import zlib
@@ -282,6 +287,49 @@ def oracle_fetch_planned_streams(reader, plan) -> list:
                     "corrupt replica or torn read"
                 )
             payloads.append(unseal(sealed, compress=compress, encrypt=encrypt))
+    payloads.append(None)
+    return payloads
+
+
+def oracle_fetch_scratch_streams(reader, plan) -> list:
+    """Fetch the planned reads; verify and unseal each needed stream."""
+    if plan.scratch_bytes > reader._scratch.size:
+        reader._scratch = np.empty(plan.scratch_bytes, dtype=np.uint8)
+    scratch = reader._scratch.data
+    fetch = reader._fetch
+    crc32 = zlib.crc32
+    fetched = 0
+    try:
+        for offset, length, members in plan.reads:
+            data = fetch(offset, length)
+            if len(data) != length:
+                raise FormatError("short read from fetcher")
+            fetched += 1
+            for start, end, slot, slot_end, info in members:
+                sealed = data[start:end]
+                if info.checksum and crc32(sealed) != info.checksum:
+                    raise FormatError(
+                        f"checksum mismatch in stream ({info.feature_id}, "
+                        f"{info.kind.value}) at offset {info.offset}: "
+                        "corrupt replica or torn read"
+                    )
+                scratch[slot:slot_end] = sealed
+    except BaseException:
+        for record in plan.records[:fetched]:
+            reader.trace.add(*record)
+        raise
+    reader.trace.extend(plan.records, plan.bytes_read, plan.useful_bytes)
+    options = reader.footer.options
+    if options.encrypt:
+        encoding.xor_in_place(reader._scratch[: plan.scratch_bytes])
+    if options.compress:
+        inflate = zlib.decompress
+        try:
+            payloads = [inflate(scratch[lo:hi]) for lo, hi in plan.slots]
+        except zlib.error as exc:
+            raise FormatError(f"corrupt compressed stream: {exc}") from exc
+    else:
+        payloads = [scratch[lo:hi].tobytes() for lo, hi in plan.slots]
     payloads.append(None)
     return payloads
 

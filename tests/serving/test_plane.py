@@ -1,5 +1,8 @@
 """The serving plane: invariants, admission policies, provenance."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -179,3 +182,49 @@ class TestConfigValidation:
             scenario(fetch_policy="drop")
         with pytest.raises(ConfigError, match="non-empty table"):
             scenario(n_partitions=0)
+
+
+class TestTeardown:
+    def test_a_finished_plane_frees_its_workers_without_the_collector(self):
+        """``run()`` used to leave workers, readers and buffered batches
+        reachable through cycles (plane ↔ pools, queues → kernel,
+        pending timers → kernel → tasks → coroutines → plane), so a
+        process running planes back to back grew until ``gc`` ran."""
+        plane = scenario().build_plane()
+        held = []  # every pool worker and every batch that reached the ready queue
+        build_worker, accept = plane.build_worker, plane.ready_queue._accept
+
+        def holding_build_worker(name):
+            held.append(build_worker(name))
+            return held[-1]
+
+        def holding_accept(tensors):
+            held.append(tensors)
+            accept(tensors)
+
+        plane.build_worker = holding_build_worker
+        plane.ready_queue._accept = holding_accept
+        gc.collect()
+        gc.disable()
+        try:
+            report = plane.run()
+            assert report.served == 200 and plane.ready_queue.total_enqueued > 200
+            workers = [item for item in held if hasattr(item, "io_trace")]
+            readers = [r for worker in workers for r in worker._readers.values()]
+            assert len(workers) >= 3 and readers and len(held) > len(workers)
+            refs = [weakref.ref(item) for item in held + readers]
+            del plane, held, workers, readers, build_worker, accept
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_teardown_keeps_what_the_report_is_sealed_from(self):
+        plane = scenario().build_plane()
+        report = plane.run()
+        assert report.to_json() == scenario().run().to_json()
+        assert plane.kernel.alive == 0 and not plane.kernel.tasks
+        assert plane.clock.pending == 0  # cancelled tasks took their timers along
+        assert all(queue.depth == 0 for queue in plane._queues)
+        assert [pool.size for pool in (plane.extract_pool, plane.transform_pool)] == [
+            stats.final for stats in report.pools
+        ]
