@@ -24,7 +24,7 @@ from ..common.errors import FormatError
 from ..warehouse.row import Row, SampleBatch
 from ..warehouse.schema import FeatureType, TableSchema
 from . import encoding
-from .layout import EncodingOptions, FileLayout
+from .layout import EncodingOptions
 from .stream import ROW_LEVEL, PendingStream, StreamKind
 
 
@@ -47,17 +47,6 @@ def _ordered_feature_ids(schema: TableSchema, options: EncodingOptions) -> list[
     ordered = [fid for fid in options.feature_order if fid in known]
     placed = set(ordered)
     return ordered + [fid for fid in ids if fid not in placed]
-
-
-def encode_stripe(
-    rows: Sequence[Row], schema: TableSchema, options: EncodingOptions
-) -> list[PendingStream]:
-    """Encode *rows* into the stripe's pending streams."""
-    if not rows:
-        raise FormatError("cannot encode an empty stripe")
-    if options.layout is FileLayout.MAP:
-        return _encode_map_stripe(rows, options)
-    return _encode_flattened_stripe(rows, schema, options)
 
 
 def _encode_map_stripe(
@@ -362,16 +351,6 @@ class StripeColumnarBuilder:
                     )
                 )
         return streams
-
-
-def _encode_flattened_stripe(
-    rows: Sequence[Row], schema: TableSchema, options: EncodingOptions
-) -> list[PendingStream]:
-    """Columnar-builder encode of a row batch (kept as a named helper)."""
-    builder = StripeColumnarBuilder(schema, options)
-    for row in rows:
-        builder.add_row(row)
-    return builder.build()
 
 
 def decode_map_stripe(

@@ -3,7 +3,8 @@
 Everything here is measured in *virtual* time, so a report is a pure
 function of (scenario, seed): re-running the same load test — serially,
 pooled, or on another machine — produces a byte-identical artifact.
-Wall-clock throughput lives in ``benchmarks/perf``, not here.
+Wall-clock throughput lives in ``benchmarks.dsi`` (``items_per_s`` on
+its ``serving_burst`` workload), not here.
 """
 
 from __future__ import annotations

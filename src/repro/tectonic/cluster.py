@@ -23,7 +23,8 @@ class ProvisioningDemand:
     """What a datacenter region must serve.
 
     *dataset_bytes* is the logical dataset footprint, *read_bytes_per_s*
-    the aggregate training-driven read throughput, and *io_sizes* a
+    the aggregate training-driven read throughput (0 for bytes nobody
+    reads, which are sized by capacity alone), and *io_sizes* a
     representative sample of physical read sizes (e.g. Table 6).
     """
 
@@ -33,10 +34,14 @@ class ProvisioningDemand:
     replication: int = 3
 
     def __post_init__(self) -> None:
-        if self.dataset_bytes <= 0 or self.read_bytes_per_s <= 0:
-            raise ConfigError("dataset size and read demand must be positive")
+        if self.dataset_bytes <= 0:
+            raise ConfigError("dataset size must be positive")
+        if self.read_bytes_per_s < 0:
+            raise ConfigError("read demand must not be negative")
         if not self.io_sizes:
             raise ConfigError("io_sizes sample must be non-empty")
+        if any(size <= 0 for size in self.io_sizes):
+            raise ConfigError("io_sizes must all be positive")
         if self.replication < 1:
             raise ConfigError("replication must be at least 1")
 
@@ -89,7 +94,7 @@ def provision(demand: ProvisioningDemand, media: MediaModel) -> ProvisioningPlan
     replicated_bytes = demand.dataset_bytes * demand.replication
     nodes_capacity = max(1, math.ceil(replicated_bytes / media.capacity_bytes))
     per_node_iops = media.iops_at_size(demand.mean_io_bytes)
-    nodes_iops = max(1, math.ceil(demand.read_iops / per_node_iops))
+    nodes_iops = math.ceil(demand.read_iops / per_node_iops)
     return ProvisioningPlan(media, nodes_capacity, nodes_iops)
 
 
@@ -119,7 +124,8 @@ def provision_tiered(
 
     *hot_fraction* of the dataset goes to SSD and absorbs
     *traffic_absorbed* of the read traffic (the Figure 7 relationship,
-    e.g. 0.39 of bytes absorbing 0.80 of traffic for RM1).
+    e.g. 0.39 of bytes absorbing 0.80 of traffic for RM1).  A cache
+    that absorbs all of it leaves the HDD tier sized by capacity alone.
     """
     if not 0 < hot_fraction < 1:
         raise ConfigError("hot_fraction must be in (0, 1)")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..common.errors import ConfigError
 from ..common.serialization import (
@@ -347,11 +347,3 @@ def _nan_max(a: float, b: float) -> float:
     if math.isnan(b):
         return a
     return max(a, b)
-
-
-def snapshot_of(instruments: Iterable[Counter | Gauge | Histogram]):
-    """Convenience: snapshot a loose collection of instruments."""
-    registry = MetricsRegistry()
-    for instrument in instruments:
-        registry._instruments[instrument.name] = instrument
-    return registry.snapshot()

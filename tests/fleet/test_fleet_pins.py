@@ -54,7 +54,9 @@ def _jobs(n_jobs: int, hours: float, arrival_s) -> list[FleetJobSpec]:
 
 def wave_region() -> tuple[FleetConfig, list[FleetJobSpec]]:
     """32 six-hour jobs in 4 waves 900 s apart, all admitted at once —
-    the ``fleet_events_per_s`` workload of ``benchmarks/perf``."""
+    four times wider than any sweep cell, whose simulator speed the
+    ``fleet.events_per_s`` probe of ``benchmarks.dsi``'s ``fleet_sweep``
+    workload measures."""
     config = FleetConfig(
         fabric=StorageFabric(n_hdd_nodes=40, n_ssd_cache_nodes=4),
         n_trainer_nodes=64,

@@ -40,6 +40,22 @@ class TestDemand:
             ProvisioningDemand(1, 1, io_sizes=[])
         with pytest.raises(ConfigError):
             ProvisioningDemand(1, 1, io_sizes=[1], replication=0)
+        with pytest.raises(ConfigError):
+            ProvisioningDemand(1, -1, io_sizes=[1])
+
+    @pytest.mark.parametrize("sizes", [[0.0], [1000.0, 0.0], [-4096.0], [3000.0, -1000.0]])
+    def test_non_positive_io_sizes_refused(self, sizes):
+        """A zero size would divide by zero in read_iops; a negative one
+        would skew the mean I/O size, and so the IOPS, without a word."""
+        with pytest.raises(ConfigError):
+            ProvisioningDemand(1e15, 1e9, io_sizes=sizes)
+
+    def test_no_reads_is_sized_by_capacity_alone(self):
+        demand = ProvisioningDemand(1e15, 0.0, io_sizes=[23_200.0])
+        assert demand.read_iops == 0
+        plan = provision(demand, hdd_node())
+        assert plan.nodes_for_iops == 0
+        assert plan.nodes_required == plan.nodes_for_capacity
 
 
 class TestProvisioning:
@@ -101,3 +117,16 @@ class TestTiering:
         assert tiered.ssd_plan.nodes_required > 0
         assert tiered.hdd_plan.nodes_required > 0
         assert tiered.hot_fraction == 0.4
+
+    def test_cache_absorbing_all_traffic(self):
+        """traffic_absorbed=1.0 passes the range check, so it must build:
+        the SSD tier serves every read, the HDD tier only holds bytes."""
+        demand = paper_like_demand()
+        tiered = provision_tiered(demand, hdd_node(), ssd_node(), 0.4, 1.0)
+        hdd = tiered.hdd_plan
+        assert hdd.nodes_for_iops == 0
+        assert hdd.nodes_required == hdd.nodes_for_capacity
+        assert hdd.total_capacity_bytes >= 0.6 * demand.dataset_bytes * 3
+        assert tiered.ssd_plan.nodes_required == provision(
+            paper_like_demand(dataset_bytes=0.4 * demand.dataset_bytes), ssd_node()
+        ).nodes_required
