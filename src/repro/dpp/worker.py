@@ -20,9 +20,13 @@ per file.
 
 Beside its readers a worker keeps the flatmap of every stripe it has
 been handed twice, and from the third hand-over on verifies the
-stripe's reads instead of decoding them again (:class:`DppWorker` says
-what that does and does not change).  The memo has no size limit and no
-eviction: it holds at most the decoded stripes this worker re-reads,
+stripe's reads instead of decoding them again.  Each piece the kept
+stripe is cut into carries a holder for what the session DAG makes of
+it: the first transform of the piece fills it, every later one under
+the same plan attaches the held output columns and charges the held
+cost report (:class:`DppWorker` says what that does and does not
+change).  The memo has no size limit and no eviction: it holds at most
+the decoded stripes this worker re-reads and their transformed pieces,
 and lives and dies with the worker.
 
 Resource usage is charged through an analytical cost model on top of
@@ -100,6 +104,37 @@ class WorkerStats:
     transform_report: CostReport = field(default_factory=CostReport)
 
 
+class _Transformed:
+    """What the session DAG made of one piece of a kept stripe: empty
+    until a transform fills it (see :meth:`DppWorker.transform_batch`)."""
+
+    __slots__ = ("plan", "columns", "report")
+
+    def __init__(self) -> None:
+        self.plan = None  # the dag.plan() it ran under
+        self.columns: tuple = ()  # (output id, column) in attach order
+        self.report: CostReport | None = None
+
+
+class _KeptBatch(FeatureBatch):
+    """A batch over a kept stripe's arrays.  ``transformed`` holds one
+    holder per :meth:`DppWorker._rebatch` piece of it; a piece has one."""
+
+    def __init__(self, labels, columns, transformed) -> None:
+        super().__init__(labels, columns)
+        self.transformed = transformed
+
+
+def _freeze(columns) -> None:
+    """Make every array of *columns* read-only.  They are write-once by
+    contract (``transforms/batch.py``); a breach then raises instead of
+    reaching the next read of a kept stripe."""
+    for column in columns:
+        for array in vars(column).values():
+            if array is not None:
+                array.flags.writeable = False
+
+
 class DppWorker:
     """One stateless preprocessing worker.
 
@@ -118,12 +153,25 @@ class DppWorker:
     ``IOTrace``, extract cycles and ``stats`` are those of a decoded
     read, and damaged bytes are refused as a decoding read refuses them.
 
+    The same holds one phase later.  Every op is deterministic and the
+    session plan is fixed, so what the DAG makes of a piece of a kept
+    stripe is a function of the piece.  Each piece a kept stripe is cut
+    into (:meth:`_rebatch`) has a holder, and a batch yielded from a
+    kept stripe carries its piece's holder — through the serving
+    plane's queue to whichever worker transforms it.  The first
+    :meth:`transform_batch` under the session plan fills the holder;
+    every later one attaches the held output columns and charges the
+    held ``CostReport``, so transform cycles, ``stats`` and every report
+    are those of an execution.
+
     The rule is read off the input, not set: a stripe read once is not
     kept (a single-pass job keeps nothing), and a stripe with a needed
     stream that carries no checksum is never kept, because nothing
     would prove its bytes unchanged.  What is kept is what the second
-    decode produced anyway (≈5 KB for a 64-row stripe of five projected
-    features), read-only, until the worker fails, retires or is dropped.
+    read's decode and transforms produced anyway (≈5 KB of flatmap and
+    ≈4 KB of output columns for a 64-row stripe of five projected
+    features and three ops), read-only, until the worker fails, retires
+    or is dropped.
     """
 
     def __init__(
@@ -152,9 +200,11 @@ class DppWorker:
         self.io_trace = IOTrace()
         self._readers: dict[str, DwrfReader] = {}
         # (reader, stripe) -> None after a first read of a checksummed
-        # stripe, its (labels, columns, value count) after a second.
+        # stripe, its (labels, columns, value count, one holder per
+        # piece) after a second.
         self._flatmaps: dict[
-            tuple[DwrfReader, int], tuple[np.ndarray, dict, int] | None
+            tuple[DwrfReader, int],
+            tuple[np.ndarray, dict, int, tuple[_Transformed, ...]] | None,
         ] = {}
         self._projection_order = sorted(self.spec.projection)
         self.alive = True
@@ -287,10 +337,38 @@ class DppWorker:
         return self._extract_split(split)
 
     def transform_batch(self, batch: FeatureBatch) -> CostReport:
-        """Run the session DAG over one batch and charge its cost."""
-        report = execute_with_cost(self.spec.dag, batch)
-        self._charge_transform(report)
-        return report
+        """Run the session DAG over one batch and charge its cost.
+
+        A batch yielded from a kept stripe carries its piece's holder.
+        The first call under the session's ``dag.plan()`` executes and
+        fills it with that plan, the output columns (read-only) and the
+        report; a later call under the same plan attaches those columns
+        in the same order and charges the same report.  A new plan
+        (``dag.add()``) executes again.  For such a batch the report
+        returned is a copy: the held one is never handed out, so what
+        a caller does to it cannot change a later charge.
+        """
+        dag = self.spec.dag
+        if type(batch) is not _KeptBatch:
+            report = execute_with_cost(dag, batch)
+            self._charge_transform(report)
+            return report
+        (held,) = batch.transformed
+        plan = dag.plan()
+        columns = batch.columns
+        if held.plan is plan:
+            columns.update(held.columns)
+        else:
+            report = execute_with_cost(dag, batch)
+            held.columns = tuple(
+                (node.output_id, columns[node.output_id])
+                for step in plan
+                for node in step.nodes
+            )
+            _freeze(column for _, column in held.columns)
+            held.plan, held.report = plan, report
+        self._charge_transform(held.report)
+        return held.report.copy()
 
     def tensorize(self, batch: FeatureBatch, split_id: int, sequence: int) -> TensorBatch:
         """Convert a transformed batch into a provenance-stamped tensor
@@ -414,13 +492,15 @@ class DppWorker:
         From this worker's third read of a stripe on, its reads are
         made and verified and the batch wraps the columns kept at the
         second; a transform adds columns to the batch, never to them.
+        From the second read on the batch carries the stripe's piece
+        holders (see :meth:`transform_batch`).
         """
         key = (reader, stripe_index)
         kept = self._flatmaps.get(key)
         if kept is not None:
             reader.verify_stripe(stripe_index)
-            labels, columns, n_values = kept
-            return FeatureBatch(labels, dict(columns)), n_values
+            labels, columns, n_values, pieces = kept
+            return _KeptBatch(labels, dict(columns), pieces), n_values
         labels, features = reader.decode_stripe(stripe_index, self.schema)
         row_count = reader.footer.stripes[stripe_index].row_count
         batch = FeatureBatch(labels=labels)
@@ -445,14 +525,12 @@ class DppWorker:
                 batch.add_column(fid, column)
                 n_values += len(column.values)
         if key in self._flatmaps:
-            # Write-once by contract (transforms/batch.py); read-only so
-            # that a breach raises instead of reaching the next epoch.
             batch.labels.flags.writeable = False
-            for column in batch.columns.values():
-                for array in vars(column).values():
-                    if array is not None:
-                        array.flags.writeable = False
-            self._flatmaps[key] = (batch.labels, dict(batch.columns), n_values)
+            _freeze(batch.columns.values())
+            n_pieces = max(1, -(-row_count // self.spec.batch_size))  # as _rebatch cuts
+            pieces = tuple(_Transformed() for _ in range(n_pieces))
+            self._flatmaps[key] = (batch.labels, dict(batch.columns), n_values, pieces)
+            batch = _KeptBatch(batch.labels, batch.columns, pieces)
         elif reader.stripe_checksummed(stripe_index):
             self._flatmaps[key] = None
         return batch, n_values
@@ -511,9 +589,14 @@ class DppWorker:
         if batch.n_rows <= size:
             yield batch
             return
-        for start in range(0, batch.n_rows, size):
+        pieces = batch.transformed if type(batch) is _KeptBatch else None
+        for index, start in enumerate(range(0, batch.n_rows, size)):
             stop = min(start + size, batch.n_rows)
-            piece = FeatureBatch(labels=batch.labels[start:stop])
+            labels = batch.labels[start:stop]
+            if pieces is None:
+                piece = FeatureBatch(labels)
+            else:
+                piece = _KeptBatch(labels, {}, pieces[index : index + 1])
             for fid, column in batch.columns.items():
                 piece.add_column(fid, column.rows(start, stop))
             yield piece

@@ -44,6 +44,12 @@ class CostReport(ReportBase):
             self.cycles_by_class[cls] += cycles
         return self
 
+    def copy(self) -> "CostReport":
+        """An independent report with the same values."""
+        return CostReport(
+            self.cycles, self.mem_bytes, dict(self.cycles_by_class), self.elements
+        )
+
     # -- shared telemetry surface ----------------------------------------------
 
     def payload(self) -> dict:

@@ -9,11 +9,12 @@ in session size, and the plainest statement of what the production
 master must hand out, count and checkpoint.
 
 ``OracleDppWorker`` is the worker ``repro.dpp.worker`` shipped before it
-kept the flatmaps of stripes it re-reads: every hand-over of a stripe
-fetches, verifies, unseals, decodes and builds its columns afresh
-(``_read_stripe_columnar`` below is that body), through readers whose
-``_fetch_streams`` is the one-piece body kept beside the other read
-oracles in ``tests/dwrf/oracles.py``.
+kept the flatmaps of stripes it re-reads, and their transformed pieces:
+every hand-over of a stripe fetches, verifies, unseals, decodes and
+builds its columns afresh (``_read_stripe_columnar`` below is that
+body), through readers whose ``_fetch_streams`` is the one-piece body
+kept beside the other read oracles in ``tests/dwrf/oracles.py``, and
+every batch runs the session DAG (``transform_batch`` below).
 """
 
 import types
@@ -27,6 +28,7 @@ from repro.dpp.split import Split, SplitState, plan_splits
 from repro.dpp.worker import DppWorker
 from repro.telemetry.tracer import NULL_TRACER
 from repro.transforms.batch import DenseColumn, FeatureBatch, SparseColumn
+from repro.transforms.cost import execute_with_cost
 
 from ..dwrf.oracles import oracle_fetch_scratch_streams
 
@@ -351,7 +353,14 @@ class OracleReplicatedMaster:
 
 
 class OracleDppWorker(DppWorker):
-    """A worker that decodes every stripe on every read."""
+    """A worker that decodes every stripe on every read and transforms
+    every batch."""
+
+    def transform_batch(self, batch):
+        """Run the session DAG over one batch and charge its cost."""
+        report = execute_with_cost(self.spec.dag, batch)
+        self._charge_transform(report)
+        return report
 
     def _reader(self, file_name):
         reader = super()._reader(file_name)

@@ -1,26 +1,32 @@
-"""A worker that keeps the flatmaps of stripes it re-reads, against one
-that decodes every read.
+"""A worker that keeps the flatmaps of stripes it re-reads, and their
+transformed pieces, against one that decodes and transforms every read.
 
 ``DppWorker`` keeps a stripe's flatmap from its second read on and from
-the third only makes, charges and verifies the stripe's reads;
-``OracleDppWorker`` (``oracles.py``) is the worker before that, which
-unseals and decodes every hand-over.  Everything the modelled system
-can see must be the same on both — batches array for array, ``IOTrace``
-record for record, ``stats`` field for field, what every storage node
-served and where the replica round-robin stands — on clean bytes and on
-bytes damaged between two epochs; and the kept arm must be *earned*: a
-stripe read once is not kept, one with an unchecksummed needed stream
-never is, and what is kept cannot be written to.
+the third only makes, charges and verifies the stripe's reads; each
+piece of a kept stripe carries a holder that its first transform fills
+and later transforms under the same plan replay.  ``OracleDppWorker``
+(``oracles.py``) is the worker before both, which unseals, decodes and
+runs the DAG on every hand-over.  Everything the modelled system can
+see must be the same on both — batches array for array before and after
+the DAG, cost reports, ``IOTrace`` record for record, ``stats`` field
+for field, what every storage node served and where the replica
+round-robin stands — on clean bytes, across a DAG that grows between
+passes, and on bytes damaged between two epochs; and the kept arm must
+be *earned*: a stripe read once is not kept, one with an unchecksummed
+needed stream never is, and what is kept cannot be written to.
 
 The tables, encodings and the schema are those of
-``tests/dwrf/test_read_differential.py``.
+``tests/dwrf/test_read_differential.py``; the DAGs are drawn from every
+registered op as in ``tests/transforms/test_plan.py``.
 """
 
+import bisect
 import dataclasses
 import types
 import weakref
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +42,7 @@ from ..dwrf.test_read_differential import (
     LOGGED_IDS,
     REFUSAL_WINDOWS,
     SCHEMA,
+    SCORED_IDS,
     SILENT_IDS,
     WINDOWS,
     assert_same_column,
@@ -46,10 +53,12 @@ from ..dwrf.test_read_differential import (
     tables,
     with_streams,
 )
+from ..transforms.test_plan import DENSE, SCORED, SPARSE, dags
 from .oracles import OracleDppWorker
 
 PASSES = 4
 ALL_DENSE = frozenset(DENSE_IDS + SILENT_IDS[:1])
+ALL_SCORED = frozenset(SCORED_IDS + SILENT_IDS[2:])
 
 
 def dag_over(projection) -> TransformDag:
@@ -65,27 +74,57 @@ def dag_over(projection) -> TransformDag:
     return dag
 
 
-def worker_over(cls, dwrf_file, filesystem, projection, **spec):
+def kinds_of(projection) -> dict:
+    """The projected raw features by the kind a DAG node can read."""
+    return {
+        fid: DENSE if fid in ALL_DENSE else SCORED if fid in ALL_SCORED else SPARSE
+        for fid in sorted(projection)
+    }
+
+
+def worker_over(cls, dwrf_file, filesystem, projection, dag=None, **spec):
     footers = {"f": dwrf_file.footer}
     session = SessionSpec(
         table_name=SCHEMA.table_name,
         partitions=("f",),
         projection=projection,
-        dag=dag_over(projection),
+        dag=dag_over(projection) if dag is None else dag,
         **spec,
     )
     return cls("w0", DppMaster(session, footers), filesystem, SCHEMA, footers)
 
 
-def one_pass(worker) -> list:
-    """Extract every split the master hands out, then reopen them all."""
+def one_pass(worker, batches=None) -> list:
+    """Extract every split the master hands out, then reopen them all.
+
+    Batches are appended to *batches* as they are yielded, so a caller
+    that passes a list still holds them if the pass is refused.
+    """
     master = worker.master
-    batches = []
+    batches = [] if batches is None else batches
     while (split := master.request_split(worker.worker_id)) is not None:
-        batches.extend(worker.extract_batches(split))
+        for batch in worker.extract_batches(split):
+            batches.append(batch)
         master.complete_split(worker.worker_id, split.split_id)
     master.begin_epoch()
     return batches
+
+
+def transformed_pass(worker) -> list:
+    batches = one_pass(worker)
+    for batch in batches:
+        worker.transform_batch(batch)
+    return batches
+
+
+def flip(filesystem, offset) -> None:
+    """Flip the lowest bit of the stored byte at file *offset*."""
+    tectonic_file = filesystem.file("f")
+    index = bisect.bisect_right(tectonic_file.block_starts, offset) - 1
+    block = tectonic_file.blocks[index]
+    data = bytearray(block.data)
+    data[offset - tectonic_file.block_starts[index]] ^= 0x01
+    block.data = bytes(data)
 
 
 def assert_same_batches(ours, theirs):
@@ -114,56 +153,107 @@ def assert_same_accounting(ours, theirs):
     encodings(layouts=(FileLayout.FLATTENED, FileLayout.MAP)),
     st.sets(st.sampled_from(LOGGED_IDS + SILENT_IDS), min_size=1).map(frozenset),
     st.sampled_from(WINDOWS),
-    st.sampled_from((3, 64)),
+    st.sampled_from((3, 64)),  # at 3 most stripes are cut into several pieces
     st.sampled_from((1, 2)),
     st.sampled_from((64, 1 << 20)),
+    st.data(),
 )
 def test_every_pass_over_the_same_splits_matches_a_worker_that_decodes_each(
-    rows, encoding_options, projection, window, batch_size, split_stripes, chunk_bytes
+    rows,
+    encoding_options,
+    projection,
+    window,
+    batch_size,
+    split_stripes,
+    chunk_bytes,
+    data,
 ):
     dwrf_file = write_table_partition(rows, SCHEMA, encoding_options)
+    kinds = kinds_of(projection)
+    # One DAG object for both workers, as a session's workers share it.
+    dag = data.draw(dags(raw=kinds), label="dag")
+    grown = data.draw(dags(raw=kinds, first_id=200, min_nodes=1), label="added")
+    grow_before = data.draw(st.integers(1, PASSES - 1), label="added before pass")
+    offsets = st.integers(0, len(dwrf_file.data) - 1)
+    damage = data.draw(
+        st.none() | st.tuples(st.integers(1, PASSES - 1), offsets),
+        label="(pass, file offset) of a flipped byte",
+    )
     spec = dict(
         coalesce_window=window, batch_size=batch_size, split_stripes=split_stripes
     )
     ours, theirs = (
-        worker_over(cls, dwrf_file, stored(dwrf_file, chunk_bytes), projection, **spec)
+        worker_over(
+            cls, dwrf_file, stored(dwrf_file, chunk_bytes), projection, dag, **spec
+        )
         for cls in (DppWorker, OracleDppWorker)
     )
-    for _ in range(PASSES):
-        mine, expected = one_pass(ours), one_pass(theirs)
+    for index in range(PASSES):
+        if index == grow_before:
+            # A new plan: every kept piece must run it, not replay the old.
+            for node in grown.nodes:
+                dag.add(node.output_id, node.op)
+        if damage is not None and damage[0] == index:
+            for worker in (ours, theirs):
+                flip(worker.filesystem, damage[1])
+        mine, expected = [], []
+        refusals = []
+        for worker, batches in ((ours, mine), (theirs, expected)):
+            try:
+                one_pass(worker, batches)
+                refusals.append(None)
+            except FormatError as refusal:
+                refusals.append(str(refusal))
+        # Refused at the same read, having yielded the same batches: no
+        # piece of the damaged stripe, kept or not, is handed out.
+        assert refusals[0] == refusals[1]
         assert_same_batches(mine, expected)
         assert_same_accounting(ours, theirs)
         # The DAG runs on this pass's batches, which from the second
-        # pass on share their base arrays with the next pass's.
-        for a, b in zip(mine, expected):
-            ours.transform_batch(a)
-            theirs.transform_batch(b)
+        # pass on share their base arrays (and from the third their
+        # transformed pieces) with the next pass's.
+        with np.errstate(all="ignore"):
+            reports = [
+                [worker.transform_batch(batch).to_json() for batch in batches]
+                for worker, batches in ((ours, mine), (theirs, expected))
+            ]
+        assert reports[0] == reports[1]
         assert_same_batches(mine, expected)
         assert_same_accounting(ours, theirs)
+        if refusals[0] is not None:
+            return
 
 
 # -- damage between two epochs -----------------------------------------------------
 
 
 def outcome(worker):
+    """The refusal's words (or None) and how many batches came first."""
+    batches = []
     try:
-        one_pass(worker)
+        one_pass(worker, batches)
     except FormatError as refusal:
-        return str(refusal)
-    return None
+        return str(refusal), len(batches)
+    return None, len(batches)
 
 
 def warmed_pair(dwrf_file, window, filesystems):
-    """Both workers after two clean passes: ours holds every flatmap."""
+    """Both workers after two clean, transformed passes: ours holds every
+    flatmap and every transformed piece."""
     pair = [
         worker_over(
-            cls, dwrf_file, filesystem, frozenset(LOGGED_IDS), coalesce_window=window
+            cls,
+            dwrf_file,
+            filesystem,
+            frozenset(LOGGED_IDS),
+            coalesce_window=window,
+            batch_size=16,
         )
         for cls, filesystem in zip((DppWorker, OracleDppWorker), filesystems)
     ]
     for worker in pair:
-        one_pass(worker)
-        one_pass(worker)
+        transformed_pass(worker)
+        transformed_pass(worker)
     assert_same_accounting(*pair)
     return pair
 
@@ -178,14 +268,14 @@ def test_a_byte_flipped_between_epochs_is_refused_as_a_fresh_reader_refuses_it(w
         )
         before = ours.io_trace.io_count
         for worker in (ours, theirs):
-            (block,) = worker.filesystem.file("f").blocks
-            data = bytearray(block.data)
-            data[info.offset] ^= 0x01
-            block.data = bytes(data)
-        words = outcome(ours)
-        assert words == outcome(theirs)
+            flip(worker.filesystem, info.offset)
+        words, served_batches = outcome(ours)
+        assert (words, served_batches) == outcome(theirs)
         stream = f"({info.feature_id}, {info.kind.value}) at offset {info.offset}"
         assert stream in words
+        # Stripe 0's three pieces, then the refusal: no kept piece of
+        # stripe 1 — transformed or not — is handed out.
+        assert served_batches == 3
         assert_same_accounting(ours, theirs)
         # Stripe 0 whole, then stripe 1 up to the read holding the stream.
         served = ours.io_trace.io_count - before
@@ -226,7 +316,9 @@ def test_a_short_read_between_epochs_is_refused_as_a_fresh_reader_refuses_it(win
         before = ours.io_trace.io_count
         for worker in (ours, theirs):
             worker.filesystem.cut_at = worker.filesystem.reads + bad
-        assert outcome(ours) == outcome(theirs) == "short read from fetcher"
+        words, served_batches = outcome(ours)
+        assert (words, served_batches) == outcome(theirs)
+        assert words == "short read from fetcher"
         assert_same_accounting(ours, theirs)
         assert ours.io_trace.io_count - before == bad - 1  # not the short one
 

@@ -94,14 +94,20 @@ def batches(draw, n_rows=None):
 
 
 @st.composite
-def dags(draw):
-    """Up to 14 nodes, each reading raw features or earlier outputs."""
-    kinds = dict(RAW)
+def dags(draw, raw=RAW, first_id=100, min_nodes=0):
+    """Up to 14 nodes, each reading raw features (*raw*: ID → kind) or
+    earlier outputs; an op whose inputs nothing can feed is not drawn."""
+    kinds = dict(raw)
     dag = TransformDag()
-    names = sorted(OPS)
-    # Logit several times over: runs (and chains) of it are what gets fused.
-    for output_id in range(100, 100 + draw(st.integers(0, 14))):
-        name = draw(st.sampled_from(names + ["Logit"] * 6 + ["Clamp"] * 2))
+    for output_id in range(first_id, first_id + draw(st.integers(min_nodes, 14))):
+        names = [
+            name
+            for name in sorted(OPS)
+            if all(any(accepts(w, k) for k in kinds.values()) for w in OPS[name][0])
+        ]
+        # Logit several times over: runs (and chains) of it are what gets fused.
+        boost = [name for name in ["Logit"] * 6 + ["Clamp"] * 2 if name in names]
+        name = draw(st.sampled_from(names + boost))
         wanted, produces, factory = OPS[name]
         inputs = [
             draw(st.sampled_from([f for f, k in kinds.items() if accepts(w, k)]))
