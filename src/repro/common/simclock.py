@@ -2,21 +2,19 @@
 
 Several parts of the library (the DPP auto-scaler, the storage cluster,
 the fleet utilization traces, the scenario-sweep runner) need to
-advance virtual time and run callbacks in timestamp order.  The kernel
-is built for throughput: heap entries are plain ``(time, seq, slot)``
-tuples (tuple comparison is the fastest ordering CPython offers), and
-callbacks live in a slot-indexed array on the side rather than inside
-the heap entries.  Cancellation is *lazy* — a cancelled event's slot is
-nulled and the heap entry is discarded whenever it surfaces — with a
-compaction pass that rebuilds the heap once dead entries outnumber live
-ones, so heavy cancel traffic (fleet worker-launch reshaping) cannot
-bloat the queue.
+advance virtual time and run callbacks in timestamp order.  One-shot
+events live in a binary heap of mutable ``[time, seq, callback]``
+entries; the :class:`EventHandle` returned by :meth:`SimClock.schedule`
+holds its entry.  Cancellation is *lazy* — a cancelled entry's callback
+is nulled and the entry is discarded whenever it surfaces — and a fired
+entry is nulled the same way, so a late cancel is a no-op.  Once dead
+entries outnumber live ones the heap is filtered and rebuilt, so heavy
+cancel traffic (fleet worker-launch reshaping) cannot bloat the queue.
 
-Periodic processes (:meth:`SimClock.every`) are the fleet hot path — a
-region simulation is overwhelmingly tick + control recurrences — so
-they bypass the heap entirely: each lives in a side list holding its
-closed-form next fire time, and every driver merge-fires the earliest
-of (heap head, due periodic) in one batched drain loop.  A periodic
+Periodic processes (:meth:`SimClock.every`) — a fleet region is
+overwhelmingly tick + control recurrences — bypass the heap: each lives
+in a small side list holding its next fire time, and the one drain loop
+fires the earlier of (live heap head, due periodic).  A periodic
 occurrence costs no heap push/pop; its reschedule is one float add.
 Next fire times chain as ``now + interval`` (not ``t0 + k*interval``)
 because the fleet's byte-identity pins and reference-oracle suites
@@ -26,8 +24,8 @@ produced.
 Deterministic FIFO tie-breaking at equal timestamps is preserved: the
 monotonically increasing ``seq`` orders heap events and periodic
 occurrences alike, and a periodic consumes a fresh seq exactly when it
-reschedules — the same program points at which the old
-schedule-per-occurrence formulation consumed them.
+reschedules — the same program points at which a
+schedule-per-occurrence formulation would consume them.
 """
 
 from __future__ import annotations
@@ -46,27 +44,23 @@ _INF = float("inf")
 class EventHandle:
     """Handle returned by :meth:`SimClock.schedule`, usable to cancel."""
 
-    __slots__ = ("_clock", "_slot", "_seq", "_time")
+    __slots__ = ("_clock", "_entry")
 
-    def __init__(self, clock: "SimClock", slot: int, seq: int, time: float) -> None:
+    def __init__(self, clock: "SimClock", entry: list) -> None:
         self._clock = clock
-        self._slot = slot
-        self._seq = seq
-        self._time = time
+        self._entry = entry
 
     def cancel(self) -> None:
         """Prevent the event from firing if it has not fired yet.
 
-        Slots are recycled once their event leaves the heap, so the
-        handle's ``seq`` acts as a generation check: a late cancel on a
-        fired (or already-cancelled) event is a harmless no-op even if
-        the slot now hosts a different event.
+        A fired (or already-cancelled) entry's callback is ``None``, so
+        a late cancel is a harmless no-op.
         """
-        clock = self._clock
-        slot = self._slot
-        if clock._slot_seq[slot] != self._seq or clock._callbacks[slot] is None:
+        entry = self._entry
+        if entry[2] is None:
             return
-        clock._callbacks[slot] = None
+        entry[2] = None
+        clock = self._clock
         clock._live -= 1
         clock._dead += 1
         clock._maybe_compact()
@@ -74,7 +68,7 @@ class EventHandle:
     @property
     def time(self) -> float:
         """The virtual time the event is scheduled for."""
-        return self._time
+        return self._entry[0]
 
 
 class _Periodic:
@@ -134,15 +128,9 @@ class SimClock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = start
-        self._heap: list[tuple[float, int, int]] = []
+        # [time, seq, callback] entries; callback None = cancelled/fired.
+        self._heap: list[list] = []
         self._next_seq = 0
-        # Slot-indexed side arrays: the callback (None = cancelled or
-        # fired) and the seq of the slot's current occupant (handles'
-        # generation check).  Freed slots are recycled via a free list
-        # so long runs do not grow the arrays without bound.
-        self._callbacks: list[EventCallback | None] = []
-        self._slot_seq: list[int] = []
-        self._free_slots: list[int] = []
         # Recurring processes: scanned (it stays tiny — a fleet region
         # carries two) instead of heaped, so each occurrence fires and
         # reschedules without touching the heap.
@@ -178,18 +166,10 @@ class SimClock:
             raise ValueError("cannot schedule events in the past")
         seq = self._next_seq
         self._next_seq = seq + 1
-        time = self._now + delay
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._callbacks[slot] = callback
-            self._slot_seq[slot] = seq
-        else:
-            slot = len(self._callbacks)
-            self._callbacks.append(callback)
-            self._slot_seq.append(seq)
-        heapq.heappush(self._heap, (time, seq, slot))
+        entry = [self._now + delay, seq, callback]
+        heapq.heappush(self._heap, entry)
         self._live += 1
-        return EventHandle(self, slot, seq, time)
+        return EventHandle(self, entry)
 
     def schedule_at(self, when: float, callback: EventCallback) -> EventHandle:
         """Run *callback* at absolute virtual time *when*."""
@@ -230,19 +210,11 @@ class SimClock:
         Lazy deletion alone lets a cancel-heavy workload carry a heap
         mostly full of corpses, inflating every push/pop.  Rebuilding is
         O(n) and amortizes to O(1) per cancel; the heap list is mutated
-        in place because the batched drain loop holds a local alias.
+        in place because the drain loop holds a local alias.
         """
         if self._dead < _COMPACT_MIN_DEAD or self._dead * 2 <= len(self._heap):
             return
-        callbacks = self._callbacks
-        survivors = []
-        free = self._free_slots
-        for entry in self._heap:
-            if callbacks[entry[2]] is not None:
-                survivors.append(entry)
-            else:
-                free.append(entry[2])
-        self._heap[:] = survivors
+        self._heap[:] = [entry for entry in self._heap if entry[2] is not None]
         heapq.heapify(self._heap)
         self._dead = 0
 
@@ -254,64 +226,24 @@ class SimClock:
         condition: Callable[[], bool] | None,
         max_events: int,
     ) -> int:
-        """The one batched drain loop behind every driver.
+        """The one drain loop behind every driver.
 
-        Merge-fires the earliest of (live heap head, due periodic) —
-        FIFO at timestamp ties via seq — until the deadline, condition,
-        event budget, or queue exhaustion stops it.  Returns the number
-        of events fired (corpse discards excluded).
+        Fires the earliest of (live heap head, due periodic) — FIFO at
+        timestamp ties via seq — until the deadline, condition, event
+        budget, or queue exhaustion stops it.  Returns the number of
+        events fired (corpse discards excluded).
         """
         heap = self._heap
-        callbacks = self._callbacks
-        free = self._free_slots
         pop = heapq.heappop
         periodics = self._periodics
         trace = self._trace_hook
         fired = 0
-        while True:
-            # Fast lane: no recurrences registered, so the drain is a
-            # pure heap pop loop with none of the merge bookkeeping.
-            # A callback may register one mid-drain (the list alias
-            # sees it), which drops us to the merge lane below.
-            while not periodics:
-                if fired >= max_events or not heap:
-                    return fired
-                head = heap[0]
-                slot = head[2]
-                callback = callbacks[slot]
-                if callback is None:
-                    pop(heap)
-                    self._dead -= 1
-                    free.append(slot)
-                    continue
-                time = head[0]
-                if time > deadline:
-                    return fired
-                if condition is not None and not condition():
-                    return fired
-                pop(heap)
-                callbacks[slot] = None
-                free.append(slot)
-                self._live -= 1
-                self._fired += 1
-                self._now = time
-                if trace is not None:
-                    trace(time, callback)
-                callback()
-                fired += 1
-            # Merge lane: fire the earlier of (live heap head, due
-            # periodic), FIFO at timestamp ties via seq.
-            if fired >= max_events:
-                return fired
+        while fired < max_events:
             # Discard dead heap heads first: the *live* head is what
             # competes with periodics and the deadline.
-            while heap:
-                slot = heap[0][2]
-                if callbacks[slot] is not None:
-                    break
+            while heap and heap[0][2] is None:
                 pop(heap)
                 self._dead -= 1
-                free.append(slot)
             # Earliest pending periodic occurrence (linear scan: the
             # list is a handful of recurrences at most).
             due = None
@@ -324,16 +256,16 @@ class SimClock:
             if due is not None and due.next_time == _INF:
                 due = None
             if heap:
-                head = heap[0]
-                time = head[0]
+                entry = heap[0]
+                time = entry[0]
                 if due is not None and (
                     due.next_time < time
-                    or (due.next_time == time and due.seq < head[1])
+                    or (due.next_time == time and due.seq < entry[1])
                 ):
-                    head = None
+                    entry = None
                     time = due.next_time
             elif due is not None:
-                head = None
+                entry = None
                 time = due.next_time
             else:
                 return fired
@@ -341,84 +273,33 @@ class SimClock:
                 return fired
             if condition is not None and not condition():
                 return fired
-            if head is None:
+            if entry is None:
                 # Consume the occurrence before the callback so an
                 # exception stops the recurrence; reschedule (and
                 # consume a fresh seq) only on a clean return.
                 due.next_time = _INF
-                self._fired += 1
-                self._now = time
                 callback = due.callback
-                if trace is not None:
-                    trace(time, callback)
-                callback()
-                fired += 1
-                if due.stopped:
-                    continue
-                next_time = self._now + due.interval
-                if due.until is not None and next_time > due.until:
-                    periodics.remove(due)
-                    continue
-                due.next_time = next_time
-                due.seq = self._next_seq
-                self._next_seq += 1
-                # Bulk sublane: while this recurrence is provably the
-                # sole runnable event, its occurrences fire in a tight
-                # loop with the merge arbitration hoisted out.  The
-                # window closes at the earliest *other* contender
-                # (``>=``: at a timestamp tie the other side's older
-                # seq wins, so arbitration must rerun), and any
-                # callback mutation of the pending set — schedule,
-                # cancel-compaction, every(), periodic cancel — moves
-                # a list length and drops us back to the merge lane.
-                # Occurrence timestamps, seq consumption, ``fired``,
-                # and the per-event condition check are exactly the
-                # merge lane's.
-                h0 = len(heap)
-                p0 = len(periodics)
-                contest = _INF
-                for other in periodics:
-                    if other is not due and other.next_time < contest:
-                        contest = other.next_time
-                if heap and heap[0][0] < contest:
-                    contest = heap[0][0]
-                while fired < max_events:
-                    time = due.next_time
-                    if time >= contest or time > deadline:
-                        break
-                    if condition is not None and not condition():
-                        return fired
-                    due.next_time = _INF
-                    self._fired += 1
-                    self._now = time
-                    if trace is not None:
-                        trace(time, callback)
-                    callback()
-                    fired += 1
-                    if due.stopped:
-                        break
-                    next_time = self._now + due.interval
-                    if due.until is not None and next_time > due.until:
-                        periodics.remove(due)
-                        break
-                    due.next_time = next_time
-                    due.seq = self._next_seq
-                    self._next_seq += 1
-                    if len(heap) != h0 or len(periodics) != p0:
-                        break
             else:
                 pop(heap)
-                slot = head[2]
-                callback = callbacks[slot]
-                callbacks[slot] = None
-                free.append(slot)
+                callback = entry[2]
+                entry[2] = None
                 self._live -= 1
-                self._fired += 1
-                self._now = time
-                if trace is not None:
-                    trace(time, callback)
-                callback()
-                fired += 1
+            self._fired += 1
+            self._now = time
+            if trace is not None:
+                trace(time, callback)
+            callback()
+            fired += 1
+            if entry is not None or due.stopped:
+                continue
+            next_time = self._now + due.interval
+            if due.until is not None and next_time > due.until:
+                periodics.remove(due)
+                continue
+            due.next_time = next_time
+            due.seq = self._next_seq
+            self._next_seq += 1
+        return fired
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if none remain."""

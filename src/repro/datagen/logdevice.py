@@ -2,14 +2,14 @@
 
 Scribe stores each logical stream in LogDevice (Section 3.1.1).  Logs
 assign monotonically increasing sequence numbers (LSNs) on append,
-support tailing from any LSN, and can be trimmed from the front once
+support reads from any LSN, and can be trimmed from the front once
 downstream consumers have checkpointed past a prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from ..common.errors import StorageError
 
@@ -50,10 +50,6 @@ class Log:
             LogRecord(record_lsn, payload)
             for record_lsn, payload in enumerate(self._records[start:stop], lsn)
         ]
-
-    def tail(self, from_lsn: int) -> Iterator[LogRecord]:
-        """Iterate records from *from_lsn* to the current end."""
-        yield from self.read_from(from_lsn)
 
     def trim(self, up_to_lsn: int) -> int:
         """Drop records below *up_to_lsn*; returns how many were dropped."""

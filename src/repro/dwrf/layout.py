@@ -56,10 +56,6 @@ class StripeMeta:
     row_count: int
     streams: tuple[StreamInfo, ...]
 
-    def streams_for(self, feature_id: int) -> list[StreamInfo]:
-        """All streams belonging to one feature, in file order."""
-        return [info for info in self.streams if info.feature_id == feature_id]
-
     @cached_property
     def _stream_index(self) -> dict[tuple[int, StreamKind], StreamInfo]:
         # Built on the first lookup, so only readers pay for it; reversed
@@ -80,13 +76,6 @@ class StripeMeta:
     def has_stream(self, feature_id: int, kind: StreamKind) -> bool:
         """Whether the stripe wrote a (feature, kind) stream."""
         return (feature_id, kind) in self._stream_index
-
-    @property
-    def byte_extent(self) -> tuple[int, int]:
-        """(first offset, one-past-last offset) of the stripe's bytes."""
-        if not self.streams:
-            raise FormatError("empty stripe")
-        return self.streams[0].offset, self.streams[-1].end
 
 
 @dataclass

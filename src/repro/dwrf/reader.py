@@ -65,11 +65,6 @@ class IORecord(NamedTuple):
     length: int
     useful_bytes: int
 
-    @property
-    def overread_bytes(self) -> int:
-        """Bytes fetched that no projected stream needed."""
-        return self.length - self.useful_bytes
-
 
 @dataclass
 class IOTrace:

@@ -269,11 +269,6 @@ class StorageBroker:
             )
         self.rebalance_cache()
 
-    @property
-    def active_sessions(self) -> int:
-        """Currently registered sessions."""
-        return len(self._sessions)
-
     # -- cache apportionment -----------------------------------------------
 
     def rebalance_cache(self) -> None:

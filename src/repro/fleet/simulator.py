@@ -133,11 +133,6 @@ class _ActiveJob:
     buffer_samples: float = 0.0
     last_rate: float = 0.0
 
-    @property
-    def total_workers(self) -> int:
-        """Live plus in-flight launches (counts against the pool)."""
-        return self.live_workers + self.pending_count
-
     def mature_pending(self, now: float) -> int:
         """Promote launches whose spin-up completed by *now*.
 

@@ -20,10 +20,6 @@ class ServedIO:
     bytes_read: int = 0
     seeks: int = 0
 
-    def busy_time(self, media: MediaModel) -> float:
-        """Seconds of device time consumed by the served reads."""
-        return media.trace_time([self.bytes_read], seeks=0) + media.seek_time_s * self.seeks
-
 
 class StorageNode:
     """One storage node in a Tectonic cluster."""
@@ -57,7 +53,7 @@ class StorageNode:
         self.used_bytes -= n_bytes
 
     def record_read(self, n_bytes: int, *, sequential: bool = False) -> None:
-        """Account one served read (device time: :meth:`ServedIO.busy_time`)."""
+        """Account one served read."""
         served = self.served
         served.io_count += 1
         served.bytes_read += n_bytes

@@ -203,15 +203,6 @@ class Trace(ReportBase):
         self.processes.sort(key=lambda process: process.name)
         return self
 
-    def process(self, name: str) -> TraceProcess:
-        for candidate in self.processes:
-            if candidate.name == name:
-                return candidate
-        raise ConfigError(
-            f"no traced process named {name!r}; have "
-            f"{[p.name for p in self.processes]}"
-        )
-
 
 def merge_traces(traces) -> Trace:
     """Fold per-scenario traces (in input order) into one bundle."""

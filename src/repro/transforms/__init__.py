@@ -8,7 +8,7 @@ from .acceleration import (
     batching_speedup,
     place_workloads,
 )
-from .base import OpClass, OpCost, Transform, op_by_name, register, registered_ops
+from .base import OpClass, OpCost, Transform, register, registered_ops
 from .batch import Column, DenseColumn, FeatureBatch, SparseColumn
 from .cost import CostReport, execute_with_cost
 from .dag import DagNode, TransformDag
@@ -59,7 +59,6 @@ __all__ = [
     "Transform",
     "TransformDag",
     "execute_with_cost",
-    "op_by_name",
     "register",
     "registered_ops",
     "splitmix64",

@@ -86,14 +86,6 @@ def register(cls: type[Transform]) -> type[Transform]:
     return cls
 
 
-def op_by_name(name: str) -> type[Transform]:
-    """Look up a registered op class by Table-11 name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise TransformError(f"unknown op {name!r}") from None
-
-
 def registered_ops() -> dict[str, type[Transform]]:
     """A copy of the registry (name → class)."""
     return dict(_REGISTRY)

@@ -3,11 +3,11 @@
 ``OracleSimClock`` is ``repro.common.simclock.SimClock`` written the
 plainest way: every pending occurrence — a one-shot event or the next
 occurrence of a recurrence — sits in one list, and each firing sorts
-that list by ``(time, seq)`` and takes the head.  No heap, no slot
-arrays, no lazy deletion or compaction, no periodic side list, no fast
-lane or bulk sublane.  What it must share with the production clock is
-the contract: FIFO at equal times by one sequence counter, which a
-recurrence consumes whenever it (re)schedules; times as the exact sums
+that list by ``(time, seq)`` and takes the head.  No heap, no lazy
+deletion or compaction, no periodic side list.  What it must share with
+the production clock is the contract: FIFO at equal times by one
+sequence counter, which a recurrence consumes whenever it
+(re)schedules; times as the exact sums
 ``now + delay`` and ``now + interval``; an occurrence consumed before
 its callback runs, so a raising callback is still counted as fired and
 a raising recurrence stops; and where ``step``, ``run``, ``run_until``

@@ -179,6 +179,26 @@ class TestPeriodic:
         assert ticks == [1.0]
         assert clock.pending == 0  # never rescheduled
 
+    def test_a_raised_recurrence_is_never_fired_again(self):
+        # The stopped recurrence stays registered with no pending
+        # occurrence: later drains fire other events and never it.
+        clock = SimClock()
+        fired = []
+
+        def explode():
+            fired.append(clock.now)
+            raise ValueError("stop")
+
+        clock.every(1.0, explode)
+        with pytest.raises(ValueError):
+            clock.run()
+        clock.schedule(2.0, lambda: fired.append(clock.now))
+        assert clock.run() == 1
+        assert clock.run() == 0
+        assert clock.step() is False
+        assert fired == [1.0, 3.0]
+        assert clock.now == 3.0
+
     def test_until_boundary_inclusive_then_stops(self):
         clock = SimClock()
         ticks = []
@@ -348,13 +368,13 @@ class TestLazyDeletionCompaction:
         assert fired == ["survivor"]
 
     def test_slot_reuse_does_not_cross_cancel(self):
-        # A stale handle must not cancel the unrelated event that later
-        # recycled its slot.
+        # A stale handle must not cancel the unrelated event scheduled
+        # after its own fired.
         clock = SimClock()
         fired = []
         stale = clock.schedule(1.0, lambda: fired.append("first"))
         clock.run()
-        clock.schedule(1.0, lambda: fired.append("second"))  # reuses the slot
+        clock.schedule(1.0, lambda: fired.append("second"))
         stale.cancel()  # no-op: its event already fired
         clock.run()
         assert fired == ["first", "second"]
@@ -484,12 +504,11 @@ class TestRunWhileBatchedDrain:
 
 
 class TestBulkPeriodicSublane:
-    """The sole-runnable-periodic fast loop inside the batched drain.
+    """One recurrence firing back to back as the only runnable event.
 
-    When one recurrence is provably the only runnable event, its
-    occurrences fire in a tight loop; any callback mutation of the
-    pending set must drop the drain back to full merge arbitration
-    with order, timestamps, and the fired counter unchanged.
+    Callbacks that mutate the pending set mid-run — schedule, cancel,
+    ``every()``, exhaustion past ``until`` — must leave order,
+    timestamps, and the fired counter exactly as the step loop has them.
     """
 
     def test_self_cancel_mid_bulk_stops_recurrence(self):
@@ -509,9 +528,9 @@ class TestBulkPeriodicSublane:
         assert clock.pending == 0
 
     def test_heap_event_scheduled_into_the_window_fires_in_order(self):
-        # A bulk-running callback schedules a one-shot landing between
-        # upcoming occurrences: the sublane must yield so the merge
-        # lane fires it at its proper slot.
+        # A recurrence's callback schedules a one-shot landing between
+        # its upcoming occurrences: the one-shot fires at its proper
+        # slot.
         clock = SimClock()
         log = []
 
@@ -554,7 +573,7 @@ class TestBulkPeriodicSublane:
     def test_timestamp_tie_at_window_edge_respects_seq(self):
         # Occurrences of two recurrences collide at t=6: the earlier
         # registration's (older-seq) occurrence must fire first even
-        # though the faster periodic arrives at the tie mid-bulk.
+        # though the faster periodic has been firing alone up to it.
         clock = SimClock()
         log = []
         clock.every(6.0, lambda: log.append(("slow", clock.now)))

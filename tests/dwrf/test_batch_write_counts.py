@@ -142,13 +142,14 @@ def pack(schema, rows):
 
     builder = StripeColumnarBuilder(schema, EncodingOptions(stripe_rows=len(rows)))
     Counted.tally = 0
+    previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         for row in rows:
             builder.add_row(row)
         streams = builder.build()
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return [(s.feature_id, s.kind, s.payload) for s in streams], Counted.tally, lines
 
 
