@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..common.errors import DppError
-from ..common.serialization import ReportBase, require_keys
+from ..common.serialization import (
+    ReportBase,
+    record_from_row,
+    record_row,
+    record_rows,
+    rows_of,
+)
 from .invariants import Violation
 
 
@@ -59,53 +65,16 @@ class ChaosReport(ReportBase):
     # -- shared telemetry surface ----------------------------------------------
 
     def payload(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "rounds": self.rounds,
-            "allow_replays": self.allow_replays,
-            "expected_batches": self.expected_batches,
-            "faults_injected": list(self.faults_injected),
-            "records": [asdict(record) for record in self.records],
-            "violations": [asdict(violation) for violation in self.violations],
-        }
+        return record_row(self, records=record_rows, violations=record_rows)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ChaosReport":
-        require_keys(
+        return record_from_row(
+            cls,
             payload,
-            required=(
-                "scenario",
-                "rounds",
-                "allow_replays",
-                "expected_batches",
-                "faults_injected",
-                "records",
-                "violations",
-            ),
-            context="chaos report",
-        )
-        records = []
-        for row in payload["records"]:
-            require_keys(
-                row,
-                required=("round_index", "client_id", "split_id", "sequence", "n_rows"),
-                context="chaos delivery record",
-            )
-            records.append(DeliveryRecord(**row))
-        violations = []
-        for row in payload["violations"]:
-            require_keys(
-                row, required=("invariant", "detail"), context="chaos violation"
-            )
-            violations.append(Violation(**row))
-        return cls(
-            scenario=payload["scenario"],
-            rounds=int(payload["rounds"]),
-            allow_replays=bool(payload["allow_replays"]),
-            faults_injected=list(payload["faults_injected"]),
-            records=records,
-            violations=violations,
-            expected_batches=int(payload["expected_batches"]),
+            "chaos report",
+            records=rows_of(DeliveryRecord, "chaos delivery record"),
+            violations=rows_of(Violation, "chaos violation"),
         )
 
     def metrics(self) -> dict[str, float]:

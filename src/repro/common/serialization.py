@@ -1,19 +1,22 @@
-"""Shared report telemetry: one JSON dialect, one report base class.
-
-Before this module every report in the repo hand-rolled its own
-serialization (or had none): ``SweepReport`` carried private
-``to_json``/``from_json`` helpers, ``FleetReport`` and ``ChaosReport``
-only rendered text, and the analytical reports were plain dataclasses.
-This module is the single place those conventions live:
+"""Shared report telemetry: one JSON dialect, one record rule, one report
+base class.
 
 * **The JSON dialect** — stable key order, two-space indent, trailing
   newline, strict JSON (``allow_nan=False``).  Non-finite floats are
   encoded losslessly: ``nan`` → ``null``, ``inf`` → ``"Infinity"``,
   ``-inf`` → ``"-Infinity"`` (:func:`null_specials` on the way out,
-  :func:`revive_float` / :func:`revive_floats` on the way in).
-* **Strict loading** — :func:`require_keys` rejects unknown keys with a
-  clear error instead of silently dropping them, so a typo'd artifact
-  or a version skew fails loudly at load time.
+  :func:`revive_float` on the way in).
+* **The record rule** — every scenario and report is a dataclass, and
+  its JSON row has exactly one key per field, named after the field.
+  :func:`record_row` writes that row and :func:`record_from_row` reads
+  it back strictly: an unknown key is refused, every key is required
+  unless the caller lets fields with a default be absent, and a scalar
+  slot must hold its annotation's JSON type (``int`` a JSON integer,
+  ``bool`` a JSON boolean, ``str`` a string, ``float`` whatever
+  :func:`null_specials` wrote, ``X | None`` also null).  A field with
+  any other shape — nested rows, an enum, a model by name — names its
+  converter at the call site.  A mistyped or misnamed key fails loudly
+  at load time, naming the key.
 * **:class:`ReportBase`** — uniform ``to_json``/``from_json``/
   ``write``/``read``, uniform metric naming (``<kind>.<metric>``,
   snake_case) via :meth:`ReportBase.metrics`, percentile summaries via
@@ -25,12 +28,16 @@ This module is the single place those conventions live:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
 import pathlib
 import tempfile
-from typing import Any, ClassVar, Iterable, Mapping
+import types
+import typing
+from typing import Any, Callable, ClassVar, Iterable, Mapping, NamedTuple
 
 from .errors import FormatError, ReproError
 
@@ -161,6 +168,132 @@ def require_keys(
         raise FormatError(f"{context}: missing required key(s) {sorted(missing)}")
 
 
+# -- the record codec ----------------------------------------------------------
+
+
+class _Slot(NamedTuple):
+    """One dataclass field as the codec sees it."""
+
+    name: str
+    revive: Callable[[Any], Any] | None  # None: the caller names a converter
+    has_default: bool
+
+
+def _exactly(kind: type) -> Callable[[Any], Any]:
+    """A check that a JSON value is exactly *kind* (so a bool is no int)."""
+
+    def revive(value: Any) -> Any:
+        if type(value) is not kind:
+            raise FormatError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return revive
+
+
+def _reviver(annotation: Any) -> Callable[[Any], Any] | None:
+    """How to read a slot of *annotation* from JSON, or None if only a
+    converter knows."""
+    if annotation is float:
+        return revive_float
+    if annotation in (int, bool, str, dict):
+        return _exactly(annotation)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    union = origin in (typing.Union, types.UnionType) and len(args) == 2
+    if union and type(None) in args:
+        inner = _reviver(next(arg for arg in args if arg is not type(None)))
+        if inner is not None:
+            return lambda value: None if value is None else inner(value)
+    if origin is list:
+        item = _reviver(args[0])
+        if item is not None:
+            as_list = _exactly(list)
+            return lambda value: [item(entry) for entry in as_list(value)]
+    return None
+
+
+@functools.cache
+def _slots(cls: type) -> tuple[_Slot, ...]:
+    """*cls*'s dataclass fields, read once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        _Slot(
+            field.name,
+            _reviver(hints[field.name]),
+            field.default is not dataclasses.MISSING
+            or field.default_factory is not dataclasses.MISSING,
+        )
+        for field in dataclasses.fields(cls)
+    )
+
+
+def record_row(record: Any, **encode: Callable[[Any], Any]) -> dict:
+    """A dataclass *record* as its JSON row: one key per field, in field
+    order.  A field named in *encode* is written through that converter,
+    a list is copied, every other value is written as it is."""
+    row = {}
+    for slot in _slots(type(record)):
+        value = getattr(record, slot.name)
+        convert = encode.get(slot.name)
+        if convert is not None:
+            value = convert(value)
+        elif type(value) is list:
+            value = list(value)
+        row[slot.name] = value
+    return row
+
+
+def record_from_row(
+    cls: type,
+    row: Mapping[str, Any],
+    context: str,
+    optional: bool = False,
+    **decode: Callable[[Any], Any],
+) -> Any:
+    """Rebuild a *cls* record from its JSON row, strictly.
+
+    Every field is one key and no other key is allowed.  Every key is
+    required, except that with *optional* a field that has a default may
+    be absent and then takes that default.  A field named in *decode* is
+    read through that converter; every other field is checked against
+    its annotation, and a mistyped value raises :class:`FormatError`
+    naming *context* and the key.
+    """
+    slots = _slots(cls)
+    require_keys(
+        row,
+        required=[s.name for s in slots if not (optional and s.has_default)],
+        optional=[s.name for s in slots if optional and s.has_default],
+        context=context,
+    )
+    values = {}
+    for name, revive, _ in slots:
+        if name not in row:
+            continue
+        convert = decode.get(name)
+        if convert is not None:
+            values[name] = convert(row[name])
+            continue
+        if revive is None:
+            raise TypeError(f"{cls.__name__}.{name} needs a converter")
+        try:
+            values[name] = revive(row[name])
+        except FormatError as error:
+            raise FormatError(f"{context}: key {name!r}: {error}") from None
+    return cls(**values)
+
+
+def record_rows(records: Iterable[Any]) -> list[dict]:
+    """Each record's :func:`record_row`: the converter that writes a
+    field holding a list of nested records."""
+    return [record_row(record) for record in records]
+
+
+def rows_of(cls: type, context: str) -> Callable[[Iterable[Any]], list]:
+    """The converter that reads a field holding a list of nested *cls*
+    rows, each through :func:`record_from_row` under *context*."""
+    return lambda rows: [record_from_row(cls, row, context) for row in rows]
+
+
 # -- tagged envelopes ----------------------------------------------------------
 #
 # Reports and scenarios both archive as tag-dispatched JSON objects
@@ -229,9 +362,11 @@ class ReportBase:
     """Uniform telemetry surface every report subclass speaks.
 
     Subclasses set ``report_kind`` (a short snake_case noun — it
-    prefixes metric names and tags the JSON envelope) and implement
-    :meth:`payload` / :meth:`from_payload`.  Everything else — the
-    envelope, files, metric diffs — is shared here.
+    prefixes metric names and tags the JSON envelope).  A dataclass
+    report whose fields are all plain slots serializes through the
+    record rule as it is; one with nested rows or other shapes overrides
+    :meth:`payload` / :meth:`from_payload` to name its converters.
+    Everything else — the envelope, files, metric diffs — is shared here.
     """
 
     #: Short kind tag; subclasses must override.
@@ -252,13 +387,14 @@ class ReportBase:
     # -- subclass hooks --------------------------------------------------------
 
     def payload(self) -> dict:
-        """JSON-ready body (before special-float encoding)."""
-        raise NotImplementedError
+        """JSON-ready body (before special-float encoding): the record's
+        row."""
+        return record_row(self)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ReportBase":
         """Rebuild from a body produced by :meth:`payload`."""
-        raise NotImplementedError
+        return record_from_row(cls, payload, f"{cls.report_kind} report")
 
     def metrics(self) -> dict[str, float]:
         """Flat summary metrics under uniform ``<kind>.<name>`` keys."""

@@ -20,7 +20,13 @@ import math
 from dataclasses import dataclass, field
 
 from ..common.errors import DppError
-from ..common.serialization import ReportBase, require_keys, revive_floats
+from ..common.serialization import (
+    ReportBase,
+    record_from_row,
+    record_row,
+    record_rows,
+    rows_of,
+)
 from ..common.simclock import SimClock
 from ..telemetry.tracer import NULL_TRACER, Tracer
 from .autoscaler import AutoscalerConfig, AutoscalingController
@@ -65,30 +71,6 @@ class SimTickSample:
     consumed: float
     stalled: bool
 
-    _FLOAT_FIELDS = ("time_s", "buffered_batches", "produced", "consumed")
-
-    def to_row(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_row(cls, row: dict) -> "SimTickSample":
-        require_keys(
-            row,
-            required=cls._FLOAT_FIELDS
-            + ("live_workers", "pending_workers", "stalled"),
-            context="dpp tick sample",
-        )
-        revived = revive_floats(row, cls._FLOAT_FIELDS)
-        return cls(
-            time_s=revived["time_s"],
-            live_workers=int(row["live_workers"]),
-            pending_workers=int(row["pending_workers"]),
-            buffered_batches=revived["buffered_batches"],
-            produced=revived["produced"],
-            consumed=revived["consumed"],
-            stalled=bool(row["stalled"]),
-        )
-
 
 @dataclass
 class SimulationResult(ReportBase):
@@ -100,21 +82,15 @@ class SimulationResult(ReportBase):
     scaling_decisions: list[str]
 
     def payload(self) -> dict:
-        return {
-            "samples": [sample.to_row() for sample in self.samples],
-            "scaling_decisions": list(self.scaling_decisions),
-        }
+        return record_row(self, samples=record_rows)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SimulationResult":
-        require_keys(
+        return record_from_row(
+            cls,
             payload,
-            required=("samples", "scaling_decisions"),
-            context="dpp simulation report",
-        )
-        return cls(
-            samples=[SimTickSample.from_row(row) for row in payload["samples"]],
-            scaling_decisions=list(payload["scaling_decisions"]),
+            "dpp simulation report",
+            samples=rows_of(SimTickSample, "dpp tick sample"),
         )
 
     def metrics(self) -> dict[str, float]:

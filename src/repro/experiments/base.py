@@ -10,7 +10,9 @@ The contract is deliberately narrow:
   boundaries unchanged;
 * **JSON-round-trippable** — :meth:`Scenario.to_json` /
   :func:`scenario_from_json` archive a scenario next to its report and
-  revive it later, with unknown keys rejected loudly;
+  revive it later through the record rule of
+  :mod:`repro.common.serialization` (one key per field, unknown keys and
+  mistyped values rejected loudly);
 * **seeded** — :attr:`Scenario.seed` is the only source of randomness,
   so a scenario re-runs identically on any process count;
 * **runnable** — :meth:`Scenario.run` produces a
@@ -33,6 +35,8 @@ from ..common.serialization import (
     dump_json,
     load_json,
     null_specials,
+    record_from_row,
+    record_row,
     split_envelope,
 )
 
@@ -84,14 +88,16 @@ class Scenario(abc.ABC):
         than failing, so mixed batches trace what they can).
         """
 
-    @abc.abstractmethod
     def params(self) -> dict:
-        """JSON-ready body capturing every constructor argument."""
+        """JSON-ready body capturing every constructor argument: the
+        record's row (a kind with nested shapes names its converters)."""
+        return record_row(self)
 
     @classmethod
-    @abc.abstractmethod
     def from_params(cls, params: Mapping[str, Any]) -> "Scenario":
-        """Rebuild from :meth:`params` output (strict keys)."""
+        """Rebuild from :meth:`params` output (strict keys; a field with
+        a default may be absent)."""
+        return record_from_row(cls, params, f"{cls.kind} scenario", optional=True)
 
     # -- serialization ---------------------------------------------------------
 

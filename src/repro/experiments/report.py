@@ -17,7 +17,7 @@ sweeps archive, revive, merge, and diff like every other report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from ..analysis.report import render_table
@@ -27,8 +27,9 @@ from ..common.serialization import (
     dump_json,
     null_specials,
     percentile_summary,
+    record_from_row,
+    record_row,
     require_keys,
-    revive_floats,
 )
 
 #: The metrics a cell surface summarizes, in render order.
@@ -69,18 +70,6 @@ class ScenarioResult:
     wall_s: float
     status: str = "ok"  # "ok" | "quarantined"
     error: str = ""  # deterministic failure detail when quarantined
-
-    _FLOAT_FIELDS = (
-        "makespan_s",
-        "aggregate_samples_per_s",
-        "mean_slowdown",
-        "mean_stall_fraction",
-        "p95_queue_delay_s",
-        "mean_storage_utilization",
-        "peak_storage_utilization",
-        "peak_power_watts",
-        "wall_s",
-    )
 
     @classmethod
     def blank(
@@ -123,21 +112,14 @@ class ScenarioResult:
         )
 
     def to_row(self) -> dict:
-        return asdict(self)
+        return record_row(self)
 
     @classmethod
     def from_row(cls, row: dict) -> "ScenarioResult":
-        # status / error are optional so pre-quarantine artifacts (and
-        # journals written before this schema) still revive.
-        require_keys(
-            row,
-            required=tuple(
-                f.name for f in fields(cls) if f.name not in ("status", "error")
-            ),
-            optional=("status", "error"),
-            context="sweep scenario result",
-        )
-        return cls(**revive_floats(row, cls._FLOAT_FIELDS))
+        # status / error (the only defaulted fields) are optional so
+        # pre-quarantine artifacts (and journals written before this
+        # schema) still revive.
+        return record_from_row(cls, row, "sweep scenario result", optional=True)
 
 
 def merge_extras(into: dict, other: dict) -> None:
@@ -431,18 +413,6 @@ class FailureReport(ReportBase):
 
     scenario: str
     error: str
-
-    def payload(self) -> dict:
-        return {"scenario": self.scenario, "error": self.error}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FailureReport":
-        require_keys(
-            payload,
-            required=("scenario", "error"),
-            context="failure report",
-        )
-        return cls(scenario=payload["scenario"], error=payload["error"])
 
     def metrics(self) -> dict[str, float]:
         return {"failure.scenarios": 1.0}

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..common.errors import ConfigError
-from ..common.serialization import ReportBase, require_keys, revive_float
+from ..common.serialization import ReportBase, record_from_row, record_row
 from ..telemetry.tracer import Trace, Tracer, merge_traces
 from .base import Scenario
 from .grid import ScenarioGrid
@@ -416,32 +416,6 @@ class ExperimentEntry:
     report: ReportBase
     status: str = "ok"  # "ok" | "quarantined"
 
-    def to_row(self) -> dict:
-        return {
-            "name": self.name,
-            "scenario_kind": self.scenario_kind,
-            "wall_s": self.wall_s,
-            "report": self.report.envelope(),
-            "status": self.status,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "ExperimentEntry":
-        # status is optional so pre-quarantine artifacts still revive.
-        require_keys(
-            row,
-            required=("name", "scenario_kind", "wall_s", "report"),
-            optional=("status",),
-            context="experiment entry",
-        )
-        return cls(
-            name=row["name"],
-            scenario_kind=row["scenario_kind"],
-            wall_s=revive_float(row["wall_s"]),
-            report=ReportBase.from_envelope(row["report"]),
-            status=row.get("status", "ok"),
-        )
-
 
 def run_experiment(
     scenario: Scenario, tracer: Tracer | None = None
@@ -491,30 +465,33 @@ class ExperimentReport(BatchReport):
         raise ConfigError(f"no experiment entry named {name!r}")
 
     def payload(self) -> dict:
-        return {
-            "experiment_name": self.experiment_name,
-            "jobs": self.jobs,
-            "total_wall_s": round(self.total_wall_s, 3),
-            "entries": [entry.to_row() for entry in self.entries],
-            "extras": self.extras,
-        }
+        return record_row(
+            self,
+            entries=lambda entries: [
+                record_row(entry, report=ReportBase.envelope) for entry in entries
+            ],
+            total_wall_s=lambda wall_s: round(wall_s, 3),
+        )
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ExperimentReport":
-        require_keys(
+        # Only the entries are required, and an entry's status is optional
+        # so pre-quarantine artifacts still revive.
+        return record_from_row(
+            cls,
             payload,
-            required=("entries",),
-            optional=("experiment_name", "jobs", "total_wall_s", "extras"),
-            context="experiment report",
-        )
-        return cls(
-            entries=[
-                ExperimentEntry.from_row(row) for row in payload["entries"]
+            "experiment report",
+            optional=True,
+            entries=lambda rows: [
+                record_from_row(
+                    ExperimentEntry,
+                    row,
+                    "experiment entry",
+                    optional=True,
+                    report=ReportBase.from_envelope,
+                )
+                for row in rows
             ],
-            experiment_name=payload.get("experiment_name", "experiment"),
-            jobs=payload.get("jobs", 1),
-            total_wall_s=payload.get("total_wall_s", 0.0),
-            extras=payload.get("extras", {}),
         )
 
     def metrics(self) -> dict[str, float]:

@@ -28,7 +28,12 @@ from typing import TYPE_CHECKING, Any, Mapping
 from ..chaos.faults import FaultEvent, FaultKind, FaultSchedule, seeded_schedule
 from ..common.errors import ConfigError, FormatError
 from ..common.hashing import stable_hash
-from ..common.serialization import ReportBase, require_keys, revive_float
+from ..common.serialization import (
+    ReportBase,
+    record_from_row,
+    record_row,
+    require_keys,
+)
 from ..fleet.allocator import PoolConfig
 from ..fleet.broker import StorageFabric
 from ..fleet.jobs import FleetMix, JobGenerator
@@ -186,6 +191,62 @@ def fault_events_from_rows(
     return tuple(events)
 
 
+def synthetic_session(
+    table_name: str,
+    table_seed: int,
+    n_partitions: int,
+    rows_per_partition: int,
+    batch_size: int,
+    row_sample_rate: float = 1.0,
+):
+    """The synthetic table a session scenario reads, and the session spec.
+
+    The table is seeded by *table_seed* (identical across runs and
+    processes), has *n_partitions* × *rows_per_partition* rows and is
+    published in 64-row stripes to a fresh six-node filesystem.  The
+    spec projects three dense and two sparse features through the
+    three-op DAG Logit → 900, FirstX → 901 → SigridHash → 902.  Returns
+    ``(filesystem, schema, footers, spec)``, keyed by partition name.
+    """
+    from ..dpp import SessionSpec
+    from ..dwrf import EncodingOptions
+    from ..tectonic import TectonicFilesystem
+    from ..transforms import FirstX, Logit, SigridHash, TransformDag
+    from ..warehouse import DatasetProfile, SampleGenerator, Table, publish_table
+
+    profile = DatasetProfile(
+        n_dense=10,
+        n_sparse=5,
+        n_scored=1,
+        avg_coverage=0.6,
+        avg_sparse_length=5.0,
+    )
+    generator = SampleGenerator(profile, seed=table_seed)
+    schema = generator.build_schema(table_name)
+    table = Table(schema)
+    generator.populate_table(
+        table, [f"p{index}" for index in range(n_partitions)], rows_per_partition
+    )
+    filesystem = TectonicFilesystem(n_nodes=6)
+    footers = publish_table(filesystem, table, EncodingOptions(stripe_rows=64))
+    dense = [s.feature_id for s in schema if s.name.startswith("dense_")][:3]
+    sparse = [s.feature_id for s in schema if s.name.startswith("sparse_")][:2]
+    dag = TransformDag()
+    dag.add(900, Logit(dense[0]))
+    dag.add(901, FirstX(sparse[0], 8))
+    dag.add(902, SigridHash(901, 10_000))
+    spec = SessionSpec(
+        table_name=table.name,
+        partitions=tuple(table.partition_names()),
+        projection=frozenset(dense + sparse),
+        dag=dag,
+        output_ids=(900, 902),
+        batch_size=batch_size,
+        row_sample_rate=row_sample_rate,
+    )
+    return filesystem, schema, footers, spec
+
+
 # -- fleet regions -------------------------------------------------------------
 
 
@@ -212,7 +273,7 @@ class FleetRegionScenario(Scenario):
     faults: tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ConfigError("scenario duration must be positive")
         unsupported = {f.kind for f in self.faults} - FLEET_FAULT_KINDS
         if unsupported:
@@ -292,33 +353,24 @@ class FleetRegionScenario(Scenario):
     # -- serialization ---------------------------------------------------------
 
     def params(self) -> dict:
-        return {
-            "name": self.name,
-            "trace_seed": self.trace_seed,
-            "duration_s": self.duration_s,
-            "horizon_s": self.horizon_s,
-            "mix": mix_to_overrides(self.mix),
-            "config": config_to_spec(self.config),
-            "faults": fault_events_to_rows(self.faults, "at_s"),
-        }
+        return record_row(
+            self,
+            mix=mix_to_overrides,
+            config=config_to_spec,
+            faults=lambda faults: fault_events_to_rows(faults, "at_s"),
+        )
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "FleetRegionScenario":
-        require_keys(
-            params,
-            required=("name", "trace_seed", "duration_s"),
-            optional=("horizon_s", "mix", "config", "faults"),
-            context="fleet scenario",
-        )
-        horizon = params.get("horizon_s")
-        return cls(
-            name=params["name"],
-            trace_seed=int(params["trace_seed"]),
-            mix=mix_from_overrides(params.get("mix", {})),
-            config=config_from_spec(params.get("config", {})),
-            duration_s=revive_float(params["duration_s"]),
-            horizon_s=None if horizon is None else float(horizon),
-            faults=fault_events_from_rows(params.get("faults", []), "at_s"),
+        # An absent mix or config is the shorthand's empty spec.
+        return record_from_row(
+            cls,
+            {"mix": {}, "config": {}, **params},
+            "fleet scenario",
+            optional=True,
+            mix=mix_from_overrides,
+            config=config_from_spec,
+            faults=lambda rows: fault_events_from_rows(rows, "at_s"),
         )
 
 
@@ -366,50 +418,15 @@ class ChaosSessionScenario(Scenario):
 
     def build_session(self):
         """A fresh session over a freshly published synthetic table."""
-        from ..dpp import DppSession, SessionSpec
-        from ..dwrf import EncodingOptions
-        from ..tectonic import TectonicFilesystem
-        from ..transforms import FirstX, Logit, SigridHash, TransformDag
-        from ..warehouse import (
-            DatasetProfile,
-            SampleGenerator,
-            Table,
-            publish_table,
-        )
+        from ..dpp import DppSession
 
-        profile = DatasetProfile(
-            n_dense=10,
-            n_sparse=5,
-            n_scored=1,
-            avg_coverage=0.6,
-            avg_sparse_length=5.0,
-        )
-        generator = SampleGenerator(profile, seed=self.table_seed)
-        schema = generator.build_schema("chaos_scenario")
-        table = Table(schema)
-        generator.populate_table(
-            table,
-            [f"p{index}" for index in range(self.n_partitions)],
+        filesystem, schema, footers, spec = synthetic_session(
+            "chaos_scenario",
+            self.table_seed,
+            self.n_partitions,
             self.rows_per_partition,
-        )
-        filesystem = TectonicFilesystem(n_nodes=6)
-        footers = publish_table(
-            filesystem, table, EncodingOptions(stripe_rows=64)
-        )
-        dense = [s.feature_id for s in schema if s.name.startswith("dense_")][:3]
-        sparse = [s.feature_id for s in schema if s.name.startswith("sparse_")][:2]
-        dag = TransformDag()
-        dag.add(900, Logit(dense[0]))
-        dag.add(901, FirstX(sparse[0], 8))
-        dag.add(902, SigridHash(901, 10_000))
-        spec = SessionSpec(
-            table_name=table.name,
-            partitions=tuple(table.partition_names()),
-            projection=frozenset(dense + sparse),
-            dag=dag,
-            output_ids=(900, 902),
-            batch_size=self.batch_size,
-            row_sample_rate=self.row_sample_rate,
+            self.batch_size,
+            self.row_sample_rate,
         )
         return DppSession(
             spec,
@@ -452,60 +469,18 @@ class ChaosSessionScenario(Scenario):
     # -- serialization ---------------------------------------------------------
 
     def params(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "n_workers": self.n_workers,
-            "n_clients": self.n_clients,
-            "n_partitions": self.n_partitions,
-            "rows_per_partition": self.rows_per_partition,
-            "batch_size": self.batch_size,
-            "row_sample_rate": self.row_sample_rate,
-            "table_seed": self.table_seed,
-            "faults": fault_events_to_rows(self.faults, "round"),
-            "seeded_faults": self.seeded_faults,
-            "seeded_max_round": self.seeded_max_round,
-            "client_batches_per_round": self.client_batches_per_round,
-        }
+        return record_row(
+            self, faults=lambda faults: fault_events_to_rows(faults, "round")
+        )
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "ChaosSessionScenario":
-        require_keys(
+        return record_from_row(
+            cls,
             params,
-            required=("name",),
-            optional=(
-                "seed",
-                "n_workers",
-                "n_clients",
-                "n_partitions",
-                "rows_per_partition",
-                "batch_size",
-                "row_sample_rate",
-                "table_seed",
-                "faults",
-                "seeded_faults",
-                "seeded_max_round",
-                "client_batches_per_round",
-            ),
-            context="chaos scenario",
-        )
-        throttle = params.get("client_batches_per_round")
-        return cls(
-            name=params["name"],
-            seed=int(params.get("seed", 0)),
-            n_workers=int(params.get("n_workers", 3)),
-            n_clients=int(params.get("n_clients", 2)),
-            n_partitions=int(params.get("n_partitions", 2)),
-            rows_per_partition=int(params.get("rows_per_partition", 256)),
-            batch_size=int(params.get("batch_size", 64)),
-            row_sample_rate=float(params.get("row_sample_rate", 1.0)),
-            table_seed=int(params.get("table_seed", 7)),
-            faults=fault_events_from_rows(params.get("faults", []), "round"),
-            seeded_faults=int(params.get("seeded_faults", 0)),
-            seeded_max_round=int(params.get("seeded_max_round", 8)),
-            client_batches_per_round=(
-                None if throttle is None else int(throttle)
-            ),
+            "chaos scenario",
+            optional=True,
+            faults=lambda rows: fault_events_from_rows(rows, "round"),
         )
 
 
@@ -538,7 +513,7 @@ class DppTimelineScenario(Scenario):
     worker_losses: tuple[tuple[float, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ConfigError("scenario duration must be positive")
         if any(when < 0 or count < 1 for when, count in self.worker_losses):
             raise ConfigError("worker losses need time >= 0 and count >= 1")
@@ -571,56 +546,19 @@ class DppTimelineScenario(Scenario):
     # -- serialization ---------------------------------------------------------
 
     def params(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "worker_batches_per_s": self.worker_batches_per_s,
-            "trainer_batches_per_s": self.trainer_batches_per_s,
-            "initial_workers": self.initial_workers,
-            "duration_s": self.duration_s,
-            "worker_spinup_s": self.worker_spinup_s,
-            "controller_period_s": self.controller_period_s,
-            "tick_s": self.tick_s,
-            "max_workers": self.max_workers,
-            "worker_losses": [
-                [when, count] for when, count in self.worker_losses
-            ],
-        }
+        return record_row(
+            self,
+            worker_losses=lambda losses: [[when, count] for when, count in losses],
+        )
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "DppTimelineScenario":
-        require_keys(
+        return record_from_row(
+            cls,
             params,
-            required=("name",),
-            optional=(
-                "seed",
-                "worker_batches_per_s",
-                "trainer_batches_per_s",
-                "initial_workers",
-                "duration_s",
-                "worker_spinup_s",
-                "controller_period_s",
-                "tick_s",
-                "max_workers",
-                "worker_losses",
-            ),
-            context="dpp scenario",
-        )
-        return cls(
-            name=params["name"],
-            seed=int(params.get("seed", 0)),
-            worker_batches_per_s=float(params.get("worker_batches_per_s", 10.0)),
-            trainer_batches_per_s=float(
-                params.get("trainer_batches_per_s", 60.0)
-            ),
-            initial_workers=int(params.get("initial_workers", 2)),
-            duration_s=float(params.get("duration_s", 1_800.0)),
-            worker_spinup_s=float(params.get("worker_spinup_s", 30.0)),
-            controller_period_s=float(params.get("controller_period_s", 10.0)),
-            tick_s=float(params.get("tick_s", 1.0)),
-            max_workers=int(params.get("max_workers", 64)),
-            worker_losses=tuple(
-                (float(when), int(count))
-                for when, count in params.get("worker_losses", [])
+            "dpp scenario",
+            optional=True,
+            worker_losses=lambda rows: tuple(
+                (float(when), int(count)) for when, count in rows
             ),
         )

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field, replace
 from ..analysis.report import render_table
 from ..cluster.job import JobKind
 from ..common.errors import SchedulingError
-from ..common.serialization import ReportBase, require_keys, revive_floats
+from ..common.serialization import (
+    ReportBase,
+    record_from_row,
+    record_row,
+    record_rows,
+    rows_of,
+)
 from ..workloads.models import model_by_name
 from .jobs import FleetJobSpec
 
@@ -70,74 +76,31 @@ class JobOutcome:
         """Average DPP workers held while active."""
         return self.worker_seconds / self.active_s if self.active_s > 0 else 0.0
 
-    #: Plain-float row fields (``completed_s`` stays float-or-null).
-    _FLOAT_FIELDS = (
-        "admitted_s",
-        "samples_done",
-        "stall_s",
-        "worker_seconds",
-        "granted_bytes",
-    )
-
     def to_row(self) -> dict:
         """JSON-ready row.  The job's model is recorded *by name* —
         fleet traces draw from the paper's RM catalog, and embedding
         the full hardware-profile tree per job would dwarf the row."""
-        return {
-            "spec": {
-                "job_id": self.spec.job_id,
-                "model": self.spec.model.name,
-                "kind": self.spec.kind.value,
-                "arrival_s": self.spec.arrival_s,
-                "trainer_nodes": self.spec.trainer_nodes,
-                "target_samples": self.spec.target_samples,
-            },
-            "admitted_s": self.admitted_s,
-            "completed_s": self.completed_s,
-            "samples_done": self.samples_done,
-            "stall_s": self.stall_s,
-            "worker_seconds": self.worker_seconds,
-            "granted_bytes": self.granted_bytes,
-        }
+        return record_row(
+            self,
+            spec=lambda spec: record_row(
+                spec, model=lambda model: model.name, kind=lambda kind: kind.value
+            ),
+        )
 
     @classmethod
     def from_row(cls, row: dict) -> "JobOutcome":
         """Rebuild from :meth:`to_row` output (strict keys)."""
-        require_keys(
+        return record_from_row(
+            cls,
             row,
-            required=("spec",) + cls._FLOAT_FIELDS + ("completed_s",),
-            context="fleet job outcome",
-        )
-        spec_row = row["spec"]
-        require_keys(
-            spec_row,
-            required=(
-                "job_id",
-                "model",
-                "kind",
-                "arrival_s",
-                "trainer_nodes",
-                "target_samples",
+            "fleet job outcome",
+            spec=lambda spec: record_from_row(
+                FleetJobSpec,
+                spec,
+                "fleet job spec",
+                model=model_by_name,
+                kind=JobKind,
             ),
-            context="fleet job spec",
-        )
-        revived = revive_floats(row, cls._FLOAT_FIELDS)
-        completed = row["completed_s"]
-        return cls(
-            spec=FleetJobSpec(
-                job_id=int(spec_row["job_id"]),
-                model=model_by_name(spec_row["model"]),
-                kind=JobKind(spec_row["kind"]),
-                arrival_s=float(spec_row["arrival_s"]),
-                trainer_nodes=int(spec_row["trainer_nodes"]),
-                target_samples=float(spec_row["target_samples"]),
-            ),
-            admitted_s=revived["admitted_s"],
-            completed_s=None if completed is None else float(completed),
-            samples_done=revived["samples_done"],
-            stall_s=revived["stall_s"],
-            worker_seconds=revived["worker_seconds"],
-            granted_bytes=revived["granted_bytes"],
         )
 
 
@@ -155,37 +118,6 @@ class FleetSample:
     granted_bytes_per_s: float
     storage_utilization: float
     power_watts: float
-
-    _FLOAT_FIELDS = (
-        "time_s",
-        "supply_samples_per_s",
-        "demand_samples_per_s",
-        "granted_bytes_per_s",
-        "storage_utilization",
-        "power_watts",
-    )
-    _INT_FIELDS = (
-        "active_jobs",
-        "queued_jobs",
-        "live_workers",
-        "pending_workers",
-    )
-
-    def to_row(self) -> dict:
-        """JSON-ready row (field names are the schema)."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_row(cls, row: dict) -> "FleetSample":
-        require_keys(
-            row,
-            required=cls._FLOAT_FIELDS + cls._INT_FIELDS,
-            context="fleet tick sample",
-        )
-        revived = revive_floats(row, cls._FLOAT_FIELDS)
-        for name in cls._INT_FIELDS:
-            revived[name] = int(revived[name])
-        return cls(**revived)
 
 
 @dataclass
@@ -277,37 +209,20 @@ class FleetReport(ReportBase):
     # -- shared telemetry surface ----------------------------------------------
 
     def payload(self) -> dict:
-        return {
-            "outcomes": [o.to_row() for o in self.outcomes],
-            "samples": [s.to_row() for s in self.samples],
-            "storage_bandwidth_bytes_per_s": self.storage_bandwidth_bytes_per_s,
-            "makespan_s": self.makespan_s,
-            "unadmitted_queue_delays_s": list(self.unadmitted_queue_delays_s),
-        }
+        return record_row(
+            self,
+            outcomes=lambda outcomes: [o.to_row() for o in outcomes],
+            samples=record_rows,
+        )
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FleetReport":
-        require_keys(
+        return record_from_row(
+            cls,
             payload,
-            required=(
-                "outcomes",
-                "samples",
-                "storage_bandwidth_bytes_per_s",
-                "makespan_s",
-                "unadmitted_queue_delays_s",
-            ),
-            context="fleet report",
-        )
-        return cls(
-            outcomes=[JobOutcome.from_row(row) for row in payload["outcomes"]],
-            samples=[FleetSample.from_row(row) for row in payload["samples"]],
-            storage_bandwidth_bytes_per_s=float(
-                payload["storage_bandwidth_bytes_per_s"]
-            ),
-            makespan_s=float(payload["makespan_s"]),
-            unadmitted_queue_delays_s=[
-                float(delay) for delay in payload["unadmitted_queue_delays_s"]
-            ],
+            "fleet report",
+            outcomes=lambda rows: [JobOutcome.from_row(row) for row in rows],
+            samples=rows_of(FleetSample, "fleet tick sample"),
         )
 
     def metrics(self) -> dict[str, float]:

@@ -96,13 +96,14 @@ class PlaneConfig:
                 f"fetch policy must be one of {FETCH_POLICIES}, "
                 f"got {self.fetch_policy!r}"
             )
-        if self.rate_per_s <= 0 or self.n_requests < 1:
+        # Written as `not x > 0` so that nan fails the checks too.
+        if not self.rate_per_s > 0 or self.n_requests < 1:
             raise ConfigError("serving needs a positive rate and request count")
         if self.extract_workers < 1 or self.transform_workers < 1:
             raise ConfigError("each pool needs at least one worker")
-        if self.cycles_per_s <= 0:
+        if not self.cycles_per_s > 0:
             raise ConfigError("cycles_per_s must be positive")
-        if self.max_retries < 0 or self.retry_backoff_s <= 0:
+        if self.max_retries < 0 or not self.retry_backoff_s > 0:
             raise ConfigError("retry policy needs backoff > 0 and retries >= 0")
 
 

@@ -14,24 +14,11 @@ from dataclasses import dataclass, field
 from ..common.serialization import (
     ReportBase,
     percentile,
-    require_keys,
-    revive_floats,
+    record_from_row,
+    record_row,
+    record_rows,
+    rows_of,
 )
-
-_FLOAT_FIELDS = (
-    "duration_s",
-    "requests_per_s",
-    "fetch_p50_ms",
-    "fetch_p99_ms",
-    "fetch_p999_ms",
-    "fetch_mean_ms",
-)
-
-#: Per-queue depth statistics rows carry these keys.
-_QUEUE_KEYS = ("name", "peak_depth", "mean_depth", "total_enqueued")
-
-#: Per-pool sizing rows carry these keys.
-_POOL_KEYS = ("role", "initial", "peak", "final", "launches", "drains")
 
 
 @dataclass
@@ -42,24 +29,6 @@ class QueueStats:
     peak_depth: int = 0
     mean_depth: float = 0.0
     total_enqueued: int = 0
-
-    def to_row(self) -> dict:
-        return {
-            "name": self.name,
-            "peak_depth": self.peak_depth,
-            "mean_depth": self.mean_depth,
-            "total_enqueued": self.total_enqueued,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "QueueStats":
-        require_keys(row, required=_QUEUE_KEYS, context="queue stats")
-        return cls(
-            name=row["name"],
-            peak_depth=int(row["peak_depth"]),
-            mean_depth=float(row["mean_depth"]),
-            total_enqueued=int(row["total_enqueued"]),
-        )
 
 
 @dataclass
@@ -72,28 +41,6 @@ class PoolStats:
     final: int = 0
     launches: int = 0
     drains: int = 0
-
-    def to_row(self) -> dict:
-        return {
-            "role": self.role,
-            "initial": self.initial,
-            "peak": self.peak,
-            "final": self.final,
-            "launches": self.launches,
-            "drains": self.drains,
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "PoolStats":
-        require_keys(row, required=_POOL_KEYS, context="pool stats")
-        return cls(
-            role=row["role"],
-            initial=int(row["initial"]),
-            peak=int(row["peak"]),
-            final=int(row["final"]),
-            launches=int(row["launches"]),
-            drains=int(row["drains"]),
-        )
 
 
 @dataclass
@@ -141,56 +88,16 @@ class ServingReport(ReportBase):
     # -- serialization ---------------------------------------------------------
 
     def payload(self) -> dict:
-        return {
-            "arrivals": self.arrivals,
-            "served": self.served,
-            "shed": self.shed,
-            "retries": self.retries,
-            "epochs": self.epochs,
-            "batches_produced": self.batches_produced,
-            "duration_s": self.duration_s,
-            "requests_per_s": self.requests_per_s,
-            "fetch_p50_ms": self.fetch_p50_ms,
-            "fetch_p99_ms": self.fetch_p99_ms,
-            "fetch_p999_ms": self.fetch_p999_ms,
-            "fetch_mean_ms": self.fetch_mean_ms,
-            "queues": [q.to_row() for q in self.queues],
-            "pools": [p.to_row() for p in self.pools],
-        }
+        return record_row(self, queues=record_rows, pools=record_rows)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ServingReport":
-        require_keys(
+        return record_from_row(
+            cls,
             payload,
-            required=(
-                "arrivals",
-                "served",
-                "shed",
-                "retries",
-                "epochs",
-                "batches_produced",
-                "queues",
-                "pools",
-                *_FLOAT_FIELDS,
-            ),
-            context="serving report",
-        )
-        revived = revive_floats(payload, _FLOAT_FIELDS)
-        return cls(
-            arrivals=int(revived["arrivals"]),
-            served=int(revived["served"]),
-            shed=int(revived["shed"]),
-            retries=int(revived["retries"]),
-            epochs=int(revived["epochs"]),
-            batches_produced=int(revived["batches_produced"]),
-            duration_s=revived["duration_s"],
-            requests_per_s=revived["requests_per_s"],
-            fetch_p50_ms=revived["fetch_p50_ms"],
-            fetch_p99_ms=revived["fetch_p99_ms"],
-            fetch_p999_ms=revived["fetch_p999_ms"],
-            fetch_mean_ms=revived["fetch_mean_ms"],
-            queues=[QueueStats.from_row(row) for row in revived["queues"]],
-            pools=[PoolStats.from_row(row) for row in revived["pools"]],
+            "serving report",
+            queues=rows_of(QueueStats, "queue stats"),
+            pools=rows_of(PoolStats, "pool stats"),
         )
 
     # -- telemetry -------------------------------------------------------------
@@ -241,3 +148,4 @@ class ServingReport(ReportBase):
 
     def describe(self) -> str:
         return self.render()
+

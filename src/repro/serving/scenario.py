@@ -12,60 +12,13 @@ are byte-identical across serial and pooled execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, fields, replace
 
 from ..common.errors import ConfigError
-from ..common.serialization import require_keys
 from ..experiments.base import Scenario
 from ..telemetry.tracer import Tracer
 from .plane import PlaneConfig, ServingPlane
 from .report import ServingReport
-
-#: The plane knobs the scenario forwards verbatim into PlaneConfig.
-_PLANE_FIELDS = (
-    "arrival_mix",
-    "rate_per_s",
-    "n_requests",
-    "fetch_policy",
-    "max_retries",
-    "retry_backoff_s",
-    "backoff_multiplier",
-    "fetch_queue_bound",
-    "extract_queue_bound",
-    "transform_queue_bound",
-    "ready_queue_bound",
-    "extract_workers",
-    "transform_workers",
-    "autoscale",
-    "max_pool_workers",
-    "control_period_s",
-    "cycles_per_s",
-)
-
-_FLOAT_FIELDS = (
-    "rate_per_s",
-    "retry_backoff_s",
-    "backoff_multiplier",
-    "control_period_s",
-    "cycles_per_s",
-)
-
-_INT_FIELDS = (
-    "n_requests",
-    "max_retries",
-    "fetch_queue_bound",
-    "extract_queue_bound",
-    "transform_queue_bound",
-    "ready_queue_bound",
-    "extract_workers",
-    "transform_workers",
-    "max_pool_workers",
-    "n_partitions",
-    "rows_per_partition",
-    "batch_size",
-    "table_seed",
-)
 
 
 @dataclass(frozen=True)
@@ -112,10 +65,16 @@ class ServingScenario(Scenario):
         self.plane_config()
 
     def plane_config(self) -> PlaneConfig:
+        """The plane knobs: every PlaneConfig field this scenario also
+        has, with the scenario's name as the host."""
+        knobs = {field.name for field in fields(self)}
         return PlaneConfig(
-            seed=self.seed,
             host=self.name,
-            **{name: getattr(self, name) for name in _PLANE_FIELDS},
+            **{
+                field.name: getattr(self, field.name)
+                for field in fields(PlaneConfig)
+                if field.name in knobs
+            },
         )
 
     # -- execution -------------------------------------------------------------
@@ -123,61 +82,25 @@ class ServingScenario(Scenario):
     def build_plane(self, tracer: "Tracer | None" = None) -> ServingPlane:
         """A plane over a freshly published synthetic table."""
         from ..dpp.master import ReplicatedMaster
-        from ..dpp.spec import SessionSpec
         from ..dpp.worker import DppWorker, WorkerConfig
-        from ..dwrf import EncodingOptions
-        from ..tectonic import TectonicFilesystem
-        from ..transforms import FirstX, Logit, SigridHash, TransformDag
-        from ..warehouse import (
-            DatasetProfile,
-            SampleGenerator,
-            Table,
-            publish_table,
-        )
+        from ..experiments.scenarios import synthetic_session
         from ..warehouse.publish import partition_file_name
 
-        profile = DatasetProfile(
-            n_dense=10,
-            n_sparse=5,
-            n_scored=1,
-            avg_coverage=0.6,
-            avg_sparse_length=5.0,
-        )
-        generator = SampleGenerator(profile, seed=self.table_seed)
-        schema = generator.build_schema("serving_scenario")
-        table = Table(schema)
-        generator.populate_table(
-            table,
-            [f"p{index}" for index in range(self.n_partitions)],
+        filesystem, schema, footers, spec = synthetic_session(
+            "serving_scenario",
+            self.table_seed,
+            self.n_partitions,
             self.rows_per_partition,
+            self.batch_size,
         )
-        filesystem = TectonicFilesystem(n_nodes=6)
-        footers = publish_table(
-            filesystem, table, EncodingOptions(stripe_rows=64)
-        )
-        dense = [s.feature_id for s in schema if s.name.startswith("dense_")][:3]
-        sparse = [s.feature_id for s in schema if s.name.startswith("sparse_")][:2]
-        dag = TransformDag()
-        dag.add(900, Logit(dense[0]))
-        dag.add(901, FirstX(sparse[0], 8))
-        dag.add(902, SigridHash(901, 10_000))
         # Splits reference Tectonic paths, so the master's spec and
         # footer map are keyed by path (as DppSession does internally).
-        spec = SessionSpec(
-            table_name=table.name,
-            partitions=tuple(
-                partition_file_name(table.name, p)
-                for p in table.partition_names()
-            ),
-            projection=frozenset(dense + sparse),
-            dag=dag,
-            output_ids=(900, 902),
-            batch_size=self.batch_size,
-        )
-        footers_by_path = {
-            partition_file_name(table.name, partition): footer
-            for partition, footer in footers.items()
+        paths = {
+            partition: partition_file_name(spec.table_name, partition)
+            for partition in spec.partitions
         }
+        spec = replace(spec, partitions=tuple(paths.values()))
+        footers_by_path = {paths[name]: footer for name, footer in footers.items()}
         master = ReplicatedMaster(spec, footers_by_path)
         worker_config = WorkerConfig()
 
@@ -200,43 +123,6 @@ class ServingScenario(Scenario):
         queue-depth gauges, and admission-control decisions in virtual
         time."""
         return self.build_plane(tracer).run()
-
-    # -- serialization ---------------------------------------------------------
-
-    def params(self) -> dict:
-        out: dict = {"name": self.name, "seed": self.seed}
-        for name in _PLANE_FIELDS:
-            out[name] = getattr(self, name)
-        for name in ("n_partitions", "rows_per_partition", "batch_size",
-                     "table_seed"):
-            out[name] = getattr(self, name)
-        return out
-
-    @classmethod
-    def from_params(cls, params: Mapping[str, Any]) -> "ServingScenario":
-        require_keys(
-            params,
-            required=("name",),
-            optional=(
-                "seed",
-                "n_partitions",
-                "rows_per_partition",
-                "batch_size",
-                "table_seed",
-                *_PLANE_FIELDS,
-            ),
-            context="serving scenario",
-        )
-        kwargs: dict = {"name": params["name"], "seed": int(params.get("seed", 0))}
-        defaults = cls(name="defaults")
-        for name in _FLOAT_FIELDS:
-            kwargs[name] = float(params.get(name, getattr(defaults, name)))
-        for name in _INT_FIELDS:
-            kwargs[name] = int(params.get(name, getattr(defaults, name)))
-        for name in ("arrival_mix", "fetch_policy"):
-            kwargs[name] = str(params.get(name, getattr(defaults, name)))
-        kwargs["autoscale"] = bool(params.get("autoscale", defaults.autoscale))
-        return cls(**kwargs)
 
 
 def _register_builtin_entries() -> None:

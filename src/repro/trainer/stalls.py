@@ -10,9 +10,9 @@ falls far short of GPU demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from ..common.serialization import ReportBase, require_keys, revive_floats
+from ..common.serialization import ReportBase, record_from_row, record_row
 from ..common.units import GB
 from ..dpp.analytical import per_sample_cost
 from ..workloads.hardware import TrainerNodeSpec
@@ -40,37 +40,20 @@ class StallReport(ReportBase):
     supplied_samples_per_s: float
     demanded_samples_per_s: float
 
-    _FLOAT_FIELDS = (
-        "gpu_stall_fraction",
-        "cpu_utilization",
-        "mem_bw_utilization",
-        "supplied_samples_per_s",
-        "demanded_samples_per_s",
-    )
-
     def payload(self) -> dict:
         # The model rides along by catalog name (RM1/RM2/RM3), not as
         # an embedded hardware-profile tree.
-        row = {name: getattr(self, name) for name in self._FLOAT_FIELDS}
-        row["model"] = self.model.name
-        return row
+        return record_row(self, model=lambda model: model.name)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "StallReport":
-        require_keys(
-            payload,
-            required=("model",) + cls._FLOAT_FIELDS,
-            context="stall report",
-        )
-        revived = revive_floats(payload, cls._FLOAT_FIELDS)
-        return cls(
-            model=model_by_name(payload["model"]),
-            **{name: revived[name] for name in cls._FLOAT_FIELDS},
-        )
+        return record_from_row(cls, payload, "stall report", model=model_by_name)
 
     def metrics(self) -> dict[str, float]:
         return {
-            f"stall.{name}": getattr(self, name) for name in self._FLOAT_FIELDS
+            f"stall.{field.name}": getattr(self, field.name)
+            for field in fields(self)
+            if field.name != "model"
         }
 
 

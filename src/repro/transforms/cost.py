@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..common.errors import TransformError
-from ..common.serialization import ReportBase, require_keys
+from ..common.serialization import (
+    ReportBase,
+    record_from_row,
+    record_row,
+    revive_float,
+)
 from .base import OpClass
 from .batch import FeatureBatch
 from .dag import CLASS_SLOTS, TransformDag
@@ -53,30 +58,23 @@ class CostReport(ReportBase):
     # -- shared telemetry surface ----------------------------------------------
 
     def payload(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "mem_bytes": self.mem_bytes,
-            "elements": self.elements,
-            "cycles_by_class": {
-                cls.value: cycles for cls, cycles in self.cycles_by_class.items()
+        return record_row(
+            self,
+            cycles_by_class=lambda by_class: {
+                op_class.value: cycles for op_class, cycles in by_class.items()
             },
-        }
+        )
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CostReport":
-        require_keys(
+        return record_from_row(
+            cls,
             payload,
-            required=("cycles", "mem_bytes", "elements", "cycles_by_class"),
-            context="cost report",
-        )
-        by_class = {op_class: 0.0 for op_class in OpClass}
-        for name, cycles in payload["cycles_by_class"].items():
-            by_class[OpClass(name)] = float(cycles)
-        return cls(
-            cycles=float(payload["cycles"]),
-            mem_bytes=float(payload["mem_bytes"]),
-            cycles_by_class=by_class,
-            elements=int(payload["elements"]),
+            "cost report",
+            cycles_by_class=lambda row: {
+                **dict.fromkeys(OpClass, 0.0),
+                **{OpClass(name): revive_float(cycles) for name, cycles in row.items()},
+            },
         )
 
     def metrics(self) -> dict[str, float]:
