@@ -47,7 +47,6 @@ from .registry import (
 from .pool import (
     PoolPolicy,
     PoolStats,
-    SweepArena,
     auto_chunk_size,
     fault_kill_on_cell,
     fault_raise_on_cell,
@@ -90,7 +89,6 @@ __all__ = [
     "Scenario",
     "ScenarioGrid",
     "ScenarioResult",
-    "SweepArena",
     "SweepReport",
     "SweepRunner",
     "auto_chunk_size",

@@ -62,7 +62,7 @@ class ScenarioGrid:
     def scenario_at(self, index: int) -> FleetRegionScenario:
         """Cell *index* of the expansion: mixes outermost, then configs,
         then fault schedules, seeds innermost.  This is the one
-        statement of the order — journals, arenas and reports all index
+        statement of the order — journals and reports both index
         cells by it."""
         if not 0 <= index < len(self):
             raise ConfigError(f"grid has no cell {index}")

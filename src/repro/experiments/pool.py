@@ -1,19 +1,20 @@
-"""Self-healing persistent fork-pool engine and the shared results arena.
+"""Self-healing persistent fork-pool engine.
 
 One engine, two front-ends: :func:`~repro.experiments.runner.fan_out`
 is the only code that decides between running inline and running here,
 and both runners (:class:`~repro.experiments.runner.SweepRunner`,
 :class:`~repro.experiments.runner.ExperimentRunner`) are calls to it.
-Nothing per cell is pickled in either direction, workers outlive their
-chunks, and — since one dead worker must never sink a 100k-cell
-overnight campaign — the pool is supervised:
+Inputs are never pickled, workers outlive their chunks, and — since one
+dead worker must never sink a 100k-cell overnight campaign — the pool
+is supervised:
 
 * :func:`run_chunked` — long-lived ``fork``\\ ed workers drain *chunks*
   (contiguous ``[start, stop)`` index ranges) assigned one at a time
   over per-worker pipes.  Work definitions are inherited by the fork,
-  never pickled; only small task tuples and result envelopes cross the
-  pipes.  A supervisor in the parent multiplexes worker pipes against
-  process sentinels, so a worker that dies mid-chunk (segfault,
+  never pickled; only a small task tuple crosses to a worker, and the
+  chunk's results come back pickled, once per chunk, in the chunk's
+  ``ok`` message.  A supervisor in the parent multiplexes worker pipes
+  against process sentinels, so a worker that dies mid-chunk (segfault,
   ``os._exit``, OOM kill) is detected immediately: its in-flight chunk
   is requeued and the worker respawned with capped exponential
   backoff.  A chunk that *keeps* killing workers is bisected until the
@@ -25,23 +26,13 @@ overnight campaign — the pool is supervised:
   (retry budget, backoff, timeout, fault injection) and the incident
   counters (requeues, respawns, bisections, timeouts, quarantined
   cells) surfaced in sweep artifacts.
-* :class:`SweepArena` — a sweep's results as one shared-memory numpy
-  table workers fold flat metrics into in place (row *i* belongs to
-  ``grid.scenario_at(i)``; scenarios themselves are rebuilt from the
-  fork-inherited grid, never stored or pickled).  The parent
-  materializes every :class:`~repro.experiments.report.ScenarioResult`
-  in one pass after the pool drains — a single merge, independent of
-  chunk scheduling, retries, and respawns (results land at fixed grid
-  indices, so re-running a chunk is idempotent).
 
-The table lives in an anonymous ``mmap`` shared map (``MAP_SHARED``),
-so worker writes are visible to the parent without any serialization.
 The engine requires the ``fork`` start method (Linux/macOS CPython);
 :func:`~repro.experiments.runner.fan_out`, the one caller, executes
 inline where ``fork`` is unavailable.
 
 Determinism: chunking only partitions the index space.  Every scenario
-seeds itself, results land at their grid index, retried chunks
+seeds itself, a chunk's results land at its index range, retried chunks
 recompute identical values, and per-cell completions are deduplicated
 across retries — so serial, any ``jobs``, any chunk size, and any
 crash/retry history produce byte-identical artifacts (modulo wall
@@ -60,7 +51,6 @@ requeue, bisection, and quarantine without patching the engine.
 from __future__ import annotations
 
 import math
-import mmap
 import multiprocessing
 import os
 import pathlib
@@ -68,15 +58,11 @@ import pickle
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable
 
-import numpy as np
-
 from ..common.errors import ConfigError
-from .grid import ScenarioGrid
-from .report import ScenarioResult
 
 #: ``work(start, stop, cell_done)`` over one chunk of the index space;
 #: ``cell_done`` (when not None) must be called once per finished cell
@@ -94,7 +80,7 @@ _MAX_AUTO_CHUNK = 32
 
 
 def fork_available() -> bool:
-    """Whether the persistent zero-copy engine can run here."""
+    """Whether the persistent engine can run here."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -157,23 +143,11 @@ class PoolStats:
 
     def any(self) -> bool:
         """Whether anything noteworthy happened."""
-        return bool(
-            self.requeues
-            or self.respawns
-            or self.bisections
-            or self.timeouts
-            or self.quarantined_cells
-        )
+        return any(self.as_dict().values())
 
     def as_dict(self) -> dict[str, int]:
         """JSON-ready counter block (stable key order via sort)."""
-        return {
-            "bisections": self.bisections,
-            "quarantined_cells": self.quarantined_cells,
-            "requeues": self.requeues,
-            "respawns": self.respawns,
-            "timeouts": self.timeouts,
-        }
+        return dict(sorted(asdict(self).items()))
 
 
 # -- deterministic fault-injection hooks ---------------------------------------
@@ -343,14 +317,15 @@ def run_chunked(
     progress: Callable[[int, int], None] | None = None,
     policy: PoolPolicy | None = None,
     on_cell_failed: Callable[[int, str], None] | None = None,
-    on_chunk: Callable[[int, int], None] | None = None,
+    on_chunk: Callable[[int, int, Any], None],
     stats: PoolStats | None = None,
-) -> list[tuple[int, int, Any]]:
+) -> None:
     """Run *work* over ``[0, n_items)`` across supervised forked workers.
 
-    Returns ``(start, stop, payload)`` per successfully completed chunk
-    in index order (bisected chunks appear as their sub-ranges).  The
-    supervisor multiplexes per-worker pipes against process sentinels:
+    Each successfully completed chunk is handed to *on_chunk* once, as
+    ``on_chunk(start, stop, payload)`` with what *work* returned for it
+    (bisected chunks arrive as their sub-ranges), in completion order.
+    The supervisor multiplexes per-worker pipes against process sentinels:
 
     * a worker that dies mid-chunk (segfault, ``os._exit``, SIGKILL,
       watchdog timeout) has its chunk requeued and is respawned with
@@ -361,21 +336,21 @@ def run_chunked(
       deterministic, pid-free detail string) and the run completes;
       without it the isolated cell raises (the original exception for
       in-chunk raises, a ``RuntimeError`` for worker deaths);
-    * *on_chunk* observes each successfully completed chunk once, as
-      ``on_chunk(start, stop)``, after every cell in the range is done
-      (a worker reports cells before its chunk ``ok`` on the same
-      pipe) — the once-per-chunk journal append point.  Quarantined
-      cells are never covered by an *on_chunk* range: bisection
-      isolates the poison into a single-cell chunk that fails rather
-      than completes;
+    * *on_chunk* runs after every cell in the range is done (a worker
+      reports cells before its chunk ``ok`` on the same pipe) — the
+      once-per-chunk journal append point.  Quarantined cells are never
+      covered by an *on_chunk* range: bisection isolates the poison
+      into a single-cell chunk that fails rather than completes;
     * *progress* is called per resolved cell with monotonic counts.
 
     *stats*, when provided, accumulates the incident counters.
     """
     if not fork_available():  # pragma: no cover - platform-dependent
         raise ConfigError("persistent pool requires the fork start method")
+    if jobs < 1:
+        raise ConfigError("the pool needs at least one worker process")
     if n_items <= 0:
-        return []
+        return
     policy = policy if policy is not None else PoolPolicy()
     stats = stats if stats is not None else PoolStats()
     size = chunk_size if chunk_size is not None else auto_chunk_size(n_items, jobs)
@@ -386,7 +361,6 @@ def run_chunked(
         for start in range(0, n_items, size)
     )
     active = len(queue)  # chunks not yet completed or quarantined
-    completed: list[tuple[int, int, Any]] = []
     seen: set[int] = set()  # resolved cell indices (dedup across retries)
     context = multiprocessing.get_context("fork")
     want_cells = progress is not None
@@ -439,9 +413,7 @@ def run_chunked(
                 slot.chunk = None
                 slot.deadline = None
                 slot.deaths = 0
-                completed.append((chunk.start, chunk.stop, message[1]))
-                if on_chunk is not None:
-                    on_chunk(chunk.start, chunk.stop)
+                on_chunk(chunk.start, chunk.stop, message[1])
                 active -= 1
             else:  # "err": the chunk raised, the worker survived
                 chunk = slot.chunk
@@ -598,90 +570,4 @@ def run_chunked(
                 slot.process.join(timeout=5)
             if slot.conn is not None:
                 slot.conn.close()
-    return sorted(completed, key=lambda entry: entry[0])
 
-
-# -- the sweep arena -----------------------------------------------------------
-
-#: Numeric tail of :class:`ScenarioResult` (everything after
-#: ``trace_seed``, before the status fields), in field order.  Integer
-#: columns round-trip exactly through float64 (all counts sit far
-#: below 2**53).
-RESULT_COLUMNS = (
-    "jobs_submitted",
-    "jobs_completed",
-    "peak_concurrency",
-    "makespan_s",
-    "aggregate_samples_per_s",
-    "mean_slowdown",
-    "mean_stall_fraction",
-    "p95_queue_delay_s",
-    "mean_storage_utilization",
-    "peak_storage_utilization",
-    "peak_power_watts",
-    "events_fired",
-    "wall_s",
-)
-
-_INT_COLUMNS = frozenset(
-    ("jobs_submitted", "jobs_completed", "peak_concurrency", "events_fired")
-)
-
-
-class SweepArena:
-    """The results of a :class:`ScenarioGrid` as one shared-memory table.
-
-    ``results`` is the ``(n, len(RESULT_COLUMNS))`` float64 columnar
-    accumulator, row *i* for ``grid.scenario_at(i)``, that workers
-    :meth:`store` flat metrics into.  It lives in an anonymous shared
-    ``mmap`` region, so cross-process writes need no serialization at
-    all; what a cell *is* (name, seed, axis values) is never stored —
-    the fork-inherited grid answers that from the index.
-
-    The arena carries only the numeric result tail.  Cell *status*
-    (``ok`` vs ``quarantined``) is parent-side state — the runner
-    patches statuses onto materialized results, keeping the shared
-    region free of variable-length strings.
-    """
-
-    def __init__(self, grid: ScenarioGrid) -> None:
-        self.grid = grid
-        n = len(grid)
-        self._results_map = mmap.mmap(-1, n * len(RESULT_COLUMNS) * 8)
-        self.results = np.frombuffer(
-            self._results_map, dtype=np.float64, count=n * len(RESULT_COLUMNS)
-        ).reshape(n, len(RESULT_COLUMNS))
-        self.results.fill(np.nan)  # unwritten rows are visibly poisoned
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def store(self, index: int, result: ScenarioResult) -> None:
-        """Fold one scenario's numeric tail into the results table."""
-        self.results[index] = tuple(
-            getattr(result, column) for column in RESULT_COLUMNS
-        )
-
-    def result_for(self, index: int) -> ScenarioResult:
-        """Revive one stored result from the shared columnar row."""
-        spec = self.grid.scenario_at(index)
-        row = self.results[index]
-        values = {
-            column: (
-                int(row[position])
-                if column in _INT_COLUMNS
-                else float(row[position])
-            )
-            for position, column in enumerate(RESULT_COLUMNS)
-        }
-        return ScenarioResult(
-            name=spec.name,
-            cell=spec.cell,
-            trace_seed=spec.trace_seed,
-            **values,
-        )
-
-    def materialize(self) -> list[ScenarioResult]:
-        """All results, revived in grid order — the single parent-side
-        merge, independent of which worker ran which chunk."""
-        return [self.result_for(index) for index in range(len(self))]

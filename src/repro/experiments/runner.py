@@ -8,10 +8,10 @@ front-ends that pick the cell function and what to do with the
 outcomes:
 
 * :class:`SweepRunner` — the fleet grid: a cell runs
-  ``grid.scenario_at(index)`` and folds its flat metrics into the
-  shared-memory :class:`~repro.experiments.pool.SweepArena`, the parent
-  materializes the :class:`~repro.experiments.report.SweepReport` in a
-  single merge.  It also speaks the run-journal protocol
+  ``grid.scenario_at(index)`` and returns its flat
+  :class:`~repro.experiments.report.ScenarioResult`, which the parent
+  slots into the :class:`~repro.experiments.report.SweepReport` at its
+  grid index.  It also speaks the run-journal protocol
   (:mod:`repro.experiments.journal`): pass ``journal_path`` and every
   completed chunk of cells is durably logged, pass ``resume=True`` and
   a killed sweep picks up where it stopped — with a final report
@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import pathlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..common.errors import ConfigError
@@ -50,7 +50,6 @@ from .journal import RunJournal
 from .pool import (
     PoolPolicy,
     PoolStats,
-    SweepArena,
     auto_chunk_size,
     fork_available,
     run_chunked,
@@ -71,7 +70,7 @@ def fan_out(
     policy: PoolPolicy | None = None,
     on_item_failed: Callable[[int, str], object] | None = None,
     stats: PoolStats | None = None,
-    on_chunk: Callable[[int, int], None] | None = None,
+    on_chunk: Callable[[int, int, list], None] | None = None,
 ) -> list:
     """Apply *fn* over *items*, inline or across persistent workers.
 
@@ -80,7 +79,9 @@ def fan_out(
     what CI determinism tests use.  Otherwise items ship to long-lived
     forked workers in index chunks (*chunk_size* cells per task,
     auto-tuned from the batch size and *jobs* when None); *items* and
-    *fn* are inherited by the fork, never pickled.
+    *fn* are inherited by the fork, never pickled, and each chunk's
+    results come back pickled in one message.  Both arms refuse
+    ``jobs < 1`` and ``chunk_size < 1`` alike.
     Results come back in input order regardless of engine, jobs, or
     chunk size, so fan-out width cannot reorder them.
 
@@ -89,12 +90,13 @@ def fan_out(
     meaningful, never an item identity.
 
     *on_chunk* observes finished work as index ranges:
-    ``on_chunk(start, stop)`` once every item in the range is done —
-    the point where a caller makes a batch of results durable.  The
-    inline arm walks the same ranges the pool would chunk at; when an
-    exception or interrupt cuts one short, the finished prefix is still
-    reported before the exception propagates.  Every index that
-    finishes is covered exactly once; a quarantined index never is.
+    ``on_chunk(start, stop, values)`` once every item in the range is
+    done, with ``values`` the range's results — the point where a
+    caller makes a batch of results durable.  The inline arm walks the
+    same ranges the pool would chunk at; when an exception or interrupt
+    cuts one short, the finished prefix is still reported before the
+    exception propagates.  Every index that finishes is covered exactly
+    once; a quarantined index never is.
 
     Fault tolerance (see :func:`~repro.experiments.pool.run_chunked`):
     with *on_item_failed* a poison item — one that keeps raising or
@@ -106,18 +108,22 @@ def fan_out(
     exceptions, so ``jobs=1`` and ``jobs=N`` quarantine identically.
     *stats*, when provided, accumulates the pool's incident counters.
     """
+    if jobs < 1:
+        raise ConfigError("fan_out needs at least one worker process")
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigError("chunk size must be at least one item")
     n_items = len(items)
     if n_items == 0:
         return []
+    size = chunk_size if chunk_size is not None else auto_chunk_size(n_items, jobs)
     if jobs == 1 or n_items == 1 or not fork_available():
-        size = chunk_size or auto_chunk_size(n_items, jobs)
         results: list = []
         reported = 0  # every finished index below this has been reported
 
         def report(stop: int) -> None:
             nonlocal reported
             if on_chunk is not None and stop > reported:
-                on_chunk(reported, stop)
+                on_chunk(reported, stop, results[reported:stop])
             reported = stop
 
         try:
@@ -156,18 +162,22 @@ def fan_out(
     def quarantine(index: int, detail: str) -> None:
         results[index] = on_item_failed(index, detail)
 
-    for start, stop, payload in run_chunked(
+    def chunk_done(start: int, stop: int, values: list) -> None:
+        results[start:stop] = values
+        if on_chunk is not None:
+            on_chunk(start, stop, values)
+
+    run_chunked(
         work,
         n_items,
         jobs=jobs,
-        chunk_size=chunk_size,
+        chunk_size=size,
         progress=progress,
         policy=policy,
         stats=stats,
         on_cell_failed=None if on_item_failed is None else quarantine,
-        on_chunk=on_chunk,
-    ):
-        results[start:stop] = payload
+        on_chunk=chunk_done,
+    )
     return results
 
 
@@ -239,10 +249,10 @@ def run_scenario_spec_traced(
 class SweepRunner:
     """Fans a :class:`ScenarioGrid` across a persistent worker pool.
 
-    Results land in a shared-memory :class:`SweepArena` at their grid
-    index; serial and pooled runs go through the same store/materialize
-    cycle, so process count and chunk size are provably invisible in
-    the artifact.
+    A cell's result returns through :func:`fan_out` like any other
+    item's and lands at its grid index; the journal appends exactly the
+    values each finished chunk carried, so process count and chunk size
+    are provably invisible in the artifact.
     """
 
     def __init__(
@@ -317,39 +327,24 @@ class SweepRunner:
                 )
             else:
                 journal = RunJournal.create(journal_path, grid, grid_name)
-        arena = SweepArena(grid)
-        # The arena row carries only numbers; what else a quarantined
-        # cell's result holds is kept here, by grid index.
-        statuses: dict[int, tuple[str, str]] = {}
-        for index, result in restored.items():
-            arena.store(index, result)
-            if result.status != "ok":
-                statuses[index] = (result.status, result.error)
         # A resumed sweep runs only the cells its journal is missing:
         # position p of the fan-out is grid cell remaining[p].
         remaining = [i for i in range(len(grid)) if i not in restored]
 
-        def run_cell(index: int) -> Trace | None:
+        def run_cell(index: int) -> ScenarioResult | tuple[ScenarioResult, Trace]:
             spec = grid.scenario_at(index)
             if trace:
-                result, cell_trace = run_scenario_spec_traced(spec)
-            else:
-                result, cell_trace = run_scenario_spec(spec), None
-            # Stored before the engine reports the cell finished, so the
-            # parent's journal append always finds the row.
-            arena.store(index, result)
-            return cell_trace
+                return run_scenario_spec_traced(spec)
+            return run_scenario_spec(spec)
 
-        def journal_cells(first: int, last: int) -> None:
-            # One append per finished chunk; the parent rebuilds each
-            # record from the arena columns, so the worker never
-            # serialized anything per cell.
+        def journal_cells(first: int, last: int, values: list) -> None:
+            # One append per finished chunk, of the results it carried.
             journal.append_results(
-                (journal.identities[index][1], arena.result_for(index))
-                for index in remaining[first:last]
+                (journal.identities[index][1], result)
+                for index, result in zip(remaining[first:last], values)
             )
 
-        def quarantine_cell(position: int, detail: str) -> None:
+        def quarantine_cell(position: int, detail: str) -> ScenarioResult:
             index = remaining[position]
             spec = grid.scenario_at(index)
             failed = ScenarioResult.blank(
@@ -359,17 +354,16 @@ class SweepRunner:
                 status="quarantined",
                 error=detail,
             )
-            arena.store(index, failed)
-            statuses[index] = (failed.status, failed.error)
             if journal is not None:
                 journal.append_results([(journal.identities[index][1], failed)])
+            return failed
 
         def cell_progress(done: int, _total: int) -> None:
             progress(len(restored) + done, len(grid))
 
         stats = PoolStats()
         try:
-            traces = fan_out(
+            outcomes = fan_out(
                 remaining,
                 run_cell,
                 self.jobs,
@@ -385,9 +379,9 @@ class SweepRunner:
         finally:
             if journal is not None:
                 journal.close()
-        results = arena.materialize()
-        for index, (status, error) in statuses.items():
-            results[index] = replace(results[index], status=status, error=error)
+        results = [restored.get(index) for index in range(len(grid))]
+        for index, outcome in zip(remaining, outcomes):
+            results[index] = outcome[0] if trace else outcome
         report = SweepReport(
             results=results,
             grid_name=grid_name,
@@ -395,7 +389,9 @@ class SweepRunner:
             jobs=self.jobs,
             extras=_incident_extras(stats),
         )
-        return (report, merge_traces(traces)) if trace else report
+        if trace:
+            return report, merge_traces(cell_trace for _, cell_trace in outcomes)
+        return report
 
 
 def _incident_extras(stats: PoolStats) -> dict:

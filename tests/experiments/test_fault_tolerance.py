@@ -114,12 +114,21 @@ class TestWorkerCrashRecovery:
             return list(range(start, stop))
 
         stats = PoolStats()
-        completed = run_chunked(
-            work, 8, jobs=1, chunk_size=2, policy=fast_policy(), stats=stats
+        completed = []
+        run_chunked(
+            work,
+            8,
+            jobs=1,
+            chunk_size=2,
+            policy=fast_policy(),
+            stats=stats,
+            on_chunk=lambda start, stop, values: completed.append(
+                (start, stop, values)
+            ),
         )
         # One seat: only a respawn can finish the requeued chunk.
-        assert [(start, stop) for start, stop, _ in completed] == [
-            (0, 2), (2, 4), (4, 6), (6, 8),
+        assert sorted(completed) == [
+            (0, 2, [0, 1]), (2, 4, [2, 3]), (4, 6, [4, 5]), (6, 8, [6, 7]),
         ]
         assert stats.respawns == 1
         assert stats.requeues == 1

@@ -74,4 +74,9 @@ def test_fan_out_without_hook_reraises(no_fork):
 def test_run_chunked_still_refuses_loudly(monkeypatch):
     monkeypatch.setattr(pool_module, "fork_available", lambda: False)
     with pytest.raises(ConfigError, match="fork start method"):
-        list(run_chunked(lambda start, stop, done: [], 4, jobs=2))
+        run_chunked(
+            lambda start, stop, done: [],
+            4,
+            jobs=2,
+            on_chunk=lambda start, stop, values: None,
+        )

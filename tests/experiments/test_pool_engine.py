@@ -1,11 +1,11 @@
-"""The persistent pool engine: arenas, chunking, determinism, crashes.
+"""The persistent pool engine: chunking, result delivery, determinism, crashes.
 
-The contract under test: the shared-memory arena plus chunked
-persistent pool is *invisible* in every artifact — serial, any
-``jobs``, and any chunk size produce byte-identical sweep reports,
-experiment reports, and merged traces — while failure modes (a worker
-dying mid-chunk, an exception inside a cell) surface loudly instead of
-hanging the drain loop.  (The self-healing behaviors layered on top —
+The contract under test: the chunked persistent pool, which hands each
+finished chunk's values to its caller once, is *invisible* in every
+artifact — serial, any ``jobs``, and any chunk size produce
+byte-identical sweep reports, experiment reports, and merged traces —
+while failure modes (a worker dying mid-chunk, an exception inside a
+cell) surface loudly instead of hanging the drain loop.  (The self-healing behaviors layered on top —
 requeue, bisection, quarantine, resume — live in
 ``test_fault_tolerance.py``; here we pin the legacy fail-fast
 semantics callers get when no quarantine hook is installed.)
@@ -22,7 +22,6 @@ from repro.common.errors import ConfigError
 from repro.experiments import (
     ExperimentRunner,
     ScenarioGrid,
-    SweepArena,
     SweepRunner,
     auto_chunk_size,
     build_scenario,
@@ -111,38 +110,14 @@ class TestAutoChunkSize:
             auto_chunk_size(10, 0)
 
 
-class TestSweepArena:
+class TestGridIndex:
     def test_scenarios_match_grid_expansion(self):
         grid = pool_grid()
-        arena = SweepArena(grid)
         expanded = naive_expand(grid)
-        assert len(arena) == len(expanded)
+        assert len(grid) == len(expanded)
         assert grid.expand() == expanded
         for index, spec in enumerate(expanded):
             assert grid.scenario_at(index) == spec
-
-    def test_store_materialize_round_trips_exactly(self):
-        from repro.experiments import run_scenario_spec
-        from repro.experiments.report import ScenarioResult
-
-        grid = pool_grid(seeds=(0,))
-        arena = SweepArena(grid)
-        direct = []
-        for index in range(len(arena)):
-            result = run_scenario_spec(grid.scenario_at(index))
-            direct.append(result)
-            arena.store(index, result)
-        revived = arena.materialize()
-        for expected, actual in zip(direct, revived):
-            for field_name, value in expected.__dict__.items():
-                revived_value = getattr(actual, field_name)
-                if isinstance(value, float) and math.isnan(value):
-                    assert math.isnan(revived_value), field_name
-                else:
-                    assert revived_value == value, field_name
-                assert type(revived_value) is type(value) or isinstance(
-                    revived_value, type(value)
-                ), field_name
 
 
 class TestSweepDeterminism:
@@ -218,53 +193,81 @@ def _interrupt_on_six(value):
     return value
 
 
+class ChunkLog:
+    """An ``on_chunk`` callback that keeps every ``(start, stop, values)``."""
+
+    def __init__(self):
+        self.reports = []
+
+    def __call__(self, start, stop, values):
+        self.reports.append((start, stop, list(values)))
+
+    @property
+    def ranges(self):
+        return [(start, stop) for start, stop, _ in self.reports]
+
+    def assert_carries(self, results):
+        """Each range arrived with exactly the values ``fan_out`` returned
+        for it, and no index is covered twice."""
+        for start, stop, values in self.reports:
+            assert values == results[start:stop], (start, stop)
+        covered = [i for start, stop in self.ranges for i in range(start, stop)]
+        assert len(covered) == len(set(covered))
+
+
+def _fast_policy(fault_hook):
+    from repro.experiments import PoolPolicy
+
+    return PoolPolicy(
+        backoff_base_s=0.001, backoff_cap_s=0.01, fault_hook=fault_hook
+    )
+
+
 class TestChunkReports:
     """``on_chunk`` is where a caller makes finished work durable: every
     index that finishes is covered by exactly one range, inline and
-    pooled, whatever cuts the run short."""
+    pooled, whatever cuts the run short, and each range carries exactly
+    the values ``fan_out`` returns for it."""
 
     def test_inline_arm_walks_the_pool_s_ranges(self):
-        ranges = []
-        fan_out(
-            list(range(10)),
-            _square,
-            jobs=1,
-            chunk_size=4,
-            on_chunk=lambda start, stop: ranges.append((start, stop)),
+        log = ChunkLog()
+        results = fan_out(
+            list(range(10)), _square, jobs=1, chunk_size=4, on_chunk=log
         )
-        assert ranges == [(0, 4), (4, 8), (8, 10)]
+        assert log.ranges == [(0, 4), (4, 8), (8, 10)]
+        log.assert_carries(results)
 
     def test_inline_arm_reports_the_finished_prefix_when_fn_raises(self):
-        ranges = []
+        log = ChunkLog()
         with pytest.raises(ValueError, match="cell 3 is poisoned"):
             fan_out(
                 list(range(8)),
                 _raise_on_three,
                 jobs=1,
                 chunk_size=5,
-                on_chunk=lambda start, stop: ranges.append((start, stop)),
+                on_chunk=log,
             )
-        assert ranges == [(0, 3)]
+        assert log.reports == [(0, 3, [0, 1, 2])]
 
     def test_inline_arm_reports_the_finished_prefix_on_interrupt(self):
-        ranges = []
+        log = ChunkLog()
         with pytest.raises(KeyboardInterrupt):
             fan_out(
                 list(range(12)),
                 _interrupt_on_six,
                 jobs=1,
                 chunk_size=4,
-                on_chunk=lambda start, stop: ranges.append((start, stop)),
+                on_chunk=log,
             )
-        assert ranges == [(0, 4), (4, 6)]
+        assert log.reports == [(0, 4, [0, 1, 2, 3]), (4, 6, [4, 5])]
 
     def test_inline_arm_never_covers_a_quarantined_index(self):
-        ranges, failed = [], []
+        log, failed = ChunkLog(), []
 
         def on_item_failed(index, detail):
             # Called the moment the item is isolated: its finished
             # predecessors have been reported, nothing after it has.
-            failed.append((index, detail, list(ranges)))
+            failed.append((index, detail, list(log.ranges)))
             return None
 
         results = fan_out(
@@ -273,39 +276,64 @@ class TestChunkReports:
             jobs=1,
             chunk_size=4,
             on_item_failed=on_item_failed,
-            on_chunk=lambda start, stop: ranges.append((start, stop)),
+            on_chunk=log,
         )
         assert results == [0, 1, 2, None, 4, 5, 6, 7]
         assert failed == [(3, "ValueError: cell 3 is poisoned", [(0, 3)])]
-        assert ranges == [(0, 3), (4, 8)]
+        assert log.ranges == [(0, 3), (4, 8)]
+        log.assert_carries(results)
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("chunk_size", [1, 3, None])
     def test_pooled_arm_covers_every_index_once_under_kill_and_requeue(
         self, tmp_path, jobs, chunk_size
     ):
-        from repro.experiments import PoolPolicy, PoolStats, fault_kill_on_cell
+        from repro.experiments import PoolStats, fault_kill_on_cell
 
-        ranges = []
+        log = ChunkLog()
         stats = PoolStats()
-        policy = PoolPolicy(
-            backoff_base_s=0.001,
-            backoff_cap_s=0.01,
-            fault_hook=fault_kill_on_cell(5, once_marker=tmp_path / "died"),
-        )
         results = fan_out(
             list(range(12)),
             _square,
             jobs=jobs,
             chunk_size=chunk_size,
-            policy=policy,
+            policy=_fast_policy(
+                fault_kill_on_cell(5, once_marker=tmp_path / "died")
+            ),
             stats=stats,
-            on_chunk=lambda start, stop: ranges.append((start, stop)),
+            on_chunk=log,
         )
         assert results == [value * value for value in range(12)]
         assert stats.requeues >= 1
-        covered = [i for start, stop in ranges for i in range(start, stop)]
+        covered = [i for start, stop in log.ranges for i in range(start, stop)]
         assert sorted(covered) == list(range(12))
+        log.assert_carries(results)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("chunk_size", [1, 3, None])
+    def test_pooled_arm_never_covers_a_quarantined_index(self, jobs, chunk_size):
+        from repro.experiments import PoolStats, fault_kill_on_cell
+
+        log = ChunkLog()
+        stats = PoolStats()
+        results = fan_out(
+            list(range(12)),
+            _square,
+            jobs=jobs,
+            chunk_size=chunk_size,
+            policy=_fast_policy(fault_kill_on_cell(5)),
+            on_item_failed=lambda index, detail: ("quarantined", index),
+            stats=stats,
+            on_chunk=log,
+        )
+        assert results == [
+            ("quarantined", 5) if value == 5 else value * value
+            for value in range(12)
+        ]
+        assert stats.quarantined_cells == 1
+        covered = [i for start, stop in log.ranges for i in range(start, stop)]
+        assert sorted(covered) == [i for i in range(12) if i != 5]
+        log.assert_carries(results)
 
 
 class TestPoolFailureModes:
@@ -336,4 +364,34 @@ class TestPoolFailureModes:
 
     def test_run_chunked_rejects_bad_chunk_size(self):
         with pytest.raises(ConfigError):
-            run_chunked(lambda a, b, c: None, 4, jobs=2, chunk_size=0)
+            run_chunked(
+                lambda a, b, c: None,
+                4,
+                jobs=2,
+                chunk_size=0,
+                on_chunk=lambda start, stop, values: None,
+            )
+
+    def test_run_chunked_rejects_zero_jobs(self):
+        with pytest.raises(ConfigError, match="at least one worker"):
+            run_chunked(
+                lambda a, b, c: [],
+                4,
+                jobs=0,
+                on_chunk=lambda start, stop, values: None,
+            )
+
+
+class TestFanOutArguments:
+    """Both arms check their arguments the same way, before either runs."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_below_one_item_is_refused(self, jobs, chunk_size):
+        with pytest.raises(ConfigError, match="chunk size"):
+            fan_out(list(range(5)), _square, jobs=jobs, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("n_items", [1, 5])
+    def test_zero_jobs_is_refused(self, n_items):
+        with pytest.raises(ConfigError, match="at least one worker"):
+            fan_out(list(range(n_items)), _square, jobs=0, chunk_size=4)
