@@ -131,7 +131,6 @@ class ChaosRunner:
             self.tracer.instant(
                 "fault.inject", actor="chaos", kind=kind.value, note=note
             )
-            self.tracer.metrics.counter("chaos.faults_injected").inc()
             self.tracer.log("fault injected", kind=kind.value, note=note)
 
     def _restart_master(self, report: ChaosReport) -> None:

@@ -154,6 +154,10 @@ def require_keys(
     context: str = "payload",
 ) -> None:
     """Strict key validation: reject unknown and missing keys loudly."""
+    if not isinstance(row, Mapping):
+        raise FormatError(
+            f"{context}: expected an object, got {type(row).__name__}"
+        )
     have = set(row)
     want = set(required)
     allowed = want | set(optional)
@@ -529,7 +533,6 @@ def _import_builtin_report_modules() -> list[str]:
         "repro.experiments.runner",
         "repro.fleet.report",
         "repro.serving.report",
-        "repro.telemetry.metrics",
         "repro.telemetry.tracer",
         "repro.trainer.stalls",
         "repro.transforms.cost",

@@ -138,27 +138,11 @@ class SimClock:
         self._live = 0  # scheduled, not yet fired or cancelled
         self._dead = 0  # cancelled entries still sitting in the heap
         self._fired = 0  # events executed over the clock's lifetime
-        # Optional telemetry hook, called as hook(time, callback) right
-        # before each event fires.  Hoisted to a local by the drain
-        # loop, so the disabled cost is one None check per event.
-        self._trace_hook: Callable[[float, EventCallback], None] | None = None
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    def set_trace_hook(
-        self, hook: Callable[[float, EventCallback], None] | None
-    ) -> None:
-        """Install (or clear, with ``None``) the per-event telemetry hook.
-
-        The hook must not schedule or cancel events.  The drain loop
-        reads it once on entry, so installing mid-drain takes effect on
-        the next :meth:`run`/:meth:`run_until`/:meth:`step` call.  For
-        periodic events the hook receives the user callback itself.
-        """
-        self._trace_hook = hook
 
     def schedule(self, delay: float, callback: EventCallback) -> EventHandle:
         """Run *callback* after *delay* seconds of virtual time."""
@@ -236,7 +220,6 @@ class SimClock:
         heap = self._heap
         pop = heapq.heappop
         periodics = self._periodics
-        trace = self._trace_hook
         fired = 0
         while fired < max_events:
             # Discard dead heap heads first: the *live* head is what
@@ -286,8 +269,6 @@ class SimClock:
                 self._live -= 1
             self._fired += 1
             self._now = time
-            if trace is not None:
-                trace(time, callback)
             callback()
             fired += 1
             if entry is not None or due.stopped:

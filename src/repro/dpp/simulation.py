@@ -215,7 +215,6 @@ class TimedDppSimulation:
                 tracer.instant(
                     "trainer.stall", actor="session", shortfall=demand - consumed
                 )
-            tracer.metrics.counter("dpp.ticks").inc()
 
     def _controller_step(self) -> None:
         config = self.config

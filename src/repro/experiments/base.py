@@ -81,11 +81,12 @@ class Scenario(abc.ABC):
     def run(self, tracer: "Tracer | None" = None) -> "ReportBase":
         """Execute the experiment and return its report.
 
-        With *tracer* the run also records spans and metrics into it;
-        the report is the same either way.  The built-in kinds thread
-        the tracer through their execution engines; a kind without
-        instrumentation ignores it (the tracer captures nothing rather
-        than failing, so mixed batches trace what they can).
+        With *tracer* the run also records spans, instants and counter
+        samples into it; the report is the same either way.  The
+        built-in kinds thread the tracer through their execution
+        engines; a kind without instrumentation ignores it (the tracer
+        captures nothing rather than failing, so mixed batches trace
+        what they can).
         """
 
     def params(self) -> dict:

@@ -166,9 +166,6 @@ class _SessionRecord:
     dataset_bytes: float
     popularity_bytes_for_80pct: float
     hot_fraction: float = 0.0
-    # Memoized power-law absorption for the current cache epoch; None
-    # means "recompute on next read".
-    absorbed: float | None = None
 
 
 class StorageBroker:
@@ -181,29 +178,19 @@ class StorageBroker:
         # deliverable (degraded Tectonic — node loss, rebuild traffic).
         self._bandwidth_derate = 1.0
         # The fabric is frozen, but its tier bandwidths are derived
-        # through seek-mechanics math; apportion runs every tick, so
-        # resolve them once.
+        # through seek-mechanics math; the fleet's grant pass reads them
+        # every tick, so resolve them once.
         self._hdd_bandwidth = fabric.hdd_bandwidth
         self._ssd_bandwidth = fabric.ssd_bandwidth
-        # Telemetry (attach_tracer): lifecycle/derate instants plus
-        # cache-memo hit/miss counters.  The shared NULL_TRACER keeps
-        # every site to a single `enabled` check when tracing is off.
+        # Telemetry (attach_tracer): lifecycle/derate instants.  The
+        # shared NULL_TRACER keeps every site to a single `enabled`
+        # check when tracing is off.
         self.tracer = NULL_TRACER
-        self._cache_hits = NULL_TRACER.metrics.counter(
-            "broker.cache_memo_hits"
-        )
-        self._cache_misses = NULL_TRACER.metrics.counter(
-            "broker.cache_memo_misses"
-        )
 
     def attach_tracer(self, tracer: Tracer) -> None:
         """Report broker activity through *tracer* (whose clock the
         owning simulator has already bound)."""
         self.tracer = tracer
-        self._cache_hits = tracer.metrics.counter("broker.cache_memo_hits")
-        self._cache_misses = tracer.metrics.counter(
-            "broker.cache_memo_misses"
-        )
 
     # -- fault injection -----------------------------------------------------
 
@@ -225,11 +212,6 @@ class StorageBroker:
             self.tracer.instant(
                 "broker.derate", actor="broker", fraction=fraction
             )
-        # Derates mark an epoch boundary for the memoized absorption
-        # values alongside register/unregister: recompute conservatively
-        # rather than reason about which knob feeds which cached value.
-        for record in self._sessions.values():
-            record.absorbed = None
 
     # -- session lifecycle -------------------------------------------------
 
@@ -286,7 +268,6 @@ class StorageBroker:
         for job_id, share in zip(ids, shares):
             record = self._sessions[job_id]
             record.hot_fraction = min(1.0, share / record.dataset_bytes)
-            record.absorbed = None  # hot fraction moved: new epoch
 
     def cache_absorbed_fraction(self, job_id: int) -> float:
         """Traffic share the job's cached bytes absorb (Figure 7).
@@ -294,28 +275,17 @@ class StorageBroker:
         Popularity skew makes caching super-linear: the model's
         ``popularity_bytes_for_80pct`` hottest bytes absorb 80% of
         traffic.  A power law through (0,0), (pop80, 0.8), (1,1)
-        interpolates other cache sizes.
-
-        The value only moves when the session set or a derate changes
-        the cache split, yet apportionment reads it every tick — so it
-        is memoized per epoch and invalidated by
-        :meth:`rebalance_cache` / :meth:`set_bandwidth_derate`.
+        interpolates other cache sizes.  Computed on every call: the
+        fleet reads it once per job per membership epoch.
         """
         record = self._sessions[job_id]
-        if record.absorbed is not None:
-            self._cache_hits.inc()
-            return record.absorbed
-        self._cache_misses.inc()
         hot = record.hot_fraction
         if hot <= 0.0:
-            absorbed = 0.0
-        elif hot >= 1.0:
-            absorbed = 1.0
-        else:
-            alpha = math.log(0.8) / math.log(record.popularity_bytes_for_80pct)
-            absorbed = hot**alpha
-        record.absorbed = absorbed
-        return absorbed
+            return 0.0
+        if hot >= 1.0:
+            return 1.0
+        alpha = math.log(0.8) / math.log(record.popularity_bytes_for_80pct)
+        return hot**alpha
 
     # -- bandwidth apportionment ---------------------------------------------
 

@@ -318,18 +318,14 @@ class FleetSimulator:
         self._control_handle = None
         # Telemetry: the tracer rides the simulation clock.  Disabled
         # (the shared NULL_TRACER) every hot-path site costs one
-        # `tracer.enabled` check; enabled, the clock hook counts every
-        # fired event and the tick emits spans plus counter samples.
+        # `tracer.enabled` check; enabled, the tick emits spans plus
+        # counter samples.
         self.tracer = tracer or NULL_TRACER
         # Hoisted once: every per-event site guards on this plain bool
         # instead of an attribute chain through the tracer object.
         self._traced = self.tracer.enabled
         if self._traced:
             self.tracer.bind_clock(lambda: self.clock.now)
-            clock_events = self.tracer.metrics.counter("fleet.clock_events")
-            self.clock.set_trace_hook(
-                lambda time, callback: clock_events.inc()
-            )
             self.broker.attach_tracer(self.tracer)
 
     # -- lifecycle -------------------------------------------------------------
@@ -1051,7 +1047,6 @@ class FleetSimulator:
             tracer.counter(
                 "fleet.granted_bytes_per_s", granted_bps, actor="fleet"
             )
-            tracer.metrics.counter("fleet.ticks").inc()
 
     # -- driver ---------------------------------------------------------------
 

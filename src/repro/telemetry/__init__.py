@@ -1,16 +1,15 @@
-"""The telemetry plane: sim-time tracing, metrics, logs, Chrome export.
+"""The telemetry plane: sim-time tracing, logs, Chrome export.
 
-Everything in this package is stamped with *virtual* time, so traces
-and snapshots are deterministic artifacts — byte-identical across
-process counts and machines for a fixed scenario and seed — and
-archive/merge/diff exactly like the repo's reports.
+Everything in this package is stamped with *virtual* time, so a trace
+is a deterministic artifact — byte-identical across process counts and
+machines for a fixed scenario and seed — and archives/merges/diffs
+exactly like the repo's reports.  The trace is the plane's one channel:
+spans, instants and counter samples all land in it.
 
 Entry points:
 
 * :class:`Tracer` / :data:`NULL_TRACER` — the recorder and its shared
   no-op twin (disabled overhead ≈ one attribute check per site).
-* :class:`MetricsRegistry` / :class:`MetricsSnapshot` — counters,
-  gauges, histograms under ``<kind>.<metric>`` names.
 * :class:`Trace` — the archived span stream (report kind ``"trace"``).
 * :func:`write_chrome_trace` / :func:`to_chrome` — open in Perfetto.
 * ``python -m repro.telemetry`` — summarize / diff / export CLI.
@@ -18,15 +17,6 @@ Entry points:
 
 from .chrome import to_chrome, validate_chrome_trace, write_chrome_trace
 from .logs import JsonLogFormatter, configure_logging, verbosity_level
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    NULL_METRICS,
-    NullMetricsRegistry,
-)
 from .summary import SpanAggregate, diff_aggregates, span_aggregates, top_spans
 from .tracer import (
     NULL_TRACER,
@@ -39,15 +29,8 @@ from .tracer import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "JsonLogFormatter",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetricsRegistry",
     "NullTracer",
     "SpanAggregate",
     "Trace",

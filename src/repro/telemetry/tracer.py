@@ -11,9 +11,9 @@ The recorder comes in two shapes:
 
 * :class:`Tracer` — the real thing.  Per-actor span stacks (an actor is
   a logical thread: ``"fleet"``, ``"job-7"``, ``"worker-0"``), a
-  rebindable time source (each scenario kind binds its own clock), a
-  deterministic run id derived from ``stable_hash(scenario, seed)``,
-  and an attached :class:`~repro.telemetry.metrics.MetricsRegistry`.
+  rebindable time source (each scenario kind binds its own clock), and
+  a deterministic run id derived from ``stable_hash(scenario, seed)``.
+  Every event it records lands in the one :class:`Trace` artifact.
 * :data:`NULL_TRACER` — one shared no-op recorder.  Instrumented code
   guards hot paths with ``if tracer.enabled:`` so a disabled telemetry
   plane costs a single attribute check per site.
@@ -39,10 +39,10 @@ from ..common.hashing import stable_hash
 from ..common.serialization import (
     FormatError,
     ReportBase,
+    _exactly,
     require_keys,
     revive_float,
 )
-from .metrics import NULL_METRICS, MetricsRegistry
 
 #: Event phases — a deliberate subset of the Chrome trace-event phases.
 PHASE_SPAN = "X"
@@ -73,6 +73,34 @@ def _freeze_args(args: Mapping[str, Any]) -> tuple:
     return tuple(sorted(args.items()))
 
 
+# -- loading: a row holds only what the recorder could have written ----------
+
+
+def _read(row: Mapping[str, Any], key: str, context: str, revive) -> Any:
+    """``revive(row[key])``, a refusal naming *context* and *key*."""
+    try:
+        return revive(row[key])
+    except (ConfigError, FormatError) as error:
+        raise FormatError(f"{context}: key {key!r}: {error}") from None
+
+
+_text = _exactly(str)
+_rows = _exactly(list)
+
+
+def _seconds(value: Any) -> float:
+    seconds = revive_float(value)
+    if not math.isfinite(seconds):
+        raise FormatError(f"expected a finite float, got {value!r}")
+    return seconds
+
+
+def _args(value: Any) -> tuple:
+    if type(value) is not dict:
+        raise FormatError(f"expected an object, got {type(value).__name__}")
+    return _freeze_args(value)
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One recorded point or interval, in sim-time seconds."""
@@ -96,9 +124,9 @@ class TraceEvent:
 
     @classmethod
     def from_row(cls, row: Mapping[str, Any]) -> "TraceEvent":
+        context = "trace event"
         require_keys(
-            row, ("ph", "name", "actor", "t", "dur", "args"),
-            context="trace event",
+            row, ("ph", "name", "actor", "t", "dur", "args"), context=context
         )
         if row["ph"] not in _PHASES:
             raise FormatError(
@@ -106,11 +134,11 @@ class TraceEvent:
             )
         return cls(
             phase=row["ph"],
-            name=row["name"],
-            actor=row["actor"],
-            time_s=revive_float(row["t"]),
-            dur_s=revive_float(row["dur"]),
-            args=tuple(sorted(row["args"].items())),
+            name=_read(row, "name", context, _text),
+            actor=_read(row, "actor", context, _text),
+            time_s=_read(row, "t", context, _seconds),
+            dur_s=_read(row, "dur", context, _seconds),
+            args=_read(row, "args", context, _args),
         )
 
 
@@ -131,13 +159,15 @@ class TraceProcess:
 
     @classmethod
     def from_row(cls, row: Mapping[str, Any]) -> "TraceProcess":
-        require_keys(
-            row, ("name", "run_id", "events"), context="trace process"
-        )
+        context = "trace process"
+        require_keys(row, ("name", "run_id", "events"), context=context)
         return cls(
-            name=row["name"],
-            run_id=row["run_id"],
-            events=[TraceEvent.from_row(event) for event in row["events"]],
+            name=_read(row, "name", context, _text),
+            run_id=_read(row, "run_id", context, _text),
+            events=[
+                TraceEvent.from_row(event)
+                for event in _read(row, "events", context, _rows)
+            ],
         )
 
 
@@ -172,11 +202,14 @@ class Trace(ReportBase):
     @classmethod
     def from_payload(cls, payload: dict) -> "Trace":
         require_keys(payload, ("processes",), context="trace")
-        return cls(
-            processes=[
-                TraceProcess.from_row(row) for row in payload["processes"]
-            ]
-        )
+        processes = [
+            TraceProcess.from_row(row)
+            for row in _read(payload, "processes", "trace", _rows)
+        ]
+        try:
+            return cls(processes=processes)
+        except ConfigError as error:  # duplicated process names
+            raise FormatError(f"trace: key 'processes': {error}") from None
 
     def metrics(self) -> dict[str, float]:
         events = [e for p in self.processes for e in p.events]
@@ -238,13 +271,9 @@ class NullTracer:
     enabled = False
     scenario = ""
     run_id = ""
-    metrics = NULL_METRICS  # shared no-op registry
 
     def bind_clock(self, time_fn: TimeSource) -> None:
         pass
-
-    def now(self) -> float:
-        return 0.0
 
     def begin(self, name: str, actor: str = "main", **args) -> None:
         pass
@@ -300,7 +329,6 @@ class Tracer:
         self.scenario = scenario
         self.seed = seed
         self.run_id = format(stable_hash("trace", scenario, seed), "016x")
-        self.metrics = MetricsRegistry()
         self._time: TimeSource = time_fn or (lambda: 0.0)
         self._events: list[TraceEvent] = []
         self._stacks: dict[str, list[tuple[str, float, tuple]]] = {}
@@ -310,9 +338,6 @@ class Tracer:
     def bind_clock(self, time_fn: TimeSource) -> None:
         """Point the tracer at the owning plane's virtual clock."""
         self._time = time_fn
-
-    def now(self) -> float:
-        return self._time()
 
     # -- recording -------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import FormatError
 from repro.telemetry import Tracer, validate_chrome_trace
 from repro.telemetry.__main__ import load_trace, main
+from repro.transforms.cost import CostReport
 
 
 def write_trace(path, *, tick_s: float = 1.0):
@@ -27,23 +28,100 @@ def write_trace(path, *, tick_s: float = 1.0):
 
 
 def test_load_trace_rejects_other_report_kinds(tmp_path):
-    from repro.telemetry import MetricsRegistry
-
-    target = tmp_path / "metrics.json"
-    MetricsRegistry().snapshot().write(target)
+    target = tmp_path / "cost.json"
+    CostReport().write(target)
     with pytest.raises(FormatError):
         load_trace(target)
 
 
 def test_cli_reports_bad_inputs_cleanly(tmp_path, capsys):
-    from repro.telemetry import MetricsRegistry
-
     assert main(["summarize", str(tmp_path / "missing.json")]) == 1
-    metrics_path = tmp_path / "metrics.json"
-    MetricsRegistry().snapshot().write(metrics_path)
-    assert main(["summarize", str(metrics_path)]) == 1
+    cost_path = tmp_path / "cost.json"
+    CostReport().write(cost_path)
+    assert main(["summarize", str(cost_path)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 2
+    assert "Traceback" not in err
+
+
+def _list_args(payload):
+    payload["processes"][0]["events"][0]["args"] = [1, 2]
+
+
+def _int_events(payload):
+    payload["processes"][0]["events"] = 3
+
+
+def _int_event(payload):
+    payload["processes"][0]["events"][0] = 3
+
+
+def _shared_process_name(payload):
+    payload["processes"].append(dict(payload["processes"][0]))
+
+
+def _int_name(payload):
+    payload["processes"][0]["events"][0]["name"] = 5
+
+
+def _infinite_time(payload):
+    payload["processes"][0]["events"][0]["t"] = "Infinity"
+
+
+def _nested_args(payload):
+    payload["processes"][0]["events"][0]["args"] = {"k": {"a": 1}}
+
+
+def _int_actor(payload):
+    payload["processes"][0]["events"][0]["actor"] = 7
+
+
+def _int_run_id(payload):
+    payload["processes"][0]["run_id"] = 7
+
+
+def _infinite_dur(payload):
+    payload["processes"][0]["events"][0]["dur"] = "-Infinity"
+
+
+def _object_processes(payload):
+    payload["processes"] = {"fleet": payload["processes"][0]}
+
+
+def _null_arg(payload):
+    payload["processes"][0]["events"][0]["args"] = {"k": None}
+
+
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (_list_args, "key 'args'"),
+        (_int_events, "key 'events'"),
+        (_int_event, "trace event: expected an object"),
+        (_shared_process_name, "key 'processes'"),
+        (_int_name, "key 'name'"),
+        (_infinite_time, "key 't'"),
+        (_nested_args, "key 'args'"),
+        (_int_actor, "key 'actor'"),
+        (_int_run_id, "key 'run_id'"),
+        (_infinite_dur, "key 'dur'"),
+        (_object_processes, "key 'processes'"),
+        (_null_arg, "key 'args'"),
+    ],
+)
+def test_loader_refuses_what_the_recorder_never_writes(
+    tmp_path, capsys, corrupt, named
+):
+    path = tmp_path / "trace.json"
+    write_trace(path)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=named):
+        load_trace(path)
+    assert main(["summarize", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
     assert "Traceback" not in err
 
 

@@ -1,21 +1,13 @@
-"""merge_traces / MetricsSnapshot.merge edge cases (ISSUE 8 satellite).
+"""merge_traces edge cases.
 
-The sweep and experiment runners fold per-cell artifacts with these
-two merges, and a grid routinely mixes traced and untraced cells —
-so the edges (nothing to merge, one side empty, disjoint instrument
-kinds) must stay byte-stable, not just "probably fine".
+The sweep and experiment runners fold per-cell traces with this merge,
+and a grid routinely mixes traced and untraced cells — so the edges
+(nothing to merge, one side empty) must stay byte-stable, not just
+"probably fine".
 """
 
-import math
-
 from repro.common.serialization import report_from_json
-from repro.telemetry import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    Trace,
-    Tracer,
-    merge_traces,
-)
+from repro.telemetry import Trace, Tracer, merge_traces
 
 
 def build_trace(scenario: str, seed: int = 0) -> Trace:
@@ -65,46 +57,3 @@ class TestMergeTracesEdges:
         backward = merge_traces([build_trace("cell/b"), build_trace("cell/a")])
         assert forward.to_json() == backward.to_json()
 
-
-class TestMetricsSnapshotMergeEdges:
-    def counters_only(self) -> MetricsSnapshot:
-        registry = MetricsRegistry()
-        registry.counter("serving.shed").inc(2.0)
-        return registry.snapshot()
-
-    def gauges_and_histograms_only(self) -> MetricsSnapshot:
-        registry = MetricsRegistry()
-        registry.gauge("queue.depth").set(4.0)
-        registry.histogram("fetch.latency").observe(0.5)
-        registry.histogram("fetch.latency").observe(1.5)
-        return registry.snapshot()
-
-    def test_disjoint_kinds_union_cleanly(self):
-        merged = self.counters_only().merge(self.gauges_and_histograms_only())
-        flat = merged.metrics()
-        assert flat["serving.shed"] == 2.0
-        assert flat["queue.depth"] == 4.0
-        assert flat["fetch.latency.count"] == 2.0
-        assert flat["fetch.latency.mean"] == 1.0
-        # Nothing collided, nothing went NaN.
-        assert not any(map(math.isnan, flat.values()))
-        revived = report_from_json(merged.to_json())
-        assert revived.to_json() == merged.to_json()
-
-    def test_disjoint_union_is_symmetric(self):
-        ab = self.counters_only().merge(self.gauges_and_histograms_only())
-        ba = self.gauges_and_histograms_only().merge(self.counters_only())
-        assert ab.to_json() == ba.to_json()
-
-    def test_traced_snapshot_absorbs_an_untraced_one(self):
-        # An untraced run contributes an empty snapshot; folding it in
-        # must leave the traced side byte-identical.
-        traced = self.gauges_and_histograms_only()
-        before = traced.to_json()
-        traced.merge(MetricsRegistry().snapshot())
-        assert traced.to_json() == before
-
-    def test_untraced_snapshot_absorbs_a_traced_one(self):
-        empty = MetricsRegistry().snapshot()
-        full = self.counters_only()
-        assert empty.merge(full).to_json() == full.to_json()

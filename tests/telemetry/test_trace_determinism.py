@@ -72,14 +72,3 @@ class TestRoundTrips:
         revived = report_from_json(text)
         assert revived == trace
         assert revived.to_json() == text
-
-    def test_per_scenario_metrics_snapshot_round_trips(self):
-        from repro.telemetry import Tracer
-
-        scenario = build_scenario("dpp/worker-churn", seed=3)
-        tracer = Tracer(scenario=scenario.name, seed=3)
-        scenario.run(tracer)
-        snapshot = tracer.metrics.snapshot()
-        text = snapshot.to_json()
-        assert snapshot.metrics()  # instrumented planes did record
-        assert report_from_json(text).to_json() == text
