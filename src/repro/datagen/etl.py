@@ -13,10 +13,10 @@ Two engines mirror Section 3.1.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from ..common.errors import StorageError
-from ..warehouse.row import Row
 from ..warehouse.table import Table
 from .events import EventLog, FeatureLog, label_from_event
 from .scribe import Scribe
@@ -45,8 +45,10 @@ class StreamingJoiner:
         output_category: str = LABELED_CATEGORY,
         join_window_s: float = 600.0,
     ) -> None:
-        if join_window_s <= 0:
-            raise StorageError("join window must be positive")
+        if not (join_window_s > 0 and math.isfinite(join_window_s)):
+            raise StorageError(
+                f"join window must be positive and finite, got {join_window_s}"
+            )
         self._features = scribe.category(features_category)
         self._events = scribe.category(events_category)
         self._output = scribe.category(output_category)
@@ -62,7 +64,10 @@ class StreamingJoiner:
         Features wait in a pending buffer until their event arrives or
         the join window expires (unengaged impressions expire into
         negative samples only if an explicit negative event exists —
-        expired features are dropped, mirroring lossy joins).
+        expired features are dropped, mirroring lossy joins).  A joined
+        record's sample is emitted relabeled (:meth:`Row.relabeled
+        <repro.warehouse.row.Row.relabeled>`): a view of the served
+        batch row stays a view, so the join builds no map.
         """
         for record in self._features.read_from(self._feature_cursor):
             self._feature_cursor = record.lsn + 1
@@ -78,15 +83,11 @@ class StreamingJoiner:
             feature_log = self._pending.pop(event.request_id, None)
             if feature_log is None:
                 continue  # event without (or after) features: dropped
-            # The labeled sample is the logged features plus a label: it
-            # takes the record's maps as they are.  Nothing may mutate
-            # them (retention replaces a row's map when it reaps).
-            row = Row(
-                label=label_from_event(event),
-                dense=feature_log.dense,
-                sparse=feature_log.sparse,
-                scores=feature_log.scores,
-            )
+            # The labeled sample is the logged sample under the event's
+            # label: the same batch row while it is a view, else the
+            # record's maps as they are.  Nothing may mutate them
+            # (retention replaces a row's map when it reaps).
+            row = feature_log.sample.relabeled(label_from_event(event))
             self._output.write((feature_log.timestamp, row))
             self.stats.joined += 1
             emitted += 1
@@ -118,8 +119,11 @@ class BatchPartitioner:
         input_category: str = LABELED_CATEGORY,
         partition_period_s: float = 86_400.0,
     ) -> None:
-        if partition_period_s <= 0:
-            raise StorageError("partition period must be positive")
+        if not (partition_period_s > 0 and math.isfinite(partition_period_s)):
+            raise StorageError(
+                "partition period must be positive and finite, "
+                f"got {partition_period_s}"
+            )
         self._input = scribe.category(input_category)
         self._table = table
         self._period = partition_period_s

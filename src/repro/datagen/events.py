@@ -8,25 +8,39 @@ holds the observed outcome, joined later by ETL on the request ID.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+
+from ..warehouse.row import Row
 
 
 @dataclass(frozen=True)
 class FeatureLog:
     """Features generated for one recommendation request.
 
-    The maps and the per-feature sequences in them are the ones the
-    serving host built for the request: the log shares them with the
-    producer and, after the join, with the labeled sample, so nobody
-    downstream may mutate them.
+    ``sample`` is the row the serving host served for the request —
+    while it is a view, the generator's batch row, whose maps nobody
+    has built (see :mod:`repro.warehouse.row`).  The join relabels it
+    into the labeled sample, so the log and the sample share one
+    content and nobody downstream may mutate a map of either.
+    ``dense``/``sparse``/``scores`` read the sample's maps; the first
+    read builds its batch's maps.
     """
 
     request_id: int
     timestamp: float
-    dense: dict[int, float] = field(default_factory=dict)
-    sparse: dict[int, Sequence[int]] = field(default_factory=dict)
-    scores: dict[int, Sequence[float]] = field(default_factory=dict)
+    sample: Row
+
+    @property
+    def dense(self) -> dict[int, float]:
+        return self.sample.dense
+
+    @property
+    def sparse(self) -> dict[int, list[int]]:
+        return self.sample.sparse
+
+    @property
+    def scores(self) -> dict[int, list[float]]:
+        return self.sample.scores
 
 
 @dataclass(frozen=True)

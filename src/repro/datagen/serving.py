@@ -9,8 +9,11 @@ so downstream models have real signal.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..common.errors import ConfigError
 from ..common.hashing import stable_hash
 from ..warehouse.generator import SampleGenerator
 from ..warehouse.schema import TableSchema
@@ -57,6 +60,14 @@ class ServingSimulator:
         seed: int = 0,
         request_id_base: int | None = None,
     ) -> None:
+        if not 0 <= engagement_rate <= 1:
+            raise ConfigError(
+                f"engagement_rate must be in [0, 1], got {engagement_rate}"
+            )
+        if not 0 <= event_loss_rate <= 1:
+            raise ConfigError(
+                f"event_loss_rate must be in [0, 1], got {event_loss_rate}"
+            )
         self.schema = schema
         self._generator = generator
         self._daemon = daemon
@@ -79,21 +90,21 @@ class ServingSimulator:
         return self._serve(self._generator.generate_row(self.schema), timestamp)
 
     def _serve(self, row, timestamp: float) -> int:
+        """Log *row* as the request's features and maybe its outcome event.
+
+        The engagement signal is the row's first logged dense value,
+        read by :meth:`~repro.warehouse.row.Row.first_dense`, so serving
+        a view of a batch builds none of the batch's maps.
+        """
         request_id = self._next_request_id
         self._next_request_id += 1
         # *row* was generated for this request and is dropped on return,
-        # so the log takes its maps over instead of copying them.
-        features = FeatureLog(
-            request_id=request_id,
-            timestamp=timestamp,
-            dense=row.dense,
-            sparse=row.sparse,
-            scores=row.scores,
-        )
-        self._daemon.log(FEATURES_CATEGORY, features)
+        # so the log takes it over as it is: a view stays a view, and
+        # nothing here reads a map of its batch.
+        self._daemon.log(FEATURES_CATEGORY, FeatureLog(request_id, timestamp, row))
 
         if self._rng.random() >= self._event_loss_rate:
-            signal = next(iter(row.dense.values()), 0.0)
+            signal = row.first_dense(0.0)
             p = min(max(self._engagement_rate + 0.1 * signal, 0.01), 0.99)
             event = EventLog(
                 request_id=request_id,
@@ -111,8 +122,15 @@ class ServingSimulator:
         requested, so other consumers sharing the generator are not
         starved of samples.  The chunked draw sequence differs from *n*
         ``serve_one`` calls (column-wise vs row-wise RNG order), but
-        the sample statistics are identical.
+        the sample statistics are identical.  Each row is a view of its
+        chunk's batch and is logged as one, so the round reaches the
+        DWRF writer as the generator's columns unless somebody reads a
+        map on the way.
         """
+        if not (rate_per_s > 0 and math.isfinite(rate_per_s)):
+            raise ConfigError(
+                f"rate_per_s must be positive and finite, got {rate_per_s}"
+            )
         for i, row in enumerate(self._generator.iter_rows(self.schema, n)):
             self._serve(row, start_time + i / rate_per_s)
         self._daemon.flush()

@@ -15,6 +15,13 @@ the DWRF writer reads them.  So a map edited in place or replaced is
 always what gets written, never a stale column; the price is that a
 batch whose rows were inspected is written from its maps, value by
 value, like rows built by hand.
+
+The rule spans the whole write path.  The serving log records the view
+it served and the join relabels that view (:meth:`Row.relabeled`), so a
+sample reaches the DWRF writer as the generator's columns unless
+somebody — a reader of the feature log, of the labeled stream or of the
+table — reads one of its batch's maps on the way; the serving host's
+engagement signal (:meth:`Row.first_dense`) is read without one.
 """
 
 from __future__ import annotations
@@ -115,9 +122,10 @@ class Row:
     of categorical IDs, and ``scores`` maps feature ID → per-categorical
     float weights (parallel to the ID list of the same feature).
 
-    A row that came through the serving log shares its maps with the
-    logged feature record: to change a stored row, give it a new map
-    (as retention does) instead of mutating the one it holds.
+    A row that came through the serving log shares its sample with the
+    logged feature record — the same batch row, or the same maps: to
+    change a stored row, give it a new map (as retention does) instead
+    of mutating the one it holds.
 
     A row cut from a :class:`SampleBatch` holds ``(batch, index)`` and
     no maps; reading or assigning any of its maps takes the sample's
@@ -194,6 +202,37 @@ class Row:
         if self.batch is not None:
             self._detach()
         self._scores = features
+
+    def first_dense(self, default: float) -> float:
+        """``next(iter(self.dense.values()), default)``, without building maps.
+
+        While the batch's arrays are the content, the first value of the
+        sample's dense map is that of the first dense column, in draw
+        order, that lists the sample's row; a hand-built row, or one
+        whose batch has built its maps, reads its map.
+        """
+        batch = self.batch
+        if batch is None or batch.maps_built:
+            return next(iter(self.dense.values()), default)
+        index = self.index
+        for column in batch.columns.values():
+            if column.values is None:
+                continue
+            rows = column.rows
+            at = rows.searchsorted(index)
+            if at < len(rows) and rows[at] == index:
+                return float(column.values[at])
+        return default
+
+    def relabeled(self, label: float) -> "Row":
+        """This sample under *label*.
+
+        While this row is a view, the result is a view of the same batch
+        row; otherwise it is a row sharing this one's maps.
+        """
+        if self.batch is not None:
+            return Row.view(self.batch, self.index, label)
+        return Row(label, self._dense, self._sparse, self._scores)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigError, StorageError
 from repro.datagen import (
     EVENTS_CATEGORY,
     FEATURES_CATEGORY,
@@ -14,7 +15,7 @@ from repro.datagen import (
     StreamingJoiner,
     label_from_event,
 )
-from repro.warehouse import DatasetProfile, SampleGenerator, Table
+from repro.warehouse import DatasetProfile, Row, SampleGenerator, Table
 
 
 @pytest.fixture
@@ -70,7 +71,9 @@ class TestStreamingJoiner:
     def test_features_wait_within_window(self):
         scribe = Scribe()
         features = scribe.category(FEATURES_CATEGORY)
-        features.write(FeatureLog(request_id=1, timestamp=0.0, dense={1: 1.0}))
+        features.write(
+            FeatureLog(request_id=1, timestamp=0.0, sample=Row(0.0, dense={1: 1.0}))
+        )
         joiner = StreamingJoiner(scribe, FEATURES_CATEGORY, EVENTS_CATEGORY,
                                  join_window_s=100.0)
         assert joiner.run_once(now=5.0) == 0
@@ -158,3 +161,49 @@ class TestMultiHostServing:
         joiner = StreamingJoiner(scribe, FEATURES_CATEGORY, EVENTS_CATEGORY)
         joined = joiner.run_once(now=1e9)
         assert joined == 300
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _serving(**rates):
+    generator = SampleGenerator(DatasetProfile(n_dense=2, n_sparse=1), seed=0)
+    schema = generator.build_schema("t")
+    return ServingSimulator(
+        schema, generator, ScribeDaemon("host", Scribe()), **rates
+    )
+
+
+@pytest.mark.parametrize(
+    "error, make",
+    [
+        (ConfigError, lambda: _serving(event_loss_rate=NAN)),
+        (ConfigError, lambda: _serving(event_loss_rate=1.5)),
+        (ConfigError, lambda: _serving(event_loss_rate=-0.1)),
+        (ConfigError, lambda: _serving(engagement_rate=NAN)),
+        (ConfigError, lambda: _serving(engagement_rate=2.0)),
+        (StorageError, lambda: StreamingJoiner(
+            Scribe(), FEATURES_CATEGORY, EVENTS_CATEGORY, join_window_s=NAN)),
+        (StorageError, lambda: StreamingJoiner(
+            Scribe(), FEATURES_CATEGORY, EVENTS_CATEGORY, join_window_s=INF)),
+        (StorageError, lambda: BatchPartitioner(
+            Scribe(), Table(_serving().schema), partition_period_s=NAN)),
+        (StorageError, lambda: BatchPartitioner(
+            Scribe(), Table(_serving().schema), partition_period_s=INF)),
+        (ConfigError, lambda: _serving().serve_many(10, rate_per_s=0)),
+        (ConfigError, lambda: _serving().serve_many(10, rate_per_s=-5)),
+        (ConfigError, lambda: _serving().serve_many(10, rate_per_s=NAN)),
+        (ConfigError, lambda: _serving().serve_many(10, rate_per_s=INF)),
+    ],
+    ids=[
+        "loss-nan", "loss-above-1", "loss-negative", "engagement-nan",
+        "engagement-above-1", "window-nan", "window-inf", "period-nan",
+        "period-inf", "rate-zero", "rate-negative", "rate-nan", "rate-inf",
+    ],
+)
+def test_rates_windows_and_periods_out_of_range_are_refused(error, make):
+    """Each of these used to be accepted (or to divide by zero) and then
+    silently empty, mislabel or mis-time the serving log."""
+    with pytest.raises(error):
+        make()

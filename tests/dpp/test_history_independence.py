@@ -8,6 +8,8 @@ wall-clock threshold.
 """
 
 import cProfile
+import contextlib
+import gc
 import pstats
 
 from repro.dpp import DppSession
@@ -17,11 +19,28 @@ from .conftest import make_spec
 HISTORY_RECORDS = 50_000
 
 
+@contextlib.contextmanager
+def profiled(profile: cProfile.Profile):
+    """Profile the block with the cyclic collector off.
+
+    A collection inside the block would add the calls of every
+    ``gc.callbacks`` entry (hypothesis installs one once any of its tests
+    has run), at points set by the allocation count carried into the
+    block — not by the code under test.
+    """
+    gc.disable()
+    profile.enable()
+    try:
+        yield
+    finally:
+        profile.disable()
+        gc.enable()
+
+
 def calls_to_extract(worker, split) -> int:
     profile = cProfile.Profile()
-    profile.enable()
-    batches = list(worker.extract_batches(split))
-    profile.disable()
+    with profiled(profile):
+        batches = list(worker.extract_batches(split))
     assert batches
     return pstats.Stats(profile).total_calls
 
@@ -45,9 +64,8 @@ def test_extract_call_count_ignores_io_history(published):
 
 def calls_to_deposit(worker, tensors) -> int:
     profile = cProfile.Profile()
-    profile.enable()
-    worker.deposit(tensors)
-    profile.disable()
+    with profiled(profile):
+        worker.deposit(tensors)
     return pstats.Stats(profile).total_calls
 
 
