@@ -30,11 +30,6 @@ class GrowthImpact:
     workers_per_trainer_grown: float
     bottleneck: str
 
-    @property
-    def extra_workers(self) -> float:
-        """Additional workers per trainer the growth demands."""
-        return self.workers_per_trainer_grown - self.workers_per_trainer_now
-
 
 def project_demand_growth(
     model: ModelConfig,

@@ -26,7 +26,7 @@ from .invariants import (
     expected_deliveries,
 )
 from .report import ChaosReport, DeliveryRecord
-from .runner import ChaosRunner, run_scenario, schedule_fleet_faults
+from .runner import ChaosRunner, schedule_fleet_faults
 
 __all__ = [
     "AT_LEAST_ONCE_KINDS",
@@ -42,7 +42,6 @@ __all__ = [
     "check_no_stranded",
     "check_split_set_determinism",
     "expected_deliveries",
-    "run_scenario",
     "schedule_fleet_faults",
     "seeded_schedule",
 ]

@@ -83,17 +83,9 @@ class FaultSchedule:
         """All events, in round order."""
         return tuple(self._events)
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     def due(self, round_index: int) -> list[FaultEvent]:
         """Events scheduled for exactly *round_index*."""
         return [e for e in self._events if e.round_index == round_index]
-
-    @property
-    def last_round(self) -> int:
-        """Round of the latest event; -1 when empty."""
-        return self._events[-1].round_index if self._events else -1
 
     def allows_replays(self) -> bool:
         """Whether the schedule contains any at-least-once fault."""

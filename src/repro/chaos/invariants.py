@@ -35,9 +35,6 @@ class Violation:
     invariant: str
     detail: str
 
-    def __str__(self) -> str:
-        return f"[{self.invariant}] {self.detail}"
-
 
 def expected_deliveries(session: "DppSession") -> dict[tuple[int, int], int]:
     """The session's delivery obligation: (split_id, sequence) → rows.

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..common.errors import DppError
 from ..common.serialization import (
     ReportBase,
     record_from_row,
@@ -87,22 +86,6 @@ class ChaosReport(ReportBase):
             "chaos.faults_injected": float(len(self.faults_injected)),
             "chaos.violations": float(len(self.violations)),
         }
-
-    def merge(self, other: "ReportBase") -> "ChaosReport":
-        """Fold another scenario's run in (a chaos *session* view):
-        deliveries, faults, violations, and obligations accumulate;
-        replay tolerance widens to the union."""
-        if not isinstance(other, ChaosReport):
-            raise DppError("can only merge ChaosReport into ChaosReport")
-        if other.scenario != self.scenario:
-            self.scenario = f"{self.scenario}+{other.scenario}"
-        self.rounds += other.rounds
-        self.allow_replays = self.allow_replays or other.allow_replays
-        self.faults_injected.extend(other.faults_injected)
-        self.records.extend(other.records)
-        self.violations.extend(other.violations)
-        self.expected_batches += other.expected_batches
-        return self
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""

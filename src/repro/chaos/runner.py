@@ -72,7 +72,6 @@ class ChaosRunner:
         self.max_rounds = max_rounds
         self.client_batches_per_round = client_batches_per_round
         self._rng = random.Random(seed)
-        self._nominal_rate: float | None = None
         # The chaos pump has no wall clock; its virtual time axis is
         # the round index, so spans span whole rounds.
         self._round = 0
@@ -120,10 +119,10 @@ class ChaosRunner:
             session.master.fail_over()
         elif kind is FaultKind.MASTER_RESTART:
             self._restart_master(report)
-        elif kind is FaultKind.DEGRADE_STORAGE:
-            note = self._set_storage_rate(event.magnitude, note)
-        elif kind is FaultKind.RESTORE_STORAGE:
-            note = self._set_storage_rate(1.0, note)
+        elif kind in (FaultKind.DEGRADE_STORAGE, FaultKind.RESTORE_STORAGE):
+            # A session reads its filesystem at no granted rate; storage
+            # degradation is a fleet-plane fault (schedule_fleet_faults).
+            note += " [skipped: filesystem is not rate-limited]"
         else:  # pragma: no cover - exhaustive over FaultKind
             raise DppError(f"unhandled fault kind {kind}")
         report.faults_injected.append(note)
@@ -147,16 +146,6 @@ class ChaosRunner:
         report.violations.extend(
             check_checkpoint_agreement(session.master.primary, checkpoint)
         )
-
-    def _set_storage_rate(self, fraction: float, note: str) -> str:
-        filesystem = self.session.filesystem
-        set_rate = getattr(filesystem, "set_rate", None)
-        if set_rate is None:
-            return note + " [skipped: filesystem is not rate-limited]"
-        if self._nominal_rate is None:
-            self._nominal_rate = filesystem.rate_bytes_per_s
-        set_rate(self._nominal_rate * fraction)
-        return note
 
     # -- the instrumented pump -------------------------------------------------
 
@@ -232,25 +221,11 @@ class ChaosRunner:
                 tracer.end(actor="chaos")
         else:
             raise DppError("chaos run exceeded max_rounds")
-        if self._nominal_rate is not None:
-            # A degrade whose paired restore landed after completion
-            # must not leak into the filesystem's next user.
-            session.filesystem.set_rate(self._nominal_rate)
         report.violations.extend(
             check_delivery(expected, records, self.allow_replays)
         )
         report.violations.extend(check_no_stranded(session))
         return report
-
-
-def run_scenario(
-    session: DppSession,
-    schedule: FaultSchedule,
-    scenario: str = "chaos",
-    **kwargs,
-) -> ChaosReport:
-    """One-call convenience: build a runner and run it."""
-    return ChaosRunner(session, schedule, scenario=scenario, **kwargs).run()
 
 
 # -- fleet-scale chaos ---------------------------------------------------------

@@ -106,19 +106,6 @@ def revive_float(value: Any) -> float:
     return float(value)
 
 
-def revive_floats(row: Mapping[str, Any], float_fields: Iterable[str]) -> dict:
-    """Copy *row* with the named fields decoded via :func:`revive_float`.
-
-    Fields absent from *row* are left absent — pair with
-    :func:`require_keys` for presence checking.
-    """
-    revived = dict(row)
-    for name in float_fields:
-        if name in revived:
-            revived[name] = revive_float(revived[name])
-    return revived
-
-
 def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     """Write *text* to *path* atomically: temp file in the same
     directory, flush + fsync, then ``os.replace``.

@@ -85,7 +85,3 @@ class LogDevice:
         if name not in self._logs:
             self._logs[name] = Log(name)
         return self._logs[name]
-
-    def log_names(self) -> list[str]:
-        """All existing log names."""
-        return sorted(self._logs)

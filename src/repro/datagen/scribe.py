@@ -53,10 +53,6 @@ class Scribe:
             self._categories[name] = ScribeCategory(name, self._logdevice)
         return self._categories[name]
 
-    def category_names(self) -> list[str]:
-        """All category names."""
-        return sorted(self._categories)
-
 
 class ScribeDaemon:
     """Per-host daemon: local buffering in front of the category logs."""

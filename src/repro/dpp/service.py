@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..common.errors import DppError
-from ..common.simclock import SimClock
 from ..telemetry.tracer import NULL_TRACER, Tracer
 from ..dwrf.layout import FileFooter
 from ..tectonic.filesystem import TectonicFilesystem
@@ -53,24 +52,13 @@ class DppSession:
         n_clients: int = 1,
         worker_config: WorkerConfig | None = None,
         autoscaler_config: AutoscalerConfig | None = None,
-        clock: SimClock | None = None,
-        round_time_s: float = 0.0,
     ) -> None:
         """*filesystem* may be any object with the Tectonic read surface
-        (``read``/``fetcher``/``file``) — e.g. a fleet broker's
-        bandwidth-throttled view.  When *clock* is given, each pump
-        round advances it by *round_time_s*, letting externally
-        scheduled events (broker rate updates, other sessions) fire
-        between rounds of this session's data plane.
-        """
+        (``read``/``fetcher``/``file``)."""
         if n_workers < 1 or n_clients < 1:
             raise DppError("a session needs at least one worker and one client")
-        if round_time_s < 0:
-            raise DppError("round_time_s cannot be negative")
         self.spec = spec
         self.filesystem = filesystem
-        self.clock = clock
-        self.round_time_s = round_time_s
         self.schema = schema
         # Key footers by Tectonic path, which is what splits reference.
         self.footers = {
@@ -219,9 +207,8 @@ class DppSession:
                     action=decision.action,
                 )
             self.scale(decision.delta)
-            stamp = f"t={self.clock.now:.0f}s " if self.clock is not None else ""
             self.report.scaling_events.append(
-                f"{stamp}{decision.action} {abs(decision.delta)}: {decision.reason}"
+                f"{decision.action} {abs(decision.delta)}: {decision.reason}"
             )
         return decision.delta
 
@@ -270,8 +257,6 @@ class DppSession:
                 client.refresh_partition()
         if not self.master.done and not self.live_workers:
             raise DppError("session stalled: no live workers")
-        if self.clock is not None and self.round_time_s > 0:
-            self.clock.run_until(self.clock.now + self.round_time_s)
         for worker in list(self.live_workers):
             if not self.master.done and worker.wants_work:
                 worker.process_one_split()

@@ -132,20 +132,6 @@ class SimulationResult(ReportBase):
         """Fleet size at the end of the run."""
         return self.samples[-1].live_workers
 
-    def time_to_first_stall_free_window(self, window_s: float) -> float | None:
-        """Earliest time after which a full window passes with no stall."""
-        window: list[SimTickSample] = []
-        for sample in self.samples:
-            window.append(sample)
-            window = [s for s in window if s.time_s > sample.time_s - window_s]
-            if (
-                window
-                and window[0].time_s <= sample.time_s - window_s + 1e-9 + 1
-                and not any(s.stalled for s in window)
-            ):
-                return sample.time_s
-        return None
-
 
 class TimedDppSimulation:
     """Fluid-flow simulation of one session's buffer dynamics.

@@ -42,11 +42,6 @@ class Split:
         if self.row_count <= 0:
             raise DppError("split must cover at least one row")
 
-    @property
-    def stripe_count(self) -> int:
-        """Number of stripes in the split."""
-        return self.stripe_end - self.stripe_start
-
 
 def plan_splits(
     files: dict[str, FileFooter], split_stripes: int, first_id: int = 0

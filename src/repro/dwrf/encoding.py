@@ -59,26 +59,6 @@ def encode_varints(values: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def decode_varints(data: bytes) -> list[int]:
-    """Decode an LEB128 byte string back to signed integers."""
-    values: list[int] = []
-    shift = 0
-    current = 0
-    for byte in data:
-        current |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-            if shift > 63:
-                raise FormatError("varint too long")
-        else:
-            values.append(zigzag_decode(current))
-            current = 0
-            shift = 0
-    if shift:
-        raise FormatError("truncated varint stream")
-    return values
-
-
 def encode_ints(values) -> bytes:
     """Vectorized bulk integer codec: adaptive-width little-endian pack.
 

@@ -397,15 +397,17 @@ def decode_map_stripe(
 
 def _split_varint_header(payload: bytes) -> tuple[int, bytes]:
     """Read the leading varint (int-section length) and return the rest."""
-    cursor = 0
-    for i, byte in enumerate(payload):
+    for last, byte in enumerate(payload):
         if not byte & 0x80:
-            cursor = i + 1
             break
     else:
         raise FormatError("missing stripe header")
-    header = encoding.decode_varints(payload[:cursor])[0]
-    return header, payload[cursor:]
+    if last > 9:  # ten continuation bytes shift past 63 bits
+        raise FormatError("varint too long")
+    value = 0
+    for byte in reversed(payload[: last + 1]):
+        value = (value << 7) | (byte & 0x7F)
+    return encoding.zigzag_decode(value), payload[last + 1 :]
 
 
 @dataclass(slots=True)

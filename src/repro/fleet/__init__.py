@@ -9,27 +9,14 @@ tying them together on one clock (:mod:`simulator`) with fleet-level
 reporting (:mod:`report`).
 """
 
-from .allocator import (
-    AllocationRound,
-    FleetPowerBudget,
-    GlobalDppAllocator,
-    PoolConfig,
-    WorkerRequest,
-)
-from .broker import (
-    BandwidthGrant,
-    StorageBroker,
-    StorageFabric,
-    ThrottledFilesystem,
-    max_min_share,
-)
+from .allocator import AllocationRound, FleetPowerBudget, GlobalDppAllocator, PoolConfig
+from .broker import StorageBroker, StorageFabric, max_min_share
 from .jobs import DAY_S, FleetJobSpec, FleetMix, JobGenerator, from_release_iteration
 from .report import FleetReport, FleetSample, JobOutcome
 from .simulator import FleetConfig, FleetScenario, FleetSimulator, run_scenario
 
 __all__ = [
     "AllocationRound",
-    "BandwidthGrant",
     "DAY_S",
     "FleetConfig",
     "FleetJobSpec",
@@ -45,8 +32,6 @@ __all__ = [
     "PoolConfig",
     "StorageBroker",
     "StorageFabric",
-    "ThrottledFilesystem",
-    "WorkerRequest",
     "from_release_iteration",
     "max_min_share",
     "run_scenario",

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..cluster.job import JobKind
-from ..common.errors import ConfigError, SchedulingError
+from ..common.errors import ConfigError
 from ..workloads.hardware import C_V1, ComputeNodeSpec
 
 #: Release-process priority: lower sorts first.
@@ -89,20 +89,6 @@ class FleetPowerBudget:
         )
 
 
-@dataclass(frozen=True)
-class WorkerRequest:
-    """One session's ask for this allocation round."""
-
-    job_id: int
-    kind: JobKind
-    desired: int
-    minimum: int = 1
-
-    def __post_init__(self) -> None:
-        if self.minimum < 0 or self.desired < self.minimum:
-            raise ConfigError("desired must be at least minimum (both >= 0)")
-
-
 @dataclass
 class AllocationRound:
     """Outcome of one allocator evaluation (for the fleet report)."""
@@ -110,11 +96,6 @@ class AllocationRound:
     time_s: float
     pool_limit: int
     granted: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total_granted(self) -> int:
-        """Workers handed out this round."""
-        return sum(self.granted.values())
 
 
 class GlobalDppAllocator:
@@ -136,40 +117,20 @@ class GlobalDppAllocator:
 
     def allocate(
         self,
-        requests: list[WorkerRequest],
+        rows: list[tuple[int, int, int, int]],
         active_trainer_nodes: int,
         time_s: float = 0.0,
     ) -> dict[int, int]:
         """Grant integer worker counts against the pool limit.
 
-        Two passes: first every job's *minimum* in priority order
-        (a job starved of even its floor is a scheduling failure the
-        admission layer should have prevented); then, tier by tier,
-        integer water-filling toward each job's *desired* — the
-        fleet-wide generalization of the per-job scale-up step.
-        """
-        if len({r.job_id for r in requests}) != len(requests):
-            raise SchedulingError("duplicate job in allocation round")
-        return self.allocate_compact(
-            [(KIND_PRIORITY[r.kind], r.job_id, r.desired, r.minimum) for r in requests],
-            active_trainer_nodes,
-            time_s,
-        )
-
-    def allocate_compact(
-        self,
-        rows: list[tuple[int, int, int, int]],
-        active_trainer_nodes: int,
-        time_s: float = 0.0,
-    ) -> dict[int, int]:
-        """Tuple-row fast path of :meth:`allocate`.
-
         *rows* are ``(priority, job_id, desired, minimum)`` tuples with
-        unique job ids (not re-validated here).  The fleet control loop
-        runs an allocation round every control period and already holds
-        each job's cached priority rank, so it skips the
-        :class:`WorkerRequest` object layer; the integer water-filling
-        is identical, hence so are the grants.
+        unique job ids, priority a :data:`KIND_PRIORITY` rank (the fleet
+        control loop holds each job's rank cached).  Two passes: first
+        every job's *minimum* in priority order (a job starved of even
+        its floor is a scheduling failure the admission layer should
+        have prevented); then, tier by tier, integer water-filling
+        toward each job's *desired* — the fleet-wide generalization of
+        the per-job scale-up step.
         """
         pool = self.pool_limit(active_trainer_nodes)
         outcome = AllocationRound(time_s=time_s, pool_limit=pool)

@@ -7,13 +7,10 @@ and the broker apportions the fabric's HDD bandwidth, the shared SSD
 cache tier's bytes, and the cache's bandwidth across them with max-min
 fairness.  A job's achievable preprocessing rate is then capped by its
 *grant*, so concurrent jobs contend realistically instead of each
-seeing a private filesystem.
-
-:class:`ThrottledFilesystem` is the executable-path counterpart: a
-per-job view of one :class:`~repro.tectonic.filesystem.TectonicFilesystem`
-that accounts every byte against the job's granted bandwidth, for
-running real :class:`~repro.dpp.service.DppSession` pumps under fleet
-arbitration.
+seeing a private filesystem.  The fleet simulator's tick is the one
+caller: it splits each job's demand between tiers by its
+:meth:`StorageBroker.cache_absorbed_fraction` and hands both demand
+columns to :meth:`StorageBroker.water_fill`.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from typing import Sequence
 
 from ..common.errors import ConfigError, StorageError
 from ..telemetry.tracer import NULL_TRACER, Tracer
-from ..tectonic.filesystem import TectonicFilesystem
 from ..tectonic.media import COALESCE_WINDOW_BYTES, MediaModel, hdd_node, ssd_node
 
 
@@ -103,17 +99,6 @@ class StorageFabric:
         if self.mean_io_bytes <= 0:
             raise ConfigError("mean I/O size must be positive")
 
-    @classmethod
-    def from_filesystem(
-        cls, filesystem: TectonicFilesystem, n_ssd_cache_nodes: int = 0
-    ) -> "StorageFabric":
-        """Describe an executable filesystem's nodes as a fabric."""
-        return cls(
-            n_hdd_nodes=len(filesystem.nodes),
-            n_ssd_cache_nodes=n_ssd_cache_nodes,
-            hdd=filesystem.media,
-        )
-
     @property
     def hdd_bandwidth(self) -> float:
         """Aggregate HDD random-read bytes/s at the mean I/O size."""
@@ -138,27 +123,6 @@ class StorageFabric:
     def total_watts(self) -> float:
         """Storage power, both tiers (for the fleet power budget)."""
         return self.n_hdd_nodes * self.hdd.watts + self.n_ssd_cache_nodes * self.ssd.watts
-
-
-@dataclass(frozen=True)
-class BandwidthGrant:
-    """One control interval's storage award to one job."""
-
-    job_id: int
-    demand_bytes_per_s: float
-    hdd_bytes_per_s: float
-    ssd_bytes_per_s: float
-    cache_absorbed_fraction: float
-
-    @property
-    def total_bytes_per_s(self) -> float:
-        """Granted read bandwidth across both tiers."""
-        return self.hdd_bytes_per_s + self.ssd_bytes_per_s
-
-    @property
-    def satisfied(self) -> bool:
-        """Whether the grant covers the declared demand."""
-        return self.total_bytes_per_s >= self.demand_bytes_per_s - 1e-6
 
 
 @dataclass
@@ -194,15 +158,10 @@ class StorageBroker:
 
     # -- fault injection -----------------------------------------------------
 
-    @property
-    def bandwidth_derate(self) -> float:
-        """Current deliverable fraction of nominal fabric bandwidth."""
-        return self._bandwidth_derate
-
     def set_bandwidth_derate(self, fraction: float) -> None:
         """Degrade (or restore) the fabric to *fraction* of nominal.
 
-        Grants issued by subsequent :meth:`apportion` calls shrink
+        Grants issued by subsequent :meth:`water_fill` calls shrink
         proportionally; 1.0 restores full service.
         """
         if not 0 < fraction <= 1:
@@ -289,104 +248,18 @@ class StorageBroker:
 
     # -- bandwidth apportionment ---------------------------------------------
 
-    def apportion(self, demands: dict[int, float]) -> dict[int, BandwidthGrant]:
-        """Split fabric bandwidth across sessions' declared demands.
+    def water_fill(
+        self, ssd_demands: Sequence[float], hdd_demands: Sequence[float]
+    ) -> tuple[list[float], list[float]]:
+        """One control interval's grants: each tier's demand column
+        shared max-min fair over that tier's derated bandwidth.
 
-        Each job's demand divides between tiers by its cache-absorbed
-        fraction; each tier is then shared max-min fair.  Unsatisfied
-        demand is simply not granted — the caller throttles the job's
-        preprocessing rate to its grant.
+        Returns ``(ssd, hdd)`` grant lists aligned with the columns.
+        Unsatisfied demand is simply not granted — the caller throttles
+        the job's preprocessing rate to its grant.
         """
-        unknown = set(demands) - set(self._sessions)
-        if unknown:
-            raise StorageError(f"unregistered jobs in demand set: {sorted(unknown)}")
-        ids = sorted(demands)
-        hdd_grants, ssd_grants, absorbed = self.apportion_shares(
-            ids, [demands[i] for i in ids]
-        )
-        if self.tracer.enabled:
-            self.tracer.counter(
-                "broker.demand_bytes_per_s", sum(demands.values()),
-                actor="broker",
-            )
-            self.tracer.counter(
-                "broker.granted_bytes_per_s",
-                sum(hdd_grants) + sum(ssd_grants),
-                actor="broker",
-            )
-        return {
-            job_id: BandwidthGrant(
-                job_id=job_id,
-                demand_bytes_per_s=demands[job_id],
-                hdd_bytes_per_s=hdd_grants[position],
-                ssd_bytes_per_s=ssd_grants[position],
-                cache_absorbed_fraction=absorbed[position],
-            )
-            for position, job_id in enumerate(ids)
-        }
-
-    def apportion_shares(
-        self, ids: Sequence[int], demands: Sequence[float]
-    ) -> tuple[list[float], list[float], list[float]]:
-        """Apportionment as grant lists, no per-job objects.
-
-        *ids* must be sorted ascending with *demands* aligned — the
-        order :meth:`apportion` uses.  Returns ``(hdd, ssd, absorbed)``
-        lists aligned with *ids*; :meth:`apportion` wraps them into one
-        :class:`BandwidthGrant` per job.
-        """
-        absorbed = [self.cache_absorbed_fraction(i) for i in ids]
-        ssd_demands = [d * a for d, a in zip(demands, absorbed)]
-        hdd_demands = [d * (1.0 - a) for d, a in zip(demands, absorbed)]
         derate = self._bandwidth_derate
-        ssd_grants = max_min_share(ssd_demands, self._ssd_bandwidth * derate)
-        hdd_grants = max_min_share(hdd_demands, self._hdd_bandwidth * derate)
-        return hdd_grants, ssd_grants, absorbed
-
-
-class ThrottledFilesystem:
-    """A per-job, bandwidth-accounted view of a shared filesystem.
-
-    Quacks like :class:`~repro.tectonic.filesystem.TectonicFilesystem`
-    for readers (``read``/``fetcher`` plus attribute passthrough), so a
-    :class:`~repro.dpp.service.DppSession` runs unmodified behind it.
-    Every read is charged device seconds at the job's granted rate; a
-    fleet harness updates the rate as the broker re-apportions, and the
-    accumulated ``io_seconds`` tell each job what storage slowdown it
-    actually experienced.
-    """
-
-    def __init__(self, base: TectonicFilesystem, rate_bytes_per_s: float) -> None:
-        if rate_bytes_per_s <= 0:
-            raise StorageError("granted rate must be positive")
-        self.base = base
-        self.rate_bytes_per_s = rate_bytes_per_s
-        self.bytes_read = 0
-        self.read_count = 0
-        self.io_seconds = 0.0
-
-    def set_rate(self, rate_bytes_per_s: float) -> None:
-        """Apply a new grant (called on broker re-apportionment)."""
-        if rate_bytes_per_s <= 0:
-            raise StorageError("granted rate must be positive")
-        self.rate_bytes_per_s = rate_bytes_per_s
-
-    def read(self, name: str, offset: int, length: int) -> bytes:
-        """Serve a read through the base fabric, charging the grant."""
-        data = self.base.read(name, offset, length)
-        self.bytes_read += len(data)
-        self.read_count += 1
-        self.io_seconds += len(data) / self.rate_bytes_per_s
-        return data
-
-    def fetcher(self, name: str):
-        """A ``(offset, length) -> bytes`` adapter like the base's."""
-
-        def fetch(offset: int, length: int) -> bytes:
-            return self.read(name, offset, length)
-
-        return fetch
-
-    def __getattr__(self, attribute: str):
-        # Namespace, write, and accounting surfaces pass through.
-        return getattr(self.base, attribute)
+        return (
+            max_min_share(ssd_demands, self._ssd_bandwidth * derate),
+            max_min_share(hdd_demands, self._hdd_bandwidth * derate),
+        )

@@ -11,7 +11,7 @@ paper-table benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..analysis.report import render_table
 from ..cluster.job import JobKind
@@ -251,44 +251,6 @@ class FleetReport(ReportBase):
                 (s.power_watts for s in self.samples), default=0.0
             ),
         }
-
-    def merge(self, other: "ReportBase") -> "FleetReport":
-        """Fold another region's run in: the union-of-regions view.
-
-        Outcomes and tick samples concatenate (samples re-sorted on
-        time), fabric bandwidth sums, and makespan takes the max — the
-        aggregates then read as one larger plane.  Every generated
-        region numbers its jobs from 0, so colliding job ids from
-        *other* are renumbered past this report's highest id — job
-        identity stays unique in the merged view instead of silently
-        collapsing in ``throughput_by_job``.
-        """
-        if not isinstance(other, FleetReport):
-            raise SchedulingError("can only merge FleetReport into FleetReport")
-        taken = {o.spec.job_id for o in self.outcomes}
-        incoming = list(other.outcomes)
-        if taken & {o.spec.job_id for o in incoming}:
-            next_id = max(taken, default=-1) + 1
-            incoming = [
-                replace(outcome, spec=replace(outcome.spec, job_id=next_id + offset))
-                for offset, outcome in enumerate(
-                    sorted(incoming, key=lambda o: o.spec.job_id)
-                )
-            ]
-        self.outcomes = sorted(
-            self.outcomes + incoming, key=lambda o: o.spec.job_id
-        )
-        self.samples = sorted(
-            self.samples + other.samples, key=lambda s: s.time_s
-        )
-        self.storage_bandwidth_bytes_per_s += other.storage_bandwidth_bytes_per_s
-        self.makespan_s = max(self.makespan_s, other.makespan_s)
-        self.unadmitted_queue_delays_s = list(
-            self.unadmitted_queue_delays_s
-        ) + list(other.unadmitted_queue_delays_s)
-        return self
-
-    # -- rendering ------------------------------------------------------------
 
     def render(self, title: str = "Fleet simulation") -> str:
         """Per-job table plus the shared-resource summary block."""

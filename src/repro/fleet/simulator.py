@@ -51,7 +51,7 @@ from .allocator import (
     GlobalDppAllocator,
     PoolConfig,
 )
-from .broker import StorageBroker, StorageFabric, max_min_share
+from .broker import StorageBroker, StorageFabric
 from .jobs import FleetJobSpec
 from .report import FleetReport, FleetSample, JobOutcome
 
@@ -580,7 +580,7 @@ class FleetSimulator:
                 )
             )
         else:
-            granted = self.allocator.allocate_compact(
+            granted = self.allocator.allocate(
                 rows, active_trainers, self.clock.now
             )
             self._alloc_cache = (
@@ -829,10 +829,11 @@ class FleetSimulator:
     def _tick(self) -> None:
         """The tick dynamics: one coalesced pass over the epoch's columns.
 
-        The per-tier apportionment is inlined (no per-job
-        :class:`~repro.fleet.broker.BandwidthGrant` objects, no
-        sorted-id permutation — ``max_min_share`` grants depend only on
-        the demand multiset, not input order), and both the constants
+        The per-tier demand columns go to
+        :meth:`~repro.fleet.broker.StorageBroker.water_fill` in epoch
+        order (no per-job grant objects, no sorted-id permutation —
+        ``max_min_share`` grants depend only on the demand multiset, not
+        input order), and both the constants
         and the fluid state come from the membership-epoch columns — no
         per-tick re-materialization, no Python-object attribute traffic
         in the inner loops.  The pass executes the same IEEE-754
@@ -915,10 +916,7 @@ class FleetSimulator:
 
         # Phase 3: produce at the granted rate, consume trainer demand,
         # accrue stalls, cap the buffer — all into the state columns.
-        broker = self.broker
-        derate = broker.bandwidth_derate
-        ssd_grants = max_min_share(ssd_in, broker._ssd_bandwidth * derate)
-        hdd_grants = max_min_share(hdd_in, broker._hdd_bandwidth * derate)
+        ssd_grants, hdd_grants = self.broker.water_fill(ssd_in, hdd_in)
         target = static.target
         done = static.done
         stall = static.stall

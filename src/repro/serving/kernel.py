@@ -61,14 +61,6 @@ class Task:
             self.timer.cancel()  # a no-op if it has fired
         self.coro.close()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = (
-            "cancelled"
-            if self.cancelled
-            else "finished" if self.finished else "live"
-        )
-        return f"Task({self.name!r}, {state})"
-
 
 class _Sleep:
     """Awaitable: park the task until *delay* virtual seconds pass."""

@@ -146,6 +146,3 @@ class ServingReport(ReportBase):
             )
         return "\n".join(lines)
 
-    def describe(self) -> str:
-        return self.render()
-

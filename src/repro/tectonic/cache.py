@@ -100,7 +100,7 @@ class FeatureCache:
 
     # -- the read path ---------------------------------------------------------
 
-    def read(self, key: StreamKey, *, sequential: bool = False) -> float:
+    def read(self, key: StreamKey) -> float:
         """Serve one stream read; returns the service time.
 
         Hits go to SSD; misses go to HDD, bump the key's popularity,
@@ -111,7 +111,7 @@ class FeatureCache:
             self.stats.hits += 1
             self.stats.hit_bytes += key.length
             self._resident[key] += 1
-            service = self.ssd.service_time(key.length, sequential=sequential)
+            service = self.ssd.service_time(key.length)
             self._ssd_time += service
             return service
 
@@ -124,7 +124,7 @@ class FeatureCache:
             self._ghost[key] = count  # re-insert at the hot (recent) end
             if len(self._ghost) > self.ghost_capacity:
                 self._ghost.popitem(last=False)
-        service = self.hdd.service_time(key.length, sequential=sequential)
+        service = self.hdd.service_time(key.length)
         self._hdd_time += service
         return service
 

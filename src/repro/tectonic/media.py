@@ -38,16 +38,12 @@ class MediaModel:
         if self.watts <= 0:
             raise ConfigError("power must be positive")
 
-    def service_time(self, io_bytes: float, *, sequential: bool = False) -> float:
-        """Seconds to serve one read of *io_bytes*.
-
-        Sequential reads (continuing the previous transfer) skip the
-        seek; random reads pay it.
-        """
+    def service_time(self, io_bytes: float) -> float:
+        """Seconds to serve one (random) read of *io_bytes*: a seek plus
+        the transfer."""
         if io_bytes < 0:
             raise ConfigError("io size cannot be negative")
-        seek = 0.0 if sequential else self.seek_time_s
-        return seek + io_bytes / self.bandwidth_bytes_per_s
+        return self.seek_time_s + io_bytes / self.bandwidth_bytes_per_s
 
     def iops_at_size(self, io_bytes: float) -> float:
         """Random-read IOPS the device sustains at a fixed I/O size."""

@@ -18,7 +18,11 @@ class ServedIO:
 
     io_count: int = 0
     bytes_read: int = 0
-    seeks: int = 0
+
+    @property
+    def seeks(self) -> int:
+        """Seeks served: a node read is random, so one per read."""
+        return self.io_count
 
 
 class StorageNode:
@@ -52,13 +56,11 @@ class StorageNode:
             raise StorageError("release out of range")
         self.used_bytes -= n_bytes
 
-    def record_read(self, n_bytes: int, *, sequential: bool = False) -> None:
+    def record_read(self, n_bytes: int) -> None:
         """Account one served read."""
         served = self.served
         served.io_count += 1
         served.bytes_read += n_bytes
-        if not sequential:
-            served.seeks += 1
 
     @property
     def utilization(self) -> float:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -246,19 +245,6 @@ def merge_traces(traces) -> Trace:
     return merged
 
 
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTracer:
     """The shared disabled recorder: every operation is a no-op.
 
@@ -280,9 +266,6 @@ class NullTracer:
 
     def end(self, actor: str = "main") -> None:
         pass
-
-    def span(self, name: str, actor: str = "main", **args) -> _NullSpan:
-        return _NULL_SPAN
 
     def emit_span(
         self,
@@ -361,15 +344,6 @@ class Tracer:
             )
         )
 
-    @contextmanager
-    def span(self, name: str, actor: str = "main", **args):
-        """``with tracer.span("fleet.tick"):`` — begin/end, exception-safe."""
-        self.begin(name, actor, **args)
-        try:
-            yield self
-        finally:
-            self.end(actor)
-
     def emit_span(
         self,
         name: str,
@@ -422,18 +396,6 @@ class Tracer:
             )
 
     # -- packaging -------------------------------------------------------------
-
-    @property
-    def event_count(self) -> int:
-        return len(self._events)
-
-    def open_spans(self) -> dict[str, int]:
-        """Actor → open-span depth (diagnostic)."""
-        return {
-            actor: len(stack)
-            for actor, stack in sorted(self._stacks.items())
-            if stack
-        }
 
     def freeze(self, process_name: str | None = None) -> Trace:
         """Close dangling spans at the current time and package a Trace."""

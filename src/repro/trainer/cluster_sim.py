@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..common.errors import ConfigError
-from ..common.simclock import SimClock
 
 
 @dataclass(frozen=True)
@@ -58,21 +57,15 @@ class ClusterThroughput:
 
 
 def simulate_cluster(
-    config: ClusterConfig,
-    n_iterations: int = 2_000,
-    seed: int = 0,
-    clock: SimClock | None = None,
+    config: ClusterConfig, n_iterations: int = 2_000, seed: int = 0
 ) -> ClusterThroughput:
     """Iteration-level simulation of a synchronous job.
 
     Each iteration: every trainer waits for its next batch (exponential
     inter-arrival around its supply share), then computes; the job
     syncs when the slowest trainer finishes.  The data wait overlaps
-    nothing (mini-batch SGD consumes a fresh batch per iteration).
-
-    Runs as a self-rescheduling process on a :class:`SimClock` — by
-    default a private one, or a shared fleet clock so training-side and
-    preprocessing-side processes interleave in one event order.
+    nothing (mini-batch SGD consumes a fresh batch per iteration), so
+    the iterations run as one sequential loop.
     """
     if n_iterations < 1:
         raise ConfigError("need at least one iteration")
@@ -83,63 +76,19 @@ def simulate_cluster(
         rng.normal(1.0, config.supply_imbalance, size=config.n_trainers), 0.05, None
     )
     rates = rates / rates.mean() * per_trainer_supply  # preserve the aggregate
-
-    compute = config.compute_time_s
-    sync = config.sync_time_s
-    ideal_iteration = compute + sync
-
-    if clock is None:
-        # Private-clock fast path: with no co-simulated processes to
-        # interleave, the event chain is strictly sequential, so the
-        # same iteration times accumulate in a plain loop — identical
-        # RNG draws, identical totals, no heap churn.  This is the path
-        # `supply_for_efficiency` hammers (40 binary-search probes).
-        inv_rates = 1.0 / rates
-        total_time = 0.0
-        total_wait = 0.0
-        for _ in range(n_iterations):
-            waits = rng.exponential(inv_rates)
-            data_wait = float(np.max(np.maximum(waits - ideal_iteration, 0.0)))
-            total_wait += data_wait
-            total_time += ideal_iteration + data_wait
-        return ClusterThroughput(
-            iterations_per_s=n_iterations / total_time,
-            ideal_iterations_per_s=1.0 / ideal_iteration,
-            stall_fraction=total_wait / total_time,
-        )
-    start = clock.now
-    state = {"remaining": n_iterations, "wait": 0.0, "end": start}
-
-    def iteration() -> None:
-        # Batch wait per trainer this iteration; queueing backlog is
-        # approximated by the renewal process' exponential gap.
-        waits = rng.exponential(1.0 / rates)
+    ideal_iteration = config.compute_time_s + config.sync_time_s
+    inv_rates = 1.0 / rates
+    total_time = 0.0
+    total_wait = 0.0
+    for _ in range(n_iterations):
+        waits = rng.exponential(inv_rates)
         data_wait = float(np.max(np.maximum(waits - ideal_iteration, 0.0)))
-        state["wait"] += data_wait
-        state["remaining"] -= 1
-        if state["remaining"] > 0:
-            clock.schedule(ideal_iteration + data_wait, iteration)
-        else:
-            # The final iteration still occupies the cluster; advance
-            # time past it so the makespan includes its duration.
-            clock.schedule(ideal_iteration + data_wait, finish)
-
-    def finish() -> None:
-        state["end"] = clock.now
-
-    clock.schedule(0.0, iteration)
-    # Step only until this job's chain completes: on a shared clock,
-    # foreign events up to that point interleave (that is the purpose),
-    # but events beyond it stay for the external driver, and the
-    # makespan measures this job alone.
-    while state["remaining"] > 0 or state["end"] == start:
-        if not clock.step():
-            raise ConfigError("clock drained before the job finished")
-    total_time = state["end"] - start
+        total_wait += data_wait
+        total_time += ideal_iteration + data_wait
     return ClusterThroughput(
         iterations_per_s=n_iterations / total_time,
         ideal_iterations_per_s=1.0 / ideal_iteration,
-        stall_fraction=state["wait"] / total_time,
+        stall_fraction=total_wait / total_time,
     )
 
 

@@ -10,7 +10,7 @@ falls far short of GPU demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..common.serialization import ReportBase, record_from_row, record_row
 from ..common.units import GB
@@ -48,13 +48,6 @@ class StallReport(ReportBase):
     @classmethod
     def from_payload(cls, payload: dict) -> "StallReport":
         return record_from_row(cls, payload, "stall report", model=model_by_name)
-
-    def metrics(self) -> dict[str, float]:
-        return {
-            f"stall.{field.name}": getattr(self, field.name)
-            for field in fields(self)
-            if field.name != "model"
-        }
 
 
 def on_host_preprocessing_study(

@@ -63,11 +63,6 @@ class Transform(abc.ABC):
     def apply(self, batch: FeatureBatch) -> Column:
         """Compute the output column from the batch."""
 
-    def input_elements(self, batch: FeatureBatch) -> int:
-        """Number of input elements, the unit the cost model charges by."""
-        total = sum(len(batch.column(fid).values) for fid in self.input_ids)
-        return max(total, batch.n_rows)
-
     def fusion_key(self) -> tuple | None:
         """Ops with equal keys compute one elementwise ``kernel(values)``
         over a single dense input, so the session plan may run a run of

@@ -77,16 +77,6 @@ class CostReport(ReportBase):
             },
         )
 
-    def metrics(self) -> dict[str, float]:
-        flat = {
-            "cost.cycles": self.cycles,
-            "cost.mem_bytes": self.mem_bytes,
-            "cost.elements": float(self.elements),
-        }
-        for op_class, share in self.class_shares().items():
-            flat[f"cost.share.{op_class.value}"] = share
-        return flat
-
     def class_shares(self) -> dict[OpClass, float]:
         """Fraction of transform cycles per op class (Section 6.4)."""
         total = sum(self.cycles_by_class.values())
@@ -108,14 +98,14 @@ def execute_with_cost(dag: TransformDag, batch: FeatureBatch) -> CostReport:
         outputs = step.apply(batch)
         for node, charge, column in zip(step.nodes, step.charges, outputs):
             cycles_per_element, mem_bytes_per_element, slot, input_ids = charge
-            if input_ids is None:
-                elements = node.op.input_elements(batch)
-            else:
-                elements = 0
-                for fid in input_ids:
-                    elements += len(columns[fid].values)
-                if elements < n_rows:
-                    elements = n_rows
+            # The unit the cost model charges by: input values, at least
+            # one per row (an op with no inputs, such as Sampling, is
+            # charged per row).
+            elements = 0
+            for fid in input_ids:
+                elements += len(columns[fid].values)
+            if elements < n_rows:
+                elements = n_rows
             if len(column) != n_rows:
                 raise TransformError(
                     f"column of {len(column)} rows in a batch of {n_rows}"

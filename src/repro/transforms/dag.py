@@ -38,18 +38,17 @@ class PlanStep:
 
     nodes: tuple[DagNode, ...]
     #: Per node, resolved once: cycles and DRAM bytes per element, class
-    #: slot, and the input IDs that size it (None: the op sizes itself).
-    charges: tuple[tuple[float, float, int, tuple[int, ...] | None], ...]
+    #: slot, and the input IDs that size it.
+    charges: tuple[tuple[float, float, int, tuple[int, ...]], ...]
 
     @classmethod
     def of(cls, nodes: list[DagNode]) -> "PlanStep":
         def charge(op: Transform) -> tuple:
-            sized_by_inputs = type(op).input_elements is Transform.input_elements
             return (
                 op.cost.cycles_per_element,
                 op.cost.mem_bytes_per_element,
                 CLASS_SLOTS[op.op_class],
-                op.input_ids if sized_by_inputs else None,
+                op.input_ids,
             )
 
         return cls(tuple(nodes), tuple(charge(node.op) for node in nodes))
@@ -150,13 +149,3 @@ class TransformDag:
                     runs.append([node])
             self._plan = tuple(PlanStep.of(run) for run in runs)
         return self._plan
-
-    def execute(self, batch: FeatureBatch) -> FeatureBatch:
-        """Run every node in dependency order, attaching outputs to *batch*."""
-        from .cost import execute_with_cost  # the one executor; it imports us
-
-        execute_with_cost(self, batch)
-        return batch
-
-    def __len__(self) -> int:
-        return len(self.nodes)

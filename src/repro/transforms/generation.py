@@ -221,6 +221,3 @@ class Sampling(Transform):
         rng = np.random.default_rng(self.seed)
         keep = rng.random(batch.n_rows) < self.rate
         return DenseColumn(keep.astype(np.float32), np.ones(batch.n_rows, dtype=bool))
-
-    def input_elements(self, batch: FeatureBatch) -> int:
-        return batch.n_rows

@@ -1,6 +1,5 @@
 """Hive-like data warehouse: schemas, partitioned tables, sample generation."""
 
-from .catalog import Catalog
 from .generator import (
     DatasetProfile,
     SampleGenerator,
@@ -23,7 +22,6 @@ __all__ = [
     "RetentionReport",
     "enforce_retention",
     "verify_reaped",
-    "Catalog",
     "DatasetProfile",
     "FeatureColumn",
     "FeatureSpec",

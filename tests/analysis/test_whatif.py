@@ -12,7 +12,8 @@ class TestDemandGrowth:
         assert impact.workers_per_trainer_grown == pytest.approx(
             3.5 * impact.workers_per_trainer_now
         )
-        assert impact.extra_workers > 2 * impact.workers_per_trainer_now
+        extra = impact.workers_per_trainer_grown - impact.workers_per_trainer_now
+        assert extra > 2 * impact.workers_per_trainer_now
 
     def test_grown_rm1_needs_about_85_workers(self):
         """Table 9's 24 workers/trainer becomes ~85 under 3.5x growth

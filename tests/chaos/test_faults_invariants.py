@@ -35,7 +35,7 @@ class TestFaultSchedule:
             ]
         )
         assert [e.round_index for e in schedule.events] == [1, 5]
-        assert schedule.last_round == 5
+        assert schedule.events[-1].round_index == 5
         assert len(schedule.due(1)) == 1
         assert not schedule.due(2)
 

@@ -166,7 +166,6 @@ from repro.common.serialization import (  # noqa: E402
     ReportBase,
     require_keys,
     revive_float,
-    revive_floats,
 )
 from repro.dpp.simulation import SimTickSample, SimulationResult  # noqa: E402
 from repro.experiments.report import FailureReport, ScenarioResult  # noqa: E402
@@ -190,6 +189,16 @@ from repro.trainer.stalls import StallReport  # noqa: E402
 from repro.transforms.base import OpClass  # noqa: E402
 from repro.transforms.cost import CostReport  # noqa: E402
 from repro.workloads.models import model_by_name  # noqa: E402
+
+
+def revive_floats(row, float_fields):
+    """Copy *row* with the named fields decoded via ``revive_float``;
+    fields absent from *row* stay absent."""
+    revived = dict(row)
+    for name in float_fields:
+        if name in revived:
+            revived[name] = revive_float(revived[name])
+    return revived
 
 # experiments/scenarios.py
 

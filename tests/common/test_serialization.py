@@ -17,8 +17,9 @@ from repro.common.serialization import (
     report_kinds,
     require_keys,
     revive_float,
-    revive_floats,
 )
+
+from .oracles import revive_floats
 
 
 class TestDialect:

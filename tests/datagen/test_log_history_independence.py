@@ -15,6 +15,8 @@ import sys
 
 from repro.datagen import Log
 
+from ..profiling import collector_off, profiled
+
 HISTORY_RECORDS = 50_000
 NEW_RECORDS = 10
 
@@ -22,9 +24,8 @@ NEW_RECORDS = 10
 def work_of(function) -> tuple[int, int]:
     """(calls, lines executed) of one ``function()``."""
     profile = cProfile.Profile()
-    profile.enable()
-    function()
-    profile.disable()
+    with profiled(profile):
+        function()
 
     lines = 0
 
@@ -35,11 +36,12 @@ def work_of(function) -> tuple[int, int]:
         return tracer
 
     previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        function()
-    finally:
-        sys.settrace(previous)
+    with collector_off():
+        sys.settrace(tracer)
+        try:
+            function()
+        finally:
+            sys.settrace(previous)
     return pstats.Stats(profile).total_calls, lines
 
 

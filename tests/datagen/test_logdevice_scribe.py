@@ -93,7 +93,6 @@ class TestLogDevice:
         device = LogDevice()
         log = device.log("x")
         assert device.log("x") is log
-        assert device.log_names() == ["x"]
 
 
 class TestScribe:
@@ -107,7 +106,6 @@ class TestScribe:
     def test_category_reuse(self):
         scribe = Scribe()
         assert scribe.category("a") is scribe.category("a")
-        assert scribe.category_names() == ["a"]
 
 
 class TestScribeDaemon:

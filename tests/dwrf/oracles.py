@@ -6,7 +6,10 @@ re-copying samples, kept verbatim as an oracle: ``add_row`` copies every
 id and score value into per-feature flat lists (``extend``) and records
 every length as it goes.
 
-*Read path.*  The ``oracle_*`` functions at the bottom are the bodies
+*Read path.*  ``decode_varints`` and ``oracle_split_varint_header``
+are the list-form varint decoder and the MAP stripe header read built on
+it, from before the header read its one varint directly.  The
+``oracle_*`` functions at the bottom are the bodies
 ``repro.dwrf.reader``, ``repro.dwrf.stripe``, ``repro.dwrf.encoding``
 and ``repro.dpp.worker`` shipped before a stripe became one planned
 pass: every needed range re-planned per call, fetched spans searched
@@ -195,6 +198,41 @@ class PerValueStripeBuilder:
 
 def _unseal(data: bytes, options: EncodingOptions) -> bytes:
     return encoding.unseal(data, compress=options.compress, encrypt=options.encrypt)
+
+
+def decode_varints(data: bytes) -> list[int]:
+    """Decode an LEB128 byte string back to signed integers (the list
+    form ``repro.dwrf.encoding`` shipped; the stripe header reads its
+    one varint directly now)."""
+    values: list[int] = []
+    shift = 0
+    current = 0
+    for byte in data:
+        current |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+            if shift > 63:
+                raise FormatError("varint too long")
+        else:
+            values.append(encoding.zigzag_decode(current))
+            current = 0
+            shift = 0
+    if shift:
+        raise FormatError("truncated varint stream")
+    return values
+
+
+def oracle_split_varint_header(payload: bytes) -> tuple[int, bytes]:
+    """The MAP stripe header read through the list decoder."""
+    cursor = 0
+    for i, byte in enumerate(payload):
+        if not byte & 0x80:
+            cursor = i + 1
+            break
+    else:
+        raise FormatError("missing stripe header")
+    header = decode_varints(payload[:cursor])[0]
+    return header, payload[cursor:]
 
 
 def oracle_unpack_bitmap(data: bytes, count: int) -> np.ndarray:

@@ -6,24 +6,68 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import FormatError
 from repro.dwrf import encoding
+from repro.dwrf.stripe import _split_varint_header
+
+from .oracles import decode_varints, oracle_split_varint_header
+
+
+def _outcome(read, payload):
+    try:
+        return read(payload)
+    except FormatError as exc:
+        return ("refused", str(exc))
+
+
+# A leading varint as the writer emits it, one at the length limit or
+# just past it (9, 10 or 11 continuation bytes), a truncated one (no
+# terminating byte) or any bytes; then any rest.
+_headers = st.one_of(
+    st.integers(min_value=-(2**62), max_value=2**62).map(
+        lambda value: encoding.encode_varints([value])
+    ),
+    st.integers(min_value=9, max_value=11).map(lambda n: b"\xff" * n + b"\x01"),
+    st.binary(max_size=12).map(lambda data: bytes(b | 0x80 for b in data)),
+    st.binary(max_size=12),
+)
 
 
 class TestVarints:
     def test_round_trip_basic(self):
         values = [0, 1, -1, 127, 128, -128, 300, 10**9, -(10**9)]
-        assert encoding.decode_varints(encoding.encode_varints(values)) == values
+        assert decode_varints(encoding.encode_varints(values)) == values
 
     def test_empty(self):
-        assert encoding.decode_varints(b"") == []
+        assert decode_varints(b"") == []
 
     def test_truncated_stream_rejected(self):
         data = encoding.encode_varints([300])
         with pytest.raises(FormatError):
-            encoding.decode_varints(data[:-1])
+            decode_varints(data[:-1])
 
     @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=50))
     def test_round_trip_property(self, values):
-        assert encoding.decode_varints(encoding.encode_varints(values)) == values
+        assert decode_varints(encoding.encode_varints(values)) == values
+
+    @given(_headers, st.binary(max_size=8))
+    def test_stripe_header_read_matches_the_list_decoder(self, header, rest):
+        payload = header + rest
+        assert _outcome(_split_varint_header, payload) == _outcome(
+            oracle_split_varint_header, payload
+        )
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"", "missing stripe header"),
+            (b"\x80\x81", "missing stripe header"),
+            (b"\xff" * 10 + b"\x01", "varint too long"),
+        ],
+    )
+    def test_stripe_header_refusals(self, payload, message):
+        with pytest.raises(FormatError, match=message):
+            _split_varint_header(payload)
+        with pytest.raises(FormatError, match=message):
+            oracle_split_varint_header(payload)
 
     def test_zigzag_small_magnitudes_small(self):
         assert encoding.zigzag_encode(0) == 0

@@ -91,26 +91,6 @@ class TestFleetReport:
         with pytest.raises(FormatError, match="fleet job outcome"):
             FleetReport.from_json(text)
 
-    def test_merge_is_union_of_regions(self):
-        a, b = make_fleet_report(), build_scenario("fleet/busy", seed=1).run()
-        jobs = a.jobs_submitted + b.jobs_submitted
-        bandwidth = (
-            a.storage_bandwidth_bytes_per_s + b.storage_bandwidth_bytes_per_s
-        )
-        finished = a.jobs_completed + b.jobs_completed
-        merged = a.merge(b)
-        assert merged is a
-        assert merged.jobs_submitted == jobs
-        assert merged.storage_bandwidth_bytes_per_s == bandwidth
-        times = [s.time_s for s in merged.samples]
-        assert times == sorted(times)
-        # Both regions number jobs from 0; the merge must renumber, not
-        # silently collapse job identity.
-        ids = [o.spec.job_id for o in merged.outcomes]
-        assert len(ids) == len(set(ids))
-        assert len(merged.throughput_by_job()) == finished
-
-
 class TestChaosReport:
     def test_real_run_round_trips_byte_identically(self):
         report = build_scenario("chaos/worst-case", seed=2).run()
@@ -146,15 +126,6 @@ class TestChaosReport:
         assert not revived.ok
         assert revived.records[0].client_id == "client-0"
         assert revived.violations[0].invariant == "delivery"
-
-    def test_merge_accumulates_runs(self):
-        a = build_scenario("chaos/worst-case", seed=1).run()
-        b = build_scenario("chaos/worst-case", seed=2).run()
-        delivered = a.delivered_batches + b.delivered_batches
-        merged = a.merge(b)
-        assert merged is a
-        assert merged.delivered_batches == delivered
-
 
 class TestSweepReport:
     @pytest.fixture(scope="class")

@@ -4,14 +4,17 @@
 ``repro.fleet.simulator`` shipped behind ``fused=False`` until the
 simulator kept a single engine: the tick and proposal bodies moved here
 (the per-job controller now lives in a dict on the oracle instead of on
-``_ActiveJob``, and the round goes through ``allocate`` rather than the
-tuple-row fast path).  It shares the lifecycle — arrival,
-admission, finish, fault injection, sampling, reporting — with
+``_ActiveJob``, and the round goes through :func:`allocate`'s
+:class:`WorkerRequest` objects rather than cached tuple rows).  It
+shares the lifecycle — arrival, admission, finish, fault injection,
+sampling, reporting — with
 production and replaces only the two passes under test, with every fast
 path left out: no epoch columns, no steady stretches, no allocation
-replay cache, one :class:`~repro.fleet.broker.BandwidthGrant` per job
-per tick, one controller decision per job per round, and the allocator
-called (through its validating :meth:`allocate` entry) every round.
+replay cache, one :class:`BandwidthGrant` per job per tick (from
+:func:`apportion`, the broker's per-job entry until the tick became its
+one caller), one controller decision per job per round, and the
+allocator called (through the validating :func:`allocate`, its
+request-object entry until the same change) every round.
 
 :func:`result_from_fleet_report` is the report-mediated reduction of a
 run to a sweep's flat row — ``ScenarioResult.from_fleet_report`` until
@@ -20,12 +23,99 @@ for ``FleetSimulator.run_summary``.
 """
 
 import math
+from dataclasses import dataclass
 
 from repro.dpp.autoscaler import AutoscalingController
 from repro.experiments.report import ScenarioResult
-from repro.fleet import FleetSimulator, WorkerRequest
+from repro.cluster.job import JobKind
+from repro.common.errors import ConfigError, SchedulingError, StorageError
+from repro.fleet import FleetSimulator, GlobalDppAllocator, StorageBroker
+from repro.fleet.allocator import KIND_PRIORITY
 
 _EPS = 1e-9
+
+
+@dataclass(frozen=True)
+class WorkerRequest:
+    """One session's ask for an allocation round."""
+
+    job_id: int
+    kind: JobKind
+    desired: int
+    minimum: int = 1
+
+    def __post_init__(self) -> None:
+        if self.minimum < 0 or self.desired < self.minimum:
+            raise ConfigError("desired must be at least minimum (both >= 0)")
+
+
+def allocate(
+    allocator: GlobalDppAllocator,
+    requests: list[WorkerRequest],
+    active_trainer_nodes: int,
+    time_s: float = 0.0,
+) -> dict[int, int]:
+    """An allocation round from request objects: the validating entry
+    the allocator had beside its tuple-row path until the fleet control
+    loop became its one caller."""
+    if len({r.job_id for r in requests}) != len(requests):
+        raise SchedulingError("duplicate job in allocation round")
+    return allocator.allocate(
+        [(KIND_PRIORITY[r.kind], r.job_id, r.desired, r.minimum) for r in requests],
+        active_trainer_nodes,
+        time_s,
+    )
+
+
+@dataclass(frozen=True)
+class BandwidthGrant:
+    """One control interval's storage award to one job."""
+
+    job_id: int
+    demand_bytes_per_s: float
+    hdd_bytes_per_s: float
+    ssd_bytes_per_s: float
+    cache_absorbed_fraction: float
+
+    @property
+    def total_bytes_per_s(self) -> float:
+        """Granted read bandwidth across both tiers."""
+        return self.hdd_bytes_per_s + self.ssd_bytes_per_s
+
+    @property
+    def satisfied(self) -> bool:
+        """Whether the grant covers the declared demand."""
+        return self.total_bytes_per_s >= self.demand_bytes_per_s - 1e-6
+
+
+def apportion(
+    broker: StorageBroker, demands: dict[int, float]
+) -> dict[int, BandwidthGrant]:
+    """Split fabric bandwidth across registered jobs' declared demands.
+
+    Each job's demand divides between tiers by its cache-absorbed
+    fraction, in ascending job-id order; both tiers then go through
+    :meth:`StorageBroker.water_fill`.
+    """
+    unknown = set(demands) - set(broker._sessions)
+    if unknown:
+        raise StorageError(f"unregistered jobs in demand set: {sorted(unknown)}")
+    ids = sorted(demands)
+    absorbed = [broker.cache_absorbed_fraction(i) for i in ids]
+    ssd_grants, hdd_grants = broker.water_fill(
+        [demands[i] * a for i, a in zip(ids, absorbed)],
+        [demands[i] * (1.0 - a) for i, a in zip(ids, absorbed)],
+    )
+    return {
+        job_id: BandwidthGrant(
+            job_id=job_id,
+            demand_bytes_per_s=demands[job_id],
+            hdd_bytes_per_s=hdd_grants[position],
+            ssd_bytes_per_s=ssd_grants[position],
+            cache_absorbed_fraction=absorbed[position],
+        )
+        for position, job_id in enumerate(ids)
+    }
 
 
 def rounds_of(simulator: FleetSimulator) -> list[tuple]:
@@ -96,8 +186,8 @@ class ReferenceFleetSimulator(FleetSimulator):
             for job in self._active.values()
         ]
         active_trainers = self.config.n_trainer_nodes - self._free_trainers
-        granted = self.allocator.allocate(
-            requests, active_trainers, self.clock.now
+        granted = allocate(
+            self.allocator, requests, active_trainers, self.clock.now
         )
         for job in self._active.values():
             self._apply_grant(job, granted.get(job.spec.job_id, 0))
@@ -144,7 +234,7 @@ class ReferenceFleetSimulator(FleetSimulator):
                 supply, job.demand_sps
             )
             demands[job_id] = wanted * job.rx_bytes_per_sample
-        grants = self.broker.apportion(demands) if demands else {}
+        grants = apportion(self.broker, demands) if demands else {}
 
         total_rate = 0.0
         total_demand = 0.0

@@ -1,10 +1,11 @@
-"""Shared-storage arbitration: fairness, caching, throttled views."""
+"""Shared-storage arbitration: fairness and caching."""
 
 import pytest
 
 from repro.common.errors import ConfigError, StorageError
-from repro.fleet import StorageBroker, StorageFabric, ThrottledFilesystem, max_min_share
-from repro.tectonic import TectonicFilesystem
+from repro.fleet import StorageBroker, StorageFabric, max_min_share
+
+from .oracles import apportion
 
 
 class TestMaxMinShare:
@@ -46,12 +47,6 @@ class TestStorageFabric:
             2 * fabric.cache_capacity_bytes
         )
 
-    def test_from_filesystem_mirrors_nodes(self):
-        filesystem = TectonicFilesystem(n_nodes=8)
-        described = StorageFabric.from_filesystem(filesystem)
-        assert described.n_hdd_nodes == 8
-        assert described.hdd is filesystem.media
-
 
 class TestCacheApportionment:
     def test_small_dataset_fully_resident(self, fabric):
@@ -87,13 +82,33 @@ class TestCacheApportionment:
             broker.register(1, dataset_bytes=1e12, popularity_bytes_for_80pct=0.4)
 
 
+class TestWaterFill:
+    def test_each_tier_is_shared_over_its_derated_bandwidth(self, fabric):
+        broker = StorageBroker(fabric)
+        broker.set_bandwidth_derate(0.5)
+        ssd = [fabric.ssd_bandwidth, 1.0]
+        hdd = [fabric.hdd_bandwidth, fabric.hdd_bandwidth, 2.0]
+        ssd_grants, hdd_grants = broker.water_fill(ssd, hdd)
+        assert ssd_grants == max_min_share(ssd, fabric.ssd_bandwidth * 0.5)
+        assert hdd_grants == max_min_share(hdd, fabric.hdd_bandwidth * 0.5)
+        assert sum(hdd_grants) == pytest.approx(fabric.hdd_bandwidth * 0.5)
+
+    def test_grants_follow_the_columns_not_their_order(self, fabric):
+        broker = StorageBroker(fabric)
+        hdd = [fabric.hdd_bandwidth, 3.0, fabric.hdd_bandwidth / 4]
+        _, forward = broker.water_fill([], hdd)
+        _, backward = broker.water_fill([], hdd[::-1])
+        assert forward == backward[::-1]
+        assert forward[1] == 3.0  # a small demand is met in full
+
+
 class TestApportion:
     def test_equal_demands_get_equal_grants(self, fabric):
         broker = StorageBroker(fabric)
         for job_id in (1, 2):
             broker.register(job_id, dataset_bytes=1e15, popularity_bytes_for_80pct=0.4)
         demand = fabric.total_bandwidth  # each asks for the whole fabric
-        grants = broker.apportion({1: demand, 2: demand})
+        grants = apportion(broker, {1: demand, 2: demand})
         assert grants[1].total_bytes_per_s == pytest.approx(grants[2].total_bytes_per_s)
         total = sum(g.total_bytes_per_s for g in grants.values())
         assert total <= fabric.total_bandwidth + 1e-6
@@ -101,7 +116,7 @@ class TestApportion:
     def test_uncontended_demand_satisfied(self, fabric):
         broker = StorageBroker(fabric)
         broker.register(1, dataset_bytes=1e15, popularity_bytes_for_80pct=0.4)
-        grants = broker.apportion({1: fabric.hdd_bandwidth / 10})
+        grants = apportion(broker, {1: fabric.hdd_bandwidth / 10})
         assert grants[1].satisfied
 
     def test_cache_expands_effective_bandwidth(self):
@@ -116,50 +131,11 @@ class TestApportion:
                 popularity_bytes_for_80pct=0.3,
             )
         demand = fabric.total_bandwidth
-        grants = broker.apportion({1: demand, 2: demand})
+        grants = apportion(broker, {1: demand, 2: demand})
         total = sum(g.total_bytes_per_s for g in grants.values())
         assert total > fabric.hdd_bandwidth
 
     def test_unregistered_job_rejected(self, fabric):
         broker = StorageBroker(fabric)
         with pytest.raises(StorageError):
-            broker.apportion({99: 1.0})
-
-
-class TestThrottledFilesystem:
-    def make_base(self):
-        filesystem = TectonicFilesystem(n_nodes=3, replication=3)
-        filesystem.create("f")
-        filesystem.append("f", b"x" * 4096)
-        return filesystem
-
-    def test_reads_account_bytes_and_time(self):
-        view = ThrottledFilesystem(self.make_base(), rate_bytes_per_s=1024.0)
-        data = view.read("f", 0, 2048)
-        assert len(data) == 2048
-        assert view.bytes_read == 2048
-        assert view.io_seconds == pytest.approx(2.0)
-
-    def test_rate_update_changes_charging(self):
-        view = ThrottledFilesystem(self.make_base(), rate_bytes_per_s=1024.0)
-        view.read("f", 0, 1024)
-        view.set_rate(2048.0)
-        view.read("f", 0, 1024)
-        assert view.io_seconds == pytest.approx(1.0 + 0.5)
-
-    def test_fetcher_matches_dwrf_interface(self):
-        view = ThrottledFilesystem(self.make_base(), rate_bytes_per_s=1e6)
-        fetch = view.fetcher("f")
-        assert fetch(0, 16) == b"x" * 16
-        assert view.read_count == 1
-
-    def test_namespace_passthrough(self):
-        base = self.make_base()
-        view = ThrottledFilesystem(base, rate_bytes_per_s=1e6)
-        assert view.list_files() == ["f"]
-        assert view.file("f").length == 4096
-        assert view.used_bytes == base.used_bytes
-
-    def test_zero_rate_rejected(self):
-        with pytest.raises(StorageError):
-            ThrottledFilesystem(self.make_base(), rate_bytes_per_s=0.0)
+            apportion(broker, {99: 1.0})

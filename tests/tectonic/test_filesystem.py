@@ -262,7 +262,7 @@ class TestStorageNode:
     def test_record_read_accumulates(self):
         node = StorageNode(0, MediaModel("m", 0.001, 1e9, 100, 10))
         node.record_read(10)
-        node.record_read(20, sequential=True)
+        node.record_read(20)
         assert node.served.io_count == 2
         assert node.served.bytes_read == 30
-        assert node.served.seeks == 1
+        assert node.served.seeks == 2

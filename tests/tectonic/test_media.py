@@ -13,13 +13,6 @@ class TestServiceTime:
                            capacity_bytes=1e12, watts=10)
         assert media.service_time(1e6) == pytest.approx(1.01)
 
-    def test_sequential_skips_seek(self):
-        media = hdd_node()
-        random = media.service_time(1 << 20)
-        sequential = media.service_time(1 << 20, sequential=True)
-        assert sequential < random
-        assert random - sequential == pytest.approx(media.seek_time_s)
-
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigError):
             hdd_node().service_time(-1)

@@ -12,8 +12,9 @@ from repro.telemetry import Trace, Tracer, merge_traces
 
 def build_trace(scenario: str, seed: int = 0) -> Trace:
     tracer = Tracer(scenario=scenario, seed=seed)
-    with tracer.span("work", actor="main", cell=scenario):
-        tracer.instant("mark", actor="main")
+    tracer.begin("work", actor="main", cell=scenario)
+    tracer.instant("mark", actor="main")
+    tracer.end(actor="main")
     tracer.counter("queue.depth", 3.0, actor="main")
     return tracer.freeze()
 

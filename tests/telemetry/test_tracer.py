@@ -70,14 +70,6 @@ class TestSpans:
         with pytest.raises(ConfigError):
             make_tracer().end(actor="fleet")
 
-    def test_span_context_manager_closes_on_exception(self):
-        tracer = make_tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("work", actor="w"):
-                raise RuntimeError("boom")
-        assert tracer.open_spans() == {}
-        assert tracer.event_count == 1
-
     def test_freeze_closes_dangling_spans(self):
         tracer = make_tracer()
         tracer.begin("left.open", actor="z")
@@ -85,7 +77,8 @@ class TestSpans:
         trace = tracer.freeze()
         names = [e.name for e in trace.processes[0].events]
         assert sorted(names) == ["also.open", "left.open"]
-        assert tracer.open_spans() == {}
+        with pytest.raises(ConfigError):  # nothing left open
+            tracer.end(actor="z")
 
     def test_args_must_be_finite_scalars(self):
         tracer = make_tracer()
@@ -106,8 +99,6 @@ class TestIdentity:
         NULL_TRACER.end()
         NULL_TRACER.instant("y", k=1)
         NULL_TRACER.counter("a.b", 1.0)
-        with NULL_TRACER.span("z"):
-            pass
         assert NULL_TRACER.enabled is False
 
 

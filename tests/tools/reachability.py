@@ -1,20 +1,36 @@
-"""Which parts of ``src/repro`` the repository's own runs ever execute.
+"""Which parts of ``src/repro`` the repository's own runs execute, and
+which of them only the tests do.
 
-Records every code object entered (``sys.setprofile``) and every line
-run (``sys.settrace``) under ``src/repro`` across
+Records every code object entered (``sys.setprofile``), every line run
+(``sys.settrace``) and every keyword parameter bound to a value other
+than its default under ``src/repro`` across
 
 * tier-1 (``pytest``), with this module loaded as a plugin that re-arms
   both hooks before every test phase: the tests that profile with
-  ``cProfile`` or count lines with their own tracer clear a global hook;
+  ``cProfile`` or count lines with their own tracer clear a global hook.
+  ``--benchmark-disable`` makes each paper capture call its function
+  once, outside pytest-benchmark's pause of both hooks;
 * every ``examples/*.py``;
 * the CLI commands CI runs (shorter seed lists where only the number of
   sweep cells would change);
 * ``python -m benchmarks.dsi suite --seconds 1``;
 
-then prints the functions never entered and the ``if``/``except`` arms
-never entered, with *refusals* (arms that only raise) apart from the
-other arms.  An arm inside a function never entered, or inside another
-arm never entered, is not listed again.
+and labels each record with its *origin*: ``tests`` (everything under
+``tests/``, ``benchmarks/dsi``'s own tests, and whatever pytest runs
+while collecting), ``captures`` (the paper captures, the top-level
+``benchmarks/test_*.py``), ``examples``, ``cli`` and ``dsi``.  The
+plugin switches origin per test item by the item's path; every other
+stage names its origin in ``REPRO_REACHABILITY_ORIGIN``, which its
+child processes inherit.
+
+The report prints the functions never entered and the ``if``/``except``
+arms never entered, with *refusals* (arms that only raise) apart from
+the other arms; then the functions and arms entered only from
+``tests``, and the keyword parameters that only ``tests`` set.  An arm
+inside a function or arm already listed is not listed again.  A keyword
+parameter is *set* when a call binds it to a value that is neither its
+default nor equal to it; a dataclass's ``__init__`` fields count.  Once
+a non-test origin has set a parameter, a process stops checking it.
 
 Usage::
 
@@ -26,8 +42,8 @@ Every Python process of a run arms itself from a generated
 the output directory when it exits.  Forked pool children leave
 through ``os._exit``, which skips ``atexit``, so that is wrapped to
 write the record first.  Line tracing stops for a code object once all
-of its lines have run, which keeps tier-1 within a few times its
-untraced wall time.
+of its lines have run under the current origin, which keeps tier-1
+within a few times its untraced wall time.
 """
 
 from __future__ import annotations
@@ -35,7 +51,9 @@ from __future__ import annotations
 import argparse
 import ast
 import atexit
+import dataclasses
 import json
+import numbers
 import os
 import pathlib
 import subprocess
@@ -46,25 +64,56 @@ import threading
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 ENV_VAR = "REPRO_REACHABILITY_DIR"
+ORIGIN_VAR = "REPRO_REACHABILITY_ORIGIN"
+TESTS = "tests"
+ORIGINS = (TESTS, "captures", "examples", "cli", "dsi")
 _PREFIX = str(SRC) + os.sep
 
 # -- recording (runs inside every traced process) ---------------------------
 
-_entered: set = set()  # code objects seen by the profile hook
-_ran: set[tuple[str, int]] = set()  # (filename, line) under src/repro
-_tracers: dict = {}  # code object -> (lines not yet run, local tracer)
+# Per origin: code objects seen by the profile hook, (filename, line)
+# pairs run under src/repro, keyword parameters set (rel, qualname,
+# name), line tracers (code -> (lines not yet run, local tracer)) and
+# the keyword parameters still to check (code -> [(key, name, default)]).
+_entered: dict[str, set] = {}
+_ran: dict[str, set[tuple[str, int]]] = {}
+_keywords: dict[str, set[tuple[str, str, str]]] = {}
+_tracers: dict[str, dict] = {}
+_pending: dict[str, dict] = {}
+_origin = TESTS
+_entered_now: set = set()
+_ran_now: set = set()
+_keywords_now: set = set()
+_tracers_now: dict = {}
+_pending_now: dict = {}
+
+_params: dict = {}  # code object -> its defaulted parameters, () if none or not ours
+_settled: set = set()  # parameter keys a non-test origin has set
 _skip: set = set()  # code objects outside src/repro
+_modules: dict = {}  # filename -> loaded module under src/repro
 _out_dir: str | None = None
 _real_exit = os._exit
 
 
-def _local_tracer(filename: str, todo: set[int]):
+def set_origin(origin: str) -> None:
+    """Record into *origin*'s sets from now on, here and in children."""
+    global _origin, _entered_now, _ran_now, _keywords_now, _tracers_now, _pending_now
+    _origin = origin
+    os.environ[ORIGIN_VAR] = origin
+    _entered_now = _entered.setdefault(origin, set())
+    _ran_now = _ran.setdefault(origin, set())
+    _keywords_now = _keywords.setdefault(origin, set())
+    _tracers_now = _tracers.setdefault(origin, {})
+    _pending_now = _pending.setdefault(origin, {})
+
+
+def _local_tracer(filename: str, todo: set[int], ran: set):
     def local(frame, event, arg):
         if event == "line":
             line = frame.f_lineno
             if line in todo:
                 todo.discard(line)
-                _ran.add((filename, line))
+                ran.add((filename, line))
         return local
 
     return local
@@ -72,7 +121,7 @@ def _local_tracer(filename: str, todo: set[int]):
 
 def _trace(frame, event, arg):
     code = frame.f_code
-    known = _tracers.get(code)
+    known = _tracers_now.get(code)
     if known is None:
         if code in _skip:
             return None
@@ -80,14 +129,109 @@ def _trace(frame, event, arg):
             _skip.add(code)
             return None
         todo = {line for _, _, line in code.co_lines() if line is not None}
-        known = _tracers[code] = (todo, _local_tracer(code.co_filename, todo))
+        known = _tracers_now[code] = (todo, _local_tracer(code.co_filename, todo, _ran_now))
     todo, local = known
     return local if todo else None
 
 
+def _function_of(code):
+    """The function object of a module-level function or method *code*."""
+    module = _modules.get(code.co_filename)
+    if module is None:
+        for name, loaded in list(sys.modules.items()):
+            if name.startswith("repro"):
+                _modules[getattr(loaded, "__file__", None)] = loaded
+        module = _modules.get(code.co_filename)
+    if module is None or "<" in code.co_qualname:
+        return None
+    target = module
+    for part in code.co_qualname.split("."):
+        target = getattr(target, "__dict__", {}).get(part)
+        if target is None:
+            return None
+    # Unwrap static/class methods, properties and functools wrappers.
+    stack = [target]
+    while stack and len(stack) < 16:
+        target = stack.pop()
+        if getattr(target, "__code__", None) is code:
+            return target
+        for attribute in ("__func__", "fget", "fset", "fdel", "func", "__wrapped__"):
+            inner = getattr(target, attribute, None)
+            if inner is not None:
+                stack.append(inner)
+    return None
+
+
+def _dataclass_init(code, instance) -> tuple:
+    """``(function, filename, qualname)`` when *code* is the generated
+    ``__init__`` of a dataclass under src/repro."""
+    for cls in type(instance).__mro__:
+        init = cls.__dict__.get("__init__")
+        if getattr(init, "__code__", None) is code:
+            filename = getattr(sys.modules.get(cls.__module__), "__file__", None) or ""
+            if filename.startswith(_PREFIX) and dataclasses.is_dataclass(cls):
+                return init, filename, f"{cls.__qualname__}.__init__"
+            break
+    return None, "", ""
+
+
+def _keyword_params(frame) -> tuple:
+    code = frame.f_code
+    if not code.co_argcount + code.co_kwonlyargcount:
+        return ()
+    if code.co_filename.startswith(_PREFIX):
+        function, filename, qualname = _function_of(code), code.co_filename, code.co_qualname
+    elif code.co_name == "__init__" and code.co_filename == "<string>":
+        function, filename, qualname = _dataclass_init(code, frame.f_locals.get("self"))
+    else:
+        return ()
+    if function is None:
+        return ()
+    rel = os.path.relpath(filename, ROOT)
+    positional = code.co_varnames[: code.co_argcount]
+    defaults = function.__defaults__ or ()
+    pairs = list(zip(positional[len(positional) - len(defaults) :], defaults))
+    pairs += (function.__kwdefaults__ or {}).items()
+    return tuple(((rel, qualname, name), name, default) for name, default in pairs)
+
+
+def _same(value, default) -> bool:
+    if value is default:
+        return True
+    if type(value) is not type(default) and not (
+        isinstance(value, numbers.Number) and isinstance(default, numbers.Number)
+    ):
+        return False
+    try:
+        return bool(value == default)
+    except Exception:
+        return False
+
+
+def _bind(local_vars: dict, pending: list) -> None:
+    for entry in list(pending):
+        key, name, default = entry
+        if key in _settled:
+            pending.remove(entry)
+        elif not _same(local_vars.get(name, default), default):
+            pending.remove(entry)
+            _keywords_now.add(key)
+            if _origin != TESTS:
+                _settled.add(key)
+
+
 def _profile(frame, event, arg):
     if event == "call":
-        _entered.add(frame.f_code)
+        code = frame.f_code
+        _entered_now.add(code)
+        pending = _pending_now.get(code)
+        if pending is None:
+            params = _params.get(code)
+            if params is None:
+                params = _params[code] = _keyword_params(frame)
+            pending = _pending_now[code] = [p for p in params if p[0] not in _settled]
+        if pending:
+            _bind(frame.f_locals, pending)
 
 
 def arm() -> None:
@@ -114,30 +258,39 @@ def dump() -> None:
         sys.setprofile(profile)
 
 
+def _clear() -> None:
+    for table in (_entered, _ran, _keywords):
+        for recorded in table.values():
+            recorded.clear()
+
+
 def _write_record() -> None:
-    entered = sorted(
-        {
-            (os.path.relpath(code.co_filename, ROOT), code.co_firstlineno, code.co_name)
-            for code in _entered
-            if code.co_filename.startswith(_PREFIX)
-        }
-    )
-    ran: dict[str, list[int]] = {}
-    for filename, line in _ran:
-        ran.setdefault(os.path.relpath(filename, ROOT), []).append(line)
-    _entered.clear()
-    _ran.clear()
+    origins = {}
+    for origin in sorted(set(_entered) | set(_ran) | set(_keywords)):
+        entered = sorted(
+            {
+                (os.path.relpath(code.co_filename, ROOT), code.co_firstlineno, code.co_name)
+                for code in _entered.get(origin, ())
+                if code.co_filename.startswith(_PREFIX)
+            }
+        )
+        ran: dict[str, list[int]] = {}
+        for filename, line in _ran.get(origin, ()):
+            ran.setdefault(os.path.relpath(filename, ROOT), []).append(line)
+        keywords = sorted(_keywords.get(origin, ()))
+        if entered or ran or keywords:
+            origins[origin] = {"entered": entered, "ran": ran, "keywords": keywords}
+    _clear()
     handle, path = tempfile.mkstemp(suffix=".json", dir=_out_dir)
     with os.fdopen(handle, "w") as out:
-        json.dump({"entered": entered, "ran": ran}, out)
+        json.dump({"origins": origins}, out)
 
 
 def _forget_parent() -> None:
     # A forked child starts with its parent's records, which the parent
     # writes itself; the lines already run stay marked, so they are not
     # traced again.
-    _entered.clear()
-    _ran.clear()
+    _clear()
 
 
 def _exit(status: int) -> None:
@@ -151,6 +304,7 @@ def start(out_dir: str) -> None:
     """Arm this process: record into *out_dir* until it exits."""
     global _out_dir
     _out_dir = out_dir
+    set_origin(os.environ.get(ORIGIN_VAR) or TESTS)
     os._exit = _exit
     os.register_at_fork(after_in_child=_forget_parent)
     atexit.register(dump)
@@ -158,19 +312,30 @@ def start(out_dir: str) -> None:
 
 
 # pytest plugin hooks (``-p reachability``): cProfile and the line-count
-# tests clear the global hooks, so re-arm before every phase.
+# tests clear the global hooks, so re-arm before every phase, under the
+# origin of the item's path.
+
+
+def item_origin(path: pathlib.Path) -> str:
+    """``captures`` for a top-level ``benchmarks/test_*.py``, else ``tests``."""
+    return "captures" if pathlib.Path(path).parent == ROOT / "benchmarks" else TESTS
+
+
+def _arm_for(item) -> None:
+    set_origin(item_origin(item.path))
+    arm()
 
 
 def pytest_runtest_setup(item) -> None:
-    arm()
+    _arm_for(item)
 
 
 def pytest_runtest_call(item) -> None:
-    arm()
+    _arm_for(item)
 
 
 def pytest_runtest_teardown(item) -> None:
-    arm()
+    _arm_for(item)
 
 
 def pytest_sessionfinish(session) -> None:
@@ -186,8 +351,13 @@ if os.environ.get({ENV_VAR!r}):
     reachability.start(os.environ[{ENV_VAR!r}])
 """
 
+SEEDS = ",".join(map(str, range(10)))
+REFERENCE_COMMAND = [
+    "-m", "repro.experiments", "sweep", "--quick", "--seeds", SEEDS,
+    "--jobs", "1", "--out", "reference.json", "--quiet",
+]  # fmt: skip
 RESUME_COMMAND = [
-    "-m", "repro.experiments", "sweep", "--quick", "--seeds", "0,1,2,3,4,5,6,7,8,9",
+    "-m", "repro.experiments", "sweep", "--quick", "--seeds", SEEDS,
     "--jobs", "4", "--resume", "sweep.journal.jsonl", "--out", "resumed.json", "--quiet",
 ]  # fmt: skip
 
@@ -211,8 +381,9 @@ for path in ('fleet.json', 'chaos.json', 'dpp.json', 'report_serving_steady.json
 for slug in ('fleet_default', 'chaos_worst-case', 'dpp_cold-start'):
     assert not validate_chrome_trace(json.load(open(f'chrome_{slug}.json')))
 resumed = report_from_json(open('resumed.json').read())
+reference = report_from_json(open('reference.json').read())
 assert resumed.quarantined == []
-resumed.deterministic_json()
+assert resumed.deterministic_json() == reference.deterministic_json()
 assert len(json.load(open('sweep_smoke.json'))['scenarios']) == 100
 """
 
@@ -247,9 +418,10 @@ def _cli_commands() -> list[list[str]]:
             ["-m", "repro.telemetry", "export", f"trace_{slug}.json",
              f"chrome_{slug}.json", "--validate"],
         ]  # fmt: skip
-    # The resume drill without a kill: a complete journal, then the same
-    # command on the journal cut back to its header and half the cells.
-    commands += [RESUME_COMMAND, ["-c", _CUT_JOURNAL], RESUME_COMMAND]
+    # The resume drill without a kill: a serial reference, a complete
+    # journal, then the same command on the journal cut back to its
+    # header and half the cells.
+    commands += [REFERENCE_COMMAND, RESUME_COMMAND, ["-c", _CUT_JOURNAL], RESUME_COMMAND]
     commands.append(["-c", REVIVE])
     return commands
 
@@ -274,17 +446,34 @@ def run_everything(out_dir: pathlib.Path) -> list[str]:
         if os.environ.get("PYTHONPATH"):
             path.append(os.environ["PYTHONPATH"])
         env = {**os.environ, ENV_VAR: str(out_dir), "PYTHONPATH": os.pathsep.join(path)}
-        stages = [(["-m", "pytest", "-q", "-p", "reachability", "-p", "no:cacheprovider"], ROOT)]
-        stages += [([str(example)], work) for example in sorted((ROOT / "examples").glob("*.py"))]
-        stages += [(argv, work) for argv in _cli_commands()]
-        stages.append((["-m", "benchmarks.dsi", "suite", "--seconds", "1"], ROOT))
-        for argv, cwd in stages:
-            if _run(argv, env, cwd) != 0:
+        pytest = ["-m", "pytest", "-q", "-p", "reachability", "-p", "no:cacheprovider",
+                  "--benchmark-disable"]  # fmt: skip
+        stages = [(TESTS, pytest, ROOT)]
+        stages += [("examples", [str(ex)], work) for ex in sorted((ROOT / "examples").glob("*.py"))]
+        stages += [("cli", argv, work) for argv in _cli_commands()]
+        stages.append(("dsi", ["-m", "benchmarks.dsi", "suite", "--seconds", "1"], ROOT))
+        for origin, argv, cwd in stages:
+            if _run(argv, {**env, ORIGIN_VAR: origin}, cwd) != 0:
                 failures.append(" ".join(argv))
     return failures
 
 
 # -- the report --------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class Coverage:
+    """What one origin (or a union of origins) reached."""
+
+    entered: set = dataclasses.field(default_factory=set)  # (rel, first line, name)
+    ran: dict = dataclasses.field(default_factory=dict)  # rel -> lines run
+    keywords: set = dataclasses.field(default_factory=set)  # (rel, qualname, param)
+
+    def update(self, other: "Coverage") -> None:
+        self.entered |= other.entered
+        for rel, lines in other.ran.items():
+            self.ran.setdefault(rel, set()).update(lines)
+        self.keywords |= other.keywords
 
 
 def _code_lines(code) -> set[int]:
@@ -319,33 +508,51 @@ def _is_stub(node: ast.FunctionDef) -> bool:
 
 
 class _Audit(ast.NodeVisitor):
-    """One file: its functions never entered and arms never run."""
+    """One file: its functions and arms never entered, and those entered
+    only from ``tests``."""
 
-    def __init__(self, rel: str, executable: set[int], ran: set[int], entered: set):
+    def __init__(self, rel: str, executable: set[int], everyone: Coverage, production: Coverage):
         self.rel = rel
         self.executable = executable
-        self.ran = ran
-        self.entered = entered
+        self.views = [
+            (cover.entered, cover.ran.get(rel, set()) & executable)
+            for cover in (everyone, production)
+        ]
+        self.ran = self.views[0][1]
         self.functions = 0
         self.dead_functions: list[tuple] = []  # (line, qualname, lines, stub)
         self.dead_arms: list[tuple] = []  # (start, end, kind, refusal, lines)
+        self.test_functions: list[tuple] = []  # (line, qualname, lines)
+        self.test_arms: list[tuple] = []  # (start, end, kind, refusal, lines)
+        self.lines: dict[str, int] = {}  # qualname -> line, functions and classes
         self._names: list[str] = []
-        self._live = [True]
+        # Per enclosing scope: (reached at all, reached outside tests).
+        self._live = [(True, True)]
 
     def _lines(self, first: int, last: int) -> set[int]:
         return {line for line in self.executable if first <= line <= last}
+
+    def _scope(self, reached: list[bool]) -> tuple[bool, bool]:
+        """Push a scope; returns (never entered, entered only from tests)
+        for a scope not inside one already listed."""
+        live, production = self._live[-1]
+        anyone, outside_tests = reached
+        self._live.append((live and anyone, production and outside_tests))
+        return live and not anyone, production and anyone and not outside_tests
 
     def _function(self, node) -> None:
         self.functions += 1
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
         body = self._lines(node.body[0].lineno, node.end_lineno)
-        entered = (self.rel, first, node.name) in self.entered or bool(body & self.ran)
+        key = (self.rel, first, node.name)
         self._names.append(node.name)
-        if self._live[-1] and not entered:
-            self.dead_functions.append(
-                (node.lineno, ".".join(self._names), len(body), _is_stub(node))
-            )
-        self._live.append(self._live[-1] and entered)
+        qualname = ".".join(self._names)
+        self.lines[qualname] = node.lineno
+        dead, tests_only = self._scope([key in seen or bool(body & ran) for seen, ran in self.views])
+        if dead:
+            self.dead_functions.append((node.lineno, qualname, len(body), _is_stub(node)))
+        if tests_only:
+            self.test_functions.append((node.lineno, qualname, len(body)))
         self.generic_visit(node)
         self._live.pop()
         self._names.pop()
@@ -354,19 +561,24 @@ class _Audit(ast.NodeVisitor):
 
     def visit_ClassDef(self, node) -> None:
         self._names.append(node.name)
+        self.lines[".".join(self._names)] = node.lineno
         self.generic_visit(node)
         self._names.pop()
 
     def _arm(self, kind: str, body: list) -> None:
         lines = self._lines(body[0].lineno, body[-1].end_lineno)
-        live = self._live[-1]
-        if live and lines and not lines & self.ran:
-            refusal = all(isinstance(stmt, ast.Raise) for stmt in body)
-            self.dead_arms.append(
-                (body[0].lineno, body[-1].end_lineno, kind, refusal, len(lines))
-            )
-            live = False
-        self._live.append(live)
+        dead, tests_only = self._scope([not lines or bool(lines & ran) for _, ran in self.views])
+        entry = (
+            body[0].lineno,
+            body[-1].end_lineno,
+            kind,
+            all(isinstance(stmt, ast.Raise) for stmt in body),
+            len(lines),
+        )
+        if dead:
+            self.dead_arms.append(entry)
+        if tests_only:
+            self.test_arms.append(entry)
         for stmt in body:
             self.visit(stmt)
         self._live.pop()
@@ -389,45 +601,78 @@ class _Audit(ast.NodeVisitor):
     visit_TryStar = visit_Try
 
 
-def load_records(out_dir: pathlib.Path) -> tuple[set, dict[str, set[int]], int]:
-    entered: set = set()
-    ran: dict[str, set[int]] = {}
+def load_records(out_dir: pathlib.Path) -> tuple[dict[str, Coverage], dict[str, int], int]:
+    """Per origin, what its records reached and how many records carry
+    it; and the number of records."""
+    coverage: dict[str, Coverage] = {}
+    counts: dict[str, int] = {}
     records = sorted(out_dir.glob("*.json"))
     for path in records:
-        record = json.loads(path.read_text())
-        entered.update(tuple(key) for key in record["entered"])
-        for rel, lines in record["ran"].items():
-            ran.setdefault(rel, set()).update(lines)
-    return entered, ran, len(records)
+        for origin, part in json.loads(path.read_text())["origins"].items():
+            counts[origin] = counts.get(origin, 0) + 1
+            coverage.setdefault(origin, Coverage()).update(
+                Coverage(
+                    {tuple(key) for key in part["entered"]},
+                    {rel: set(lines) for rel, lines in part["ran"].items()},
+                    {tuple(key) for key in part["keywords"]},
+                )
+            )
+    return coverage, counts, len(records)
 
 
-def report(out_dir: pathlib.Path) -> str:
-    entered, ran, n_records = load_records(out_dir)
+def _arm_lines(title: str, arms: list) -> list[str]:
+    return ["", title] + [f"  {rel}:{start} {kind} ({n} lines)" for rel, start, _, kind, _, n in arms]
+
+
+def report(out_dir: pathlib.Path, root: pathlib.Path = ROOT) -> str:
+    coverage, counts, n_records = load_records(out_dir)
+    everyone, production = Coverage(), Coverage()
+    for origin, reached in coverage.items():
+        everyone.update(reached)
+        if origin != TESTS:
+            production.update(reached)
     totals = dict(functions=0, executable=0, run=0)
-    dead_functions, dead_arms = [], []
-    for path in sorted(SRC.rglob("*.py")):
-        rel = str(path.relative_to(ROOT))
+    dead_functions, dead_arms, test_functions, test_arms, test_keywords = [], [], [], [], []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        rel = str(path.relative_to(root))
         source = path.read_text()
         executable = _code_lines(compile(source, str(path), "exec"))
-        file_ran = ran.get(rel, set()) & executable
-        totals["executable"] += len(executable)
-        totals["run"] += len(file_ran)
-        audit = _Audit(rel, executable, file_ran, entered)
+        audit = _Audit(rel, executable, everyone, production)
         audit.visit(ast.parse(source))
         totals["functions"] += audit.functions
+        totals["executable"] += len(executable)
+        totals["run"] += len(audit.ran)
         dead_functions += [(rel, *entry) for entry in audit.dead_functions]
         dead_arms += [(rel, *entry) for entry in audit.dead_arms]
+        test_functions += [(rel, *entry) for entry in audit.test_functions]
+        test_arms += [(rel, *entry) for entry in audit.test_arms]
+        # A keyword of a function already listed is not listed again.
+        listed = {entry[1] for entry in audit.dead_functions + audit.test_functions}
+        for key in sorted(everyone.keywords - production.keywords):
+            key_rel, qualname, param = key
+            owner = qualname.removesuffix(".__init__")
+            if key_rel == rel and qualname not in listed:
+                line = audit.lines.get(qualname, audit.lines.get(owner, 0))
+                test_keywords.append((rel, line, qualname, param))
     refusals = [arm for arm in dead_arms if arm[4]]
     others = [arm for arm in dead_arms if not arm[4]]
+    test_refusals = [arm for arm in test_arms if arm[4]]
+    test_others = [arm for arm in test_arms if not arm[4]]
     stubs = sum(1 for entry in dead_functions if entry[4])
     out = [
-        f"records: {n_records}",
+        f"records: {n_records} "
+        f"({', '.join(f'{o} {counts.get(o, 0)}' for o in ORIGINS)})",
         f"functions: {totals['functions']}, never entered: {len(dead_functions)} "
         f"({sum(e[3] for e in dead_functions)} lines; {stubs} abstract or null-object stubs)",
         f"executable lines: {totals['executable']}, run: {totals['run']} "
         f"({100.0 * totals['run'] / max(totals['executable'], 1):.1f}%)",
         f"arms never entered: {len(others)} other ({sum(a[5] for a in others)} lines), "
         f"{len(refusals)} refusals ({sum(a[5] for a in refusals)} lines)",
+        f"entered only from tests: {len(test_functions)} functions "
+        f"({sum(e[3] for e in test_functions)} lines), {len(test_others)} other arms "
+        f"({sum(a[5] for a in test_others)} lines), {len(test_refusals)} refusals "
+        f"({sum(a[5] for a in test_refusals)} lines)",
+        f"keyword parameters only tests set: {len(test_keywords)}",
         "",
         "functions never entered:",
     ]
@@ -435,9 +680,14 @@ def report(out_dir: pathlib.Path) -> str:
         f"  {rel}:{line} {name} ({n} lines){' [stub]' if stub else ''}"
         for rel, line, name, n, stub in dead_functions
     ]
-    for title, arms in (("other arms never entered:", others), ("refusals never entered:", refusals)):
-        out += ["", title]
-        out += [f"  {rel}:{start} {kind} ({n} lines)" for rel, start, _, kind, _, n in arms]
+    out += _arm_lines("other arms never entered:", others)
+    out += _arm_lines("refusals never entered:", refusals)
+    out += ["", "functions entered only from tests:"]
+    out += [f"  {rel}:{line} {name} ({n} lines)" for rel, line, name, n in test_functions]
+    out += _arm_lines("other arms entered only from tests:", test_others)
+    out += _arm_lines("refusals entered only from tests:", test_refusals)
+    out += ["", "keyword parameters only tests set:"]
+    out += [f"  {rel}:{line} {name}({param}=)" for rel, line, name, param in test_keywords]
     return "\n".join(out)
 
 

@@ -107,6 +107,8 @@ class TestSharedClock:
     def test_shared_clock_interleaves_without_skewing_results(self):
         from repro.common.simclock import SimClock
 
+        from .oracles import simulate_cluster_on_clock
+
         config = make_config(batches_per_s_supplied=16 / 0.06 * 4)
         solo = simulate_cluster(config, n_iterations=200, seed=3)
 
@@ -114,7 +116,7 @@ class TestSharedClock:
         foreign = []
         clock.every(1.0, lambda: foreign.append(clock.now), until=1e6)
         clock.schedule(5e5, lambda: None)  # far beyond the job's end
-        shared = simulate_cluster(config, n_iterations=200, seed=3, clock=clock)
+        shared = simulate_cluster_on_clock(config, n_iterations=200, seed=3, clock=clock)
 
         # Identical physics: foreign events interleave but do not count
         # against this job's makespan.
@@ -124,6 +126,18 @@ class TestSharedClock:
         # the external driver.
         assert foreign  # some interleaved
         assert clock.pending > 0  # heap not drained
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("imbalance", [0.0, 0.3])
+    def test_the_loop_matches_the_event_driven_body(self, seed, imbalance):
+        from repro.common.simclock import SimClock
+
+        from .oracles import simulate_cluster_on_clock
+
+        config = make_config(supply_imbalance=imbalance)
+        assert simulate_cluster(config, n_iterations=50, seed=seed) == (
+            simulate_cluster_on_clock(config, n_iterations=50, seed=seed, clock=SimClock())
+        )
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ConfigError):

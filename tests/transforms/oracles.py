@@ -135,7 +135,8 @@ def map_id_per_element(column: SparseColumn, mapping: dict, default: int) -> Spa
 
 
 def input_elements_walk(op, batch) -> int:
-    """``Transform.input_elements`` with its ``hasattr`` walk."""
+    """Input elements, the unit the cost model charges by, with the
+    ``hasattr`` walk ``Transform.input_elements`` once had."""
     total = 0
     for fid in op.input_ids:
         column = batch.column(fid)
@@ -156,15 +157,12 @@ def charge(report, op, elements: int) -> None:
 def execute_node_at_a_time(dag, batch):
     """``execute_with_cost`` as a loop over nodes: size, apply, attach,
     charge — no plan, no fused run."""
-    from repro.transforms import CostReport, Transform
+    from repro.transforms import CostReport
 
     report = CostReport()
     for node in dag.compile():
         op = node.op
-        if type(op).input_elements is Transform.input_elements:
-            elements = input_elements_walk(op, batch)
-        else:
-            elements = op.input_elements(batch)
+        elements = input_elements_walk(op, batch)
         batch.add_column(node.output_id, op.apply(batch))
         charge(report, op, elements)
     return report

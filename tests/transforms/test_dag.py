@@ -63,7 +63,8 @@ class TestDagStructure:
         dag.add(101, FirstX(S, 2))
         dag.add(102, NGram([100, 101], n=2))
         dag.add(103, SigridHash(102, table_size=1_000))
-        batch = dag.execute(make_batch())
+        batch = make_batch()
+        execute_with_cost(dag, batch)
         out = batch.sparse(103)
         assert len(out) == batch.n_rows
         assert np.all((out.values >= 0) & (out.values < 1_000))
@@ -72,21 +73,23 @@ class TestDagStructure:
 class TestExecution:
     def test_outputs_attached(self):
         dag = TransformDag().add(100, Logit(D))
-        batch = dag.execute(make_batch())
+        batch = make_batch()
+        execute_with_cost(dag, batch)
         assert 100 in batch.columns
 
     def test_execution_deterministic(self):
         dag = TransformDag()
         dag.add(100, FirstX(S, 2))
         dag.add(101, SigridHash(100, 1000))
-        a = dag.execute(make_batch()).sparse(101).values
-        b = dag.execute(make_batch()).sparse(101).values
-        assert np.array_equal(a, b)
+        a, b = make_batch(), make_batch()
+        execute_with_cost(dag, a)
+        execute_with_cost(dag, b)
+        assert np.array_equal(a.sparse(101).values, b.sparse(101).values)
 
     def test_empty_dag_is_noop(self):
         batch = make_batch()
         before = set(batch.columns)
-        TransformDag().execute(batch)
+        execute_with_cost(TransformDag(), batch)
         assert set(batch.columns) == before
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import SchemaError
 from repro.warehouse import (
-    Catalog,
     FeatureSpec,
     FeatureType,
     Row,
@@ -113,32 +112,3 @@ class TestTable:
         table = Table(make_schema())
         table.create_partition("p0").append(make_row())
         assert table.nominal_bytes() == make_row().nominal_bytes()
-
-
-class TestCatalog:
-    def test_create_and_lookup(self):
-        catalog = Catalog()
-        table = catalog.create_table(make_schema())
-        assert catalog.table("clicks") is table
-        assert "clicks" in catalog
-        assert len(catalog) == 1
-
-    def test_duplicate_table_rejected(self):
-        catalog = Catalog()
-        catalog.create_table(make_schema())
-        with pytest.raises(SchemaError):
-            catalog.create_table(make_schema())
-
-    def test_drop_table(self):
-        catalog = Catalog()
-        catalog.create_table(make_schema())
-        catalog.drop_table("clicks")
-        assert "clicks" not in catalog
-        with pytest.raises(SchemaError):
-            catalog.table("clicks")
-
-    def test_table_names_sorted(self):
-        catalog = Catalog()
-        catalog.create_table(TableSchema("b"))
-        catalog.create_table(TableSchema("a"))
-        assert catalog.table_names() == ["a", "b"]
