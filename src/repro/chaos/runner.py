@@ -1,9 +1,10 @@
 """Scenario runners: drive sessions through fault schedules.
 
-:class:`ChaosRunner` is an instrumented version of
-:meth:`~repro.dpp.service.DppSession.pump`: same fair round-robin
-scheduler, but between rounds it injects the schedule's due faults and
-it records every delivered batch's provenance.  After the run it
+:class:`ChaosRunner` drives a session one
+:meth:`~repro.dpp.service.DppSession.pump_round` at a time — the same
+fair round-robin scheduler :meth:`~repro.dpp.service.DppSession.pump`
+runs — injecting the schedule's due faults before each round and
+recording every delivered batch's provenance.  After the run it
 evaluates the delivery invariants (:mod:`repro.chaos.invariants`) and
 returns a :class:`~repro.chaos.report.ChaosReport`.
 
@@ -147,7 +148,7 @@ class ChaosRunner:
             check_checkpoint_agreement(session.master.primary, checkpoint)
         )
 
-    # -- the instrumented pump -------------------------------------------------
+    # -- the run --------------------------------------------------------------
 
     def run(self) -> ChaosReport:
         """Drive the session to completion, injecting and checking."""
@@ -160,7 +161,6 @@ class ChaosRunner:
             expected_batches=len(expected),
         )
         records = report.records
-        endgame = False
         tracer = self.tracer
         traced = tracer.enabled
         for round_index in range(self.max_rounds):
@@ -169,52 +169,25 @@ class ChaosRunner:
                 tracer.begin("chaos.round", actor="chaos", round=round_index)
             for event in self.schedule.due(round_index):
                 self._apply(event, report)
-            if session.master.done and not any(
-                worker.buffer for worker in session.serving_workers
-            ):
+            deliveries = session.pump_round(self.client_batches_per_round)
+            if deliveries is None:
                 report.rounds = round_index
                 if traced:
                     # Completion check only — a zero-duration round.
                     tracer.end(actor="chaos")
                 break
-            if not session.master.done:
-                # A crash can reopen stranded splits (done regresses)
-                # and a scale-up can outgrow the widened fan-out; re-arm
-                # the endgame so the next completion re-widens.
-                endgame = False
-            elif not endgame:
-                endgame = True
-                for client in session.clients:
-                    client.max_connections = max(
-                        client.max_connections, len(session.serving_workers)
+            for client_id, batch in deliveries:
+                if batch.split_id is None:
+                    raise DppError("delivered batch lacks split provenance")
+                records.append(
+                    DeliveryRecord(
+                        round_index=round_index,
+                        client_id=client_id,
+                        split_id=batch.split_id,
+                        sequence=batch.sequence,
+                        n_rows=batch.n_rows,
                     )
-                    client.refresh_partition()
-            if not session.master.done and not session.live_workers:
-                raise DppError("chaos run stalled: no live workers")
-            progressed = False
-            for worker in list(session.live_workers):
-                if not session.master.done and worker.wants_work:
-                    progressed |= worker.process_one_split()
-            quota = self.client_batches_per_round
-            for client in session.clients:
-                pulled = 0
-                while quota is None or pulled < quota:
-                    batch = client.get_batch()
-                    if batch is None:
-                        break
-                    pulled += 1
-                    if batch.split_id is None:
-                        raise DppError("delivered batch lacks split provenance")
-                    records.append(
-                        DeliveryRecord(
-                            round_index=round_index,
-                            client_id=client.client_id,
-                            split_id=batch.split_id,
-                            sequence=batch.sequence,
-                            n_rows=batch.n_rows,
-                        )
-                    )
-            session.retire_drained_workers()
+                )
             if traced:
                 tracer.counter("chaos.delivered", len(records), actor="chaos")
                 self._round = round_index + 1

@@ -11,7 +11,7 @@ batches produced) is real.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..common.errors import DppError
 from ..telemetry.tracer import NULL_TRACER, Tracer
@@ -65,18 +65,11 @@ class DppSession:
             partition_file_name(spec.table_name, partition): footer
             for partition, footer in partition_footers.items()
         }
-        path_spec = SessionSpec(
-            table_name=spec.table_name,
+        path_spec = replace(
+            spec,
             partitions=tuple(
                 partition_file_name(spec.table_name, p) for p in spec.partitions
             ),
-            projection=spec.projection,
-            dag=spec.dag,
-            output_ids=spec.output_ids,
-            batch_size=spec.batch_size,
-            split_stripes=spec.split_stripes,
-            coalesce_window=spec.coalesce_window,
-            row_sample_rate=spec.row_sample_rate,
         )
         self.tracer: Tracer = NULL_TRACER
         self.master = ReplicatedMaster(path_spec, self.footers)
@@ -216,29 +209,33 @@ class DppSession:
     #
     # The pump is exposed as a non-blocking step API: begin_rounds()
     # resets per-run state, pump_round() executes exactly one fair
-    # round and reports whether the session still has work, and
-    # finish_rounds() seals the report.  The synchronous pump() below
-    # is a thin adapter over those three calls; an external scheduler
-    # (the asyncio serving plane, a co-simulated fleet) interleaves
-    # pump_round() with its own events instead.
+    # round and hands back what it delivered, and finish_rounds() seals
+    # the report.  The synchronous pump() below is a thin adapter over
+    # those three calls; an external scheduler (the chaos runner, a
+    # co-simulated fleet) interleaves pump_round() with its own events
+    # instead.
 
     def begin_rounds(self) -> None:
         """Reset the round-pump state for a fresh run."""
         self._delivered = []
         self._draining = False
 
-    def pump_round(self) -> bool:
-        """Execute one fair round; False once the session is complete.
+    def pump_round(
+        self, client_batches_per_round: int | None = None
+    ) -> list[tuple[str, TensorBatch]] | None:
+        """Execute one fair round; None once the session is complete.
 
         One round: every live worker processes one split, every client
-        drains available batches, drained workers retire.  Raises if
-        the session cannot finish (e.g. all workers dead and
-        autoscaling disabled).
+        drains available batches — at most *client_batches_per_round*
+        each (a slow trainer), all of them when None — and drained
+        workers retire.  Returns the round's ``(client_id, batch)``
+        deliveries in pull order.  Raises if the session cannot finish
+        (e.g. all workers dead and autoscaling disabled).
         """
         if self.master.done and not any(
             worker.buffer for worker in self.serving_workers
         ):
-            return False
+            return None
         if not self.master.done:
             # done can regress: a worker crash reopens splits whose
             # batches died unserved.  Re-arm the endgame widening so
@@ -260,14 +257,19 @@ class DppSession:
         for worker in list(self.live_workers):
             if not self.master.done and worker.wants_work:
                 worker.process_one_split()
+        quota = client_batches_per_round
+        deliveries = []
         for client in self.clients:
-            while True:
+            pulled = 0
+            while quota is None or pulled < quota:
                 batch = client.get_batch()
                 if batch is None:
                     break
+                pulled += 1
+                deliveries.append((client.client_id, batch))
                 self._delivered.append(batch)
         self.retire_drained_workers()
-        return True
+        return deliveries
 
     def finish_rounds(self) -> SessionReport:
         """Seal and return the report for the rounds pumped so far."""
@@ -284,7 +286,7 @@ class DppSession:
         """
         self.begin_rounds()
         for _ in range(max_rounds):
-            if not self.pump_round():
+            if self.pump_round() is None:
                 break
         else:
             raise DppError("pump exceeded max_rounds")

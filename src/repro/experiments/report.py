@@ -31,6 +31,7 @@ from ..common.serialization import (
     record_row,
     require_keys,
 )
+from ..fleet.report import reduce_run
 
 #: The metrics a cell surface summarizes, in render order.
 CELL_METRICS = (
@@ -81,7 +82,8 @@ class ScenarioResult:
         status: str = "ok",
         error: str = "",
     ) -> "ScenarioResult":
-        """A cell that ran no jobs: zero counts, ``nan`` ratios.
+        """A cell that ran no jobs: the reduction of an empty run (zero
+        counts, ``nan`` ratios).
 
         As it stands it is the legal zero-arrival cell (reported rather
         than poisoning the whole sweep).  With ``status="quarantined"``
@@ -94,21 +96,11 @@ class ScenarioResult:
             name=name,
             cell=cell,
             trace_seed=trace_seed,
-            jobs_submitted=0,
-            jobs_completed=0,
-            peak_concurrency=0,
-            makespan_s=0.0,
-            aggregate_samples_per_s=math.nan,
-            mean_slowdown=math.nan,
-            mean_stall_fraction=math.nan,
-            p95_queue_delay_s=math.nan,
-            mean_storage_utilization=0.0,
-            peak_storage_utilization=0.0,
-            peak_power_watts=0.0,
             events_fired=0,
             wall_s=wall_s,
             status=status,
             error=error,
+            **reduce_run((), [], [], 0.0),
         )
 
     def to_row(self) -> dict:

@@ -6,12 +6,19 @@ share) plus a tick-level utilization trace of the shared resources
 (storage bandwidth, the worker pool, power).  Rendering reuses the
 :mod:`repro.analysis.report` table style so fleet results read like the
 paper-table benchmarks.
+
+:func:`reduce_run` is the one reduction of a run to its eleven
+aggregates: the report's aggregate properties and :meth:`~FleetReport.
+metrics`, the simulator's flat sweep summary and the blank sweep cell
+all read it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..analysis.report import render_table
 from ..cluster.job import JobKind
@@ -120,6 +127,79 @@ class FleetSample:
     power_watts: float
 
 
+def reduce_run(
+    observations: Iterable[tuple[int, float, float]],
+    outcomes: list[JobOutcome],
+    unadmitted_queue_delays_s: list[float],
+    makespan_s: float,
+) -> dict:
+    """A run's eleven aggregates, in one pass over its sample rows.
+
+    *observations* are each tick's ``(active_jobs, storage_utilization,
+    power_watts)``; *outcomes* are the admitted jobs in job-id order and
+    *unadmitted_queue_delays_s* the accrued waits of jobs still queued.
+    ``nan`` marks a ratio with nothing to divide by (no makespan, no
+    finished job, no job at all), so an empty run reduces to the blank
+    sweep cell.
+    """
+    peak_concurrency = 0
+    peak_util = 0.0
+    peak_power = 0.0
+    busy_util_sum = 0.0
+    busy_count = 0
+    for active, util, power in observations:
+        if active > peak_concurrency:
+            peak_concurrency = active
+        if util > peak_util:
+            peak_util = util
+        if power > peak_power:
+            peak_power = power
+        if active > 0:
+            busy_util_sum += util
+            busy_count += 1
+    finished = [o for o in outcomes if o.finished]
+    # Still-queued jobs count at their accrued (lower-bound) waits, so
+    # a saturated region's tail is not censored away.
+    delays = sorted(
+        [o.queue_delay_s for o in outcomes] + list(unadmitted_queue_delays_s)
+    )
+    return {
+        "jobs_submitted": len(outcomes) + len(unadmitted_queue_delays_s),
+        "jobs_completed": len(finished),
+        "peak_concurrency": peak_concurrency,
+        "makespan_s": makespan_s,
+        "aggregate_samples_per_s": (
+            sum(o.samples_done for o in outcomes) / makespan_s
+            if makespan_s > 0
+            else math.nan
+        ),
+        "mean_slowdown": (
+            sum(o.slowdown for o in finished) / len(finished)
+            if finished
+            else math.nan
+        ),
+        "mean_stall_fraction": (
+            sum(o.stall_fraction for o in finished) / len(finished)
+            if finished
+            else math.nan
+        ),
+        # Ceiling index: small populations report their worst wait
+        # rather than censoring the tail.
+        "p95_queue_delay_s": (
+            delays[math.ceil(0.95 * (len(delays) - 1))] if delays else math.nan
+        ),
+        "mean_storage_utilization": (
+            busy_util_sum / busy_count if busy_count else 0.0
+        ),
+        "peak_storage_utilization": peak_util,
+        "peak_power_watts": peak_power,
+    }
+
+
+#: A :class:`FleetSample`'s fields that :func:`reduce_run` reads.
+_OBSERVED = attrgetter("active_jobs", "storage_utilization", "power_watts")
+
+
 @dataclass
 class FleetReport(ReportBase):
     """Everything a fleet run produced."""
@@ -136,69 +216,67 @@ class FleetReport(ReportBase):
 
     # -- aggregates -----------------------------------------------------------
 
+    def aggregates(self) -> dict:
+        """The run's eleven aggregates (:func:`reduce_run`)."""
+        return reduce_run(
+            map(_OBSERVED, self.samples),
+            self.outcomes,
+            self.unadmitted_queue_delays_s,
+            self.makespan_s,
+        )
+
     def finished_outcomes(self) -> list[JobOutcome]:
         """Outcomes of jobs that completed inside the horizon."""
         return [o for o in self.outcomes if o.finished]
 
     @property
+    def jobs_submitted(self) -> int:
+        """Jobs that arrived, admitted or still queued."""
+        return self.aggregates()["jobs_submitted"]
+
+    @property
     def jobs_completed(self) -> int:
         """Jobs that reached their sample target."""
-        return len(self.finished_outcomes())
+        return self.aggregates()["jobs_completed"]
 
     @property
     def peak_concurrency(self) -> int:
         """Most jobs simultaneously active."""
-        return max((s.active_jobs for s in self.samples), default=0)
+        return self.aggregates()["peak_concurrency"]
 
     @property
     def aggregate_samples_per_s(self) -> float:
         """Fleet-wide trained samples per second of makespan."""
         if self.makespan_s <= 0:
             raise SchedulingError("report has no makespan")
-        return sum(o.samples_done for o in self.outcomes) / self.makespan_s
+        return self.aggregates()["aggregate_samples_per_s"]
 
     @property
     def mean_storage_utilization(self) -> float:
         """Mean granted share of fabric bandwidth across busy ticks."""
-        busy = [s for s in self.samples if s.active_jobs > 0]
-        if not busy:
-            return 0.0
-        return sum(s.storage_utilization for s in busy) / len(busy)
+        return self.aggregates()["mean_storage_utilization"]
 
     @property
     def peak_storage_utilization(self) -> float:
         """Highest granted share of fabric bandwidth."""
-        return max((s.storage_utilization for s in self.samples), default=0.0)
+        return self.aggregates()["peak_storage_utilization"]
 
     @property
     def mean_slowdown(self) -> float:
         """Average contention slowdown across finished jobs."""
-        finished = self.finished_outcomes()
-        if not finished:
+        aggregates = self.aggregates()
+        if not aggregates["jobs_completed"]:
             raise SchedulingError("no job finished")
-        return sum(o.slowdown for o in finished) / len(finished)
-
-    @property
-    def jobs_submitted(self) -> int:
-        """Jobs that arrived, admitted or still queued."""
-        return len(self.outcomes) + len(self.unadmitted_queue_delays_s)
+        return aggregates["mean_slowdown"]
 
     @property
     def p95_queue_delay_s(self) -> float:
-        """Tail admission delay — the release-critical-path number.
-
-        Includes still-queued jobs at their accrued (lower-bound)
-        waits, so a saturated region's tail is not censored away.
-        """
-        delays = sorted(
-            [o.queue_delay_s for o in self.outcomes]
-            + list(self.unadmitted_queue_delays_s)
-        )
-        if not delays:
+        """Tail admission delay — the release-critical-path number,
+        still-queued jobs included at their accrued waits."""
+        aggregates = self.aggregates()
+        if not aggregates["jobs_submitted"]:
             raise SchedulingError("report has no jobs")
-        # Ceiling index: small populations report their worst wait
-        # rather than censoring the tail.
-        return delays[math.ceil(0.95 * (len(delays) - 1))]
+        return aggregates["p95_queue_delay_s"]
 
     def throughput_by_job(self) -> dict[int, float]:
         """job_id -> achieved samples/s, finished jobs only."""
@@ -227,29 +305,9 @@ class FleetReport(ReportBase):
 
     def metrics(self) -> dict[str, float]:
         """Uniform fleet summary (nan where an aggregate is undefined)."""
-        finished = self.finished_outcomes()
         return {
-            "fleet.jobs_submitted": float(self.jobs_submitted),
-            "fleet.jobs_completed": float(self.jobs_completed),
-            "fleet.peak_concurrency": float(self.peak_concurrency),
-            "fleet.makespan_s": self.makespan_s,
-            "fleet.aggregate_samples_per_s": (
-                self.aggregate_samples_per_s if self.makespan_s > 0 else math.nan
-            ),
-            "fleet.mean_slowdown": self.mean_slowdown if finished else math.nan,
-            "fleet.mean_stall_fraction": (
-                sum(o.stall_fraction for o in finished) / len(finished)
-                if finished
-                else math.nan
-            ),
-            "fleet.p95_queue_delay_s": (
-                self.p95_queue_delay_s if self.jobs_submitted else math.nan
-            ),
-            "fleet.mean_storage_utilization": self.mean_storage_utilization,
-            "fleet.peak_storage_utilization": self.peak_storage_utilization,
-            "fleet.peak_power_watts": max(
-                (s.power_watts for s in self.samples), default=0.0
-            ),
+            f"fleet.{name}": float(value)
+            for name, value in self.aggregates().items()
         }
 
     def render(self, title: str = "Fleet simulation") -> str:
@@ -293,25 +351,29 @@ class FleetReport(ReportBase):
             if self.unadmitted_queue_delays_s
             else ""
         )
+        aggregates = self.aggregates()
         summary = [
-            f"jobs: {self.jobs_submitted} submitted{never_admitted}, "
-            f"{self.jobs_completed} completed, "
-            f"peak concurrency {self.peak_concurrency}",
-            f"storage bandwidth: {self.mean_storage_utilization:.0%} mean / "
-            f"{self.peak_storage_utilization:.0%} peak of "
+            f"jobs: {aggregates['jobs_submitted']} submitted{never_admitted}, "
+            f"{aggregates['jobs_completed']} completed, "
+            f"peak concurrency {aggregates['peak_concurrency']}",
+            f"storage bandwidth: {aggregates['mean_storage_utilization']:.0%} "
+            f"mean / {aggregates['peak_storage_utilization']:.0%} peak of "
             f"{self.storage_bandwidth_bytes_per_s / 1e9:.0f} GB/s fabric",
         ]
-        if self.finished_outcomes():
-            summary.insert(1, f"mean contention slowdown: {self.mean_slowdown:.2f}x")
-        if self.makespan_s > 0:
+        if aggregates["jobs_completed"]:
             summary.insert(
                 1,
-                "aggregate DPP throughput: "
-                f"{self.aggregate_samples_per_s / 1e6:.2f} Msamples/s",
+                "mean contention slowdown: "
+                f"{aggregates['mean_slowdown']:.2f}x",
             )
-        if self.jobs_submitted:
+        if self.makespan_s > 0:
+            throughput = aggregates["aggregate_samples_per_s"] / 1e6
+            summary.insert(
+                1, f"aggregate DPP throughput: {throughput:.2f} Msamples/s"
+            )
+        if aggregates["jobs_submitted"]:
             summary.append(
-                f"p95 queue delay: {self.p95_queue_delay_s:.0f} s; "
+                f"p95 queue delay: {aggregates['p95_queue_delay_s']:.0f} s; "
                 f"makespan {self.makespan_s:.0f} s"
             )
         return table + "\n" + "\n".join(summary)

@@ -18,16 +18,22 @@ simulation on a single :class:`~repro.common.simclock.SimClock`:
 
 The tick dynamics are one coalesced scalar pass over per-epoch column
 lists (demand declaration, grant application, consumption, stall
-accrual) at every fleet width, plus steady stretches that defer proven
-fixed-point ticks.  The one-Python-loop-per-phase reference it must
-match bit for bit lives in ``tests/fleet/oracles.py``; the differential
-suites there (``test_tick_equivalence.py``,
-``test_tick_differential.py``) hold this pass to byte-identical
-:class:`~repro.fleet.report.FleetReport`\\ s.
+accrual) at every fleet width, plus steady stretches that defer the
+accumulator work of proven fixed-point ticks.  Every tick, full or
+fast, records its sample row as it fires, through one row builder
+whose power term is
+:meth:`~repro.fleet.allocator.FleetPowerBudget.draw_watts`.  The
+one-Python-loop-per-phase reference it must match bit for bit lives in
+``tests/fleet/oracles.py``; the differential suites there
+(``test_tick_equivalence.py``, ``test_tick_differential.py``) hold this
+pass to byte-identical :class:`~repro.fleet.report.FleetReport`\\ s.
 
 The result is a :class:`~repro.fleet.report.FleetReport`: per-job
 throughput, contention slowdown, queue delay, and shared-resource
-utilization traces.
+utilization traces.  :meth:`FleetSimulator.run_summary` reduces the
+same run straight to its eleven aggregates through
+:func:`~repro.fleet.report.reduce_run`, the reduction the report's own
+aggregates use.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,9 +60,12 @@ from .allocator import (
 )
 from .broker import StorageBroker, StorageFabric
 from .jobs import FleetJobSpec
-from .report import FleetReport, FleetSample, JobOutcome
+from .report import FleetReport, FleetSample, JobOutcome, reduce_run
 
 _EPS = 1e-9
+
+#: A sample row's ``(active_jobs, storage_utilization, power_watts)``.
+_OBSERVED = itemgetter(1, 8, 9)
 
 
 def _fleet_autoscaler_config() -> AutoscalerConfig:
@@ -194,24 +204,25 @@ class _SteadyStretch:
     done, stall, worker-seconds, granted bytes) advancing by a
     *constant* per-tick delta.
 
-    A stretch defers those accumulations — and, untraced, the sample
-    rows themselves: fast ticks just count themselves, and settling
-    (a) replays the deferred count as one ``acc += delta`` per tick
-    over a stacked ``(4, n)`` float64 array — the exact same IEEE-754
-    addition sequence the full tick would have executed job by job —
-    and (b) appends the deferred rows with their tick times
-    rebuilt by the same chained ``t + tick`` float adds the clock's
-    periodic reschedule performs, so byte-identity survives both.
+    A stretch defers those accumulations: fast ticks count themselves
+    and record their sample row from the cached ``row_tail`` (every
+    field after ``time_s``, built once by
+    :meth:`FleetSimulator._row_tail`), and settling replays the
+    deferred count as one ``acc += delta`` per tick over a stacked
+    ``(4, n)`` float64 array — the exact same IEEE-754 addition
+    sequence the full tick would have executed job by job.
     ``remaining`` bounds the stretch so no job can cross its
     completion threshold (or bend its consumption clamp) inside it;
     any state mutation (grant change, crash, derate, membership
-    change, queue growth, report snapshot) settles first.
+    change, report snapshot) settles first.  Queue growth is the one
+    tail field a stretch does not pin: an arrival that is not admitted
+    rebuilds the tail (see :meth:`FleetSimulator._arrive`).
     """
 
     __slots__ = (
         "remaining", "deferred", "delta",
         "total_rate", "total_demand", "granted_bps", "control_steady",
-        "t_next", "row_tail", "queue_breaks",
+        "row_tail",
     )
 
     def __init__(
@@ -221,6 +232,7 @@ class _SteadyStretch:
         total_rate: float,
         total_demand: float,
         granted_bps: float,
+        row_tail: tuple,
     ) -> None:
         self.remaining = remaining
         self.deferred = 0
@@ -229,17 +241,7 @@ class _SteadyStretch:
         self.total_demand = total_demand
         self.granted_bps = granted_bps
         self.control_steady = False
-        # Deferred-row reconstruction state: the time of the first
-        # deferred tick (the clock's own ``now + interval`` float) and
-        # the constant sample-row tail (everything after time_s) —
-        # both pinned for the stretch's lifetime, since every tail
-        # field is a pure function of state the stretch freezes.
-        self.t_next = 0.0
-        self.row_tail: tuple = ()
-        # Deferred-row indices at which the fleet queue grew (an
-        # arrival that was not admitted — the one tail field a stretch
-        # does not pin).  None until the first such arrival.
-        self.queue_breaks: list[int] | None = None
+        self.row_tail = row_tail
 
 
 #: Stretch length used when no job makes progress (fully starved
@@ -293,11 +295,8 @@ class FleetSimulator:
         self._sample_rows: list[tuple] = []
         self._qps_cache: dict[str, float] = {}
         self._fabric_bandwidth = config.fabric.total_bandwidth
-        # Tick-loop constants hoisted out of the per-event path.
+        # Tick-loop constant hoisted out of the per-event path.
         self._tick_s = config.tick_s
-        self._pw_storage = self._power_meter.storage_watts
-        self._pw_trainer = self._power_meter.trainer_node_watts
-        self._pw_worker = self._power_meter.worker_node_watts
         # Last allocation round memo: steady-state control periods
         # re-present identical (rows, active_trainers) asks, and the
         # water-fill is pure in them — replay the grants, still
@@ -340,18 +339,6 @@ class FleetSimulator:
 
     def _arrive(self, spec: FleetJobSpec) -> None:
         self._pending_arrivals -= 1
-        # The queue length is baked into an open stretch's cached row
-        # tail; record the deferred-row index where it grows so the
-        # settle materializes earlier rows with the old length and
-        # later ones with the new.  (If this arrival admits, the
-        # membership change settles the stretch immediately and the
-        # break covers zero rows.)
-        stretch = self._stretch
-        if stretch is not None:
-            if stretch.queue_breaks is None:
-                stretch.queue_breaks = [stretch.deferred]
-            else:
-                stretch.queue_breaks.append(stretch.deferred)
         self._queue.append(spec)
         if self._traced:
             self.tracer.begin(
@@ -359,6 +346,13 @@ class FleetSimulator:
             )
             self.tracer.log("job arrived", job_id=spec.job_id)
         self._admit_queued()
+        # An admission settles any open stretch; one that survives saw
+        # the queue grow, which its cached row tail must now show.
+        stretch = self._stretch
+        if stretch is not None:
+            stretch.row_tail = self._row_tail(
+                stretch.total_rate, stretch.total_demand, stretch.granted_bps
+            )
 
     def _admit_queued(self) -> None:
         """FCFS admission with head-of-line blocking (Section 4.2)."""
@@ -735,67 +729,6 @@ class FleetSimulator:
         static.stall[:] = stall_row
         static.wsec[:] = wsec_row
         static.gbytes[:] = gbytes_row
-        if not self._traced:
-            # Materialize the deferred sample rows.  Tick times chain
-            # as ``t + tick`` — operand-for-operand the float adds the
-            # clock's periodic reschedule executed for those fires.
-            rows = self._sample_rows
-            tail = stretch.row_tail
-            t = stretch.t_next
-            tick = self._tick_s
-            breaks = stretch.queue_breaks
-            if breaks is None:
-                for _ in range(k):
-                    rows.append((t,) + tail)
-                    t += tick
-            else:
-                # Queue arrivals mid-stretch: bump the one unpinned
-                # tail field (queued_jobs) at each recorded row index.
-                qlen = tail[1]
-                cursor = 0
-                n_breaks = len(breaks)
-                for i in range(k):
-                    while cursor < n_breaks and breaks[cursor] == i:
-                        qlen += 1
-                        cursor += 1
-                    if qlen != tail[1]:
-                        tail = tail[:1] + (qlen,) + tail[2:]
-                    rows.append((t,) + tail)
-                    t += tick
-
-    def _open_stretch(
-        self, stretch: _SteadyStretch, now: float, tick: float
-    ) -> None:
-        """Install a fresh stretch, caching its deferred-row state.
-
-        The tail fields are computed exactly as :meth:`_sample` would —
-        same operands, same order — and reused verbatim: the stretch
-        invariant pins every one of them (queue growth settles the
-        stretch first, see :meth:`_arrive`).  ``t_next`` is the clock's
-        own next-occurrence float for the tick recurrence.
-        """
-        live = self._live_total
-        pending = self._pending_total
-        active_trainers = self.config.n_trainer_nodes - self._free_trainers
-        power = (
-            self._pw_storage
-            + active_trainers * self._pw_trainer
-            + (live + pending) * self._pw_worker
-        )
-        granted_bps = stretch.granted_bps
-        stretch.row_tail = (
-            len(self._active),
-            len(self._queue),
-            live,
-            pending,
-            stretch.total_rate,
-            stretch.total_demand,
-            granted_bps,
-            granted_bps / self._fabric_bandwidth,
-            power,
-        )
-        stretch.t_next = now + tick
-        self._stretch = stretch
 
     def _sync_jobs(self) -> None:
         """Land deferred stretch ticks and the state columns on the job
@@ -843,7 +776,7 @@ class FleetSimulator:
 
         When a previous tick proved a fixed point (see
         :class:`_SteadyStretch`), the tick collapses to counting one
-        deferred delta application and appending its (constant-valued)
+        deferred delta application and recording the stretch's cached
         sample row — the accumulators are replayed exactly at the next
         state-observing boundary.
         """
@@ -852,15 +785,7 @@ class FleetSimulator:
             if stretch.remaining > 0:
                 stretch.remaining -= 1
                 stretch.deferred += 1
-                if self._traced:
-                    # Counters must hit the trace in event order, so
-                    # traced fast ticks emit their row immediately.
-                    self._sample(
-                        self.clock.now,
-                        stretch.total_rate,
-                        stretch.total_demand,
-                        stretch.granted_bps,
-                    )
+                self._sample(self.clock.now, stretch.row_tail)
                 return
             self._settle_stretch()
         now = self.clock.now
@@ -871,7 +796,7 @@ class FleetSimulator:
         jobs = static.jobs
         n = len(jobs)
         if not n:
-            self._sample(now, 0.0, 0.0, 0.0)
+            self._sample(now, self._row_tail(0.0, 0.0, 0.0))
             return
 
         # Phase 1: mature in-flight launches.  Maturation is the one
@@ -971,6 +896,7 @@ class FleetSimulator:
                     finished = []
                 finished.append(index)
         total_demand = static.total_demand
+        remaining = 0
         if finished is not None:
             self._retire(static, finished)
         elif steady and not self._pending_total:
@@ -990,60 +916,58 @@ class FleetSimulator:
                     k = int((target[index] - floor - done[index]) / dd) - 4
                     if k < remaining:
                         remaining = k
-            if remaining > 0:
-                self._open_stretch(
-                    _SteadyStretch(
-                        remaining,
-                        np.array([done_d, stall_d, wsec_d, gbytes_d]),
-                        total_rate,
-                        total_demand,
-                        granted_bps,
-                    ),
-                    now,
-                    tick,
-                )
-        self._sample(now, total_rate, total_demand, granted_bps)
-
-    def _sample(
-        self, now: float, total_rate: float, total_demand: float, granted_bps: float
-    ) -> None:
-        """Record one tick's observation of the shared plane.
-
-        Rows accumulate as plain tuples in :class:`FleetSample` field
-        order (materialized in :meth:`report`), and the power draw is
-        the inlined :meth:`FleetPowerBudget.draw_watts` formula — same
-        operands, same order.
-        """
-        live = self._live_total
-        pending = self._pending_total
-        active_trainers = self.config.n_trainer_nodes - self._free_trainers
-        power = (
-            self._pw_storage
-            + active_trainers * self._pw_trainer
-            + (live + pending) * self._pw_worker
-        )
-        self._sample_rows.append(
-            (
-                now,
-                len(self._active),
-                len(self._queue),
-                live,
-                pending,
+        tail = self._row_tail(total_rate, total_demand, granted_bps)
+        if remaining > 0:
+            self._stretch = _SteadyStretch(
+                remaining,
+                np.array([done_d, stall_d, wsec_d, gbytes_d]),
                 total_rate,
                 total_demand,
                 granted_bps,
-                granted_bps / self._fabric_bandwidth,
-                power,
+                tail,
             )
+        self._sample(now, tail)
+
+    def _row_tail(
+        self, total_rate: float, total_demand: float, granted_bps: float
+    ) -> tuple:
+        """A tick's sample row after ``time_s``, from the fleet counters.
+
+        The fields follow :class:`FleetSample` order (rows materialize
+        in :meth:`report`), and the power draw is
+        :meth:`FleetPowerBudget.draw_watts` of the current occupancy.
+        """
+        live = self._live_total
+        pending = self._pending_total
+        return (
+            len(self._active),
+            len(self._queue),
+            live,
+            pending,
+            total_rate,
+            total_demand,
+            granted_bps,
+            granted_bps / self._fabric_bandwidth,
+            self._power_meter.draw_watts(
+                self.config.n_trainer_nodes - self._free_trainers,
+                live + pending,
+            ),
         )
+
+    def _sample(self, now: float, tail: tuple) -> None:
+        """Record one tick's observation of the shared plane.
+
+        Every tick records its row as it fires — a steady-stretch fast
+        tick with the stretch's cached tail — so traced counters reach
+        the trace in event order.
+        """
+        self._sample_rows.append((now,) + tail)
         if self._traced:
             tracer = self.tracer
-            tracer.counter("fleet.live_workers", float(live), actor="fleet")
+            tracer.counter("fleet.live_workers", float(tail[2]), actor="fleet")
+            tracer.counter("fleet.queued_jobs", float(tail[1]), actor="fleet")
             tracer.counter(
-                "fleet.queued_jobs", float(len(self._queue)), actor="fleet"
-            )
-            tracer.counter(
-                "fleet.granted_bytes_per_s", granted_bps, actor="fleet"
+                "fleet.granted_bytes_per_s", tail[6], actor="fleet"
             )
 
     # -- driver ---------------------------------------------------------------
@@ -1126,121 +1050,55 @@ class FleetSimulator:
 
         Same driver as :meth:`run`, but the reduction skips the
         :class:`FleetReport` envelope entirely — no
-        :class:`~repro.fleet.report.FleetSample` materialization, no
-        outcome list copies.  Sweeps, which only keep eleven aggregate
-        numbers per cell, use this path; the values are bit-identical
-        to reducing :meth:`run`'s report (see
-        ``tests/fleet/test_flat_summary.py``).
+        :class:`~repro.fleet.report.FleetSample` materialization.
+        Sweeps, which only keep eleven aggregate numbers per cell, use
+        this path; the values are bit-identical to reducing
+        :meth:`run`'s report (see ``tests/fleet/test_flat_summary.py``).
         """
         self._drive(horizon_s, max_events)
         return self.result_summary()
 
-    def result_summary(self) -> dict:
-        """Aggregate metrics computed directly from the row/outcome state.
-
-        Field-for-field the same arithmetic — same operands, same
-        accumulation order over the same (job-id-sorted) outcome list
-        and raw sample rows — as the :class:`FleetReport` aggregate
-        properties, so every float is bit-identical to the
-        report-mediated reduction.  ``nan`` marks aggregates the report
-        properties would raise on (no makespan, no finished job, no
-        jobs), matching the report-mediated reduction's guards
-        (``tests/fleet/oracles.py`` ``result_from_fleet_report``).
-        """
-        self._sync_jobs()
-        rows = self._sample_rows
-        tick_s = self.config.tick_s
-        # One pass over the raw rows replaces the report's four
-        # generator sweeps; max/comparison extraction is exact, and the
-        # busy-utilization sum visits rows in the same order.
-        peak_concurrency = 0
-        peak_util = 0.0
-        peak_power = 0.0
-        busy_first = math.nan
-        busy_last = math.nan
-        busy_util_sum = 0.0
-        busy_count = 0
-        for row in rows:
-            active = row[1]
-            if active > peak_concurrency:
-                peak_concurrency = active
-            util = row[8]
-            if util > peak_util:
-                peak_util = util
-            power = row[9]
-            if power > peak_power:
-                peak_power = power
-            if active > 0:
-                if not busy_count:
-                    busy_first = row[0]
-                busy_last = row[0]
-                busy_util_sum += util
-                busy_count += 1
-        makespan = busy_last - busy_first + tick_s if busy_count else 0.0
-        outcomes = sorted(self._outcomes.values(), key=lambda o: o.spec.job_id)
-        finished = [o for o in outcomes if o.finished]
-        now = self.clock.now
-        delays = sorted(
-            [o.queue_delay_s for o in outcomes]
-            + [now - spec.arrival_s for spec in self._queue]
-        )
-        return {
-            "jobs_submitted": len(outcomes) + len(self._queue),
-            "jobs_completed": len(finished),
-            "peak_concurrency": peak_concurrency,
-            "makespan_s": makespan,
-            "aggregate_samples_per_s": (
-                sum(o.samples_done for o in outcomes) / makespan
-                if makespan > 0
-                else math.nan
-            ),
-            "mean_slowdown": (
-                sum(o.slowdown for o in finished) / len(finished)
-                if finished
-                else math.nan
-            ),
-            "mean_stall_fraction": (
-                sum(o.stall_fraction for o in finished) / len(finished)
-                if finished
-                else math.nan
-            ),
-            "p95_queue_delay_s": (
-                delays[math.ceil(0.95 * (len(delays) - 1))]
-                if delays
-                else math.nan
-            ),
-            "mean_storage_utilization": (
-                busy_util_sum / busy_count if busy_count else 0.0
-            ),
-            "peak_storage_utilization": peak_util,
-            "peak_power_watts": peak_power,
-        }
-
-    def report(self) -> FleetReport:
-        """Snapshot the current outcome set as a report."""
+    def _settled_run(self) -> tuple[list[JobOutcome], list[float], float]:
+        """Settle, then the run's outcomes (job-id order), the waits of
+        jobs still queued, and the makespan: first busy tick to the end
+        of the last one."""
         self._sync_jobs()  # mid-run snapshots must see current fluid state
-        rows = self._sample_rows
-        # Row layout is FleetSample field order; index 0 is time_s,
-        # index 1 active_jobs.
-        busy_times = [row[0] for row in rows if row[1] > 0]
+        # Row index 0 is time_s, index 1 active_jobs.
+        busy_times = [row[0] for row in self._sample_rows if row[1] > 0]
         makespan = (
             busy_times[-1] - busy_times[0] + self.config.tick_s
             if busy_times
             else 0.0
         )
+        now = self.clock.now
+        return (
+            sorted(self._outcomes.values(), key=lambda o: o.spec.job_id),
+            [now - spec.arrival_s for spec in self._queue],
+            makespan,
+        )
+
+    def result_summary(self) -> dict:
+        """The run's eleven aggregates straight from the sample rows —
+        the same :func:`~repro.fleet.report.reduce_run` over the same
+        operands as the report's aggregates, without materializing
+        :class:`FleetSample` objects."""
+        outcomes, unadmitted, makespan = self._settled_run()
+        return reduce_run(
+            map(_OBSERVED, self._sample_rows), outcomes, unadmitted, makespan
+        )
+
+    def report(self) -> FleetReport:
+        """Snapshot the current outcome set as a report."""
+        outcomes, unadmitted, makespan = self._settled_run()
         return FleetReport(
-            outcomes=sorted(
-                self._outcomes.values(), key=lambda o: o.spec.job_id
-            ),
-            samples=[FleetSample(*row) for row in rows],
+            outcomes=outcomes,
+            samples=[FleetSample(*row) for row in self._sample_rows],
             storage_bandwidth_bytes_per_s=self.config.fabric.total_bandwidth,
             makespan_s=makespan,
             # Jobs that arrived but never won trainer capacity: their
             # waits (still growing at snapshot time) must not vanish
             # from the queue-delay tail.
-            unadmitted_queue_delays_s=[
-                self.clock.now - spec.arrival_s for spec in self._queue
-            ],
+            unadmitted_queue_delays_s=unadmitted,
         )
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import DppError
 from repro.dpp import AutoscalerConfig, DppSession, SessionSpec, WorkerConfig
 from repro.transforms import TransformDag
+from repro.warehouse.publish import partition_file_name
 
 from .conftest import make_spec
 
@@ -27,7 +28,7 @@ class TestStepApi:
         stepped_session = make_session(published, n_workers=2)
         stepped_session.begin_rounds()
         rounds = 0
-        while stepped_session.pump_round():
+        while stepped_session.pump_round() is not None:
             rounds += 1
         stepped = stepped_session.finish_rounds()
         assert rounds > 0
@@ -38,16 +39,54 @@ class TestStepApi:
         # plane, a chaos schedule) can interleave work between rounds.
         session = make_session(published, n_workers=2)
         session.begin_rounds()
-        assert session.pump_round() is True
+        assert session.pump_round() is not None
         assert not session.master.done  # mid-flight, by construction
-        while session.pump_round():
+        while session.pump_round() is not None:
             pass
         report = session.finish_rounds()
         assert session.master.done
         assert report.rows_processed > 0
 
+    def test_round_hands_back_its_deliveries_under_a_quota(self, published):
+        # A per-client quota (a slow trainer) caps each round's pull;
+        # the round names every batch's client, in pull order.
+        session = make_session(published, n_workers=3, n_clients=2)
+        session.begin_rounds()
+        delivered = 0
+        while (deliveries := session.pump_round(1)) is not None:
+            client_ids = [client_id for client_id, _ in deliveries]
+            assert len(client_ids) == len(set(client_ids))
+            assert set(client_ids) <= {"client-0", "client-1"}
+            delivered += len(deliveries)
+        report = session.finish_rounds()
+        assert delivered == report.batches_delivered
+        assert report.batches_delivered == make_session(
+            published, n_workers=3, n_clients=2
+        ).pump().batches_delivered
+
 
 class TestSessionSpec:
+    def test_session_keys_partitions_by_path_and_keeps_every_other_field(
+        self, published
+    ):
+        filesystem, schema, footers, _ = published
+        # Every field off its default, so a dropped field shows.
+        spec = make_spec(
+            schema, split_stripes=2, coalesce_window=3, row_sample_rate=0.5
+        )
+        session = DppSession(spec, filesystem, schema, footers)
+        planned = session.master.primary.spec
+        for field in dataclasses.fields(SessionSpec):
+            if field.name == "partitions":
+                assert planned.partitions == tuple(
+                    partition_file_name(spec.table_name, partition)
+                    for partition in spec.partitions
+                )
+            else:
+                assert getattr(planned, field.name) == getattr(
+                    spec, field.name
+                ), field.name
+
     def test_validation(self, published):
         _, schema, _, _ = published
         with pytest.raises(DppError):

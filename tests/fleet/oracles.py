@@ -18,8 +18,10 @@ request-object entry until the same change) every round.
 
 :func:`result_from_fleet_report` is the report-mediated reduction of a
 run to a sweep's flat row — ``ScenarioResult.from_fleet_report`` until
-sweeps stopped building a ``FleetReport`` per cell — kept as the oracle
-for ``FleetSimulator.run_summary``.
+sweeps stopped building a ``FleetReport`` per cell — with the report
+properties' former per-aggregate arithmetic as its own body: the oracle
+for ``repro.fleet.report.reduce_run`` behind ``FleetSimulator.run_summary``
+and ``FleetReport``'s aggregates alike.
 """
 
 import math
@@ -126,6 +128,22 @@ def rounds_of(simulator: FleetSimulator) -> list[tuple]:
     ]
 
 
+#: The eleven run aggregates, in ``ScenarioResult`` field order.
+SUMMARY_FIELDS = (
+    "jobs_submitted",
+    "jobs_completed",
+    "peak_concurrency",
+    "makespan_s",
+    "aggregate_samples_per_s",
+    "mean_slowdown",
+    "mean_stall_fraction",
+    "p95_queue_delay_s",
+    "mean_storage_utilization",
+    "peak_storage_utilization",
+    "peak_power_watts",
+)
+
+
 def result_from_fleet_report(
     name: str,
     cell: str,
@@ -134,33 +152,57 @@ def result_from_fleet_report(
     events_fired: int,
     wall_s: float,
 ) -> ScenarioResult:
-    """Reduce a FleetReport (guarding its raising aggregates)."""
-    finished = report.finished_outcomes()
+    """Reduce a FleetReport field by field, guarding the undefined ones.
+
+    Each aggregate is the expression ``FleetReport``'s own property held
+    before every reduction went through ``repro.fleet.report.reduce_run``
+    — one generator sweep per aggregate instead of one pass — so
+    ``reduce_run`` is held against an independent body.
+    """
+    outcomes = report.outcomes
+    samples = report.samples
+    makespan_s = report.makespan_s
+    finished = [o for o in outcomes if o.finished]
+    busy = [s for s in samples if s.active_jobs > 0]
+    delays = sorted(
+        [o.queue_delay_s for o in outcomes]
+        + list(report.unadmitted_queue_delays_s)
+    )
     return ScenarioResult(
         name=name,
         cell=cell,
         trace_seed=trace_seed,
-        jobs_submitted=report.jobs_submitted,
+        jobs_submitted=len(outcomes) + len(report.unadmitted_queue_delays_s),
         jobs_completed=len(finished),
-        peak_concurrency=report.peak_concurrency,
-        makespan_s=report.makespan_s,
+        peak_concurrency=max((s.active_jobs for s in samples), default=0),
+        makespan_s=makespan_s,
         aggregate_samples_per_s=(
-            report.aggregate_samples_per_s if report.makespan_s > 0 else math.nan
+            sum(o.samples_done for o in outcomes) / makespan_s
+            if makespan_s > 0
+            else math.nan
         ),
-        mean_slowdown=report.mean_slowdown if finished else math.nan,
+        mean_slowdown=(
+            sum(o.slowdown for o in finished) / len(finished)
+            if finished
+            else math.nan
+        ),
         mean_stall_fraction=(
             sum(o.stall_fraction for o in finished) / len(finished)
             if finished
             else math.nan
         ),
         p95_queue_delay_s=(
-            report.p95_queue_delay_s if report.jobs_submitted else math.nan
+            delays[math.ceil(0.95 * (len(delays) - 1))] if delays else math.nan
         ),
-        mean_storage_utilization=report.mean_storage_utilization,
-        peak_storage_utilization=report.peak_storage_utilization,
-        peak_power_watts=max(
-            (s.power_watts for s in report.samples), default=0.0
+        mean_storage_utilization=(
+            sum(s.storage_utilization for s in busy) / len(busy)
+            if busy
+            else 0.0
         ),
+        peak_storage_utilization=max(
+            (s.storage_utilization for s in samples), default=0.0
+        ),
+        peak_power_watts=max((s.power_watts for s in samples), default=0.0),
         events_fired=events_fired,
         wall_s=wall_s,
     )
@@ -269,4 +311,6 @@ class ReferenceFleetSimulator(FleetSimulator):
         for job in finished:
             self._finish(job)
 
-        self._sample(now, total_rate, total_demand, granted_bps)
+        self._sample(
+            now, self._row_tail(total_rate, total_demand, granted_bps)
+        )

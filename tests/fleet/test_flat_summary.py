@@ -5,7 +5,8 @@
 the exact float the report-mediated reduction
 (``oracles.result_from_fleet_report`` over ``run()``'s report) would
 produce — same operands, same accumulation order, one drifted ULP
-fails.
+fails.  ``FleetReport``'s own aggregates and ``metrics()`` read the
+same reduction and are held to the same oracle.
 """
 
 import math
@@ -21,21 +22,7 @@ from repro.fleet import (
     StorageFabric,
 )
 
-from .oracles import result_from_fleet_report
-
-SUMMARY_FIELDS = (
-    "jobs_submitted",
-    "jobs_completed",
-    "peak_concurrency",
-    "makespan_s",
-    "aggregate_samples_per_s",
-    "mean_slowdown",
-    "mean_stall_fraction",
-    "p95_queue_delay_s",
-    "mean_storage_utilization",
-    "peak_storage_utilization",
-    "peak_power_watts",
-)
+from .oracles import SUMMARY_FIELDS, result_from_fleet_report
 
 
 def make_config(**overrides):
@@ -98,6 +85,31 @@ class TestFlatSummary:
         via_report = reduce_via_report(config, jobs, horizon_s=2_000.0)
         assert via_report["jobs_completed"] < via_report["jobs_submitted"]
         assert_identical(flat, via_report)
+
+    @pytest.mark.parametrize("horizon_s", (None, 2_000.0))
+    def test_report_aggregates_match_oracle(self, horizon_s):
+        # FleetReport's properties and metrics() read reduce_run over
+        # FleetSample objects: the same floats as the oracle's
+        # per-aggregate arithmetic, in both the flat and fleet.* spelling.
+        config = make_config(n_trainer_nodes=16)
+        report = FleetSimulator(config, list(generated_jobs(3))).run(
+            horizon_s=horizon_s
+        )
+        oracle = result_from_fleet_report(
+            name="n", cell="c", trace_seed=0, report=report,
+            events_fired=0, wall_s=0.0,
+        )
+        expected = {name: getattr(oracle, name) for name in SUMMARY_FIELDS}
+        assert_identical(report.aggregates(), expected)
+        metrics = report.metrics()
+        assert list(metrics) == [f"fleet.{name}" for name in SUMMARY_FIELDS]
+        assert_identical(
+            {name: metrics[f"fleet.{name}"] for name in SUMMARY_FIELDS},
+            {name: float(value) for name, value in expected.items()},
+        )
+        for name in ("jobs_submitted", "jobs_completed", "peak_concurrency",
+                     "mean_storage_utilization", "peak_storage_utilization"):
+            assert getattr(report, name) == expected[name], name
 
     def test_summary_after_mid_run_snapshot(self):
         # result_summary on a live simulator must settle any open

@@ -16,6 +16,8 @@ from repro.fleet import (
 )
 from repro.workloads.models import RM1, RM2
 
+from .oracles import ReferenceFleetSimulator
+
 
 def make_job(job_id, model=RM1, arrival_s=0.0, nodes=2, hours=1.0,
              kind=JobKind.EXPLORATORY):
@@ -94,6 +96,21 @@ class TestAdmission:
         assert delays[1] > 0.0
         assert delays[2] > delays[1]
         assert report.peak_concurrency == 1
+
+    def test_queue_growth_inside_a_steady_stretch_matches_the_reference(self):
+        # Arrivals that must wait while the running job sits at a fixed
+        # point: stretch ticks record the grown queue, tick by tick.
+        config = make_config(trainers=1)
+        jobs = [
+            make_job(0, nodes=1, hours=2.0),
+            make_job(1, arrival_s=2_000.0, nodes=1, hours=0.1),
+            make_job(2, arrival_s=4_000.0, nodes=1, hours=0.1),
+        ]
+        production = FleetSimulator(config, list(jobs)).run()
+        reference = ReferenceFleetSimulator(config, list(jobs)).run()
+        assert {s.queued_jobs for s in production.samples} == {0, 1, 2}
+        assert production.samples == reference.samples
+        assert production == reference
 
     def test_oversized_job_rejected_upfront(self):
         with pytest.raises(SchedulingError):

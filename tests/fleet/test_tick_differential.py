@@ -7,7 +7,8 @@ tick and control periods that do and do not divide each other), a fault
 program (crashes, brownouts, recoveries, mid-run ``report()`` snapshots)
 and a horizon cut, and the two engines must agree on every byte they
 expose: the final report, every mid-run snapshot, the allocator's round
-history and the flat summary.
+history and the flat summary — and that flat summary must equal the
+oracle's report-mediated reduction of the reference run.
 """
 
 from hypothesis import given, settings
@@ -24,7 +25,12 @@ from repro.fleet import (
 )
 from repro.workloads.models import RM1, RM2, RM3
 
-from .oracles import ReferenceFleetSimulator, rounds_of
+from .oracles import (
+    SUMMARY_FIELDS,
+    ReferenceFleetSimulator,
+    result_from_fleet_report,
+    rounds_of,
+)
 
 MODELS = (RM1, RM2, RM3)
 KINDS = tuple(JobKind)
@@ -133,3 +139,11 @@ def test_production_tick_matches_reference(region, program, horizon_s):
     )
     for key in production:
         assert production[key] == reference[key], f"{key} diverged"
+    # The flat summary is reduce_run; the oracle reduces the reference
+    # tick's report with its own per-aggregate arithmetic.
+    oracle = result_from_fleet_report(
+        "n", "c", 0, reference["report"], events_fired=0, wall_s=0.0
+    )
+    assert production["summary"] == repr(
+        sorted((name, getattr(oracle, name)) for name in SUMMARY_FIELDS)
+    ), "summary diverged from the report-mediated oracle"
