@@ -1,11 +1,6 @@
 """DPP: the disaggregated Data PreProcessing Service (Section 3.2)."""
 
-from .autoscaler import (
-    AutoscalerConfig,
-    AutoscalingController,
-    ScalingDecision,
-    WorkerTelemetry,
-)
+from .autoscaler import AutoscalerConfig, ScalingDecision, scaling_decision
 from .client import ClientStats, DppClient
 from .master import DppMaster, MasterCheckpoint, ReplicatedMaster
 from .service import DppSession, SessionReport
@@ -26,7 +21,6 @@ __all__ = [
     "SimulationResult",
     "TimedDppSimulation",
     "AutoscalerConfig",
-    "AutoscalingController",
     "ClientStats",
     "DppClient",
     "DppMaster",
@@ -43,6 +37,6 @@ __all__ = [
     "TensorBatch",
     "WorkerConfig",
     "WorkerStats",
-    "WorkerTelemetry",
     "plan_splits",
+    "scaling_decision",
 ]

@@ -1,4 +1,4 @@
-"""The auto-scaling controller of the DPP Master.
+"""The auto-scaling rule of the DPP Master.
 
 Section 3.2.1: the controller "collects utilization (CPU, memory, and
 network) statistics and the number of buffered tensors from each DPP
@@ -6,6 +6,14 @@ Worker.  It then periodically evaluates scaling decisions, calculating
 the number of DPP Workers to either drain or launch with the goal of
 maintaining a non-zero number of buffered tensors ... and maximum CPU,
 network, and memory utilization."
+
+:func:`scaling_decision` is that evaluation, over a pool's aggregates:
+its live-worker count, its buffered tensors per worker and its mean
+utilization.  Every plane calls it once per control period — the
+session, the serving pools, the timed simulation and the fleet.  The
+executable session measures only CPU (cycles relative to its busiest
+worker); no plane models memory or network utilization, so the mean
+utilization is the mean CPU utilization.
 """
 
 from __future__ import annotations
@@ -13,22 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..common.errors import DppError
-
-
-@dataclass(frozen=True)
-class WorkerTelemetry:
-    """One worker's report to the controller."""
-
-    worker_id: str
-    buffered_batches: int
-    cpu_utilization: float
-    memory_utilization: float
-    network_utilization: float
-
-    @property
-    def max_utilization(self) -> float:
-        """Highest of the three resource utilizations."""
-        return max(self.cpu_utilization, self.memory_utilization, self.network_utilization)
 
 
 @dataclass(frozen=True)
@@ -82,78 +74,41 @@ class ScalingDecision:
 _HOLD = ScalingDecision(0, "buffers and utilization in band")
 
 
-class AutoscalingController:
-    """Evaluates worker telemetry into launch/drain decisions."""
+def scaling_decision(
+    config: AutoscalerConfig,
+    n_workers: int,
+    buffered_per_worker: float,
+    utilization: float,
+) -> ScalingDecision:
+    """One control-loop evaluation of a pool's aggregates.
 
-    def __init__(self, config: AutoscalerConfig | None = None) -> None:
-        self.config = config or AutoscalerConfig()
-        self.decisions: list[ScalingDecision] = []
-
-    def evaluate(self, telemetry: list[WorkerTelemetry]) -> ScalingDecision:
-        """One control-loop iteration over the fleet's reports."""
-        if not telemetry:
-            decision = ScalingDecision(self.config.scale_up_step, "no live workers")
-            self.decisions.append(decision)
-            return decision
-        n = len(telemetry)
-        return self._decide(
-            n,
-            sum(t.buffered_batches for t in telemetry) / n,
-            sum(t.max_utilization for t in telemetry) / n,
+    Launch when buffers run dry (up to ``max_workers``: a pool at or
+    above its cap holds), drain when buffers are full while the pool
+    runs underutilized (down to ``min_workers``), hold otherwise.  A
+    negative *utilization* counts as zero.
+    """
+    if n_workers <= 0:
+        return ScalingDecision(config.scale_up_step, "no live workers")
+    utilization = max(utilization, 0.0)
+    if (
+        buffered_per_worker >= config.min_buffered_per_worker
+        and (
+            buffered_per_worker <= config.drain_buffered_per_worker
+            or utilization >= config.low_utilization
+            or n_workers <= config.min_workers
         )
-
-    def evaluate_uniform(
-        self, n_workers: int, buffered_batches: int, utilization: float
-    ) -> ScalingDecision:
-        """O(1) evaluation of a fleet whose workers report identically.
-
-        Simulation planes (the fleet simulator, the timed session) model
-        workers as a fluid: every worker in a job holds the same buffer
-        depth and utilization, so materializing ``n_workers`` identical
-        :class:`WorkerTelemetry` records per control period only to
-        average them back together is pure overhead — it was the fleet
-        simulator's hottest path.  This entry point feeds the aggregate
-        straight into the same decision logic.
-        """
-        if n_workers <= 0:
-            decision = ScalingDecision(self.config.scale_up_step, "no live workers")
-            self.decisions.append(decision)
-            return decision
-        return self._decide(
-            n_workers, float(buffered_batches), max(utilization, 0.0)
+    ):
+        # Steady state: every healthy pool takes this branch on almost
+        # every evaluation, so it shares one immutable decision instead
+        # of formatting a fresh one each period.
+        return _HOLD
+    if buffered_per_worker < config.min_buffered_per_worker:
+        return ScalingDecision(
+            min(config.scale_up_step, max(0, config.max_workers - n_workers)),
+            f"buffers low ({buffered_per_worker:.2f}/worker): trainers at risk of stalls",
         )
-
-    def _decide(
-        self, n: int, buffered_per_worker: float, mean_utilization: float
-    ) -> ScalingDecision:
-        """The shared launch/drain policy over fleet-level aggregates."""
-        config = self.config
-        if (
-            buffered_per_worker >= config.min_buffered_per_worker
-            and (
-                buffered_per_worker <= config.drain_buffered_per_worker
-                or mean_utilization >= config.low_utilization
-                or n <= config.min_workers
-            )
-        ):
-            # Steady state: every healthy fleet takes this branch on
-            # almost every evaluation, so it shares one immutable
-            # decision instead of formatting a fresh one each period.
-            self.decisions.append(_HOLD)
-            return _HOLD
-        if buffered_per_worker < config.min_buffered_per_worker:
-            headroom = config.max_workers - n
-            delta = min(config.scale_up_step, headroom)
-            decision = ScalingDecision(
-                delta,
-                f"buffers low ({buffered_per_worker:.2f}/worker): trainers at risk of stalls",
-            )
-        else:
-            drainable = n - config.min_workers
-            decision = ScalingDecision(
-                -min(config.drain_step, drainable),
-                f"buffers full ({buffered_per_worker:.2f}/worker) and fleet "
-                f"underutilized ({mean_utilization:.0%})",
-            )
-        self.decisions.append(decision)
-        return decision
+    return ScalingDecision(
+        -min(config.drain_step, n_workers - config.min_workers),
+        f"buffers full ({buffered_per_worker:.2f}/worker) and fleet "
+        f"underutilized ({utilization:.0%})",
+    )

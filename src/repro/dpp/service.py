@@ -19,7 +19,7 @@ from ..dwrf.layout import FileFooter
 from ..tectonic.filesystem import TectonicFilesystem
 from ..warehouse.publish import partition_file_name
 from ..warehouse.schema import TableSchema
-from .autoscaler import AutoscalerConfig, AutoscalingController, WorkerTelemetry
+from .autoscaler import AutoscalerConfig, scaling_decision
 from .client import DppClient
 from .master import ReplicatedMaster
 from .spec import SessionSpec
@@ -81,7 +81,7 @@ class DppSession:
         self.clients = [
             DppClient(f"client-{i}", self.workers) for i in range(n_clients)
         ]
-        self.controller = AutoscalingController(autoscaler_config)
+        self.autoscaler_config = autoscaler_config or AutoscalerConfig()
         self.report = SessionReport(peak_workers=n_workers)
         # Round-pump state (see begin_rounds/pump_round): kept on the
         # session so an external scheduler can drive rounds one at a
@@ -171,26 +171,25 @@ class DppSession:
             self.tracer.instant("master.restart", actor="master")
 
     def run_autoscaler(self) -> int:
-        """Collect telemetry, evaluate the controller, apply the delta."""
-        telemetry = []
-        # Utilization proxies normalized against the busiest worker;
-        # the executable pump has no wall clock, so relative load
-        # stands in for absolute utilization.
+        """Evaluate the scaling rule on the live workers, apply the delta.
+
+        The rule sees the live-worker count, the mean buffered tensors
+        per worker and the mean CPU utilization.  The executable pump
+        has no wall clock, so a worker's utilization is its CPU cycles
+        relative to the busiest live worker's; memory and network are
+        not measured.
+        """
+        live = self.live_workers
+        n = len(live)
         peak_cycles = max(
-            (w.stats.usage.cpu_cycles for w in self.live_workers), default=1.0
+            (w.stats.usage.cpu_cycles for w in live), default=1.0
         ) or 1.0
-        for worker in self.live_workers:
-            usage = worker.stats.usage
-            telemetry.append(
-                WorkerTelemetry(
-                    worker_id=worker.worker_id,
-                    buffered_batches=worker.buffered_batches,
-                    cpu_utilization=usage.cpu_cycles / peak_cycles,
-                    memory_utilization=0.0,
-                    network_utilization=0.0,
-                )
-            )
-        decision = self.controller.evaluate(telemetry)
+        decision = scaling_decision(
+            self.autoscaler_config,
+            n,
+            sum(w.buffered_batches for w in live) / (n or 1),
+            sum(w.stats.usage.cpu_cycles / peak_cycles for w in live) / (n or 1),
+        )
         if decision.delta:
             if self.tracer.enabled:
                 self.tracer.instant(

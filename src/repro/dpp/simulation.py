@@ -29,7 +29,7 @@ from ..common.serialization import (
 )
 from ..common.simclock import SimClock
 from ..telemetry.tracer import NULL_TRACER, Tracer
-from .autoscaler import AutoscalerConfig, AutoscalingController
+from .autoscaler import AutoscalerConfig, scaling_decision
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,6 @@ class TimedDppSimulation:
         self.tracer = tracer or NULL_TRACER
         if self.tracer.enabled:
             self.tracer.bind_clock(lambda: self.clock.now)
-        self.controller = AutoscalingController(config.autoscaler)
         self._live_workers = config.initial_workers
         self._pending: list[float] = []  # spin-up completion times
         self._buffer = 0.0
@@ -212,11 +211,11 @@ class TimedDppSimulation:
             config.trainer_batches_per_s
             / max(self._live_workers * config.worker_batches_per_s, 1e-9),
         )
-        # Every fluid-model worker reports identically, so the O(1)
-        # aggregate evaluation replaces materializing one telemetry
-        # record per worker per control period.
-        decision = self.controller.evaluate_uniform(
-            self._live_workers, int(per_worker_buffer), utilization
+        decision = scaling_decision(
+            config.autoscaler,
+            self._live_workers,
+            int(per_worker_buffer),
+            utilization,
         )
         if decision.delta > 0:
             # The controller caps on live workers; in-flight launches

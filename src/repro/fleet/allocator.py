@@ -2,8 +2,8 @@
 
 Section 3.2's DPP is *disaggregated*: preprocessing workers are fungible
 nodes drawn from a shared pool, not resources glued to one job.  The
-per-job :class:`~repro.dpp.autoscaler.AutoscalingController` decides how
-many workers its session *wants*; :class:`GlobalDppAllocator` extends
+per-job scaling rule (:func:`~repro.dpp.autoscaler.scaling_decision`)
+decides how many workers its session *wants*; :class:`GlobalDppAllocator` extends
 that control loop fleet-wide, arbitrating every session's request
 against one bounded pool — ordered by release-process priority
 (Section 4.1: release candidates > combo > exploratory) and max-min

@@ -49,7 +49,7 @@ from ..common.errors import ConfigError, SchedulingError
 from ..common.simclock import SimClock
 from ..dpp.analytical import worker_throughput
 from ..telemetry.tracer import NULL_TRACER, Tracer
-from ..dpp.autoscaler import AutoscalerConfig
+from ..dpp.autoscaler import AutoscalerConfig, scaling_decision
 from ..workloads.hardware import V100_TRAINER, TrainerNodeSpec
 from .allocator import (
     KIND_PRIORITY,
@@ -469,14 +469,12 @@ class FleetSimulator:
 
         The proposal pass reads the fluid state straight from the
         epoch's columns (building them first when the round opens the
-        epoch, as an admission-time round does), with the controller's
-        aggregate policy
-        (:meth:`~repro.dpp.autoscaler.AutoscalingController.evaluate_uniform`)
-        inlined — same branch structure, same arithmetic, minus one
-        method call and one decision record per job per period.  The
-        fluid state maps onto the controller's inputs as buffered
-        *seconds of demand* for buffered batches and achieved rate over
-        worker capacity for CPU utilization.
+        epoch, as an admission-time round does) and evaluates each job
+        with :func:`~repro.dpp.autoscaler.scaling_decision`.  The fluid
+        state maps onto the rule's inputs as whole buffered *seconds of
+        demand* for buffered batches and achieved rate over worker
+        capacity for CPU utilization (the rule only compares it with a
+        threshold below 1, so a rate above capacity needs no clamp).
 
         During a steady stretch whose previous control round was a
         fixed point (cache hit *and* every grant a no-op), the whole
@@ -507,44 +505,17 @@ class FleetSimulator:
         demand = static.demand
         qps = static.qps
         scaler = self.config.autoscaler
-        min_buf = scaler.min_buffered_per_worker
-        drain_buf = scaler.drain_buffered_per_worker
-        low_util = scaler.low_utilization
-        up_step = scaler.scale_up_step
-        drain_step = scaler.drain_step
-        min_w = scaler.min_workers
-        max_w = scaler.max_workers
         rows = []
         append = rows.append
         for i, job in enumerate(jobs):
             n_live = live[i]
-            if n_live <= 0:
-                delta = up_step
-            else:
-                buffered = float(int(buffer[i] / demand[i]))
-                supply = n_live * qps[i]
-                if supply > 0:
-                    utilization = rate[i] / supply
-                    if utilization > 1.0:
-                        utilization = 1.0
-                else:
-                    utilization = 1.0
-                if utilization < 0.0:
-                    utilization = 0.0
-                if buffered >= min_buf and (
-                    buffered <= drain_buf
-                    or utilization >= low_util
-                    or n_live <= min_w
-                ):
-                    delta = 0
-                elif buffered < min_buf:
-                    headroom = max_w - n_live
-                    delta = up_step if up_step < headroom else headroom
-                else:
-                    drainable = n_live - min_w
-                    delta = -(
-                        drain_step if drain_step < drainable else drainable
-                    )
+            supply = n_live * qps[i]
+            delta = scaling_decision(
+                scaler,
+                n_live,
+                int(buffer[i] / demand[i]),
+                rate[i] / supply if supply > 0 else 1.0,
+            ).delta
             requested = job.requested + delta
             ceiling = 2 * job.base_workers
             if ceiling < 1:

@@ -19,8 +19,8 @@ splits those phases across *independent* pools —
   a full backlog sheds the request or schedules a retry with
   exponential backoff, per the configured policy.
 
-Each pool autoscales independently through its own
-:class:`~repro.dpp.autoscaler.AutoscalingController`, keyed on its
+Each pool autoscales independently through
+:func:`~repro.dpp.autoscaler.scaling_decision`, keyed on its own
 *output* queue: a starved downstream queue means this stage is the
 bottleneck (launch); a full one with idle workers means excess
 capacity (drain).  Every queue hop, work item, and control decision is
@@ -38,7 +38,7 @@ import numpy as np
 from ..common.errors import ConfigError
 from ..common.simclock import SimClock
 from ..datagen.serving import request_id_base
-from ..dpp.autoscaler import AutoscalerConfig, AutoscalingController
+from ..dpp.autoscaler import AutoscalerConfig, scaling_decision
 from ..dpp.master import ReplicatedMaster
 from ..dpp.worker import DppWorker
 from ..telemetry.tracer import NULL_TRACER, Tracer
@@ -158,9 +158,10 @@ class _Member:
 
 
 class WorkerPool:
-    """A role-split pool with its own autoscaling controller.
+    """A role-split pool that autoscales on its own output queue.
 
-    Scaling is keyed on the pool's *output* queue depth per worker:
+    Each control period the pool feeds its size, its *output* queue
+    depth per worker and its busy share to the DPP scaling rule:
     starved output means this stage bottlenecks the pipeline (launch);
     a full output queue with mostly-idle workers means excess capacity
     (drain).  Draining is graceful — the member finishes its current
@@ -173,7 +174,7 @@ class WorkerPool:
     ) -> None:
         self.plane = plane
         self.role = role
-        self.controller = AutoscalingController(autoscaler)
+        self.autoscaler = autoscaler
         self.members: list[_Member] = []
         self.stats = PoolStats(role=role)
         self._ids = itertools.count()
@@ -221,7 +222,7 @@ class WorkerPool:
         busy = sum(1 for m in self.active if m.busy)
         per_worker = output_queue.depth / n if n else 0.0
         utilization = busy / n if n else 0.0
-        decision = self.controller.evaluate_uniform(n, per_worker, utilization)
+        decision = scaling_decision(self.autoscaler, n, per_worker, utilization)
         if decision.delta > 0:
             for _ in range(decision.delta):
                 self.launch()

@@ -35,13 +35,3 @@ class Block:
     def is_virtual(self) -> bool:
         """Whether the block tracks size only (no payload)."""
         return self.data is None
-
-    def read(self, offset: int, length: int) -> bytes:
-        """Read a byte range from a materialized block."""
-        if self.data is None:
-            raise StorageError("cannot read payload of a virtual block")
-        if offset < 0 or length < 0 or offset + length > self.length:
-            raise StorageError(
-                f"read [{offset}, {offset + length}) outside block of {self.length}"
-            )
-        return self.data[offset : offset + length]

@@ -16,11 +16,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..common.errors import StorageError
 from .block import Block
 from .media import TECTONIC_CHUNK_BYTES, MediaModel, hdd_node
 from .node import StorageNode
+
+_VIRTUAL_READ = "cannot read payload of a virtual block"
 
 
 @dataclass
@@ -150,10 +153,15 @@ class TectonicFilesystem:
     def read(self, name: str, offset: int, length: int) -> bytes:
         """Read a byte range, touching each covering block's replica.
 
-        The bytes are taken before any node is charged, so a read that
-        raises (a virtual block in the range) is not accounted as served.
+        Each covering block is charged to one of its replicas, chosen
+        round-robin across the filesystem.  The bytes are taken before
+        any node is charged, so a read that raises (a virtual block in
+        the range) is not accounted as served.
         """
-        file = self.file(name)
+        try:
+            file = self._files[name]
+        except KeyError:
+            raise StorageError(f"no file named {name}") from None
         end = offset + length
         if offset < 0 or length < 0 or end > file.length:
             raise StorageError(
@@ -162,40 +170,45 @@ class TectonicFilesystem:
         if not length:
             return b""  # touches no block
         starts = file.block_starts
+        blocks = file.blocks
         index = bisect_right(starts, offset) - 1
-        block = file.blocks[index]
+        block = blocks[index]
         inner_offset = offset - starts[index]
-        if inner_offset + length <= block.length:
-            data = block.read(inner_offset, length)
-            self._route_replica(block).record_read(length)
-            return data
-        first = index
-        pieces = []
-        while offset < end:
-            block = file.blocks[index]
-            inner_offset = offset - starts[index]
-            take = min(block.length - inner_offset, end - offset)
-            pieces.append(block.read(inner_offset, take))
-            offset += take
-            index += 1
-        for block, piece in zip(file.blocks[first:index], pieces):
-            self._route_replica(block).record_read(len(piece))
-        return b"".join(pieces)
-
-    def _route_replica(self, block: Block) -> StorageNode:
-        """Round-robin reads across a block's replicas."""
-        replicas = block.replica_nodes
-        node_id = replicas[self._replica_rr % len(replicas)]
-        self._replica_rr += 1
-        return self.nodes[node_id]
+        if inner_offset + length <= block.length:  # the common read: one block
+            data = block.data
+            if data is None:
+                raise StorageError(_VIRTUAL_READ)
+            out = data[inner_offset : inner_offset + length]
+            charges = ((block, length),)
+        else:
+            pieces = []
+            charges = []
+            while offset < end:
+                block = blocks[index]
+                data = block.data
+                if data is None:
+                    raise StorageError(_VIRTUAL_READ)
+                inner_offset = offset - starts[index]
+                take = min(block.length - inner_offset, end - offset)
+                pieces.append(data[inner_offset : inner_offset + take])
+                charges.append((block, take))
+                offset += take
+                index += 1
+            out = b"".join(pieces)
+        nodes = self.nodes
+        rr = self._replica_rr
+        for block, n_bytes in charges:
+            replicas = block.replica_nodes
+            served = nodes[replicas[rr % len(replicas)]].served
+            rr += 1
+            served.io_count += 1
+            served.bytes_read += n_bytes
+        self._replica_rr = rr
+        return out
 
     def fetcher(self, name: str):
         """A ``(offset, length) -> bytes`` adapter for the DWRF reader."""
-
-        def fetch(offset: int, length: int) -> bytes:
-            return self.read(name, offset, length)
-
-        return fetch
+        return partial(self.read, name)
 
     # -- accounting ------------------------------------------------------------
 

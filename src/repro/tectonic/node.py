@@ -56,12 +56,6 @@ class StorageNode:
             raise StorageError("release out of range")
         self.used_bytes -= n_bytes
 
-    def record_read(self, n_bytes: int) -> None:
-        """Account one served read."""
-        served = self.served
-        served.io_count += 1
-        served.bytes_read += n_bytes
-
     @property
     def utilization(self) -> float:
         """Capacity utilization in [0, 1]."""

@@ -15,6 +15,15 @@ builds its columns afresh (``_read_stripe_columnar`` below is that
 body), through readers whose ``_fetch_streams`` is the one-piece body
 kept beside the other read oracles in ``tests/dwrf/oracles.py``, and
 every batch runs the session DAG (``transform_batch`` below).
+
+``OracleAutoscalingController`` is the controller ``repro.dpp.autoscaler``
+shipped before the launch/drain rule became the one function
+``scaling_decision``: a list entry over per-worker
+``OracleWorkerTelemetry`` reports, a uniform entry for fluid planes, a
+``_decide`` both share, and a history of every decision.  It keeps the
+scale-up branch as shipped, whose ``min(scale_up_step, max_workers - n)``
+drains a pool above its cap; the differential compares it with the rule
+only up to the cap.
 """
 
 import types
@@ -23,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import DppError
+from repro.dpp.autoscaler import _HOLD, ScalingDecision
 from repro.dpp.master import MasterCheckpoint, _sample_splits
 from repro.dpp.split import Split, SplitState, plan_splits
 from repro.dpp.worker import DppWorker
@@ -391,3 +401,84 @@ class OracleDppWorker(DppWorker):
                 batch.add_column(fid, column)
                 n_values += len(column.values)
         return batch, n_values
+
+
+@dataclass(frozen=True)
+class OracleWorkerTelemetry:
+    """One worker's report to the controller."""
+
+    worker_id: str
+    buffered_batches: int
+    cpu_utilization: float
+    memory_utilization: float
+    network_utilization: float
+
+    @property
+    def max_utilization(self) -> float:
+        """Highest of the three resource utilizations."""
+        return max(self.cpu_utilization, self.memory_utilization, self.network_utilization)
+
+
+class OracleAutoscalingController:
+    """Evaluates worker telemetry into launch/drain decisions."""
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.decisions: list[ScalingDecision] = []
+
+    def evaluate(self, telemetry: list[OracleWorkerTelemetry]) -> ScalingDecision:
+        """One control-loop iteration over the fleet's reports."""
+        if not telemetry:
+            decision = ScalingDecision(self.config.scale_up_step, "no live workers")
+            self.decisions.append(decision)
+            return decision
+        n = len(telemetry)
+        return self._decide(
+            n,
+            sum(t.buffered_batches for t in telemetry) / n,
+            sum(t.max_utilization for t in telemetry) / n,
+        )
+
+    def evaluate_uniform(
+        self, n_workers: int, buffered_batches: int, utilization: float
+    ) -> ScalingDecision:
+        """O(1) evaluation of a fleet whose workers report identically."""
+        if n_workers <= 0:
+            decision = ScalingDecision(self.config.scale_up_step, "no live workers")
+            self.decisions.append(decision)
+            return decision
+        return self._decide(
+            n_workers, float(buffered_batches), max(utilization, 0.0)
+        )
+
+    def _decide(
+        self, n: int, buffered_per_worker: float, mean_utilization: float
+    ) -> ScalingDecision:
+        """The shared launch/drain policy over fleet-level aggregates."""
+        config = self.config
+        if (
+            buffered_per_worker >= config.min_buffered_per_worker
+            and (
+                buffered_per_worker <= config.drain_buffered_per_worker
+                or mean_utilization >= config.low_utilization
+                or n <= config.min_workers
+            )
+        ):
+            self.decisions.append(_HOLD)
+            return _HOLD
+        if buffered_per_worker < config.min_buffered_per_worker:
+            headroom = config.max_workers - n
+            delta = min(config.scale_up_step, headroom)
+            decision = ScalingDecision(
+                delta,
+                f"buffers low ({buffered_per_worker:.2f}/worker): trainers at risk of stalls",
+            )
+        else:
+            drainable = n - config.min_workers
+            decision = ScalingDecision(
+                -min(config.drain_step, drainable),
+                f"buffers full ({buffered_per_worker:.2f}/worker) and fleet "
+                f"underutilized ({mean_utilization:.0%})",
+            )
+        self.decisions.append(decision)
+        return decision

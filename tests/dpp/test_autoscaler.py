@@ -1,15 +1,12 @@
-"""The auto-scaling controller."""
+"""The auto-scaling rule."""
 
 import pytest
 
 from repro.common.errors import DppError
-from repro.dpp import AutoscalerConfig, AutoscalingController, WorkerTelemetry
+from repro.dpp import AutoscalerConfig, scaling_decision
+from repro.experiments.scenarios import DppTimelineScenario
 
-
-def telemetry(buffered, cpu=0.9, mem=0.3, net=0.3, n=4):
-    return [
-        WorkerTelemetry(f"w{i}", buffered, cpu, mem, net) for i in range(n)
-    ]
+from .oracles import OracleAutoscalingController, OracleWorkerTelemetry
 
 
 class TestConfig:
@@ -26,79 +23,59 @@ class TestConfig:
 
 class TestDecisions:
     def test_empty_buffers_scale_up(self):
-        controller = AutoscalingController()
-        decision = controller.evaluate(telemetry(buffered=0))
+        config = AutoscalerConfig()
+        decision = scaling_decision(config, 4, 0.0, 0.9)
         assert decision.action == "launch"
-        assert decision.delta == controller.config.scale_up_step
+        assert decision.delta == config.scale_up_step
 
     def test_healthy_fleet_holds(self):
-        controller = AutoscalingController()
-        decision = controller.evaluate(telemetry(buffered=3, cpu=0.9))
+        decision = scaling_decision(AutoscalerConfig(), 4, 3.0, 0.9)
         assert decision.action == "hold"
 
     def test_overfull_and_idle_drains(self):
-        controller = AutoscalingController()
-        decision = controller.evaluate(telemetry(buffered=10, cpu=0.2, mem=0.1, net=0.1))
+        decision = scaling_decision(AutoscalerConfig(), 4, 10.0, 0.2)
         assert decision.action == "drain"
 
     def test_overfull_but_busy_holds(self):
         """Full buffers with high utilization is steady state, not waste."""
-        controller = AutoscalingController()
-        decision = controller.evaluate(telemetry(buffered=10, cpu=0.9))
+        decision = scaling_decision(AutoscalerConfig(), 4, 10.0, 0.9)
         assert decision.action == "hold"
 
     def test_no_workers_launches(self):
-        controller = AutoscalingController()
-        decision = controller.evaluate([])
+        decision = scaling_decision(AutoscalerConfig(), 0, 0.0, 0.0)
         assert decision.action == "launch"
+        assert decision.reason == "no live workers"
 
     def test_min_workers_respected(self):
-        controller = AutoscalingController(AutoscalerConfig(min_workers=4))
-        decision = controller.evaluate(
-            telemetry(buffered=10, cpu=0.1, mem=0.1, net=0.1, n=4)
-        )
+        decision = scaling_decision(AutoscalerConfig(min_workers=4), 4, 10.0, 0.1)
         assert decision.action == "hold"
 
     def test_max_workers_caps_scale_up(self):
-        controller = AutoscalingController(AutoscalerConfig(max_workers=4))
-        decision = controller.evaluate(telemetry(buffered=0, n=4))
+        decision = scaling_decision(AutoscalerConfig(max_workers=4), 4, 0.0, 0.9)
         assert decision.delta == 0
 
     def test_drain_limited_to_excess(self):
-        controller = AutoscalingController(
-            AutoscalerConfig(min_workers=3, drain_step=5)
-        )
-        decision = controller.evaluate(
-            telemetry(buffered=10, cpu=0.1, mem=0.1, net=0.1, n=4)
-        )
-        assert decision.delta == -1
-
-    def test_decisions_recorded(self):
-        controller = AutoscalingController()
-        controller.evaluate(telemetry(buffered=0))
-        controller.evaluate(telemetry(buffered=3))
-        assert len(controller.decisions) == 2
+        config = AutoscalerConfig(min_workers=3, drain_step=5)
+        assert scaling_decision(config, 4, 10.0, 0.1).delta == -1
 
     def test_mixed_fleet_uses_means(self):
-        controller = AutoscalingController()
-        mixed = telemetry(buffered=0, n=2) + telemetry(buffered=8, n=2)
-        # Mean buffered = 4: in band, so hold.
-        decision = controller.evaluate(mixed)
+        # Two dry workers and two holding 8 average 4 per worker: in band.
+        decision = scaling_decision(AutoscalerConfig(), 4, (0 + 0 + 8 + 8) / 4, 0.9)
         assert decision.action == "hold"
 
-
-class TestTelemetry:
-    def test_max_utilization(self):
-        report = WorkerTelemetry("w", 1, 0.3, 0.8, 0.5)
-        assert report.max_utilization == 0.8
+    def test_negative_utilization_counts_as_idle(self):
+        decision = scaling_decision(AutoscalerConfig(), 4, 10.0, -0.5)
+        assert decision.action == "drain"
+        assert decision.reason.endswith("underutilized (0%)")
 
 
 class TestUniformEvaluation:
-    """evaluate_uniform == evaluate over n identical reports."""
+    """The rule == the per-worker list evaluation it replaced, over n
+    identical reports (pinned cases; the differential draws the rest)."""
 
     def uniform(self, n, buffered, utilization):
         return [
-            WorkerTelemetry(
+            OracleWorkerTelemetry(
                 worker_id=f"w{i}",
                 buffered_batches=buffered,
                 cpu_utilization=utilization,
@@ -120,28 +97,36 @@ class TestUniformEvaluation:
         ],
     )
     def test_matches_per_worker_evaluation(self, n, buffered, utilization):
-        listwise = AutoscalingController().evaluate(
+        config = AutoscalerConfig()
+        listwise = OracleAutoscalingController(config).evaluate(
             self.uniform(n, buffered, utilization)
         )
-        aggregate = AutoscalingController().evaluate_uniform(
-            n, buffered, utilization
-        )
-        assert aggregate.delta == listwise.delta
-        assert aggregate.action == listwise.action
+        decision = scaling_decision(config, n, float(buffered), utilization)
+        assert decision == listwise
 
     def test_zero_workers_matches_empty_telemetry(self):
-        listwise = AutoscalingController().evaluate([])
-        aggregate = AutoscalingController().evaluate_uniform(0, 0, 0.0)
-        assert aggregate == listwise
+        config = AutoscalerConfig()
+        listwise = OracleAutoscalingController(config).evaluate([])
+        assert scaling_decision(config, 0, 0.0, 0.0) == listwise
 
-    def test_decisions_recorded_by_uniform_path(self):
-        controller = AutoscalingController()
-        controller.evaluate_uniform(4, 0, 0.9)
-        controller.evaluate_uniform(4, 3, 0.9)
-        controller.evaluate_uniform(4, 3, 0.9)
-        assert len(controller.decisions) == 3
-        assert [d.action for d in controller.decisions] == [
-            "launch",
-            "hold",
-            "hold",
-        ]
+
+class TestAboveTheCap:
+    """A pool above ``max_workers`` whose buffers run dry holds: the
+    launch branch never drains."""
+
+    def test_low_buffers_above_the_cap_hold(self):
+        decision = scaling_decision(AutoscalerConfig(max_workers=8), 10, 0.0, 1.0)
+        assert decision.delta == 0
+        assert decision.action == "hold"
+
+    def test_timeline_above_the_cap_keeps_its_workers(self):
+        result = DppTimelineScenario(
+            name="x",
+            initial_workers=12,
+            max_workers=8,
+            worker_batches_per_s=1.0,
+            trainer_batches_per_s=20.0,
+            duration_s=60.0,
+        ).run()
+        assert not any("drain" in line for line in result.scaling_decisions)
+        assert {sample.live_workers for sample in result.samples} == {12}

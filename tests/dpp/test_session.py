@@ -10,6 +10,7 @@ from repro.transforms import TransformDag
 from repro.warehouse.publish import partition_file_name
 
 from .conftest import make_spec
+from .oracles import OracleAutoscalingController, OracleWorkerTelemetry
 
 
 def make_session(published, **kwargs):
@@ -276,3 +277,35 @@ class TestScaling:
         session = make_session(published, n_workers=1)
         session.run_autoscaler()
         assert any("launch" in event for event in session.report.scaling_events)
+
+    def test_autoscaler_sees_the_live_workers_means(self, published):
+        # Any buffer over 0.5 per worker at a mean utilization under 99%
+        # drains, and the drain reason prints both means: the session's
+        # aggregates must be what the per-worker list entry averaged.
+        config = AutoscalerConfig(
+            min_buffered_per_worker=0.0,
+            drain_buffered_per_worker=0.5,
+            low_utilization=0.99,
+        )
+        session = make_session(published, n_workers=3, autoscaler_config=config)
+        session.begin_rounds()
+        session.pump_round(1)
+        live = session.live_workers
+        peak = max(w.stats.usage.cpu_cycles for w in live)
+        expected = OracleAutoscalingController(config).evaluate(
+            [
+                OracleWorkerTelemetry(
+                    w.worker_id,
+                    w.buffered_batches,
+                    w.stats.usage.cpu_cycles / peak,
+                    0.0,
+                    0.0,
+                )
+                for w in live
+            ]
+        )
+        assert expected.action == "drain"
+        assert session.run_autoscaler() == expected.delta
+        assert session.report.scaling_events == [
+            f"drain {-expected.delta}: {expected.reason}"
+        ]

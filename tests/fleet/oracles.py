@@ -27,12 +27,13 @@ and ``FleetReport``'s aggregates alike.
 import math
 from dataclasses import dataclass
 
-from repro.dpp.autoscaler import AutoscalingController
 from repro.experiments.report import ScenarioResult
 from repro.cluster.job import JobKind
 from repro.common.errors import ConfigError, SchedulingError, StorageError
 from repro.fleet import FleetSimulator, GlobalDppAllocator, StorageBroker
 from repro.fleet.allocator import KIND_PRIORITY
+
+from ..dpp.oracles import OracleAutoscalingController
 
 _EPS = 1e-9
 
@@ -213,7 +214,7 @@ class ReferenceFleetSimulator(FleetSimulator):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._controllers: dict[int, AutoscalingController] = {}
+        self._controllers: dict[int, OracleAutoscalingController] = {}
 
     # -- control loop ---------------------------------------------------------
 
@@ -243,7 +244,7 @@ class ReferenceFleetSimulator(FleetSimulator):
         """
         controller = self._controllers.get(job.spec.job_id)
         if controller is None:
-            controller = AutoscalingController(self.config.autoscaler)
+            controller = OracleAutoscalingController(self.config.autoscaler)
             self._controllers[job.spec.job_id] = controller
         buffered_s = job.buffer_samples / job.demand_sps
         supply = job.live_workers * job.worker_qps

@@ -4,7 +4,12 @@ This is the body ``read`` shipped before it found its first block by
 bisection: the file's length re-summed over every block, the loop
 walking blocks from block 0, and bytes copied block -> ``bytearray`` ->
 ``bytes``.  It reads a :class:`~repro.tectonic.TectonicFilesystem`
-only through ``file()``, each file's ``blocks`` and ``_route_replica``.
+only through ``file()``, each file's ``blocks``, the replica cursor
+``_replica_rr`` and the ``nodes``.  The per-block helpers it called
+before ``read`` became one body are kept below as they shipped:
+``block_read`` (``Block.read``), ``route_replica``
+(``TectonicFilesystem._route_replica``) and ``record_read``
+(``StorageNode.record_read``).
 
 One thing in it is newer than that body: it walks the covered blocks
 twice, taking the bytes first and charging the nodes second.  The body
@@ -14,6 +19,32 @@ accounting the leading blocks as served — a bug in both, fixed in both.
 """
 
 from repro.common.errors import StorageError
+
+
+def block_read(block, offset: int, length: int) -> bytes:
+    """Read a byte range from a materialized block."""
+    if block.data is None:
+        raise StorageError("cannot read payload of a virtual block")
+    if offset < 0 or length < 0 or offset + length > block.length:
+        raise StorageError(
+            f"read [{offset}, {offset + length}) outside block of {block.length}"
+        )
+    return block.data[offset : offset + length]
+
+
+def route_replica(filesystem, block):
+    """Round-robin reads across a block's replicas."""
+    replicas = block.replica_nodes
+    node_id = replicas[filesystem._replica_rr % len(replicas)]
+    filesystem._replica_rr += 1
+    return filesystem.nodes[node_id]
+
+
+def record_read(node, n_bytes: int) -> None:
+    """Account one served read."""
+    served = node.served
+    served.io_count += 1
+    served.bytes_read += n_bytes
 
 
 def oracle_read(filesystem, name: str, offset: int, length: int) -> bytes:
@@ -39,11 +70,10 @@ def oracle_read(filesystem, name: str, offset: int, length: int) -> bytes:
             break
         inner_offset = remaining_offset - block_start
         take = min(block.length - inner_offset, remaining_length)
-        out.extend(block.read(inner_offset, take))
+        out.extend(block_read(block, inner_offset, take))
         touched.append((block, take))
         remaining_offset += take
         remaining_length -= take
     for block, take in touched:
-        node = filesystem._route_replica(block)
-        node.record_read(take)
+        record_read(route_replica(filesystem, block), take)
     return bytes(out)

@@ -84,8 +84,6 @@ class TestReadBounds:
         for offset in (0, 5, 10, 12):
             with pytest.raises(StorageError):
                 fs.read("f", offset, -3)
-        with pytest.raises(StorageError):
-            fs.file("f").blocks[1].read(4, -2)
         assert fs.total_io() == (0, 0)
 
     @pytest.mark.parametrize("offset", [0, 4, 5, 10])
@@ -259,10 +257,13 @@ class TestStorageNode:
         with pytest.raises(StorageError):
             node.release(1)
 
-    def test_record_read_accumulates(self):
-        node = StorageNode(0, MediaModel("m", 0.001, 1e9, 100, 10))
-        node.record_read(10)
-        node.record_read(20)
+    def test_reads_accumulate_on_the_serving_node(self):
+        fs = small_fs(n_nodes=1, replication=1)
+        fs.create("f")
+        fs.append("f", b"m" * 30)
+        fs.read("f", 0, 10)
+        fs.read("f", 10, 20)
+        (node,) = fs.nodes
         assert node.served.io_count == 2
         assert node.served.bytes_read == 30
         assert node.served.seeks == 2
