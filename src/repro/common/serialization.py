@@ -20,10 +20,10 @@ base class.
 * **:class:`ReportBase`** — uniform ``to_json``/``from_json``/
   ``write``/``read``, uniform metric naming (``<kind>.<metric>``,
   snake_case) via :meth:`ReportBase.metrics`, percentile summaries via
-  :func:`percentile_summary`, and generic :meth:`ReportBase.diff` plus
-  accumulate-style :meth:`ReportBase.merge`.  Every subclass registers
-  its ``report_kind`` automatically, so :func:`report_from_json` can
-  revive *any* archived report without knowing its type up front.
+  :func:`percentile_summary`, and generic :meth:`ReportBase.diff`.
+  Every subclass registers its ``report_kind`` automatically, so
+  :func:`report_from_json` can revive *any* archived report without
+  knowing its type up front.
 """
 
 from __future__ import annotations
@@ -477,17 +477,6 @@ class ReportBase:
             new = theirs.get(name, math.nan)
             out[name] = {"base": base, "other": new, "delta": new - base}
         return out
-
-    def merge(self, other: "ReportBase") -> "ReportBase":
-        """Accumulate *other* into this report and return it.
-
-        Merge is accumulate-style (mutates and returns ``self``) so hot
-        paths can fold many partial reports without reallocating.  Only
-        kinds with a meaningful combination override it.
-        """
-        raise ReproError(
-            f"{self.report_kind or type(self).__name__} reports do not merge"
-        )
 
     def describe(self) -> str:
         """Default human summary: the uniform metric block."""

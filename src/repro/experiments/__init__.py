@@ -15,20 +15,21 @@ speaks one contract:
   experiment vocabulary, with the fleet mixes, chaos acceptance
   scenarios, and quick-grid cells built in;
 * **one engine, two front-ends** (:mod:`runner`) — :func:`fan_out`
-  maps a function over items, inline or across the supervised pool;
+  maps a function over items, inline or across the fork pool;
   :class:`ExperimentRunner` fans any mix of scenario kinds through it,
   :class:`SweepRunner` fans a fleet grid through it and aggregates
   percentile surfaces (:mod:`grid`, :mod:`report`); tracing is the
   ``trace=True`` argument of either ``run``;
 * the **telemetry schema** — every run returns a
   :class:`~repro.common.serialization.ReportBase`, so all artifacts
-  serialize, revive, merge, and diff the same way;
-* the **fault-tolerance plane** (:mod:`journal`, :mod:`pool`) —
-  :class:`RunJournal` appends each completed chunk of cells under one
-  fsync so a killed sweep resumes byte-identically (``sweep --resume``), while
-  the supervised pool requeues chunks from dead workers, respawns them
-  under capped backoff, and bisects-and-quarantines poison cells
-  instead of aborting the sweep.
+  serialize, revive, and diff the same way;
+* **one recovery path** (:mod:`journal`) — :class:`RunJournal`
+  appends each completed chunk of cells, CRC-checked record by record,
+  under one fsync, so a sweep killed by anything (SIGKILL, OOM, a
+  worker that died, Ctrl-C) resumes byte-identically with ``sweep
+  --resume``.  Nothing is retried in-run: every cell seeds itself, so
+  a cell that raises is caught where it ran and quarantined (or, with
+  ``--no-quarantine``, re-raised) and a dead worker ends the run.
 
 ``python -m repro.experiments {list,run,sweep}`` is the CLI face.
 """
@@ -44,15 +45,7 @@ from .registry import (
     register_scenario,
     unregister_scenario,
 )
-from .pool import (
-    PoolPolicy,
-    PoolStats,
-    auto_chunk_size,
-    fault_kill_on_cell,
-    fault_raise_on_cell,
-    fork_available,
-    run_chunked,
-)
+from .pool import auto_chunk_size, fork_available, run_chunked
 from .report import CELL_METRICS, FailureReport, ScenarioResult, SweepReport
 from .runner import (
     ExperimentEntry,
@@ -82,8 +75,6 @@ __all__ = [
     "FailureReport",
     "FleetRegionScenario",
     "MAX_EVENTS_PER_SCENARIO",
-    "PoolPolicy",
-    "PoolStats",
     "RegistryEntry",
     "RunJournal",
     "Scenario",
@@ -95,8 +86,6 @@ __all__ = [
     "build_scenario",
     "cell_identities",
     "fan_out",
-    "fault_kill_on_cell",
-    "fault_raise_on_cell",
     "fork_available",
     "get_scenario",
     "grid_hash",

@@ -31,7 +31,6 @@ import time
 from ..telemetry.logs import configure_logging
 from .base import scenario_kinds
 from .grid import ScenarioGrid, grid_from_json, quick_grid
-from .pool import PoolPolicy
 from .registry import build_scenario, list_scenarios
 from .runner import SweepRunner, run_experiment, run_experiment_traced
 
@@ -133,12 +132,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             grid = dataclasses.replace(grid, seeds=seeds)
 
     journal_path = args.resume or args.journal
-    policy = PoolPolicy(chunk_timeout_s=args.chunk_timeout)
     runner = SweepRunner(
         grid,
         jobs=args.jobs or None,
         chunk_cells=args.chunk,
-        policy=policy,
         quarantine=not args.no_quarantine,
     )
     progress = None if args.quiet else _progress_printer(args.name)
@@ -268,18 +265,9 @@ def build_parser(prog: str = "python -m repro.experiments") -> argparse.Argument
         "byte-identical to an uninterrupted run",
     )
     sweep_parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill workers whose chunk exceeds this wall-clock budget; "
-        "the chunk is retried / its poison cell quarantined",
-    )
-    sweep_parser.add_argument(
         "--no-quarantine",
         action="store_true",
-        help="fail fast on any cell failure instead of quarantining "
-        "isolated poison cells",
+        help="fail fast on a cell that raises instead of quarantining it",
     )
     sweep_parser.add_argument("--out", help="write the SweepReport JSON here")
     sweep_parser.add_argument(

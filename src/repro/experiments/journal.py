@@ -5,13 +5,17 @@ killer, preempted node, Ctrl-C — without losing the cells it already
 paid for.  The journal is the smallest mechanism with that property,
 following the incremental-load/resume discipline of dataloader recipe
 systems: one JSONL file per sweep, written strictly append-only, every
-record fsync'd before the cell counts as done.
+record fsync'd before the cell counts as done.  It is the sweep plane's
+only recovery path — the pool retries nothing — so it is the cursor a
+killed, crashed or interrupted sweep picks up from.
 
-Layout::
+Layout (every line is a record's canonical JSON — sorted keys, no
+spaces — with a ``"crc"`` member appended last: the CRC32 of those
+canonical bytes)::
 
-    {"magic": "repro-run-journal", "version": 1, "grid_hash": ..., ...}
-    {"name": "...", "spec_hash": "...", "result": {<flat metrics>}}
-    {"name": "...", "spec_hash": "...", "result": {...}}
+    {"cells":...,"magic":"repro-run-journal","version":2,...,"crc":...}
+    {"name":"...","result":{<flat metrics>},"spec_hash":"...","crc":...}
+    {"name":"...","result":{...},"spec_hash":"...","crc":...}
     ...
 
 * The **header** carries the identity of the whole run: the scenario
@@ -31,26 +35,27 @@ per file: every journaled record must name a cell of the *current*
 grid with an identical spec hash — so a grid that **grew** resumes
 incrementally (old cells skipped, new cells computed), while a grid
 whose overlapping cells changed is rejected loudly (recovering wrong
-numbers silently would poison the paper's surfaces).  A record line
-that is newline-terminated but unparseable means real corruption, not
-a crash artifact, and is also rejected.
+numbers silently would poison the paper's surfaces).  A
+newline-terminated line whose CRC does not match its bytes, or that
+has none, means real corruption, not a crash artifact, and is also
+rejected.  There is no reader for version 1: a journal is a
+crash-resume artifact, not an archive.
 
 The determinism contract extends through here: a journaled result is
 restored bit-for-bit (the row round-trips the repo's strict JSON
 dialect), so "SIGKILL'd and resumed" and "never killed" produce
 byte-identical reports.
 
-What the journal does **not** protect against: damage *inside* a
-record's ``result`` row that leaves the line valid JSON.  Records carry
-no checksum, so a flipped digit of a metric (or a changed character of
-the row's own ``name`` / ``cell`` / ``status`` strings) restores as
-written and the resumed report differs from the interrupted run's —
-silently.  Everything else in the file is covered (the header's magic
-and version, each record's ``name`` and ``spec_hash``, every key and
-structural character either refuses or restores identical rows;
-``tests/experiments/test_runner_contract.py`` flips every byte).
-Records are a frozen format, so closing the gap takes a per-record CRC
-under a journal VERSION 2.
+What the journal does **not** protect against:
+
+* a deliberate edit — CRC32 catches accidental damage (every single
+  flipped bit, ``tests/experiments/test_runner_contract.py`` flips
+  each byte), but anyone can rewrite a record and its CRC;
+* a change of *code* between a run and its resume — ``spec_hash``
+  covers the scenario, not the simulator, so resuming with a build
+  that computes a cell differently mixes two builds' numbers;
+* damage to the last line's newline, which reads as a crash: that
+  record is dropped and its cell recomputes, to the same bytes.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
+import zlib
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -69,7 +76,17 @@ from .grid import ScenarioGrid
 from .report import ScenarioResult
 
 JOURNAL_MAGIC = "repro-run-journal"
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
+
+#: The last member of every record line: the CRC32 of the line's
+#: canonical bytes, that is, of the line with this member cut out.
+_CRC_MEMBER = re.compile(rb',"crc":(\d+)\}$')
+
+
+def _record_line(record: dict) -> str:
+    """*record*'s canonical JSON with its CRC appended, newline-ended."""
+    body = json.dumps(null_specials(record), sort_keys=True, separators=(",", ":"))
+    return f'{body[:-1]},"crc":{zlib.crc32(body.encode())}}}\n'
 
 
 def spec_hash(scenario: Scenario) -> str:
@@ -108,8 +125,9 @@ def load_journal(path: str | pathlib.Path) -> JournalContents:
 
     Only newline-terminated lines count — a SIGKILL mid-append leaves
     an unterminated tail, which is dropped (``torn=True``) and its cell
-    recomputed.  A *terminated* line that fails to parse, or a header
-    with the wrong magic/version, is genuine corruption and raises
+    recomputed.  A *terminated* line without its CRC, with a CRC that
+    does not match its bytes, or a header with the wrong magic/version,
+    is genuine corruption and raises
     :class:`~repro.common.errors.FormatError`: resuming from a file we
     cannot trust would silently produce wrong science.
     """
@@ -123,18 +141,15 @@ def load_journal(path: str | pathlib.Path) -> JournalContents:
         return JournalContents(header=None, records=[], torn=torn)
     parsed = []
     for number, line in enumerate(lines, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
+        crc = _CRC_MEMBER.search(line)
+        body = line[: crc.start()] + b"}" if crc else b""
+        if crc is None or zlib.crc32(body) != int(crc.group(1)):
             raise FormatError(
                 f"journal {path} line {number} is corrupt (not a crash "
-                f"artifact — the line is newline-terminated): {error}"
-            ) from error
-        if not isinstance(record, dict):
-            raise FormatError(
-                f"journal {path} line {number} is not a JSON object"
+                "artifact — the line is newline-terminated): "
+                + ("its CRC does not match" if crc else "it carries no CRC")
             )
-        parsed.append(record)
+        parsed.append(json.loads(body))
     header = parsed[0]
     if header.get("magic") != JOURNAL_MAGIC:
         raise FormatError(
@@ -201,9 +216,7 @@ class RunJournal:
         Every record must match a current cell's spec hash exactly;
         cells the grid *gained* since the journal started are simply
         not in the map (they compute fresh, and journal into the same
-        file).  Duplicate records for one cell keep the latest — the
-        only way duplicates arise is a crash between the worker's two
-        completions of a requeued chunk, and both carry identical rows.
+        file).  Duplicate records for one cell keep the latest.
         """
         target = pathlib.Path(path)
         if not target.exists():
@@ -250,12 +263,7 @@ class RunJournal:
         """Write *records* in order, then flush and fsync once."""
         wrote = False
         for record in records:
-            self._stream.write(
-                json.dumps(
-                    null_specials(record), sort_keys=True, separators=(",", ":")
-                )
-                + "\n"
-            )
+            self._stream.write(_record_line(record))
             wrote = True
         if wrote:
             self._stream.flush()

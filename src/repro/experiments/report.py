@@ -9,7 +9,7 @@ power / queue-delay distributions the paper's provisioning sections
 argue from.  Rendering reuses the :mod:`repro.analysis.report` table
 style, and the report speaks the shared
 :class:`~repro.common.serialization.ReportBase` telemetry surface so
-sweeps archive, revive, merge, and diff like every other report.
+sweeps archive, revive and diff like every other report.
 :class:`BatchReport` is the half of that a sweep shares with an
 :class:`~repro.experiments.runner.ExperimentReport`.
 """
@@ -114,21 +114,6 @@ class ScenarioResult:
         return record_from_row(cls, row, "sweep scenario result", optional=True)
 
 
-def merge_extras(into: dict, other: dict) -> None:
-    """Fold *other*'s report extras into *into*, in place.
-
-    The pool's ``fault_tolerance`` incident counters add key by key (a
-    merged report saw both runs' incidents); every other key is
-    replaced by *other*'s value.
-    """
-    counters = dict(into.get("fault_tolerance", {}))
-    for key, count in other.get("fault_tolerance", {}).items():
-        counters[key] = counters.get(key, 0) + count
-    into.update(other)
-    if counters:
-        into["fault_tolerance"] = dict(sorted(counters.items()))
-
-
 class BatchReport(ReportBase):
     """What a sweep and an experiment batch have in common.
 
@@ -136,8 +121,8 @@ class BatchReport(ReportBase):
     ``wall_s``) under ``total_wall_s`` / ``jobs`` / ``extras``.  The
     subclass is the dataclass that owns those fields; it names the
     attribute holding its rows and the payload key they serialize
-    under, and inherits the canonical order, the quarantine view, the
-    deterministic bytes and the merge.
+    under, and inherits the canonical order, the quarantine view and the
+    deterministic bytes.
     """
 
     #: Attribute holding the rows, and their key in :meth:`payload`.
@@ -147,39 +132,32 @@ class BatchReport(ReportBase):
     def __post_init__(self) -> None:
         # Canonical order: aggregation must not depend on completion
         # order across worker processes.
-        self._set_rows(self._rows())
+        setattr(
+            self, self.rows_attr, sorted(self._rows(), key=lambda row: row.name)
+        )
 
     def _rows(self) -> list:
         return getattr(self, self.rows_attr)
 
-    def _set_rows(self, rows: list) -> None:
-        setattr(self, self.rows_attr, sorted(rows, key=lambda row: row.name))
-
     @property
     def quarantined(self) -> list:
-        """Rows the self-healing pool isolated, in name order."""
+        """Rows whose scenario raised, in name order."""
         return [row for row in self._rows() if row.status == "quarantined"]
 
     def deterministic_payload(self) -> dict:
         """The payload with every wall-clock field neutralized.
 
-        Wall time and the fault-tolerance incident counters are the two
-        legitimately execution-dependent surfaces in an artifact (a
-        retried chunk changes the counters, not the science); zeroing
-        ``total_wall_s``, ``jobs``, and per-row ``wall_s`` and dropping
-        ``extras["fault_tolerance"]`` leaves exactly the bytes the
-        determinism contract covers — serial == pooled ==
-        crashed-and-resumed.  Quarantine statuses and error details
-        *are* covered: a poison cell quarantines identically every run.
+        Wall time and the fan-out width are the legitimately
+        execution-dependent surfaces in an artifact; zeroing
+        ``total_wall_s``, ``jobs``, and per-row ``wall_s`` leaves
+        exactly the bytes the determinism contract covers — serial ==
+        pooled == crashed-and-resumed.  Quarantine statuses and error
+        details *are* covered: a poison cell quarantines identically
+        every run.
         """
         payload = self.payload()
         payload["total_wall_s"] = 0.0
         payload["jobs"] = 0
-        payload["extras"] = {
-            key: value
-            for key, value in payload["extras"].items()
-            if key != "fault_tolerance"
-        }
         for row in payload[self.rows_key]:
             row["wall_s"] = 0.0
         return payload
@@ -195,28 +173,6 @@ class BatchReport(ReportBase):
                 }
             )
         )
-
-    def merge(self, other: "ReportBase") -> "BatchReport":
-        """Fold another batch of the same kind in (e.g. a later seed
-        batch over the same grid): rows concatenate under canonical
-        order, wall time accumulates, incident counters add.  Row names
-        must be disjoint."""
-        kind = type(self).__name__
-        if not isinstance(other, type(self)):
-            raise ConfigError(f"can only merge {kind} into {kind}")
-        collisions = {row.name for row in self._rows()} & {
-            row.name for row in other._rows()
-        }
-        if collisions:
-            raise ConfigError(
-                f"cannot merge {kind}s re-running scenarios: "
-                f"{sorted(collisions)[:5]}"
-            )
-        self._set_rows(self._rows() + other._rows())
-        self.total_wall_s += other.total_wall_s
-        self.jobs = max(self.jobs, other.jobs)
-        merge_extras(self.extras, other.extras)
-        return self
 
 
 @dataclass
@@ -369,12 +325,6 @@ class SweepReport(BatchReport):
             summary.append(
                 f"quarantined: {len(self.quarantined)} poison cell(s) — {names}"
             )
-        fault = self.extras.get("fault_tolerance")
-        if fault:
-            summary.append(
-                "fault tolerance: "
-                + ", ".join(f"{key}={fault[key]}" for key in sorted(fault))
-            )
         if self.total_wall_s > 0:
             summary.append(
                 f"wall time: {self.total_wall_s:.1f} s with {self.jobs} "
@@ -397,7 +347,7 @@ class FailureReport(ReportBase):
     Quarantined cells in an :class:`ExperimentRunner` batch still need
     a child report under the experiment envelope; this is that stand-in
     — the scenario's name and the deterministic failure detail, nothing
-    else.  It revives, diffs, and merges like any other kind, so an
+    else.  It revives and diffs like any other kind, so an
     archived batch with casualties stays loadable.
     """
 

@@ -1,8 +1,8 @@
 """The experiment executor: one engine, two front-ends.
 
 :func:`fan_out` is the engine — "apply a function to every item,
-inline or across the persistent self-healing pool
-(:mod:`repro.experiments.pool`), and report completed index ranges" —
+inline or across the persistent pool (:mod:`repro.experiments.pool`),
+and report completed index ranges" —
 and the only place that chooses between the two.  The runners are
 front-ends that pick the cell function and what to do with the
 outcomes:
@@ -28,9 +28,12 @@ on either runner returns ``(report, merged trace)``.
 
 Both rely on the scenario contract: every scenario seeds itself and
 reports sort canonically before aggregation — process scheduling can
-never leak into the artifact.  Both inherit the pool's fault tolerance:
-dead workers respawn, their chunks retry, and isolated poison cells
-quarantine as failed results instead of aborting the campaign.
+never leak into the artifact.  It is also why neither retries: a cell
+that raised would raise again, so it runs once under its own
+``try``/``except`` (inline, or inside its worker) and, unless the
+runner is fail-fast, becomes its quarantine record.  A worker that dies
+ends the run; the journal is the one recovery path, and a sweep resumed
+from it computes only the cells it is missing.
 """
 
 from __future__ import annotations
@@ -47,13 +50,7 @@ from ..telemetry.tracer import Trace, Tracer, merge_traces
 from .base import Scenario
 from .grid import ScenarioGrid
 from .journal import RunJournal
-from .pool import (
-    PoolPolicy,
-    PoolStats,
-    auto_chunk_size,
-    fork_available,
-    run_chunked,
-)
+from .pool import auto_chunk_size, fork_available, run_chunked
 from .report import BatchReport, FailureReport, ScenarioResult, SweepReport
 from .scenarios import FleetRegionScenario, MAX_EVENTS_PER_SCENARIO
 
@@ -67,9 +64,7 @@ def fan_out(
     jobs: int,
     progress: ProgressFn | None = None,
     chunk_size: int | None = None,
-    policy: PoolPolicy | None = None,
     on_item_failed: Callable[[int, str], object] | None = None,
-    stats: PoolStats | None = None,
     on_chunk: Callable[[int, int, list], None] | None = None,
 ) -> list:
     """Apply *fn* over *items*, inline or across persistent workers.
@@ -85,6 +80,14 @@ def fan_out(
     Results come back in input order regardless of engine, jobs, or
     chunk size, so fan-out width cannot reorder them.
 
+    Both arms run each item through one body: with *on_item_failed*,
+    an item whose *fn* raises becomes ``on_item_failed(index,
+    "{type}: {exc}")`` — computed where the item ran, inside its worker
+    when pooled — and the batch goes on; without it the original
+    exception re-raises (the fail-fast contract).  A pooled worker that
+    dies ends the batch with an error naming its chunk
+    (:func:`~repro.experiments.pool.run_chunked`).
+
     *progress* is called after each item finishes — in completion
     order, which process scheduling may permute; only the counts are
     meaningful, never an item identity.
@@ -96,17 +99,7 @@ def fan_out(
     same ranges the pool would chunk at; when an exception or interrupt
     cuts one short, the finished prefix is still reported before the
     exception propagates.  Every index that finishes is covered exactly
-    once; a quarantined index never is.
-
-    Fault tolerance (see :func:`~repro.experiments.pool.run_chunked`):
-    with *on_item_failed* a poison item — one that keeps raising or
-    killing its worker past *policy*'s retry budget — is quarantined:
-    ``on_item_failed(index, detail)`` is called the moment the item is
-    isolated, supplies the replacement value for its result slot, and
-    the batch completes.  Without it failures re-raise (the fail-fast
-    contract).  The inline path honors the same hook for in-process
-    exceptions, so ``jobs=1`` and ``jobs=N`` quarantine identically.
-    *stats*, when provided, accumulates the pool's incident counters.
+    once, a quarantined one included.
     """
     if jobs < 1:
         raise ConfigError("fan_out needs at least one worker process")
@@ -116,6 +109,15 @@ def fan_out(
     if n_items == 0:
         return []
     size = chunk_size if chunk_size is not None else auto_chunk_size(n_items, jobs)
+
+    def run_item(index: int):
+        try:
+            return fn(items[index])
+        except Exception as exc:
+            if on_item_failed is None:
+                raise
+            return on_item_failed(index, f"{type(exc).__name__}: {exc}")
+
     if jobs == 1 or n_items == 1 or not fork_available():
         results: list = []
         reported = 0  # every finished index below this has been reported
@@ -127,19 +129,8 @@ def fan_out(
             reported = stop
 
         try:
-            for index, item in enumerate(items):
-                try:
-                    results.append(fn(item))
-                except Exception as exc:
-                    if on_item_failed is None:
-                        raise
-                    report(index)
-                    if stats is not None:
-                        stats.quarantined_cells += 1
-                    results.append(
-                        on_item_failed(index, f"{type(exc).__name__}: {exc}")
-                    )
-                    reported = index + 1
+            for index in range(n_items):
+                results.append(run_item(index))
                 if (index + 1) % size == 0:
                     report(index + 1)
                 if progress is not None:
@@ -154,13 +145,10 @@ def fan_out(
     def work(start: int, stop: int, cell_done) -> list:
         chunk = []
         for index in range(start, stop):
-            chunk.append(fn(items[index]))
+            chunk.append(run_item(index))
             if cell_done is not None:
-                cell_done(index)
+                cell_done()
         return chunk
-
-    def quarantine(index: int, detail: str) -> None:
-        results[index] = on_item_failed(index, detail)
 
     def chunk_done(start: int, stop: int, values: list) -> None:
         results[start:stop] = values
@@ -173,9 +161,6 @@ def fan_out(
         jobs=jobs,
         chunk_size=size,
         progress=progress,
-        policy=policy,
-        stats=stats,
-        on_cell_failed=None if on_item_failed is None else quarantine,
         on_chunk=chunk_done,
     )
     return results
@@ -260,21 +245,18 @@ class SweepRunner:
         grid: ScenarioGrid,
         jobs: int | None = 1,
         chunk_cells: int | None = None,
-        policy: PoolPolicy | None = None,
         quarantine: bool = True,
     ) -> None:
         """*jobs*: worker processes; 1 runs inline, ``None`` uses the
         machine's CPU count.  *chunk_cells*: cells shipped per pool
-        task; ``None`` auto-tunes from grid size and *jobs*.  *policy*
-        tunes the self-healing pool (retries, backoff, chunk timeout);
-        *quarantine* False restores the legacy fail-fast contract where
-        any cell failure aborts the sweep."""
+        task; ``None`` auto-tunes from grid size and *jobs*.
+        *quarantine* False is the fail-fast contract: a cell that raises
+        aborts the sweep with its own exception."""
         self.grid = grid
         self.jobs = _resolve_jobs(jobs)
         if chunk_cells is not None and chunk_cells < 1:
             raise ConfigError("chunk_cells must be at least one cell")
         self.chunk_cells = chunk_cells
-        self.policy = policy if policy is not None else PoolPolicy()
         self.quarantine = quarantine
 
     def run(
@@ -287,11 +269,12 @@ class SweepRunner:
     ) -> SweepReport | tuple[SweepReport, Trace]:
         """Execute every scenario; returns the aggregated report.
 
-        With *journal_path* every completed cell is durably appended to
-        a run journal, batched per worker chunk (one serialize + fsync
-        covers the whole chunk), so a killed sweep loses at most its
-        in-flight chunks — those cells simply recompute, byte-identical,
-        on resume.  With *resume* the
+        With *journal_path* every completed cell — a quarantined one
+        included — is durably appended to a run journal, batched per
+        worker chunk (one serialize + fsync covers the whole chunk), so
+        a killed sweep, or one whose worker died, loses at most its
+        in-flight chunks — those cells simply recompute,
+        byte-identical, on resume.  With *resume* the
         journal is validated against this grid first and its cells are
         restored instead of recomputed — the resumed report is
         byte-identical (modulo wall clock) to an uninterrupted run,
@@ -345,23 +328,18 @@ class SweepRunner:
             )
 
         def quarantine_cell(position: int, detail: str) -> ScenarioResult:
-            index = remaining[position]
-            spec = grid.scenario_at(index)
-            failed = ScenarioResult.blank(
+            spec = grid.scenario_at(remaining[position])
+            return ScenarioResult.blank(
                 spec.name,
                 spec.cell,
                 spec.trace_seed,
                 status="quarantined",
                 error=detail,
             )
-            if journal is not None:
-                journal.append_results([(journal.identities[index][1], failed)])
-            return failed
 
         def cell_progress(done: int, _total: int) -> None:
             progress(len(restored) + done, len(grid))
 
-        stats = PoolStats()
         try:
             outcomes = fan_out(
                 remaining,
@@ -369,11 +347,9 @@ class SweepRunner:
                 self.jobs,
                 progress=None if progress is None else cell_progress,
                 chunk_size=self.chunk_cells,
-                policy=self.policy,
                 on_item_failed=(
                     quarantine_cell if self.quarantine and not trace else None
                 ),
-                stats=stats,
                 on_chunk=None if journal is None else journal_cells,
             )
         finally:
@@ -387,16 +363,10 @@ class SweepRunner:
             grid_name=grid_name,
             total_wall_s=time.perf_counter() - start,
             jobs=self.jobs,
-            extras=_incident_extras(stats),
         )
         if trace:
             return report, merge_traces(cell_trace for _, cell_trace in outcomes)
         return report
-
-
-def _incident_extras(stats: PoolStats) -> dict:
-    """Report extras for a run: the pool's incident counters, if any."""
-    return {"fault_tolerance": stats.as_dict()} if stats.any() else {}
 
 
 # -- the general front-end -----------------------------------------------------
@@ -539,7 +509,7 @@ class ExperimentReport(BatchReport):
 class ExperimentRunner:
     """Fans any mix of scenario kinds across processes.
 
-    The generalization of :class:`SweepRunner`: same pool policy, same
+    The generalization of :class:`SweepRunner`: same engine, same
     determinism contract (scenarios carry their own seeds; entries sort
     canonically), but heterogeneous scenarios in, full per-scenario
     reports out.
@@ -549,7 +519,6 @@ class ExperimentRunner:
         self,
         scenarios: Sequence[Scenario],
         jobs: int | None = 1,
-        policy: PoolPolicy | None = None,
         quarantine: bool = False,
     ) -> None:
         """*quarantine* True keeps the batch alive past a poison
@@ -564,7 +533,6 @@ class ExperimentRunner:
             raise ConfigError("scenario names must be unique within a batch")
         self.scenarios = list(scenarios)
         self.jobs = _resolve_jobs(jobs)
-        self.policy = policy if policy is not None else PoolPolicy()
         self.quarantine = quarantine
 
     def _quarantined_entry(self, index: int, detail: str) -> ExperimentEntry:
@@ -592,26 +560,22 @@ class ExperimentRunner:
         says: a quarantined scenario would hole the merged trace.
         """
         start = time.perf_counter()
-        stats = PoolStats()
         outcomes = fan_out(
             self.scenarios,
             run_experiment_traced if trace else run_experiment,
             self.jobs,
             progress,
-            policy=self.policy,
             on_item_failed=(
                 self._quarantined_entry
                 if self.quarantine and not trace
                 else None
             ),
-            stats=stats,
         )
         report = ExperimentReport(
             entries=[entry for entry, _ in outcomes] if trace else outcomes,
             experiment_name=experiment_name,
             total_wall_s=time.perf_counter() - start,
             jobs=self.jobs,
-            extras=_incident_extras(stats),
         )
         if trace:
             return report, merge_traces(cell_trace for _, cell_trace in outcomes)

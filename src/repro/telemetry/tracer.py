@@ -14,9 +14,12 @@ The recorder comes in two shapes:
   rebindable time source (each scenario kind binds its own clock), and
   a deterministic run id derived from ``stable_hash(scenario, seed)``.
   Every event it records lands in the one :class:`Trace` artifact.
-* :data:`NULL_TRACER` — one shared no-op recorder.  Instrumented code
-  guards hot paths with ``if tracer.enabled:`` so a disabled telemetry
-  plane costs a single attribute check per site.
+* :data:`NULL_TRACER` — one shared disabled recorder.  Instrumented
+  code guards every span, instant and counter with ``if
+  tracer.enabled:``, so a disabled telemetry plane costs a single
+  attribute check per site; the null tracer has no ``begin``, ``end``,
+  ``instant`` or ``counter``, so a site that forgets the guard raises
+  instead of passing silently.
 
 :meth:`Tracer.freeze` closes any dangling spans and packages the event
 stream as a :class:`Trace` — a :class:`ReportBase` subclass (kind
@@ -246,11 +249,12 @@ def merge_traces(traces) -> Trace:
 
 
 class NullTracer:
-    """The shared disabled recorder: every operation is a no-op.
+    """The shared disabled recorder.
 
-    Instrumented code holds a tracer unconditionally and guards only
-    hot paths with ``tracer.enabled``; cold paths may simply call
-    through and land here.
+    Instrumented code holds a tracer unconditionally and guards every
+    span, instant and counter with ``tracer.enabled``, so this class
+    has no ``begin``, ``end``, ``instant`` or ``counter``: a missing
+    guard raises ``AttributeError`` instead of recording nothing.
     """
 
     __slots__ = ()
@@ -261,12 +265,6 @@ class NullTracer:
     def bind_clock(self, time_fn: TimeSource) -> None:
         pass
 
-    def begin(self, name: str, actor: str = "main", **args) -> None:
-        pass
-
-    def end(self, actor: str = "main") -> None:
-        pass
-
     def emit_span(
         self,
         name: str,
@@ -275,12 +273,6 @@ class NullTracer:
         dur_s: float,
         args: tuple = (),
     ) -> None:
-        pass
-
-    def instant(self, name: str, actor: str = "main", **args) -> None:
-        pass
-
-    def counter(self, name: str, value: float, actor: str = "main") -> None:
         pass
 
     def log(self, message: str, level: int = logging.INFO, **fields) -> None:

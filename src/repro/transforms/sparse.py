@@ -3,8 +3,7 @@
 SigridHash, FirstX, PositiveModulus, MapId, Enumerate, ComputeScore, and
 IdListTransform operate on categorical ID lists; they are the middle
 cost class (~20% of transform cycles, Section 6.4).  Every op here is a
-fixed number of passes over the flat arrays except IdListTransform, the
-one remaining per-row loop.
+fixed number of passes over the flat arrays.
 """
 
 from __future__ import annotations
@@ -211,7 +210,11 @@ class ComputeScore(Transform):
 
 @register
 class IdListTransform(Transform):
-    """Per-row intersection of two sparse features' ID lists."""
+    """Per-row intersection of two sparse features' ID lists.
+
+    Each row keeps the left list's IDs that its right list also holds,
+    once each, in the order of their first occurrence on the left.
+    """
 
     name = "IdListTransform"
     op_class = OpClass.SPARSE_NORMALIZATION
@@ -228,14 +231,26 @@ class IdListTransform(Transform):
     def apply(self, batch: FeatureBatch) -> Column:
         left = batch.sparse(self._left_id)
         right = batch.sparse(self._right_id)
-        lists = []
-        for i in range(len(left)):
-            right_set = set(map(int, right.row(i)))
-            seen: set[int] = set()
-            intersection = []
-            for v in map(int, left.row(i)):
-                if v in right_set and v not in seen:
-                    intersection.append(v)
-                    seen.add(v)
-            lists.append(intersection)
-        return SparseColumn.from_lists(lists)
+        n_rows = len(left)
+        rows = np.arange(n_rows, dtype=np.int64)
+        # An ID's rank among every ID of both columns, so that (row, ID)
+        # is one int64 key: row * distinct + rank.
+        distinct, ranks = np.unique(
+            np.concatenate([left.values, right.values]), return_inverse=True
+        )
+        left_keys = np.repeat(rows * len(distinct), left.lengths())
+        left_keys += ranks[: len(left.values)]
+        right_keys = np.repeat(rows * len(distinct), right.lengths())
+        right_keys += ranks[len(left.values) :]
+        right_keys.sort()
+        # Past the last right key, the sentinel -1 matches no key.
+        found = np.append(right_keys, -1)[np.searchsorted(right_keys, left_keys)]
+        keep = np.zeros(len(left_keys), dtype=bool)
+        keep[np.unique(left_keys, return_index=True)[1]] = True  # first seen
+        keep &= found == left_keys
+        offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(np.repeat(rows, left.lengths())[keep], minlength=n_rows),
+            out=offsets[1:],
+        )
+        return SparseColumn(offsets, left.values[keep])

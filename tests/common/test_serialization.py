@@ -168,10 +168,6 @@ class TestReportBase:
         with pytest.raises(ReproError):
             _ToyReport().diff(CostReport())
 
-    def test_merge_default_refuses(self):
-        with pytest.raises(ReproError, match="do not merge"):
-            _ToyReport().merge(_ToyReport())
-
     def test_describe_mentions_metrics(self):
         assert "toy.value" in _ToyReport(7.0).describe()
 

@@ -11,6 +11,11 @@ journal, of a traced sweep's report and merged trace, of a three-kind
 ``ExperimentRunner`` batch's report and trace, of a sweep with one
 injected poison cell (the quarantine record included), and the option
 strings of every CLI subcommand.
+
+Re-recorded on purpose since: ``journal_sha256`` for journal version 2
+(a CRC per record) and ``cli_options`` for the loss of
+``--chunk-timeout``.  The poisoned sweep now raises inside its cell, not
+at the start of the chunk holding it, and keeps its bytes.
 """
 
 import hashlib
@@ -18,19 +23,20 @@ import json
 import pathlib
 import re
 import tempfile
+import zlib
+from unittest import mock
 
 import pytest
 
 from repro.experiments import (
     ExperimentRunner,
-    PoolPolicy,
     SweepRunner,
     build_scenario,
-    fault_raise_on_cell,
     fork_available,
     quick_grid,
 )
 from repro.experiments.__main__ import build_parser
+import repro.experiments.runner as runner_module
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "experiment_pins.json"
 SEEDS = (0, 1)
@@ -51,12 +57,24 @@ def sweep_pin(jobs: int) -> str:
 
 
 def journal_pin() -> str:
-    """A serial run's journal, byte for byte, wall clock digits aside."""
+    """A serial run's journal, byte for byte, wall clock digits aside.
+
+    A record's CRC covers its wall clock: each line's CRC is checked
+    against the line, then recomputed, by the same rule, over the line
+    with the wall clock zeroed.
+    """
     with tempfile.TemporaryDirectory() as scratch:
         path = pathlib.Path(scratch) / "pins.journal.jsonl"
         SweepRunner(quick_grid(SEEDS), jobs=1).run("pins", journal_path=path)
-        text = path.read_text()
-    return _sha(re.sub(r'"wall_s":[^,}]+', '"wall_s":0', text))
+        lines = path.read_text().splitlines()
+    framed = []
+    for line in lines:
+        crc = re.search(r',"crc":(\d+)\}$', line)
+        body = line[: crc.start()] + "}"
+        assert zlib.crc32(body.encode()) == int(crc.group(1)), line
+        body = re.sub(r'"wall_s":[^,}]+', '"wall_s":0', body)
+        framed.append(f'{body[:-1]},"crc":{zlib.crc32(body.encode())}}}\n')
+    return _sha("".join(framed))
 
 
 def traced_sweep_pin(jobs: int) -> dict:
@@ -80,14 +98,18 @@ def batch_pin(jobs: int) -> dict:
 
 
 def poison_pin() -> str:
-    policy = PoolPolicy(
-        backoff_base_s=0.001,
-        backoff_cap_s=0.01,
-        fault_hook=fault_raise_on_cell(5, "injected poison cell"),
-    )
-    report = SweepRunner(
-        quick_grid(SEEDS), jobs=2, chunk_cells=2, policy=policy
-    ).run("pins")
+    """Cell 5 raises wherever it runs: the patch precedes the fork."""
+    grid = quick_grid(SEEDS)
+    victim = grid.scenario_at(5).name
+    real = runner_module.run_scenario_spec
+
+    def poisoned(spec, tracer=None):
+        if spec.name == victim:
+            raise RuntimeError("injected poison cell")
+        return real(spec, tracer)
+
+    with mock.patch.object(runner_module, "run_scenario_spec", poisoned):
+        report = SweepRunner(grid, jobs=2, chunk_cells=2).run("pins")
     assert [r.name for r in report.quarantined] == ["busy/base/none/seed1"]
     return _sha(report.deterministic_json())
 

@@ -9,6 +9,7 @@ loudly instead of quietly mixing experiments.
 
 import json
 import math
+import zlib
 
 import pytest
 
@@ -43,6 +44,12 @@ def tiny_grid(seeds=(0, 1), duration_s=1_800.0):
         ),
         duration_s=duration_s,
     )
+
+
+def framed(record: dict) -> str:
+    """A journal line by the version-2 rule: canonical JSON, then its CRC."""
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return f'{body[:-1]},"crc":{zlib.crc32(body.encode())}}}\n'
 
 
 def journal_lines(path):
@@ -127,18 +134,66 @@ class TestJournalFile:
         with pytest.raises(FormatError, match="corrupt"):
             load_journal(path)
 
+    def test_every_line_carries_the_crc_of_its_canonical_bytes(self, tmp_path):
+        path = tmp_path / "run.journal.jsonl"
+        SweepRunner(tiny_grid(), jobs=1).run(journal_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + len(tiny_grid())
+        for line in lines:
+            record = json.loads(line)
+            crc = record.pop("crc")
+            assert framed(record) == line
+            assert isinstance(crc, int)
+
+    @pytest.mark.parametrize("line", [0, 1, -1])
+    def test_a_mismatched_crc_refused(self, tmp_path, line):
+        """A digit of the CRC itself changed: the line still parses, its
+        bytes no longer match."""
+        path = tmp_path / "run.journal.jsonl"
+        SweepRunner(tiny_grid(), jobs=1).run(journal_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[line])
+        lines[line] = lines[line].replace(
+            f'"crc":{record["crc"]}}}', f'"crc":{record["crc"] ^ 1}}}'
+        )
+        path.write_text("".join(lines))
+        with pytest.raises(FormatError, match="CRC does not match"):
+            load_journal(path)
+
+    @pytest.mark.parametrize("line", [0, 1, -1])
+    def test_a_line_without_its_crc_refused(self, tmp_path, line):
+        path = tmp_path / "run.journal.jsonl"
+        SweepRunner(tiny_grid(), jobs=1).run(journal_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[line])
+        del record["crc"]
+        lines[line] = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(FormatError, match="carries no CRC"):
+            load_journal(path)
+
     def test_non_journal_file_refused(self, tmp_path):
         path = tmp_path / "not-a-journal.jsonl"
         path.write_text('{"report": "sweep"}\n')
+        with pytest.raises(FormatError, match="carries no CRC"):
+            load_journal(path)
+        path.write_text(framed({"report": "sweep"}))
         with pytest.raises(FormatError, match="magic"):
             load_journal(path)
 
     def test_future_version_refused(self, tmp_path):
         path = tmp_path / "run.journal.jsonl"
-        path.write_text(
-            json.dumps({"magic": JOURNAL_MAGIC, "version": 99}) + "\n"
-        )
+        path.write_text(framed({"magic": JOURNAL_MAGIC, "version": 99}))
         with pytest.raises(FormatError, match="version"):
+            load_journal(path)
+
+    @pytest.mark.parametrize("frame", [lambda r: json.dumps(r) + "\n", framed])
+    def test_version_1_refused(self, tmp_path, frame):
+        """No reader for version 1 is kept: a journal is a crash-resume
+        artifact, not an archive."""
+        path = tmp_path / "run.journal.jsonl"
+        path.write_text(frame({"magic": JOURNAL_MAGIC, "version": 1}))
+        with pytest.raises(FormatError, match="CRC|version"):
             load_journal(path)
 
 

@@ -1,8 +1,8 @@
 """Platforms without the ``fork`` start method run inline — same bytes.
 
 The persistent pool needs ``fork``; where it is missing the runners take
-the ``jobs=1`` path instead of a second engine, so quarantine, progress
-and incident counters behave exactly as they do serially, while
+the ``jobs=1`` path instead of a second engine, so quarantine and
+progress behave exactly as they do serially, while
 ``run_chunked`` itself still refuses loudly.
 """
 
@@ -11,13 +11,7 @@ import pytest
 import repro.experiments.pool as pool_module
 import repro.experiments.runner as runner_module
 from repro.common.errors import ConfigError
-from repro.experiments import (
-    PoolStats,
-    SweepRunner,
-    fan_out,
-    quick_grid,
-    run_chunked,
-)
+from repro.experiments import SweepRunner, fan_out, quick_grid, run_chunked
 
 
 @pytest.fixture
@@ -37,14 +31,13 @@ def _square_or_raise(value):
     return value * value
 
 
-def _fan(jobs, stats, ticks):
+def _fan(jobs, ticks):
     return fan_out(
         list(range(6)),
         _square_or_raise,
         jobs=jobs,
         progress=lambda done, total: ticks.append((done, total)),
         on_item_failed=lambda index, detail: ("quarantined", index, detail),
-        stats=stats,
     )
 
 
@@ -57,12 +50,10 @@ def test_sweep_runner_equals_serial(no_fork):
 
 
 def test_fan_out_equals_serial_quarantine_included(no_fork):
-    serial_stats, serial_ticks = PoolStats(), []
-    serial = _fan(1, serial_stats, serial_ticks)
-    stats, ticks = PoolStats(), []
-    assert _fan(3, stats, ticks) == serial
+    serial_ticks, ticks = [], []
+    serial = _fan(1, serial_ticks)
+    assert _fan(3, ticks) == serial
     assert serial[3] == ("quarantined", 3, "ValueError: poison")
-    assert stats == serial_stats and stats.quarantined_cells == 1
     assert ticks == serial_ticks == [(done, 6) for done in range(1, 7)]
 
 

@@ -5,15 +5,17 @@ finished chunk's values to its caller once, is *invisible* in every
 artifact — serial, any ``jobs``, and any chunk size produce
 byte-identical sweep reports, experiment reports, and merged traces —
 while failure modes (a worker dying mid-chunk, an exception inside a
-cell) surface loudly instead of hanging the drain loop.  (The self-healing behaviors layered on top —
-requeue, bisection, quarantine, resume — live in
-``test_fault_tolerance.py``; here we pin the legacy fail-fast
-semantics callers get when no quarantine hook is installed.)
+cell) surface loudly instead of hanging the drain loop.  A cell that
+raises is caught where it ran and, with a quarantine hook, becomes a
+value like any other; a dead worker ends the batch naming its chunk.
+(Recovery — the journal and ``--resume`` — lives in
+``test_resume_contract.py`` and ``test_recovery.py``.)
 """
 
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -215,14 +217,6 @@ class ChunkLog:
         assert len(covered) == len(set(covered))
 
 
-def _fast_policy(fault_hook):
-    from repro.experiments import PoolPolicy
-
-    return PoolPolicy(
-        backoff_base_s=0.001, backoff_cap_s=0.01, fault_hook=fault_hook
-    )
-
-
 class TestChunkReports:
     """``on_chunk`` is where a caller makes finished work durable: every
     index that finishes is covered by exactly one range, inline and
@@ -261,79 +255,48 @@ class TestChunkReports:
             )
         assert log.reports == [(0, 4, [0, 1, 2, 3]), (4, 6, [4, 5])]
 
-    def test_inline_arm_never_covers_a_quarantined_index(self):
-        log, failed = ChunkLog(), []
-
-        def on_item_failed(index, detail):
-            # Called the moment the item is isolated: its finished
-            # predecessors have been reported, nothing after it has.
-            failed.append((index, detail, list(log.ranges)))
-            return None
-
-        results = fan_out(
-            list(range(8)),
-            _raise_on_three,
-            jobs=1,
-            chunk_size=4,
-            on_item_failed=on_item_failed,
-            on_chunk=log,
-        )
-        assert results == [0, 1, 2, None, 4, 5, 6, 7]
-        assert failed == [(3, "ValueError: cell 3 is poisoned", [(0, 3)])]
-        assert log.ranges == [(0, 3), (4, 8)]
-        log.assert_carries(results)
-
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("chunk_size", [1, 3, None])
-    def test_pooled_arm_covers_every_index_once_under_kill_and_requeue(
-        self, tmp_path, jobs, chunk_size
-    ):
-        from repro.experiments import PoolStats, fault_kill_on_cell
-
+    def test_a_quarantined_index_is_covered_like_any_other(self, jobs, chunk_size):
+        """The failed item's replacement is computed where it ran —
+        inside its worker when pooled — and travels with its chunk."""
         log = ChunkLog()
-        stats = PoolStats()
         results = fan_out(
             list(range(12)),
-            _square,
+            _raise_on_three,
             jobs=jobs,
             chunk_size=chunk_size,
-            policy=_fast_policy(
-                fault_kill_on_cell(5, once_marker=tmp_path / "died")
-            ),
-            stats=stats,
+            on_item_failed=lambda index, detail: ("quarantined", index, detail),
             on_chunk=log,
         )
-        assert results == [value * value for value in range(12)]
-        assert stats.requeues >= 1
+        poisoned = ("quarantined", 3, "ValueError: cell 3 is poisoned")
+        assert results == [poisoned if value == 3 else value for value in range(12)]
         covered = [i for start, stop in log.ranges for i in range(start, stop)]
         assert sorted(covered) == list(range(12))
         log.assert_carries(results)
 
     @pytest.mark.parametrize("jobs", [2, 3])
     @pytest.mark.parametrize("chunk_size", [1, 3, None])
-    def test_pooled_arm_never_covers_a_quarantined_index(self, jobs, chunk_size):
-        from repro.experiments import PoolStats, fault_kill_on_cell
-
+    def test_a_dead_worker_ends_the_batch_naming_its_chunk(self, jobs, chunk_size):
+        """Nothing is retried: the error names the range the dead worker
+        held, and only chunks that finished before it were reported."""
         log = ChunkLog()
-        stats = PoolStats()
-        results = fan_out(
-            list(range(12)),
-            _square,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            policy=_fast_policy(fault_kill_on_cell(5)),
-            on_item_failed=lambda index, detail: ("quarantined", index),
-            stats=stats,
-            on_chunk=log,
+        with pytest.raises(RuntimeError, match="died with exit code 3") as raised:
+            fan_out(
+                list(range(12)),
+                _die_on_five,
+                jobs=jobs,
+                chunk_size=chunk_size,
+                on_chunk=log,
+            )
+        start, stop = map(
+            int, re.search(r"items \[(\d+), (\d+)\)", str(raised.value)).groups()
         )
-        assert results == [
-            ("quarantined", 5) if value == 5 else value * value
-            for value in range(12)
-        ]
-        assert stats.quarantined_cells == 1
-        covered = [i for start, stop in log.ranges for i in range(start, stop)]
-        assert sorted(covered) == [i for i in range(12) if i != 5]
-        log.assert_carries(results)
+        assert start <= 5 < stop
+        assert "--resume" in str(raised.value)
+        for first, last, values in log.reports:
+            assert values == list(range(first, last))
+            assert not first <= 5 < last
 
 
 class TestPoolFailureModes:

@@ -1,21 +1,17 @@
-"""Chaos for the harness: the self-healing pool and crash-safe sweeps.
+"""How a sweep fails, and how it comes back.
 
-Three layers under test, driven by the pool's deterministic
-fault-injection hooks:
-
-* **requeue** — a worker killed mid-chunk is respawned, its chunk
-  retried, and the sweep completes byte-identical to a run that never
-  crashed (across job counts and seed sets);
-* **quarantine** — a cell that keeps killing or failing its worker is
-  bisected down, isolated, and reported as a quarantined
-  ``ScenarioResult`` instead of sinking the campaign — identically in
-  serial and pooled runs;
-* **resume** — a journaled sweep SIGKILL'd (or Ctrl-C'd) mid-run picks
-  up from its journal and produces a byte-identical report, proven
-  in-process and through the real CLI in a real subprocess.
+A cell that raises is quarantined where it ran — to the same record
+serially and pooled — or, fail-fast, re-raises its own exception.  A
+worker that dies ends the run with an error naming its chunk; nothing
+is retried.  The journal is the one way back: the finished cells are
+on disk, and ``--resume`` (or ``resume=True``) computes only the rest,
+to the bytes of a run that never failed.  Ctrl-C and a SIGKILL of the
+parent leave no worker behind.  The drawn version of the resume half
+is ``test_resume_contract.py``.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -26,18 +22,20 @@ import pytest
 
 from repro.common import report_from_json
 from repro.experiments import (
-    PoolPolicy,
     ScenarioGrid,
     SweepRunner,
-    fault_kill_on_cell,
-    fault_raise_on_cell,
     fork_available,
+    grid_from_json,
+    load_journal,
+    quick_grid,
 )
 import repro.experiments.runner as runner_module
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
 
+from .faults import kill_on_cell, raise_on_cells
+
 pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="the self-healing pool requires fork"
+    not fork_available(), reason="the pooled arms require fork"
 )
 
 
@@ -64,165 +62,59 @@ def chaos_grid(seeds=(0, 1, 2), duration_s=1_800.0):
     )
 
 
-def _stable_row(result):
-    """A result's deterministic fields (wall clock out, nan → None)."""
-    from repro.common.serialization import null_specials
-
-    row = null_specials(result.to_row())
-    row.pop("wall_s")
-    return row
-
-
-def fast_policy(**overrides):
-    """The default supervision knobs with test-speed backoff."""
-    overrides.setdefault("backoff_base_s", 0.001)
-    overrides.setdefault("backoff_cap_s", 0.01)
-    return PoolPolicy(**overrides)
-
-
-class TestWorkerCrashRecovery:
-    @pytest.mark.parametrize("jobs", [2, 3])
-    @pytest.mark.parametrize("seeds", [(0, 1, 2), (3, 4, 5)])
-    def test_transient_crash_retries_to_byte_identity(
-        self, tmp_path, jobs, seeds
-    ):
-        grid = chaos_grid(seeds=seeds)
-        clean = SweepRunner(grid, jobs=1).run(grid_name="chaos")
-        policy = fast_policy(
-            fault_hook=fault_kill_on_cell(
-                2, once_marker=tmp_path / f"died-{jobs}"
-            )
-        )
-        report = SweepRunner(
-            grid, jobs=jobs, chunk_cells=2, policy=policy
-        ).run(grid_name="chaos")
-        assert not report.quarantined
-        assert report.deterministic_json() == clean.deterministic_json()
-        # The crashed chunk was retried; whether by a respawned worker
-        # or a surviving sibling is a scheduling detail.
-        assert report.extras["fault_tolerance"]["requeues"] >= 1
-
-    def test_sole_worker_death_forces_a_respawn(self, tmp_path):
-        from repro.experiments import PoolStats, run_chunked
-
-        marker = tmp_path / "died"
-
-        def work(start, stop, cell_done):
-            if not marker.exists() and start <= 3 < stop:
-                marker.touch()
-                os._exit(9)
-            return list(range(start, stop))
-
-        stats = PoolStats()
-        completed = []
-        run_chunked(
-            work,
-            8,
-            jobs=1,
-            chunk_size=2,
-            policy=fast_policy(),
-            stats=stats,
-            on_chunk=lambda start, stop, values: completed.append(
-                (start, stop, values)
-            ),
-        )
-        # One seat: only a respawn can finish the requeued chunk.
-        assert sorted(completed) == [
-            (0, 2, [0, 1]), (2, 4, [2, 3]), (4, 6, [4, 5]), (6, 8, [6, 7]),
-        ]
-        assert stats.respawns == 1
-        assert stats.requeues == 1
-
-    def test_crash_counters_stay_out_of_clean_runs(self):
-        grid = chaos_grid(seeds=(0, 1, 2))
-        report = SweepRunner(grid, jobs=2).run(grid_name="chaos")
-        assert "fault_tolerance" not in report.extras
-
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_persistent_worker_killer_quarantined(self, jobs):
-        grid = chaos_grid(seeds=(0, 1, 2))
-        policy = fast_policy(fault_hook=fault_kill_on_cell(1, exit_code=7))
-        report = SweepRunner(
-            grid, jobs=jobs, chunk_cells=3, policy=policy
-        ).run(grid_name="chaos")
-        assert [r.name for r in report.quarantined] == [grid.expand()[1].name]
-        poisoned = report.quarantined[0]
-        assert poisoned.error == "worker died with exit code 7"
-        assert poisoned.jobs_submitted == 0
-        # Every other cell still carries its real simulation result.
-        ok = [r for r in report.results if r.status == "ok"]
-        assert len(ok) == len(grid) - 1
-        clean = {
-            r.name: _stable_row(r)
-            for r in SweepRunner(grid, jobs=1).run(grid_name="chaos").results
-        }
-        assert all(_stable_row(r) == clean[r.name] for r in ok)
-        counters = report.extras["fault_tolerance"]
-        assert counters["quarantined_cells"] == 1
-        assert counters["bisections"] >= 1
-        assert report.metrics()["sweep.quarantined"] == 1.0
-        assert "quarantined: 1 poison cell" in report.render()
-
-    def test_quarantine_off_fails_fast(self):
-        grid = chaos_grid(seeds=(0, 1))
-        policy = fast_policy(fault_hook=fault_kill_on_cell(0, exit_code=5))
-        with pytest.raises(RuntimeError, match="poison cell 0"):
-            SweepRunner(
-                grid, jobs=2, chunk_cells=1, policy=policy, quarantine=False
-            ).run()
+class TestCellFailures:
+    def test_serial_and_pooled_quarantine_byte_identical(self):
+        grid = chaos_grid()
+        victim = grid.scenario_at(3).name
+        with raise_on_cells(victim, message="simulated scenario failure"):
+            serial = SweepRunner(grid, jobs=1).run(grid_name="chaos")
+            pooled = SweepRunner(grid, jobs=2, chunk_cells=2).run(grid_name="chaos")
+        assert [r.name for r in serial.quarantined] == [victim]
+        assert serial.quarantined[0].error == "RuntimeError: simulated scenario failure"
+        assert serial.quarantined[0].jobs_submitted == 0
+        assert serial.metrics()["sweep.quarantined"] == 1.0
+        assert "quarantined: 1 poison cell" in serial.render()
+        assert serial.deterministic_json() == pooled.deterministic_json()
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_in_cell_exception_quarantines_identically(self, jobs):
         grid = chaos_grid(seeds=(0, 1, 2))
-        policy = fast_policy(
-            fault_hook=fault_raise_on_cell(4, "injected poison cell")
-        )
-        report = SweepRunner(
-            grid, jobs=jobs, chunk_cells=2, policy=policy
-        ).run(grid_name="chaos")
-        assert [r.name for r in report.quarantined] == [grid.expand()[4].name]
-        assert "injected poison cell" in report.quarantined[0].error
-
-    def test_serial_and_pooled_quarantine_byte_identical(self, monkeypatch):
-        grid = chaos_grid(seeds=(0, 1, 2))
-        victim = grid.expand()[3].name
-        real = runner_module.run_scenario_spec
-
-        def flaky(spec, tracer=None):
-            if spec.name == victim:
-                raise ValueError("simulated scenario failure")
-            return real(spec, tracer)
-
-        monkeypatch.setattr(runner_module, "run_scenario_spec", flaky)
-        serial = SweepRunner(grid, jobs=1).run(grid_name="chaos")
-        pooled = SweepRunner(
-            grid, jobs=2, chunk_cells=2, policy=fast_policy()
-        ).run(grid_name="chaos")
-        assert [r.name for r in serial.quarantined] == [victim]
-        assert (
-            serial.quarantined[0].error
-            == "ValueError: simulated scenario failure"
-        )
-        assert serial.deterministic_json() == pooled.deterministic_json()
-
-    def test_chunk_timeout_quarantines_stuck_cell(self, monkeypatch):
-        grid = chaos_grid(seeds=(0, 1))
-        victim = grid.expand()[2].name
-        real = runner_module.run_scenario_spec
-
-        def stuck(spec, tracer=None):
-            if spec.name == victim:
-                time.sleep(60)
-            return real(spec, tracer)
-
-        monkeypatch.setattr(runner_module, "run_scenario_spec", stuck)
-        policy = fast_policy(max_chunk_retries=0, chunk_timeout_s=0.75)
-        report = SweepRunner(
-            grid, jobs=2, chunk_cells=1, policy=policy
-        ).run(grid_name="chaos")
+        victim = grid.scenario_at(4).name
+        with raise_on_cells(victim):
+            report = SweepRunner(grid, jobs=jobs, chunk_cells=2).run(
+                grid_name="chaos"
+            )
         assert [r.name for r in report.quarantined] == [victim]
-        assert report.quarantined[0].error == "chunk timed out after 0.75s"
-        assert report.extras["fault_tolerance"]["timeouts"] >= 1
+        assert report.quarantined[0].error == "RuntimeError: injected poison cell"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quarantine_off_reraises_the_cell_s_exception(self, jobs):
+        grid = chaos_grid(seeds=(0, 1))
+        with raise_on_cells(grid.scenario_at(1).name, message="poison"):
+            with pytest.raises(RuntimeError, match="^poison$"):
+                SweepRunner(grid, jobs=jobs, chunk_cells=1, quarantine=False).run()
+
+
+class TestWorkerDeath:
+    @pytest.mark.parametrize("chunk", [1, 2, None])
+    def test_names_its_chunk_and_the_journal_resumes(self, tmp_path, chunk):
+        grid = chaos_grid()
+        path = tmp_path / "run.journal.jsonl"
+        with kill_on_cell(grid.scenario_at(3).name, exit_code=7):
+            with pytest.raises(RuntimeError, match="died with exit code 7") as died:
+                SweepRunner(grid, jobs=2, chunk_cells=chunk).run(
+                    grid_name="chaos", journal_path=path
+                )
+        assert "while running items [" in str(died.value)
+        assert "--resume" in str(died.value)
+        assert multiprocessing.active_children() == []  # no orphan
+        journaled = [record["name"] for record in load_journal(path).records]
+        assert grid.scenario_at(3).name not in journaled
+        resumed = SweepRunner(grid, jobs=2, chunk_cells=chunk).run(
+            grid_name="chaos", journal_path=path, resume=True
+        )
+        clean = SweepRunner(grid, jobs=1).run(grid_name="chaos")
+        assert resumed.deterministic_json() == clean.deterministic_json()
 
 
 class TestJournaledResume:
@@ -242,22 +134,18 @@ class TestJournaledResume:
         resumed = SweepRunner(grid, jobs=jobs, chunk_cells=2).run(
             grid_name="chaos", journal_path=path, resume=True
         )
-        assert (
-            resumed.deterministic_json() == uninterrupted.deterministic_json()
-        )
+        assert resumed.deterministic_json() == uninterrupted.deterministic_json()
 
     def test_resume_does_not_retry_quarantined_cells(self, tmp_path):
         grid = chaos_grid(seeds=(0, 1))
         path = tmp_path / "run.journal.jsonl"
-        policy = fast_policy(
-            fault_hook=fault_raise_on_cell(1, "injected poison cell")
-        )
-        first = SweepRunner(grid, jobs=2, chunk_cells=1, policy=policy).run(
-            grid_name="chaos", journal_path=path
-        )
+        with raise_on_cells(grid.scenario_at(1).name):
+            first = SweepRunner(grid, jobs=2, chunk_cells=1).run(
+                grid_name="chaos", journal_path=path
+            )
         assert len(first.quarantined) == 1
-        # Resume WITHOUT the fault hook: if the poison cell were
-        # recomputed it would now succeed — it must restore instead.
+        # Resume without the fault: if the poison cell were recomputed
+        # it would now succeed — it must restore instead.
         resumed = SweepRunner(grid, jobs=1).run(
             grid_name="chaos", journal_path=path, resume=True
         )
@@ -273,8 +161,6 @@ class TestJournaledResume:
         """An interrupt (or, fail-fast, a raising cell) mid-batch: the
         cells that finished before it are durable, nothing else is, and
         the journal resumes to the uninterrupted bytes."""
-        from repro.experiments import load_journal
-
         grid = chaos_grid(seeds=(0, 1, 2))
         names = [spec.name for spec in grid.expand()]
         real = runner_module.run_scenario_spec
@@ -303,16 +189,10 @@ class TestJournaledResume:
         """``--no-quarantine --resume`` over a journal that holds a
         quarantined record: the flag governs cells this run computes,
         not what an earlier run already wrote down."""
-        from repro.experiments import quick_grid
-
         grid = quick_grid((0, 1))
         path = tmp_path / "run.journal.jsonl"
-        policy = fast_policy(
-            fault_hook=fault_raise_on_cell(1, "injected poison cell")
-        )
-        first = SweepRunner(grid, jobs=2, chunk_cells=1, policy=policy).run(
-            journal_path=path
-        )
+        with raise_on_cells("default/base/none/seed1"):
+            first = SweepRunner(grid, jobs=2, chunk_cells=1).run(journal_path=path)
         assert [r.name for r in first.quarantined] == ["default/base/none/seed1"]
         whole = path.read_text().splitlines(keepends=True)
         poisoned = next(line for line in whole if '"quarantined"' in line)
@@ -375,6 +255,17 @@ def _cli_env():
     return env
 
 
+def _wait_for_group_exit(pgid, timeout_s, what):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"worker processes survived {what}")
+
+
 class TestCrashRecoveryCli:
     def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
         journal = tmp_path / "run.journal.jsonl"
@@ -394,16 +285,8 @@ class TestCrashRecoveryCli:
             victim.wait()
         assert not out.exists() or victim.returncode == 0
         # Workers must notice the re-parenting and exit on their own —
-        # SIGKILL gave the supervisor no chance to terminate them.
-        deadline = time.monotonic() + 15
-        while time.monotonic() < deadline:
-            try:
-                os.killpg(victim.pid, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.1)
-        else:
-            raise AssertionError("worker processes survived parent SIGKILL")
+        # SIGKILL gave the parent no chance to terminate them.
+        _wait_for_group_exit(victim.pid, 15, "parent SIGKILL")
         # Resume the murdered sweep through the same CLI invocation.
         completed = subprocess.run(
             command, env=_cli_env(), capture_output=True, text=True
@@ -412,8 +295,6 @@ class TestCrashRecoveryCli:
         resumed = report_from_json(out.read_text())
         # Reference: the same grid, serial, never interrupted.
         grid_json = command[command.index("--grid") + 1]
-        from repro.experiments import grid_from_json
-
         reference = SweepRunner(grid_from_json(grid_json), jobs=1).run(
             grid_name="sweep"
         )
@@ -447,15 +328,7 @@ class TestCrashRecoveryCli:
         assert "resumable from" in stderr
         assert f"--resume {journal}" in stderr
         # No orphaned workers: the whole process group must be gone.
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            try:
-                os.killpg(victim.pid, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.05)
-        else:
-            raise AssertionError("worker processes survived SIGINT")
+        _wait_for_group_exit(victim.pid, 10, "SIGINT")
         # And the journal it left behind resumes to completion.
         completed = subprocess.run(
             command, env=_cli_env(), capture_output=True, text=True

@@ -158,21 +158,6 @@ class TestSweepReport:
         with pytest.raises(FormatError, match="scenario result"):
             SweepReport.from_json(text)
 
-    def test_merge_concatenates_seed_batches(self, report):
-        from repro.experiments import SweepRunner, quick_grid
-
-        other = SweepRunner(quick_grid((2,)), jobs=1).run(grid_name="rt")
-        total = len(report.results) + len(other.results)
-        merged = SweepReport.from_json(report.to_json()).merge(other)
-        assert len(merged.results) == total
-        names = [r.name for r in merged.results]
-        assert names == sorted(names)
-
-    def test_merge_rejects_rerun_scenarios(self, report):
-        clone = SweepReport.from_json(report.to_json())
-        with pytest.raises(Exception, match="re-running"):
-            clone.merge(report)
-
     def test_quarantined_result_round_trips(self):
         failed = ScenarioResult.blank(
             "cell/seed0",
@@ -213,7 +198,7 @@ class TestFailureReport:
         assert revived.metrics() == {"failure.scenarios": 1.0}
 
     def test_quarantined_experiment_entry_round_trips(self):
-        from repro.experiments import ExperimentRunner, PoolPolicy
+        from repro.experiments import ExperimentRunner
         import repro.experiments.runner as runner_module
 
         scenarios = [
@@ -227,9 +212,7 @@ class TestFailureReport:
                 raise ValueError("exploded")
             return real(scenario)
 
-        runner = ExperimentRunner(
-            scenarios, jobs=1, policy=PoolPolicy(), quarantine=True
-        )
+        runner = ExperimentRunner(scenarios, jobs=1, quarantine=True)
         original = runner_module.run_experiment
         runner_module.run_experiment = flaky
         try:
@@ -276,46 +259,3 @@ class TestOtherKinds:
         revived = assert_byte_identical_round_trip(report)
         assert revived.stall_fraction == report.stall_fraction
         assert revived.scaling_decisions == report.scaling_decisions
-
-
-def _sweep_with(name, extras):
-    result = ScenarioResult.blank(f"{name}/seed0", name, 0, wall_s=0.0)
-    return SweepReport(results=[result], extras=extras)
-
-
-def _experiment_with(name, extras):
-    from repro.experiments import ExperimentEntry, ExperimentReport, FailureReport
-
-    entry = ExperimentEntry(
-        name=name,
-        scenario_kind="fleet",
-        wall_s=0.0,
-        report=FailureReport(scenario=name, error="x"),
-    )
-    return ExperimentReport(entries=[entry], extras=extras)
-
-
-@pytest.mark.parametrize("make", (_sweep_with, _experiment_with))
-class TestMergedPoolIncidents:
-    """Merging reports adds the pool's incident counters key by key."""
-
-    def test_counters_sum(self, make):
-        a = make("a", {"fault_tolerance": {"requeues": 2, "respawns": 1}})
-        b = make("b", {"fault_tolerance": {"requeues": 1}, "note": "b"})
-        merged = a.merge(b)
-        assert merged.extras == {
-            "fault_tolerance": {"requeues": 3, "respawns": 1},
-            "note": "b",  # any other key: the later report's value
-        }
-        # The argument is left as it was.
-        assert b.extras["fault_tolerance"] == {"requeues": 1}
-
-    def test_one_side_without_the_block(self, make):
-        incidents = {"quarantined_cells": 1, "requeues": 2}
-        clean = make("a", {})
-        assert clean.merge(make("b", {"fault_tolerance": dict(incidents)})).extras == {
-            "fault_tolerance": incidents
-        }
-        noisy = make("c", {"fault_tolerance": dict(incidents)})
-        assert noisy.merge(make("d", {})).extras == {"fault_tolerance": incidents}
-        assert make("e", {}).merge(make("f", {})).extras == {}

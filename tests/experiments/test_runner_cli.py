@@ -60,14 +60,10 @@ class TestExperimentRunner:
         with pytest.raises(ConfigError):
             ExperimentRunner([])
 
-    def test_merge_and_metrics(self):
-        a = ExperimentRunner(mixed_batch(seeds=(0,)), jobs=1).run("a")
-        b = ExperimentRunner(mixed_batch(seeds=(1,)), jobs=1).run("b")
-        merged = a.merge(b)
-        assert merged.metrics()["experiments.scenarios"] == 6.0
-        assert merged.metrics()["experiments.scenarios.chaos"] == 2.0
-        with pytest.raises(ConfigError, match="re-running"):
-            merged.merge(b)
+    def test_metrics(self):
+        report = ExperimentRunner(mixed_batch(seeds=(0, 1)), jobs=1).run("a")
+        assert report.metrics()["experiments.scenarios"] == 6.0
+        assert report.metrics()["experiments.scenarios.chaos"] == 2.0
 
     def test_render_mentions_every_scenario(self):
         report = ExperimentRunner(mixed_batch(seeds=(0,)), jobs=1).run("mixed")

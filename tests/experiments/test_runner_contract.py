@@ -1,38 +1,39 @@
 """The runner's contract, held by generated damage and a naive oracle.
 
 Whatever happens to a campaign — its journal cut at any byte, a byte of
-it flipped, a pool worker killed at any cell under any fan-out width
-and chunk size — the runner either reproduces ``oracles.naive_sweep``
-byte for byte or refuses loudly; it never hands back a quietly
-different artifact.  The one damage class the frozen journal format
-cannot see (a flip inside a result row's values) is pinned here as a
-known gap, so the day a per-record checksum lands that test flips from
-"goes unnoticed" to "raises".
+it flipped, a pool worker killed at any cell, any fan-out width and
+chunk size — the runner either
+reproduces ``oracles.naive_sweep`` byte for byte or refuses loudly; it
+never hands back a quietly different artifact.  Since journal version
+2 carries a CRC per record, that includes a flip inside a result row's
+values, which version 1 restored as written.  The drawn version of the
+same contract, over poisoned cells and stale journals too, is
+``test_resume_contract.py``.
 """
 
 import dataclasses
+import multiprocessing
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos.faults import FaultEvent, FaultKind
-from repro.common.errors import ConfigError, FormatError
+from repro.common.errors import FormatError
 from repro.common.serialization import dump_json, null_specials
 from repro.experiments import (
     ExperimentRunner,
-    PoolPolicy,
     RunJournal,
     ScenarioGrid,
     SweepRunner,
     build_scenario,
-    fault_kill_on_cell,
     fork_available,
     list_scenarios,
     load_journal,
 )
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
 
+from .faults import kill_on_cell
 from .oracles import naive_batch, naive_expand, naive_sweep
 
 pytestmark = pytest.mark.skipif(
@@ -48,7 +49,6 @@ MIXES = {
     "default": FleetMix(),
     "busy": FleetMix(exploratory_per_day=96.0, burst_probability=0.4),
 }
-FAST = PoolPolicy(backoff_base_s=0.001, backoff_cap_s=0.01)
 
 
 def contract_grid(seeds=(0, 1), mixes=("default",), faults=("none", "storm")):
@@ -84,7 +84,7 @@ def written_journal(grid, path) -> bytes:
 
 def resumed(grid, path, data: bytes, jobs: int = 1) -> str:
     path.write_bytes(data)
-    report = SweepRunner(grid, jobs=jobs, policy=FAST).run(
+    report = SweepRunner(grid, jobs=jobs).run(
         "contract", journal_path=path, resume=True
     )
     return report.deterministic_json()
@@ -142,24 +142,6 @@ class TestTruncatedJournal:
 # -- (b) one byte flipped ------------------------------------------------------
 
 
-def result_value_offsets(whole: bytes) -> set[int]:
-    """Offsets inside the *values* of each record's ``result`` row —
-    digits, and the characters between a string's quotes."""
-    inside: set[int] = set()
-    for record in re.finditer(rb'"result":\{([^}]*)\}', whole):
-        for value in re.finditer(
-            rb'"[a-z0-9_]+":(?:"([^"]*)"|([^,"]+))', record.group(1)
-        ):
-            group = 1 if value.group(1) is not None else 2
-            inside |= set(
-                range(
-                    record.start(1) + value.start(group),
-                    record.start(1) + value.end(group),
-                )
-            )
-    return inside
-
-
 def rows_of(restored: dict) -> dict[int, str]:
     return {
         index: dump_json(null_specials(result.to_row()))
@@ -179,14 +161,13 @@ class TestFlippedByte:
         return grid, path, whole, rows_of(restored)
 
     def test_a_flip_raises_or_restores_the_same_rows(self, case):
-        """Every byte of the file, low bit flipped.  Outside the result
-        rows' values — the header, a record's name and spec hash, every
-        key, quote, colon, comma, brace and newline — the journal either
-        refuses or restores rows identical to the undamaged file's
-        (fewer is fine: a dropped record recomputes), which by the
-        truncation suite resumes to the oracle's bytes."""
+        """Every byte of the file, low bit flipped: the header, every
+        key, value, quote, colon, comma, brace, CRC digit and newline.
+        The journal either refuses with a ``FormatError`` or restores
+        rows identical to the undamaged file's (fewer is fine: the last
+        newline flipped reads as a torn tail, whose record recomputes),
+        which by the truncation suite resumes to the oracle's bytes."""
         grid, path, whole, baseline = case
-        unprotected = result_value_offsets(whole)
         unnoticed = set()
         for offset in range(len(whole)):
             damaged = bytearray(whole)
@@ -196,7 +177,7 @@ class TestFlippedByte:
                 journal, restored = RunJournal.resume_or_create(
                     path, grid, "contract"
                 )
-            except (ConfigError, FormatError):
+            except FormatError:
                 continue
             journal.close()
             if any(
@@ -204,72 +185,88 @@ class TestFlippedByte:
                 for index, row in rows_of(restored).items()
             ):
                 unnoticed.add(offset)
-        assert unnoticed <= unprotected, sorted(unnoticed - unprotected)[:10]
-        # The known gap is real, not vacuous: see the next test.
-        assert unnoticed
+        assert not unnoticed, sorted(unnoticed)[:10]
 
-    def test_known_gap_a_flipped_metric_digit_goes_unnoticed(self, case):
-        """Journal VERSION 1 has no per-record checksum: one digit of
-        ``jobs_submitted`` changed, the resume succeeds, the report
-        differs.  ``journal.py``'s docstring lists this under what the
-        journal does not protect against."""
+    def test_a_flipped_metric_digit_raises(self, case):
+        """One digit of ``jobs_submitted`` changed: version 1 restored it
+        and the resumed report differed; version 2's CRC refuses it."""
         grid, path, whole, _ = case
         digit = re.search(rb'"jobs_submitted":(\d)', whole).start(1)
         damaged = bytearray(whole)
         damaged[digit] ^= 0x01
-        expected = naive_sweep(grid, "contract").deterministic_json()
-        assert resumed(grid, path, bytes(damaged)) != expected
+        with pytest.raises(FormatError, match="CRC does not match"):
+            resumed(grid, path, bytes(damaged))
 
 
 # -- (c) a pool worker killed at every cell ------------------------------------
 
 
-def stable_row(result) -> str:
-    return dump_json(null_specials(dataclasses.replace(result, wall_s=0.0).to_row()))
-
-
 class TestWorkerKilledAtEveryCell:
+    """A worker that dies mid-cell (``os._exit``, as a segfault or an OOM
+    kill ends it) is not retried: the run stops naming the chunk the
+    worker held, keeps every chunk journaled before it, and a resume
+    computes the rest."""
+
     GRID = contract_grid(seeds=(0, 1, 2))  # six cells
 
     @pytest.fixture(scope="class")
     def oracle(self):
         return naive_sweep(self.GRID, "contract")
 
+    def killed_run(self, path, cell, jobs, chunk, resume=False) -> str:
+        """Run (or resume) with cell *cell* killing its worker; return
+        the error, after checking that no worker outlived it."""
+        with kill_on_cell(self.GRID.scenario_at(cell).name, exit_code=7):
+            with pytest.raises(RuntimeError, match="died with exit code 7") as died:
+                SweepRunner(self.GRID, jobs=jobs, chunk_cells=chunk).run(
+                    "contract", journal_path=path, resume=resume
+                )
+        assert multiprocessing.active_children() == [], cell
+        assert "--resume <journal>" in str(died.value), cell
+        return str(died.value)
+
+    def journaled(self, path) -> list[str]:
+        return [record["name"] for record in load_journal(path).records]
+
     @pytest.mark.parametrize("chunk", [1, 2, None])
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_killed_once_equals_the_oracle(self, tmp_path, oracle, jobs, chunk):
         for cell in range(len(self.GRID)):
-            policy = dataclasses.replace(
-                FAST,
-                fault_hook=fault_kill_on_cell(
-                    cell, once_marker=tmp_path / f"died-{cell}"
-                ),
+            path = tmp_path / f"killed-{cell}.journal.jsonl"
+            error = self.killed_run(path, cell, jobs, chunk)
+            # A fresh run's fan-out positions are the grid's cell indices.
+            start, stop = map(
+                int, re.search(r"while running items \[(\d+), (\d+)\)", error).groups()
             )
-            report = SweepRunner(
-                self.GRID, jobs=jobs, chunk_cells=chunk, policy=policy
-            ).run("contract")
+            assert start <= cell < stop, (cell, error)
+            assert self.GRID.scenario_at(cell).name not in self.journaled(path)
+            report = SweepRunner(self.GRID, jobs=jobs, chunk_cells=chunk).run(
+                "contract", journal_path=path, resume=True
+            )
             assert report.deterministic_json() == oracle.deterministic_json(), cell
-            assert report.extras["fault_tolerance"]["requeues"] >= 1, cell
 
     @pytest.mark.parametrize("chunk", [1, 2, None])
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_killed_every_time_quarantines_that_cell_alone(
-        self, oracle, jobs, chunk
+    def test_killed_every_time_stops_each_resume_and_loses_nothing(
+        self, tmp_path, oracle, jobs, chunk
     ):
-        expected = {r.name: stable_row(r) for r in oracle.results}
         for cell in range(len(self.GRID)):
-            policy = dataclasses.replace(
-                FAST, fault_hook=fault_kill_on_cell(cell, exit_code=7)
+            path = tmp_path / f"killer-{cell}.journal.jsonl"
+            self.killed_run(path, cell, jobs, chunk)
+            first = self.journaled(path)
+            # The resume meets the same cell and dies the same way; what
+            # the first run journaled is still there.  (A resume left
+            # with one cell runs it inline, where the kill would end
+            # this process: only a pooled resume can be killed here.)
+            if len(self.GRID) - len(first) > 1:
+                self.killed_run(path, cell, jobs, chunk, resume=True)
+            second = self.journaled(path)
+            assert set(first) <= set(second), cell
+            assert self.GRID.scenario_at(cell).name not in second, cell
+            report = SweepRunner(self.GRID, jobs=jobs, chunk_cells=chunk).run(
+                "contract", journal_path=path, resume=True
             )
-            report = SweepRunner(
-                self.GRID, jobs=jobs, chunk_cells=chunk, policy=policy
-            ).run("contract")
-            victim = self.GRID.scenario_at(cell).name
-            assert [r.name for r in report.quarantined] == [victim], cell
-            assert report.quarantined[0].error == "worker died with exit code 7"
-            for result in report.results:
-                if result.name != victim:
-                    assert stable_row(result) == expected[result.name], cell
+            assert report.deterministic_json() == oracle.deterministic_json(), cell
 
 
 # -- (d) drawn grids and drawn batches -----------------------------------------

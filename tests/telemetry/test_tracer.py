@@ -94,12 +94,12 @@ class TestIdentity:
         assert Tracer("cell/a", seed=1).run_id != Tracer("cell/a", seed=2).run_id
         assert Tracer("cell/a", seed=1).run_id != Tracer("cell/b", seed=1).run_id
 
-    def test_null_tracer_is_inert_and_shared(self):
-        NULL_TRACER.begin("x")
-        NULL_TRACER.end()
-        NULL_TRACER.instant("y", k=1)
-        NULL_TRACER.counter("a.b", 1.0)
+    def test_null_tracer_refuses_unguarded_events(self):
+        """Every event site checks ``tracer.enabled`` first; one that
+        forgets fails here instead of recording nothing."""
         assert NULL_TRACER.enabled is False
+        for method in ("begin", "end", "instant", "counter"):
+            assert not hasattr(NULL_TRACER, method), method
 
 
 class TestTraceReport:

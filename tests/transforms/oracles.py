@@ -180,3 +180,22 @@ def ngram_hash_int(window: list[int]) -> int:
     for value in window:
         mixed = splitmix64_int((mixed * 31 + value) & MASK64)
     return mixed >> 1
+
+
+# -- the per-row set loop ``IdListTransform.apply`` shipped before its
+# -- sort + searchsorted form, moved here verbatim (only `self.` removed) --
+
+
+def idlist_per_row(left: SparseColumn, right: SparseColumn) -> SparseColumn:
+    """``IdListTransform.apply`` with one Python set per row."""
+    lists = []
+    for i in range(len(left)):
+        right_set = set(map(int, right.row(i)))
+        seen: set[int] = set()
+        intersection = []
+        for v in map(int, left.row(i)):
+            if v in right_set and v not in seen:
+                intersection.append(v)
+                seen.add(v)
+        lists.append(intersection)
+    return SparseColumn.from_lists(lists)

@@ -1,6 +1,7 @@
 """Differential tests: the vectorized ops against their per-row oracles."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.transforms import (
@@ -9,6 +10,7 @@ from repro.transforms import (
     Enumerate,
     FeatureBatch,
     FirstX,
+    IdListTransform,
     MapId,
     NGram,
     Onehot,
@@ -23,6 +25,7 @@ from .oracles import (
     buckets_from_lists,
     enumerate_per_row,
     firstx_per_row,
+    idlist_per_row,
     map_id_per_element,
     ngram_gather_per_position,
     ngram_hash_int,
@@ -88,6 +91,66 @@ TABLE_SIZES = [1, 2, 3, 1_000_000, 2**31, 2**62]
 
 def ragged_lists(max_rows=8, max_len=6, elements=edge_ids):
     return st.lists(st.lists(elements, max_size=max_len), max_size=max_rows)
+
+
+@st.composite
+def id_list_pairs(draw):
+    """Two sparse columns over the same rows whose IDs come from one small
+    drawn pool of edge IDs: duplicates within a row on either side,
+    shared IDs across sides and rows, empty rows and the zero-row
+    batch."""
+    pool = draw(st.lists(edge_ids, min_size=1, max_size=5, unique=True))
+    n_rows = draw(st.integers(0, 8))
+    row = st.lists(st.sampled_from(pool), max_size=7)
+    left = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    right = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    return SparseColumn.from_lists(left), SparseColumn.from_lists(right)
+
+
+class TestIdListTransform:
+    @given(pair=id_list_pairs())
+    def test_matches_per_row_set_loop(self, pair):
+        left, right = pair
+        batch = FeatureBatch(labels=np.zeros(len(left), dtype=np.float32))
+        batch.add_column(1, left)
+        batch.add_column(2, right)
+        result = IdListTransform(1, 2).apply(batch)
+        assert_same_column(result, idlist_per_row(left, right))
+
+    # Hand-written expectations, independent of the oracle: each row
+    # keeps the left IDs its right list holds, once, in left order.
+    @pytest.mark.parametrize(
+        "left, right, expected",
+        [
+            ([[3, 1, 3, 2]], [[2, 3]], [[3, 2]]),
+            ([[5, 5, 5], [6]], [[5, 5], [6, 6]], [[5], [6]]),
+            ([[], [1], []], [[1], [], []], [[], [], []]),
+            ([[1, 2], [3]], [[3], [1, 2]], [[], []]),
+            ([[-1, -2, -1, 7]], [[-2, -1]], [[-1, -2]]),
+            (
+                [[2**63 - 1, 0, -(2**63), 2**63 - 1]],
+                [[-(2**63), 2**63 - 1]],
+                [[2**63 - 1, -(2**63)]],
+            ),
+            ([], [], []),
+        ],
+        ids=[
+            "first-occurrence-order",
+            "duplicates-both-sides",
+            "empty-rows",
+            "rows-never-mix",
+            "negative-ids",
+            "int64-extremes",
+            "no-rows",
+        ],
+    )
+    def test_pinned_cases(self, left, right, expected):
+        batch = FeatureBatch(labels=np.zeros(len(left), dtype=np.float32))
+        batch.add_column(1, SparseColumn.from_lists(left))
+        batch.add_column(2, SparseColumn.from_lists(right))
+        result = IdListTransform(1, 2).apply(batch)
+        assert [list(map(int, result.row(i))) for i in range(len(left))] == expected
+        assert_same_column(result, SparseColumn.from_lists(expected))
 
 
 class TestNGram:
