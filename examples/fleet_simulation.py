@@ -6,7 +6,8 @@ Runs the same region twice on the discrete-event fleet plane:
    DPP worker pool to itself;
 2. a *contended* fleet of 10 concurrent jobs (a mix of RM1/RM2/RM3
    exploratory, combo, and release-candidate work) arbitrated by the
-   StorageBroker and the GlobalDppAllocator on one SimClock.
+   StorageBroker and the shared worker-pool allocation round on one
+   SimClock.
 
 The FleetReport shows per-job throughput degrading under contention —
 the paper's core argument for provisioning storage and ingestion
@@ -20,11 +21,10 @@ from repro.fleet import (
     FleetConfig,
     FleetJobSpec,
     FleetMix,
-    FleetScenario,
+    FleetSimulator,
     JobGenerator,
     PoolConfig,
     StorageFabric,
-    run_scenario,
 )
 from repro.workloads.models import RM1, RM2, RM3
 
@@ -61,13 +61,9 @@ def main() -> None:
     )
 
     # -- baseline: one job owns the region --------------------------------
-    baseline = run_scenario(
-        FleetScenario(
-            name="baseline",
-            config=config,
-            jobs=(job(0, RM1, JobKind.EXPLORATORY, 0.0, 2, 2.0),),
-        )
-    )
+    baseline = FleetSimulator(
+        config, [job(0, RM1, JobKind.EXPLORATORY, 0.0, 2, 2.0)]
+    ).run()
     print(baseline.render("Baseline: single RM1 job, uncontended"))
     solo_throughput = baseline.throughput_by_job()[0]
 
@@ -79,9 +75,7 @@ def main() -> None:
         + [job(8, RM1, JobKind.COMBO, 600.0, 8, 3.0)]
         + [job(9, RM2, JobKind.RELEASE_CANDIDATE, 600.0, 8, 3.0)]
     )
-    contended = run_scenario(
-        FleetScenario(name="contended", config=config, jobs=tuple(mixed))
-    )
+    contended = FleetSimulator(config, mixed).run()
     print()
     print(contended.render("Contended: 10 concurrent jobs, shared fabric"))
 
@@ -119,10 +113,7 @@ def main() -> None:
         ),
         seed=11,
     ).generate(12 * 3600.0)
-    diurnal = run_scenario(
-        FleetScenario(name="diurnal", config=config, jobs=tuple(trace)),
-        horizon_s=24 * 3600.0,
-    )
+    diurnal = FleetSimulator(config, trace).run(horizon_s=24 * 3600.0)
     print(
         f"\ndiurnal trace: {len(trace)} arrivals over 12h -> "
         f"{diurnal.jobs_completed} completed in 24h, "

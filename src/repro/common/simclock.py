@@ -108,10 +108,12 @@ class PeriodicHandle:
         self._periodic = periodic
 
     def cancel(self) -> None:
-        """Stop the recurrence; the pending occurrence never fires."""
+        """Stop the recurrence; the pending occurrence never fires, and
+        the callback is released."""
         periodic = self._periodic
         periodic.stopped = True
         periodic.next_time = _INF
+        periodic.callback = None
         registry = self._clock._periodics
         if periodic in registry:
             registry.remove(periodic)

@@ -109,8 +109,7 @@ class ScenarioResult:
     @classmethod
     def from_row(cls, row: dict) -> "ScenarioResult":
         # status / error (the only defaulted fields) are optional so
-        # pre-quarantine artifacts (and journals written before this
-        # schema) still revive.
+        # pre-quarantine report artifacts still revive.
         return record_from_row(cls, row, "sweep scenario result", optional=True)
 
 

@@ -3,20 +3,19 @@
 The paper's fleet-wide thesis — storage, preprocessing, and power must
 be provisioned for *many concurrent jobs*, not one — made executable:
 trace-driven job arrivals (:mod:`jobs`), a shared-storage bandwidth and
-cache broker (:mod:`broker`), a cross-job DPP worker-pool allocator
-under power budgets (:mod:`allocator`), and a discrete-event simulator
-tying them together on one clock (:mod:`simulator`) with fleet-level
-reporting (:mod:`report`).
+cache broker (:mod:`broker`), a cross-job DPP worker-pool allocation
+round under power budgets (:mod:`allocator`), and a discrete-event
+simulator tying them together on one clock (:mod:`simulator`) with
+fleet-level reporting (:mod:`report`).
 """
 
-from .allocator import AllocationRound, FleetPowerBudget, GlobalDppAllocator, PoolConfig
+from .allocator import FleetPowerBudget, PoolConfig
 from .broker import StorageBroker, StorageFabric, max_min_share
 from .jobs import DAY_S, FleetJobSpec, FleetMix, JobGenerator, from_release_iteration
 from .report import FleetReport, FleetSample, JobOutcome
-from .simulator import FleetConfig, FleetScenario, FleetSimulator, run_scenario
+from .simulator import FleetConfig, FleetSimulator
 
 __all__ = [
-    "AllocationRound",
     "DAY_S",
     "FleetConfig",
     "FleetJobSpec",
@@ -24,9 +23,7 @@ __all__ = [
     "FleetPowerBudget",
     "FleetReport",
     "FleetSample",
-    "FleetScenario",
     "FleetSimulator",
-    "GlobalDppAllocator",
     "JobGenerator",
     "JobOutcome",
     "PoolConfig",
@@ -34,5 +31,4 @@ __all__ = [
     "StorageFabric",
     "from_release_iteration",
     "max_min_share",
-    "run_scenario",
 ]

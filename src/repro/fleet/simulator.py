@@ -13,8 +13,9 @@ simulation on a single :class:`~repro.common.simclock.SimClock`:
   shared Tectonic bandwidth and cache across sessions, capping each
   job's achievable rate;
 * every control period each job's autoscaling controller proposes a
-  fleet size and the :class:`~repro.fleet.allocator.GlobalDppAllocator`
-  arbitrates all proposals against one power-bounded worker pool.
+  fleet size and :func:`~repro.fleet.allocator.allocate` arbitrates all
+  proposals against one power-bounded worker pool; the round keeps no
+  history, only a memo of the last round's grants.
 
 The tick dynamics are one coalesced scalar pass over per-epoch column
 lists (demand declaration, grant application, consumption, stall
@@ -51,13 +52,7 @@ from ..dpp.analytical import worker_throughput
 from ..telemetry.tracer import NULL_TRACER, Tracer
 from ..dpp.autoscaler import AutoscalerConfig, scaling_decision
 from ..workloads.hardware import V100_TRAINER, TrainerNodeSpec
-from .allocator import (
-    KIND_PRIORITY,
-    AllocationRound,
-    FleetPowerBudget,
-    GlobalDppAllocator,
-    PoolConfig,
-)
+from .allocator import KIND_PRIORITY, FleetPowerBudget, PoolConfig, allocate
 from .broker import StorageBroker, StorageFabric
 from .jobs import FleetJobSpec
 from .report import FleetReport, FleetSample, JobOutcome, reduce_run
@@ -271,7 +266,7 @@ class FleetSimulator:
         self.config = config
         self.clock = clock or SimClock()
         self.broker = StorageBroker(config.fabric)
-        # One budget object serves both the allocator's worker cap
+        # One budget object serves both the control round's pool cap
         # (when configured) and the per-tick power accounting; an
         # unbudgeted fleet still meters its draw against an unbounded
         # budget so the report's power trace uses one formula.
@@ -282,7 +277,6 @@ class FleetSimulator:
             trainer_node_watts=config.trainer_node.total_watts,
             worker_node_watts=config.pool.worker_node.watts,
         )
-        self.allocator = GlobalDppAllocator(config.pool, self._budget)
         self.jobs = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
         self._pending_arrivals = len(self.jobs)
         self._queue: list[FleetJobSpec] = []
@@ -297,11 +291,10 @@ class FleetSimulator:
         self._fabric_bandwidth = config.fabric.total_bandwidth
         # Tick-loop constant hoisted out of the per-event path.
         self._tick_s = config.tick_s
-        # Last allocation round memo: steady-state control periods
-        # re-present identical (rows, active_trainers) asks, and the
-        # water-fill is pure in them — replay the grants, still
-        # recording the round for the allocator's history.
-        self._alloc_cache: tuple[list, int, dict[int, int], int] | None = None
+        # Last allocation round memo, (pool, rows, granted): steady-state
+        # control periods re-present identical asks against the same
+        # pool, and the water-fill is pure in them — replay the grants.
+        self._alloc_cache: tuple[int, list, dict[int, int]] | None = None
         # Fleet-wide worker totals, maintained at every mutation point
         # (launch, maturation, shed, crash, finish) so the per-tick
         # sample is O(1) instead of a sum over active jobs.
@@ -419,8 +412,8 @@ class FleetSimulator:
         if not (self._active or self._queue or self._pending_arrivals):
             # The fleet is done: stop the tick periodic (the control
             # periodic cancels itself from its own wrapper, preserving
-            # the old chains' one-stale-round behavior on shared
-            # clocks).
+            # the old chains' one stale round inside a horizon, or at
+            # the end of the drive).
             handle = self._tick_handle
             if handle is not None:
                 handle.cancel()
@@ -432,8 +425,8 @@ class FleetSimulator:
 
         Returns how many actually died.  Workers are stateless, so the
         job loses rate, not data; its controller re-requests and the
-        global allocator re-grants at the next control period.  A job
-        not currently active absorbs nothing.
+        next control round re-grants.  A job not currently active
+        absorbs nothing.
         """
         if count < 1:
             raise ConfigError("must crash at least one worker")
@@ -465,7 +458,7 @@ class FleetSimulator:
     # -- control loop ---------------------------------------------------------
 
     def _control(self) -> None:
-        """Per-job autoscalers propose; the global allocator disposes.
+        """Per-job autoscalers propose; :func:`allocate` disposes.
 
         The proposal pass reads the fluid state straight from the
         epoch's columns (building them first when the round opens the
@@ -474,26 +467,19 @@ class FleetSimulator:
         state maps onto the rule's inputs as whole buffered *seconds of
         demand* for buffered batches and achieved rate over worker
         capacity for CPU utilization (the rule only compares it with a
-        threshold below 1, so a rate above capacity needs no clamp).
+        threshold below 1, so a rate above capacity needs no clamp).  The
+        pool is :attr:`PoolConfig.max_workers`, capped by the power
+        budget's :meth:`~FleetPowerBudget.worker_cap` when one is set.
 
         During a steady stretch whose previous control round was a
         fixed point (cache hit *and* every grant a no-op), the whole
         round is provably identical — the controller inputs are
         constant and the cached rows equalling this round's rows means
         ``requested`` maps to itself under the policy, so it stays
-        fixed inductively.  Such rounds collapse to appending the
-        cached allocation record.
+        fixed inductively.  Such rounds do nothing.
         """
         stretch = self._stretch
         if stretch is not None and stretch.control_steady:
-            cache = self._alloc_cache
-            self.allocator.rounds.append(
-                AllocationRound(
-                    time_s=self.clock.now,
-                    pool_limit=cache[3],
-                    granted=dict(cache[2]),
-                )
-            )
             return
         static = self._static
         if static is None:
@@ -526,34 +512,20 @@ class FleetSimulator:
                 requested = 1
             job.requested = requested
             append((job.priority, job.spec.job_id, requested, 1))
-        active_trainers = self.config.n_trainer_nodes - self._free_trainers
+        pool = self.config.pool.max_workers
+        if self._budget is not None:
+            active_trainers = self.config.n_trainer_nodes - self._free_trainers
+            pool = min(pool, self._budget.worker_cap(active_trainers))
         cache = self._alloc_cache
-        hit = (
-            cache is not None
-            and cache[1] == active_trainers
-            and cache[0] == rows
-        )
+        hit = cache is not None and cache[0] == pool and cache[1] == rows
         if hit:
-            # Steady state: the same asks against the same pool.  The
-            # water-fill is pure in (rows, pool_limit), so replay the
-            # grants — still appending a round, because the allocation
-            # history is part of the observable report surface.
-            granted = dict(cache[2])
-            self.allocator.rounds.append(
-                AllocationRound(
-                    time_s=self.clock.now, pool_limit=cache[3], granted=granted
-                )
-            )
+            # Steady state: the same asks against the same pool, and the
+            # water-fill is pure in them — replay the grants, which this
+            # round only reads.
+            granted = cache[2]
         else:
-            granted = self.allocator.allocate(
-                rows, active_trainers, self.clock.now
-            )
-            self._alloc_cache = (
-                rows,
-                active_trainers,
-                dict(granted),
-                self.allocator.rounds[-1].pool_limit,
-            )
+            granted = allocate(rows, pool)
+            self._alloc_cache = (pool, rows, granted)
         changed = False
         for index, job in enumerate(jobs):
             target = granted.get(job.spec.job_id, 0)
@@ -991,7 +963,9 @@ class FleetSimulator:
         Without a horizon the clock is stepped only while fleet work
         remains: on a shared clock, foreign events interleave up to the
         last job's completion but anything beyond stays on the heap for
-        the external driver.
+        the external driver.  A fleet with no work left cancels its
+        control recurrence, so the clock keeps no recurrence of it and a
+        finished simulator is freed without the cycle collector.
         """
         if not self._chains_started:
             self.schedule()
@@ -1006,6 +980,8 @@ class FleetSimulator:
                     f"fleet exceeded {max_events} events (starved jobs "
                     "never finish; pass horizon_s to bound such runs)"
                 )
+        if not self._work_remaining():
+            self._control_handle.cancel()
 
     def run(
         self, horizon_s: float | None = None, max_events: int = 5_000_000
@@ -1071,22 +1047,3 @@ class FleetSimulator:
             # from the queue-delay tail.
             unadmitted_queue_delays_s=unadmitted,
         )
-
-
-@dataclass(frozen=True)
-class FleetScenario:
-    """A named, reproducible fleet experiment."""
-
-    name: str
-    config: FleetConfig
-    jobs: tuple[FleetJobSpec, ...]
-
-
-def run_scenario(
-    scenario: FleetScenario,
-    horizon_s: float | None = None,
-    clock: SimClock | None = None,
-) -> FleetReport:
-    """Run one scenario on a fresh (or shared) clock."""
-    simulator = FleetSimulator(scenario.config, list(scenario.jobs), clock=clock)
-    return simulator.run(horizon_s=horizon_s)

@@ -9,7 +9,8 @@ spans, instants and counter samples all land in it.
 Entry points:
 
 * :class:`Tracer` / :data:`NULL_TRACER` — the recorder and its shared
-  no-op twin (disabled overhead ≈ one attribute check per site).
+  disabled stand-in, which holds nothing but ``enabled = False``
+  (disabled overhead ≈ one attribute check per site).
 * :class:`Trace` — the archived span stream (report kind ``"trace"``).
 * :func:`write_chrome_trace` / :func:`to_chrome` — open in Perfetto.
 * ``python -m repro.telemetry`` — summarize / diff / export CLI.

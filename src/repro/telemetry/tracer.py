@@ -15,11 +15,10 @@ The recorder comes in two shapes:
   a deterministic run id derived from ``stable_hash(scenario, seed)``.
   Every event it records lands in the one :class:`Trace` artifact.
 * :data:`NULL_TRACER` — one shared disabled recorder.  Instrumented
-  code guards every span, instant and counter with ``if
-  tracer.enabled:``, so a disabled telemetry plane costs a single
-  attribute check per site; the null tracer has no ``begin``, ``end``,
-  ``instant`` or ``counter``, so a site that forgets the guard raises
-  instead of passing silently.
+  code guards every use of its tracer with ``if tracer.enabled:``, so
+  a disabled telemetry plane costs a single attribute check per site;
+  the null tracer has no method at all, so a site that forgets the
+  guard raises instead of passing silently.
 
 :meth:`Tracer.freeze` closes any dangling spans and packages the event
 stream as a :class:`Trace` — a :class:`ReportBase` subclass (kind
@@ -252,31 +251,13 @@ class NullTracer:
     """The shared disabled recorder.
 
     Instrumented code holds a tracer unconditionally and guards every
-    span, instant and counter with ``tracer.enabled``, so this class
-    has no ``begin``, ``end``, ``instant`` or ``counter``: a missing
-    guard raises ``AttributeError`` instead of recording nothing.
+    use of it with ``tracer.enabled``, so this class has nothing but
+    that flag: a missing guard raises ``AttributeError`` instead of
+    recording nothing.
     """
 
     __slots__ = ()
     enabled = False
-    scenario = ""
-    run_id = ""
-
-    def bind_clock(self, time_fn: TimeSource) -> None:
-        pass
-
-    def emit_span(
-        self,
-        name: str,
-        actor: str,
-        start_s: float,
-        dur_s: float,
-        args: tuple = (),
-    ) -> None:
-        pass
-
-    def log(self, message: str, level: int = logging.INFO, **fields) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

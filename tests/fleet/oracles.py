@@ -4,7 +4,7 @@
 ``repro.fleet.simulator`` shipped behind ``fused=False`` until the
 simulator kept a single engine: the tick and proposal bodies moved here
 (the per-job controller now lives in a dict on the oracle instead of on
-``_ActiveJob``, and the round goes through :func:`allocate`'s
+``_ActiveJob``, and the round goes through :func:`allocate_requests`'s
 :class:`WorkerRequest` objects rather than cached tuple rows).  It
 shares the lifecycle — arrival, admission, finish, fault injection,
 sampling, reporting — with
@@ -12,9 +12,13 @@ production and replaces only the two passes under test, with every fast
 path left out: no epoch columns, no steady stretches, no allocation
 replay cache, one :class:`BandwidthGrant` per job per tick (from
 :func:`apportion`, the broker's per-job entry until the tick became its
-one caller), one controller decision per job per round, and the
-allocator called (through the validating :func:`allocate`, its
-request-object entry until the same change) every round.
+one caller), one controller decision per job per round, and the pool
+limit recomputed and the round run (through the validating
+:func:`allocate_requests`, its request-object entry until the same
+change) every round.
+
+:func:`observe_grants` records each control round's grants from
+outside, since neither engine keeps a history of its rounds.
 
 :func:`result_from_fleet_report` is the report-mediated reduction of a
 run to a sweep's flat row — ``ScenarioResult.from_fleet_report`` until
@@ -30,8 +34,8 @@ from dataclasses import dataclass
 from repro.experiments.report import ScenarioResult
 from repro.cluster.job import JobKind
 from repro.common.errors import ConfigError, SchedulingError, StorageError
-from repro.fleet import FleetSimulator, GlobalDppAllocator, StorageBroker
-from repro.fleet.allocator import KIND_PRIORITY
+from repro.fleet import FleetSimulator, StorageBroker
+from repro.fleet.allocator import KIND_PRIORITY, allocate
 
 from ..dpp.oracles import OracleAutoscalingController
 
@@ -52,21 +56,15 @@ class WorkerRequest:
             raise ConfigError("desired must be at least minimum (both >= 0)")
 
 
-def allocate(
-    allocator: GlobalDppAllocator,
-    requests: list[WorkerRequest],
-    active_trainer_nodes: int,
-    time_s: float = 0.0,
-) -> dict[int, int]:
+def allocate_requests(requests: list[WorkerRequest], pool: int) -> dict[int, int]:
     """An allocation round from request objects: the validating entry
     the allocator had beside its tuple-row path until the fleet control
     loop became its one caller."""
     if len({r.job_id for r in requests}) != len(requests):
         raise SchedulingError("duplicate job in allocation round")
-    return allocator.allocate(
+    return allocate(
         [(KIND_PRIORITY[r.kind], r.job_id, r.desired, r.minimum) for r in requests],
-        active_trainer_nodes,
-        time_s,
+        pool,
     )
 
 
@@ -121,12 +119,34 @@ def apportion(
     }
 
 
-def rounds_of(simulator: FleetSimulator) -> list[tuple]:
-    """The allocator's history as plain comparable rows."""
-    return [
-        (r.time_s, r.pool_limit, sorted(r.granted.items()))
-        for r in simulator.allocator.rounds
-    ]
+def observe_grants(simulator: FleetSimulator) -> list[tuple]:
+    """Record every control round's grants while *simulator* runs.
+
+    Wraps the instance's ``_control`` (admission-time and periodic
+    rounds both call it through the instance) so that after each round
+    the returned list gains ``(time_s, [(job_id, workers), ...])``: each
+    active job's ``live_workers + pending_count`` in job-id order, which
+    is the round's grant once it has been applied.  The simulator keeps
+    no history of its own.
+    """
+    grants: list[tuple] = []
+    control = simulator._control
+    active = simulator._active
+
+    def observed() -> None:
+        control()
+        grants.append(
+            (
+                simulator.clock.now,
+                sorted(
+                    (job_id, job.live_workers + job.pending_count)
+                    for job_id, job in active.items()
+                ),
+            )
+        )
+
+    simulator._control = observed
+    return grants
 
 
 #: The eleven run aggregates, in ``ScenarioResult`` field order.
@@ -219,7 +239,7 @@ class ReferenceFleetSimulator(FleetSimulator):
     # -- control loop ---------------------------------------------------------
 
     def _control(self) -> None:
-        """Per-job autoscalers propose; the global allocator disposes."""
+        """Per-job autoscalers propose; the allocation round disposes."""
         requests = [
             WorkerRequest(
                 job_id=job.spec.job_id,
@@ -228,10 +248,12 @@ class ReferenceFleetSimulator(FleetSimulator):
             )
             for job in self._active.values()
         ]
-        active_trainers = self.config.n_trainer_nodes - self._free_trainers
-        granted = allocate(
-            self.allocator, requests, active_trainers, self.clock.now
-        )
+        pool = self.config.pool.max_workers
+        budget = self.config.power_budget()
+        if budget is not None:
+            active_trainers = self.config.n_trainer_nodes - self._free_trainers
+            pool = min(pool, budget.worker_cap(active_trainers))
+        granted = allocate_requests(requests, pool)
         for job in self._active.values():
             self._apply_grant(job, granted.get(job.spec.job_id, 0))
 

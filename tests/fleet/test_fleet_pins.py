@@ -5,11 +5,15 @@ nothing there notices a change that moves both the same way.  These pins
 were recorded at the commit before the fleet simulator lost its vector
 tick, its grant memo and its ``fused=`` switch (running this file as a
 script against that commit's ``src/`` prints the JSON stored in
-``golden/fleet_pins.json``).  They hold every report byte, allocation
-round and flat-summary float of the four registry ``fleet/*`` scenarios,
+``golden/fleet_pins.json``).  They hold every report byte, control-round
+grant and flat-summary float of the four registry ``fleet/*`` scenarios,
 of a 32-job wave region and a 64-job staggered region (the two widths
 the deleted numpy flavour used to serve), and the deterministic bytes of
-the quick-grid sweep.
+the quick-grid sweep.  ``grants_sha256`` digests what
+:func:`~tests.fleet.oracles.observe_grants` records; it replaced a digest
+of the allocator's round log and was recorded at the last commit that
+kept the log, where the observer's rows equal the log's
+``(time_s, granted)`` on every pinned run.
 """
 
 import hashlib
@@ -28,6 +32,8 @@ from repro.fleet import (
     StorageFabric,
 )
 from repro.workloads.models import RM1, RM2, RM3
+
+from .oracles import observe_grants
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "fleet_pins.json"
 MODELS = (RM1, RM2, RM3)
@@ -90,14 +96,11 @@ def simulator_pin(simulator: FleetSimulator) -> dict:
     drifted ULP in a report row, a grant or a summary aggregate changes
     a digest.
     """
+    grants = observe_grants(simulator)
     report = simulator.run()
-    rounds = [
-        (r.time_s, r.pool_limit, sorted(r.granted.items()))
-        for r in simulator.allocator.rounds
-    ]
     return {
         "report_sha256": _sha(report.to_json()),
-        "rounds_sha256": _sha(repr(rounds)),
+        "grants_sha256": _sha(repr(grants)),
         "summary_sha256": _sha(repr(sorted(simulator.result_summary().items()))),
         "events_fired": simulator.clock.fired,
         "peak_concurrency": report.peak_concurrency,

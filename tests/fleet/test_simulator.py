@@ -1,5 +1,8 @@
 """The fleet orchestration plane end to end (fluid path)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.job import JobKind
@@ -8,15 +11,13 @@ from repro.common.simclock import SimClock
 from repro.fleet import (
     FleetConfig,
     FleetJobSpec,
-    FleetScenario,
     FleetSimulator,
     PoolConfig,
     StorageFabric,
-    run_scenario,
 )
 from repro.workloads.models import RM1, RM2
 
-from .oracles import ReferenceFleetSimulator
+from .oracles import ReferenceFleetSimulator, observe_grants
 
 
 def make_job(job_id, model=RM1, arrival_s=0.0, nodes=2, hours=1.0,
@@ -134,6 +135,34 @@ class TestPowerBudget:
             capped.power_budget_watts + 1e-6
         )
 
+    def test_every_round_fits_the_power_cap_of_its_trainers(self):
+        # Staggered arrivals shrink the pool round by round: each
+        # admitted job's trainers eat into the workers' watts.
+        config = make_config(
+            power_budget_watts=make_config().fabric.total_watts
+            + 8 * 3_200.0
+            + 60 * 150.0,
+        )
+        jobs = [make_job(i, arrival_s=600.0 * i) for i in range(4)]
+        nodes = {job.job_id: job.trainer_nodes for job in jobs}
+        budget = config.power_budget()
+        simulator = FleetSimulator(config, jobs)
+        rounds = observe_grants(simulator)
+        simulator.run()
+        pools = set()
+        for _time_s, grants in rounds:
+            pool = min(
+                config.pool.max_workers,
+                budget.worker_cap(sum(nodes[job_id] for job_id, _ in grants)),
+            )
+            pools.add(pool)
+            assert sum(workers for _, workers in grants) <= pool
+        assert len(pools) > 1
+        assert any(
+            sum(workers for _, workers in grants) == min(pools)
+            for _time_s, grants in rounds
+        )
+
 
 class TestPriorities:
     def test_release_candidate_outruns_exploratory_peers(self):
@@ -187,6 +216,19 @@ class TestSharedClock:
         clock.run()
         assert foreign == [100 * 3600.0]
 
+    def test_a_finished_fleet_is_freed_without_the_cycle_collector(self):
+        # Sweeps build and drop one simulator per cell: a reference
+        # cycle through the clock would leave each to the collector.
+        simulator = FleetSimulator(make_config(), [make_job(0), make_job(1)])
+        simulator.run()
+        freed = weakref.ref(simulator)
+        gc.disable()
+        try:
+            del simulator
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_render_survives_horizon_before_first_tick(self):
         # A horizon shorter than one tick yields zero samples and zero
         # makespan; the report must render, not raise.
@@ -210,12 +252,8 @@ class TestSharedClock:
 
 class TestScenarioRunner:
     def test_run_scenario_and_render(self):
-        scenario = FleetScenario(
-            name="smoke",
-            config=make_config(),
-            jobs=(make_job(0), make_job(1, model=RM2)),
-        )
-        report = run_scenario(scenario)
+        jobs = [make_job(0), make_job(1, model=RM2)]
+        report = FleetSimulator(make_config(), jobs).run()
         text = report.render(title="smoke")
         assert "smoke" in text
         assert "RM1" in text and "RM2" in text

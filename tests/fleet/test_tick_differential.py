@@ -3,12 +3,14 @@
 ``test_tick_equivalence.py`` holds the production tick to the reference
 oracle on hand-picked traces.  Here hypothesis draws the region (width,
 models, job kinds, arrival pattern, plant sizes from starved to idle,
-tick and control periods that do and do not divide each other), a fault
+tick and control periods that do and do not divide each other, with or
+without a power budget that shrinks the worker pool), a fault
 program (crashes, brownouts, recoveries, mid-run ``report()`` snapshots)
 and a horizon cut, and the two engines must agree on every byte they
-expose: the final report, every mid-run snapshot, the allocator's round
-history and the flat summary — and that flat summary must equal the
-oracle's report-mediated reduction of the reference run.
+expose: the final report, every mid-run snapshot, every control round's
+grants (as :func:`observe_grants` records them) and the flat summary —
+and that flat summary must equal the oracle's report-mediated
+reduction of the reference run.
 """
 
 from hypothesis import given, settings
@@ -23,13 +25,14 @@ from repro.fleet import (
     PoolConfig,
     StorageFabric,
 )
+from repro.workloads.hardware import V100_TRAINER
 from repro.workloads.models import RM1, RM2, RM3
 
 from .oracles import (
     SUMMARY_FIELDS,
     ReferenceFleetSimulator,
+    observe_grants,
     result_from_fleet_report,
-    rounds_of,
 )
 
 MODELS = (RM1, RM2, RM3)
@@ -44,16 +47,31 @@ MAX_EVENTS = 4_000
 def regions(draw):
     """A ``(FleetConfig, [FleetJobSpec])`` pair."""
     n_trainers = draw(st.sampled_from((4, 16, 64, 128)))
+    fabric = StorageFabric(
+        n_hdd_nodes=draw(st.sampled_from((1, 4, 20, 40, 200, 1_000))),
+        n_ssd_cache_nodes=draw(st.sampled_from((0, 1, 4, 16))),
+    )
+    pool = PoolConfig(
+        max_workers=draw(st.sampled_from((3, 40, 500, 5_000))),
+        spinup_s=draw(st.sampled_from((0.0, 45.0, 120.0, 400.0))),
+    )
+    # No budget, or one that powers the storage, a share of the trainers
+    # and a few workers: the pool then shrinks as jobs are admitted, down
+    # to nothing once the trainers alone exceed the share.
+    budget_watts = None
+    trainer_share = draw(st.sampled_from((None, None, 0.25, 0.5, 1.0)))
+    if trainer_share is not None:
+        budget_watts = (
+            fabric.total_watts
+            + trainer_share * n_trainers * V100_TRAINER.total_watts
+            + draw(st.sampled_from((0, 20, 400))) * pool.worker_node.watts
+        )
     config = FleetConfig(
-        fabric=StorageFabric(
-            n_hdd_nodes=draw(st.sampled_from((1, 4, 20, 40, 200, 1_000))),
-            n_ssd_cache_nodes=draw(st.sampled_from((0, 1, 4, 16))),
-        ),
+        fabric=fabric,
         n_trainer_nodes=n_trainers,
-        pool=PoolConfig(
-            max_workers=draw(st.sampled_from((3, 40, 500, 5_000))),
-            spinup_s=draw(st.sampled_from((0.0, 45.0, 120.0, 400.0))),
-        ),
+        trainer_node=V100_TRAINER,
+        pool=pool,
+        power_budget_watts=budget_watts,
         tick_s=draw(st.sampled_from((20.0, 45.0, 60.0))),
         control_period_s=draw(st.sampled_from((60.0, 100.0, 300.0))),
         buffer_capacity_s=draw(st.sampled_from((15.0, 60.0, 240.0))),
@@ -97,6 +115,7 @@ faults = st.tuples(
 def run_engine(engine, config, jobs, program, horizon_s):
     """Everything observable about one run of *engine*."""
     simulator = engine(config, list(jobs))
+    grants = observe_grants(simulator)
     simulator.schedule()
     snapshots = []
     for at_s, kind, index, magnitude in program:
@@ -118,7 +137,7 @@ def run_engine(engine, config, jobs, program, horizon_s):
         "runaway": runaway,
         "report": report,
         "snapshots": snapshots,
-        "rounds": rounds_of(simulator),
+        "grants": grants,
         # repr spells nan, which == would refuse to match.
         "summary": repr(sorted(simulator.result_summary().items())),
         "events_fired": simulator.clock.fired,

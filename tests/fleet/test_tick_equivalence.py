@@ -24,6 +24,7 @@ from repro.fleet import (
     PoolConfig,
     StorageFabric,
 )
+from repro.workloads.hardware import V100_TRAINER
 from repro.workloads.models import RM1, RM2, RM3
 
 from .oracles import ReferenceFleetSimulator
@@ -122,6 +123,39 @@ class TestTickEquivalence:
         production = run_engine(FleetSimulator, config, jobs)
         reference = run_engine(ReferenceFleetSimulator, config, jobs)
         assert production.peak_concurrency >= 32
+        assert_identical(production, reference)
+
+    def test_asks_that_climb_inside_a_steady_stretch_bit_identical(self):
+        """A power cap holds four jobs to five workers each: their asks
+        climb round after round inside steady stretches while no grant
+        moves, until three jobs finish and free the watts the fourth's
+        climbed ask then takes."""
+        fabric = StorageFabric(n_hdd_nodes=20, n_ssd_cache_nodes=0)
+        pool = PoolConfig(max_workers=500, spinup_s=0.0)
+        config = make_config(
+            fabric=fabric,
+            n_trainer_nodes=16,
+            pool=pool,
+            power_budget_watts=fabric.total_watts
+            + 4 * V100_TRAINER.total_watts
+            + 20 * pool.worker_node.watts,
+            tick_s=20.0,
+            control_period_s=60.0,
+            buffer_capacity_s=15.0,
+        )
+        jobs = [
+            FleetJobSpec(
+                job_id=i,
+                model=RM1,
+                kind=JobKind.EXPLORATORY,
+                arrival_s=0.0,
+                trainer_nodes=1,
+                target_samples=hours * 3600 * RM1.samples_per_s_per_trainer,
+            )
+            for i, hours in enumerate((0.02, 0.02, 0.02, 0.1))
+        ]
+        production = run_engine(FleetSimulator, config, jobs)
+        reference = run_engine(ReferenceFleetSimulator, config, jobs)
         assert_identical(production, reference)
 
     def test_horizon_cut_bit_identical(self):

@@ -98,7 +98,9 @@ class TestIdentity:
         """Every event site checks ``tracer.enabled`` first; one that
         forgets fails here instead of recording nothing."""
         assert NULL_TRACER.enabled is False
-        for method in ("begin", "end", "instant", "counter"):
+        for method in (
+            "begin", "end", "instant", "counter", "bind_clock", "emit_span", "log"
+        ):
             assert not hasattr(NULL_TRACER, method), method
 
 
