@@ -12,6 +12,7 @@ and that restored masters agree byte-for-byte with their checkpoints.
 
 from .faults import (
     AT_LEAST_ONCE_KINDS,
+    FLEET_FAULT_KINDS,
     FaultEvent,
     FaultKind,
     FaultSchedule,
@@ -33,6 +34,7 @@ __all__ = [
     "ChaosReport",
     "ChaosRunner",
     "DeliveryRecord",
+    "FLEET_FAULT_KINDS",
     "FaultEvent",
     "FaultKind",
     "FaultSchedule",

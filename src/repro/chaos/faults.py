@@ -48,6 +48,18 @@ AT_LEAST_ONCE_KINDS = frozenset(
 )
 
 
+#: Faults a fleet region takes, through the simulator's public chaos
+#: hooks (:func:`~repro.chaos.runner.schedule_fleet_faults`, the fleet
+#: scenario kind); every other kind acts on one DPP session.
+FLEET_FAULT_KINDS = frozenset(
+    {
+        FaultKind.WORKER_CRASH,
+        FaultKind.DEGRADE_STORAGE,
+        FaultKind.RESTORE_STORAGE,
+    }
+)
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One fault, pinned to a pump round.

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from ..common.errors import ConfigError, DppError
 from ..dpp.service import DppSession
 from ..telemetry.tracer import NULL_TRACER, Tracer
-from .faults import FaultEvent, FaultKind, FaultSchedule
+from .faults import FLEET_FAULT_KINDS, FaultEvent, FaultKind, FaultSchedule
 from .invariants import (
     check_checkpoint_agreement,
     check_delivery,
@@ -131,7 +131,6 @@ class ChaosRunner:
             self.tracer.instant(
                 "fault.inject", actor="chaos", kind=kind.value, note=note
             )
-            self.tracer.log("fault injected", kind=kind.value, note=note)
 
     def _restart_master(self, report: ChaosReport) -> None:
         """Simulate a master-process restart and verify recovery
@@ -206,56 +205,40 @@ class ChaosRunner:
 
 def schedule_fleet_faults(
     simulator: "FleetSimulator",
-    faults: list[FaultEvent] | FaultSchedule,
+    faults: list[FaultEvent],
     job_ids: list[int],
-) -> list[str]:
+) -> None:
     """Pin fault events to a fleet simulator's virtual clock.
 
-    *faults* is a plain event list or a :class:`FaultSchedule` (the
-    sweep plane ships schedules around as one picklable object).
     ``round_index`` is reinterpreted as *seconds* of virtual time from
     now.  Worker crashes hit the job drawn round-robin from *job_ids*;
-    storage events hit the shared fabric.  Returns a log list that
-    fills in as events fire — inspect it after ``run()``.
+    storage events hit the shared fabric.  A traced run records each
+    one as it fires (``fault.worker_crash`` and ``broker.derate``
+    instants).
 
-    Only fleet-meaningful kinds are accepted: per-session faults
+    Only :data:`FLEET_FAULT_KINDS` are accepted: per-session faults
     (drains, failovers, restarts) belong to :class:`ChaosRunner`.
     """
-    if isinstance(faults, FaultSchedule):
-        faults = list(faults.events)
-    supported = {
-        FaultKind.WORKER_CRASH,
-        FaultKind.DEGRADE_STORAGE,
-        FaultKind.RESTORE_STORAGE,
-    }
-    unsupported = [f.kind for f in faults if f.kind not in supported]
+    unsupported = {f.kind for f in faults} - FLEET_FAULT_KINDS
     if unsupported:
         raise ConfigError(
-            f"fleet chaos supports {sorted(k.value for k in supported)}; "
-            f"got {sorted({k.value for k in unsupported})}"
+            f"fleet chaos supports {sorted(k.value for k in FLEET_FAULT_KINDS)}; "
+            f"got {sorted(k.value for k in unsupported)}"
         )
     if not job_ids:
         raise ConfigError("fleet chaos needs at least one target job id")
-    log: list[str] = []
 
     def fire(fault: FaultEvent, target_job: int) -> None:
-        stamp = f"t={simulator.clock.now:.0f}s"
         if fault.kind is FaultKind.WORKER_CRASH:
-            died = simulator.inject_worker_crash(
-                target_job, max(1, int(fault.magnitude))
-            )
-            log.append(f"{stamp} crash {died} worker(s) of job {target_job}")
+            simulator.inject_worker_crash(target_job, max(1, int(fault.magnitude)))
         elif fault.kind is FaultKind.DEGRADE_STORAGE:
             simulator.degrade_storage(fault.magnitude)
-            log.append(f"{stamp} degrade storage to {fault.magnitude:.0%}")
         else:
             simulator.degrade_storage(1.0)
-            log.append(f"{stamp} restore storage")
 
     for index, fault in enumerate(faults):
         target = job_ids[index % len(job_ids)]
-        simulator.clock.schedule_at(
+        simulator.pin(
             simulator.clock.now + fault.round_index,
             lambda f=fault, j=target: fire(f, j),
         )
-    return log

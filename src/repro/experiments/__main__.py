@@ -28,7 +28,6 @@ import dataclasses
 import sys
 import time
 
-from ..telemetry.logs import configure_logging
 from .base import scenario_kinds
 from .grid import ScenarioGrid, grid_from_json, quick_grid
 from .registry import build_scenario, list_scenarios
@@ -210,13 +209,6 @@ def build_parser(prog: str = "python -m repro.experiments") -> argparse.Argument
     run_parser.add_argument(
         "--quiet", action="store_true", help="suppress the rendered report"
     )
-    run_parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="structured JSON logs on stderr (-v info, -vv debug)",
-    )
     run_parser.set_defaults(handler=_cmd_run)
 
     sweep_parser = commands.add_parser(
@@ -281,26 +273,12 @@ def build_parser(prog: str = "python -m repro.experiments") -> argparse.Argument
         action="store_true",
         help="suppress the rendered table and progress lines",
     )
-    sweep_parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="structured JSON logs on stderr (-v info, -vv debug)",
-    )
     sweep_parser.set_defaults(handler=_cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    verbose = getattr(args, "verbose", 0)
-    if verbose:
-        # Explicit -v wins: --quiet silences rendering and progress,
-        # not logs the user asked for.
-        configure_logging(verbose)
-    else:
-        configure_logging(-1 if getattr(args, "quiet", False) else 0)
     return args.handler(args)
 
 

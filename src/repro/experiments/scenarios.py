@@ -25,7 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..chaos.faults import FaultEvent, FaultKind, FaultSchedule, seeded_schedule
+from ..chaos.faults import (
+    FLEET_FAULT_KINDS,
+    FaultEvent,
+    FaultKind,
+    FaultSchedule,
+    seeded_schedule,
+)
 from ..common.errors import ConfigError, FormatError
 from ..common.hashing import stable_hash
 from ..common.serialization import (
@@ -43,14 +49,6 @@ from .base import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry.tracer import Tracer
-
-#: Fault kinds a fleet-plane scenario may inject (the simulator's
-#: public chaos hooks); per-session kinds belong to the chaos kind.
-FLEET_FAULT_KINDS = {
-    FaultKind.WORKER_CRASH,
-    FaultKind.DEGRADE_STORAGE,
-    FaultKind.RESTORE_STORAGE,
-}
 
 #: Events per fleet scenario before a starved region is declared runaway.
 MAX_EVENTS_PER_SCENARIO = 5_000_000
@@ -323,8 +321,7 @@ class FleetRegionScenario(Scenario):
         if self.faults:
             # Victim selection round-robins over the trace's job ids,
             # rotated by the stable fault seed so different cells
-            # sharing a trace target different victims.  The fault log
-            # is discarded — experiments read reports, not narratives.
+            # sharing a trace target different victims.
             from ..chaos.runner import schedule_fleet_faults
 
             job_ids = [j.job_id for j in jobs]

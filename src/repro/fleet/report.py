@@ -230,11 +230,6 @@ class FleetReport(ReportBase):
         return [o for o in self.outcomes if o.finished]
 
     @property
-    def jobs_submitted(self) -> int:
-        """Jobs that arrived, admitted or still queued."""
-        return self.aggregates()["jobs_submitted"]
-
-    @property
     def jobs_completed(self) -> int:
         """Jobs that reached their sample target."""
         return self.aggregates()["jobs_completed"]

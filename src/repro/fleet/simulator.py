@@ -47,7 +47,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..common.errors import ConfigError, SchedulingError
-from ..common.simclock import SimClock
+from ..common.simclock import EventCallback, EventHandle, SimClock
 from ..dpp.analytical import worker_throughput
 from ..telemetry.tracer import NULL_TRACER, Tracer
 from ..dpp.autoscaler import AutoscalerConfig, scaling_decision
@@ -305,7 +305,9 @@ class FleetSimulator:
         self._static: _EpochColumns | None = None
         # Open steady-state stretch (fixed-point fast path), if any.
         self._stretch: _SteadyStretch | None = None
-        self._chains_started = False
+        # One-shot events this fleet holds on the clock (arrivals and
+        # pinned faults); None once a run has taken them off it.
+        self._pinned: list[EventHandle] | None = []
         self._tick_handle = None
         self._control_handle = None
         # Telemetry: the tracer rides the simulation clock.  Disabled
@@ -317,7 +319,8 @@ class FleetSimulator:
         # instead of an attribute chain through the tracer object.
         self._traced = self.tracer.enabled
         if self._traced:
-            self.tracer.bind_clock(lambda: self.clock.now)
+            clock = self.clock  # the tracer must not hold the fleet
+            self.tracer.bind_clock(lambda: clock.now)
             self.broker.attach_tracer(self.tracer)
 
     # -- lifecycle -------------------------------------------------------------
@@ -337,7 +340,6 @@ class FleetSimulator:
             self.tracer.begin(
                 "job.queued", actor=f"job-{spec.job_id}", job_id=spec.job_id
             )
-            self.tracer.log("job arrived", job_id=spec.job_id)
         self._admit_queued()
         # An admission settles any open stretch; one that survives saw
         # the queue grow, which its cached row tail must now show.
@@ -939,15 +941,20 @@ class FleetSimulator:
         if not self._work_remaining():
             self._control_handle.cancel()
 
+    def pin(self, when_s: float, action: EventCallback) -> None:
+        """Run *action* at virtual time *when_s* on the fleet's clock,
+        for as long as the fleet runs (the chaos plane pins its faults
+        here): the end of a run takes it off the clock."""
+        if self._pinned is None:
+            raise SchedulingError("fleet already ran; pin events before run()")
+        self._pinned.append(self.clock.schedule_at(when_s, action))
+
     def schedule(self) -> None:
         """Register arrivals and control processes on the (shared) clock."""
-        if self._chains_started:
+        if self._tick_handle is not None:
             raise SchedulingError("fleet already scheduled")
-        self._chains_started = True
         for spec in self.jobs:
-            self.clock.schedule_at(
-                self.clock.now + spec.arrival_s, lambda s=spec: self._arrive(s)
-            )
+            self.pin(self.clock.now + spec.arrival_s, lambda s=spec: self._arrive(s))
         # Periodic processes ride the clock's heap-free side list; each
         # is cancelled once the fleet has no work left, matching the
         # old self-rescheduling chains occurrence for occurrence.
@@ -963,25 +970,39 @@ class FleetSimulator:
         Without a horizon the clock is stepped only while fleet work
         remains: on a shared clock, foreign events interleave up to the
         last job's completion but anything beyond stays on the heap for
-        the external driver.  A fleet with no work left cancels its
-        control recurrence, so the clock keeps no recurrence of it and a
-        finished simulator is freed without the cycle collector.
+        the external driver.
+
+        A run is one-shot: however it ends (done, cut by its horizon,
+        or runaway), it takes every event of the fleet off the clock —
+        recurrences, pending arrivals and pinned faults — so nothing
+        there points back at the simulator, which refcounting then
+        frees without the cycle collector.  A second run is refused.
         """
-        if not self._chains_started:
-            self.schedule()
-        if horizon_s is not None:
-            self.clock.run_until(self.clock.now + horizon_s)
-        else:
-            fired = self.clock.run_while(
-                self._work_remaining, max_events=max_events
+        if self._pinned is None:
+            raise SchedulingError(
+                "fleet already ran; a run is one-shot, so build a new "
+                "simulator to run again"
             )
-            if fired >= max_events:
-                raise SchedulingError(
-                    f"fleet exceeded {max_events} events (starved jobs "
-                    "never finish; pass horizon_s to bound such runs)"
+        if self._tick_handle is None:
+            self.schedule()
+        try:
+            if horizon_s is not None:
+                self.clock.run_until(self.clock.now + horizon_s)
+            else:
+                fired = self.clock.run_while(
+                    self._work_remaining, max_events=max_events
                 )
-        if not self._work_remaining():
+                if fired >= max_events:
+                    raise SchedulingError(
+                        f"fleet exceeded {max_events} events (starved jobs "
+                        "never finish; pass horizon_s to bound such runs)"
+                    )
+        finally:
+            self._tick_handle.cancel()
             self._control_handle.cancel()
+            for handle in self._pinned:
+                handle.cancel()
+            self._pinned = None
 
     def run(
         self, horizon_s: float | None = None, max_events: int = 5_000_000

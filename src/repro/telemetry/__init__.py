@@ -1,4 +1,4 @@
-"""The telemetry plane: sim-time tracing, logs, Chrome export.
+"""The telemetry plane: sim-time tracing and Chrome export.
 
 Everything in this package is stamped with *virtual* time, so a trace
 is a deterministic artifact — byte-identical across process counts and
@@ -17,7 +17,6 @@ Entry points:
 """
 
 from .chrome import to_chrome, validate_chrome_trace, write_chrome_trace
-from .logs import JsonLogFormatter, configure_logging, verbosity_level
 from .summary import SpanAggregate, diff_aggregates, span_aggregates, top_spans
 from .tracer import (
     NULL_TRACER,
@@ -30,7 +29,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "JsonLogFormatter",
     "NULL_TRACER",
     "NullTracer",
     "SpanAggregate",
@@ -38,13 +36,11 @@ __all__ = [
     "TraceEvent",
     "TraceProcess",
     "Tracer",
-    "configure_logging",
     "diff_aggregates",
     "merge_traces",
     "span_aggregates",
     "to_chrome",
     "top_spans",
     "validate_chrome_trace",
-    "verbosity_level",
     "write_chrome_trace",
 ]

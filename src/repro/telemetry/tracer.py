@@ -30,7 +30,6 @@ into one bundle.  Export to the Chrome trace-event format lives in
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -53,8 +52,6 @@ _PHASES = (PHASE_SPAN, PHASE_INSTANT, PHASE_COUNTER)
 
 #: A rebindable virtual-clock read, e.g. ``lambda: clock.now``.
 TimeSource = Callable[[], float]
-
-_log = logging.getLogger("repro.telemetry")
 
 
 def _freeze_args(args: Mapping[str, Any]) -> tuple:
@@ -276,16 +273,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        scenario: str = "",
-        seed: int = 0,
-        time_fn: TimeSource | None = None,
-    ) -> None:
+    def __init__(self, scenario: str = "", seed: int = 0) -> None:
         self.scenario = scenario
         self.seed = seed
         self.run_id = format(stable_hash("trace", scenario, seed), "016x")
-        self._time: TimeSource = time_fn or (lambda: 0.0)
+        self._time: TimeSource = lambda: 0.0
         self._events: list[TraceEvent] = []
         self._stacks: dict[str, list[tuple[str, float, tuple]]] = {}
 
@@ -353,20 +345,6 @@ class Tracer:
                 (("value", float(value)),),
             )
         )
-
-    def log(self, message: str, level: int = logging.INFO, **fields) -> None:
-        """Structured log record stamped with sim-time, run id, scenario."""
-        if _log.isEnabledFor(level):
-            _log.log(
-                level,
-                message,
-                extra={
-                    "sim_time_s": self._time(),
-                    "run_id": self.run_id,
-                    "scenario": self.scenario,
-                    "fields": dict(fields) if fields else None,
-                },
-            )
 
     # -- packaging -------------------------------------------------------------
 

@@ -12,6 +12,7 @@ from repro.fleet import (
     PoolConfig,
     StorageFabric,
 )
+from repro.telemetry import Tracer
 from repro.workloads.models import RM1
 
 
@@ -27,25 +28,30 @@ def make_job(job_id, arrival_s=0.0, nodes=2, hours=0.5):
     )
 
 
-def make_simulator(n_jobs=2):
+def make_simulator(n_jobs=2, tracer=None):
     config = FleetConfig(
         fabric=StorageFabric(n_hdd_nodes=60, n_ssd_cache_nodes=4),
         n_trainer_nodes=32,
         pool=PoolConfig(max_workers=2_000),
     )
-    return FleetSimulator(config, [make_job(i) for i in range(n_jobs)])
+    return FleetSimulator(
+        config, [make_job(i) for i in range(n_jobs)], tracer=tracer
+    )
 
 
 class TestFleetChaos:
     def test_worker_crashes_do_not_lose_samples(self):
-        simulator = make_simulator()
+        tracer = Tracer(scenario="crashes")
+        simulator = make_simulator(tracer=tracer)
         faults = [
             FaultEvent(600, FaultKind.WORKER_CRASH, magnitude=4),
             FaultEvent(1200, FaultKind.WORKER_CRASH, magnitude=4),
         ]
-        log = schedule_fleet_faults(simulator, faults, job_ids=[0, 1])
+        schedule_fleet_faults(simulator, faults, job_ids=[0, 1])
         report = simulator.run()
-        assert len(log) == 2
+        (process,) = tracer.freeze().processes
+        crashes = [e for e in process.events if e.name == "fault.worker_crash"]
+        assert [dict(e.args)["job_id"] for e in crashes] == [0, 1]
         for outcome in report.outcomes:
             assert outcome.finished
             assert outcome.samples_done == pytest.approx(

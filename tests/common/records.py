@@ -19,12 +19,11 @@ import typing
 
 from hypothesis import strategies as st
 
-from repro.chaos.faults import FaultEvent, FaultKind
+from repro.chaos.faults import FLEET_FAULT_KINDS, FaultEvent, FaultKind
 from repro.common.errors import ReproError
 from repro.common.serialization import ReportBase
 from repro.experiments.report import FailureReport
 from repro.experiments.scenarios import (
-    FLEET_FAULT_KINDS,
     ChaosSessionScenario,
     DppTimelineScenario,
     FleetRegionScenario,

@@ -114,11 +114,6 @@ class OracleDppMaster:
                     split_id=split_id,
                     worker=worker_id,
                 )
-            self.tracer.log(
-                "worker failed",
-                worker=worker_id,
-                requeued=len(requeued),
-            )
         return requeued
 
     @property

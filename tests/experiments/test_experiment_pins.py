@@ -14,7 +14,7 @@ strings of every CLI subcommand.
 
 Re-recorded on purpose since: ``journal_sha256`` for journal version 2
 (a CRC per record) and ``cli_options`` for the loss of
-``--chunk-timeout``.  The poisoned sweep now raises inside its cell, not
+``--chunk-timeout`` and then of ``-v``/``--verbose``.  The poisoned sweep now raises inside its cell, not
 at the start of the chunk holding it, and keeps its bytes.
 """
 

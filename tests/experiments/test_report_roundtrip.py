@@ -43,7 +43,10 @@ class TestFleetReport:
         report = make_fleet_report()
         assert report.outcomes, "scenario produced no jobs"
         revived = assert_byte_identical_round_trip(report)
-        assert revived.jobs_submitted == report.jobs_submitted
+        assert (
+            revived.aggregates()["jobs_submitted"]
+            == report.aggregates()["jobs_submitted"]
+        )
         assert revived.metrics() == report.metrics()
 
     def test_empty_run_round_trips(self):
@@ -51,7 +54,7 @@ class TestFleetReport:
             outcomes=[], samples=[], storage_bandwidth_bytes_per_s=1e9
         )
         revived = assert_byte_identical_round_trip(report)
-        assert revived.jobs_submitted == 0
+        assert revived.aggregates()["jobs_submitted"] == 0
 
     def test_non_finite_and_unfinished_fields_survive(self):
         base = make_fleet_report()

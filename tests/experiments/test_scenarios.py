@@ -96,7 +96,7 @@ class TestFleetKind:
             duration_s=600.0,
         )
         report = scenario.run()
-        assert report.jobs_submitted == 0
+        assert report.aggregates()["jobs_submitted"] == 0
 
     def test_fault_seed_stable_and_name_dependent(self):
         a = build_scenario("fleet/storm", seed=1)

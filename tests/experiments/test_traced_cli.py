@@ -1,4 +1,4 @@
-"""The experiment CLI's telemetry face: --trace, -v, progress lines."""
+"""The experiment CLI's telemetry face: --trace and progress lines."""
 
 import json
 
@@ -123,27 +123,3 @@ class TestRefusedArguments:
                  "--trace", str(trace), flag, str(journal)]
             )
         assert not journal.exists() and not trace.exists()
-
-
-class TestVerbosity:
-    def test_verbose_emits_json_log_lines(self, tmp_path, capsys):
-        import logging
-
-        try:
-            code = main(
-                ["run", "chaos/worst-case", "--quiet", "-v",
-                 "--trace", str(tmp_path / "t.json")]
-            )
-        finally:
-            logging.getLogger("repro").handlers.clear()
-        assert code == 0
-        lines = [
-            line
-            for line in capsys.readouterr().err.splitlines()
-            if line.startswith("{")
-        ]
-        assert lines, "expected structured log lines on stderr"
-        record = json.loads(lines[0])
-        assert {"level", "message", "run_id", "scenario", "sim_time_s"} <= set(
-            record
-        )

@@ -107,7 +107,7 @@ class TestFlatSummary:
             {name: metrics[f"fleet.{name}"] for name in SUMMARY_FIELDS},
             {name: float(value) for name, value in expected.items()},
         )
-        for name in ("jobs_submitted", "jobs_completed", "peak_concurrency",
+        for name in ("jobs_completed", "peak_concurrency",
                      "mean_storage_utilization", "peak_storage_utilization"):
             assert getattr(report, name) == expected[name], name
 

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.chaos import FaultEvent, FaultKind, schedule_fleet_faults
 from repro.cluster.job import JobKind
 from repro.common.errors import SchedulingError
 from repro.common.simclock import SimClock
@@ -15,6 +16,7 @@ from repro.fleet import (
     PoolConfig,
     StorageFabric,
 )
+from repro.telemetry import Tracer
 from repro.workloads.models import RM1, RM2
 
 from .oracles import ReferenceFleetSimulator, observe_grants
@@ -210,17 +212,41 @@ class TestSharedClock:
         report = simulator.run()
         assert report.jobs_completed == 1
         assert foreign == []  # not drained by the fleet
-        # The foreign event survives for the external driver (alongside
-        # at most harmless leftover fleet chain events that no-op).
-        assert clock.pending >= 1
+        # The foreign event survives for the external driver, and it is
+        # all that is left: the run took the fleet's own events off.
+        assert clock.pending == 1
         clock.run()
         assert foreign == [100 * 3600.0]
 
-    def test_a_finished_fleet_is_freed_without_the_cycle_collector(self):
-        # Sweeps build and drop one simulator per cell: a reference
-        # cycle through the clock would leave each to the collector.
-        simulator = FleetSimulator(make_config(), [make_job(0), make_job(1)])
-        simulator.run()
+    @pytest.mark.parametrize(
+        "ending",
+        ["completed", "horizon_cut", "fault_pending", "summary", "traced"],
+    )
+    def test_a_run_fleet_is_freed_without_the_cycle_collector(self, ending):
+        # Sweeps build and drop one simulator per cell: anything left on
+        # the clock that points back at the fleet (a recurrence, an
+        # arrival past the horizon, a fault past the last job) would
+        # hold it in a cycle and leave each cell to the collector.  A
+        # tracer outlives its run and must not hold the fleet either.
+        tracer = Tracer(scenario="freed") if ending == "traced" else None
+        simulator = FleetSimulator(
+            make_config(),
+            [make_job(0), make_job(1, arrival_s=3_600.0)],
+            tracer=tracer,
+        )
+        if ending == "fault_pending":
+            schedule_fleet_faults(
+                simulator,
+                [FaultEvent(100 * 3600, FaultKind.RESTORE_STORAGE)],
+                job_ids=[0],
+            )
+        if ending == "horizon_cut":
+            report = simulator.run(horizon_s=600.0)
+            assert report.aggregates()["jobs_completed"] == 0
+        elif ending == "summary":
+            assert simulator.run_summary()["jobs_completed"] == 2
+        else:
+            assert simulator.run().aggregates()["jobs_completed"] == 2
         freed = weakref.ref(simulator)
         gc.disable()
         try:
@@ -228,6 +254,17 @@ class TestSharedClock:
             assert freed() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("horizon_s", [None, 600.0])
+    def test_a_second_run_is_refused(self, horizon_s):
+        simulator = FleetSimulator(make_config(), [make_job(0, hours=10.0)])
+        simulator.run(horizon_s=horizon_s)
+        with pytest.raises(SchedulingError, match="already ran"):
+            simulator.run()
+        with pytest.raises(SchedulingError, match="already ran"):
+            simulator.run_summary()
+        with pytest.raises(SchedulingError, match="already ran"):
+            simulator.pin(0.0, lambda: None)
 
     def test_render_survives_horizon_before_first_tick(self):
         # A horizon shorter than one tick yields zero samples and zero
@@ -243,7 +280,7 @@ class TestSharedClock:
         config = make_config(trainers=4)
         jobs = [make_job(i, nodes=4, hours=2.0) for i in range(2)]
         report = FleetSimulator(config, jobs).run(horizon_s=1800.0)
-        assert report.jobs_submitted == 2
+        assert report.aggregates()["jobs_submitted"] == 2
         assert len(report.outcomes) == 1
         assert report.unadmitted_queue_delays_s == [pytest.approx(1800.0)]
         assert report.p95_queue_delay_s == pytest.approx(1800.0)

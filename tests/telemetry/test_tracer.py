@@ -1,8 +1,4 @@
-"""Tracer semantics: spans, instants, freeze, merge, and logging."""
-
-import io
-import json
-import logging
+"""Tracer semantics: spans, instants, freeze, and merge."""
 
 import pytest
 
@@ -14,7 +10,6 @@ from repro.telemetry import (
     TraceEvent,
     TraceProcess,
     Tracer,
-    configure_logging,
     merge_traces,
 )
 
@@ -155,31 +150,3 @@ class TestTraceReport:
                     "args": {},
                 }
             )
-
-
-class TestStructuredLogs:
-    def test_log_records_carry_sim_time_run_id_scenario(self):
-        stream = io.StringIO()
-        configure_logging(verbosity=1, stream=stream)
-        try:
-            tracer = make_tracer()
-            tracer._test_clock.now = 42.0
-            tracer.log("job arrived", job_id=7)
-            line = stream.getvalue().strip()
-            record = json.loads(line)
-            assert record["message"] == "job arrived"
-            assert record["sim_time_s"] == 42.0
-            assert record["run_id"] == tracer.run_id
-            assert record["scenario"] == "unit"
-            assert record["fields"] == {"job_id": 7}
-        finally:
-            logging.getLogger("repro").handlers.clear()
-
-    def test_default_verbosity_suppresses_info(self):
-        stream = io.StringIO()
-        configure_logging(verbosity=0, stream=stream)
-        try:
-            make_tracer().log("quiet please")
-            assert stream.getvalue() == ""
-        finally:
-            logging.getLogger("repro").handlers.clear()
