@@ -7,8 +7,10 @@ busier, or when a fault storm hits mid-window?
 
 Part 1 uses the **scenario registry**: every registered fleet scenario
 (`python -m repro.experiments list --kind fleet`) runs across three
-seeds through the generic `ExperimentRunner` — the one-liner entry
-point any experiment in this repo now has.
+seeds.  `fan_out`, the engine under `SweepRunner`, maps
+`run_scenario_spec` over those runs across worker processes, and a
+`SweepReport` makes each registry entry one cell: its percentile
+surfaces span the three seeds.
 
 Part 2 builds a custom `ScenarioGrid` (3 workload mixes x 2 fault
 schedules x 6 seeds = 36 fleet simulations), fans it across worker
@@ -20,13 +22,17 @@ throughput down while the fault storm mostly widens the stall tail.
 Run:  python examples/fleet_sweep.py
 """
 
+import time
+
 from repro.chaos.faults import FaultEvent, FaultKind
 from repro.experiments import (
-    ExperimentRunner,
     ScenarioGrid,
+    SweepReport,
     SweepRunner,
     build_scenario,
+    fan_out,
     list_scenarios,
+    run_scenario_spec,
 )
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
 
@@ -34,13 +40,20 @@ SEEDS = tuple(range(6))
 
 
 def registry_tour() -> None:
-    """Every registered fleet scenario, three seeds each."""
+    """Every registered fleet scenario, three seeds each: one cell per
+    registry entry."""
     batch = [
         entry.build(seed)
         for entry in list_scenarios(kind="fleet")
         for seed in (0, 1, 2)
     ]
-    report = ExperimentRunner(batch, jobs=4).run("registry-fleet-tour")
+    start = time.perf_counter()
+    report = SweepReport(
+        results=fan_out(batch, run_scenario_spec, jobs=4),
+        grid_name="registry-fleet-tour",
+        total_wall_s=time.perf_counter() - start,
+        jobs=4,
+    )
     print(report.render())
     print()
 

@@ -9,8 +9,9 @@ control on the trainer fetch queue:
 2. A custom overload scenario — arrivals outrun the pipeline under the
    retry-with-backoff policy: watch retries, sheds, and both pools
    scale independently.
-3. A traced run — per-queue backlog gauges and per-work-item spans in
-   sim-time, exported to the Chrome trace format.
+3. A traced run — ``scenario.run(tracer)``, then ``tracer.freeze()``:
+   per-queue backlog gauges and per-work-item spans in sim-time,
+   exported to the Chrome trace format.
 
 Run with ``python examples/serving_loadtest.py``.  The same flows are
 available without writing Python:
@@ -22,12 +23,13 @@ available without writing Python:
 
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.experiments import build_scenario, run_experiment_traced
+from repro.experiments import build_scenario
 from repro.serving import ServingScenario
-from repro.telemetry import write_chrome_trace
+from repro.telemetry import Tracer, write_chrome_trace
 
 
 def main() -> int:
@@ -64,10 +66,15 @@ def main() -> int:
     # 3. Tracing: every work item is a span (extract.split,
     #    transform.batch), every queue a sim-time depth gauge
     #    (serving.<name>_queue.depth), every shed/retry an instant.
-    entry, trace = run_experiment_traced(
-        build_scenario("serving/bursty", seed=0)
+    bursty = build_scenario("serving/bursty", seed=0)
+    tracer = Tracer(scenario=bursty.name, seed=bursty.seed)
+    start = time.perf_counter()
+    bursty.run(tracer)
+    print(
+        f"traced serving/bursty in {time.perf_counter() - start:.2f} s "
+        "wall time"
     )
-    print(f"traced serving/bursty in {entry.wall_s:.2f} s wall time")
+    trace = tracer.freeze()
     flat = trace.metrics()
     print(
         f"trace: {flat['trace.spans']:.0f} spans, "

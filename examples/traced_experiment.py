@@ -1,8 +1,9 @@
 """Telemetry tour: trace a registered experiment, profile it, export it.
 
-Runs a registry scenario with sim-time tracing enabled, prints the
-top spans by self-time and the recorded metrics, then exports the
-trace to the Chrome trace-event format.
+Runs a registry scenario under a ``Tracer`` (``scenario.run(tracer)``,
+then ``tracer.freeze()``), prints the top spans by self-time and the
+recorded metrics, then exports the trace to the Chrome trace-event
+format.
 
 Run with ``python examples/traced_experiment.py``.  Open the exported
 ``traced_experiment_chrome.json`` in Perfetto (https://ui.perfetto.dev
@@ -19,12 +20,14 @@ The same flow is available without writing Python:
 
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.analysis.report import render_table
-from repro.experiments import build_scenario, run_experiment_traced
+from repro.experiments import build_scenario
 from repro.telemetry import (
+    Tracer,
     top_spans,
     validate_chrome_trace,
     to_chrome,
@@ -38,8 +41,11 @@ SEED = 0
 def main() -> int:
     scenario = build_scenario(SCENARIO, seed=SEED)
     print(f"tracing {scenario.describe()} ...")
-    entry, trace = run_experiment_traced(scenario)
-    print(f"ran in {entry.wall_s:.2f} s wall time\n")
+    tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
+    start = time.perf_counter()
+    scenario.run(tracer)
+    print(f"ran in {time.perf_counter() - start:.2f} s wall time\n")
+    trace = tracer.freeze()
 
     # 1. The profile view: which spans dominate sim-time?
     flat = trace.metrics()

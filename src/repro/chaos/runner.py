@@ -73,12 +73,8 @@ class ChaosRunner:
         self.max_rounds = max_rounds
         self.client_batches_per_round = client_batches_per_round
         self._rng = random.Random(seed)
-        # The chaos pump has no wall clock; its virtual time axis is
-        # the round index, so spans span whole rounds.
-        self._round = 0
         self.tracer = tracer or NULL_TRACER
         if self.tracer.enabled:
-            self.tracer.bind_clock(lambda: float(self._round))
             session.attach_tracer(self.tracer)
 
     # -- fault application ----------------------------------------------------
@@ -162,8 +158,14 @@ class ChaosRunner:
         records = report.records
         tracer = self.tracer
         traced = tracer.enabled
+        # The chaos pump has no wall clock; its virtual time axis is
+        # the round index, so spans span whole rounds.  The tracer reads
+        # a local, not the runner: a tracer outlives its run.
+        now = 0.0
+        if traced:
+            tracer.bind_clock(lambda: now)
         for round_index in range(self.max_rounds):
-            self._round = round_index
+            now = float(round_index)
             if traced:
                 tracer.begin("chaos.round", actor="chaos", round=round_index)
             for event in self.schedule.due(round_index):
@@ -189,7 +191,7 @@ class ChaosRunner:
                 )
             if traced:
                 tracer.counter("chaos.delivered", len(records), actor="chaos")
-                self._round = round_index + 1
+                now = float(round_index + 1)
                 tracer.end(actor="chaos")
         else:
             raise DppError("chaos run exceeded max_rounds")

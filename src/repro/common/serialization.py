@@ -506,7 +506,6 @@ def _import_builtin_report_modules() -> list[str]:
         "repro.chaos.report",
         "repro.dpp.simulation",
         "repro.experiments.report",
-        "repro.experiments.runner",
         "repro.fleet.report",
         "repro.serving.report",
         "repro.telemetry.tracer",

@@ -153,7 +153,8 @@ class TimedDppSimulation:
         self.clock = clock or SimClock()
         self.tracer = tracer or NULL_TRACER
         if self.tracer.enabled:
-            self.tracer.bind_clock(lambda: self.clock.now)
+            clock = self.clock  # not self: a tracer outlives its run
+            self.tracer.bind_clock(lambda: clock.now)
         self._live_workers = config.initial_workers
         self._pending: list[float] = []  # spin-up completion times
         self._buffer = 0.0

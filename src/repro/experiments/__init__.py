@@ -14,12 +14,12 @@ speaks one contract:
   :func:`list_scenarios` / :func:`build_scenario` name the repo's
   experiment vocabulary, with the fleet mixes, chaos acceptance
   scenarios, and quick-grid cells built in;
-* **one engine, two front-ends** (:mod:`runner`) — :func:`fan_out`
-  maps a function over items, inline or across the fork pool;
-  :class:`ExperimentRunner` fans any mix of scenario kinds through it,
+* **one batch, the sweep** (:mod:`runner`) — :func:`fan_out` maps a
+  function over items, inline or across the fork pool;
   :class:`SweepRunner` fans a fleet grid through it and aggregates
   percentile surfaces (:mod:`grid`, :mod:`report`); tracing is the
-  ``trace=True`` argument of either ``run``;
+  ``trace=True`` argument of its ``run``.  One scenario of any kind is
+  ``scenario.run(tracer)``;
 * the **telemetry schema** — every run returns a
   :class:`~repro.common.serialization.ReportBase`, so all artifacts
   serialize, revive, and diff the same way;
@@ -46,15 +46,10 @@ from .registry import (
     unregister_scenario,
 )
 from .pool import auto_chunk_size, fork_available, run_chunked
-from .report import CELL_METRICS, FailureReport, ScenarioResult, SweepReport
+from .report import CELL_METRICS, ScenarioResult, SweepReport
 from .runner import (
-    ExperimentEntry,
-    ExperimentReport,
-    ExperimentRunner,
     SweepRunner,
     fan_out,
-    run_experiment,
-    run_experiment_traced,
     run_scenario_spec,
     run_scenario_spec_traced,
 )
@@ -69,10 +64,6 @@ __all__ = [
     "CELL_METRICS",
     "ChaosSessionScenario",
     "DppTimelineScenario",
-    "ExperimentEntry",
-    "ExperimentReport",
-    "ExperimentRunner",
-    "FailureReport",
     "FleetRegionScenario",
     "MAX_EVENTS_PER_SCENARIO",
     "RegistryEntry",
@@ -95,8 +86,6 @@ __all__ = [
     "list_scenarios",
     "quick_grid",
     "register_scenario",
-    "run_experiment",
-    "run_experiment_traced",
     "run_scenario_spec",
     "run_scenario_spec_traced",
     "scenario_from_json",

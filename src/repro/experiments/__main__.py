@@ -28,10 +28,11 @@ import dataclasses
 import sys
 import time
 
+from ..telemetry.tracer import Tracer
 from .base import scenario_kinds
 from .grid import ScenarioGrid, grid_from_json, quick_grid
 from .registry import build_scenario, list_scenarios
-from .runner import SweepRunner, run_experiment, run_experiment_traced
+from .runner import SweepRunner
 
 
 #: ETA estimates above this are noise (one slow first cell), not signal.
@@ -99,22 +100,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.spec:
         print(scenario.to_json(), end="")
         return 0
-    if args.trace:
-        entry, trace = run_experiment_traced(scenario)
-    else:
-        entry, trace = run_experiment(scenario), None
-    report = entry.report
+    tracer = (
+        Tracer(scenario=scenario.name, seed=scenario.seed) if args.trace else None
+    )
+    start = time.perf_counter()
+    report = scenario.run(tracer)
+    wall_s = time.perf_counter() - start
     if not args.quiet:
         render = getattr(report, "render", None) or getattr(
             report, "describe"
         )
         print(render())
-        print(f"wall time: {entry.wall_s:.2f} s")
+        print(f"wall time: {wall_s:.2f} s")
     if args.out:
         target = report.write(args.out)
         print(f"report artifact → {target}")
-    if trace is not None:
-        target = trace.write(args.trace)
+    if tracer is not None:
+        target = tracer.freeze().write(args.trace)
         print(f"trace artifact → {target}")
     return 0
 

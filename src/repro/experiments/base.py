@@ -85,8 +85,7 @@ class Scenario(abc.ABC):
         samples into it; the report is the same either way.  The
         built-in kinds thread the tracer through their execution
         engines; a kind without instrumentation ignores it (the tracer
-        captures nothing rather than failing, so mixed batches trace
-        what they can).
+        captures nothing rather than failing).
         """
 
     def params(self) -> dict:

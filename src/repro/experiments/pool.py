@@ -1,9 +1,9 @@
 """The persistent fork-pool engine.
 
-One engine, two front-ends: :func:`~repro.experiments.runner.fan_out`
-is the only code that decides between running inline and running here,
-and both runners (:class:`~repro.experiments.runner.SweepRunner`,
-:class:`~repro.experiments.runner.ExperimentRunner`) are calls to it.
+:func:`~repro.experiments.runner.fan_out` is the only code that
+decides between running inline and running here, and
+:class:`~repro.experiments.runner.SweepRunner`, the one batch runner,
+calls it.
 
 :func:`run_chunked` keeps long-lived ``fork``\\ ed workers draining
 *chunks* (contiguous ``[start, stop)`` index ranges) assigned one at a

@@ -10,15 +10,12 @@ argue from.  Rendering reuses the :mod:`repro.analysis.report` table
 style, and the report speaks the shared
 :class:`~repro.common.serialization.ReportBase` telemetry surface so
 sweeps archive, revive and diff like every other report.
-:class:`BatchReport` is the half of that a sweep shares with an
-:class:`~repro.experiments.runner.ExperimentReport`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from ..analysis.report import render_table
 from ..common.errors import ConfigError
@@ -113,42 +110,35 @@ class ScenarioResult:
         return record_from_row(cls, row, "sweep scenario result", optional=True)
 
 
-class BatchReport(ReportBase):
-    """What a sweep and an experiment batch have in common.
+@dataclass
+class SweepReport(ReportBase):
+    """Results of one sweep, plus the aggregation surfaces over them."""
 
-    Both are a list of named rows (each with ``name``, ``status`` and
-    ``wall_s``) under ``total_wall_s`` / ``jobs`` / ``extras``.  The
-    subclass is the dataclass that owns those fields; it names the
-    attribute holding its rows and the payload key they serialize
-    under, and inherits the canonical order, the quarantine view and the
-    deterministic bytes.
-    """
+    report_kind = "sweep"
 
-    #: Attribute holding the rows, and their key in :meth:`payload`.
-    rows_attr: ClassVar[str]
-    rows_key: ClassVar[str]
+    results: list[ScenarioResult]
+    grid_name: str = "sweep"
+    total_wall_s: float = 0.0
+    jobs: int = 1  # process fan-out the sweep ran with
+    # Nothing in src/ writes extras any more; benchmarks/dsi still reads it.
+    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Canonical order: aggregation must not depend on completion
         # order across worker processes.
-        setattr(
-            self, self.rows_attr, sorted(self._rows(), key=lambda row: row.name)
-        )
-
-    def _rows(self) -> list:
-        return getattr(self, self.rows_attr)
+        self.results = sorted(self.results, key=lambda result: result.name)
 
     @property
-    def quarantined(self) -> list:
-        """Rows whose scenario raised, in name order."""
-        return [row for row in self._rows() if row.status == "quarantined"]
+    def quarantined(self) -> list[ScenarioResult]:
+        """Cells whose scenario raised, in name order."""
+        return [r for r in self.results if r.status == "quarantined"]
 
     def deterministic_payload(self) -> dict:
         """The payload with every wall-clock field neutralized.
 
         Wall time and the fan-out width are the legitimately
         execution-dependent surfaces in an artifact; zeroing
-        ``total_wall_s``, ``jobs``, and per-row ``wall_s`` leaves
+        ``total_wall_s``, ``jobs``, and per-cell ``wall_s`` leaves
         exactly the bytes the determinism contract covers — serial ==
         pooled == crashed-and-resumed.  Quarantine statuses and error
         details *are* covered: a poison cell quarantines identically
@@ -157,7 +147,7 @@ class BatchReport(ReportBase):
         payload = self.payload()
         payload["total_wall_s"] = 0.0
         payload["jobs"] = 0
-        for row in payload[self.rows_key]:
+        for row in payload["scenarios"]:
             row["wall_s"] = 0.0
         return payload
 
@@ -172,21 +162,6 @@ class BatchReport(ReportBase):
                 }
             )
         )
-
-
-@dataclass
-class SweepReport(BatchReport):
-    """Results of one sweep, plus the aggregation surfaces over them."""
-
-    report_kind = "sweep"
-    rows_attr = "results"
-    rows_key = "scenarios"
-
-    results: list[ScenarioResult]
-    grid_name: str = "sweep"
-    total_wall_s: float = 0.0
-    jobs: int = 1  # process fan-out the sweep ran with
-    extras: dict = field(default_factory=dict)
 
     # -- aggregation -----------------------------------------------------------
 
@@ -337,26 +312,3 @@ def _fmt(value: float, scale: float, pattern: str) -> str:
     if math.isnan(value):
         return "-"
     return pattern.format(value / scale)
-
-
-@dataclass
-class FailureReport(ReportBase):
-    """The report of a scenario that could not produce one.
-
-    Quarantined cells in an :class:`ExperimentRunner` batch still need
-    a child report under the experiment envelope; this is that stand-in
-    — the scenario's name and the deterministic failure detail, nothing
-    else.  It revives and diffs like any other kind, so an
-    archived batch with casualties stays loadable.
-    """
-
-    report_kind = "failure"
-
-    scenario: str
-    error: str
-
-    def metrics(self) -> dict[str, float]:
-        return {"failure.scenarios": 1.0}
-
-    def render(self) -> str:
-        return f"scenario {self.scenario!r} quarantined: {self.error}"

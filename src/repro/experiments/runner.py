@@ -1,35 +1,28 @@
-"""The experiment executor: one engine, two front-ends.
+"""The experiment executor: the sweep is the one batch.
 
 :func:`fan_out` is the engine — "apply a function to every item,
 inline or across the persistent pool (:mod:`repro.experiments.pool`),
 and report completed index ranges" —
-and the only place that chooses between the two.  The runners are
-front-ends that pick the cell function and what to do with the
-outcomes:
-
-* :class:`SweepRunner` — the fleet grid: a cell runs
-  ``grid.scenario_at(index)`` and returns its flat
-  :class:`~repro.experiments.report.ScenarioResult`, which the parent
-  slots into the :class:`~repro.experiments.report.SweepReport` at its
-  grid index.  It also speaks the run-journal protocol
-  (:mod:`repro.experiments.journal`): pass ``journal_path`` and every
-  completed chunk of cells is durably logged, pass ``resume=True`` and
-  a killed sweep picks up where it stopped — with a final report
-  byte-identical (modulo wall clock) to a run that was never
-  interrupted.
-* :class:`ExperimentRunner` — any mix of registered scenario kinds
-  (fleet regions, chaos sessions, timed DPP simulations, serving load
-  tests): a cell returns the scenario's full report and the batch
-  collects them into an :class:`ExperimentReport`, whose JSON embeds
-  every child report envelope.
+and the only place that chooses between the two.  :class:`SweepRunner`
+is its front-end for a fleet grid: a cell runs
+``grid.scenario_at(index)`` and returns its flat
+:class:`~repro.experiments.report.ScenarioResult`, which the parent
+slots into the :class:`~repro.experiments.report.SweepReport` at its
+grid index.  It also speaks the run-journal protocol
+(:mod:`repro.experiments.journal`): pass ``journal_path`` and every
+completed chunk of cells is durably logged, pass ``resume=True`` and a
+killed sweep picks up where it stopped — with a final report
+byte-identical (modulo wall clock) to a run that was never
+interrupted.  A single scenario of any kind needs no runner:
+``scenario.run(tracer)`` is its one entry.
 
 Tracing is an argument, not a second entry point: ``run(trace=True)``
-on either runner returns ``(report, merged trace)``.
+returns ``(report, merged trace)``.
 
-Both rely on the scenario contract: every scenario seeds itself and
-reports sort canonically before aggregation — process scheduling can
-never leak into the artifact.  It is also why neither retries: a cell
-that raised would raise again, so it runs once under its own
+The runner relies on the scenario contract: every scenario seeds itself
+and reports sort canonically before aggregation — process scheduling
+can never leak into the artifact.  It is also why nothing retries: a
+cell that raised would raise again, so it runs once under its own
 ``try``/``except`` (inline, or inside its worker) and, unless the
 runner is fail-fast, becomes its quarantine record.  A worker that dies
 ends the run; the journal is the one recovery path, and a sweep resumed
@@ -41,17 +34,14 @@ from __future__ import annotations
 import os
 import pathlib
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..common.errors import ConfigError
-from ..common.serialization import ReportBase, record_from_row, record_row
 from ..telemetry.tracer import Trace, Tracer, merge_traces
-from .base import Scenario
 from .grid import ScenarioGrid
 from .journal import RunJournal
 from .pool import auto_chunk_size, fork_available, run_chunked
-from .report import BatchReport, FailureReport, ScenarioResult, SweepReport
+from .report import ScenarioResult, SweepReport
 from .scenarios import FleetRegionScenario, MAX_EVENTS_PER_SCENARIO
 
 #: ``progress(done, total)`` — called after each completed item.
@@ -166,29 +156,6 @@ def fan_out(
     return results
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    """Worker process count; ``None`` means one per CPU core."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ConfigError("a runner needs at least one worker process")
-    return jobs
-
-
-def _traced(run: Callable, scenario) -> tuple[object, Trace]:
-    """``run(scenario, tracer)`` under a tracer built *here*.
-
-    Tracers never cross a process boundary: each call builds its own in
-    the executing process and freezes it into a picklable
-    :class:`~repro.telemetry.tracer.Trace` for the trip back.
-    """
-    tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
-    return run(scenario, tracer), tracer.freeze()
-
-
-# -- the sweep front-end -------------------------------------------------------
-
-
 def run_scenario_spec(
     spec: FleetRegionScenario, tracer: Tracer | None = None
 ) -> ScenarioResult:
@@ -227,8 +194,14 @@ def run_scenario_spec(
 def run_scenario_spec_traced(
     spec: FleetRegionScenario,
 ) -> tuple[ScenarioResult, Trace]:
-    """:func:`run_scenario_spec` with a fresh per-cell tracer."""
-    return _traced(run_scenario_spec, spec)
+    """:func:`run_scenario_spec` under a tracer built *here*.
+
+    Tracers never cross a process boundary: each cell builds its own in
+    the executing process and freezes it into a picklable
+    :class:`~repro.telemetry.tracer.Trace` for the trip back.
+    """
+    tracer = Tracer(scenario=spec.name, seed=spec.seed)
+    return run_scenario_spec(spec, tracer), tracer.freeze()
 
 
 class SweepRunner:
@@ -253,7 +226,9 @@ class SweepRunner:
         *quarantine* False is the fail-fast contract: a cell that raises
         aborts the sweep with its own exception."""
         self.grid = grid
-        self.jobs = _resolve_jobs(jobs)
+        self.jobs = (os.cpu_count() or 1) if jobs is None else jobs
+        if self.jobs < 1:
+            raise ConfigError("a runner needs at least one worker process")
         if chunk_cells is not None and chunk_cells < 1:
             raise ConfigError("chunk_cells must be at least one cell")
         self.chunk_cells = chunk_cells
@@ -361,219 +336,6 @@ class SweepRunner:
         report = SweepReport(
             results=results,
             grid_name=grid_name,
-            total_wall_s=time.perf_counter() - start,
-            jobs=self.jobs,
-        )
-        if trace:
-            return report, merge_traces(cell_trace for _, cell_trace in outcomes)
-        return report
-
-
-# -- the general front-end -----------------------------------------------------
-
-
-@dataclass
-class ExperimentEntry:
-    """One scenario's outcome inside an experiment batch."""
-
-    name: str
-    scenario_kind: str
-    wall_s: float
-    report: ReportBase
-    status: str = "ok"  # "ok" | "quarantined"
-
-
-def run_experiment(
-    scenario: Scenario, tracer: Tracer | None = None
-) -> ExperimentEntry:
-    """Run one scenario of any kind; module top-level for pickling."""
-    start = time.perf_counter()
-    report = scenario.run(tracer)
-    return ExperimentEntry(
-        name=scenario.name,
-        scenario_kind=scenario.kind,
-        wall_s=time.perf_counter() - start,
-        report=report,
-    )
-
-
-def run_experiment_traced(
-    scenario: Scenario,
-) -> tuple[ExperimentEntry, Trace]:
-    """:func:`run_experiment` with a fresh per-scenario tracer."""
-    return _traced(run_experiment, scenario)
-
-
-@dataclass
-class ExperimentReport(BatchReport):
-    """A batch of heterogeneous scenario runs under one envelope.
-
-    Unlike a sweep (hundreds of cells, reduced in-worker), an
-    experiment batch keeps each scenario's *full* report — the JSON
-    artifact nests the child envelopes, so one file revives every
-    report with its own kind intact.
-    """
-
-    report_kind = "experiments"
-    rows_attr = rows_key = "entries"
-
-    entries: list[ExperimentEntry]
-    experiment_name: str = "experiment"
-    total_wall_s: float = 0.0
-    jobs: int = 1
-    extras: dict = field(default_factory=dict)
-
-    def entry(self, name: str) -> ExperimentEntry:
-        """Look one scenario's entry up by name."""
-        for candidate in self.entries:
-            if candidate.name == name:
-                return candidate
-        raise ConfigError(f"no experiment entry named {name!r}")
-
-    def payload(self) -> dict:
-        return record_row(
-            self,
-            entries=lambda entries: [
-                record_row(entry, report=ReportBase.envelope) for entry in entries
-            ],
-            total_wall_s=lambda wall_s: round(wall_s, 3),
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ExperimentReport":
-        # Only the entries are required, and an entry's status is optional
-        # so pre-quarantine artifacts still revive.
-        return record_from_row(
-            cls,
-            payload,
-            "experiment report",
-            optional=True,
-            entries=lambda rows: [
-                record_from_row(
-                    ExperimentEntry,
-                    row,
-                    "experiment entry",
-                    optional=True,
-                    report=ReportBase.from_envelope,
-                )
-                for row in rows
-            ],
-        )
-
-    def metrics(self) -> dict[str, float]:
-        flat = {
-            "experiments.scenarios": float(len(self.entries)),
-            "experiments.total_wall_s": self.total_wall_s,
-            "experiments.quarantined": float(len(self.quarantined)),
-        }
-        kinds: dict[str, int] = {}
-        for entry in self.entries:
-            kinds[entry.scenario_kind] = kinds.get(entry.scenario_kind, 0) + 1
-        for kind, count in sorted(kinds.items()):
-            flat[f"experiments.scenarios.{kind}"] = float(count)
-        return flat
-
-    def render(self) -> str:
-        """Per-scenario table: kind, wall time, headline metrics."""
-        from ..analysis.report import render_table
-
-        rows = []
-        for entry in self.entries:
-            child = entry.report.metrics()
-            headline = ", ".join(
-                f"{key.split('.', 1)[1]}={value:g}"
-                for key, value in list(child.items())[:3]
-            )
-            rows.append(
-                [
-                    entry.name,
-                    entry.scenario_kind,
-                    f"{entry.wall_s:.2f}",
-                    headline or "-",
-                ]
-            )
-        table = render_table(
-            ["scenario", "kind", "wall_s", "headline metrics"],
-            rows,
-            title=f"Experiment batch: {self.experiment_name}",
-        )
-        summary = f"scenarios: {len(self.entries)}"
-        if self.total_wall_s > 0:
-            summary += (
-                f"; wall time {self.total_wall_s:.1f} s with "
-                f"{self.jobs} process(es)"
-            )
-        return table + "\n" + summary
-
-
-class ExperimentRunner:
-    """Fans any mix of scenario kinds across processes.
-
-    The generalization of :class:`SweepRunner`: same engine, same
-    determinism contract (scenarios carry their own seeds; entries sort
-    canonically), but heterogeneous scenarios in, full per-scenario
-    reports out.
-    """
-
-    def __init__(
-        self,
-        scenarios: Sequence[Scenario],
-        jobs: int | None = 1,
-        quarantine: bool = False,
-    ) -> None:
-        """*quarantine* True keeps the batch alive past a poison
-        scenario: it lands as a quarantined entry wrapping a
-        :class:`~repro.experiments.report.FailureReport` instead of
-        aborting the run.  Off by default — small heterogeneous batches
-        are usually interactive, where failing loudly is the point."""
-        if not scenarios:
-            raise ConfigError("an experiment needs at least one scenario")
-        names = [scenario.name for scenario in scenarios]
-        if len(set(names)) != len(names):
-            raise ConfigError("scenario names must be unique within a batch")
-        self.scenarios = list(scenarios)
-        self.jobs = _resolve_jobs(jobs)
-        self.quarantine = quarantine
-
-    def _quarantined_entry(self, index: int, detail: str) -> ExperimentEntry:
-        scenario = self.scenarios[index]
-        return ExperimentEntry(
-            name=scenario.name,
-            scenario_kind=scenario.kind,
-            wall_s=0.0,  # a crash's elapsed time is not reproducible
-            report=FailureReport(scenario=scenario.name, error=detail),
-            status="quarantined",
-        )
-
-    def run(
-        self,
-        experiment_name: str = "experiment",
-        progress: ProgressFn | None = None,
-        trace: bool = False,
-    ) -> ExperimentReport | tuple[ExperimentReport, Trace]:
-        """Execute every scenario; returns the batched report.
-
-        With *trace* every scenario runs under its own tracer and the
-        return value is ``(report, merged trace)`` — one process per
-        scenario (names are unique within a batch, so the merge cannot
-        collide).  Traced runs are fail-fast whatever ``quarantine``
-        says: a quarantined scenario would hole the merged trace.
-        """
-        start = time.perf_counter()
-        outcomes = fan_out(
-            self.scenarios,
-            run_experiment_traced if trace else run_experiment,
-            self.jobs,
-            progress,
-            on_item_failed=(
-                self._quarantined_entry
-                if self.quarantine and not trace
-                else None
-            ),
-        )
-        report = ExperimentReport(
-            entries=[entry for entry, _ in outcomes] if trace else outcomes,
-            experiment_name=experiment_name,
             total_wall_s=time.perf_counter() - start,
             jobs=self.jobs,
         )

@@ -212,8 +212,9 @@ class WorkerPool:
             return
 
     def release(self) -> None:
-        """Let go of every member's worker and task (plane teardown);
-        the flags ``size`` counts from stay."""
+        """Let go of the plane and of every member's worker and task
+        (plane teardown); the flags ``size`` counts from stay."""
+        self.plane = None
         for member in self.members:
             member.worker = member.task = None
 
@@ -261,7 +262,8 @@ class ServingPlane:
         self.clock = self.kernel.clock
         self.tracer = tracer or NULL_TRACER
         if self.tracer.enabled:
-            self.tracer.bind_clock(lambda: self.clock.now)
+            clock = self.clock  # not self: a tracer outlives its run
+            self.tracer.bind_clock(lambda: clock.now)
             master.attach_tracer(self.tracer)
         master.register_worker(FEEDER_ID)
 

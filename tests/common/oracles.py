@@ -162,14 +162,9 @@ from dataclasses import asdict, fields  # noqa: E402
 from repro.chaos.invariants import Violation  # noqa: E402
 from repro.chaos.report import ChaosReport, DeliveryRecord  # noqa: E402
 from repro.cluster.job import JobKind  # noqa: E402
-from repro.common.serialization import (  # noqa: E402
-    ReportBase,
-    require_keys,
-    revive_float,
-)
+from repro.common.serialization import require_keys, revive_float  # noqa: E402
 from repro.dpp.simulation import SimTickSample, SimulationResult  # noqa: E402
-from repro.experiments.report import FailureReport, ScenarioResult  # noqa: E402
-from repro.experiments.runner import ExperimentEntry, ExperimentReport  # noqa: E402
+from repro.experiments.report import ScenarioResult  # noqa: E402
 from repro.experiments.scenarios import (  # noqa: E402
     ChaosSessionScenario,
     DppTimelineScenario,
@@ -768,20 +763,6 @@ def scenario_result_from_row(row):
     return cls(**revive_floats(row, _SCENARIO_RESULT_FLOAT_FIELDS))
 
 
-def failure_report_payload(self):
-    return {"scenario": self.scenario, "error": self.error}
-
-
-def failure_report_from_payload(payload):
-    cls = FailureReport
-    require_keys(
-        payload,
-        required=("scenario", "error"),
-        context="failure report",
-    )
-    return cls(scenario=payload["scenario"], error=payload["error"])
-
-
 # trainer/stalls.py
 
 _STALL_FLOAT_FIELDS = (
@@ -897,63 +878,4 @@ def cost_report_from_payload(payload):
         mem_bytes=float(payload["mem_bytes"]),
         cycles_by_class=by_class,
         elements=int(payload["elements"]),
-    )
-
-
-# experiments/runner.py
-
-
-def experiment_entry_to_row(self):
-    return {
-        "name": self.name,
-        "scenario_kind": self.scenario_kind,
-        "wall_s": self.wall_s,
-        "report": self.report.envelope(),
-        "status": self.status,
-    }
-
-
-def experiment_entry_from_row(row):
-    cls = ExperimentEntry
-    require_keys(
-        row,
-        required=("name", "scenario_kind", "wall_s", "report"),
-        optional=("status",),
-        context="experiment entry",
-    )
-    return cls(
-        name=row["name"],
-        scenario_kind=row["scenario_kind"],
-        wall_s=revive_float(row["wall_s"]),
-        report=ReportBase.from_envelope(row["report"]),
-        status=row.get("status", "ok"),
-    )
-
-
-def experiment_report_payload(self):
-    return {
-        "experiment_name": self.experiment_name,
-        "jobs": self.jobs,
-        "total_wall_s": round(self.total_wall_s, 3),
-        "entries": [experiment_entry_to_row(entry) for entry in self.entries],
-        "extras": self.extras,
-    }
-
-
-def experiment_report_from_payload(payload):
-    cls = ExperimentReport
-    require_keys(
-        payload,
-        required=("entries",),
-        optional=("experiment_name", "jobs", "total_wall_s", "extras"),
-        context="experiment report",
-    )
-    return cls(
-        entries=[
-            experiment_entry_from_row(row) for row in payload["entries"]
-        ],
-        experiment_name=payload.get("experiment_name", "experiment"),
-        jobs=payload.get("jobs", 1),
-        total_wall_s=payload.get("total_wall_s", 0.0),
-        extras=payload.get("extras", {}),
     )

@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 
 from repro.chaos.faults import FLEET_FAULT_KINDS, FaultEvent, FaultKind
 from repro.common.errors import ReproError
-from repro.common.serialization import ReportBase
-from repro.experiments.report import FailureReport
 from repro.experiments.scenarios import (
     ChaosSessionScenario,
     DppTimelineScenario,
@@ -87,9 +85,6 @@ SHAPES = {
                 }
             ),
         ]
-    ),
-    ReportBase: st.deferred(
-        lambda: st.one_of(records(FailureReport), records(CostReport))
     ),
     dict: st.sampled_from(
         [{}, {"fault_tolerance": {"requeues": 1}}, {"note": "x"}]

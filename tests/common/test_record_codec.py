@@ -29,8 +29,7 @@ from repro.common.serialization import (
 )
 from repro.dpp.simulation import SimulationResult
 from repro.experiments.base import scenario_from_json
-from repro.experiments.report import FailureReport, ScenarioResult
-from repro.experiments.runner import ExperimentReport
+from repro.experiments.report import ScenarioResult
 from repro.experiments.scenarios import (
     ChaosSessionScenario,
     DppTimelineScenario,
@@ -132,12 +131,6 @@ SUBJECTS = [
         oracles.scenario_result_from_row,
     ),
     Subject(
-        FailureReport,
-        "report",
-        oracles.failure_report_payload,
-        oracles.failure_report_from_payload,
-    ),
-    Subject(
         StallReport,
         "report",
         oracles.stall_report_payload,
@@ -154,12 +147,6 @@ SUBJECTS = [
         "report",
         oracles.cost_report_payload,
         oracles.cost_report_from_payload,
-    ),
-    Subject(
-        ExperimentReport,
-        "report",
-        oracles.experiment_report_payload,
-        oracles.experiment_report_from_payload,
     ),
 ]
 

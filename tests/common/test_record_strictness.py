@@ -23,8 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.chaos.report import ChaosReport
 from repro.common.errors import ConfigError, FormatError
 from repro.dpp.simulation import SimulationResult
-from repro.experiments.report import FailureReport, ScenarioResult
-from repro.experiments.runner import ExperimentReport
+from repro.experiments.report import ScenarioResult
 from repro.experiments.scenarios import (
     ChaosSessionScenario,
     DppTimelineScenario,
@@ -51,11 +50,9 @@ REPORTS = (
     ServingReport,
     FleetReport,
     SimulationResult,
-    FailureReport,
     StallReport,
     ChaosReport,
     CostReport,
-    ExperimentReport,
 )
 ROWS = (ScenarioResult, JobOutcome)
 

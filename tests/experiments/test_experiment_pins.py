@@ -7,15 +7,19 @@ execution engine (running this file as a script against that commit's
 ``src/``, with ``run(trace=True)`` spelled ``run_traced()``, prints the
 JSON stored in ``golden/experiment_pins.json``).  They hold the
 deterministic bytes of a quick-grid sweep at ``jobs`` 1 and 2, of its
-journal, of a traced sweep's report and merged trace, of a three-kind
-``ExperimentRunner`` batch's report and trace, of a sweep with one
-injected poison cell (the quarantine record included), and the option
-strings of every CLI subcommand.
+journal, of a traced sweep's report and merged trace, of three
+scenario kinds' reports (traced and plain alike) and their merged
+trace, of a sweep with one injected poison cell (the quarantine record
+included), and the option strings of every CLI subcommand.
 
 Re-recorded on purpose since: ``journal_sha256`` for journal version 2
-(a CRC per record) and ``cli_options`` for the loss of
-``--chunk-timeout`` and then of ``-v``/``--verbose``.  The poisoned sweep now raises inside its cell, not
-at the start of the chunk holding it, and keeps its bytes.
+(a CRC per record); ``cli_options`` for the loss of
+``--chunk-timeout`` and then of ``-v``/``--verbose``; ``batch`` re-keyed
+from one batch report digest to one report digest per scenario when
+the mixed-kind batch runner went (its values taken from the commit
+before, its ``trace_sha256`` unchanged).  The poisoned sweep now raises
+inside its cell, not at the start of the chunk holding it, and keeps
+its bytes.
 """
 
 import hashlib
@@ -29,7 +33,6 @@ from unittest import mock
 import pytest
 
 from repro.experiments import (
-    ExperimentRunner,
     SweepRunner,
     build_scenario,
     fork_available,
@@ -37,6 +40,7 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import build_parser
 import repro.experiments.runner as runner_module
+from repro.telemetry import Tracer, merge_traces
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "experiment_pins.json"
 SEEDS = (0, 1)
@@ -87,14 +91,20 @@ def traced_sweep_pin(jobs: int) -> dict:
     }
 
 
-def batch_pin(jobs: int) -> dict:
-    plain = ExperimentRunner(batch(), jobs=jobs).run("pins")
-    report, trace = ExperimentRunner(batch(), jobs=jobs).run("pins", trace=True)
-    return {
-        "report_sha256": _sha(plain.deterministic_json()),
-        "traced_report_sha256": _sha(report.deterministic_json()),
-        "trace_sha256": _sha(trace.to_json()),
-    }
+def batch_pin() -> dict:
+    """One report digest per scenario, the traced run's and the plain
+    run's being one value, plus the merged trace of the traced runs."""
+    pins: dict = {}
+    traces = []
+    for scenario in batch():
+        plain = scenario.run().to_json()
+        tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
+        assert scenario.run(tracer).to_json() == plain, scenario.name
+        traces.append(tracer.freeze())
+        name, seed = scenario.name.rsplit("/seed", 1)
+        pins.setdefault(name, {})[seed] = _sha(plain)
+    pins["trace_sha256"] = _sha(merge_traces(traces).to_json())
+    return pins
 
 
 def poison_pin() -> str:
@@ -152,9 +162,8 @@ def test_traced_sweep_produces_the_same_bytes(jobs, golden):
     assert traced_sweep_pin(jobs) == golden["traced_sweep"]
 
 
-@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
-def test_three_kind_batch_produces_the_same_bytes(jobs, golden):
-    assert batch_pin(jobs) == golden["batch"]
+def test_three_kinds_produce_the_same_bytes(golden):
+    assert batch_pin() == golden["batch"]
 
 
 @needs_fork
@@ -169,14 +178,13 @@ def test_cli_takes_the_same_options(golden):
 if __name__ == "__main__":
     assert sweep_pin(1) == sweep_pin(2)
     assert traced_sweep_pin(1) == traced_sweep_pin(2)
-    assert batch_pin(1) == batch_pin(2)
     print(
         json.dumps(
             {
                 "sweep_sha256": sweep_pin(1),
                 "journal_sha256": journal_pin(),
                 "traced_sweep": traced_sweep_pin(1),
-                "batch": batch_pin(1),
+                "batch": batch_pin(),
                 "poisoned_sweep_sha256": poison_pin(),
                 "cli_options": cli_options(),
             },

@@ -3,7 +3,7 @@
 The contract under test: the chunked persistent pool, which hands each
 finished chunk's values to its caller once, is *invisible* in every
 artifact — serial, any ``jobs``, and any chunk size produce
-byte-identical sweep reports, experiment reports, and merged traces —
+byte-identical sweep reports and merged traces —
 while failure modes (a worker dying mid-chunk, an exception inside a
 cell) surface loudly instead of hanging the drain loop.  A cell that
 raises is caught where it ran and, with a quarantine hook, becomes a
@@ -22,11 +22,9 @@ import pytest
 from repro.chaos.faults import FaultEvent, FaultKind
 from repro.common.errors import ConfigError
 from repro.experiments import (
-    ExperimentRunner,
     ScenarioGrid,
     SweepRunner,
     auto_chunk_size,
-    build_scenario,
     fan_out,
     fork_available,
     run_chunked,
@@ -84,15 +82,6 @@ def sweep_bytes(report) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=True)
 
 
-def experiment_bytes(report) -> str:
-    payload = report.payload()
-    payload["total_wall_s"] = 0.0
-    payload["jobs"] = 0
-    for entry in payload["entries"]:
-        entry["wall_s"] = 0.0
-    return json.dumps(payload, sort_keys=True, allow_nan=True)
-
-
 class TestAutoChunkSize:
     def test_small_grids_get_single_cell_chunks(self):
         assert auto_chunk_size(1, 4) == 1
@@ -144,33 +133,6 @@ class TestSweepDeterminism:
     def test_chunk_cells_validated(self):
         with pytest.raises(ConfigError):
             SweepRunner(pool_grid(), jobs=2, chunk_cells=0)
-
-
-class TestExperimentDeterminism:
-    def batch(self):
-        return [
-            build_scenario(name, seed=seed)
-            for name in ("fleet/busy", "chaos/seeded", "dpp/worker-churn")
-            for seed in (0, 1, 2)
-        ]
-
-    def test_mixed_kinds_byte_identical_across_jobs(self):
-        baseline = experiment_bytes(
-            ExperimentRunner(self.batch(), jobs=1).run("mixed")
-        )
-        for jobs in (2, 4):
-            report = ExperimentRunner(self.batch(), jobs=jobs).run("mixed")
-            assert experiment_bytes(report) == baseline, jobs
-
-    def test_mixed_kinds_traced_merge_identical(self):
-        base_report, base_trace = ExperimentRunner(
-            self.batch(), jobs=1
-        ).run("mixed", trace=True)
-        report, trace = ExperimentRunner(self.batch(), jobs=3).run(
-            "mixed", trace=True
-        )
-        assert experiment_bytes(report) == experiment_bytes(base_report)
-        assert trace.to_json() == base_trace.to_json()
 
 
 def _square(value):

@@ -1,8 +1,14 @@
 """The named scenario registry: catalog coverage and mechanics."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
+from repro.chaos.runner import ChaosRunner
 from repro.common.errors import ConfigError
+from repro.dpp.simulation import TimedDppSimulation
 from repro.experiments import (
     DppTimelineScenario,
     build_scenario,
@@ -11,6 +17,12 @@ from repro.experiments import (
     register_scenario,
     unregister_scenario,
 )
+from repro.fleet.simulator import FleetSimulator
+from repro.serving.plane import ServingPlane
+from repro.telemetry import Tracer
+
+#: The engine each scenario kind builds and drives inside ``run``.
+ENGINES = (ChaosRunner, FleetSimulator, ServingPlane, TimedDppSimulation)
 
 
 class TestBuiltinCatalog:
@@ -71,9 +83,7 @@ class TestMechanics:
         with pytest.raises(ConfigError):
             get_scenario("dpp/test-entry")
 
-    def test_registered_entry_runs_via_generic_runner(self):
-        from repro.experiments import ExperimentRunner
-
+    def test_registered_entry_runs(self):
         register_scenario(
             "dpp/tiny-test",
             "dpp",
@@ -83,9 +93,34 @@ class TestMechanics:
             ),
         )
         try:
-            report = ExperimentRunner(
-                [build_scenario("dpp/tiny-test", seed=0)], jobs=1
-            ).run("registry-smoke")
-            assert report.entries[0].scenario_kind == "dpp"
+            report = build_scenario("dpp/tiny-test", seed=0).run()
+            assert report.report_kind == "dpp"
         finally:
             unregister_scenario("dpp/tiny-test")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", [entry.name for entry in list_scenarios()])
+def test_a_run_is_freed_without_the_cycle_collector(name, traced, monkeypatch):
+    # Sweeps, benchmarks and the CLI build and drop one engine per run:
+    # an edge back to it (a pool's plane, a tracer's clock read) would
+    # leave every run to the cycle collector.  A tracer outlives its run.
+    engines = []
+    for cls in ENGINES:
+
+        def run(self, *args, _run=cls.run, **kwargs):
+            engines.append(weakref.ref(self))
+            return _run(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "run", run)
+    scenario = build_scenario(name, seed=0)
+    if scenario.kind == "serving":
+        scenario = dataclasses.replace(scenario, n_requests=30)
+    tracer = Tracer(scenario=scenario.name) if traced else None
+    gc.disable()
+    try:
+        scenario.run(tracer)
+        assert len(engines) == 1
+        assert engines[0]() is None
+    finally:
+        gc.enable()

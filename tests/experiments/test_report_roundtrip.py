@@ -187,50 +187,6 @@ class TestSweepReport:
         assert all(r.status == "ok" and r.error == "" for r in revived.results)
 
 
-class TestFailureReport:
-    def test_round_trips_and_dispatches(self):
-        from repro.experiments import FailureReport
-
-        report = FailureReport(
-            scenario="fleet/busy/seed3",
-            error="RuntimeError: injected poison cell",
-        )
-        revived = assert_byte_identical_round_trip(report)
-        assert revived.scenario == "fleet/busy/seed3"
-        assert "poison" in revived.render()
-        assert revived.metrics() == {"failure.scenarios": 1.0}
-
-    def test_quarantined_experiment_entry_round_trips(self):
-        from repro.experiments import ExperimentRunner
-        import repro.experiments.runner as runner_module
-
-        scenarios = [
-            build_scenario("dpp/steady-state", seed=seed) for seed in (0, 1)
-        ]
-        victim = scenarios[1].name
-        real = runner_module.run_experiment
-
-        def flaky(scenario):
-            if scenario.name == victim:
-                raise ValueError("exploded")
-            return real(scenario)
-
-        runner = ExperimentRunner(scenarios, jobs=1, quarantine=True)
-        original = runner_module.run_experiment
-        runner_module.run_experiment = flaky
-        try:
-            report = runner.run("casualties")
-        finally:
-            runner_module.run_experiment = original
-        assert [e.name for e in report.quarantined] == [victim]
-        entry = report.quarantined[0]
-        assert entry.report.report_kind == "failure"
-        assert entry.report.error == "ValueError: exploded"
-        revived = assert_byte_identical_round_trip(report)
-        assert revived.quarantined[0].status == "quarantined"
-        assert revived.metrics()["experiments.quarantined"] == 1.0
-
-
 class TestOtherKinds:
     def test_stall_report_round_trips(self):
         from repro.trainer import StallReport, on_host_preprocessing_study

@@ -1,4 +1,4 @@
-"""ExperimentRunner determinism, ExperimentReport envelope, and the CLI."""
+"""The experiment CLI: list, run and sweep."""
 
 import json
 
@@ -6,70 +6,8 @@ import pytest
 
 from repro.common import report_from_json
 from repro.common.errors import ConfigError
-from repro.experiments import (
-    ExperimentReport,
-    ExperimentRunner,
-    build_scenario,
-)
+from repro.experiments import build_scenario
 from repro.experiments.__main__ import main
-
-
-def mixed_batch(seeds=(0, 1)):
-    return [
-        build_scenario(name, seed=seed)
-        for name in ("fleet/busy", "chaos/seeded", "dpp/worker-churn")
-        for seed in seeds
-    ]
-
-
-def strip_wall(report: ExperimentReport):
-    payload = report.payload()
-    payload.pop("total_wall_s")
-    payload.pop("jobs")
-    for entry in payload["entries"]:
-        entry.pop("wall_s")
-    return payload
-
-
-class TestExperimentRunner:
-    def test_serial_equals_parallel_across_kinds(self):
-        batch = mixed_batch()
-        serial = ExperimentRunner(batch, jobs=1).run("mixed")
-        parallel = ExperimentRunner(batch, jobs=3).run("mixed")
-        assert strip_wall(serial) == strip_wall(parallel)
-
-    def test_report_nests_children_by_kind(self):
-        report = ExperimentRunner(mixed_batch(seeds=(0,)), jobs=1).run("mixed")
-        kinds = {e.name: e.report.report_kind for e in report.entries}
-        assert kinds == {
-            "fleet/busy/seed0": "fleet",
-            "chaos/seeded/seed0": "chaos",
-            "dpp/worker-churn/seed0": "dpp",
-        }
-        text = report.to_json()
-        revived = report_from_json(text)
-        assert revived.to_json() == text
-        assert revived.entry("chaos/seeded/seed0").report.ok
-
-    def test_duplicate_names_rejected(self):
-        scenario = build_scenario("dpp/steady-state", seed=0)
-        with pytest.raises(ConfigError, match="unique"):
-            ExperimentRunner([scenario, scenario])
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentRunner([])
-
-    def test_metrics(self):
-        report = ExperimentRunner(mixed_batch(seeds=(0, 1)), jobs=1).run("a")
-        assert report.metrics()["experiments.scenarios"] == 6.0
-        assert report.metrics()["experiments.scenarios.chaos"] == 2.0
-
-    def test_render_mentions_every_scenario(self):
-        report = ExperimentRunner(mixed_batch(seeds=(0,)), jobs=1).run("mixed")
-        text = report.render()
-        for entry in report.entries:
-            assert entry.name in text
 
 
 class TestCli:

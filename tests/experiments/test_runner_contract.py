@@ -22,7 +22,6 @@ from repro.chaos.faults import FaultEvent, FaultKind
 from repro.common.errors import FormatError
 from repro.common.serialization import dump_json, null_specials
 from repro.experiments import (
-    ExperimentRunner,
     RunJournal,
     ScenarioGrid,
     SweepRunner,
@@ -32,9 +31,10 @@ from repro.experiments import (
     load_journal,
 )
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
+from repro.telemetry import Tracer
 
 from .faults import kill_on_cell
-from .oracles import naive_batch, naive_expand, naive_sweep
+from .oracles import naive_expand, naive_sweep
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="the pooled arms require fork"
@@ -269,7 +269,7 @@ class TestWorkerKilledAtEveryCell:
             assert report.deterministic_json() == oracle.deterministic_json(), cell
 
 
-# -- (d) drawn grids and drawn batches -----------------------------------------
+# -- (d) drawn grids and drawn scenarios ---------------------------------------
 
 grids = st.builds(
     contract_grid,
@@ -305,28 +305,22 @@ def registry_scenario(name: str, seed: int):
     return scenario
 
 
-batches = st.lists(
-    st.tuples(
-        st.sampled_from([entry.name for entry in list_scenarios()]),
-        st.integers(0, 3),
-    ),
-    min_size=1,
-    max_size=4,
-    unique=True,
-).map(lambda picks: [registry_scenario(name, seed) for name, seed in picks])
+def run_traced(scenario):
+    tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
+    return scenario.run(tracer), tracer.freeze()
 
 
 @settings(max_examples=6, deadline=None)
-@given(batch=batches)
-def test_any_mixed_batch_is_serial_pooled_and_rerun_identical(batch):
-    expected = naive_batch(batch, "contract").deterministic_json()
-    report, trace = ExperimentRunner(batch, jobs=1).run("contract", trace=True)
-    assert report.deterministic_json() == expected
-    for jobs in (2, 1):  # pooled, then the re-run
-        again, again_trace = ExperimentRunner(batch, jobs=jobs).run(
-            "contract", trace=True
-        )
-        assert again.deterministic_json() == expected, jobs
-        assert again_trace.to_json() == trace.to_json(), jobs
-    plain = ExperimentRunner(batch, jobs=2).run("contract")
-    assert plain.deterministic_json() == expected
+@given(
+    name=st.sampled_from([entry.name for entry in list_scenarios()]),
+    seed=st.integers(0, 3),
+)
+def test_any_scenario_is_rerun_identical_traced_or_not(name, seed):
+    scenario = registry_scenario(name, seed)
+    expected = scenario.run().to_json()
+    report, trace = run_traced(scenario)
+    assert report.to_json() == expected
+    again, again_trace = run_traced(scenario)
+    assert again.to_json() == expected
+    assert again_trace.to_json() == trace.to_json()
+    assert scenario.run().to_json() == expected

@@ -1,20 +1,14 @@
 """ServingScenario: registry, serialization, and the determinism contract.
 
-The acceptance bar for the serving plane: two runs at the same seed —
-and serial vs pooled execution — produce byte-identical serving
-reports and merged traces.
+The acceptance bar for the serving plane: two runs at the same seed
+produce byte-identical serving reports and traces.
 """
 
 import pytest
 
 from repro.common import report_from_json
 from repro.common.errors import FormatError
-from repro.experiments import (
-    ExperimentRunner,
-    build_scenario,
-    list_scenarios,
-    run_experiment_traced,
-)
+from repro.experiments import build_scenario, list_scenarios
 from repro.experiments.base import scenario_from_json
 from repro.serving import ServingReport, ServingScenario
 from repro.telemetry import Tracer, merge_traces
@@ -111,34 +105,13 @@ class TestDeterminism:
         assert tracer.freeze().processes[0].events
         assert traced.to_json() == small().run().to_json()
 
-    def test_serial_vs_pooled_reports_and_traces_match(self):
-        def batch():
-            return [
-                small(name="test/steady"),
-                small(
-                    name="test/bursty",
-                    arrival_mix="bursty",
-                    fetch_policy="retry",
-                ),
-            ]
-
-        serial_report, serial_trace = ExperimentRunner(
-            batch(), jobs=1
-        ).run("serving", trace=True)
-        pooled_report, pooled_trace = ExperimentRunner(
-            batch(), jobs=2
-        ).run("serving", trace=True)
-        serial = {e.name: e.report.to_json() for e in serial_report.entries}
-        pooled = {e.name: e.report.to_json() for e in pooled_report.entries}
-        assert serial == pooled
-        assert serial_trace.to_json() == pooled_trace.to_json()
-
     def test_merged_trace_nests_one_process_per_scenario(self):
-        _, first = run_experiment_traced(small(name="test/one"))
-        _, second = run_experiment_traced(
-            small(name="test/two", seed=5)
-        )
-        merged = merge_traces([first, second])
+        traces = []
+        for scenario in (small(name="test/one"), small(name="test/two", seed=5)):
+            tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
+            scenario.run(tracer)
+            traces.append(tracer.freeze())
+        merged = merge_traces(traces)
         assert [p.name for p in merged.processes] == [
             "test/one", "test/two"
         ]

@@ -9,29 +9,18 @@ is what makes this possible; these tests are the enforcement.
 import pytest
 
 from repro.common.serialization import report_from_json
-from repro.experiments import (
-    ExperimentRunner,
-    SweepRunner,
-    build_scenario,
-    quick_grid,
-    run_experiment,
-    run_experiment_traced,
-)
+from repro.experiments import SweepRunner, build_scenario, quick_grid
+from repro.telemetry import Tracer, merge_traces
 
 KINDS = ["fleet/busy", "chaos/seeded", "dpp/worker-churn"]
 
 
-def batch():
-    return [build_scenario(name, seed=2) for name in KINDS]
+def run_traced(scenario):
+    tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
+    return scenario.run(tracer), tracer.freeze()
 
 
 class TestSerialVsParallel:
-    def test_experiment_traces_identical_across_jobs(self):
-        _, serial = ExperimentRunner(batch(), jobs=1).run("det", trace=True)
-        _, parallel = ExperimentRunner(batch(), jobs=3).run("det", trace=True)
-        assert serial.to_json() == parallel.to_json()
-        assert serial.metrics()["trace.events"] > 0
-
     def test_sweep_traces_identical_across_jobs(self):
         grid = quick_grid(seeds=(0, 1))
         _, serial = SweepRunner(grid, jobs=1).run("det", trace=True)
@@ -44,14 +33,14 @@ class TestFixedSeedReproducibility:
     @pytest.mark.parametrize("name", KINDS)
     def test_rerun_is_byte_identical(self, name):
         scenario = build_scenario(name, seed=5)
-        _, first = run_experiment_traced(scenario)
-        _, second = run_experiment_traced(scenario)
+        _, first = run_traced(scenario)
+        _, second = run_traced(scenario)
         assert first.to_json() == second.to_json()
 
     @pytest.mark.parametrize("name", KINDS)
     def test_different_seeds_differ(self, name):
-        _, a = run_experiment_traced(build_scenario(name, seed=0))
-        _, b = run_experiment_traced(build_scenario(name, seed=1))
+        _, a = run_traced(build_scenario(name, seed=0))
+        _, b = run_traced(build_scenario(name, seed=1))
         assert a.processes[0].run_id != b.processes[0].run_id
 
 
@@ -59,15 +48,17 @@ class TestTracingIsPassive:
     @pytest.mark.parametrize("name", KINDS)
     def test_traced_report_matches_untraced(self, name):
         scenario = build_scenario(name, seed=1)
-        plain = run_experiment(scenario).report
-        traced_entry, trace = run_experiment_traced(scenario)
-        assert plain.to_json() == traced_entry.report.to_json()
+        plain = scenario.run()
+        traced, trace = run_traced(scenario)
+        assert plain.to_json() == traced.to_json()
         assert trace.metrics()["trace.events"] > 0
 
 
 class TestRoundTrips:
     def test_experiment_trace_revives_byte_identically(self):
-        _, trace = ExperimentRunner(batch(), jobs=1).run("rt", trace=True)
+        trace = merge_traces(
+            run_traced(build_scenario(name, seed=2))[1] for name in KINDS
+        )
         text = trace.to_json()
         revived = report_from_json(text)
         assert revived == trace

@@ -8,11 +8,8 @@ case pairs one trace stream with the report figure it twins.
 
 import pytest
 
-from repro.experiments import (
-    build_scenario,
-    list_scenarios,
-    run_experiment_traced,
-)
+from repro.experiments import build_scenario, list_scenarios
+from repro.telemetry import Tracer
 
 
 def names(kind: str) -> list[str]:
@@ -20,9 +17,11 @@ def names(kind: str) -> list[str]:
 
 
 def traced(name: str, seed: int = 0):
-    entry, trace = run_experiment_traced(build_scenario(name, seed=seed))
-    events = [event for proc in trace.processes for event in proc.events]
-    return entry.report, events
+    scenario = build_scenario(name, seed=seed)
+    tracer = Tracer(scenario=scenario.name, seed=scenario.seed)
+    report = scenario.run(tracer)
+    events = [event for proc in tracer.freeze().processes for event in proc.events]
+    return report, events
 
 
 def count(events, name: str) -> int:

@@ -378,7 +378,7 @@ for path in ('fleet.json', 'chaos.json', 'dpp.json', 'report_serving_steady.json
     report = report_from_json(text)
     assert report.to_json() == text, path
     report.metrics()
-for slug in ('fleet_default', 'chaos_worst-case', 'dpp_cold-start'):
+for slug in ('fleet_default', 'chaos_worst-case', 'dpp_cold-start', 'sweep'):
     assert not validate_chrome_trace(json.load(open(f'chrome_{slug}.json')))
 resumed = report_from_json(open('resumed.json').read())
 reference = report_from_json(open('reference.json').read())
@@ -410,6 +410,16 @@ def _cli_commands() -> list[list[str]]:
             ["-m", "repro.telemetry", "summarize", trace, "--top", "5"],
             ["-m", "repro.telemetry", "export", trace, f"chrome_{slug}.json", "--validate"],
         ]  # fmt: skip
+    commands += [
+        ["-m", "repro.experiments", "sweep", "--quick", "--seeds", "0,1", "--jobs", "2",
+         "--quiet", "--trace", "trace_sweep.json"],
+        ["-m", "repro.telemetry", "summarize", "trace_sweep.json", "--top", "5"],
+        ["-m", "repro.telemetry", "export", "trace_sweep.json", "chrome_sweep.json", "--validate"],
+        ["-m", "repro.experiments", "run", "fleet/default", "--seed", "0", "--quiet",
+         "--trace", "trace_fleet_default_again.json"],
+        ["-m", "repro.telemetry", "diff", "trace_fleet_default.json",
+         "trace_fleet_default_again.json"],
+    ]  # fmt: skip
     for name in ("serving/steady", "serving/bursty", "serving/overload"):
         slug = name.replace("/", "_")
         commands += [
