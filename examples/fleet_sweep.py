@@ -28,10 +28,11 @@ from repro.chaos.faults import FaultEvent, FaultKind
 from repro.experiments import (
     ScenarioGrid,
     SweepReport,
+    SCENARIOS,
     SweepRunner,
     build_scenario,
     fan_out,
-    list_scenarios,
+    kind_of,
     run_scenario_spec,
 )
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
@@ -43,8 +44,9 @@ def registry_tour() -> None:
     """Every registered fleet scenario, three seeds each: one cell per
     registry entry."""
     batch = [
-        entry.build(seed)
-        for entry in list_scenarios(kind="fleet")
+        build_scenario(name, seed)
+        for name in sorted(SCENARIOS)
+        if kind_of(name) == "fleet"
         for seed in (0, 1, 2)
     ]
     start = time.perf_counter()

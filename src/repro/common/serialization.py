@@ -9,21 +9,18 @@ base class.
 * **The record rule** — every scenario and report is a dataclass, and
   its JSON row has exactly one key per field, named after the field.
   :func:`record_row` writes that row and :func:`record_from_row` reads
-  it back strictly: an unknown key is refused, every key is required
-  unless the caller lets fields with a default be absent, and a scalar
-  slot must hold its annotation's JSON type (``int`` a JSON integer,
-  ``bool`` a JSON boolean, ``str`` a string, ``float`` whatever
-  :func:`null_specials` wrote, ``X | None`` also null).  A field with
-  any other shape — nested rows, an enum, a model by name — names its
-  converter at the call site.  A mistyped or misnamed key fails loudly
-  at load time, naming the key.
-* **:class:`ReportBase`** — uniform ``to_json``/``from_json``/
-  ``write``/``read``, uniform metric naming (``<kind>.<metric>``,
-  snake_case) via :meth:`ReportBase.metrics`, percentile summaries via
-  :func:`percentile_summary`, and generic :meth:`ReportBase.diff`.
-  Every subclass registers its ``report_kind`` automatically, so
-  :func:`report_from_json` can revive *any* archived report without
-  knowing its type up front.
+  it back strictly: an unknown key is refused, every key is required,
+  and a scalar slot must hold its annotation's JSON type (``int`` a
+  JSON integer, ``bool`` a JSON boolean, ``str`` a string, ``float``
+  whatever :func:`null_specials` wrote, ``X | None`` also null).  A
+  field with any other shape — nested rows, an enum, a model by name —
+  names its converter at the call site.  A mistyped or misnamed key
+  fails loudly at load time, naming the key.
+* **:class:`ReportBase`** — uniform ``to_json``/``from_json``/``write``
+  and uniform metric naming (``<kind>.<metric>``, snake_case) via
+  :meth:`ReportBase.metrics`, with percentile summaries via
+  :func:`percentile_summary`.  :func:`report_from_json` revives any of
+  the six kinds the repo archives without knowing its type up front.
 """
 
 from __future__ import annotations
@@ -39,17 +36,13 @@ import types
 import typing
 from typing import Any, Callable, ClassVar, Iterable, Mapping, NamedTuple
 
-from .errors import FormatError, ReproError
+from .errors import FormatError
 
 #: Bumped when the shared payload envelope changes shape.
 REPORT_SCHEMA_VERSION = 1
 
 #: The percentile levels every report summary exposes, and their keys.
 SUMMARY_PERCENTILES = (50.0, 90.0, 100.0)
-
-#: report_kind -> ReportBase subclass, filled by ``__init_subclass__``.
-_REPORT_KINDS: dict[str, type["ReportBase"]] = {}
-
 
 # -- the JSON dialect ----------------------------------------------------------
 
@@ -167,7 +160,6 @@ class _Slot(NamedTuple):
 
     name: str
     revive: Callable[[Any], Any] | None  # None: the caller names a converter
-    has_default: bool
 
 
 def _exactly(kind: type) -> Callable[[Any], Any]:
@@ -207,12 +199,7 @@ def _slots(cls: type) -> tuple[_Slot, ...]:
     """*cls*'s dataclass fields, read once per class."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        _Slot(
-            field.name,
-            _reviver(hints[field.name]),
-            field.default is not dataclasses.MISSING
-            or field.default_factory is not dataclasses.MISSING,
-        )
+        _Slot(field.name, _reviver(hints[field.name]))
         for field in dataclasses.fields(cls)
     )
 
@@ -237,29 +224,19 @@ def record_from_row(
     cls: type,
     row: Mapping[str, Any],
     context: str,
-    optional: bool = False,
     **decode: Callable[[Any], Any],
 ) -> Any:
     """Rebuild a *cls* record from its JSON row, strictly.
 
-    Every field is one key and no other key is allowed.  Every key is
-    required, except that with *optional* a field that has a default may
-    be absent and then takes that default.  A field named in *decode* is
-    read through that converter; every other field is checked against
-    its annotation, and a mistyped value raises :class:`FormatError`
-    naming *context* and the key.
+    Every field is one key, every key is required and no other key is
+    allowed.  A field named in *decode* is read through that converter;
+    every other field is checked against its annotation, and a mistyped
+    value raises :class:`FormatError` naming *context* and the key.
     """
     slots = _slots(cls)
-    require_keys(
-        row,
-        required=[s.name for s in slots if not (optional and s.has_default)],
-        optional=[s.name for s in slots if optional and s.has_default],
-        context=context,
-    )
+    require_keys(row, required=[slot.name for slot in slots], context=context)
     values = {}
-    for name, revive, _ in slots:
-        if name not in row:
-            continue
+    for name, revive in slots:
         convert = decode.get(name)
         if convert is not None:
             values[name] = convert(row[name])
@@ -287,11 +264,10 @@ def rows_of(cls: type, context: str) -> Callable[[Iterable[Any]], list]:
 
 # -- tagged envelopes ----------------------------------------------------------
 #
-# Reports and scenarios both archive as tag-dispatched JSON objects
-# (``{"report": kind, "version": N, ...}`` / ``{"scenario": kind,
-# ...}``).  These two helpers are the single implementation of that
-# envelope shape; the tag key is the only difference between the two
-# planes.
+# Reports archive as tag-dispatched JSON objects (``{"report": kind,
+# "version": N, ...}``) and a scenario's document has the same shape
+# under ``"scenario"``.  These two helpers are the single implementation
+# of that envelope; only reports are read back.
 
 
 def build_envelope(
@@ -353,39 +329,14 @@ class ReportBase:
     """Uniform telemetry surface every report subclass speaks.
 
     Subclasses set ``report_kind`` (a short snake_case noun — it
-    prefixes metric names and tags the JSON envelope).  A dataclass
-    report whose fields are all plain slots serializes through the
-    record rule as it is; one with nested rows or other shapes overrides
-    :meth:`payload` / :meth:`from_payload` to name its converters.
-    Everything else — the envelope, files, metric diffs — is shared here.
+    prefixes metric names and tags the JSON envelope) and write and
+    read their body with :meth:`payload` / :meth:`from_payload`,
+    usually through the record rule.  The envelope and files are
+    shared here.
     """
 
     #: Short kind tag; subclasses must override.
     report_kind: ClassVar[str] = ""
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        kind = cls.__dict__.get("report_kind", "")
-        if kind:
-            existing = _REPORT_KINDS.get(kind)
-            if existing is not None and existing is not cls:
-                raise ReproError(
-                    f"report kind {kind!r} already registered by "
-                    f"{existing.__name__}"
-                )
-            _REPORT_KINDS[kind] = cls
-
-    # -- subclass hooks --------------------------------------------------------
-
-    def payload(self) -> dict:
-        """JSON-ready body (before special-float encoding): the record's
-        row."""
-        return record_row(self)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ReportBase":
-        """Rebuild from a body produced by :meth:`payload`."""
-        return record_from_row(cls, payload, f"{cls.report_kind} report")
 
     def metrics(self) -> dict[str, float]:
         """Flat summary metrics under uniform ``<kind>.<name>`` keys."""
@@ -393,90 +344,31 @@ class ReportBase:
 
     # -- the shared envelope ---------------------------------------------------
 
-    def envelope(self) -> dict:
-        """The kind-tagged payload (before special-float encoding).
-
-        This is the nesting unit: composite reports embed child
-        reports as envelopes so one :func:`null_specials` pass at the
-        top serializes the whole tree.
-        """
-        return build_envelope(
-            "report", self.report_kind, REPORT_SCHEMA_VERSION, self.payload()
-        )
-
     def to_json(self) -> str:
         """The report as one stable, strict-JSON document."""
-        return dump_json(null_specials(self.envelope()))
+        envelope = build_envelope(
+            "report", self.report_kind, REPORT_SCHEMA_VERSION, self.payload()
+        )
+        return dump_json(null_specials(envelope))
 
     @classmethod
-    def from_envelope(cls, payload: dict) -> "ReportBase":
-        """Rebuild from a (possibly JSON-decoded) envelope dict.
-
-        Called on a concrete subclass it enforces the kind tag; called
-        on :class:`ReportBase` itself it dispatches on it.
-        """
-        kind, payload = split_envelope(payload, "report", REPORT_SCHEMA_VERSION)
-        if cls is ReportBase:
-            target = _REPORT_KINDS.get(kind)
-            import_errors: list[str] = []
-            if target is None:
-                import_errors = _import_builtin_report_modules()
-                target = _REPORT_KINDS.get(kind)
-            if target is None:
-                detail = (
-                    f"; module imports failed: {'; '.join(import_errors)}"
-                    if import_errors
-                    else ""
-                )
-                raise FormatError(
-                    f"unknown report kind {kind!r}; known: "
-                    f"{sorted(_REPORT_KINDS)}{detail}"
-                )
-            return target.from_payload(payload)
+    def from_json(cls, text: str) -> "ReportBase":
+        """Rebuild a report from :meth:`to_json` output; a document of
+        another kind is refused."""
+        kind, payload = split_envelope(
+            load_json(text), "report", REPORT_SCHEMA_VERSION
+        )
         if kind is not None and kind != cls.report_kind:
             raise FormatError(
                 f"expected a {cls.report_kind!r} report, got {kind!r}"
             )
         return cls.from_payload(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReportBase":
-        """Rebuild a report from :meth:`to_json` output."""
-        return cls.from_envelope(load_json(text))
-
     def write(self, path: str | pathlib.Path) -> pathlib.Path:
         """Persist the JSON artifact atomically; returns the path
         written.  See :func:`atomic_write_text` — a crash mid-write can
         never leave a torn artifact."""
         return atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def read(cls, path: str | pathlib.Path) -> "ReportBase":
-        """Load a report previously :meth:`write`-ten."""
-        return cls.from_json(pathlib.Path(path).read_text())
-
-    # -- comparison and combination --------------------------------------------
-
-    def diff(self, other: "ReportBase") -> dict[str, dict[str, float]]:
-        """Metric-by-metric comparison against a same-kind report.
-
-        Returns ``{metric: {"base", "other", "delta"}}`` over the union
-        of both reports' metrics (one-sided metrics diff against
-        ``nan``).
-        """
-        if self.report_kind != other.report_kind:
-            raise ReproError(
-                f"cannot diff a {self.report_kind!r} report against a "
-                f"{other.report_kind!r} report"
-            )
-        mine = self.metrics()
-        theirs = other.metrics()
-        out: dict[str, dict[str, float]] = {}
-        for name in sorted(set(mine) | set(theirs)):
-            base = mine.get(name, math.nan)
-            new = theirs.get(name, math.nan)
-            out[name] = {"base": base, "other": new, "delta": new - base}
-        return out
 
     def describe(self) -> str:
         """Default human summary: the uniform metric block."""
@@ -486,44 +378,31 @@ class ReportBase:
         return "\n".join(lines)
 
 
-def _import_builtin_report_modules() -> list[str]:
-    """Register the repo's report kinds on first dispatch.
-
-    Registration rides on class creation (``__init_subclass__``), so a
-    process that never imported, say, the chaos plane cannot revive a
-    chaos artifact.  Importing the defining modules lazily — only when
-    an unknown kind is actually requested — keeps :mod:`repro.common`
-    import-light while making ``report_from_json`` work anywhere.
-
-    Returns one line per module that failed to import, so the caller's
-    unknown-kind error points at a broken install instead of blaming
-    the artifact.
-    """
-    import importlib
-
-    failures: list[str] = []
-    for module in (
-        "repro.chaos.report",
-        "repro.dpp.simulation",
-        "repro.experiments.report",
-        "repro.fleet.report",
-        "repro.serving.report",
-        "repro.telemetry.tracer",
-        "repro.trainer.stalls",
-        "repro.transforms.cost",
-    ):
-        try:
-            importlib.import_module(module)
-        except ImportError as error:  # pragma: no cover - partial installs
-            failures.append(f"{module} ({error})")
-    return failures
-
-
-def report_kinds() -> dict[str, type[ReportBase]]:
-    """The registered kind → class map (a copy; read-only use)."""
-    return dict(_REPORT_KINDS)
-
-
 def report_from_json(text: str) -> ReportBase:
-    """Revive any registered report kind from its JSON document."""
-    return ReportBase.from_json(text)
+    """Revive any archived report kind from its JSON document.
+
+    The six kinds are imported here rather than at module level, so
+    :mod:`repro.common` stays import-light.
+    """
+    from ..chaos.report import ChaosReport
+    from ..dpp.simulation import SimulationResult
+    from ..experiments.report import SweepReport
+    from ..fleet.report import FleetReport
+    from ..serving.report import ServingReport
+    from ..telemetry.tracer import Trace
+
+    kinds = {
+        cls.report_kind: cls
+        for cls in (
+            FleetReport,
+            ChaosReport,
+            SimulationResult,
+            ServingReport,
+            SweepReport,
+            Trace,
+        )
+    }
+    kind, payload = split_envelope(load_json(text), "report", REPORT_SCHEMA_VERSION)
+    if kind not in kinds:
+        raise FormatError(f"unknown report kind {kind!r}; known: {sorted(kinds)}")
+    return kinds[kind].from_payload(payload)

@@ -4,16 +4,18 @@ The paper's value is fleet-scale *what-if* analysis; this package is
 how the repo asks those questions.  Everything an experiment needs
 speaks one contract:
 
-* :class:`Scenario` (:mod:`base`) — picklable, JSON-round-trippable,
-  seeded experiment descriptions with three first-class kinds
-  (:mod:`scenarios`): :class:`FleetRegionScenario` (multi-tenant fleet
-  regions), :class:`ChaosSessionScenario` (fault-injected executable
-  DPP sessions), and :class:`DppTimelineScenario` (timed closed-loop
-  autoscaler studies);
-* the **registry** (:mod:`registry`) — :func:`register_scenario` /
-  :func:`list_scenarios` / :func:`build_scenario` name the repo's
-  experiment vocabulary, with the fleet mixes, chaos acceptance
-  scenarios, and quick-grid cells built in;
+* :class:`Scenario` (:mod:`base`) — picklable, seeded experiment
+  descriptions, each written as one JSON document, with three kinds
+  here (:mod:`scenarios`): :class:`FleetRegionScenario` (multi-tenant
+  fleet regions), :class:`ChaosSessionScenario` (fault-injected
+  executable DPP sessions), and :class:`DppTimelineScenario` (timed
+  closed-loop autoscaler studies), and a fourth in
+  :mod:`repro.serving.scenario`;
+* the **registry** (:mod:`registry`) — :data:`SCENARIOS`, one table
+  from name to description and factory, names the repo's experiment
+  vocabulary (fleet mixes, chaos acceptance scenarios, DPP control-loop
+  studies, serving load tests); :func:`build_scenario` builds an entry
+  for a seed;
 * **one batch, the sweep** (:mod:`runner`) — :func:`fan_out` maps a
   function over items, inline or across the fork pool;
   :class:`SweepRunner` fans a fleet grid through it and aggregates
@@ -22,7 +24,7 @@ speaks one contract:
   ``scenario.run(tracer)``;
 * the **telemetry schema** — every run returns a
   :class:`~repro.common.serialization.ReportBase`, so all artifacts
-  serialize, revive, and diff the same way;
+  serialize and revive the same way;
 * **one recovery path** (:mod:`journal`) — :class:`RunJournal`
   appends each completed chunk of cells, CRC-checked record by record,
   under one fsync, so a sweep killed by anything (SIGKILL, OOM, a
@@ -34,17 +36,10 @@ speaks one contract:
 ``python -m repro.experiments {list,run,sweep}`` is the CLI face.
 """
 
-from .base import Scenario, scenario_from_json, scenario_kinds
+from .base import Scenario
 from .grid import ScenarioGrid, grid_from_json, quick_grid
 from .journal import RunJournal, cell_identities, grid_hash, load_journal, spec_hash
-from .registry import (
-    RegistryEntry,
-    build_scenario,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-    unregister_scenario,
-)
+from .registry import SCENARIOS, build_scenario, kind_of
 from .pool import auto_chunk_size, fork_available, run_chunked
 from .report import CELL_METRICS, ScenarioResult, SweepReport
 from .runner import (
@@ -66,8 +61,8 @@ __all__ = [
     "DppTimelineScenario",
     "FleetRegionScenario",
     "MAX_EVENTS_PER_SCENARIO",
-    "RegistryEntry",
     "RunJournal",
+    "SCENARIOS",
     "Scenario",
     "ScenarioGrid",
     "ScenarioResult",
@@ -78,18 +73,13 @@ __all__ = [
     "cell_identities",
     "fan_out",
     "fork_available",
-    "get_scenario",
     "grid_hash",
+    "kind_of",
     "load_journal",
     "run_chunked",
     "grid_from_json",
-    "list_scenarios",
     "quick_grid",
-    "register_scenario",
     "run_scenario_spec",
     "run_scenario_spec_traced",
-    "scenario_from_json",
-    "scenario_kinds",
     "spec_hash",
-    "unregister_scenario",
 ]

@@ -3,7 +3,7 @@
 Subcommands::
 
     # What can this repo run?
-    python -m repro.experiments list [--kind fleet|chaos|dpp]
+    python -m repro.experiments list [--kind chaos|dpp|fleet|serving]
 
     # Run one registered scenario (any kind), archive its report
     python -m repro.experiments run chaos/worst-case --seed 3 --out report.json
@@ -29,9 +29,8 @@ import sys
 import time
 
 from ..telemetry.tracer import Tracer
-from .base import scenario_kinds
 from .grid import ScenarioGrid, grid_from_json, quick_grid
-from .registry import build_scenario, list_scenarios
+from .registry import SCENARIOS, build_scenario, kind_of
 from .runner import SweepRunner
 
 
@@ -80,16 +79,16 @@ def _progress_printer(label: str, period_s: float = 1.0):
 def _cmd_list(args: argparse.Namespace) -> int:
     from ..analysis.report import render_table
 
-    entries = list_scenarios(kind=args.kind)
-    if not entries:
-        print(f"no scenarios registered for kind {args.kind!r}")
-        return 1
-    rows = [[e.name, e.kind, e.description] for e in entries]
+    rows = [
+        [name, kind_of(name), description]
+        for name, (description, _) in sorted(SCENARIOS.items())
+        if args.kind in (None, kind_of(name))
+    ]
     print(
         render_table(
             ["scenario", "kind", "description"],
             rows,
-            title=f"Registered scenarios ({len(entries)})",
+            title=f"Registered scenarios ({len(rows)})",
         )
     )
     return 0
@@ -184,7 +183,7 @@ def build_parser(prog: str = "python -m repro.experiments") -> argparse.Argument
     )
     list_parser.add_argument(
         "--kind",
-        choices=sorted(scenario_kinds()),
+        choices=sorted({kind_of(name) for name in SCENARIOS}),
         help="only one scenario kind",
     )
     list_parser.set_defaults(handler=_cmd_list)

@@ -1,22 +1,20 @@
-"""The named scenario registry: every experiment a one-liner.
+"""The named scenarios: one table from name to description and factory.
 
-``register_scenario`` maps a name to a seed-parameterized scenario
-factory; ``build_scenario`` revives one, ``list_scenarios`` enumerates
-them for the CLI.  The built-in catalog re-registers the repo's
-existing experiment vocabulary as entries — the fleet sweep mixes
-(quick-grid cells), the chaos acceptance scenarios, and the timed DPP
-control-loop studies — so adding a future scenario means registering
-an entry, not growing a new subsystem.
+A name is namespaced ``<kind>/<name>`` and its first segment is the
+scenario's kind.  ``build_scenario`` builds one for a seed; the CLI,
+the examples and the tests iterate ``sorted(SCENARIOS)``.  The table
+covers the repo's experiment vocabulary: the fleet sweep mixes
+(quick-grid cells), the chaos acceptance scenarios, the timed DPP
+control-loop studies and the serving load tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from ..chaos.faults import FaultEvent, FaultKind
 from ..common.errors import ConfigError
-from .base import Scenario, scenario_kinds
+from .base import Scenario
 from .grid import (
     QUICK_GRID_CONFIG_SPEC,
     QUICK_GRID_DURATION_S,
@@ -32,90 +30,8 @@ from .scenarios import (
     mix_from_overrides,
 )
 
-#: A factory builds the scenario for one seed (``None`` = entry default).
+#: A factory builds the scenario for one seed.
 ScenarioFactory = Callable[[int], Scenario]
-
-_REGISTRY: dict[str, "RegistryEntry"] = {}
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    """One named, seedable scenario recipe."""
-
-    name: str
-    kind: str
-    description: str
-    factory: ScenarioFactory
-
-    def build(self, seed: int | None = None) -> Scenario:
-        """The concrete scenario for *seed* (entry default when None)."""
-        return self.factory(0 if seed is None else seed)
-
-
-def register_scenario(
-    name: str,
-    kind: str,
-    description: str,
-    factory: ScenarioFactory,
-    overwrite: bool = False,
-) -> RegistryEntry:
-    """Add a named scenario recipe; returns the entry.
-
-    Names are namespaced by convention (``fleet/busy``,
-    ``chaos/worst-case``); re-registering an existing name requires
-    ``overwrite=True`` so plugins cannot silently shadow built-ins.
-    """
-    if not name or "/" not in name:
-        raise ConfigError(
-            f"scenario name {name!r} must be namespaced as '<kind>/<name>'"
-        )
-    if kind not in scenario_kinds():
-        raise ConfigError(
-            f"unknown scenario kind {kind!r}; registered kinds: "
-            f"{sorted(scenario_kinds())}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise ConfigError(
-            f"scenario {name!r} is already registered "
-            "(pass overwrite=True to replace it)"
-        )
-    entry = RegistryEntry(
-        name=name, kind=kind, description=description, factory=factory
-    )
-    _REGISTRY[name] = entry
-    return entry
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove an entry (tests and plugin teardown)."""
-    _REGISTRY.pop(name, None)
-
-
-def list_scenarios(kind: str | None = None) -> list[RegistryEntry]:
-    """All entries (optionally one kind), sorted by name."""
-    entries = sorted(_REGISTRY.values(), key=lambda e: e.name)
-    if kind is None:
-        return entries
-    return [entry for entry in entries if entry.kind == kind]
-
-
-def get_scenario(name: str) -> RegistryEntry:
-    """Look one entry up, with the available names in the error."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise ConfigError(
-            f"unknown scenario {name!r}; registered: "
-            f"{[e.name for e in list_scenarios()]}"
-        )
-    return entry
-
-
-def build_scenario(name: str, seed: int | None = None) -> Scenario:
-    """Registry lookup + build in one call."""
-    return get_scenario(name).build(seed)
-
-
-# -- the built-in catalog ------------------------------------------------------
 
 #: The quick-grid fault storm, pinned to virtual-time seconds (derived
 #: from the same rows the sweep quick grid uses).
@@ -133,40 +49,34 @@ def _fleet(name: str, seed: int, mix_overrides: dict, faults=()) -> Scenario:
     )
 
 
-def _register_builtins() -> None:
-    register_scenario(
-        "fleet/default",
-        "fleet",
+def _serving(name: str, seed: int, **knobs) -> Scenario:
+    # Imported per call: repro.serving imports this package, so a
+    # module-level import would make the two packages' order matter.
+    from ..serving.scenario import ServingScenario
+
+    return ServingScenario(name=f"{name}/seed{seed}", seed=seed, **knobs)
+
+
+#: name -> (description, factory).
+SCENARIOS: dict[str, tuple[str, ScenarioFactory]] = {
+    "fleet/default": (
         "default mix on the base 40-HDD region, 2 h trace",
         lambda seed: _fleet("fleet/default", seed, {}),
-    )
-    register_scenario(
-        "fleet/calm",
-        "fleet",
+    ),
+    "fleet/calm": (
         "light diurnal stream (24 exploratory jobs/day)",
-        lambda seed: _fleet(
-            "fleet/calm", seed, {"exploratory_per_day": 24.0}
-        ),
-    )
-    register_scenario(
-        "fleet/busy",
-        "fleet",
+        lambda seed: _fleet("fleet/calm", seed, {"exploratory_per_day": 24.0}),
+    ),
+    "fleet/busy": (
         "busy region (96 jobs/day, 40% bursts) — the quick-grid busy cell",
-        lambda seed: _fleet(
-            "fleet/busy", seed, QUICK_GRID_MIX_OVERRIDES["busy"]
-        ),
-    )
-    register_scenario(
-        "fleet/storm",
-        "fleet",
+        lambda seed: _fleet("fleet/busy", seed, QUICK_GRID_MIX_OVERRIDES["busy"]),
+    ),
+    "fleet/storm": (
         "default mix under the quick-grid fault storm "
         "(crash x4, storage degrade/restore)",
         lambda seed: _fleet("fleet/storm", seed, {}, faults=_STORM),
-    )
-
-    register_scenario(
-        "chaos/worst-case",
-        "chaos",
+    ),
+    "chaos/worst-case": (
         "scripted worst case: mid-split crash, drain under load, "
         "failover, buffer-full crash",
         lambda seed: ChaosSessionScenario(
@@ -180,10 +90,8 @@ def _register_builtins() -> None:
                 FaultEvent(4, FaultKind.WORKER_CRASH),
             ),
         ),
-    )
-    register_scenario(
-        "chaos/restart-drill",
-        "chaos",
+    ),
+    "chaos/restart-drill": (
         "two master restarts at 50% row sampling: checkpoint restore "
         "must replan the identical sampled split set",
         lambda seed: ChaosSessionScenario(
@@ -196,10 +104,8 @@ def _register_builtins() -> None:
                 FaultEvent(3, FaultKind.MASTER_RESTART),
             ),
         ),
-    )
-    register_scenario(
-        "chaos/backlogged-crash",
-        "chaos",
+    ),
+    "chaos/backlogged-crash": (
         "slow trainers + crashes on backlogged buffers: the stranded-"
         "batch requeue scenario (at-least-once, never lost)",
         lambda seed: ChaosSessionScenario(
@@ -212,10 +118,8 @@ def _register_builtins() -> None:
             ),
             client_batches_per_round=1,
         ),
-    )
-    register_scenario(
-        "chaos/seeded",
-        "chaos",
+    ),
+    "chaos/seeded": (
         "five seed-drawn random faults over a 4-worker session",
         lambda seed: ChaosSessionScenario(
             name=f"chaos/seeded/seed{seed}",
@@ -224,38 +128,43 @@ def _register_builtins() -> None:
             seeded_faults=5,
             seeded_max_round=8,
         ),
-    )
-
-    # The serving entries self-register from their defining module (the
-    # plugin pattern this registry is built for): importing the module
-    # here — not the class — keeps the experiments ↔ serving import
-    # cycle one-directional at attribute-access time, so either package
-    # can be imported first.
-    import repro.serving.scenario  # noqa: F401  (registers serving/*)
-
-    register_scenario(
-        "dpp/steady-state",
-        "dpp",
+    ),
+    "serving/steady": (
+        "steady open-loop fetch stream within capacity: shed policy, "
+        "admission control engaged but rarely shedding",
+        lambda seed: _serving("serving/steady", seed),
+    ),
+    "serving/bursty": (
+        "bursty arrivals (synchronized trainer steps) under the "
+        "retry-with-backoff fetch policy",
+        lambda seed: _serving(
+            "serving/bursty", seed, arrival_mix="bursty", fetch_policy="retry"
+        ),
+    ),
+    "serving/overload": (
+        "open-loop overload: arrivals outrun pipeline capacity, the "
+        "fetch queue saturates, and admission control sheds",
+        lambda seed: _serving(
+            "serving/overload",
+            seed,
+            rate_per_s=2_000.0,
+            fetch_queue_bound=32,
+            max_pool_workers=4,
+        ),
+    ),
+    "dpp/steady-state": (
         "right-sized fleet holds demand: stalls stay at zero",
         lambda seed: DppTimelineScenario(
-            name=f"dpp/steady-state/seed{seed}",
-            seed=seed,
-            initial_workers=8,
+            name=f"dpp/steady-state/seed{seed}", seed=seed, initial_workers=8
         ),
-    )
-    register_scenario(
-        "dpp/cold-start",
-        "dpp",
+    ),
+    "dpp/cold-start": (
         "one worker against full demand: scale-up convergence time",
         lambda seed: DppTimelineScenario(
-            name=f"dpp/cold-start/seed{seed}",
-            seed=seed,
-            initial_workers=1,
+            name=f"dpp/cold-start/seed{seed}", seed=seed, initial_workers=1
         ),
-    )
-    register_scenario(
-        "dpp/worker-churn",
-        "dpp",
+    ),
+    "dpp/worker-churn": (
         "two churn waves kill workers mid-run; the controller relaunches",
         lambda seed: DppTimelineScenario(
             name=f"dpp/worker-churn/seed{seed}",
@@ -263,7 +172,20 @@ def _register_builtins() -> None:
             initial_workers=8,
             worker_losses=((600.0, 4), (1_200.0, 3)),
         ),
-    )
+    ),
+}
 
 
-_register_builtins()
+def kind_of(name: str) -> str:
+    """A scenario name's kind: its first segment."""
+    return name.split("/", 1)[0]
+
+
+def build_scenario(name: str, seed: int | None = None) -> Scenario:
+    """The scenario *name* builds for *seed* (0 when None)."""
+    entry = SCENARIOS.get(name)
+    if entry is None:
+        raise ConfigError(
+            f"unknown scenario {name!r}; registered: {sorted(SCENARIOS)}"
+        )
+    return entry[1](0 if seed is None else seed)

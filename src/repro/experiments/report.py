@@ -105,9 +105,7 @@ class ScenarioResult:
 
     @classmethod
     def from_row(cls, row: dict) -> "ScenarioResult":
-        # status / error (the only defaulted fields) are optional so
-        # pre-quarantine report artifacts still revive.
-        return record_from_row(cls, row, "sweep scenario result", optional=True)
+        return record_from_row(cls, row, "sweep scenario result")
 
 
 @dataclass

@@ -13,11 +13,10 @@
   simulation of Section 3.2.1: auto-scaler versus demand on virtual
   time, with optional worker-churn injections.
 
-Every kind is a frozen dataclass (picklable), JSON-round-trippable via
-the :mod:`repro.experiments.base` envelope, and fully determined by its
-fields plus its seed.  Fleet mixes and configs serialize through the
-same JSON shorthand the grid parser accepts, so a scenario archived
-from a sweep can be replayed from its artifact alone.
+Every kind is a frozen dataclass (picklable), written as one JSON
+document through the :mod:`repro.experiments.base` envelope, and fully
+determined by its fields plus its seed.  Fleet mixes and configs are
+written in the same JSON shorthand the grid parser reads.
 """
 
 from __future__ import annotations
@@ -34,12 +33,7 @@ from ..chaos.faults import (
 )
 from ..common.errors import ConfigError, FormatError
 from ..common.hashing import stable_hash
-from ..common.serialization import (
-    ReportBase,
-    record_from_row,
-    record_row,
-    require_keys,
-)
+from ..common.serialization import ReportBase, record_row, require_keys
 from ..fleet.allocator import PoolConfig
 from ..fleet.broker import StorageFabric
 from ..fleet.jobs import FleetMix, JobGenerator
@@ -357,19 +351,6 @@ class FleetRegionScenario(Scenario):
             faults=lambda faults: fault_events_to_rows(faults, "at_s"),
         )
 
-    @classmethod
-    def from_params(cls, params: Mapping[str, Any]) -> "FleetRegionScenario":
-        # An absent mix or config is the shorthand's empty spec.
-        return record_from_row(
-            cls,
-            {"mix": {}, "config": {}, **params},
-            "fleet scenario",
-            optional=True,
-            mix=mix_from_overrides,
-            config=config_from_spec,
-            faults=lambda rows: fault_events_from_rows(rows, "at_s"),
-        )
-
 
 # -- chaos sessions ------------------------------------------------------------
 
@@ -470,16 +451,6 @@ class ChaosSessionScenario(Scenario):
             self, faults=lambda faults: fault_events_to_rows(faults, "round")
         )
 
-    @classmethod
-    def from_params(cls, params: Mapping[str, Any]) -> "ChaosSessionScenario":
-        return record_from_row(
-            cls,
-            params,
-            "chaos scenario",
-            optional=True,
-            faults=lambda rows: fault_events_from_rows(rows, "round"),
-        )
-
 
 # -- timed DPP simulations -----------------------------------------------------
 
@@ -546,16 +517,4 @@ class DppTimelineScenario(Scenario):
         return record_row(
             self,
             worker_losses=lambda losses: [[when, count] for when, count in losses],
-        )
-
-    @classmethod
-    def from_params(cls, params: Mapping[str, Any]) -> "DppTimelineScenario":
-        return record_from_row(
-            cls,
-            params,
-            "dpp scenario",
-            optional=True,
-            worker_losses=lambda rows: tuple(
-                (float(when), int(count)) for when, count in rows
-            ),
         )

@@ -5,9 +5,11 @@ table (seeded, so identical across runs and processes), wires a
 replicated DPP master and role-split worker pools into a
 :class:`~repro.serving.plane.ServingPlane`, and drives the configured
 open-loop trainer fetch stream against it.  Like every scenario kind it
-is a frozen dataclass, picklable, JSON-round-trippable, and fully
-determined by its fields plus ``seed`` — the serving report and trace
-are byte-identical across serial and pooled execution.
+is a frozen dataclass, picklable, written as one JSON document, and
+fully determined by its fields plus ``seed`` — the serving report and
+trace are byte-identical across serial and pooled execution.  Its
+named entries (``serving/steady``, ``serving/bursty``,
+``serving/overload``) live in :mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
@@ -124,52 +126,3 @@ class ServingScenario(Scenario):
         time."""
         return self.build_plane(tracer).run()
 
-
-def _register_builtin_entries() -> None:
-    """Register the serving catalog entries (runs once at import).
-
-    Lives here rather than in :mod:`repro.experiments.registry` so the
-    class is guaranteed to exist before registration regardless of
-    whether ``repro.serving`` or ``repro.experiments`` is imported
-    first — the registry imports this module for its side effect.
-    """
-    from ..experiments.registry import register_scenario
-
-    register_scenario(
-        "serving/steady",
-        "serving",
-        "steady open-loop fetch stream within capacity: shed policy, "
-        "admission control engaged but rarely shedding",
-        lambda seed: ServingScenario(
-            name=f"serving/steady/seed{seed}",
-            seed=seed,
-        ),
-    )
-    register_scenario(
-        "serving/bursty",
-        "serving",
-        "bursty arrivals (synchronized trainer steps) under the "
-        "retry-with-backoff fetch policy",
-        lambda seed: ServingScenario(
-            name=f"serving/bursty/seed{seed}",
-            seed=seed,
-            arrival_mix="bursty",
-            fetch_policy="retry",
-        ),
-    )
-    register_scenario(
-        "serving/overload",
-        "serving",
-        "open-loop overload: arrivals outrun pipeline capacity, the "
-        "fetch queue saturates, and admission control sheds",
-        lambda seed: ServingScenario(
-            name=f"serving/overload/seed{seed}",
-            seed=seed,
-            rate_per_s=2_000.0,
-            fetch_queue_bound=32,
-            max_pool_workers=4,
-        ),
-    )
-
-
-_register_builtin_entries()

@@ -22,20 +22,14 @@ import pathlib
 import sys
 
 from ..common.errors import FormatError
-from ..common.serialization import report_from_json
 from .chrome import to_chrome, validate_chrome_trace, write_chrome_trace
 from .summary import diff_aggregates, top_spans
 from .tracer import Trace
 
 
 def load_trace(path: str | pathlib.Path) -> Trace:
-    """Read a trace artifact, rejecting other report kinds loudly."""
-    report = report_from_json(pathlib.Path(path).read_text())
-    if not isinstance(report, Trace):
-        raise FormatError(
-            f"{path} is a {report.report_kind!r} report, not a trace"
-        )
-    return report
+    """Read a trace artifact; a report of another kind is refused."""
+    return Trace.from_json(pathlib.Path(path).read_text())
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:

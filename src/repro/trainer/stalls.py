@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.serialization import ReportBase, record_from_row, record_row
 from ..common.units import GB
 from ..dpp.analytical import per_sample_cost
 from ..workloads.hardware import TrainerNodeSpec
-from ..workloads.models import ModelConfig, model_by_name
+from ..workloads.models import ModelConfig
 from .gpu import GpuDemand
 
 #: Fraction of host CPU available to preprocessing when co-located with
@@ -28,10 +27,8 @@ ON_HOST_MEM_TRAFFIC_FACTOR = 0.55
 
 
 @dataclass(frozen=True)
-class StallReport(ReportBase):
+class StallReport:
     """The Table 7 row: stalls plus host utilization."""
-
-    report_kind = "stall"
 
     model: ModelConfig
     gpu_stall_fraction: float
@@ -39,15 +36,6 @@ class StallReport(ReportBase):
     mem_bw_utilization: float
     supplied_samples_per_s: float
     demanded_samples_per_s: float
-
-    def payload(self) -> dict:
-        # The model rides along by catalog name (RM1/RM2/RM3), not as
-        # an embedded hardware-profile tree.
-        return record_row(self, model=lambda model: model.name)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "StallReport":
-        return record_from_row(cls, payload, "stall report", model=model_by_name)
 
 
 def on_host_preprocessing_study(

@@ -14,22 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..common.errors import TransformError
-from ..common.serialization import (
-    ReportBase,
-    record_from_row,
-    record_row,
-    revive_float,
-)
 from .base import OpClass
 from .batch import FeatureBatch
 from .dag import CLASS_SLOTS, TransformDag
 
 
 @dataclass
-class CostReport(ReportBase):
+class CostReport:
     """Accumulated work for one or more op applications."""
-
-    report_kind = "cost"
 
     cycles: float = 0.0
     mem_bytes: float = 0.0
@@ -38,7 +30,7 @@ class CostReport(ReportBase):
     )
     elements: int = 0
 
-    def merge(self, other: "ReportBase") -> "CostReport":
+    def merge(self, other: "CostReport") -> "CostReport":
         """Accumulate another report into this one (returns self)."""
         if not isinstance(other, CostReport):
             raise TransformError("can only merge CostReport into CostReport")
@@ -53,28 +45,6 @@ class CostReport(ReportBase):
         """An independent report with the same values."""
         return CostReport(
             self.cycles, self.mem_bytes, dict(self.cycles_by_class), self.elements
-        )
-
-    # -- shared telemetry surface ----------------------------------------------
-
-    def payload(self) -> dict:
-        return record_row(
-            self,
-            cycles_by_class=lambda by_class: {
-                op_class.value: cycles for op_class, cycles in by_class.items()
-            },
-        )
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CostReport":
-        return record_from_row(
-            cls,
-            payload,
-            "cost report",
-            cycles_by_class=lambda row: {
-                **dict.fromkeys(OpClass, 0.0),
-                **{OpClass(name): revive_float(cycles) for name, cycles in row.items()},
-            },
         )
 
     def class_shares(self) -> dict[OpClass, float]:

@@ -109,25 +109,8 @@ class TransformDag:
         produced = {node.output_id: node for node in self.nodes}
         ordered: list[DagNode] = []
         state: dict[int, int] = {}  # 0 = unvisited, 1 = visiting, 2 = done
-
-        def visit(node: DagNode) -> None:
-            mark = state.get(node.output_id, 0)
-            if mark == 2:
-                return
-            if mark == 1:
-                raise TransformError(
-                    f"cycle through derived feature {node.output_id}"
-                )
-            state[node.output_id] = 1
-            for input_id in node.op.input_ids:
-                dependency = produced.get(input_id)
-                if dependency is not None:
-                    visit(dependency)
-            state[node.output_id] = 2
-            ordered.append(node)
-
         for node in self.nodes:
-            visit(node)
+            _visit(node, produced, state, ordered)
         return ordered
 
     def plan(self) -> tuple[PlanStep, ...]:
@@ -149,3 +132,28 @@ class TransformDag:
                     runs.append([node])
             self._plan = tuple(PlanStep.of(run) for run in runs)
         return self._plan
+
+
+def _visit(
+    node: DagNode,
+    produced: dict[int, DagNode],
+    state: dict[int, int],
+    ordered: list[DagNode],
+) -> None:
+    """Depth-first post-order step of :meth:`TransformDag.compile`.
+
+    A module function taking its state as arguments, so an ordering
+    leaves no closure cycle behind for the collector.
+    """
+    mark = state.get(node.output_id, 0)
+    if mark == 2:
+        return
+    if mark == 1:
+        raise TransformError(f"cycle through derived feature {node.output_id}")
+    state[node.output_id] = 1
+    for input_id in node.op.input_ids:
+        dependency = produced.get(input_id)
+        if dependency is not None:
+            _visit(dependency, produced, state, ordered)
+    state[node.output_id] = 2
+    ordered.append(node)

@@ -14,7 +14,9 @@ a raising recurrence stops; and where ``step``, ``run``, ``run_until``
 and ``run_while`` each stop.
 
 The second half keeps the hand-written JSON bodies of the scenarios and
-reports that now serialize through the record codec.
+reports that now serialize through the record codec: the writers of
+both, and the readers of the reports and rows (no scenario is read
+back).
 """
 
 _INF = float("inf")
@@ -153,8 +155,8 @@ class OracleSimClock:
 # ``repro.common.serialization``) every scenario and report spelled out
 # its own JSON body: a field list per direction, cast tables, restated
 # defaults.  These are those bodies, kept verbatim as functions of the
-# record (``params``/``payload``/``to_row`` side) or of the class and the
-# row (``from_*`` side).  They are the reference the codec is held to in
+# record (``params``/``payload``/``to_row`` side) or of the row
+# (``from_*`` side; a sweep result row now requires every key).  They are the reference the codec is held to in
 # ``tests/common/test_record_codec.py``.
 
 from dataclasses import asdict, fields  # noqa: E402
@@ -166,23 +168,13 @@ from repro.common.serialization import require_keys, revive_float  # noqa: E402
 from repro.dpp.simulation import SimTickSample, SimulationResult  # noqa: E402
 from repro.experiments.report import ScenarioResult  # noqa: E402
 from repro.experiments.scenarios import (  # noqa: E402
-    ChaosSessionScenario,
-    DppTimelineScenario,
-    FleetRegionScenario,
-    config_from_spec,
     config_to_spec,
-    fault_events_from_rows,
     fault_events_to_rows,
-    mix_from_overrides,
     mix_to_overrides,
 )
 from repro.fleet.jobs import FleetJobSpec  # noqa: E402
 from repro.fleet.report import FleetReport, FleetSample, JobOutcome  # noqa: E402
 from repro.serving.report import PoolStats, QueueStats, ServingReport  # noqa: E402
-from repro.serving.scenario import ServingScenario  # noqa: E402
-from repro.trainer.stalls import StallReport  # noqa: E402
-from repro.transforms.base import OpClass  # noqa: E402
-from repro.transforms.cost import CostReport  # noqa: E402
 from repro.workloads.models import model_by_name  # noqa: E402
 
 
@@ -210,24 +202,6 @@ def fleet_scenario_params(self):
     }
 
 
-def fleet_scenario_from_params(params):
-    cls = FleetRegionScenario
-    require_keys(
-        params,
-        required=("name", "trace_seed", "duration_s"),
-        optional=("horizon_s", "mix", "config", "faults"),
-        context="fleet scenario",
-    )
-    horizon = params.get("horizon_s")
-    return cls(
-        name=params["name"],
-        trace_seed=int(params["trace_seed"]),
-        mix=mix_from_overrides(params.get("mix", {})),
-        config=config_from_spec(params.get("config", {})),
-        duration_s=revive_float(params["duration_s"]),
-        horizon_s=None if horizon is None else float(horizon),
-        faults=fault_events_from_rows(params.get("faults", []), "at_s"),
-    )
 
 
 def chaos_scenario_params(self):
@@ -248,45 +222,6 @@ def chaos_scenario_params(self):
     }
 
 
-def chaos_scenario_from_params(params):
-    cls = ChaosSessionScenario
-    require_keys(
-        params,
-        required=("name",),
-        optional=(
-            "seed",
-            "n_workers",
-            "n_clients",
-            "n_partitions",
-            "rows_per_partition",
-            "batch_size",
-            "row_sample_rate",
-            "table_seed",
-            "faults",
-            "seeded_faults",
-            "seeded_max_round",
-            "client_batches_per_round",
-        ),
-        context="chaos scenario",
-    )
-    throttle = params.get("client_batches_per_round")
-    return cls(
-        name=params["name"],
-        seed=int(params.get("seed", 0)),
-        n_workers=int(params.get("n_workers", 3)),
-        n_clients=int(params.get("n_clients", 2)),
-        n_partitions=int(params.get("n_partitions", 2)),
-        rows_per_partition=int(params.get("rows_per_partition", 256)),
-        batch_size=int(params.get("batch_size", 64)),
-        row_sample_rate=float(params.get("row_sample_rate", 1.0)),
-        table_seed=int(params.get("table_seed", 7)),
-        faults=fault_events_from_rows(params.get("faults", []), "round"),
-        seeded_faults=int(params.get("seeded_faults", 0)),
-        seeded_max_round=int(params.get("seeded_max_round", 8)),
-        client_batches_per_round=(
-            None if throttle is None else int(throttle)
-        ),
-    )
 
 
 def dpp_scenario_params(self):
@@ -307,43 +242,6 @@ def dpp_scenario_params(self):
     }
 
 
-def dpp_scenario_from_params(params):
-    cls = DppTimelineScenario
-    require_keys(
-        params,
-        required=("name",),
-        optional=(
-            "seed",
-            "worker_batches_per_s",
-            "trainer_batches_per_s",
-            "initial_workers",
-            "duration_s",
-            "worker_spinup_s",
-            "controller_period_s",
-            "tick_s",
-            "max_workers",
-            "worker_losses",
-        ),
-        context="dpp scenario",
-    )
-    return cls(
-        name=params["name"],
-        seed=int(params.get("seed", 0)),
-        worker_batches_per_s=float(params.get("worker_batches_per_s", 10.0)),
-        trainer_batches_per_s=float(
-            params.get("trainer_batches_per_s", 60.0)
-        ),
-        initial_workers=int(params.get("initial_workers", 2)),
-        duration_s=float(params.get("duration_s", 1_800.0)),
-        worker_spinup_s=float(params.get("worker_spinup_s", 30.0)),
-        controller_period_s=float(params.get("controller_period_s", 10.0)),
-        tick_s=float(params.get("tick_s", 1.0)),
-        max_workers=int(params.get("max_workers", 64)),
-        worker_losses=tuple(
-            (float(when), int(count))
-            for when, count in params.get("worker_losses", [])
-        ),
-    )
 
 
 # serving/scenario.py
@@ -368,30 +266,6 @@ _SERVING_PLANE_FIELDS = (
     "cycles_per_s",
 )
 
-_SERVING_FLOAT_FIELDS = (
-    "rate_per_s",
-    "retry_backoff_s",
-    "backoff_multiplier",
-    "control_period_s",
-    "cycles_per_s",
-)
-
-_SERVING_INT_FIELDS = (
-    "n_requests",
-    "max_retries",
-    "fetch_queue_bound",
-    "extract_queue_bound",
-    "transform_queue_bound",
-    "ready_queue_bound",
-    "extract_workers",
-    "transform_workers",
-    "max_pool_workers",
-    "n_partitions",
-    "rows_per_partition",
-    "batch_size",
-    "table_seed",
-)
-
 
 def serving_scenario_params(self):
     out: dict = {"name": self.name, "seed": self.seed}
@@ -403,31 +277,6 @@ def serving_scenario_params(self):
     return out
 
 
-def serving_scenario_from_params(params):
-    cls = ServingScenario
-    require_keys(
-        params,
-        required=("name",),
-        optional=(
-            "seed",
-            "n_partitions",
-            "rows_per_partition",
-            "batch_size",
-            "table_seed",
-            *_SERVING_PLANE_FIELDS,
-        ),
-        context="serving scenario",
-    )
-    kwargs: dict = {"name": params["name"], "seed": int(params.get("seed", 0))}
-    defaults = cls(name="defaults")
-    for name in _SERVING_FLOAT_FIELDS:
-        kwargs[name] = float(params.get(name, getattr(defaults, name)))
-    for name in _SERVING_INT_FIELDS:
-        kwargs[name] = int(params.get(name, getattr(defaults, name)))
-    for name in ("arrival_mix", "fetch_policy"):
-        kwargs[name] = str(params.get(name, getattr(defaults, name)))
-    kwargs["autoscale"] = bool(params.get("autoscale", defaults.autoscale))
-    return cls(**kwargs)
 
 
 # serving/report.py
@@ -754,44 +603,10 @@ def scenario_result_from_row(row):
     cls = ScenarioResult
     require_keys(
         row,
-        required=tuple(
-            f.name for f in fields(cls) if f.name not in ("status", "error")
-        ),
-        optional=("status", "error"),
+        required=tuple(f.name for f in fields(cls)),
         context="sweep scenario result",
     )
     return cls(**revive_floats(row, _SCENARIO_RESULT_FLOAT_FIELDS))
-
-
-# trainer/stalls.py
-
-_STALL_FLOAT_FIELDS = (
-    "gpu_stall_fraction",
-    "cpu_utilization",
-    "mem_bw_utilization",
-    "supplied_samples_per_s",
-    "demanded_samples_per_s",
-)
-
-
-def stall_report_payload(self):
-    row = {name: getattr(self, name) for name in _STALL_FLOAT_FIELDS}
-    row["model"] = self.model.name
-    return row
-
-
-def stall_report_from_payload(payload):
-    cls = StallReport
-    require_keys(
-        payload,
-        required=("model",) + _STALL_FLOAT_FIELDS,
-        context="stall report",
-    )
-    revived = revive_floats(payload, _STALL_FLOAT_FIELDS)
-    return cls(
-        model=model_by_name(payload["model"]),
-        **{name: revived[name] for name in _STALL_FLOAT_FIELDS},
-    )
 
 
 # chaos/report.py
@@ -846,36 +661,4 @@ def chaos_report_from_payload(payload):
         records=records,
         violations=violations,
         expected_batches=int(payload["expected_batches"]),
-    )
-
-
-# transforms/cost.py
-
-
-def cost_report_payload(self):
-    return {
-        "cycles": self.cycles,
-        "mem_bytes": self.mem_bytes,
-        "elements": self.elements,
-        "cycles_by_class": {
-            cls.value: cycles for cls, cycles in self.cycles_by_class.items()
-        },
-    }
-
-
-def cost_report_from_payload(payload):
-    cls = CostReport
-    require_keys(
-        payload,
-        required=("cycles", "mem_bytes", "elements", "cycles_by_class"),
-        context="cost report",
-    )
-    by_class = {op_class: 0.0 for op_class in OpClass}
-    for name, cycles in payload["cycles_by_class"].items():
-        by_class[OpClass(name)] = float(cycles)
-    return cls(
-        cycles=float(payload["cycles"]),
-        mem_bytes=float(payload["mem_bytes"]),
-        cycles_by_class=by_class,
-        elements=int(payload["elements"]),
     )

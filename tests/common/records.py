@@ -6,9 +6,8 @@ JSON-able range (floats include ``nan`` and ``±inf``), ``X | None`` as
 either, ``list[X]`` as short lists, enums from their members and nested
 dataclasses recursively.  Only what an annotation cannot say is written
 down here: shapes a converter owns (a model by name, a fleet mix or
-config shorthand, a child report, fault rows, loss pairs, the per-class
-cycle map) and the knobs a constructor validates, which draw from their
-valid range.  A draw the constructor still refuses is rejected.
+config shorthand, a child report, fault rows, loss pairs) and the knobs
+a constructor validates, which draw from their valid range.  A draw the constructor still refuses is rejected.
 """
 
 import dataclasses
@@ -31,8 +30,6 @@ from repro.fleet.jobs import FleetJobSpec, FleetMix
 from repro.fleet.simulator import FleetConfig
 from repro.serving.plane import ARRIVAL_MIXES, FETCH_POLICIES
 from repro.serving.scenario import ServingScenario
-from repro.transforms.base import OpClass
-from repro.transforms.cost import CostReport
 from repro.workloads.models import ALL_MODELS, ModelConfig
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -102,9 +99,6 @@ FIELDS = {
     (DppTimelineScenario, "worker_losses"): st.lists(
         st.tuples(st.floats(0.0, 1e4), st.integers(1, 10)), max_size=3
     ).map(tuple),
-    (CostReport, "cycles_by_class"): st.fixed_dictionaries(
-        {op_class: FLOATS for op_class in OpClass}
-    ),
 }
 
 

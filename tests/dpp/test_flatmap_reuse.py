@@ -214,7 +214,7 @@ def test_every_pass_over_the_same_splits_matches_a_worker_that_decodes_each(
         # transformed pieces) with the next pass's.
         with np.errstate(all="ignore"):
             reports = [
-                [worker.transform_batch(batch).to_json() for batch in batches]
+                [worker.transform_batch(batch) for batch in batches]
                 for worker, batches in ((ours, mine), (theirs, expected))
             ]
         assert reports[0] == reports[1]

@@ -1,7 +1,11 @@
-"""The named scenario registry: catalog coverage and mechanics."""
+"""The named scenario table: catalog coverage and the one lookup."""
 
+import ast
 import dataclasses
 import gc
+import inspect
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -9,45 +13,51 @@ import pytest
 from repro.chaos.runner import ChaosRunner
 from repro.common.errors import ConfigError
 from repro.dpp.simulation import TimedDppSimulation
-from repro.experiments import (
-    DppTimelineScenario,
-    build_scenario,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-    unregister_scenario,
-)
+from repro.experiments import SCENARIOS, build_scenario, kind_of, registry
+from repro.experiments.__main__ import build_parser
 from repro.fleet.simulator import FleetSimulator
 from repro.serving.plane import ServingPlane
 from repro.telemetry import Tracer
 
 #: The engine each scenario kind builds and drives inside ``run``.
 ENGINES = (ChaosRunner, FleetSimulator, ServingPlane, TimedDppSimulation)
+KINDS = {"fleet", "chaos", "dpp", "serving"}
 
 
 class TestBuiltinCatalog:
+    def test_names_are_unique_and_namespaced(self):
+        # A literal dict keeps the last of two equal keys, so read the
+        # keys from the source.
+        tree = ast.parse(inspect.getsource(registry))
+        (table,) = [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.AnnAssign) and node.target.id == "SCENARIOS"
+        ]
+        names = [key.value for key in table.keys]
+        assert len(names) == len(set(names)) == len(SCENARIOS) >= 8
+        for name in names:
+            kind, _, rest = name.partition("/")
+            assert kind in KINDS and rest and "/" not in rest
+
     def test_at_least_eight_scenarios_spanning_all_kinds(self):
-        entries = list_scenarios()
-        assert len(entries) >= 8
-        assert {entry.kind for entry in entries} == {
-            "fleet", "chaos", "dpp", "serving",
-        }
-
-    def test_listing_is_sorted_and_stable(self):
-        names = [entry.name for entry in list_scenarios()]
-        assert names == sorted(names)
-        assert names == [entry.name for entry in list_scenarios()]
-
-    def test_kind_filter(self):
-        chaos = list_scenarios(kind="chaos")
-        assert chaos and all(entry.kind == "chaos" for entry in chaos)
+        assert len(SCENARIOS) >= 8
+        assert {kind_of(name) for name in SCENARIOS} == KINDS
 
     def test_every_entry_builds_its_own_kind(self):
-        for entry in list_scenarios():
-            scenario = entry.build(seed=1)
-            assert scenario.kind == entry.kind
-            assert scenario.seed == 1
-            assert scenario.name.startswith(entry.name)
+        # The kind is the name's first segment, at every seed.
+        for name in sorted(SCENARIOS):
+            for seed in (0, 1):
+                scenario = build_scenario(name, seed=seed)
+                assert scenario.kind == kind_of(name)
+                assert scenario.seed == seed
+                assert scenario.name == f"{name}/seed{seed}"
+
+    def test_list_kind_choices_are_the_prefixes(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        (kind,) = [a for a in commands["list"]._actions if a.dest == "kind"]
+        assert kind.choices == sorted(KINDS)
+        assert set(kind.choices) == {kind_of(name) for name in SCENARIOS}
 
     def test_default_seed_is_zero(self):
         assert build_scenario("fleet/default").seed == 0
@@ -56,55 +66,26 @@ class TestBuiltinCatalog:
 class TestMechanics:
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(ConfigError, match="fleet/default"):
-            get_scenario("fleet/nope")
+            build_scenario("fleet/nope")
 
-    def test_registration_requires_namespace(self):
-        with pytest.raises(ConfigError, match="namespaced"):
-            register_scenario("flat", "dpp", "d", lambda seed: None)
 
-    def test_registration_requires_known_kind(self):
-        with pytest.raises(ConfigError, match="unknown scenario kind"):
-            register_scenario("flet/typo", "flet", "d", lambda seed: None)
-
-    def test_duplicate_registration_rejected_then_overwritable(self):
-        factory = lambda seed: DppTimelineScenario(
-            name=f"dpp/test-entry/seed{seed}", seed=seed
-        )
-        register_scenario("dpp/test-entry", "dpp", "a test entry", factory)
-        try:
-            with pytest.raises(ConfigError, match="already registered"):
-                register_scenario("dpp/test-entry", "dpp", "clash", factory)
-            register_scenario(
-                "dpp/test-entry", "dpp", "replaced", factory, overwrite=True
-            )
-            assert get_scenario("dpp/test-entry").description == "replaced"
-        finally:
-            unregister_scenario("dpp/test-entry")
-        with pytest.raises(ConfigError):
-            get_scenario("dpp/test-entry")
-
-    def test_registered_entry_runs(self):
-        register_scenario(
-            "dpp/tiny-test",
-            "dpp",
-            "ten-second smoke",
-            lambda seed: DppTimelineScenario(
-                name=f"dpp/tiny-test/seed{seed}", seed=seed, duration_s=10.0
-            ),
-        )
-        try:
-            report = build_scenario("dpp/tiny-test", seed=0).run()
-            assert report.report_kind == "dpp"
-        finally:
-            unregister_scenario("dpp/tiny-test")
+@pytest.mark.parametrize("package", ["repro.serving", "repro.experiments"])
+def test_either_package_imports_first(package):
+    code = f"import {package}; from repro.experiments import build_scenario; "
+    code += "print(type(build_scenario('serving/steady')).__name__)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "ServingScenario\n"
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("name", [entry.name for entry in list_scenarios()])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_a_run_is_freed_without_the_cycle_collector(name, traced, monkeypatch):
     # Sweeps, benchmarks and the CLI build and drop one engine per run:
     # an edge back to it (a pool's plane, a tracer's clock read) would
-    # leave every run to the cycle collector.  A tracer outlives its run.
+    # leave every run to the cycle collector, and so would any other
+    # cycle the run makes.  A tracer outlives its run.
     engines = []
     for cls in ENGINES:
 
@@ -117,10 +98,12 @@ def test_a_run_is_freed_without_the_cycle_collector(name, traced, monkeypatch):
     if scenario.kind == "serving":
         scenario = dataclasses.replace(scenario, n_requests=30)
     tracer = Tracer(scenario=scenario.name) if traced else None
+    gc.collect()
     gc.disable()
     try:
         scenario.run(tracer)
         assert len(engines) == 1
         assert engines[0]() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()

@@ -2,8 +2,8 @@
 
 The satellite contract: ``FleetReport``, ``ChaosReport``, and
 ``SweepReport`` each survive ``to_json → from_json`` *byte-identically*
-— including non-finite floats and empty runs — and the other adopted
-kinds (stall, cost, dpp) round-trip too.
+— including non-finite floats and empty runs — and the dpp simulation
+result round-trips too.
 """
 
 import math
@@ -176,43 +176,17 @@ class TestSweepReport:
         assert revived.quarantined == revived.results
         assert revived.metrics()["sweep.quarantined"] == 1.0
 
-    def test_pre_quarantine_artifact_still_revives(self, report):
-        # Artifacts written before the status/error fields existed must
-        # load with the defaults, not be rejected as missing keys.
+    @pytest.mark.parametrize("key", ["status", "error"])
+    def test_a_row_without_status_or_error_is_refused(self, report, key):
+        # Every row this code writes carries both keys, so a row read
+        # back without one is malformed, not an older artifact.
         payload = report.payload()
-        for row in payload["scenarios"]:
-            row.pop("status")
-            row.pop("error")
-        revived = SweepReport.from_payload(payload)
-        assert all(r.status == "ok" and r.error == "" for r in revived.results)
+        payload["scenarios"][0].pop(key)
+        with pytest.raises(FormatError, match=rf"missing required key\(s\) \['{key}'\]"):
+            SweepReport.from_payload(payload)
 
 
 class TestOtherKinds:
-    def test_stall_report_round_trips(self):
-        from repro.trainer import StallReport, on_host_preprocessing_study
-        from repro.trainer.gpu import GpuDemand
-        from repro.workloads.hardware import V100_TRAINER
-        from repro.workloads.models import RM1
-
-        report = on_host_preprocessing_study(RM1, V100_TRAINER, GpuDemand(RM1))
-        revived = assert_byte_identical_round_trip(report)
-        assert revived.model is RM1
-        assert revived.gpu_stall_fraction == report.gpu_stall_fraction
-
-    def test_cost_report_round_trips(self):
-        from repro.transforms import (
-            FirstX,
-            Logit,
-            TransformDag,
-            execute_with_cost,
-        )
-        from tests.transforms.test_dag import make_batch, D, S
-
-        dag = TransformDag().add(100, Logit(D)).add(101, FirstX(S, 2))
-        report = execute_with_cost(dag, make_batch())
-        revived = assert_byte_identical_round_trip(report)
-        assert revived.class_shares() == report.class_shares()
-
     def test_dpp_simulation_result_round_trips(self):
         report = build_scenario("dpp/worker-churn", seed=0).run()
         revived = assert_byte_identical_round_trip(report)

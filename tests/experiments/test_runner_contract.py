@@ -22,12 +22,12 @@ from repro.chaos.faults import FaultEvent, FaultKind
 from repro.common.errors import FormatError
 from repro.common.serialization import dump_json, null_specials
 from repro.experiments import (
+    SCENARIOS,
     RunJournal,
     ScenarioGrid,
     SweepRunner,
     build_scenario,
     fork_available,
-    list_scenarios,
     load_journal,
 )
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
@@ -312,7 +312,7 @@ def run_traced(scenario):
 
 @settings(max_examples=6, deadline=None)
 @given(
-    name=st.sampled_from([entry.name for entry in list_scenarios()]),
+    name=st.sampled_from(sorted(SCENARIOS)),
     seed=st.integers(0, 3),
 )
 def test_any_scenario_is_rerun_identical_traced_or_not(name, seed):

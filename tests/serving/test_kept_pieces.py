@@ -105,7 +105,7 @@ def run_counted(monkeypatch, mutate: bool) -> CountedRun:
         if read_number >= 3:
             crossings.add((filler, self.worker_id))
             assert report is not held.report
-            assert report.to_json() == held.report.to_json()
+            assert report == held.report
             if not readonly_checked:
                 for fid in self.spec.dag.output_ids():
                     for array in vars(batch.columns[fid]).values():

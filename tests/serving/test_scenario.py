@@ -1,15 +1,12 @@
-"""ServingScenario: registry, serialization, and the determinism contract.
+"""ServingScenario: registry, report serialization, and the determinism
+contract.
 
 The acceptance bar for the serving plane: two runs at the same seed
 produce byte-identical serving reports and traces.
 """
 
-import pytest
-
 from repro.common import report_from_json
-from repro.common.errors import FormatError
-from repro.experiments import build_scenario, list_scenarios
-from repro.experiments.base import scenario_from_json
+from repro.experiments import SCENARIOS, build_scenario, kind_of
 from repro.serving import ServingReport, ServingScenario
 from repro.telemetry import Tracer, merge_traces
 
@@ -28,7 +25,7 @@ def small(name="test/serving", **overrides):
 
 class TestRegistry:
     def test_serving_entries_are_registered(self):
-        names = {entry.name for entry in list_scenarios(kind="serving")}
+        names = {name for name in SCENARIOS if kind_of(name) == "serving"}
         assert {
             "serving/steady", "serving/bursty", "serving/overload"
         } <= names
@@ -49,21 +46,6 @@ class TestRegistry:
 
 
 class TestSerialization:
-    def test_scenario_round_trips_through_json(self):
-        scenario = small(
-            arrival_mix="bursty",
-            fetch_policy="retry",
-            rate_per_s=333.0,
-            max_pool_workers=5,
-        )
-        revived = scenario_from_json(scenario.to_json())
-        assert revived == scenario
-        assert revived.to_json() == scenario.to_json()
-
-    def test_unknown_params_rejected(self):
-        with pytest.raises(FormatError, match="bogus_knob"):
-            ServingScenario.from_params({"name": "x", "bogus_knob": 1})
-
     def test_report_round_trips_byte_identically(self):
         report = small().run()
         text = report.to_json()

@@ -20,7 +20,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments import build_scenario, list_scenarios
+from repro.experiments import SCENARIOS, build_scenario, kind_of
 from repro.serving import ServingScenario
 from repro.telemetry import Tracer, merge_traces
 
@@ -35,7 +35,7 @@ def _sha(text: str) -> str:
 
 
 def scenario_names() -> list[str]:
-    return [entry.name for entry in list_scenarios("serving")] + [BENCH]
+    return [name for name in sorted(SCENARIOS) if kind_of(name) == "serving"] + [BENCH]
 
 
 def build(name: str, seed: int) -> ServingScenario:

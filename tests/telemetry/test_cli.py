@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import FormatError
 from repro.telemetry import Tracer, validate_chrome_trace
 from repro.telemetry.__main__ import load_trace, main
-from repro.transforms.cost import CostReport
+from repro.dpp.simulation import SimulationResult
 
 
 def write_trace(path, *, tick_s: float = 1.0):
@@ -28,17 +28,17 @@ def write_trace(path, *, tick_s: float = 1.0):
 
 
 def test_load_trace_rejects_other_report_kinds(tmp_path):
-    target = tmp_path / "cost.json"
-    CostReport().write(target)
+    target = tmp_path / "dpp.json"
+    SimulationResult(samples=[], scaling_decisions=[]).write(target)
     with pytest.raises(FormatError):
         load_trace(target)
 
 
 def test_cli_reports_bad_inputs_cleanly(tmp_path, capsys):
     assert main(["summarize", str(tmp_path / "missing.json")]) == 1
-    cost_path = tmp_path / "cost.json"
-    CostReport().write(cost_path)
-    assert main(["summarize", str(cost_path)]) == 1
+    dpp_path = tmp_path / "dpp.json"
+    SimulationResult(samples=[], scaling_decisions=[]).write(dpp_path)
+    assert main(["summarize", str(dpp_path)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 2
     assert "Traceback" not in err

@@ -8,12 +8,12 @@ case pairs one trace stream with the report figure it twins.
 
 import pytest
 
-from repro.experiments import build_scenario, list_scenarios
+from repro.experiments import SCENARIOS, build_scenario, kind_of
 from repro.telemetry import Tracer
 
 
 def names(kind: str) -> list[str]:
-    return [entry.name for entry in list_scenarios() if entry.kind == kind]
+    return [name for name in sorted(SCENARIOS) if kind_of(name) == kind]
 
 
 def traced(name: str, seed: int = 0):

@@ -393,6 +393,7 @@ def _cli_commands() -> list[list[str]]:
     commands = [
         ["-m", "repro.experiments", "list"],
         ["-m", "repro.experiments", "list", "--kind", "chaos"],
+        ["-m", "repro.experiments", "run", "fleet/storm", "--seed", "0", "--spec"],
         ["-m", "repro.experiments", "sweep", "--quick",
          "--seeds", ",".join(map(str, range(25))), "--jobs", "4",
          "--out", "sweep_smoke.json"],

@@ -199,8 +199,8 @@ CI = reachability.ROOT / ".github" / "workflows" / "ci.yml"
 
 def ci_repro_commands() -> list[list[str]]:
     """Every ``python -m repro.*`` command of the workflow, with shell
-    ``for`` loops over ``$name`` expanded and a pipe's tail cut off, as
-    argv without ``python``."""
+    ``for`` loops over ``$name`` expanded and a pipe's tail or an output
+    redirect cut off, as argv without ``python``."""
     joined, pending = [], ""
     for line in CI.read_text().splitlines():
         stripped = line.strip()
@@ -218,7 +218,7 @@ def ci_repro_commands() -> list[list[str]]:
             loop = None
         elif "python -m repro." in line:
             text = line[line.index("python -m repro.") + len("python ") :]
-            text = text.split(" | ")[0].rstrip("&").strip()
+            text = text.split(" | ")[0].split(" > ")[0].rstrip("&").strip()
             name, values = loop or ("", [None])
             for value in values:
                 expanded = text if value is None else text.replace(f"${name}", value)

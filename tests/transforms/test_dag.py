@@ -1,5 +1,7 @@
 """Transform DAG compilation, execution, and cost accounting."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,23 @@ class TestDagStructure:
         dag = TransformDag()
         dag.add(100, SigridHash(101, 50))
         dag.add(101, SigridHash(100, 50))
-        with pytest.raises(TransformError):
+        with pytest.raises(TransformError, match="cycle through derived feature 100"):
             dag.compile()
+
+    def test_compile_leaves_no_garbage(self):
+        # Runs drop their session's DAG when they end; ordering it must
+        # not leave a cycle that only the collector frees.
+        gc.collect()
+        gc.disable()
+        try:
+            dag = TransformDag()
+            dag.add(101, SigridHash(100, 50))
+            dag.add(100, FirstX(S, 2))
+            dag.compile()
+            del dag
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_chain_example_from_paper(self):
         """Section 7.2's feature-X DAG: Bucketize(A), FirstX(B),
