@@ -21,8 +21,9 @@ def run_policy(initial_workers, autoscale):
         worker_spinup_s=30.0,
         autoscaler=AutoscalerConfig(
             scale_up_step=2,
+            # A static arm pins both bounds, so the controller holds it.
             max_workers=32 if autoscale else initial_workers,
-            min_workers=1,
+            min_workers=1 if autoscale else initial_workers,
         ),
     )
     result = TimedDppSimulation(config).run(DURATION_S)

@@ -68,9 +68,11 @@ class AdmissionReport:
 def admit_jobs(jobs: list[TrainingJob], capacity_nodes: float) -> AdmissionReport:
     """FCFS admission of *jobs* into a region of *capacity_nodes*.
 
-    Jobs are admitted in arrival order when enough nodes are free; an
-    oversized job (needing more than the region) is rejected outright.
-    Event-driven: releases are processed from a completion heap.
+    Jobs are admitted in arrival order when enough nodes are free, and
+    never before the job ahead of them (head-of-line blocking, as the
+    fleet's queue admits); an oversized job (needing more than the
+    region) is rejected outright.  Event-driven: releases are processed
+    from a completion heap.
     """
     if capacity_nodes <= 0:
         raise SchedulingError("capacity must be positive")
@@ -83,8 +85,9 @@ def admit_jobs(jobs: list[TrainingJob], capacity_nodes: float) -> AdmissionRepor
     free = capacity_nodes
     completions: list[tuple[float, float]] = []  # (finish_day, nodes)
     outcomes: list[AdmissionOutcome] = []
+    now = float("-inf")
     for job in sorted(jobs, key=lambda j: j.start_day):
-        now = job.start_day
+        now = max(now, job.start_day)
         # Release capacity from jobs that finished before this arrival.
         while completions and completions[0][0] <= now:
             _, nodes = heapq.heappop(completions)

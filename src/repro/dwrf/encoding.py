@@ -1,14 +1,14 @@
-"""Low-level stream codecs: varint, zigzag, float packing, compression.
+"""Low-level stream codecs: varint, zigzag, float packing, sealing.
 
 DWRF stripes are made of compressed and (in production) encrypted
 streams (Section 3.1.2).  We implement real codecs so that file sizes,
 offsets, and I/O sizes downstream are genuine consequences of the data:
 
-* integers: zigzag + LEB128 varint, then zlib
-* floats: little-endian float32 packing, then zlib
-* "encryption": a keyed XOR applied after compression — not secure, but
-  a real byte transformation so the datacenter-tax cost model charges
-  for real byte volumes.
+* integers: adaptive-width little-endian packing
+* floats: little-endian float32 packing
+* every stream is then sealed one way (:func:`seal`): zlib, then a
+  keyed XOR "encryption" — not secure, but a real byte transformation
+  so the datacenter-tax cost model charges for real byte volumes.
 """
 
 from __future__ import annotations
@@ -123,17 +123,6 @@ def unpack_bitmap(data: bytes, count: int) -> np.ndarray:
     return bits.view(bool)
 
 
-def _xor_cipher(data: bytes) -> bytes:
-    if not data:
-        return b""
-    array = np.frombuffer(data, dtype=np.uint8)
-    if array.size <= _XOR_KEY_TILE.size:
-        key = _XOR_KEY_TILE[: array.size]
-    else:
-        key = np.resize(_XOR_KEY_ARRAY, array.size)  # cyclic tile of the key
-    return np.bitwise_xor(array, key).tobytes()
-
-
 def xor_in_place(buffer: np.ndarray) -> None:
     """Apply the cipher to a writable uint8 *buffer* where it lies.
 
@@ -146,18 +135,18 @@ def xor_in_place(buffer: np.ndarray) -> None:
         np.bitwise_xor(part, _XOR_KEY_TILE[: part.size], out=part)
 
 
-def seal(payload: bytes, *, compress: bool = True, encrypt: bool = True) -> bytes:
+def seal(payload: bytes) -> bytes:
     """Apply the on-disk transformations: compression then encryption."""
-    data = zlib.compress(payload, level=1) if compress else payload
-    return _xor_cipher(data) if encrypt else data
+    buffer = np.frombuffer(zlib.compress(payload, level=1), dtype=np.uint8).copy()
+    xor_in_place(buffer)
+    return buffer.tobytes()
 
 
-def unseal(data: bytes, *, compress: bool = True, encrypt: bool = True) -> bytes:
+def unseal(data: bytes) -> bytes:
     """Invert :func:`seal`."""
-    plain = _xor_cipher(data) if encrypt else data
-    if not compress:
-        return plain
+    buffer = np.frombuffer(data, dtype=np.uint8).copy()
+    xor_in_place(buffer)
     try:
-        return zlib.decompress(plain)
+        return zlib.decompress(buffer)
     except zlib.error as exc:
         raise FormatError(f"corrupt compressed stream: {exc}") from exc

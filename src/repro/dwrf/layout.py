@@ -25,8 +25,10 @@ class FileLayout(enum.Enum):
 
 @dataclass(frozen=True)
 class EncodingOptions:
-    """Knobs that shape the on-disk representation.
+    """How rows are laid out on disk; every stream is sealed one way
+    (:func:`~repro.dwrf.encoding.seal`: zlib, then the XOR cipher).
 
+    ``layout`` picks map or flattened columns (Figure 10).
     ``stripe_rows`` is the number of rows per stripe — the "large
     stripes" optimization (Table 12, LS) raises it.  ``feature_order``
     optionally fixes the on-disk ordering of per-feature streams within
@@ -37,8 +39,6 @@ class EncodingOptions:
     layout: FileLayout = FileLayout.FLATTENED
     stripe_rows: int = 256
     feature_order: tuple[int, ...] | None = None
-    compress: bool = True
-    encrypt: bool = True
 
     def __post_init__(self) -> None:
         if self.stripe_rows <= 0:

@@ -388,19 +388,13 @@ class DwrfReader:
             self._scratch = np.empty(plan.scratch_bytes, dtype=np.uint8)
         scratch = self._scratch.data
         self._fetch_verified(plan, scratch)
-        options = self.footer.options
-        if options.encrypt:
-            encoding.xor_in_place(self._scratch[: plan.scratch_bytes])
+        encoding.xor_in_place(self._scratch[: plan.scratch_bytes])
+        inflate = zlib.decompress
         payloads: list[bytes | None]
-        if options.compress:
-            inflate = zlib.decompress
-            try:
-                payloads = [inflate(scratch[lo:hi]) for lo, hi in plan.slots]
-            except zlib.error as exc:
-                raise FormatError(f"corrupt compressed stream: {exc}") from exc
-        else:
-            # Copies, so nothing decoded aliases the scratch.
-            payloads = [scratch[lo:hi].tobytes() for lo, hi in plan.slots]
+        try:
+            payloads = [inflate(scratch[lo:hi]) for lo, hi in plan.slots]
+        except zlib.error as exc:
+            raise FormatError(f"corrupt compressed stream: {exc}") from exc
         payloads.append(None)
         return payloads
 

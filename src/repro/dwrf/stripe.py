@@ -28,10 +28,6 @@ from .layout import EncodingOptions
 from .stream import ROW_LEVEL, PendingStream, StreamKind
 
 
-def _seal(payload: bytes, options: EncodingOptions) -> bytes:
-    return encoding.seal(payload, compress=options.compress, encrypt=options.encrypt)
-
-
 def _ordered_feature_ids(schema: TableSchema, options: EncodingOptions) -> list[int]:
     """Stream order within a stripe.
 
@@ -49,11 +45,9 @@ def _ordered_feature_ids(schema: TableSchema, options: EncodingOptions) -> list[
     return ordered + [fid for fid in ids if fid not in placed]
 
 
-def _encode_map_stripe(
-    rows: Sequence[Row], options: EncodingOptions
-) -> list[PendingStream]:
+def _encode_map_stripe(rows: Sequence[Row]) -> list[PendingStream]:
     labels = encoding.pack_floats([row.label for row in rows])
-    streams = [PendingStream(ROW_LEVEL, StreamKind.LABEL, _seal(labels, options))]
+    streams = [PendingStream(ROW_LEVEL, StreamKind.LABEL, encoding.seal(labels))]
 
     # Whole-row encoding: for each row, its dense, sparse, and score
     # maps serialized inline.  Ints go in one varint section; floats in
@@ -81,7 +75,7 @@ def _encode_map_stripe(
     float_payload = encoding.pack_floats(floats)
     header = encoding.encode_varints([len(int_payload)])
     payload = header + int_payload + float_payload
-    streams.append(PendingStream(ROW_LEVEL, StreamKind.MAP_ROWS, _seal(payload, options)))
+    streams.append(PendingStream(ROW_LEVEL, StreamKind.MAP_ROWS, encoding.seal(payload)))
     return streams
 
 
@@ -301,7 +295,7 @@ class StripeColumnarBuilder:
         options = self.options
         n = len(self._labels)
         labels = encoding.pack_floats(self._labels)
-        streams = [PendingStream(ROW_LEVEL, StreamKind.LABEL, _seal(labels, options))]
+        streams = [PendingStream(ROW_LEVEL, StreamKind.LABEL, encoding.seal(labels))]
 
         for fid in _ordered_feature_ids(self.schema, options):
             ftype = self.schema.get(fid).ftype
@@ -319,27 +313,27 @@ class StripeColumnarBuilder:
                 PendingStream(
                     fid,
                     StreamKind.PRESENCE,
-                    _seal(encoding.pack_bitmap(presence), options),
+                    encoding.seal(encoding.pack_bitmap(presence)),
                 )
             )
             if ftype is FeatureType.DENSE:
                 values = encoding.pack_floats(columns[0])
                 streams.append(
-                    PendingStream(fid, StreamKind.DENSE_VALUES, _seal(values, options))
+                    PendingStream(fid, StreamKind.DENSE_VALUES, encoding.seal(values))
                 )
                 continue
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_LENGTHS,
-                    _seal(encoding.encode_ints(columns[0]), options),
+                    encoding.seal(encoding.encode_ints(columns[0])),
                 )
             )
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_VALUES,
-                    _seal(encoding.encode_ints(columns[1]), options),
+                    encoding.seal(encoding.encode_ints(columns[1])),
                 )
             )
             if ftype is FeatureType.SCORED_SPARSE:
@@ -347,7 +341,7 @@ class StripeColumnarBuilder:
                     PendingStream(
                         fid,
                         StreamKind.SCORE_VALUES,
-                        _seal(encoding.pack_floats(columns[2]), options),
+                        encoding.seal(encoding.pack_floats(columns[2])),
                     )
                 )
         return streams

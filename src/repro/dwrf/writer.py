@@ -80,7 +80,7 @@ class DwrfWriter:
             self._builder = StripeColumnarBuilder(self.schema, self.options)
         else:
             row_count = len(self._buffer)
-            pending = _encode_map_stripe(self._buffer, self.options)
+            pending = _encode_map_stripe(self._buffer)
             self._buffer = []
         infos = []
         for stream in pending:

@@ -1,10 +1,10 @@
 """The Tectonic filesystem: append-only files over replicated blocks.
 
-Files are append-only (Section 3.1.2); writers append bytes which are
-chunked into blocks, each block placed on ``replication`` distinct
-nodes chosen by free capacity.  Reads address a (file, offset, length)
-range; the filesystem routes each block-range to one replica and
-accounts the I/O on that node.
+Files are append-only (Section 3.1.2).  A file keeps its bytes as one
+payload; an append extends it and is chunked into blocks, each block
+placed on ``replication`` distinct nodes chosen by free capacity.
+Reads address a (file, offset, length) range: the bytes are a slice of
+the payload, and each covered block is charged to one of its replicas.
 
 The filesystem exposes :meth:`TectonicFilesystem.fetcher`, an adapter
 matching the DWRF reader's byte-range interface, so the columnar layer
@@ -23,17 +23,15 @@ from .block import Block
 from .media import TECTONIC_CHUNK_BYTES, MediaModel, hdd_node
 from .node import StorageNode
 
-_VIRTUAL_READ = "cannot read payload of a virtual block"
-
 
 @dataclass
 class TectonicFile:
-    """Metadata for one append-only file.
+    """One append-only file: its bytes and the blocks that place them.
 
-    ``blocks``, ``length`` (total bytes) and ``block_starts`` (each
-    block's offset in the file) change only in :meth:`add_block`, the
-    one place a block joins a file, so a read finds its first block by
-    bisection.
+    ``data`` is the whole payload, one ``bytes``.  ``blocks``,
+    ``length`` (total bytes) and ``block_starts`` (each block's offset
+    in the file) change only in :meth:`add_block`, the one place a
+    block joins a file, so a read finds its first block by bisection.
     """
 
     name: str
@@ -41,6 +39,7 @@ class TectonicFile:
     sealed: bool = False
     length: int = field(default=0, init=False)
     block_starts: list[int] = field(default_factory=list, init=False)
+    data: bytes = field(default=b"", init=False, repr=False)
 
     def add_block(self, block: Block) -> None:
         """Append *block* at the current end of the file."""
@@ -105,30 +104,23 @@ class TectonicFilesystem:
     # -- writes --------------------------------------------------------------
 
     def append(self, name: str, data: bytes) -> None:
-        """Append bytes to a file, chunking into materialized blocks."""
+        """Append bytes to a file, placing them in chunk-sized blocks.
+
+        The file's first bytes are the caller's object itself; a later
+        append concatenates, so the payload is never over-allocated.
+        """
         file = self.file(name)
         if file.sealed:
             raise StorageError(f"file {name} is sealed (append-only, immutable)")
         for start in range(0, len(data), self.chunk_bytes):
-            chunk = data[start : start + self.chunk_bytes]
-            self._add_block(file, len(chunk), chunk)
-
-    def append_virtual(self, name: str, n_bytes: int) -> None:
-        """Append size-only blocks (for provisioning-scale studies)."""
-        file = self.file(name)
-        if file.sealed:
-            raise StorageError(f"file {name} is sealed (append-only, immutable)")
-        remaining = n_bytes
-        while remaining > 0:
-            chunk = min(remaining, self.chunk_bytes)
-            self._add_block(file, chunk, None)
-            remaining -= chunk
+            self._add_block(file, min(self.chunk_bytes, len(data) - start))
+        file.data = file.data + data if file.data else data
 
     def seal(self, name: str) -> None:
         """Seal a file; further appends are rejected."""
         self.file(name).sealed = True
 
-    def _add_block(self, file: TectonicFile, length: int, data: bytes | None) -> None:
+    def _add_block(self, file: TectonicFile, length: int) -> None:
         replicas = self._pick_replicas()
         for node_id in replicas:
             self.nodes[node_id].allocate(length)
@@ -138,7 +130,6 @@ class TectonicFilesystem:
                 file_name=file.name,
                 index=len(file.blocks),
                 length=length,
-                data=data,
                 replica_nodes=replicas,
             )
         )
@@ -153,10 +144,9 @@ class TectonicFilesystem:
     def read(self, name: str, offset: int, length: int) -> bytes:
         """Read a byte range, touching each covering block's replica.
 
-        Each covering block is charged to one of its replicas, chosen
-        round-robin across the filesystem.  The bytes are taken before
-        any node is charged, so a read that raises (a virtual block in
-        the range) is not accounted as served.
+        The bytes are a slice of the file's payload.  Each covering
+        block, found from the first by bisection, is charged to one of
+        its replicas, chosen round-robin across the filesystem.
         """
         try:
             file = self._files[name]
@@ -167,44 +157,24 @@ class TectonicFilesystem:
             raise StorageError(
                 f"read [{offset}, {end}) beyond file of {file.length}"
             )
-        if not length:
-            return b""  # touches no block
         starts = file.block_starts
         blocks = file.blocks
-        index = bisect_right(starts, offset) - 1
-        block = blocks[index]
-        inner_offset = offset - starts[index]
-        if inner_offset + length <= block.length:  # the common read: one block
-            data = block.data
-            if data is None:
-                raise StorageError(_VIRTUAL_READ)
-            out = data[inner_offset : inner_offset + length]
-            charges = ((block, length),)
-        else:
-            pieces = []
-            charges = []
-            while offset < end:
-                block = blocks[index]
-                data = block.data
-                if data is None:
-                    raise StorageError(_VIRTUAL_READ)
-                inner_offset = offset - starts[index]
-                take = min(block.length - inner_offset, end - offset)
-                pieces.append(data[inner_offset : inner_offset + take])
-                charges.append((block, take))
-                offset += take
-                index += 1
-            out = b"".join(pieces)
         nodes = self.nodes
         rr = self._replica_rr
-        for block, n_bytes in charges:
+        index = bisect_right(starts, offset) - 1
+        cursor = offset
+        while cursor < end:
+            block = blocks[index]
+            block_end = starts[index] + block.length
             replicas = block.replica_nodes
             served = nodes[replicas[rr % len(replicas)]].served
             rr += 1
             served.io_count += 1
-            served.bytes_read += n_bytes
+            served.bytes_read += min(block_end, end) - cursor
+            cursor = block_end
+            index += 1
         self._replica_rr = rr
-        return out
+        return file.data[offset:end]
 
     def fetcher(self, name: str):
         """A ``(offset, length) -> bytes`` adapter for the DWRF reader."""

@@ -1,6 +1,7 @@
 """Combo-window admission control (§4.2)."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.cluster import JobKind, TrainingJob, generate_release_iteration
 from repro.cluster.admission import admit_jobs, capacity_for_delay
@@ -81,3 +82,46 @@ class TestReleaseWindowProvisioning:
     def test_delay_target_validation(self):
         with pytest.raises(SchedulingError):
             capacity_for_delay([job(0.0, 1.0)], -1.0)
+
+
+def node_use_at_admissions(report) -> list[int]:
+    """Nodes in use at each admission instant (use only rises there)."""
+    spans = [
+        (o.admitted_day, o.admitted_day + o.job.duration_days, o.job.trainer_nodes)
+        for o in report.outcomes
+    ]
+    return [
+        sum(nodes for start, end, nodes in spans if start <= instant < end)
+        for instant, _, _ in spans
+    ]
+
+
+# (start day, days, nodes): whole numbers, so the sums are exact.
+job_shapes = st.lists(
+    st.tuples(st.integers(0, 10), st.integers(1, 6), st.integers(1, 20)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(job_shapes, st.integers(20, 40))
+@example([(0, 5, 10), (0, 6, 8), (1, 5, 5), (2, 1, 7)], 20)
+def test_admission_is_strict_fcfs_and_never_over_commits(shapes, capacity):
+    """A later, smaller job must not overtake a waiting one: the example
+    once admitted its fourth job on day 2 and its third on day 5, with
+    25 nodes running in a 20-node region on days 2-3."""
+    jobs = [job(float(start), float(days), nodes) for start, days, nodes in shapes]
+    report = admit_jobs(jobs, capacity_nodes=capacity)
+    arrival_order = sorted(jobs, key=lambda j: j.start_day)
+    assert [o.job for o in report.outcomes] == arrival_order
+    admitted = [o.admitted_day for o in report.outcomes]
+    assert admitted == sorted(admitted)
+    assert all(o.queue_delay_days >= 0 for o in report.outcomes)
+    assert max(node_use_at_admissions(report)) <= capacity
+
+
+def test_the_overtaking_case_waits_its_turn():
+    jobs = [job(0.0, 5.0, 10), job(0.0, 6.0, 8), job(1.0, 5.0, 5), job(2.0, 1.0, 7)]
+    report = admit_jobs(jobs, capacity_nodes=20)
+    assert [o.admitted_day for o in report.outcomes] == [0.0, 0.0, 5.0, 5.0]
+    assert node_use_at_admissions(report) == [18, 18, 20, 20]

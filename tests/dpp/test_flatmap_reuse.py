@@ -20,7 +20,6 @@ The tables, encodings and the schema are those of
 registered op as in ``tests/transforms/test_plan.py``.
 """
 
-import bisect
 import dataclasses
 import types
 import weakref
@@ -120,11 +119,9 @@ def transformed_pass(worker) -> list:
 def flip(filesystem, offset) -> None:
     """Flip the lowest bit of the stored byte at file *offset*."""
     tectonic_file = filesystem.file("f")
-    index = bisect.bisect_right(tectonic_file.block_starts, offset) - 1
-    block = tectonic_file.blocks[index]
-    data = bytearray(block.data)
-    data[offset - tectonic_file.block_starts[index]] ^= 0x01
-    block.data = bytes(data)
+    data = bytearray(tectonic_file.data)
+    data[offset] ^= 0x01
+    tectonic_file.data = bytes(data)
 
 
 def assert_same_batches(ours, theirs):

@@ -1,5 +1,11 @@
 """Reference implementations the DWRF write and read paths are tested against.
 
+*Seal.*  ``oracle_xor_cipher`` is ``encoding._xor_cipher``, the copying
+cipher ``seal`` and ``unseal`` called before ``encoding.xor_in_place``
+became the one XOR body; ``oracle_seal`` and ``oracle_unseal`` are the
+one sealing (zlib, then XOR) over it.  Every oracle below seals and
+unseals through them.
+
 *Write path.*  ``PerValueStripeBuilder`` is the ``StripeColumnarBuilder``
 that ``repro.dwrf.stripe`` shipped before the write path stopped
 re-copying samples, kept verbatim as an oracle: ``add_row`` copies every
@@ -23,7 +29,7 @@ select-the-payloads block written out once per consumer.  They take a
 ``DwrfReader._fetch_streams`` ran before the byte-dependent half of a
 stripe moved to a scratch buffer — one ``trace.add`` per read as it is
 fetched, and per needed stream a slice, a CRC and its own
-``encoding.unseal`` call (two array allocations for the XOR each).  It
+``oracle_unseal`` call (two array allocations for the XOR each).  It
 reads a plan only for its ``reads`` and ``records``.
 
 ``oracle_fetch_scratch_streams`` is the body after that: the one-piece
@@ -44,12 +50,42 @@ from repro.dwrf.stream import ROW_LEVEL, PendingStream, StreamKind
 from repro.dwrf.stripe import (
     DecodedFeature,
     _ordered_feature_ids,
-    _seal,
     _split_varint_header,
 )
 from repro.transforms.batch import DenseColumn, FeatureBatch, SparseColumn
 from repro.warehouse.row import Row
 from repro.warehouse.schema import FeatureType, TableSchema
+
+# -- the seal ------------------------------------------------------------------
+
+
+def oracle_xor_cipher(data: bytes) -> bytes:
+    """The cipher as a copy: ``encoding._xor_cipher`` before it became
+    :func:`~repro.dwrf.encoding.xor_in_place`'s body alone."""
+    if not data:
+        return b""
+    array = np.frombuffer(data, dtype=np.uint8)
+    if array.size <= encoding._XOR_KEY_TILE.size:
+        key = encoding._XOR_KEY_TILE[: array.size]
+    else:
+        key = np.resize(encoding._XOR_KEY_ARRAY, array.size)  # cyclic tile of the key
+    return np.bitwise_xor(array, key).tobytes()
+
+
+def oracle_seal(payload: bytes) -> bytes:
+    """``encoding.seal`` over the copying cipher: zlib, then XOR."""
+    return oracle_xor_cipher(zlib.compress(payload, level=1))
+
+
+def oracle_unseal(data: bytes) -> bytes:
+    """``encoding.unseal`` over the copying cipher."""
+    try:
+        return zlib.decompress(oracle_xor_cipher(data))
+    except zlib.error as exc:
+        raise FormatError(f"corrupt compressed stream: {exc}") from exc
+
+
+# -- write path ----------------------------------------------------------------
 
 
 class _DenseAccumulator:
@@ -132,7 +168,7 @@ class PerValueStripeBuilder:
         options = self.options
         n = len(self._labels)
         labels = encoding.pack_floats(self._labels)
-        streams = [PendingStream(ROW_LEVEL, StreamKind.LABEL, _seal(labels, options))]
+        streams = [PendingStream(ROW_LEVEL, StreamKind.LABEL, oracle_seal(labels))]
 
         for fid in _ordered_feature_ids(self.schema, options):
             spec = self.schema.get(fid)
@@ -149,12 +185,12 @@ class PerValueStripeBuilder:
                     PendingStream(
                         fid,
                         StreamKind.PRESENCE,
-                        _seal(encoding.pack_bitmap(presence), options),
+                        oracle_seal(encoding.pack_bitmap(presence)),
                     )
                 )
                 values = encoding.pack_floats(dense_acc.values)
                 streams.append(
-                    PendingStream(fid, StreamKind.DENSE_VALUES, _seal(values, options))
+                    PendingStream(fid, StreamKind.DENSE_VALUES, oracle_seal(values))
                 )
                 continue
             if dense_acc is not None:
@@ -165,21 +201,21 @@ class PerValueStripeBuilder:
                 PendingStream(
                     fid,
                     StreamKind.PRESENCE,
-                    _seal(encoding.pack_bitmap(presence), options),
+                    oracle_seal(encoding.pack_bitmap(presence)),
                 )
             )
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_LENGTHS,
-                    _seal(encoding.encode_ints(sparse_acc.lengths), options),
+                    oracle_seal(encoding.encode_ints(sparse_acc.lengths)),
                 )
             )
             streams.append(
                 PendingStream(
                     fid,
                     StreamKind.SPARSE_VALUES,
-                    _seal(encoding.encode_ints(sparse_acc.values), options),
+                    oracle_seal(encoding.encode_ints(sparse_acc.values)),
                 )
             )
             if spec.ftype is FeatureType.SCORED_SPARSE:
@@ -187,17 +223,13 @@ class PerValueStripeBuilder:
                     PendingStream(
                         fid,
                         StreamKind.SCORE_VALUES,
-                        _seal(encoding.pack_floats(sparse_acc.scores), options),
+                        oracle_seal(encoding.pack_floats(sparse_acc.scores)),
                     )
                 )
         return streams
 
 
 # -- read path -----------------------------------------------------------------
-
-
-def _unseal(data: bytes, options: EncodingOptions) -> bytes:
-    return encoding.unseal(data, compress=options.compress, encrypt=options.encrypt)
 
 
 def decode_varints(data: bytes) -> list[int]:
@@ -307,9 +339,7 @@ def oracle_fetch_planned_streams(reader, plan) -> list:
     fetch = reader._fetch
     record = reader.trace.add
     crc32 = zlib.crc32
-    unseal = encoding.unseal
-    compress = reader.footer.options.compress
-    encrypt = reader.footer.options.encrypt
+    unseal = oracle_unseal
     payloads = []
     for (offset, length, members), (_, _, useful) in zip(plan.reads, plan.records):
         data = fetch(offset, length)
@@ -324,7 +354,7 @@ def oracle_fetch_planned_streams(reader, plan) -> list:
                     f"{info.kind.value}) at offset {info.offset}: "
                     "corrupt replica or torn read"
                 )
-            payloads.append(unseal(sealed, compress=compress, encrypt=encrypt))
+            payloads.append(unseal(sealed))
     payloads.append(None)
     return payloads
 
@@ -357,17 +387,12 @@ def oracle_fetch_scratch_streams(reader, plan) -> list:
             reader.trace.add(*record)
         raise
     reader.trace.extend(plan.records, plan.bytes_read, plan.useful_bytes)
-    options = reader.footer.options
-    if options.encrypt:
-        encoding.xor_in_place(reader._scratch[: plan.scratch_bytes])
-    if options.compress:
-        inflate = zlib.decompress
-        try:
-            payloads = [inflate(scratch[lo:hi]) for lo, hi in plan.slots]
-        except zlib.error as exc:
-            raise FormatError(f"corrupt compressed stream: {exc}") from exc
-    else:
-        payloads = [scratch[lo:hi].tobytes() for lo, hi in plan.slots]
+    encoding.xor_in_place(reader._scratch[: plan.scratch_bytes])
+    inflate = zlib.decompress
+    try:
+        payloads = [inflate(scratch[lo:hi]) for lo, hi in plan.slots]
+    except zlib.error as exc:
+        raise FormatError(f"corrupt compressed stream: {exc}") from exc
     payloads.append(None)
     return payloads
 
@@ -375,39 +400,38 @@ def oracle_fetch_scratch_streams(reader, plan) -> list:
 def oracle_decode_flattened_feature(
     spec_type,
     row_count,
-    options,
     presence_payload,
     value_payload,
     lengths_payload=None,
     scores_payload=None,
 ) -> DecodedFeature:
-    presence = oracle_unpack_bitmap(_unseal(presence_payload, options), row_count)
+    presence = oracle_unpack_bitmap(oracle_unseal(presence_payload), row_count)
     if spec_type is FeatureType.DENSE:
-        values = encoding.unpack_floats(_unseal(value_payload, options))
+        values = encoding.unpack_floats(oracle_unseal(value_payload))
         return DecodedFeature(presence=presence, dense_values=values)
     if lengths_payload is None:
         raise FormatError("sparse feature missing lengths stream")
-    lengths = oracle_decode_ints(_unseal(lengths_payload, options))
-    flat = oracle_decode_ints(_unseal(value_payload, options))
+    lengths = oracle_decode_ints(oracle_unseal(lengths_payload))
+    flat = oracle_decode_ints(oracle_unseal(value_payload))
     scores = None
     if spec_type is FeatureType.SCORED_SPARSE:
         if scores_payload is None:
             raise FormatError("scored feature missing scores stream")
-        scores = encoding.unpack_floats(_unseal(scores_payload, options))
+        scores = encoding.unpack_floats(oracle_unseal(scores_payload))
     return DecodedFeature(
         presence=presence, lengths=lengths, sparse_values=flat, scores=scores
     )
 
 
-def _oracle_decode_labels(payload: bytes, options: EncodingOptions) -> np.ndarray:
-    return encoding.unpack_floats(_unseal(payload, options))
+def _oracle_decode_labels(payload: bytes) -> np.ndarray:
+    return encoding.unpack_floats(oracle_unseal(payload))
 
 
 def _oracle_decode_map_stripe(
-    label_payload, rows_payload, row_count, options, projection=None
+    label_payload, rows_payload, row_count, projection=None
 ) -> list[Row]:
-    labels = encoding.unpack_floats(_unseal(label_payload, options)).tolist()
-    payload = _unseal(rows_payload, options)
+    labels = encoding.unpack_floats(oracle_unseal(label_payload)).tolist()
+    payload = oracle_unseal(rows_payload)
     header, rest = _split_varint_header(payload)
     int_payload, float_payload = rest[:header], rest[header:]
     ints = oracle_decode_ints(int_payload).tolist()
@@ -441,8 +465,7 @@ def oracle_read_stripe(reader, index: int, schema: TableSchema) -> list[Row]:
     """Materialize rows of one stripe under the projection."""
     stripe = reader.footer.stripes[index]
     payloads = oracle_fetch_streams(reader, stripe)
-    options = reader.footer.options
-    if options.layout is FileLayout.MAP:
+    if reader.footer.options.layout is FileLayout.MAP:
         projection = (
             set(reader.options.projection)
             if reader.options.projection is not None
@@ -452,10 +475,9 @@ def oracle_read_stripe(reader, index: int, schema: TableSchema) -> list[Row]:
             payloads[(ROW_LEVEL, StreamKind.LABEL)],
             payloads[(ROW_LEVEL, StreamKind.MAP_ROWS)],
             stripe.row_count,
-            options,
             projection,
         )
-    labels = _oracle_decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)], options)
+    labels = _oracle_decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)])
     rows = [Row(label=label) for label in labels.tolist()]
     projection = reader.options.projection
     for fid in reader.footer.feature_ids:
@@ -475,7 +497,6 @@ def oracle_read_stripe(reader, index: int, schema: TableSchema) -> list[Row]:
         decoded = oracle_decode_flattened_feature(
             spec.ftype,
             stripe.row_count,
-            options,
             presence_payload,
             value_payload,
             lengths_payload,
@@ -505,8 +526,7 @@ def oracle_read_stripe_columnar(
     """``DppWorker._read_stripe_columnar`` with its own payload selection."""
     stripe = reader.footer.stripes[stripe_index]
     payloads = oracle_fetch_streams(reader, stripe)
-    options = reader.footer.options
-    labels = _oracle_decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)], options)
+    labels = _oracle_decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)])
     batch = FeatureBatch(labels=labels)
     n_values = len(labels)
     for fid in sorted(projection):
@@ -523,7 +543,6 @@ def oracle_read_stripe_columnar(
         decoded = oracle_decode_flattened_feature(
             spec.ftype,
             stripe.row_count,
-            options,
             payloads[(fid, StreamKind.PRESENCE)],
             value_payload,
             lengths_payload,

@@ -123,8 +123,6 @@ def write_cases(draw):
         layout=FileLayout.FLATTENED,
         stripe_rows=draw(st.sampled_from((1, 2, 5, 16, 64))),
         feature_order=order,
-        compress=draw(st.booleans()),
-        encrypt=draw(st.booleans()),
     )
     return rows, schema, options
 

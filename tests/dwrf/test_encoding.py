@@ -1,5 +1,7 @@
 """Stream codecs: varints, bulk ints, floats, bitmaps, seal/unseal."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +10,18 @@ from repro.common.errors import FormatError
 from repro.dwrf import encoding
 from repro.dwrf.stripe import _split_varint_header
 
-from .oracles import decode_varints, oracle_split_varint_header
+from .oracles import (
+    decode_varints,
+    oracle_seal,
+    oracle_split_varint_header,
+    oracle_unseal,
+    oracle_xor_cipher,
+)
+
+KEY = encoding.KEY_PERIOD
+TILE = encoding._XOR_KEY_TILE.size
+# Where a phase slip or a tile seam would show, and one past 3 MiB.
+CIPHER_SIZES = (0, 1, KEY - 1, KEY, KEY + 1, TILE - 1, TILE, TILE + 1, 3 * 2**20 + 11)
 
 
 def _outcome(read, payload):
@@ -178,22 +191,16 @@ class TestBitmaps:
 
 
 class TestSeal:
-    def test_round_trip_all_modes(self):
-        payload = b"the quick brown fox" * 10
-        for compress in (True, False):
-            for encrypt in (True, False):
-                sealed = encoding.seal(payload, compress=compress, encrypt=encrypt)
-                assert encoding.unseal(sealed, compress=compress, encrypt=encrypt) == payload
-
     def test_compression_shrinks_redundancy(self):
         payload = b"a" * 10_000
         assert len(encoding.seal(payload)) < len(payload) // 10
 
     def test_encryption_changes_bytes(self):
-        payload = b"secret features"
-        sealed = encoding.seal(payload, compress=False, encrypt=True)
-        assert sealed != payload
-        assert len(sealed) == len(payload)
+        payload = b"secret features" * 4
+        compressed = zlib.compress(payload, level=1)
+        sealed = encoding.seal(payload)
+        assert sealed != compressed
+        assert len(sealed) == len(compressed)
 
     def test_corrupt_stream_detected(self):
         sealed = encoding.seal(b"payload bytes here")
@@ -205,9 +212,22 @@ class TestSeal:
     def test_seal_round_trip_property(self, payload):
         assert encoding.unseal(encoding.seal(payload)) == payload
 
-    def test_vectorized_cipher_matches_per_byte_reference(self):
+    def test_the_cipher_matches_a_per_byte_reference(self):
         data = bytes(range(256)) * 3 + b"tail"
         key = encoding._XOR_KEY
         reference = bytes(b ^ key[i % len(key)] for i, b in enumerate(data))
-        assert encoding._xor_cipher(data) == reference
-        assert encoding._xor_cipher(b"") == b""
+        buffer = np.frombuffer(data, dtype=np.uint8).copy()
+        encoding.xor_in_place(buffer)
+        assert buffer.tobytes() == reference
+
+    @pytest.mark.parametrize("size", CIPHER_SIZES)
+    def test_seal_agrees_with_the_copying_cipher_it_replaced(self, size):
+        """``xor_in_place`` is the one XOR body; ``seal``/``unseal`` over
+        it give the bytes the copying cipher gave, past the key tile too."""
+        data = np.random.default_rng(size).bytes(size)
+        buffer = np.frombuffer(data, dtype=np.uint8).copy()
+        encoding.xor_in_place(buffer)
+        assert buffer.tobytes() == oracle_xor_cipher(data)
+        sealed = encoding.seal(data)
+        assert sealed == oracle_seal(data)
+        assert encoding.unseal(sealed) == oracle_unseal(sealed) == data

@@ -14,6 +14,7 @@ same payloads, and the same ``IOTrace`` *after* a refusal.
 """
 
 import dataclasses
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from repro.dwrf import (
     EncodingOptions,
     FileLayout,
     ReadOptions,
+    encoding,
     write_table_partition,
 )
 from repro.dwrf.layout import FileFooter, StripeMeta
@@ -106,8 +108,6 @@ def encodings(draw, layouts=(FileLayout.FLATTENED,)):
         layout=draw(st.sampled_from(layouts)),
         stripe_rows=draw(st.sampled_from((1, 4, 7, 64))),
         feature_order=order,
-        compress=draw(st.booleans()),
-        encrypt=draw(st.booleans()),
     )
 
 
@@ -223,7 +223,7 @@ def test_read_stripe_matches_the_oracle_in_both_layouts(
 # -- damaged inputs ------------------------------------------------------------
 
 
-def dense_sparse_scored_file(compress=True, window=0):
+def dense_sparse_scored_file(window=0):
     rows = [
         Row(
             label=float(i % 2),
@@ -233,7 +233,7 @@ def dense_sparse_scored_file(compress=True, window=0):
         )
         for i in range(9)
     ]
-    options = EncodingOptions(stripe_rows=4, compress=compress)
+    options = EncodingOptions(stripe_rows=4)
     return write_table_partition(rows, SCHEMA, options), ReadOptions(None, window)
 
 
@@ -267,6 +267,36 @@ def with_streams(dwrf_file, edit):
         footer=FileFooter(
             footer.options, footer.feature_ids, stripes, footer.data_length
         ),
+    )
+
+
+def with_payload_cut(dwrf_file, feature_id, kind, length):
+    """The file with each (feature, kind) stream's payload cut to its
+    first *length* bytes and sealed again where it lay; the streams
+    after it move, and every stream keeps a CRC of its new bytes."""
+    data = bytearray()
+    stripes = []
+    for stripe in dwrf_file.footer.stripes:
+        infos = []
+        for info in stripe.streams:
+            sealed = dwrf_file.data[info.offset : info.end]
+            if (info.feature_id, info.kind) == (feature_id, kind):
+                sealed = encoding.seal(encoding.unseal(sealed)[:length])
+            infos.append(
+                dataclasses.replace(
+                    info,
+                    offset=len(data),
+                    length=len(sealed),
+                    checksum=zlib.crc32(sealed),
+                )
+            )
+            data += sealed
+        stripes.append(StripeMeta(stripe.row_count, tuple(infos)))
+    footer = dwrf_file.footer
+    return dataclasses.replace(
+        dwrf_file,
+        data=bytes(data),
+        footer=FileFooter(footer.options, footer.feature_ids, stripes, len(data)),
     )
 
 
@@ -364,17 +394,10 @@ def test_a_missing_lengths_or_values_stream_is_a_format_error(feature_id, kind, 
 def test_bad_stream_lengths_are_refused_in_the_same_words(
     feature_id, kind, length, text
 ):
-    """The bitmap / int / float length checks, reached through a footer
-    that cuts a stream short (uncompressed, so any prefix unseals)."""
-    dwrf_file, options = dense_sparse_scored_file(compress=False)
-    damaged = with_streams(
-        dwrf_file,
-        only(
-            feature_id,
-            kind,
-            lambda info: dataclasses.replace(info, length=length, checksum=0),
-        ),
-    )
+    """The bitmap / int / float length checks, reached through a file
+    whose stream payload is cut short and sealed again."""
+    dwrf_file, options = dense_sparse_scored_file()
+    damaged = with_payload_cut(dwrf_file, feature_id, kind, length)
     ours, theirs = refusals(lambda: DwrfReader.for_file(damaged, options))
     assert ours == theirs == text
 

@@ -6,8 +6,7 @@ inflates each from where it lies.  ``encoding.unseal`` — one payload in,
 one payload out — is what it must agree with, for any stream lengths
 (the key is 36 bytes long and its pre-tiled copy just under 1 MiB, so 0,
 1, 35, 36, 37 and anything past the tile are where a phase slip would
-show), for all four ``compress`` x ``encrypt`` combinations, and in the
-words it refuses a damaged stream with.
+show), and in the words it refuses a damaged stream with.
 """
 
 import zlib
@@ -32,12 +31,9 @@ from .oracles import oracle_fetch_planned_streams
 KEY = encoding.KEY_PERIOD
 TILE = encoding._XOR_KEY_TILE.size
 EDGE_LENGTHS = (0, 1, KEY - 1, KEY, KEY + 1, 2 * KEY - 1, 2 * KEY, 2 * KEY + 1)
-COMBINATIONS = [
-    (compress, encrypt) for compress in (True, False) for encrypt in (True, False)
-]
 
 
-def synthetic_stripe(sealed_streams, gaps, compress, encrypt, checksums=True):
+def synthetic_stripe(sealed_streams, gaps, checksums=True):
     """A one-stripe file whose streams are *sealed_streams*, each after
     ``gaps[i]`` bytes nothing needs (what a coalesced read over-reads)."""
     data = bytearray()
@@ -55,7 +51,7 @@ def synthetic_stripe(sealed_streams, gaps, compress, encrypt, checksums=True):
         )
         data += sealed
     footer = FileFooter(
-        EncodingOptions(compress=compress, encrypt=encrypt),
+        EncodingOptions(),
         tuple(range(len(infos))),
         [StripeMeta(1, tuple(infos))],
         len(data),
@@ -78,11 +74,8 @@ def outcome(call):
         return str(refusal)
 
 
-def stream_by_stream(sealed_streams, compress, encrypt):
-    return [
-        encoding.unseal(sealed, compress=compress, encrypt=encrypt)
-        for sealed in sealed_streams
-    ] + [None]
+def stream_by_stream(sealed_streams):
+    return [encoding.unseal(sealed) for sealed in sealed_streams] + [None]
 
 
 lengths = st.sampled_from(EDGE_LENGTHS) | st.integers(0, 5 * KEY)
@@ -91,32 +84,23 @@ lengths = st.sampled_from(EDGE_LENGTHS) | st.integers(0, 5 * KEY)
 @settings(deadline=None)
 @given(
     st.lists(st.tuples(lengths, st.integers(0, 40)), min_size=1, max_size=12),
-    st.sampled_from(COMBINATIONS),
     st.sampled_from((0, 64, 1_310_720)),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 def test_scratch_unseal_matches_unseal_stream_by_stream(
-    shape, combination, window, sealed_lengths, seed
+    shape, window, sealed_lengths, seed
 ):
     """*sealed_lengths* picks whether the drawn lengths are the payloads'
     or the sealed streams' own — the latter (raw bytes that were never
-    sealed) reach every edge length under compression too, where both
-    sides must then refuse the first stream that does not inflate in the
-    same words."""
-    compress, encrypt = combination
+    sealed) reach every edge length, where both sides must then refuse
+    the first stream that does not inflate in the same words."""
     rng = np.random.default_rng(seed)
     blobs = [rng.bytes(length) for length, _ in shape]
-    sealed_streams = (
-        blobs
-        if sealed_lengths
-        else [encoding.seal(b, compress=compress, encrypt=encrypt) for b in blobs]
-    )
-    footer, data = synthetic_stripe(
-        sealed_streams, [gap for _, gap in shape], compress, encrypt
-    )
+    sealed_streams = blobs if sealed_lengths else [encoding.seal(b) for b in blobs]
+    footer, data = synthetic_stripe(sealed_streams, [gap for _, gap in shape])
     reader = reader_over(footer, data, window)
-    expected = outcome(lambda: stream_by_stream(sealed_streams, compress, encrypt))
+    expected = outcome(lambda: stream_by_stream(sealed_streams))
     for _ in range(2):  # the second pass reuses the scratch
         assert outcome(lambda: reader._fetch_streams(reader._plan(0))) == expected
     if not sealed_lengths:
@@ -126,7 +110,6 @@ def test_scratch_unseal_matches_unseal_stream_by_stream(
     assert needed <= reader._scratch.size <= needed + (KEY - 1) * len(shape)
 
 
-@pytest.mark.parametrize("compress, encrypt", COMBINATIONS)
 @pytest.mark.parametrize(
     "sizes",
     [
@@ -135,41 +118,28 @@ def test_scratch_unseal_matches_unseal_stream_by_stream(
         (400_000, 0, 400_000, 1, 400_000, KEY),  # the tile ends mid-stream
     ],
 )
-def test_streams_past_the_key_tile_unseal_alike(sizes, compress, encrypt):
+def test_streams_past_the_key_tile_unseal_alike(sizes):
     rng = np.random.default_rng(len(sizes))
     blobs = [rng.bytes(size) for size in sizes]  # incompressible: sealed ≈ size
-    sealed_streams = [
-        encoding.seal(blob, compress=compress, encrypt=encrypt) for blob in blobs
-    ]
+    sealed_streams = [encoding.seal(blob) for blob in blobs]
     assert sum(map(len, sealed_streams)) > TILE
-    footer, data = synthetic_stripe(
-        sealed_streams, [7] * len(sizes), compress, encrypt
-    )
+    footer, data = synthetic_stripe(sealed_streams, [7] * len(sizes))
     reader = reader_over(footer, data, window=0)
     assert reader._fetch_streams(reader._plan(0)) == blobs + [None]
-    assert stream_by_stream(sealed_streams, compress, encrypt) == blobs + [None]
+    assert stream_by_stream(sealed_streams) == blobs + [None]
 
 
-@pytest.mark.parametrize("compress, encrypt", COMBINATIONS)
-@pytest.mark.parametrize("window", [0, 64, 1_310_720])
-@pytest.mark.parametrize("checksums", [True, False])
-def test_one_flipped_byte_is_refused_naming_the_same_stream(
-    compress, encrypt, window, checksums
-):
-    """With checksums the CRC names the stream; without, a compressed
-    stream fails to inflate in ``unseal``'s words and an uncompressed
-    one is delivered damaged — by both bodies alike."""
+def assert_flips_refused_alike(window, checksums, position):
+    """Flip the byte at ``position(info)`` of each stream in turn; the
+    scratch body and the oracle must refuse it in the same words."""
     rng = np.random.default_rng(9)
     blobs = [rng.bytes(length) * 3 for length in (5, KEY, 2 * KEY + 1, 90)]
-    sealed_streams = [
-        encoding.seal(blob, compress=compress, encrypt=encrypt) for blob in blobs
-    ]
-    footer, data = synthetic_stripe(
-        sealed_streams, [3, 0, 20, 9], compress, encrypt, checksums
-    )
+    sealed_streams = [encoding.seal(blob) for blob in blobs]
+    footer, data = synthetic_stripe(sealed_streams, [3, 0, 20, 9], checksums)
+    refusals = []
     for info in footer.stripes[0].streams:
         damaged = bytearray(data)
-        damaged[info.offset + 1] ^= 0xFF
+        damaged[position(info)] ^= 0xFF
         damaged = bytes(damaged)
         ours_reader = reader_over(footer, damaged, window)
         theirs_reader = reader_over(footer, damaged, window)
@@ -180,23 +150,49 @@ def test_one_flipped_byte_is_refused_naming_the_same_stream(
         assert ours == theirs
         if checksums:
             assert f"({info.feature_id}, presence) at offset {info.offset}" in ours
-        elif compress:
-            assert ours.startswith("corrupt compressed stream")
         else:
-            assert ours != blobs + [None]
+            assert ours.startswith("corrupt compressed stream")
+        refusals.append(ours)
+    return refusals
+
+
+@pytest.mark.parametrize("window", [0, 64, 1_310_720])
+@pytest.mark.parametrize("checksums", [True, False])
+def test_one_flipped_byte_is_refused_naming_the_same_stream(window, checksums):
+    """With checksums the CRC names the stream; without, the stream
+    fails to inflate in ``unseal``'s words — by both bodies alike."""
+    assert_flips_refused_alike(window, checksums, lambda info: info.offset + 1)
+
+
+# A stream's first sealed byte is its zlib header under the key's first
+# byte, its last the Adler-32 trailer under the key's phase at the
+# stream's end; zlib refuses the two in different words.
+STREAM_ENDS = {
+    "first": (lambda info: info.offset, "incorrect header check"),
+    "last": (lambda info: info.offset + info.length - 1, "incorrect data check"),
+}
+
+
+@pytest.mark.parametrize("window", [0, 64, 1_310_720])
+@pytest.mark.parametrize("checksums", [True, False])
+@pytest.mark.parametrize("end", sorted(STREAM_ENDS))
+def test_a_flip_at_either_end_of_a_stream_is_refused_alike(end, window, checksums):
+    """The scratch refuses a damaged header or trailer in the words
+    ``unseal`` gives, whichever key phase the stream ends on."""
+    position, words = STREAM_ENDS[end]
+    refusals = assert_flips_refused_alike(window, checksums, position)
+    if not checksums:
+        assert all(refusal.endswith(words) for refusal in refusals)
 
 
 # -- what the scratch may and may not do ---------------------------------------
 
 
-@pytest.mark.parametrize("encrypt", [True, False])
-def test_arrays_of_one_stripe_survive_reading_the_next(small_dataset, encrypt):
-    """Uncompressed payloads are copied out of the scratch, so nothing a
-    caller holds is rewritten when the reader moves on."""
+def test_arrays_of_one_stripe_survive_reading_the_next(small_dataset):
+    """Payloads inflate out of the scratch into their own bytes, so
+    nothing a caller holds is rewritten when the reader moves on."""
     schema, rows = small_dataset
-    dwrf_file = write_table_partition(
-        rows, schema, EncodingOptions(stripe_rows=64, compress=False, encrypt=encrypt)
-    )
+    dwrf_file = write_table_partition(rows, schema, EncodingOptions(stripe_rows=64))
     reader = DwrfReader.for_file(dwrf_file, ReadOptions(None, 1 << 20))
 
     def arrays(decoded):

@@ -40,16 +40,6 @@ class TestRoundTrip:
         assert len(back) == len(rows)
         assert all(rows_equal(a, b) for a, b in zip(rows, back))
 
-    @pytest.mark.parametrize("compress,encrypt", [(True, False), (False, True), (False, False)])
-    def test_round_trip_without_seal_layers(self, small_dataset, compress, encrypt):
-        schema, rows = small_dataset
-        dwrf = write_table_partition(
-            rows[:50], schema,
-            EncodingOptions(stripe_rows=32, compress=compress, encrypt=encrypt),
-        )
-        back = list(DwrfReader.for_file(dwrf).read_rows(schema))
-        assert all(rows_equal(a, b) for a, b in zip(rows, back))
-
     def test_partial_final_stripe(self, small_dataset):
         schema, rows = small_dataset
         dwrf = write_table_partition(rows[:100], schema, EncodingOptions(stripe_rows=64))

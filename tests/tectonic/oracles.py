@@ -1,35 +1,22 @@
-"""Reference implementation ``TectonicFilesystem.read`` is tested against.
+"""Reference implementation ``TectonicFilesystem.read`` is charged against.
 
 This is the body ``read`` shipped before it found its first block by
-bisection: the file's length re-summed over every block, the loop
-walking blocks from block 0, and bytes copied block -> ``bytearray`` ->
-``bytes``.  It reads a :class:`~repro.tectonic.TectonicFilesystem`
-only through ``file()``, each file's ``blocks``, the replica cursor
-``_replica_rr`` and the ``nodes``.  The per-block helpers it called
-before ``read`` became one body are kept below as they shipped:
-``block_read`` (``Block.read``), ``route_replica``
+bisection: the file's length re-summed over every block, and the loop
+walking blocks from block 0, charging each covered block's replica.  It
+reads a :class:`~repro.tectonic.TectonicFilesystem` only through
+``file()``, each file's ``blocks``, the replica cursor ``_replica_rr``
+and the ``nodes``.  The per-block helpers it called before ``read``
+became one body are kept below as they shipped: ``route_replica``
 (``TectonicFilesystem._route_replica``) and ``record_read``
 (``StorageNode.record_read``).
 
-One thing in it is newer than that body: it walks the covered blocks
-twice, taking the bytes first and charging the nodes second.  The body
-as shipped charged each block's replica before reading the block, so a
-range that ended in a virtual block raised ``StorageError`` after
-accounting the leading blocks as served — a bug in both, fixed in both.
+The bytes are not the oracle's business.  A file keeps its bytes as one
+payload and a block only places them, so the body's block-by-block copy
+has nothing left to copy from; the differential checks the bytes
+``read`` returns against its own log of what it appended.
 """
 
 from repro.common.errors import StorageError
-
-
-def block_read(block, offset: int, length: int) -> bytes:
-    """Read a byte range from a materialized block."""
-    if block.data is None:
-        raise StorageError("cannot read payload of a virtual block")
-    if offset < 0 or length < 0 or offset + length > block.length:
-        raise StorageError(
-            f"read [{offset}, {offset + length}) outside block of {block.length}"
-        )
-    return block.data[offset : offset + length]
 
 
 def route_replica(filesystem, block):
@@ -47,16 +34,14 @@ def record_read(node, n_bytes: int) -> None:
     served.bytes_read += n_bytes
 
 
-def oracle_read(filesystem, name: str, offset: int, length: int) -> bytes:
-    """Read a byte range, touching each covering block's replica."""
+def oracle_charge(filesystem, name: str, offset: int, length: int) -> None:
+    """Charge a read of a byte range to each covering block's replica."""
     file = filesystem.file(name)
     file_length = sum(block.length for block in file.blocks)
     if offset < 0 or offset + length > file_length:
         raise StorageError(
             f"read [{offset}, {offset + length}) beyond file of {file_length}"
         )
-    out = bytearray()
-    touched = []
     cursor = 0
     remaining_offset = offset
     remaining_length = length
@@ -70,10 +55,6 @@ def oracle_read(filesystem, name: str, offset: int, length: int) -> bytes:
             break
         inner_offset = remaining_offset - block_start
         take = min(block.length - inner_offset, remaining_length)
-        out.extend(block_read(block, inner_offset, take))
-        touched.append((block, take))
+        record_read(route_replica(filesystem, block), take)
         remaining_offset += take
         remaining_length -= take
-    for block, take in touched:
-        record_read(route_replica(filesystem, block), take)
-    return bytes(out)

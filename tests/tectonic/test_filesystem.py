@@ -45,6 +45,23 @@ class TestAppendOnly:
         fs.append("f", b"efgh")
         assert fs.read("f", 0, 8) == b"abcdefgh"
 
+    def test_the_file_holds_the_first_append_itself_and_blocks_only_place_it(self):
+        """No copy of a stored file: its first bytes are the caller's
+        object, a whole-file read hands that object back, and a later
+        append concatenates into plain ``bytes``."""
+        fs = small_fs(chunk_bytes=4)
+        fs.create("f")
+        payload = bytes(range(10))
+        fs.append("f", payload)
+        file = fs.file("f")
+        assert file.data is payload
+        assert fs.read("f", 0, 10) is payload
+        assert [(b.index, b.length) for b in file.blocks] == [(0, 4), (1, 4), (2, 2)]
+        assert not hasattr(file.blocks[0], "data")
+        fs.append("f", b"xy")
+        assert type(file.data) is bytes and file.data == payload + b"xy"
+        assert file.length == 12 and file.block_starts == [0, 4, 8, 10]
+
     def test_sealed_file_rejects_append(self):
         fs = small_fs()
         fs.create("f")
@@ -107,18 +124,8 @@ class TestReadBounds:
 class TestRefusedReadChargesNothing:
     """A read that raises was not served: no node's counters move and
     the replica round-robin stays where it was.  (Charging each block
-    as the loop reached it left ``total_io()`` at ``(2, 100)`` and the
-    cursor two on for a read that returned nothing.)"""
-
-    def mixed(self, *kinds):
-        fs = small_fs(chunk_bytes=50)
-        fs.create("f")
-        for kind in kinds:
-            if kind == "real":
-                fs.append("f", bytes(50))
-            else:
-                fs.append_virtual("f", 50)
-        return fs
+    as the walk reached it would charge the blocks before the end of
+    the file for a read that returned nothing.)"""
 
     @staticmethod
     def accounting(fs):
@@ -128,34 +135,22 @@ class TestRefusedReadChargesNothing:
         ]
         return fs.total_io(), fs._replica_rr, served
 
-    def assert_refused(self, fs, offset, length):
+    @pytest.mark.parametrize(
+        "offset,length",
+        [(-1, 1), (-1, 0), (0, -1), (0, 151), (100, 51), (149, 2), (150, 1), (151, 0)],
+    )
+    def test_a_refused_read_moves_no_counter(self, offset, length):
+        fs = small_fs(chunk_bytes=50)
+        fs.create("f")
+        fs.append("f", bytes(range(150)))
+        assert fs.read("f", 40, 20) == bytes(range(40, 60))  # the cursor is off 0
         before = self.accounting(fs)
-        with pytest.raises(StorageError, match="virtual block"):
+        with pytest.raises(StorageError, match="beyond file of 150"):
             fs.read("f", offset, length)
         assert self.accounting(fs) == before
-
-    def test_materialized_blocks_then_a_virtual_one(self):
-        fs = self.mixed("real", "real", "virtual")
-        self.assert_refused(fs, 0, 150)
-        self.assert_refused(fs, 60, 60)
-        assert fs.total_io() == (0, 0) and fs._replica_rr == 0
-        # The materialized part alone still reads, and is charged.
-        assert fs.read("f", 0, 100) == bytes(100)
-        assert fs.total_io() == (2, 100) and fs._replica_rr == 2
-        self.assert_refused(fs, 0, 150)
-
-    def test_a_virtual_block_first(self):
-        fs = self.mixed("virtual", "real")
-        self.assert_refused(fs, 0, 100)
-        self.assert_refused(fs, 10, 20)  # inside the virtual block alone
-        self.assert_refused(fs, 40, 20)
-        assert fs.read("f", 50, 50) == bytes(50)
-        assert fs.total_io() == (1, 50)
-
-    def test_a_virtual_block_in_the_middle(self):
-        fs = self.mixed("real", "virtual", "real")
-        self.assert_refused(fs, 0, 150)
-        self.assert_refused(fs, 40, 70)
+        # The file still reads, and that read is charged.
+        assert fs.read("f", 100, 50) == bytes(range(100, 150))
+        assert fs.total_io() == (3, 70) and fs._replica_rr == 3
 
 
 class TestReplication:
@@ -190,29 +185,6 @@ class TestReplication:
         fs.append("f", b"q" * (64 * 10))
         used = [node.used_bytes for node in fs.nodes]
         assert max(used) - min(used) <= 64
-
-
-class TestVirtualFiles:
-    def test_virtual_blocks_track_size_only(self):
-        fs = small_fs(chunk_bytes=100)
-        fs.create("v")
-        fs.append_virtual("v", 250)
-        file = fs.file("v")
-        assert file.length == 250
-        assert all(block.is_virtual for block in file.blocks)
-
-    def test_virtual_blocks_cannot_be_read(self):
-        fs = small_fs()
-        fs.create("v")
-        fs.append_virtual("v", 10)
-        with pytest.raises(StorageError):
-            fs.read("v", 0, 5)
-
-    def test_virtual_consumes_capacity(self):
-        fs = small_fs()
-        fs.create("v")
-        fs.append_virtual("v", 500)
-        assert fs.used_bytes == 1500  # 3x replication
 
 
 class TestIOAccounting:

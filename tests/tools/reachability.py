@@ -9,7 +9,9 @@ than its default under ``src/repro`` across
   both hooks before every test phase: the tests that profile with
   ``cProfile`` or count lines with their own tracer clear a global hook.
   ``--benchmark-disable`` makes each paper capture call its function
-  once, outside pytest-benchmark's pause of both hooks;
+  once, outside pytest-benchmark's pause of both hooks, and a fixed
+  ``--hypothesis-seed`` makes every generated test draw the same
+  examples, so two runs on one tree report the same lists;
 * every ``examples/*.py``;
 * the CLI commands CI runs (shorter seed lists where only the number of
   sweep cells would change);
@@ -66,6 +68,8 @@ SRC = ROOT / "src" / "repro"
 ENV_VAR = "REPRO_REACHABILITY_DIR"
 ORIGIN_VAR = "REPRO_REACHABILITY_ORIGIN"
 TESTS = "tests"
+#: The tier-1 stage's hypothesis seed: the lists move with the code only.
+HYPOTHESIS_SEED = 0
 ORIGINS = (TESTS, "captures", "examples", "cli", "dsi")
 _PREFIX = str(SRC) + os.sep
 
@@ -458,7 +462,7 @@ def run_everything(out_dir: pathlib.Path) -> list[str]:
             path.append(os.environ["PYTHONPATH"])
         env = {**os.environ, ENV_VAR: str(out_dir), "PYTHONPATH": os.pathsep.join(path)}
         pytest = ["-m", "pytest", "-q", "-p", "reachability", "-p", "no:cacheprovider",
-                  "--benchmark-disable"]  # fmt: skip
+                  "--benchmark-disable", "--hypothesis-seed", str(HYPOTHESIS_SEED)]  # fmt: skip
         stages = [(TESTS, pytest, ROOT)]
         stages += [("examples", [str(ex)], work) for ex in sorted((ROOT / "examples").glob("*.py"))]
         stages += [("cli", argv, work) for argv in _cli_commands()]

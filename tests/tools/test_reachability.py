@@ -192,6 +192,22 @@ def test_a_dataclass_init_is_named_after_its_class():
     assert reachability._dataclass_init(init.__code__, object())[0] is None
 
 
+def test_the_tier1_stage_pins_its_hypothesis_seed(tmp_path, monkeypatch):
+    """Unpinned, the draws differ run to run and move arms between the
+    never-entered and the test-only lists of an unchanged tree."""
+    stages = []
+    monkeypatch.setattr(
+        reachability,
+        "_run",
+        lambda argv, env, cwd: stages.append((env[reachability.ORIGIN_VAR], argv)) or 0,
+    )
+    assert reachability.run_everything(tmp_path / "records") == []
+    (tier1,) = [argv for origin, argv in stages if origin == reachability.TESTS]
+    assert tier1[:2] == ["-m", "pytest"]
+    seed = tier1[tier1.index("--hypothesis-seed") + 1]
+    assert seed == str(reachability.HYPOTHESIS_SEED) and seed.isdigit()
+
+
 # -- the cli origin against CI ------------------------------------------------
 
 CI = reachability.ROOT / ".github" / "workflows" / "ci.yml"
