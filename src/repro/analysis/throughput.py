@@ -15,7 +15,7 @@ from ..dpp.analytical import (
     worker_throughput,
     workers_per_trainer,
 )
-from ..trainer.host import LoadingTax, loading_utilization
+from ..trainer.host import loading_utilization
 from ..workloads.hardware import ComputeNodeSpec, TrainerNodeSpec, C_V1, V100_TRAINER
 from ..workloads.models import ALL_MODELS, ModelConfig
 
@@ -84,13 +84,12 @@ def figure8_sweep(
     node: TrainerNodeSpec = V100_TRAINER,
     max_gbs: float = 20.0,
     n_points: int = 21,
-    tax: LoadingTax | None = None,
 ) -> list[Figure8Point]:
     """Figure 8: host utilization versus tensor loading rate."""
     points = []
     for i in range(n_points):
         rate = max_gbs * i / (n_points - 1)
-        report = loading_utilization(node, rate * GB, tax)
+        report = loading_utilization(node, rate * GB)
         points.append(
             Figure8Point(rate_gbs=rate, cpu=report.cpu, mem_bw=report.mem_bw,
                          nic_rx=report.nic_rx)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..dpp.analytical import per_sample_cost, worker_throughput
 from ..trainer.gpu import PROJECTED_GROWTH_FACTOR, GpuDemand
-from ..trainer.host import LoadingTax, max_loading_rate
+from ..trainer.host import max_loading_rate
 from ..workloads.hardware import ComputeNodeSpec, TrainerNodeSpec
 from ..workloads.models import ModelConfig
 
@@ -80,7 +80,6 @@ def trainer_host_headroom(
     model: ModelConfig,
     trainer: TrainerNodeSpec,
     growth: float = 1.0,
-    tax: LoadingTax | None = None,
 ) -> HostHeadroom:
     """Can *trainer*'s host resources load *model* at *growth*× demand?
 
@@ -92,5 +91,5 @@ def trainer_host_headroom(
         model=model,
         trainer=trainer,
         demand_bytes_per_s=demand,
-        max_rate_bytes_per_s=max_loading_rate(trainer, tax),
+        max_rate_bytes_per_s=max_loading_rate(trainer),
     )

@@ -9,7 +9,7 @@ from .admission import (
 from .job import JobKind, JobStatus, TrainingJob
 from .power import PowerBreakdown, efficiency_gain_to_trainer_watts, power_breakdown
 from .region import Region
-from .release import ReleaseConfig, ReleaseIteration, generate_release_iteration
+from .release import ReleaseIteration, generate_release_iteration
 from .scheduler import (
     ModelDemand,
     ScheduleOutcome,
@@ -29,7 +29,6 @@ __all__ = [
     "ModelDemand",
     "PowerBreakdown",
     "Region",
-    "ReleaseConfig",
     "ReleaseIteration",
     "ScheduleOutcome",
     "TrainingJob",

@@ -63,10 +63,6 @@ class TrainingJob:
         """Day the job finishes (or was killed)."""
         return self.start_day + self.duration_days
 
-    def active_on(self, day: float) -> bool:
-        """Whether the job occupies trainers on the given day."""
-        return self.start_day <= day < self.end_day
-
     @property
     def node_days(self) -> float:
         """Total compute footprint (trainer-node × days)."""

@@ -4,7 +4,8 @@ Generates one model-release iteration's job population with the shapes
 Section 4.1 describes: a horde of small exploratory jobs, a burst of
 large combo jobs launched asynchronously inside a short window with
 heavily skewed durations and many kills (Figure 4), and a few release
-candidates on fresh data.
+candidates on fresh data.  The shapes are the module constants below;
+every study draws its iterations with them.
 """
 
 from __future__ import annotations
@@ -13,36 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..common.errors import ConfigError
 from .job import JobKind, JobStatus, TrainingJob
 
-
-@dataclass(frozen=True)
-class ReleaseConfig:
-    """Shape parameters of one release iteration.
-
-    Defaults follow the paper's RM1 narrative: ~82 combo jobs per
-    iteration (Figure 4), individual jobs running up to >10 days, and a
-    substantial kill/failure rate.
-    """
-
-    n_exploratory: int = 400
-    n_combo: int = 82
-    n_release_candidates: int = 4
-    combo_window_days: float = 14.0
-    combo_duration_median_days: float = 4.0
-    combo_duration_sigma: float = 0.9  # lognormal shape: long right tail
-    combo_trainer_nodes: int = 16
-    exploratory_trainer_nodes: int = 2
-    rc_trainer_nodes: int = 24
-    kill_rate: float = 0.30
-    failure_rate: float = 0.10
-
-    def __post_init__(self) -> None:
-        if self.kill_rate + self.failure_rate >= 1:
-            raise ConfigError("kill + failure rates must leave completed jobs")
-        if self.combo_window_days <= 0:
-            raise ConfigError("combo window must be positive")
+# Shape of one release iteration, after the paper's RM1 narrative: ~82
+# combo jobs per iteration (Figure 4), individual jobs running up to >10
+# days, and a substantial kill/failure rate.
+N_EXPLORATORY = 400
+N_COMBO = 82
+N_RELEASE_CANDIDATES = 4
+COMBO_WINDOW_DAYS = 14.0
+COMBO_DURATION_MEDIAN_DAYS = 4.0
+COMBO_DURATION_SIGMA = 0.9  # lognormal shape: long right tail
+COMBO_TRAINER_NODES = 16
+EXPLORATORY_TRAINER_NODES = 2
+RC_TRAINER_NODES = 24
+KILL_RATE = 0.30
+FAILURE_RATE = 0.10
 
 
 @dataclass
@@ -70,58 +57,56 @@ class ReleaseIteration:
 def generate_release_iteration(
     model_name: str,
     start_day: float,
-    config: ReleaseConfig | None = None,
     seed: int = 0,
 ) -> ReleaseIteration:
     """Draw one iteration's jobs from the release-process model."""
-    config = config or ReleaseConfig()
     rng = np.random.default_rng(seed)
     jobs: list[TrainingJob] = []
 
     # Phase 1: exploratory jobs trickle in ahead of the combo window.
-    for _ in range(config.n_exploratory):
+    for _ in range(N_EXPLORATORY):
         jobs.append(
             TrainingJob(
                 model_name=model_name,
                 kind=JobKind.EXPLORATORY,
-                start_day=start_day + float(rng.uniform(0, config.combo_window_days)),
+                start_day=start_day + float(rng.uniform(0, COMBO_WINDOW_DAYS)),
                 duration_days=float(rng.lognormal(np.log(0.8), 0.6)),
-                trainer_nodes=config.exploratory_trainer_nodes,
+                trainer_nodes=EXPLORATORY_TRAINER_NODES,
                 table_fraction=float(rng.uniform(0.005, 0.05)),
-                status=_draw_status(rng, config),
+                status=_draw_status(rng),
             )
         )
 
     # Phase 2: combo jobs. "Instead of waiting to launch jobs
     # synchronously, engineers will immediately schedule new jobs ...
     # resulting in a large temporal skew between jobs."
-    combo_start = start_day + config.combo_window_days
-    for _ in range(config.n_combo):
+    combo_start = start_day + COMBO_WINDOW_DAYS
+    for _ in range(N_COMBO):
         duration = float(
-            rng.lognormal(np.log(config.combo_duration_median_days), config.combo_duration_sigma)
+            rng.lognormal(np.log(COMBO_DURATION_MEDIAN_DAYS), COMBO_DURATION_SIGMA)
         )
         jobs.append(
             TrainingJob(
                 model_name=model_name,
                 kind=JobKind.COMBO,
-                start_day=combo_start + float(rng.uniform(0, config.combo_window_days)),
+                start_day=combo_start + float(rng.uniform(0, COMBO_WINDOW_DAYS)),
                 duration_days=duration,
-                trainer_nodes=config.combo_trainer_nodes,
+                trainer_nodes=COMBO_TRAINER_NODES,
                 table_fraction=float(rng.uniform(0.7, 1.0)),
-                status=_draw_status(rng, config),
+                status=_draw_status(rng),
             )
         )
 
     # Phase 3: a few release candidates on fresh data.
-    rc_start = combo_start + config.combo_window_days
-    for _ in range(config.n_release_candidates):
+    rc_start = combo_start + COMBO_WINDOW_DAYS
+    for _ in range(N_RELEASE_CANDIDATES):
         jobs.append(
             TrainingJob(
                 model_name=model_name,
                 kind=JobKind.RELEASE_CANDIDATE,
                 start_day=rc_start + float(rng.uniform(0, 3.0)),
                 duration_days=float(rng.lognormal(np.log(6.0), 0.4)),
-                trainer_nodes=config.rc_trainer_nodes,
+                trainer_nodes=RC_TRAINER_NODES,
                 table_fraction=float(rng.uniform(0.85, 1.0)),
                 status=JobStatus.COMPLETED,
             )
@@ -129,10 +114,10 @@ def generate_release_iteration(
     return ReleaseIteration(model_name, start_day, jobs)
 
 
-def _draw_status(rng: np.random.Generator, config: ReleaseConfig) -> JobStatus:
+def _draw_status(rng: np.random.Generator) -> JobStatus:
     draw = rng.random()
-    if draw < config.kill_rate:
+    if draw < KILL_RATE:
         return JobStatus.KILLED
-    if draw < config.kill_rate + config.failure_rate:
+    if draw < KILL_RATE + FAILURE_RATE:
         return JobStatus.FAILED
     return JobStatus.COMPLETED

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..common.errors import ConfigError
 from .job import TrainingJob
-from .release import ReleaseConfig, generate_release_iteration
+from .release import generate_release_iteration
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class ModelCadence:
     model_name: str
     iteration_period_days: float = 42.0
     phase_days: float = 0.0  # offset of the first iteration
-    config: ReleaseConfig | None = None
 
 
 def simulate_year(
@@ -46,7 +45,6 @@ def simulate_year(
                 generate_release_iteration(
                     cadence.model_name,
                     start,
-                    cadence.config,
                     seed=seed * 10_007 + index * 101 + iteration,
                 ).jobs
             )

@@ -31,11 +31,7 @@ from .simclock import EventHandle, SimClock
 from .stats import (
     CdfPoint,
     DistributionSummary,
-    fraction_of_items_for_traffic,
-    gini,
-    popularity_cdf,
     summarize,
-    zipf_weights,
 )
 
 __all__ = [
@@ -60,13 +56,10 @@ __all__ = [
     "WorkerFailure",
     "dump_json",
     "fnv1a_64",
-    "fraction_of_items_for_traffic",
-    "gini",
     "load_json",
     "null_specials",
     "percentile",
     "percentile_summary",
-    "popularity_cdf",
     "record_from_row",
     "record_row",
     "report_from_json",
@@ -75,5 +68,4 @@ __all__ = [
     "stable_fraction",
     "stable_hash",
     "summarize",
-    "zipf_weights",
 ]

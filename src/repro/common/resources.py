@@ -53,24 +53,6 @@ class ResourceUsage:
     nic_tx_bytes: float = 0.0
     memory_resident_bytes: float = 0.0
 
-    def add(self, other: "ResourceUsage") -> None:
-        """Accumulate *other* into this usage record."""
-        self.cpu_cycles += other.cpu_cycles
-        self.mem_bytes += other.mem_bytes
-        self.nic_rx_bytes += other.nic_rx_bytes
-        self.nic_tx_bytes += other.nic_tx_bytes
-        self.memory_resident_bytes += other.memory_resident_bytes
-
-    def scaled(self, factor: float) -> "ResourceUsage":
-        """Return this usage multiplied by *factor* (e.g. a sample rate)."""
-        return ResourceUsage(
-            cpu_cycles=self.cpu_cycles * factor,
-            mem_bytes=self.mem_bytes * factor,
-            nic_rx_bytes=self.nic_rx_bytes * factor,
-            nic_tx_bytes=self.nic_tx_bytes * factor,
-            memory_resident_bytes=self.memory_resident_bytes * factor,
-        )
-
 
 @dataclass(frozen=True)
 class UtilizationReport:
@@ -81,23 +63,6 @@ class UtilizationReport:
     nic_rx: float
     nic_tx: float
     memory_capacity: float
-
-    @property
-    def bottleneck(self) -> str:
-        """Name of the most utilized resource."""
-        pairs = [
-            ("cpu", self.cpu),
-            ("mem_bw", self.mem_bw),
-            ("nic_rx", self.nic_rx),
-            ("nic_tx", self.nic_tx),
-            ("memory_capacity", self.memory_capacity),
-        ]
-        return max(pairs, key=lambda pair: pair[1])[0]
-
-    @property
-    def max_utilization(self) -> float:
-        """Utilization of the bottleneck resource."""
-        return max(self.cpu, self.mem_bw, self.nic_rx, self.nic_tx, self.memory_capacity)
 
 
 @dataclass
@@ -151,7 +116,3 @@ class HostModel:
         if report.memory_capacity > 0:
             limits.append(1.0 / report.memory_capacity)
         return min(limits) if limits else float("inf")
-
-    def reset(self) -> None:
-        """Clear the offered load."""
-        self.usage = ResourceUsage()

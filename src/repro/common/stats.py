@@ -1,15 +1,14 @@
-"""Distribution summaries, CDFs, and popularity models.
+"""Distribution summaries and CDF points.
 
 The paper reports most of its characterization results as distribution
-summaries (Table 6), cumulative distribution functions (Figure 7), or
-skewed popularity curves.  This module centralizes those computations so
-analysis and benchmark code share one implementation.
+summaries (Table 6) or cumulative distribution functions (Figure 7).
+This module holds the shapes those results share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,18 +25,6 @@ class DistributionSummary:
     p50: float
     p75: float
     p95: float
-
-    def as_row(self) -> dict[str, float]:
-        """Return the summary as a flat mapping, handy for table rendering."""
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "p5": self.p5,
-            "p25": self.p25,
-            "p50": self.p50,
-            "p75": self.p75,
-            "p95": self.p95,
-        }
 
 
 def summarize(values: Iterable[float]) -> DistributionSummary:
@@ -68,79 +55,3 @@ class CdfPoint:
 
     x: float
     y: float
-
-
-def popularity_cdf(weights: Sequence[float]) -> list[CdfPoint]:
-    """Build the Figure-7 style curve from per-item access weights.
-
-    *weights* holds, for each stored item, the amount of read traffic it
-    absorbed.  The result maps "most popular x fraction of items" (x
-    axis) to "fraction of total traffic absorbed" (y axis), with items
-    sorted from most to least popular.  Items with zero weight still
-    count toward the x axis, mirroring cold bytes in storage.
-    """
-    data = np.asarray(weights, dtype=np.float64)
-    if data.size == 0:
-        raise ValueError("popularity_cdf needs at least one item")
-    if (data < 0).any():
-        raise ValueError("access weights must be non-negative")
-    total = data.sum()
-    if total == 0:
-        raise ValueError("popularity_cdf needs non-zero total traffic")
-    ordered = np.sort(data)[::-1]
-    cumulative = np.cumsum(ordered) / total
-    fractions = np.arange(1, data.size + 1) / data.size
-    return [CdfPoint(float(x), float(y)) for x, y in zip(fractions, cumulative)]
-
-
-def fraction_of_items_for_traffic(
-    weights: Sequence[float], traffic_fraction: float
-) -> float:
-    """Smallest fraction of items absorbing at least *traffic_fraction*.
-
-    This answers the paper's question "what percent of bytes serve 80%
-    of I/O" (Section 5.2).
-    """
-    if not 0 < traffic_fraction <= 1:
-        raise ValueError("traffic_fraction must be in (0, 1]")
-    for point in popularity_cdf(weights):
-        if point.y >= traffic_fraction:
-            return point.x
-    return 1.0
-
-
-def zipf_weights(n_items: int, skew: float, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Zipf-like popularity weights for *n_items* ranked items.
-
-    ``weight[i] ∝ 1 / (i + 1) ** skew``.  Skew ≈ 0 is uniform; larger
-    values concentrate traffic on a few hot items, matching the reuse
-    behaviour in Section 5.2.  If *rng* is given, ranks are shuffled so
-    popularity is not correlated with item index.
-    """
-    if n_items <= 0:
-        raise ValueError("n_items must be positive")
-    if skew < 0:
-        raise ValueError("skew must be non-negative")
-    ranks = np.arange(1, n_items + 1, dtype=np.float64)
-    weights = ranks ** (-skew)
-    if rng is not None:
-        rng.shuffle(weights)
-    return weights / weights.sum()
-
-
-def gini(values: Sequence[float]) -> float:
-    """Gini coefficient of *values*; 0 is perfectly even, → 1 is skewed.
-
-    Used to assert the shape of skew-heavy results (Figures 4 and 7)
-    without pinning exact numbers.
-    """
-    data = np.sort(np.asarray(values, dtype=np.float64))
-    if data.size == 0:
-        raise ValueError("gini of empty sequence")
-    if (data < 0).any():
-        raise ValueError("gini requires non-negative values")
-    total = data.sum()
-    if total == 0:
-        return 0.0
-    index = np.arange(1, data.size + 1)
-    return float((2 * (index * data).sum()) / (data.size * total) - (data.size + 1) / data.size)

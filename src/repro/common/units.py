@@ -1,49 +1,26 @@
-"""Unit helpers for bytes, bandwidth, and time.
+"""Unit helpers for bytes and bandwidth.
 
 All internal accounting in the library uses *bytes*, *seconds*, and
 *bytes per second*.  These helpers exist so that configuration code can
 say ``gigabytes(0.15)`` or ``gbps(12.5)`` instead of sprinkling magic
 multipliers around.  Decimal (SI) prefixes are used for storage and
 network quantities to match how the paper reports them (PB, Gbps);
-binary prefixes are available for memory-oriented quantities.
+``mebibytes`` serves the memory-oriented ones.
 """
 
 from __future__ import annotations
 
-KB = 1_000
 MB = 1_000_000
 GB = 1_000_000_000
 TB = 1_000_000_000_000
 PB = 1_000_000_000_000_000
 
-KIB = 1 << 10
 MIB = 1 << 20
-GIB = 1 << 30
-
-
-def kilobytes(n: float) -> float:
-    """Return *n* decimal kilobytes expressed in bytes."""
-    return n * KB
-
-
-def megabytes(n: float) -> float:
-    """Return *n* decimal megabytes expressed in bytes."""
-    return n * MB
 
 
 def gigabytes(n: float) -> float:
     """Return *n* decimal gigabytes expressed in bytes."""
     return n * GB
-
-
-def terabytes(n: float) -> float:
-    """Return *n* decimal terabytes expressed in bytes."""
-    return n * TB
-
-
-def petabytes(n: float) -> float:
-    """Return *n* decimal petabytes expressed in bytes."""
-    return n * PB
 
 
 def mebibytes(n: float) -> float:
@@ -56,54 +33,6 @@ def gbps(n: float) -> float:
     return n * GB / 8
 
 
-def mbps(n: float) -> float:
-    """Return *n* megabits per second expressed in bytes per second."""
-    return n * MB / 8
-
-
-def to_gb(n_bytes: float) -> float:
-    """Express *n_bytes* in decimal gigabytes."""
-    return n_bytes / GB
-
-
 def to_pb(n_bytes: float) -> float:
     """Express *n_bytes* in decimal petabytes."""
     return n_bytes / PB
-
-
-def to_gbps(bytes_per_s: float) -> float:
-    """Express *bytes_per_s* in gigabits per second."""
-    return bytes_per_s * 8 / GB
-
-
-MINUTE = 60.0
-HOUR = 3_600.0
-DAY = 86_400.0
-
-
-def minutes(n: float) -> float:
-    """Return *n* minutes expressed in seconds."""
-    return n * MINUTE
-
-
-def hours(n: float) -> float:
-    """Return *n* hours expressed in seconds."""
-    return n * HOUR
-
-
-def days(n: float) -> float:
-    """Return *n* days expressed in seconds."""
-    return n * DAY
-
-
-def human_bytes(n_bytes: float) -> str:
-    """Render a byte count with an appropriate SI suffix.
-
-    >>> human_bytes(1_500_000)
-    '1.50 MB'
-    """
-    magnitude = abs(n_bytes)
-    for unit, label in ((PB, "PB"), (TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")):
-        if magnitude >= unit:
-            return f"{n_bytes / unit:.2f} {label}"
-    return f"{n_bytes:.0f} B"

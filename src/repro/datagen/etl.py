@@ -103,11 +103,6 @@ class StreamingJoiner:
             self.stats.expired_unjoined += 1
         return emitted
 
-    @property
-    def pending_features(self) -> int:
-        """Features still waiting for their outcome event."""
-        return len(self._pending)
-
 
 class BatchPartitioner:
     """Drains labeled samples into dated partitions of a warehouse table."""

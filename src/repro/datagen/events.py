@@ -21,26 +21,13 @@ class FeatureLog:
     while it is a view, the generator's batch row, whose maps nobody
     has built (see :mod:`repro.warehouse.row`).  The join relabels it
     into the labeled sample, so the log and the sample share one
-    content and nobody downstream may mutate a map of either.
-    ``dense``/``sparse``/``scores`` read the sample's maps; the first
-    read builds its batch's maps.
+    content and nobody downstream may mutate a map of either.  Reading
+    a map of ``sample`` builds its batch's maps.
     """
 
     request_id: int
     timestamp: float
     sample: Row
-
-    @property
-    def dense(self) -> dict[int, float]:
-        return self.sample.dense
-
-    @property
-    def sparse(self) -> dict[int, list[int]]:
-        return self.sample.sparse
-
-    @property
-    def scores(self) -> dict[int, list[float]]:
-        return self.sample.scores
 
 
 @dataclass(frozen=True)

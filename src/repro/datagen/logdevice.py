@@ -65,14 +65,6 @@ class Log:
         """LSN the next append will receive."""
         return self._trim_point + len(self._records)
 
-    @property
-    def trim_point(self) -> int:
-        """Lowest readable LSN."""
-        return self._trim_point
-
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 class LogDevice:
     """A namespace of logs."""

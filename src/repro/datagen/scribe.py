@@ -83,8 +83,3 @@ class ScribeDaemon:
                 stream.write(payload)
                 self.records_forwarded += 1
             self._buffers[name] = []
-
-    @property
-    def buffered(self) -> int:
-        """Records sitting in local buffers."""
-        return sum(len(buffer) for buffer in self._buffers.values())

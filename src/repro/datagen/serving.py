@@ -80,17 +80,13 @@ class ServingSimulator:
             request_id_base = _host_request_id_base(daemon.host)
         self._next_request_id = request_id_base
 
-    def serve_one(self, timestamp: float) -> int:
+    def _serve(self, row, timestamp: float) -> int:
         """Handle one recommendation request; returns its request ID.
 
-        Logs the feature record always; the outcome event is dropped
-        with a small probability (clients navigate away, loggers fail),
-        which is why ETL joins are lossy in production.
-        """
-        return self._serve(self._generator.generate_row(self.schema), timestamp)
-
-    def _serve(self, row, timestamp: float) -> int:
-        """Log *row* as the request's features and maybe its outcome event.
+        Logs *row* as the request's feature record always; the outcome
+        event is dropped with a small probability (clients navigate
+        away, loggers fail), which is why ETL joins are lossy in
+        production.
 
         The engagement signal is the row's first logged dense value,
         read by :meth:`~repro.warehouse.row.Row.first_dense`, so serving
@@ -120,9 +116,7 @@ class ServingSimulator:
         Feature rows are drawn from the generator in vectorized chunks
         — exactly *n* rows total, never a prefetch beyond what was
         requested, so other consumers sharing the generator are not
-        starved of samples.  The chunked draw sequence differs from *n*
-        ``serve_one`` calls (column-wise vs row-wise RNG order), but
-        the sample statistics are identical.  Each row is a view of its
+        starved of samples.  Each row is a view of its
         chunk's batch and is logged as one, so the round reaches the
         DWRF writer as the generator's columns unless somebody reads a
         map on the way.

@@ -61,11 +61,6 @@ class DppClient:
         stride = max(1, len(alive) // self.max_connections)
         return [alive[(offset + i * stride) % len(alive)] for i in range(self.max_connections)]
 
-    @property
-    def connections(self) -> int:
-        """Number of workers this client is connected to."""
-        return len(self._partition)
-
     def refresh_partition(self) -> None:
         """Re-pick workers, e.g. after the fleet scales or one dies."""
         self._partition = self._build_partition()

@@ -9,7 +9,7 @@ itself replicated to avoid a single point of failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.errors import DppError
 from ..common.hashing import stable_fraction
@@ -126,11 +126,6 @@ class DppMaster:
                 )
         return requeued
 
-    @property
-    def workers(self) -> set[str]:
-        """Currently registered workers."""
-        return set(self._registered_workers)
-
     # -- split protocol --------------------------------------------------------
 
     def request_split(self, worker_id: str) -> Split | None:
@@ -230,24 +225,9 @@ class DppMaster:
         return self._counts[SplitState.COMPLETED]
 
     @property
-    def pending_splits(self) -> int:
-        """Number of splits not yet assigned."""
-        return self._counts[SplitState.PENDING]
-
-    @property
-    def assigned_splits(self) -> int:
-        """Number of splits currently in flight."""
-        return self._counts[SplitState.ASSIGNED]
-
-    @property
     def done(self) -> bool:
         """Whether every split has completed."""
         return self.completed_splits == self.total_splits
-
-    @property
-    def progress(self) -> float:
-        """Completed fraction in [0, 1]."""
-        return self.completed_splits / self.total_splits
 
     # -- checkpointing ------------------------------------------------------------
 

@@ -53,11 +53,6 @@ class SimulationConfig:
         if self.tick_s <= 0 or self.controller_period_s <= 0:
             raise DppError("time steps must be positive")
 
-    @property
-    def workers_required(self) -> float:
-        """Fleet size that exactly matches trainer demand."""
-        return self.trainer_batches_per_s / self.worker_batches_per_s
-
 
 @dataclass
 class SimTickSample:
@@ -136,21 +131,14 @@ class SimulationResult(ReportBase):
 class TimedDppSimulation:
     """Fluid-flow simulation of one session's buffer dynamics.
 
-    By default each simulation owns a private :class:`SimClock`; a
-    fleet-level harness can instead pass a *shared* clock so many
-    sessions advance in lockstep on one event heap (see
-    :mod:`repro.fleet`), scheduling via :meth:`schedule` and driving
-    the clock itself.
+    Each simulation owns its :class:`SimClock`; a caller may put events
+    of its own on ``clock`` (the chaos plane's worker losses) before
+    :meth:`run` drives it.
     """
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        clock: SimClock | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, config: SimulationConfig, tracer: Tracer | None = None) -> None:
         self.config = config
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.tracer = tracer or NULL_TRACER
         if self.tracer.enabled:
             clock = self.clock  # not self: a tracer outlives its run
@@ -264,28 +252,13 @@ class TimedDppSimulation:
 
     # -- driver ----------------------------------------------------------------
 
-    def schedule(self, duration_s: float) -> None:
-        """Register this session's processes on the clock without running.
-
-        Used when the clock is shared: each session schedules its tick
-        and controller processes, then one external driver advances the
-        common clock.  The processes stop ``duration_s`` after the
-        current virtual time.
-        """
+    def run(self, duration_s: float) -> SimulationResult:
+        """Run the closed loop for *duration_s* of virtual time."""
         config = self.config
         until = self.clock.now + duration_s
         self.clock.every(config.tick_s, self._tick, until=until)
         self.clock.every(
             config.controller_period_s, self._controller_step, until=until
         )
-
-    def result(self) -> SimulationResult:
-        """The trace accumulated so far (for externally driven clocks)."""
+        self.clock.run_until(until)
         return SimulationResult(self._samples, self._decisions)
-
-    def run(self, duration_s: float) -> SimulationResult:
-        """Run the closed loop for *duration_s* of virtual time."""
-        deadline = self.clock.now + duration_s
-        self.schedule(duration_s)
-        self.clock.run_until(deadline)
-        return self.result()

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..common.errors import FormatError
-from .stream import StreamInfo, StreamKind
+from .stream import StreamInfo
 
 
 class FileLayout(enum.Enum):
@@ -55,27 +54,6 @@ class StripeMeta:
 
     row_count: int
     streams: tuple[StreamInfo, ...]
-
-    @cached_property
-    def _stream_index(self) -> dict[tuple[int, StreamKind], StreamInfo]:
-        # Built on the first lookup, so only readers pay for it; reversed
-        # so that a repeated key resolves to its first stream in file order.
-        return {
-            (info.feature_id, info.kind): info for info in reversed(self.streams)
-        }
-
-    def stream(self, feature_id: int, kind: StreamKind) -> StreamInfo:
-        """The unique stream of (feature, kind); raises if missing."""
-        try:
-            return self._stream_index[(feature_id, kind)]
-        except KeyError:
-            raise FormatError(
-                f"stripe has no stream ({feature_id}, {kind.value})"
-            ) from None
-
-    def has_stream(self, feature_id: int, kind: StreamKind) -> bool:
-        """Whether the stripe wrote a (feature, kind) stream."""
-        return (feature_id, kind) in self._stream_index
 
 
 @dataclass

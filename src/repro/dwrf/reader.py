@@ -2,8 +2,9 @@
 
 The reader is where the paper's storage-layer story plays out:
 
-* With the **MAP** layout, any projection still fetches and decodes
-  whole stripes (the "over read" problem, Section 7.5).
+* With the **MAP** layout a reader fetches and decodes whole stripes,
+  every feature of every row (the "over read" problem, Section 7.5), so
+  it refuses a projection rather than pretend to apply one.
 * With the **FLATTENED** layout the reader fetches only the streams of
   projected features — but those are small, scattered ranges (Table 6),
   which cripples HDD IOPS until **coalesced reads** merge nearby ranges
@@ -171,10 +172,6 @@ class _Range:
     length: int
     members: tuple = ()
 
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
-
 
 def plan_reads(needed: Sequence, window: int) -> list[tuple[_Range, int]]:
     """Group needed byte ranges into physical reads.
@@ -261,6 +258,8 @@ class DwrfReader:
         self.footer = footer
         self._fetch = fetcher
         self.options = options or ReadOptions()
+        if self.options.projection is not None and footer.options.layout is FileLayout.MAP:
+            raise FormatError("a MAP-layout file is read whole: it takes no projection")
         self.trace = trace if trace is not None else IOTrace()
         # One plan per stripe, built on its first read.  The footer and
         # the options are immutable, so a plan is never invalidated.
@@ -305,8 +304,7 @@ class DwrfReader:
         for physical, useful in plan_reads(needed, self.options.coalesce_window):
             members = []
             for info in physical.members:
-                # The first stream in file order wins a repeated key, as
-                # StripeMeta's stream index has it.
+                # The first stream in file order wins a repeated key.
                 positions.setdefault((info.feature_id, info.kind), len(slots))
                 start = info.offset - physical.offset
                 slot = slot_end + -slot_end % encoding.KEY_PERIOD
@@ -446,12 +444,10 @@ class DwrfReader:
         if self.footer.options.layout is FileLayout.MAP:
             plan = self._plan(index)
             payloads = self._fetch_streams(plan)
-            projection = self.options.projection
             return decode_map_stripe(
                 payloads[plan.labels],
                 payloads[plan.map_rows],
                 self.footer.stripes[index].row_count,
-                None if projection is None else set(projection),
             )
         labels, features = self.decode_stripe(index, schema)
         rows = [Row(label=label) for label in labels.tolist()]

@@ -351,13 +351,12 @@ def decode_map_stripe(
     label_payload: bytes,
     rows_payload: bytes,
     row_count: int,
-    projection: set[int] | None = None,
 ) -> list[Row]:
     """Decode a MAP-layout stripe's unsealed streams back into rows.
 
     Note the essential inefficiency this models: the *entire* stripe is
-    decoded even when *projection* wants a handful of features — the
-    filter applies only after decoding.
+    decoded, every feature of every row, however few features a job
+    wants.
     """
     labels = encoding.unpack_floats(label_payload).tolist()
     header, rest = _split_varint_header(rows_payload)
@@ -385,7 +384,7 @@ def decode_map_stripe(
             fid = ints[ii]; ii += 1
             length = ints[ii]; ii += 1
             row.scores[fid] = floats[fi : fi + length]; fi += length
-        rows.append(row.project(projection) if projection is not None else row)
+        rows.append(row)
     return rows
 
 

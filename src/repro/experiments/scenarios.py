@@ -302,15 +302,6 @@ class FleetRegionScenario(Scenario):
         )
         if not jobs:
             return None
-        oversized = [
-            j for j in jobs if j.trainer_nodes > self.config.n_trainer_nodes
-        ]
-        if oversized:
-            raise ConfigError(
-                f"scenario {self.name}: mix draws jobs larger than the region "
-                f"({len(oversized)} need more than "
-                f"{self.config.n_trainer_nodes} trainers)"
-            )
         simulator = FleetSimulator(self.config, jobs, tracer=tracer)
         if self.faults:
             # Victim selection round-robins over the trace's job ids,

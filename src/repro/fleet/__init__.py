@@ -11,7 +11,7 @@ fleet-level reporting (:mod:`report`).
 
 from .allocator import FleetPowerBudget, PoolConfig
 from .broker import StorageBroker, StorageFabric, max_min_share
-from .jobs import DAY_S, FleetJobSpec, FleetMix, JobGenerator, from_release_iteration
+from .jobs import DAY_S, FleetJobSpec, FleetMix, JobGenerator
 from .report import FleetReport, FleetSample, JobOutcome
 from .simulator import FleetConfig, FleetSimulator
 
@@ -29,6 +29,5 @@ __all__ = [
     "PoolConfig",
     "StorageBroker",
     "StorageFabric",
-    "from_release_iteration",
     "max_min_share",
 ]

@@ -6,10 +6,7 @@ synchronized waves of large combo jobs inside release windows, and a
 few release candidates — all drawing on shared storage, preprocessing,
 and power.  :class:`JobGenerator` turns those workload shapes (over the
 RM1/RM2/RM3 mixes from :mod:`repro.workloads`) into a deterministic
-arrival trace the fleet simulator replays, and
-:func:`from_release_iteration` adapts the day-granularity release
-populations of :mod:`repro.cluster.release` onto the fleet plane's
-second-granularity clock.
+arrival trace the fleet simulator replays.
 """
 
 from __future__ import annotations
@@ -20,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.job import JobKind
-from ..cluster.release import ReleaseIteration
 from ..common.errors import ConfigError
-from ..workloads.models import ALL_MODELS, ModelConfig, model_by_name
+from ..workloads.models import ALL_MODELS, ModelConfig
 
-#: Seconds per day, the unit bridge to the cluster-layer job models.
+#: Seconds per day: the period of the diurnal arrival cycle.
 DAY_S = 86_400.0
 
 
@@ -227,29 +223,3 @@ class JobGenerator:
         mix = self.mix
         phase = 2 * math.pi * ((t / DAY_S) - mix.peak_hour / 24.0)
         return 1.0 + mix.diurnal_amplitude * math.cos(phase)
-
-
-def from_release_iteration(
-    iteration: ReleaseIteration, start_s: float = 0.0
-) -> list[FleetJobSpec]:
-    """Adapt a day-granularity release population onto the fleet clock.
-
-    Each :class:`~repro.cluster.job.TrainingJob` becomes a fleet spec:
-    days map to seconds, the model is resolved by name, and the job's
-    intended duration converts to a sample target at full demand.
-    """
-    specs: list[FleetJobSpec] = []
-    for job in sorted(iteration.jobs, key=lambda j: j.start_day):
-        model = model_by_name(job.model_name)
-        demand = job.trainer_nodes * model.samples_per_s_per_trainer
-        specs.append(
-            FleetJobSpec(
-                job_id=job.job_id,
-                model=model,
-                kind=job.kind,
-                arrival_s=start_s + (job.start_day - iteration.start_day) * DAY_S,
-                trainer_nodes=job.trainer_nodes,
-                target_samples=job.duration_days * DAY_S * demand,
-            )
-        )
-    return specs

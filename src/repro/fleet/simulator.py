@@ -251,7 +251,6 @@ class FleetSimulator:
         self,
         config: FleetConfig,
         jobs: list[FleetJobSpec],
-        clock: SimClock | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if not jobs:
@@ -264,7 +263,7 @@ class FleetSimulator:
         if len({j.job_id for j in jobs}) != len(jobs):
             raise ConfigError("job ids must be unique")
         self.config = config
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.broker = StorageBroker(config.fabric)
         # One budget object serves both the control round's pool cap
         # (when configured) and the per-tick power accounting; an
@@ -950,11 +949,11 @@ class FleetSimulator:
         self._pinned.append(self.clock.schedule_at(when_s, action))
 
     def schedule(self) -> None:
-        """Register arrivals and control processes on the (shared) clock."""
+        """Register arrivals and control processes on the fleet's clock."""
         if self._tick_handle is not None:
             raise SchedulingError("fleet already scheduled")
         for spec in self.jobs:
-            self.pin(self.clock.now + spec.arrival_s, lambda s=spec: self._arrive(s))
+            self.pin(spec.arrival_s, lambda s=spec: self._arrive(s))
         # Periodic processes ride the clock's heap-free side list; each
         # is cancelled once the fleet has no work left, matching the
         # old self-rescheduling chains occurrence for occurrence.
@@ -968,9 +967,7 @@ class FleetSimulator:
         """Advance the clock to completion (or *horizon_s*).
 
         Without a horizon the clock is stepped only while fleet work
-        remains: on a shared clock, foreign events interleave up to the
-        last job's completion but anything beyond stays on the heap for
-        the external driver.
+        remains.
 
         A run is one-shot: however it ends (done, cut by its horizon,
         or runaway), it takes every event of the fleet off the clock —

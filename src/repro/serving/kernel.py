@@ -124,11 +124,6 @@ class Kernel:
         """Awaitable virtual-time sleep: ``await kernel.sleep(0.25)``."""
         return _Sleep(delay)
 
-    @property
-    def alive(self) -> int:
-        """Number of spawned tasks not yet finished."""
-        return sum(1 for task in self.tasks if not task.finished)
-
     # -- the run loop ----------------------------------------------------------
 
     def _advance(self, task: Task, value: Any) -> None:
@@ -157,11 +152,11 @@ class Kernel:
                 if not task.finished:
                     self._advance(task, value)
                 continue
-            if until is None and not self.alive:
+            if until is None and all(task.finished for task in self.tasks):
                 return
             if not clock.step():
-                if self.alive:
-                    parked = [t.name for t in self.tasks if not t.finished]
+                parked = [t.name for t in self.tasks if not t.finished]
+                if parked:
                     raise KernelError(
                         "deadlock: tasks parked with no pending events: "
                         f"{parked}"
@@ -206,10 +201,6 @@ class Queue:
     def depth(self) -> int:
         """Items currently queued (the backlog gauge)."""
         return len(self._items)
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
 
     def clear(self) -> None:
         """Drop queued items and parked waiters (plane teardown); the

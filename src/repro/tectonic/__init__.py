@@ -14,7 +14,6 @@ from .media import (
     COALESCE_WINDOW_BYTES,
     TECTONIC_CHUNK_BYTES,
     MediaModel,
-    effective_iops,
     hdd_node,
     ssd_node,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "TectonicFile",
     "TectonicFilesystem",
     "TieredPlan",
-    "effective_iops",
     "hdd_node",
     "provision",
     "provision_tiered",

@@ -18,7 +18,7 @@ natural cacheable unit of DWRF reads.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.errors import StorageError
 from .media import MediaModel, hdd_node, ssd_node
@@ -50,11 +50,6 @@ class CacheStats:
     def requests(self) -> int:
         """Total lookups."""
         return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Request hit rate; 0 when never used."""
-        return self.hits / self.requests if self.requests else 0.0
 
     @property
     def byte_hit_rate(self) -> float:
@@ -150,35 +145,9 @@ class FeatureCache:
 
     # -- accounting ---------------------------------------------------------------
 
-    @property
-    def resident_keys(self) -> int:
-        """Number of cached stream ranges."""
-        return len(self._resident)
-
-    @property
-    def ghost_keys(self) -> int:
-        """Number of remembered-but-not-resident keys (bounded)."""
-        return len(self._ghost)
-
-    @property
-    def tracked_keys(self) -> int:
-        """Total keys the cache holds metadata for — the memory bound."""
-        return len(self._resident) + len(self._ghost)
-
-    def contains(self, key: StreamKey) -> bool:
-        """Whether a range is currently resident."""
-        return key in self._resident
-
     def total_service_time(self) -> float:
         """Device time consumed across both tiers."""
         return self._ssd_time + self._hdd_time
-
-    def delivered_throughput(self) -> float:
-        """Bytes served per second of device time."""
-        total_time = self.total_service_time()
-        if total_time == 0:
-            raise StorageError("no reads served yet")
-        return (self.stats.hit_bytes + self.stats.miss_bytes) / total_time
 
     def hdd_only_time(self) -> float:
         """Counterfactual: device time had every read gone to HDD."""

@@ -83,11 +83,6 @@ class ProvisioningPlan:
         """Power of the provisioned nodes."""
         return self.nodes_required * self.media.watts
 
-    @property
-    def total_capacity_bytes(self) -> float:
-        """Capacity of the provisioned nodes."""
-        return self.nodes_required * self.media.capacity_bytes
-
 
 def provision(demand: ProvisioningDemand, media: MediaModel) -> ProvisioningPlan:
     """Compute nodes needed by capacity and by IOPS for one media type."""

@@ -94,7 +94,7 @@ class TectonicFilesystem:
         file = self.file(name)
         for block in file.blocks:
             for node_id in block.replica_nodes:
-                self.nodes[node_id].release(block.length)
+                self.nodes[node_id].used_bytes -= block.length
         del self._files[name]
 
     def list_files(self) -> list[str]:

@@ -14,7 +14,7 @@ two ratios Section 7.2 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..common.errors import ConfigError
 from ..common.units import GB, MB, TB, mebibytes
@@ -53,35 +53,12 @@ class MediaModel:
         """Random-read bytes/s at a fixed I/O size."""
         return io_bytes / self.service_time(io_bytes)
 
-    def iops_per_watt(self, io_bytes: float) -> float:
-        """Power efficiency of random reads at a fixed I/O size."""
-        return self.iops_at_size(io_bytes) / self.watts
-
-    def capacity_per_watt(self) -> float:
-        """Bytes of capacity per watt."""
-        return self.capacity_bytes / self.watts
-
     def trace_time(self, io_sizes: Sequence[float], seeks: int) -> float:
         """Seconds to serve a trace of reads containing *seeks* seeks."""
         if seeks < 0 or seeks > len(io_sizes):
             raise ConfigError("seek count out of range")
         transfer = sum(io_sizes) / self.bandwidth_bytes_per_s
         return transfer + seeks * self.seek_time_s
-
-    def trace_throughput(
-        self, io_sizes: Sequence[float], seeks: int, useful_bytes: float | None = None
-    ) -> float:
-        """Useful bytes/s delivered for a trace of reads.
-
-        *useful_bytes* defaults to the full transfer; pass the
-        projection-relevant byte count to measure goodput in the
-        presence of over-reads.
-        """
-        time = self.trace_time(io_sizes, seeks)
-        if time == 0:
-            raise ConfigError("empty trace has no throughput")
-        delivered = sum(io_sizes) if useful_bytes is None else useful_bytes
-        return delivered / time
 
 
 def hdd_node() -> MediaModel:
@@ -116,12 +93,3 @@ def ssd_node() -> MediaModel:
 
 TECTONIC_CHUNK_BYTES = int(mebibytes(8))  # "almost 8 MB (Tectonic's chunk size)"
 COALESCE_WINDOW_BYTES = int(mebibytes(1.25))  # production coalesced-read window
-
-
-def effective_iops(media: MediaModel, io_sizes: Iterable[float]) -> float:
-    """IOPS over a mixed-size random trace (each read seeks)."""
-    sizes = list(io_sizes)
-    if not sizes:
-        raise ConfigError("empty I/O trace")
-    total_time = media.trace_time(sizes, seeks=len(sizes))
-    return len(sizes) / total_time

@@ -6,7 +6,7 @@ cluster can report utilization, effective IOPS, and power efficiency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.errors import CapacityError, StorageError
 from .media import MediaModel
@@ -18,11 +18,6 @@ class ServedIO:
 
     io_count: int = 0
     bytes_read: int = 0
-
-    @property
-    def seeks(self) -> int:
-        """Seeks served: a node read is random, so one per read."""
-        return self.io_count
 
 
 class StorageNode:
@@ -49,14 +44,3 @@ class StorageNode:
                 f"needs {n_bytes}"
             )
         self.used_bytes += n_bytes
-
-    def release(self, n_bytes: int) -> None:
-        """Return capacity when a block is deleted."""
-        if n_bytes < 0 or n_bytes > self.used_bytes:
-            raise StorageError("release out of range")
-        self.used_bytes -= n_bytes
-
-    @property
-    def utilization(self) -> float:
-        """Capacity utilization in [0, 1]."""
-        return self.used_bytes / self.media.capacity_bytes

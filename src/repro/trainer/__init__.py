@@ -10,8 +10,6 @@ from .gpu import PROJECTED_GROWTH_FACTOR, V100_DEMAND_FACTOR, GpuDemand
 from .host import (
     LOADING_CYCLES_PER_BYTE,
     LOADING_MEM_BYTES_PER_BYTE,
-    LoadingTax,
-    loading_sweep,
     loading_utilization,
     max_loading_rate,
 )
@@ -26,14 +24,12 @@ __all__ = [
     "GpuDemand",
     "LOADING_CYCLES_PER_BYTE",
     "LOADING_MEM_BYTES_PER_BYTE",
-    "LoadingTax",
     "PROJECTED_GROWTH_FACTOR",
     "StallReport",
     "TrainingNode",
     "TrainingProgress",
     "V100_DEMAND_FACTOR",
     "dpp_supplied_stall",
-    "loading_sweep",
     "loading_utilization",
     "max_loading_rate",
     "on_host_preprocessing_study",

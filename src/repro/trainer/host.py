@@ -6,15 +6,14 @@ network stack, memory management, TLS decryption, and Thrift
 deserialization.  Figure 8 sweeps loading rate against host CPU and
 memory-bandwidth utilization; the constants here are calibrated to its
 anchor points (≈40% CPU and ≈55% memory bandwidth at RM1's 16.5 GB/s
-on the two-socket test node).
+on the two-socket test node).  Every study loads at these per-byte
+costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..common.errors import ConfigError
-from ..common.resources import ResourceUsage, UtilizationReport
+from ..common.resources import HostModel, ResourceUsage, UtilizationReport
 from ..workloads.hardware import TrainerNodeSpec
 
 #: Host CPU cycles per loaded byte (network stack + TLS + Thrift).
@@ -23,54 +22,30 @@ LOADING_CYCLES_PER_BYTE = 3.39
 LOADING_MEM_BYTES_PER_BYTE = 5.0
 
 
-@dataclass(frozen=True)
-class LoadingTax:
-    """Per-byte host cost of ingesting preprocessed tensors."""
-
-    cycles_per_byte: float = LOADING_CYCLES_PER_BYTE
-    mem_bytes_per_byte: float = LOADING_MEM_BYTES_PER_BYTE
-
-    def usage_at_rate(self, bytes_per_s: float) -> ResourceUsage:
-        """Steady-state host usage at a given loading rate."""
-        if bytes_per_s < 0:
-            raise ConfigError("loading rate cannot be negative")
-        return ResourceUsage(
-            cpu_cycles=self.cycles_per_byte * bytes_per_s,
-            mem_bytes=self.mem_bytes_per_byte * bytes_per_s,
-            nic_rx_bytes=bytes_per_s,
-        )
+def _usage_at_rate(bytes_per_s: float) -> ResourceUsage:
+    """Steady-state host usage at a given loading rate."""
+    if bytes_per_s < 0:
+        raise ConfigError("loading rate cannot be negative")
+    return ResourceUsage(
+        cpu_cycles=LOADING_CYCLES_PER_BYTE * bytes_per_s,
+        mem_bytes=LOADING_MEM_BYTES_PER_BYTE * bytes_per_s,
+        nic_rx_bytes=bytes_per_s,
+    )
 
 
-def loading_utilization(
-    node: TrainerNodeSpec, bytes_per_s: float, tax: LoadingTax | None = None
-) -> UtilizationReport:
+def loading_utilization(node: TrainerNodeSpec, bytes_per_s: float) -> UtilizationReport:
     """Host utilization from data loading alone (the Figure 8 curves)."""
-    from ..common.resources import HostModel
-
     host = HostModel(node.resource_spec())
-    host.usage = (tax or LoadingTax()).usage_at_rate(bytes_per_s)
+    host.usage = _usage_at_rate(bytes_per_s)
     return host.utilization()
 
 
-def loading_sweep(
-    node: TrainerNodeSpec,
-    rates_bytes_per_s: list[float],
-    tax: LoadingTax | None = None,
-) -> list[tuple[float, UtilizationReport]]:
-    """Evaluate the Figure 8 sweep at the given loading rates."""
-    return [
-        (rate, loading_utilization(node, rate, tax)) for rate in rates_bytes_per_s
-    ]
-
-
-def max_loading_rate(node: TrainerNodeSpec, tax: LoadingTax | None = None) -> float:
+def max_loading_rate(node: TrainerNodeSpec) -> float:
     """Largest loading rate the host sustains before a resource saturates.
 
     Memory bandwidth is capped at its ~70% practical ceiling; CPU and
     NIC at 100%.
     """
-    from ..common.resources import HostModel
-
     host = HostModel(node.resource_spec())
-    host.usage = (tax or LoadingTax()).usage_at_rate(1.0)
+    host.usage = _usage_at_rate(1.0)
     return host.max_sustainable_scale()

@@ -9,13 +9,12 @@ loop from raw logs to consumed tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.errors import DppError
 from ..dpp.client import DppClient
 from ..dpp.tensors import TensorBatch
 from ..workloads.hardware import TrainerNodeSpec
-from .host import LoadingTax
 
 
 @dataclass
@@ -31,17 +30,10 @@ class TrainingProgress:
 class TrainingNode:
     """One 8-GPU node running a data-parallel training loop."""
 
-    def __init__(
-        self,
-        spec: TrainerNodeSpec,
-        client: DppClient,
-        tax: LoadingTax | None = None,
-    ) -> None:
+    def __init__(self, spec: TrainerNodeSpec, client: DppClient) -> None:
         self.spec = spec
         self.client = client
-        self.tax = tax or LoadingTax()
         self.progress = TrainingProgress()
-        self._consumed: list[TensorBatch] = []
 
     def train_step(self) -> bool:
         """Pull one batch and run one SGD step; False on a data stall."""
@@ -65,10 +57,3 @@ class TrainingNode:
             if not self.train_step():
                 break
         return self.progress
-
-    def loading_usage(self, elapsed_s: float):
-        """Host resource usage implied by the achieved ingest rate."""
-        if elapsed_s <= 0:
-            raise DppError("elapsed time must be positive")
-        rate = self.progress.bytes_ingested / elapsed_s
-        return self.tax.usage_at_rate(rate)

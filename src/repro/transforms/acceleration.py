@@ -80,10 +80,6 @@ class OpWorkload:
         launches = 1 if batched_kernel else self.n_features
         return kernel + launches * KERNEL_LAUNCH_OVERHEAD_CYCLES
 
-    def gpu_speedup(self, *, batched_kernel: bool) -> float:
-        """End-to-end GPU gain including launch overheads."""
-        return self.cpu_cycles / self.gpu_cycles(batched_kernel=batched_kernel)
-
 
 @dataclass(frozen=True)
 class PlacementDecision:

@@ -12,7 +12,7 @@ Arrays are write-once: an array placed in a :class:`DenseColumn`,
 anyone.  That is what lets an op whose output keeps its input's row
 structure share the input's ``offsets``/``weights``/``presence``, lets
 a row slice be a view, and lets tensors take a column's arrays by
-reference; a caller that wants to scribble takes a ``copy()`` first.
+reference; a caller that wants to scribble copies the arrays first.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ class DenseColumn:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def nbytes(self) -> int:
-        """Resident bytes of the column."""
-        return self.values.nbytes + self.presence.nbytes
-
-    def copy(self) -> "DenseColumn":
-        """Deep copy: arrays the caller may write to."""
-        return DenseColumn(self.values.copy(), self.presence.copy())
 
     def rows(self, start: int, stop: int) -> "DenseColumn":
         """Rows ``start:stop`` as views of this column's arrays."""
@@ -85,10 +77,6 @@ class SparseColumn:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def row(self, i: int) -> np.ndarray:
-        """The ID list of row *i*."""
-        return self.values[self.offsets[i] : self.offsets[i + 1]]
-
     def lengths(self) -> np.ndarray:
         """Per-row list lengths."""
         return self.offsets[1:] - self.offsets[:-1]
@@ -115,21 +103,6 @@ class SparseColumn:
         weights = None if self.weights is None else self.weights[first:last]
         return self._checked(offsets - first, self.values[first:last], weights)
 
-    def nbytes(self) -> int:
-        """Resident bytes of the column."""
-        total = self.offsets.nbytes + self.values.nbytes
-        if self.weights is not None:
-            total += self.weights.nbytes
-        return total
-
-    def copy(self) -> "SparseColumn":
-        """Deep copy: arrays the caller may write to."""
-        return SparseColumn(
-            self.offsets.copy(),
-            self.values.copy(),
-            None if self.weights is None else self.weights.copy(),
-        )
-
     @classmethod
     def from_lists(
         cls, lists: list[list[int]], weights: list[list[float]] | None = None
@@ -155,10 +128,6 @@ class SparseColumn:
         offsets = np.zeros(len(presence) + 1, dtype=np.int64)
         np.cumsum(presence, out=offsets[1:])
         return cls(offsets, values[presence])
-
-    def to_lists(self) -> list[list[int]]:
-        """Per-row Python lists (testing convenience)."""
-        return [list(map(int, self.row(i))) for i in range(len(self))]
 
 
 Column = DenseColumn | SparseColumn
@@ -208,10 +177,6 @@ class FeatureBatch:
             )
         self.columns[feature_id] = column
 
-    def nbytes(self) -> int:
-        """Resident bytes across labels and columns."""
-        return self.labels.nbytes + sum(c.nbytes() for c in self.columns.values())
-
     @classmethod
     def from_rows(cls, rows: list[Row], feature_ids: list[int] | None = None) -> "FeatureBatch":
         """Materialize a batch from warehouse rows.
@@ -224,7 +189,7 @@ class FeatureBatch:
         if feature_ids is None:
             seen: set[int] = set()
             for row in rows:
-                seen |= row.feature_ids()
+                seen.update(row.dense, row.sparse, row.scores)
             feature_ids = sorted(seen)
         batch = cls(labels=np.array([row.label for row in rows], dtype=np.float32))
         for fid in feature_ids:

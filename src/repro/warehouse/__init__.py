@@ -3,8 +3,6 @@
 from .generator import (
     DatasetProfile,
     SampleGenerator,
-    measured_avg_sparse_length,
-    measured_coverage,
 )
 from .publish import partition_file_name, publish_table
 from .retention import (
@@ -33,8 +31,6 @@ __all__ = [
     "SampleGenerator",
     "Table",
     "TableSchema",
-    "measured_avg_sparse_length",
-    "measured_coverage",
     "partition_file_name",
     "publish_table",
 ]

@@ -16,7 +16,7 @@ the maps are built then, once per batch, and are the content from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +53,6 @@ class DatasetProfile:
             raise ConfigError("avg_sparse_length must be positive")
         if self.id_vocab_size <= 0:
             raise ConfigError("id_vocab_size must be positive")
-
-    @property
-    def total_features(self) -> int:
-        """Total number of feature columns the profile declares."""
-        return self.n_dense + self.n_sparse + self.n_scored
 
 
 class SampleGenerator:
@@ -121,33 +116,15 @@ class SampleGenerator:
             )
         return schema
 
-    def generate_row(self, schema: TableSchema) -> Row:
-        """Draw one sample consistent with the schema's statistics."""
-        rng = self._rng
-        row = Row(label=float(rng.integers(0, 2)))
-        for spec in schema.logged_features():
-            if rng.random() >= self._coverages.get(spec.feature_id, spec.coverage):
-                continue
-            if spec.ftype is FeatureType.DENSE:
-                row.dense[spec.feature_id] = float(rng.normal())
-            else:
-                mean_len = self._lengths.get(spec.feature_id, spec.avg_sparse_length or 1.0)
-                # Geometric with the right mean; at least one element.
-                p = 1.0 / max(mean_len, 1.0)
-                length = int(rng.geometric(p))
-                ids = rng.integers(0, self.profile.id_vocab_size, size=length)
-                row.sparse[spec.feature_id] = ids.tolist()
-                if spec.ftype is FeatureType.SCORED_SPARSE:
-                    row.scores[spec.feature_id] = rng.random(size=length).tolist()
-        return row
-
     def generate_batch(self, schema: TableSchema, n: int) -> SampleBatch:
         """Vectorized bulk generation of *n* samples, as columns.
 
-        Statistically identical to *n* calls of :meth:`generate_row`
-        but draws per-feature vectors across all rows at once, which is
-        what makes MB-scale ablation datasets affordable.  The draws
-        stay the arrays they are: nothing here leaves numpy.
+        Each sample logs a feature with the feature's coverage; a dense
+        value is standard normal, a sparse list's length geometric
+        around the feature's mean length.  Per-feature vectors are drawn
+        across all rows at once, which is what makes MB-scale ablation
+        datasets affordable.  The draws stay the arrays they are:
+        nothing here leaves numpy.
         """
         _check_row_count(n)
         rng = self._rng
@@ -210,26 +187,3 @@ class SampleGenerator:
 def _check_row_count(n: int) -> None:
     if n < 0:
         raise ConfigError(f"cannot generate {n} rows")
-
-
-def measured_coverage(table: Table, feature_id: int) -> float:
-    """Fraction of samples in *table* that logged *feature_id*."""
-    total = table.total_rows()
-    if total == 0:
-        raise ConfigError("cannot measure coverage of an empty table")
-    logged = sum(
-        1 for row in table.scan() if row.has_feature(feature_id)
-    )
-    return logged / total
-
-
-def measured_avg_sparse_length(table: Table, feature_id: int) -> float:
-    """Mean categorical-list length of a sparse feature over its loggers."""
-    lengths = [
-        len(row.sparse[feature_id])
-        for row in table.scan()
-        if feature_id in row.sparse
-    ]
-    if not lengths:
-        raise ConfigError(f"feature {feature_id} never logged in table")
-    return float(np.mean(lengths))

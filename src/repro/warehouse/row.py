@@ -75,9 +75,6 @@ class SampleBatch:
         default=None, init=False, repr=False
     )
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     @property
     def maps_built(self) -> bool:
         """Whether the rows' maps, not the arrays, are now the content."""
@@ -255,29 +252,12 @@ class Row:
         # of arrays: it travels as its maps and arrives built by hand.
         return Row, (self.label, self.dense, self.sparse, self.scores)
 
-    def feature_ids(self) -> set[int]:
-        """IDs of every feature present on this sample."""
-        return set(self.dense) | set(self.sparse) | set(self.scores)
-
     def has_feature(self, feature_id: int) -> bool:
         """Whether this sample logged the given feature."""
         return (
             feature_id in self.dense
             or feature_id in self.sparse
             or feature_id in self.scores
-        )
-
-    def project(self, feature_ids: set[int]) -> "Row":
-        """Return a copy holding only the requested features.
-
-        This is the row-level analogue of the column filter a training
-        job applies when reading (Section 5.1).
-        """
-        return Row(
-            label=self.label,
-            dense={fid: v for fid, v in self.dense.items() if fid in feature_ids},
-            sparse={fid: list(v) for fid, v in self.sparse.items() if fid in feature_ids},
-            scores={fid: list(v) for fid, v in self.scores.items() if fid in feature_ids},
         )
 
     def nominal_bytes(self) -> int:

@@ -13,7 +13,7 @@ and are *deprecated* (and eventually reaped) after review.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from ..common.errors import SchemaError
@@ -120,10 +120,6 @@ class TableSchema:
         """Reap a feature entirely (e.g. for privacy, Section 4.3)."""
         self.get(feature_id)
         del self._features[feature_id]
-
-    def features_of_type(self, ftype: FeatureType) -> list[FeatureSpec]:
-        """All features of the given physical type, sorted by ID."""
-        return [spec for spec in self if spec.ftype is ftype]
 
     def logged_features(self) -> list[FeatureSpec]:
         """Features actually written to storage (everything but beta)."""

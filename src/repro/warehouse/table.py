@@ -9,7 +9,7 @@ read — and a column filter — the feature projection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..common.errors import SchemaError
 from .row import Row
@@ -81,21 +81,7 @@ class Table:
         """Number of samples across all partitions."""
         return sum(len(partition) for partition in self._partitions.values())
 
-    def nominal_bytes(self) -> int:
-        """Uncompressed logical size of the whole table."""
-        return sum(partition.nominal_bytes() for partition in self._partitions.values())
-
-    def scan(
-        self,
-        partitions: Iterable[str] | None = None,
-        feature_ids: set[int] | None = None,
-    ) -> Iterator[Row]:
-        """Iterate samples with the job's row and column filters applied.
-
-        *partitions* is the row filter (None = all partitions) and
-        *feature_ids* the column filter (None = every feature).
-        """
-        names = list(partitions) if partitions is not None else self.partition_names()
-        for name in names:
-            for row in self.partition(name).rows:
-                yield row.project(feature_ids) if feature_ids is not None else row
+    def scan(self) -> Iterator[Row]:
+        """Iterate every sample, partition by partition in creation order."""
+        for name in self.partition_names():
+            yield from self.partition(name).rows

@@ -40,15 +40,6 @@ class ComputeNodeSpec:
         """NIC bandwidth per core (Table 10 column)."""
         return self.nic_gbps / self.physical_cores
 
-    def resource_spec(self) -> ResourceSpec:
-        """Convert to the fluid resource model's units."""
-        return ResourceSpec(
-            cpu_cycles_per_s=self.physical_cores * self.frequency_ghz * 1e9,
-            mem_bw_bytes_per_s=self.peak_mem_bw_gbs * GB,
-            nic_bytes_per_s=gbps(self.nic_gbps),
-            memory_capacity_bytes=gigabytes(self.memory_gb),
-        )
-
 
 C_V1 = ComputeNodeSpec("C-v1", physical_cores=18, nic_gbps=12.5,
                        memory_gb=64, peak_mem_bw_gbs=75, watts=150.0)

@@ -43,11 +43,6 @@ class TableSizes:
     each_partition: float
     used_partitions: float
 
-    @property
-    def n_partitions(self) -> int:
-        """Approximate partition count implied by the sizes."""
-        return round(self.all_partitions / self.each_partition)
-
 
 @dataclass(frozen=True)
 class DppThroughput:
@@ -58,15 +53,6 @@ class DppThroughput:
     transform_rx_gbs: float
     transform_tx_gbs: float
     workers_per_trainer: float
-
-    @property
-    def storage_amplification(self) -> float:
-        """Extract-vs-load network amplification (Section 6.3: 1.18-3.64x).
-
-        Compressed bytes pulled from storage per preprocessed byte
-        shipped to trainers.
-        """
-        return self.storage_rx_gbs / self.transform_tx_gbs
 
 
 @dataclass(frozen=True)

@@ -41,31 +41,11 @@ class TestHostHeadroom:
         assert not on_v100.feasible
         assert on_zionex.feasible
 
-    def test_full_growth_needs_offload_and_faster_nics(self):
+    def test_full_growth_is_infeasible_on_zionex(self):
         """Even ZionEX cannot load 3.5x RM1 demand: memory bandwidth
-        binds with today's software tax, and after TLS/deserialization
-        offload (§7.2's SmartNICs) the four 100 Gbps NICs themselves
-        bind.  Feasibility needs both the offload and next-gen NICs."""
-        import dataclasses
-
-        from repro.trainer import LoadingTax
-
+        binds with today's software tax."""
         stock = trainer_host_headroom(RM1, ZIONEX_TRAINER, growth=3.5)
         assert not stock.feasible  # memory-bandwidth bound at 42 GB/s
-
-        offload = LoadingTax(cycles_per_byte=1.2, mem_bytes_per_byte=2.0)
-        offloaded = trainer_host_headroom(RM1, ZIONEX_TRAINER, growth=3.5,
-                                          tax=offload)
-        # Offload raises the ceiling to NIC line rate — still short.
-        assert offloaded.max_rate_bytes_per_s == pytest.approx(50e9)
-        assert not offloaded.feasible
-
-        faster_nics = dataclasses.replace(
-            ZIONEX_TRAINER, name="zionex-200g",
-            nics_gbps=(200.0, 200.0, 200.0, 200.0),
-        )
-        upgraded = trainer_host_headroom(RM1, faster_nics, growth=3.5, tax=offload)
-        assert upgraded.feasible
 
     def test_utilization_fraction(self):
         headroom = trainer_host_headroom(RM2, V100_TRAINER)

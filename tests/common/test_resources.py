@@ -29,20 +29,6 @@ class TestResourceSpec:
         assert spec.memory_capacity_bytes == 0.0
 
 
-class TestResourceUsage:
-    def test_add_accumulates(self):
-        a = ResourceUsage(cpu_cycles=1, mem_bytes=2, nic_rx_bytes=3)
-        a.add(ResourceUsage(cpu_cycles=10, nic_tx_bytes=5))
-        assert a.cpu_cycles == 11
-        assert a.mem_bytes == 2
-        assert a.nic_tx_bytes == 5
-
-    def test_scaled(self):
-        usage = ResourceUsage(cpu_cycles=2, mem_bytes=4).scaled(2.5)
-        assert usage.cpu_cycles == 5
-        assert usage.mem_bytes == 10
-
-
 class TestUtilization:
     def test_utilization_fractions(self):
         host = HostModel(make_spec())
@@ -55,23 +41,10 @@ class TestUtilization:
         assert report.nic_rx == pytest.approx(0.5)
         assert report.nic_tx == pytest.approx(0.1)
 
-    def test_bottleneck_identifies_max(self):
-        host = HostModel(make_spec())
-        host.usage = ResourceUsage(cpu_cycles=9e8, mem_bytes=1e8)
-        assert host.utilization().bottleneck == "cpu"
-        host.usage = ResourceUsage(cpu_cycles=1e8, nic_rx_bytes=9.9e7)
-        assert host.utilization().bottleneck == "nic_rx"
-
     def test_memory_capacity_utilization(self):
         host = HostModel(make_spec())
         host.usage = ResourceUsage(memory_resident_bytes=5e8)
         assert host.utilization().memory_capacity == pytest.approx(0.5)
-
-    def test_reset_clears_load(self):
-        host = HostModel(make_spec())
-        host.usage = ResourceUsage(cpu_cycles=1e8)
-        host.reset()
-        assert host.utilization().max_utilization == 0.0
 
 
 class TestSustainableScale:

@@ -1,16 +1,9 @@
-"""Distribution summaries, popularity CDFs, and skew statistics."""
+"""Distribution summaries."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import (
-    fraction_of_items_for_traffic,
-    gini,
-    popularity_cdf,
-    summarize,
-    zipf_weights,
-)
+from repro.common.stats import summarize
 
 
 class TestSummarize:
@@ -30,109 +23,7 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_as_row_keys(self):
-        row = summarize([1.0, 2.0, 3.0]).as_row()
-        assert set(row) == {"mean", "std", "p5", "p25", "p50", "p75", "p95"}
-
     @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=200))
     def test_percentiles_ordered(self, values):
         summary = summarize(values)
         assert summary.p5 <= summary.p25 <= summary.p50 <= summary.p75 <= summary.p95
-
-
-class TestPopularityCdf:
-    def test_uniform_weights_linear(self):
-        curve = popularity_cdf([1.0] * 10)
-        for point in curve:
-            assert point.y == pytest.approx(point.x)
-
-    def test_skewed_weights_concentrate(self):
-        curve = popularity_cdf([100.0] + [1.0] * 99)
-        # The single hot item (1% of items) absorbs ~50% of traffic.
-        assert curve[0].x == pytest.approx(0.01)
-        assert curve[0].y == pytest.approx(100 / 199)
-
-    def test_monotone_non_decreasing(self):
-        rng = np.random.default_rng(0)
-        curve = popularity_cdf(rng.random(50))
-        ys = [p.y for p in curve]
-        assert ys == sorted(ys)
-        assert ys[-1] == pytest.approx(1.0)
-
-    def test_zero_items_rejected(self):
-        with pytest.raises(ValueError):
-            popularity_cdf([])
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            popularity_cdf([1.0, -0.5])
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            popularity_cdf([0.0, 0.0])
-
-    @given(st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=2, max_size=100))
-    def test_curve_dominates_diagonal(self, weights):
-        # Sorting hottest-first means the curve is always at or above y = x.
-        for point in popularity_cdf(weights):
-            assert point.y >= point.x - 1e-9
-
-
-class TestFractionForTraffic:
-    def test_uniform_needs_equal_fraction(self):
-        assert fraction_of_items_for_traffic([1.0] * 100, 0.8) == pytest.approx(0.8)
-
-    def test_skewed_needs_less(self):
-        weights = zipf_weights(1_000, skew=1.2)
-        assert fraction_of_items_for_traffic(weights, 0.8) < 0.4
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            fraction_of_items_for_traffic([1.0], 0.0)
-        with pytest.raises(ValueError):
-            fraction_of_items_for_traffic([1.0], 1.5)
-
-
-class TestZipfWeights:
-    def test_normalized(self):
-        weights = zipf_weights(100, 1.0)
-        assert weights.sum() == pytest.approx(1.0)
-
-    def test_zero_skew_uniform(self):
-        weights = zipf_weights(10, 0.0)
-        assert np.allclose(weights, 0.1)
-
-    def test_higher_skew_more_concentrated(self):
-        flat = zipf_weights(100, 0.5)
-        steep = zipf_weights(100, 2.0)
-        assert steep.max() > flat.max()
-
-    def test_shuffling_preserves_mass(self):
-        rng = np.random.default_rng(1)
-        weights = zipf_weights(50, 1.0, rng=rng)
-        assert weights.sum() == pytest.approx(1.0)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            zipf_weights(0, 1.0)
-        with pytest.raises(ValueError):
-            zipf_weights(10, -1.0)
-
-
-class TestGini:
-    def test_uniform_is_zero(self):
-        assert gini([3.0] * 20) == pytest.approx(0.0, abs=1e-9)
-
-    def test_single_winner_near_one(self):
-        assert gini([0.0] * 99 + [1.0]) > 0.95
-
-    def test_all_zeros(self):
-        assert gini([0.0, 0.0]) == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gini([-1.0, 1.0])
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100))
-    def test_bounded(self, values):
-        assert -1e-9 <= gini(values) <= 1.0

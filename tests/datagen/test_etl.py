@@ -34,7 +34,9 @@ def pipeline():
 class TestServing:
     def test_request_ids_unique(self, pipeline):
         scribe, schema, serving = pipeline
-        ids = [serving.serve_one(float(i)) for i in range(50)]
+        serving.serve_many(50)
+        logs = scribe.category(FEATURES_CATEGORY).read_from(0)
+        ids = [record.payload.request_id for record in logs]
         assert len(set(ids)) == 50
 
     def test_features_always_logged_events_sometimes_lost(self, pipeline):
@@ -65,7 +67,7 @@ class TestStreamingJoiner:
         joiner = StreamingJoiner(scribe, FEATURES_CATEGORY, EVENTS_CATEGORY,
                                  join_window_s=10.0)
         joiner.run_once(now=1e9)  # far future: all pending expire
-        assert joiner.pending_features == 0
+        assert len(joiner._pending) == 0
         assert joiner.stats.expired_unjoined > 0
 
     def test_features_wait_within_window(self):
@@ -77,7 +79,7 @@ class TestStreamingJoiner:
         joiner = StreamingJoiner(scribe, FEATURES_CATEGORY, EVENTS_CATEGORY,
                                  join_window_s=100.0)
         assert joiner.run_once(now=5.0) == 0
-        assert joiner.pending_features == 1
+        assert len(joiner._pending) == 1
         # Event arrives late but within the window: join succeeds.
         scribe.category(EVENTS_CATEGORY).write(
             EventLog(request_id=1, timestamp=50.0, engaged=True)

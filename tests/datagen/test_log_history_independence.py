@@ -80,5 +80,5 @@ def test_trim_work_ignores_how_much_is_retained():
     # Each trim below drops the same number of records: the first call
     # of work_of drops 5, the second (traced) call drops nothing.
     assert work_of(lambda: large.trim(5)) == work_of(lambda: small.trim(5))
-    assert large.trim_point == small.trim_point == 5
-    assert len(large) == HISTORY_RECORDS + NEW_RECORDS - 5
+    assert large._trim_point == small._trim_point == 5
+    assert len(large._records) == HISTORY_RECORDS + NEW_RECORDS - 5

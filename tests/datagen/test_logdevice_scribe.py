@@ -30,8 +30,8 @@ class TestLog:
         for x in range(5):
             log.append(x)
         assert log.trim(3) == 3
-        assert len(log) == 2
-        assert log.trim_point == 3
+        assert len(log._records) == 2
+        assert log._trim_point == 3
 
     def test_read_below_trim_point_rejected(self):
         log = Log("l")
@@ -77,8 +77,8 @@ class TestLog:
             log.append(x)
         log.trim(4)
         assert log.trim(2) == 0
-        assert log.trim_point == 4
-        assert len(log) == 2
+        assert log._trim_point == 4
+        assert len(log._records) == 2
 
     def test_limit_bounds_the_read(self):
         log = Log("l")
@@ -115,10 +115,8 @@ class TestScribeDaemon:
         daemon.log("c", 1)
         daemon.log("c", 2)
         assert scribe.category("c").head_lsn == 0
-        assert daemon.buffered == 2
         daemon.log("c", 3)  # hits threshold: auto flush
         assert scribe.category("c").head_lsn == 3
-        assert daemon.buffered == 0
 
     def test_explicit_flush_all(self):
         scribe = Scribe()

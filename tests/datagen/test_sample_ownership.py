@@ -58,13 +58,13 @@ def feature_records(scribe):
 def test_joined_rows_are_the_logged_features_not_copies(published):
     scribe, table = published
     logs = feature_records(scribe)
-    maps = {id(log.dense): log for log in logs}
+    maps = {id(log.sample.dense): log for log in logs}
     rows = list(table.scan())
     assert rows
     for row in rows:
         log = maps[id(row.dense)]
-        assert row.sparse is log.sparse
-        assert row.scores is log.scores
+        assert row.sparse is log.sample.sparse
+        assert row.scores is log.sample.scores
     assert len({id(row.dense) for row in rows}) == len(rows)
 
 
@@ -78,7 +78,7 @@ def test_reaping_a_published_feature_leaves_feature_records_alone(published, kin
         "scored": SampleGenerator.SCORED_BASE,
     }[kind]
     before = copy.deepcopy(feature_records(scribe))
-    assert any(victim in {*log.dense, *log.sparse} for log in before)
+    assert any(victim in {*log.sample.dense, *log.sample.sparse} for log in before)
 
     schema.set_status(victim, FeatureStatus.DEPRECATED)
     report = enforce_retention(

@@ -49,7 +49,6 @@ serve_many = st.tuples(
 )
 steps = st.one_of(
     serve_many,
-    st.tuples(st.just("serve_one"), st.integers(1, 5), st.none()),
     st.tuples(st.just("read"), st.integers(0, 10**6), st.none()),
     st.tuples(st.just("edit"), st.integers(0, 10**6), st.none()),
     st.tuples(st.just("join"), st.none(), st.none()),
@@ -77,6 +76,12 @@ def feature_logs(scribe):
     return payloads(scribe, FEATURES_CATEGORY)
 
 
+def maps_of(log):
+    """What holds a logged record's maps: the served sample, or the
+    oracle's record itself."""
+    return getattr(log, "sample", log)
+
+
 def run_round(case, serving_cls, joiner_cls):
     """Everything one round hands out, in the order it was handed out."""
     generator = SampleGenerator(case["profile"], seed=case["seed"])
@@ -96,14 +101,10 @@ def run_round(case, serving_cls, joiner_cls):
         if kind == "serve_many":
             serving.serve_many(arg, start_time=clock, rate_per_s=rate)
             clock += arg / rate
-        elif kind == "serve_one":
-            for _ in range(arg):
-                serving.serve_one(clock)
-                clock += 0.5
         elif kind in ("read", "edit"):
             logs = feature_logs(scribe)
             if logs:
-                log = logs[arg % len(logs)]
+                log = maps_of(logs[arg % len(logs)])
                 log.sparse  # builds the served batch's maps in production
                 if kind == "edit" and dense_fids:
                     log.dense[dense_fids[arg % len(dense_fids)]] = 0.25
@@ -120,8 +121,9 @@ def run_round(case, serving_cls, joiner_cls):
     files = encode_table(table, options)  # before anybody reads a published map
     events = payloads(scribe, EVENTS_CATEGORY)
     logged = [
-        (log.request_id, log.timestamp, log.dense, log.sparse, log.scores)
+        (log.request_id, log.timestamp, maps.dense, maps.sparse, maps.scores)
         for log in feature_logs(scribe)
+        for maps in [maps_of(log)]
     ]
     return {
         "files": {name: (f.data, f.footer) for name, f in files.items()},
@@ -207,10 +209,10 @@ def batches(draw):
 def test_first_dense_is_the_first_value_of_the_dense_map(batch, state, data):
     if state != "arrays":
         dense_of = batch.maps()[0]
-        if state == "edited" and len(batch):
+        if state == "edited" and len(batch.labels):
             # In place, after the maps became the content: empty a dense
             # map, or give an empty one a value the columns never held.
-            for index in data.draw(st.sets(st.integers(0, len(batch) - 1))):
+            for index in data.draw(st.sets(st.integers(0, len(batch.labels) - 1))):
                 if dense_of[index]:
                     dense_of[index].clear()
                 else:

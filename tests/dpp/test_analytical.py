@@ -24,7 +24,7 @@ class TestPerSampleCost:
 
     def test_network_amplification_range(self):
         """Section 6.3: extraction needs 1.18-3.64x the load bandwidth."""
-        amplifications = [m.dpp.storage_amplification for m in ALL_MODELS]
+        amplifications = [m.dpp.storage_rx_gbs / m.dpp.transform_tx_gbs for m in ALL_MODELS]
         assert min(amplifications) == pytest.approx(1.18, abs=0.01)
         assert max(amplifications) == pytest.approx(3.64, abs=0.01)
 

@@ -14,7 +14,7 @@ import sys
 
 from repro.common.hashing import stable_hash
 from repro.datagen.scribe import LogDevice, Scribe, ScribeDaemon
-from repro.datagen.serving import ServingSimulator
+from repro.datagen.serving import FEATURES_CATEGORY, ServingSimulator
 from repro.warehouse import DatasetProfile, SampleGenerator
 
 _PROBE = r"""
@@ -76,8 +76,11 @@ class TestServingRequestIds:
         )
         generator = SampleGenerator(profile, seed=0)
         schema = generator.build_schema("serving_table")
-        daemon = ScribeDaemon("serving-0.facebook.com", Scribe(LogDevice()))
-        simulator = ServingSimulator(schema, generator, daemon)
-        first = simulator.serve_one(timestamp=0.0)
-        assert first == 105_510_166_593_536
-        assert simulator.serve_one(timestamp=1.0) == first + 1
+        scribe = Scribe(LogDevice())
+        daemon = ScribeDaemon("serving-0.facebook.com", scribe)
+        ServingSimulator(schema, generator, daemon).serve_many(2)
+        logs = scribe.category(FEATURES_CATEGORY).read_from(0)
+        assert [record.payload.request_id for record in logs] == [
+            105_510_166_593_536,
+            105_510_166_593_537,
+        ]

@@ -71,7 +71,8 @@ def order_pin(model_name: str, window: int) -> dict:
             for worker in session.workers
         ],
         "nodes": [
-            [node.served.io_count, node.served.bytes_read, node.served.seeks]
+            # The third value pins the seeks: a node read is random, one each.
+            [node.served.io_count, node.served.bytes_read, node.served.io_count]
             for node in filesystem.nodes
         ],
     }

@@ -20,9 +20,6 @@ def make_config(**overrides):
 
 
 class TestConfig:
-    def test_workers_required(self):
-        assert make_config().workers_required == pytest.approx(5.0)
-
     def test_validation(self):
         with pytest.raises(DppError):
             make_config(worker_batches_per_s=0)
@@ -119,53 +116,14 @@ class TestResultStatistics:
             result.stall_fraction_after(1_000.0)
 
 
-class TestSharedClock:
-    def test_externally_driven_matches_private_run(self):
-        from repro.common.simclock import SimClock
-
-        config = make_config(initial_workers=4)
-        private = TimedDppSimulation(config).run(duration_s=120.0)
-
-        clock = SimClock(start=1_000.0)  # nonzero origin: offsets must hold
-        foreign = []
-        clock.schedule(50.0, lambda: foreign.append(clock.now))
-        shared = TimedDppSimulation(config, clock=clock)
-        shared.schedule(duration_s=120.0)
-        clock.run_until(1_000.0 + 120.0)  # the caller drives the clock
-        result = shared.result()
-
-        # Same physics, shifted timestamps; foreign events interleaved.
-        assert len(result.samples) == len(private.samples)
-        assert foreign == [1_050.0]
-        for ours, theirs in zip(result.samples, private.samples):
-            assert ours.time_s == pytest.approx(theirs.time_s + 1_000.0)
-            assert ours.buffered_batches == pytest.approx(theirs.buffered_batches)
-            assert ours.live_workers == theirs.live_workers
-        assert result.stall_fraction == pytest.approx(private.stall_fraction)
-
-    def test_two_sessions_one_clock(self):
-        from repro.common.simclock import SimClock
-
-        clock = SimClock()
-        fast = TimedDppSimulation(make_config(initial_workers=8), clock=clock)
-        slow = TimedDppSimulation(make_config(initial_workers=1), clock=clock)
-        fast.schedule(duration_s=60.0)
-        slow.schedule(duration_s=60.0)
-        clock.run_until(60.0)
-        assert len(fast.result().samples) == len(slow.result().samples) == 60
-        assert fast.result().stall_fraction <= slow.result().stall_fraction
-
-
 class TestWorkerChurn:
     def test_controller_recovers_from_injected_loss(self):
         """Autoscaler churn (chaos plane): after losing most of the
         fleet mid-run, the controller relaunches and the loop returns
         to a stall-free steady state."""
         simulation = TimedDppSimulation(make_config(initial_workers=6))
-        simulation.schedule(1200.0)
         simulation.clock.schedule_at(400.0, lambda: simulation.inject_worker_loss(4))
-        simulation.clock.run_until(1200.0)
-        result = simulation.result()
+        result = simulation.run(1200.0)
         losses = [s for s in result.samples if s.time_s >= 400.0]
         assert min(s.live_workers for s in losses) <= 2
         # Recovered: the final stretch is stall-free at full fleet.
@@ -175,8 +133,8 @@ class TestWorkerChurn:
     def test_loss_never_kills_last_worker(self):
         simulation = TimedDppSimulation(make_config(initial_workers=3))
         simulation.inject_worker_loss(99)
-        simulation.run(30.0)
-        assert all(s.live_workers >= 1 for s in simulation.result().samples)
+        result = simulation.run(30.0)
+        assert all(s.live_workers >= 1 for s in result.samples)
 
     def test_negative_loss_rejected(self):
         simulation = TimedDppSimulation(make_config())

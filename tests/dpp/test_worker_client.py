@@ -8,6 +8,7 @@ from repro.dpp import DppClient, DppSession, WorkerConfig
 from repro.dpp.tensors import TensorBatch
 from repro.transforms import DenseColumn, FeatureBatch, SparseColumn
 
+from ..transforms.oracles import column_lists
 from .conftest import make_spec
 
 
@@ -82,7 +83,7 @@ class TestWorkerProcessing:
                 source = stripe.columns[fid]
                 if isinstance(column, SparseColumn):
                     SparseColumn(column.offsets, column.values, column.weights)
-                    assert column.to_lists() == source.to_lists()[row:stop]
+                    assert column_lists(column) == column_lists(source)[row:stop]
                     assert (column.weights is None) == (source.weights is None)
                     if column.weights is not None:
                         first, last = source.offsets[row], source.offsets[stop]
@@ -159,12 +160,12 @@ class TestClient:
     def test_connection_cap(self, published):
         session = make_session(published, n_workers=3)
         client = DppClient("c", session.workers, max_connections=2)
-        assert client.connections == 2
+        assert len(client._partition) == 2
 
     def test_fewer_workers_than_cap(self, published):
         session = make_session(published, n_workers=2)
         client = DppClient("c", session.workers, max_connections=8)
-        assert client.connections == 2
+        assert len(client._partition) == 2
 
     def test_no_live_workers_rejected(self, published):
         session = make_session(published)

@@ -45,7 +45,7 @@ import numpy as np
 from repro.common.errors import FormatError
 from repro.dwrf import encoding
 from repro.dwrf.layout import EncodingOptions, FileLayout
-from repro.dwrf.reader import _Range, plan_reads
+from repro.dwrf.reader import plan_reads
 from repro.dwrf.stream import ROW_LEVEL, PendingStream, StreamKind
 from repro.dwrf.stripe import (
     DecodedFeature,
@@ -299,6 +299,14 @@ def _slice_from_spans(spans, offset: int, length: int) -> bytes:
     raise FormatError(f"range [{offset}, {offset + length}) not fetched")
 
 
+def oracle_stream(stripe, feature_id, kind):
+    """The stripe's first stream of (feature, kind) in file order, or None."""
+    for info in stripe.streams:
+        if info.feature_id == feature_id and info.kind is kind:
+            return info
+    return None
+
+
 def oracle_fetch_streams(reader, stripe) -> dict:
     """Fetch the stripe's needed streams, honoring coalescing."""
     projection = reader.options.projection
@@ -308,10 +316,9 @@ def oracle_fetch_streams(reader, stripe) -> dict:
             needed.append(info)
         elif projection is None or info.feature_id in projection:
             needed.append(info)
-    ranges = [_Range(info.offset, info.length) for info in needed]
     window = reader.options.coalesce_window
     blob: dict[int, bytes] = {}
-    for physical, useful in plan_reads(ranges, window):
+    for physical, useful in plan_reads(needed, window):
         data = reader._fetch(physical.offset, physical.length)
         if len(data) != physical.length:
             raise FormatError("short read from fetcher")
@@ -427,9 +434,7 @@ def _oracle_decode_labels(payload: bytes) -> np.ndarray:
     return encoding.unpack_floats(oracle_unseal(payload))
 
 
-def _oracle_decode_map_stripe(
-    label_payload, rows_payload, row_count, projection=None
-) -> list[Row]:
+def _oracle_decode_map_stripe(label_payload, rows_payload, row_count) -> list[Row]:
     labels = encoding.unpack_floats(oracle_unseal(label_payload)).tolist()
     payload = oracle_unseal(rows_payload)
     header, rest = _split_varint_header(payload)
@@ -457,7 +462,7 @@ def _oracle_decode_map_stripe(
             fid = ints[ii]; ii += 1
             length = ints[ii]; ii += 1
             row.scores[fid] = floats[fi : fi + length]; fi += length
-        rows.append(row.project(projection) if projection is not None else row)
+        rows.append(row)
     return rows
 
 
@@ -466,16 +471,10 @@ def oracle_read_stripe(reader, index: int, schema: TableSchema) -> list[Row]:
     stripe = reader.footer.stripes[index]
     payloads = oracle_fetch_streams(reader, stripe)
     if reader.footer.options.layout is FileLayout.MAP:
-        projection = (
-            set(reader.options.projection)
-            if reader.options.projection is not None
-            else None
-        )
         return _oracle_decode_map_stripe(
             payloads[(ROW_LEVEL, StreamKind.LABEL)],
             payloads[(ROW_LEVEL, StreamKind.MAP_ROWS)],
             stripe.row_count,
-            projection,
         )
     labels = _oracle_decode_labels(payloads[(ROW_LEVEL, StreamKind.LABEL)])
     rows = [Row(label=label) for label in labels.tolist()]
@@ -483,7 +482,7 @@ def oracle_read_stripe(reader, index: int, schema: TableSchema) -> list[Row]:
     for fid in reader.footer.feature_ids:
         if projection is not None and fid not in projection:
             continue
-        if not stripe.has_stream(fid, StreamKind.PRESENCE):
+        if oracle_stream(stripe, fid, StreamKind.PRESENCE) is None:
             continue  # feature absent from this stripe
         spec = schema.get(fid)
         presence_payload = payloads[(fid, StreamKind.PRESENCE)]
@@ -530,7 +529,7 @@ def oracle_read_stripe_columnar(
     batch = FeatureBatch(labels=labels)
     n_values = len(labels)
     for fid in sorted(projection):
-        if not stripe.has_stream(fid, StreamKind.PRESENCE):
+        if oracle_stream(stripe, fid, StreamKind.PRESENCE) is None:
             continue
         spec = schema.get(fid)
         if spec.ftype is FeatureType.DENSE:

@@ -1,11 +1,13 @@
 """I/O traces, coalescing plans, and seek accounting."""
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import FormatError
 from repro.dwrf import DwrfReader, EncodingOptions, IOTrace, ReadOptions, write_table_partition
-from repro.dwrf.reader import _Range, plan_reads
+from repro.dwrf.reader import plan_reads
 
 
 class TestIOTrace:
@@ -42,31 +44,42 @@ class TestIOTrace:
         assert trace.size_summary().mean == pytest.approx(20)
 
 
+class Needed(NamedTuple):
+    """A needed byte range, as ``plan_reads`` reads one."""
+
+    offset: int
+    length: int
+
+    @property
+    def end(self) -> int:
+        return self.offset + self.length
+
+
 class TestPlanReads:
     def test_no_window_one_read_per_range(self):
-        needed = [_Range(0, 10), _Range(100, 10)]
+        needed = [Needed(0, 10), Needed(100, 10)]
         reads = plan_reads(needed, window=0)
         assert [(r.offset, r.length, u) for r, u in reads] == [(0, 10, 10), (100, 10, 10)]
 
     def test_merge_within_window(self):
-        needed = [_Range(0, 10), _Range(50, 10)]
+        needed = [Needed(0, 10), Needed(50, 10)]
         [(physical, useful)] = plan_reads(needed, window=100)
         assert (physical.offset, physical.length) == (0, 60)
         assert useful == 20
 
     def test_window_boundary_respected(self):
-        needed = [_Range(0, 10), _Range(95, 10)]
+        needed = [Needed(0, 10), Needed(95, 10)]
         reads = plan_reads(needed, window=100)
         assert len(reads) == 2  # merged span would be 105 > 100
 
     def test_unsorted_input_handled(self):
-        needed = [_Range(50, 10), _Range(0, 10)]
+        needed = [Needed(50, 10), Needed(0, 10)]
         [(physical, useful)] = plan_reads(needed, window=100)
         assert physical.offset == 0
         assert useful == 20
 
     def test_adjacent_ranges_merge_even_without_window_gap(self):
-        needed = [_Range(0, 10), _Range(10, 10)]
+        needed = [Needed(0, 10), Needed(10, 10)]
         [(physical, useful)] = plan_reads(needed, window=20)
         assert physical.length == 20
         assert useful == 20
@@ -88,7 +101,7 @@ class TestPlanReads:
         cursor = 0
         for offset, length in raw:
             offset = max(offset, cursor)
-            needed.append(_Range(offset, length))
+            needed.append(Needed(offset, length))
             cursor = offset + length
         reads = plan_reads(needed, window)
         total_useful = sum(u for _, u in reads)

@@ -9,10 +9,12 @@ from repro.dwrf import (
     EncodingOptions,
     FileLayout,
     ReadOptions,
-    StreamKind,
     write_table_partition,
 )
 from repro.dwrf.stream import ROW_LEVEL
+from repro.warehouse import Row
+
+from ..warehouse.oracles import logged_features
 
 
 def rows_equal(a, b):
@@ -52,21 +54,25 @@ class TestRoundTrip:
         keep = frozenset(schema.feature_ids()[:4])
         reader = DwrfReader.for_file(dwrf, ReadOptions(projection=keep))
         for original, projected in zip(rows, reader.read_rows(schema)):
-            assert projected.feature_ids() <= keep
+            assert logged_features(projected) <= keep
             assert projected.label == original.label
             for fid in keep & set(original.sparse):
                 assert projected.sparse[fid] == original.sparse[fid]
 
-    def test_map_layout_projection_applies_after_decode(self, small_dataset):
+    def test_map_layout_is_read_whole(self, small_dataset):
         schema, rows = small_dataset
         dwrf = write_table_partition(
             rows, schema, EncodingOptions(layout=FileLayout.MAP, stripe_rows=64)
         )
         keep = frozenset(schema.feature_ids()[:2])
-        reader = DwrfReader.for_file(dwrf, ReadOptions(projection=keep))
-        projected = list(reader.read_rows(schema))
-        assert all(row.feature_ids() <= keep for row in projected)
-        # Even so, the whole file was read: MAP cannot filter physically.
+        # MAP cannot filter physically, so a projection is refused ...
+        with pytest.raises(FormatError, match="read whole"):
+            DwrfReader.for_file(dwrf, ReadOptions(projection=keep))
+        # ... and a reader reads the whole file.
+        reader = DwrfReader.for_file(dwrf)
+        decoded = list(reader.read_rows(schema))
+        assert len(decoded) == len(rows)
+        assert all(rows_equal(a, b) for a, b in zip(rows, decoded))
         assert reader.trace.bytes_read == dwrf.size
 
 
@@ -89,7 +95,15 @@ class TestWriter:
         schema, rows = small_dataset
         # Rows stripped to one feature: others must write no streams.
         fid = schema.feature_ids()[0]
-        stripped = [row.project({fid}) for row in rows[:50]]
+        stripped = [
+            Row(
+                label=row.label,
+                dense={f: v for f, v in row.dense.items() if f == fid},
+                sparse={f: v for f, v in row.sparse.items() if f == fid},
+                scores={f: v for f, v in row.scores.items() if f == fid},
+            )
+            for row in rows[:50]
+        ]
         dwrf = write_table_partition(stripped, schema, EncodingOptions(stripe_rows=50))
         stripe = dwrf.footer.stripes[0]
         feature_ids = {info.feature_id for info in stripe.streams} - {ROW_LEVEL}
@@ -112,15 +126,6 @@ class TestFooter:
                 assert info.offset == cursor
                 cursor = info.end
         assert cursor == dwrf.size
-
-    def test_stream_lookup(self, small_dataset):
-        schema, rows = small_dataset
-        dwrf = write_table_partition(rows, schema, EncodingOptions(stripe_rows=64))
-        stripe = dwrf.footer.stripes[0]
-        label = stripe.stream(ROW_LEVEL, StreamKind.LABEL)
-        assert label.length > 0
-        with pytest.raises(FormatError):
-            stripe.stream(999_999, StreamKind.PRESENCE)
 
     def test_feature_order_controls_layout(self, small_dataset):
         schema, rows = small_dataset

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.cluster.job import JobKind
-from repro.cluster.release import ReleaseConfig, generate_release_iteration
 from repro.common.errors import ConfigError
-from repro.fleet import DAY_S, FleetJobSpec, FleetMix, JobGenerator, from_release_iteration
+from repro.fleet import DAY_S, FleetJobSpec, FleetMix, JobGenerator
 from repro.workloads.models import RM1, RM2
 
 
@@ -90,26 +89,6 @@ class TestJobGenerator:
     def test_mismatched_weights_rejected(self):
         with pytest.raises(ConfigError):
             FleetMix(models=(RM1,), model_weights=(0.5, 0.5))
-
-
-class TestReleaseAdapter:
-    def test_converts_days_to_seconds(self):
-        iteration = generate_release_iteration(
-            "RM1", start_day=10.0, config=ReleaseConfig(n_exploratory=5, n_combo=3), seed=0
-        )
-        specs = from_release_iteration(iteration, start_s=100.0)
-        assert len(specs) == len(iteration.jobs)
-        by_id = {job.job_id: job for job in iteration.jobs}
-        for fleet_spec in specs:
-            source = by_id[fleet_spec.job_id]
-            assert fleet_spec.arrival_s == pytest.approx(
-                100.0 + (source.start_day - 10.0) * DAY_S
-            )
-            assert fleet_spec.trainer_nodes == source.trainer_nodes
-            # Duration at full demand reproduces the intended days.
-            assert fleet_spec.ideal_duration_s == pytest.approx(
-                source.duration_days * DAY_S
-            )
 
 
 class TestBurstCalibration:

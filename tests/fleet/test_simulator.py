@@ -7,8 +7,7 @@ import pytest
 
 from repro.chaos import FaultEvent, FaultKind, schedule_fleet_faults
 from repro.cluster.job import JobKind
-from repro.common.errors import SchedulingError
-from repro.common.simclock import SimClock
+from repro.common.errors import ConfigError, SchedulingError
 from repro.fleet import (
     FleetConfig,
     FleetJobSpec,
@@ -119,6 +118,14 @@ class TestAdmission:
         with pytest.raises(SchedulingError):
             FleetSimulator(make_config(trainers=2), [make_job(0, nodes=4)])
 
+    def test_a_fleet_without_jobs_is_refused(self):
+        with pytest.raises(ConfigError, match="needs at least one job"):
+            FleetSimulator(make_config(), [])
+
+    def test_duplicate_job_ids_are_refused(self):
+        with pytest.raises(ConfigError, match="job ids must be unique"):
+            FleetSimulator(make_config(), [make_job(3), make_job(3, arrival_s=60.0)])
+
 
 class TestPowerBudget:
     def test_power_cap_limits_worker_pool(self):
@@ -186,37 +193,12 @@ class TestPriorities:
         assert tput[1] > tput[2]
 
 
-class TestSharedClock:
-    def test_runs_on_external_clock(self):
-        clock = SimClock(start=500.0)
-        witnessed = []
-        clock.schedule(1_000.0, lambda: witnessed.append(clock.now))
-        simulator = FleetSimulator(make_config(), [make_job(0)], clock=clock)
-        report = simulator.run()
-        assert witnessed == [1_500.0]  # foreign event interleaved
-        assert report.outcomes[0].admitted_s == pytest.approx(500.0)
-
+class TestRunEnd:
     def test_horizon_leaves_unfinished_jobs_running(self):
         simulator = FleetSimulator(make_config(), [make_job(0, hours=10.0)])
         report = simulator.run(horizon_s=600.0)
         assert not report.outcomes[0].finished
         assert report.jobs_completed == 0
-
-    def test_run_leaves_foreign_future_events_for_the_driver(self):
-        # A co-simulated process scheduled beyond the fleet's work must
-        # survive run(): the fleet stops stepping once its jobs finish.
-        clock = SimClock()
-        foreign = []
-        clock.schedule(100 * 3600.0, lambda: foreign.append(clock.now))
-        simulator = FleetSimulator(make_config(), [make_job(0)], clock=clock)
-        report = simulator.run()
-        assert report.jobs_completed == 1
-        assert foreign == []  # not drained by the fleet
-        # The foreign event survives for the external driver, and it is
-        # all that is left: the run took the fleet's own events off.
-        assert clock.pending == 1
-        clock.run()
-        assert foreign == [100 * 3600.0]
 
     @pytest.mark.parametrize(
         "ending",

@@ -15,7 +15,7 @@ class TestScheduling:
         tasks = [kernel.spawn(work(n), f"w{n}") for n in range(3)]
         kernel.run()
         assert [t.result for t in tasks] == [0, 2, 4]
-        assert kernel.alive == 0
+        assert all(task.finished for task in kernel.tasks)
 
     def test_spawn_order_is_execution_order(self):
         # FIFO at every step: first steps in spawn order, resumed steps
@@ -63,7 +63,7 @@ class TestScheduling:
         kernel.run(until=lambda: state["ticks"] >= 5)
         assert state["ticks"] == 5
         kernel.cancel_all()
-        assert kernel.alive == 0
+        assert all(task.finished for task in kernel.tasks)
 
     def test_cancel_runs_finally_blocks(self):
         kernel = Kernel()
@@ -146,7 +146,7 @@ class TestQueue:
     def test_try_put_sheds_instead_of_parking(self):
         queue = Queue(Kernel(), 1, "q")
         assert queue.try_put("a") is True
-        assert queue.full
+        assert queue.depth == queue.capacity
         assert queue.try_put("b") is False
         assert queue.try_put("c") is False
         assert queue.shed == 2

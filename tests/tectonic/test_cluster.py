@@ -84,7 +84,7 @@ class TestProvisioning:
     def test_power_and_capacity_totals(self):
         plan = provision(paper_like_demand(), hdd_node())
         assert plan.total_watts == plan.nodes_required * hdd_node().watts
-        assert plan.total_capacity_bytes >= 3 * 12 * PB
+        assert plan.nodes_required * hdd_node().capacity_bytes >= 3 * 12 * PB
 
     def test_ssd_closes_iops_gap(self):
         hdd_plan = provision(paper_like_demand(), hdd_node())
@@ -126,7 +126,7 @@ class TestTiering:
         hdd = tiered.hdd_plan
         assert hdd.nodes_for_iops == 0
         assert hdd.nodes_required == hdd.nodes_for_capacity
-        assert hdd.total_capacity_bytes >= 0.6 * demand.dataset_bytes * 3
+        assert hdd.nodes_required * hdd.media.capacity_bytes >= 0.6 * demand.dataset_bytes * 3
         assert tiered.ssd_plan.nodes_required == provision(
             paper_like_demand(dataset_bytes=0.4 * demand.dataset_bytes), ssd_node()
         ).nodes_required

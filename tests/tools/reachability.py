@@ -14,7 +14,8 @@ than its default under ``src/repro`` across
   examples, so two runs on one tree report the same lists;
 * every ``examples/*.py``;
 * the CLI commands CI runs (shorter seed lists where only the number of
-  sweep cells would change);
+  sweep cells would change), among them one printed ``run`` of every
+  registered scenario;
 * ``python -m benchmarks.dsi suite --seconds 1``;
 
 and labels each record with its *origin*: ``tests`` (everything under
@@ -38,6 +39,12 @@ Usage::
 
     python tests/tools/reachability.py run [--out DIR]  # record, then report
     python tests/tools/reachability.py report DIR       # report on records
+
+Both print, after the report, its lists' diff against the kept file,
+``reachability_kept.txt`` beside this module: every entry a run still
+lists, each with the reason it stays (a ``+`` line is an entry the file
+lacks, a ``-`` line one the run no longer lists).  The header counts are
+not kept: the record count and the lines run move with process timing.
 
 Every Python process of a run arms itself from a generated
 ``sitecustomize.py`` on ``PYTHONPATH`` and writes one JSON record into
@@ -392,6 +399,15 @@ assert len(json.load(open('sweep_smoke.json'))['scenarios']) == 100
 """
 
 
+def scenario_names() -> list[str]:
+    """``sorted(SCENARIOS)``, read from this checkout's ``src``."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from repro.experiments import SCENARIOS
+
+    return sorted(SCENARIOS)
+
+
 def _cli_commands() -> list[list[str]]:
     """The repro CLI invocations of ``.github/workflows/ci.yml``."""
     commands = [
@@ -433,6 +449,11 @@ def _cli_commands() -> list[list[str]]:
             ["-m", "repro.telemetry", "export", f"trace_{slug}.json",
              f"chrome_{slug}.json", "--validate"],
         ]  # fmt: skip
+    # Every registered scenario once, printed: a registry entry or a
+    # report's rendering reached by no other stage is not test-only.
+    commands += [
+        ["-m", "repro.experiments", "run", name, "--seed", "0"] for name in scenario_names()
+    ]
     # The resume drill without a kill: a serial reference, a complete
     # journal, then the same command on the journal cut back to its
     # header and half the cells.
@@ -639,6 +660,84 @@ def _arm_lines(title: str, arms: list) -> list[str]:
     return ["", title] + [f"  {rel}:{start} {kind} ({n} lines)" for rel, start, _, kind, _, n in arms]
 
 
+# -- the kept file -------------------------------------------------------------
+
+#: The lists a run is held to: every entry still listed, with its reason.
+KEPT = pathlib.Path(__file__).with_name("reachability_kept.txt")
+#: The report's lists, in order; the kept file uses the same titles.
+LISTS = (
+    "functions never entered",
+    "other arms never entered",
+    "refusals never entered",
+    "functions entered only from tests",
+    "other arms entered only from tests",
+    "refusals entered only from tests",
+    "keyword parameters only tests set",
+)
+#: Lists whose every entry carries its own reason; an arm may share the
+#: reason of the ``# `` line above it.
+OWN_REASON = {LISTS[0], LISTS[3], LISTS[6]}
+_REASON = " -- "
+
+
+def report_lists(text: str) -> dict[str, list[str]]:
+    """The entries of each list of a :func:`report` text."""
+    lists: dict[str, list[str]] = {}
+    current = None
+    for line in text.splitlines():
+        if line.endswith(":") and line[:-1] in LISTS:
+            current = lists.setdefault(line[:-1], [])
+        elif not line.strip():
+            current = None
+        elif current is not None:
+            current.append(line.strip())
+    return lists
+
+
+def load_kept(path: pathlib.Path = KEPT) -> dict[str, dict[str, str]]:
+    """Per list, each kept entry with its reason; raises ``ValueError``
+    on a title that is no list, an entry outside a list, a repeated
+    entry, or an entry without a reason."""
+    kept: dict[str, dict[str, str]] = {}
+    current, shared = None, None
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        where = f"{path.name}:{number}"
+        if not line.strip() or (line.startswith("#") and current is None):
+            continue
+        if not line.startswith(" "):
+            title = line.removesuffix(":")
+            if title not in LISTS or title in kept:
+                raise ValueError(f"{where}: not a list title, or a repeated one: {line!r}")
+            current, shared = kept.setdefault(title, {}), None
+            continue
+        if current is None:
+            raise ValueError(f"{where}: an entry outside any list")
+        text = line.strip()
+        if text.startswith("# "):
+            shared = text[2:]
+            continue
+        entry, _, reason = text.partition(_REASON)
+        if not reason and (title in OWN_REASON or shared is None):
+            raise ValueError(f"{where}: {entry!r} has no reason")
+        if entry in current:
+            raise ValueError(f"{where}: {entry!r} is listed twice")
+        current[entry] = reason or shared
+    return kept
+
+
+def kept_diff(lists: dict[str, list[str]], kept: dict[str, dict[str, str]]) -> list[str]:
+    """What a run's lists add to (``+``) and drop from (``-``) the kept
+    file, per list; empty when they are equal."""
+    out = []
+    for title in LISTS:
+        listed, held = lists.get(title, []), kept.get(title, {})
+        changes = [f"  + {entry}" for entry in listed if entry not in held]
+        changes += [f"  - {entry}" for entry in held if entry not in set(listed)]
+        if changes:
+            out += [f"{title}:", *changes]
+    return out
+
+
 def report(out_dir: pathlib.Path, root: pathlib.Path = ROOT) -> str:
     coverage, counts, n_records = load_records(out_dir)
     everyone, production = Coverage(), Coverage()
@@ -706,6 +805,15 @@ def report(out_dir: pathlib.Path, root: pathlib.Path = ROOT) -> str:
     return "\n".join(out)
 
 
+def report_with_kept(out_dir: pathlib.Path, kept: pathlib.Path = KEPT) -> str:
+    """:func:`report`, then its lists' diff against the kept file."""
+    text = report(out_dir)
+    diff = kept_diff(report_lists(text), load_kept(kept))
+    if not diff:
+        return f"{text}\n\nkept file: the lists equal {kept.name}"
+    return "\n".join([text, "", f"kept file: the lists differ from {kept.name}", *diff])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -718,11 +826,11 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out or pathlib.Path(tempfile.mkdtemp(prefix="reachability-"))
         failures = run_everything(out_dir)
         print(f"records in {out_dir}")
-        print(report(out_dir))
+        print(report_with_kept(out_dir))
         for command in failures:
             print(f"exited non-zero: python {command}")
         return 1 if failures else 0
-    print(report(args.out))
+    print(report_with_kept(args.out))
     return 0
 
 

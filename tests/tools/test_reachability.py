@@ -170,14 +170,14 @@ def test_a_keyword_counts_as_set_only_when_it_differs_from_its_default():
 
 def test_a_method_code_object_resolves_to_its_function():
     from repro.fleet.broker import StorageBroker, StorageFabric
-    from repro.tectonic.node import ServedIO
+    from repro.tectonic.node import StorageNode
 
     water_fill = StorageBroker.water_fill
     assert reachability._function_of(water_fill.__code__) is water_fill
     prop = StorageFabric.hdd_bandwidth.fget  # through the property
     assert reachability._function_of(prop.__code__) is prop
-    seeks = ServedIO.seeks.fget
-    assert reachability._function_of(seeks.__code__) is seeks
+    free = StorageNode.free_bytes.fget
+    assert reachability._function_of(free.__code__) is free
 
 
 def test_a_dataclass_init_is_named_after_its_class():
@@ -215,8 +215,10 @@ CI = reachability.ROOT / ".github" / "workflows" / "ci.yml"
 
 def ci_repro_commands() -> list[list[str]]:
     """Every ``python -m repro.*`` command of the workflow, with shell
-    ``for`` loops over ``$name`` expanded and a pipe's tail or an output
-    redirect cut off, as argv without ``python``."""
+    ``for`` loops over ``$name`` expanded (a loop over a command
+    substitution that prints ``SCENARIOS`` over ``sorted(SCENARIOS)``)
+    and a pipe's tail or an output redirect cut off, as argv without
+    ``python``."""
     joined, pending = [], ""
     for line in CI.read_text().splitlines():
         stripped = line.strip()
@@ -229,7 +231,9 @@ def ci_repro_commands() -> list[list[str]]:
     for line in joined:
         header = re.match(r"for (\w+) in (.*); do$", line)
         if header:
-            loop = (header.group(1), header.group(2).split())
+            values = header.group(2)
+            names = reachability.scenario_names() if "SCENARIOS" in values else values.split()
+            loop = (header.group(1), names)
         elif line == "done":
             loop = None
         elif "python -m repro." in line:
@@ -260,3 +264,84 @@ def test_every_ci_repro_command_is_in_the_cli_origin():
     tool = {shape(argv) for argv in reachability._cli_commands() if argv[0] == "-m"}
     missing = [" ".join(argv) for argv in ci if shape(argv) not in tool]
     assert not missing, f"ci.yml runs commands the reachability tool does not: {missing}"
+
+
+def test_the_cli_origin_runs_every_registered_scenario_printed():
+    from repro.experiments import SCENARIOS
+
+    printed = {
+        argv[3]
+        for argv in reachability._cli_commands()
+        if argv[:3] == ["-m", "repro.experiments", "run"] and "--quiet" not in argv
+        and "--spec" not in argv
+    }
+    assert printed == set(SCENARIOS)
+
+
+# -- the kept file ------------------------------------------------------------
+
+
+def test_the_kept_file_parses_and_each_entry_names_an_existing_src_line():
+    kept = reachability.load_kept()
+    assert kept[reachability.LISTS[3]]  # the functions only tests reach
+    functions = {reachability.LISTS[0], reachability.LISTS[3]}
+    for title, entries in kept.items():
+        for entry, reason in entries.items():
+            assert reason.strip(), entry
+            rel, line = entry.split()[0].rsplit(":", 1)
+            path = reachability.ROOT / rel
+            assert rel.startswith("src/repro/") and path.is_file(), entry
+            lines = path.read_text().splitlines()
+            assert 1 <= int(line) <= len(lines), entry
+            text = lines[int(line) - 1]
+            if title in functions:
+                name = entry.split()[1].rsplit(".", 1)[-1]
+                assert f"def {name}(" in text, (entry, text)
+            elif title == reachability.LISTS[6]:
+                assert "def " in text or "class " in text, (entry, text)
+            else:
+                assert text.strip(), entry
+
+
+def test_the_kept_file_refuses_an_entry_without_a_reason(tmp_path):
+    kept = tmp_path / "kept.txt"
+    kept.write_text(
+        "# a header comment\n"
+        "functions entered only from tests:\n"
+        "  src/repro/mod.py:5 only_tests (1 lines) -- a paper study\n"
+        "\n"
+        "other arms entered only from tests:\n"
+        "  # refusals of malformed input\n"
+        "  src/repro/mod.py:14 if (1 lines)\n"
+    )
+    assert reachability.load_kept(kept) == {
+        "functions entered only from tests": {
+            "src/repro/mod.py:5 only_tests (1 lines)": "a paper study"
+        },
+        "other arms entered only from tests": {
+            "src/repro/mod.py:14 if (1 lines)": "refusals of malformed input"
+        },
+    }
+    kept.write_text("functions entered only from tests:\n  src/repro/mod.py:5 f (1 lines)\n")
+    with pytest.raises(ValueError, match="has no reason"):
+        reachability.load_kept(kept)
+    kept.write_text("functions entered by nobody:\n")
+    with pytest.raises(ValueError, match="not a list title"):
+        reachability.load_kept(kept)
+
+
+def test_the_report_prints_its_diff_against_the_kept_file(tree):
+    root, records, lines = tree
+    write_record(records, "tier1", {"tests": {"entered": entered(lines, "only_tests")}})
+    text = reachability.report(records, root=root)
+    listed = reachability.report_lists(text)
+    entry = f"{REL}:{lines['only_tests']} only_tests (1 lines)"
+    assert listed["functions entered only from tests"] == [entry]
+    held = {title: {e: "kept" for e in entries} for title, entries in listed.items()}
+    assert reachability.kept_diff(listed, held) == []
+    held["functions entered only from tests"] = {f"{REL}:1 gone (1 lines)": "kept"}
+    assert reachability.kept_diff(listed, held) == [
+        "functions entered only from tests:",
+        f"  + {entry}",
+        f"  - {REL}:1 gone (1 lines)",
+    ]

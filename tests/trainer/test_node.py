@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.errors import DppError
 from repro.dpp import DppClient, DppSession
 from repro.dwrf import EncodingOptions
 from repro.tectonic import TectonicFilesystem
@@ -57,12 +56,3 @@ class TestTrainingNode:
         # Refill: new session state is exhausted by prior test; create
         # a new client over a re-pumped session instead.
         assert True  # covered by test_consumes_all_batches counters
-
-    def test_loading_usage_requires_time(self, fed_session):
-        session, _ = fed_session
-        client = DppClient("trainer-1", session.workers)
-        node = TrainingNode(V100_TRAINER, client)
-        with pytest.raises(DppError):
-            node.loading_usage(0.0)
-        usage = node.loading_usage(10.0)
-        assert usage.cpu_cycles >= 0

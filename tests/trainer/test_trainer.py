@@ -6,10 +6,8 @@ from repro.common.errors import ConfigError
 from repro.common.units import GB
 from repro.trainer import (
     GpuDemand,
-    LoadingTax,
     V100_DEMAND_FACTOR,
     dpp_supplied_stall,
-    loading_sweep,
     loading_utilization,
     max_loading_rate,
     on_host_preprocessing_study,
@@ -63,11 +61,6 @@ class TestLoadingTax:
         assert high.cpu == pytest.approx(4 * low.cpu, rel=1e-6)
         assert high.mem_bw == pytest.approx(4 * low.mem_bw, rel=1e-6)
 
-    def test_sweep_is_monotone(self):
-        points = loading_sweep(V100_TRAINER, [i * GB for i in range(6)])
-        cpus = [report.cpu for _, report in points]
-        assert cpus == sorted(cpus)
-
     def test_max_loading_rate_below_mem_saturation(self):
         """Memory bandwidth's 70% ceiling binds before CPU or NIC."""
         rate = max_loading_rate(V100_TRAINER)
@@ -82,7 +75,7 @@ class TestLoadingTax:
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
-            LoadingTax().usage_at_rate(-1)
+            loading_utilization(V100_TRAINER, -1)
 
 
 class TestTable7:

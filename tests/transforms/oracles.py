@@ -12,6 +12,12 @@ from repro.transforms import SparseColumn
 MASK64 = (1 << 64) - 1
 
 
+def column_lists(column: SparseColumn) -> list[list[int]]:
+    """A sparse column's per-row ID lists as Python ints."""
+    values, offsets = column.values.tolist(), column.offsets.tolist()
+    return [values[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
 def firstx_per_row(column: SparseColumn, x: int) -> SparseColumn:
     """``FirstX.apply`` with one ``np.arange`` per row."""
     lengths = np.minimum(column.lengths(), x)
@@ -183,17 +189,22 @@ def ngram_hash_int(window: list[int]) -> int:
 
 
 # -- the per-row set loop ``IdListTransform.apply`` shipped before its
-# -- sort + searchsorted form, moved here verbatim (only `self.` removed) --
+# -- sort + searchsorted form, moved here verbatim (only `self.` removed,
+# -- and the column's since-deleted ``row(i)`` spelled as its slice) --
+
+
+def _row(column: SparseColumn, i: int) -> np.ndarray:
+    return column.values[column.offsets[i] : column.offsets[i + 1]]
 
 
 def idlist_per_row(left: SparseColumn, right: SparseColumn) -> SparseColumn:
     """``IdListTransform.apply`` with one Python set per row."""
     lists = []
     for i in range(len(left)):
-        right_set = set(map(int, right.row(i)))
+        right_set = set(map(int, _row(right, i)))
         seen: set[int] = set()
         intersection = []
-        for v in map(int, left.row(i)):
+        for v in map(int, _row(left, i)):
             if v in right_set and v not in seen:
                 intersection.append(v)
                 seen.add(v)

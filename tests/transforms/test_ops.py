@@ -29,6 +29,8 @@ from repro.transforms import (
     splitmix64,
 )
 
+from .oracles import column_lists
+
 D, S, S2, SCORED = 1, 2, 3, 4
 
 
@@ -100,7 +102,7 @@ class TestDenseNormalization:
 
     def test_onehot_bucket_index(self):
         out = Onehot(D, borders=[0.3, 0.6]).apply(make_batch(dense=[0.25, 0.5, 0.75]))
-        assert out.to_lists() == [[0], [1], [2]]
+        assert column_lists(out) == [[0], [1], [2]]
 
     def test_onehot_requires_sorted_borders(self):
         with pytest.raises(TransformError):
@@ -137,11 +139,11 @@ class TestSparseNormalization:
 
     def test_firstx_truncates(self):
         out = FirstX(S, 2).apply(make_batch())
-        assert out.to_lists() == [[1, 2], [4, 5], [6]]
+        assert column_lists(out) == [[1, 2], [4, 5], [6]]
 
     def test_firstx_zero_empties(self):
         out = FirstX(S, 0).apply(make_batch())
-        assert out.to_lists() == [[], [], []]
+        assert column_lists(out) == [[], [], []]
 
     def test_firstx_keeps_weights(self):
         out = FirstX(SCORED, 1).apply(make_batch())
@@ -150,20 +152,20 @@ class TestSparseNormalization:
     def test_positive_modulus_always_non_negative(self):
         batch = make_batch(sparse=[[-7, -1], [5], [12]])
         out = PositiveModulus(S, 5).apply(batch)
-        assert out.to_lists() == [[3, 4], [0], [2]]
+        assert column_lists(out) == [[3, 4], [0], [2]]
 
     def test_mapid_with_default(self):
         out = MapId(S, {1: 100, 4: 400}, default=-1).apply(make_batch())
-        assert out.to_lists() == [[100, -1, -1], [400, -1], [-1]]
+        assert column_lists(out) == [[100, -1, -1], [400, -1], [-1]]
 
     def test_enumerate_positions(self):
         out = Enumerate(S).apply(make_batch())
-        assert out.to_lists() == [[0, 1, 2], [0, 1], [0]]
+        assert column_lists(out) == [[0, 1, 2], [0, 1], [0]]
 
     def test_compute_score_affine(self):
         out = ComputeScore(SCORED, scale=2.0, bias=1.0).apply(make_batch())
         assert out.weights.tolist() == pytest.approx([3.0, 5.0, 7.0])
-        assert out.to_lists() == [[10, 11], [12], []]
+        assert column_lists(out) == [[10, 11], [12], []]
 
     def test_compute_score_requires_weights(self):
         with pytest.raises(TransformError):
@@ -171,12 +173,12 @@ class TestSparseNormalization:
 
     def test_idlist_intersection(self):
         out = IdListTransform(S, S2).apply(make_batch())
-        assert out.to_lists() == [[2], [5], []]
+        assert column_lists(out) == [[2], [5], []]
 
     def test_idlist_deduplicates(self):
         batch = make_batch(sparse=[[2, 2, 9], [5], []])
         out = IdListTransform(S, S2).apply(batch)
-        assert out.to_lists() == [[2, 9], [5], []]
+        assert column_lists(out) == [[2, 9], [5], []]
 
 
 class TestFeatureGeneration:
@@ -215,12 +217,12 @@ class TestFeatureGeneration:
 
     def test_bucketize_dense_input(self):
         out = Bucketize(D, borders=[0.3, 0.6]).apply(make_batch(dense=[0.1, 0.4, 0.9]))
-        assert out.to_lists() == [[0], [1], [2]]
+        assert column_lists(out) == [[0], [1], [2]]
 
     def test_bucketize_sparse_input(self):
         batch = make_batch(sparse=[[1, 100], [50], []])
         out = Bucketize(S, borders=[10.0, 75.0]).apply(batch)
-        assert out.to_lists() == [[0, 2], [1], []]
+        assert column_lists(out) == [[0, 2], [1], []]
 
     def test_get_local_hour(self):
         # 86400 = midnight UTC; offset -8 puts it at 16:00 local.

@@ -136,7 +136,13 @@ def snapshot(batch: FeatureBatch) -> dict:
 def copy_of(batch: FeatureBatch) -> FeatureBatch:
     twin = FeatureBatch(labels=batch.labels.copy())
     for fid, column in batch.columns.items():
-        twin.add_column(fid, column.copy())
+        if isinstance(column, DenseColumn):
+            twin.add_column(fid, DenseColumn(column.values.copy(), column.presence.copy()))
+        else:
+            weights = None if column.weights is None else column.weights.copy()
+            twin.add_column(
+                fid, SparseColumn(column.offsets.copy(), column.values.copy(), weights)
+            )
     return twin
 
 

@@ -23,6 +23,7 @@ from repro.transforms import (
 from .oracles import (
     MASK64,
     buckets_from_lists,
+    column_lists,
     enumerate_per_row,
     firstx_per_row,
     idlist_per_row,
@@ -149,7 +150,7 @@ class TestIdListTransform:
         batch.add_column(1, SparseColumn.from_lists(left))
         batch.add_column(2, SparseColumn.from_lists(right))
         result = IdListTransform(1, 2).apply(batch)
-        assert [list(map(int, result.row(i))) for i in range(len(left))] == expected
+        assert column_lists(result) == expected
         assert_same_column(result, SparseColumn.from_lists(expected))
 
 
@@ -183,16 +184,16 @@ class TestNGram:
             expected.append(
                 [ngram_hash_int(joined[k : k + n]) for k in range(len(joined) - n + 1)]
             )
-        assert result.to_lists() == expected
+        assert column_lists(result) == expected
 
     def test_all_empty_batch_and_short_rows(self):
         empty = SparseColumn.from_lists([[], [], []])
-        assert NGram([FID], n=2).apply(batch_of(empty)).to_lists() == [[], [], []]
+        assert column_lists(NGram([FID], n=2).apply(batch_of(empty))) == [[], [], []]
         short = SparseColumn.from_lists([[], [7], [], [8, 9], [1]])
         result = NGram([FID], n=3).apply(batch_of(short))
-        assert result.to_lists() == [[], [], [], [], []]
+        assert column_lists(result) == [[], [], [], [], []]
         result = NGram([FID], n=2).apply(batch_of(short))
-        assert result.to_lists() == [[], [], [], [ngram_hash_int([8, 9])], []]
+        assert column_lists(result) == [[], [], [], [ngram_hash_int([8, 9])], []]
 
 
 class TestHashAndModulus:
@@ -213,7 +214,7 @@ class TestHashAndModulus:
     def test_sigridhash_matches_python_int_arithmetic(self, lists, table_size, salt):
         column = SparseColumn.from_lists(lists)
         result = SigridHash(FID, table_size, salt).apply(batch_of(column))
-        assert result.to_lists() == [
+        assert column_lists(result) == [
             [sigrid_hash_int(v, table_size, salt) for v in ids] for ids in lists
         ]
 
@@ -222,7 +223,7 @@ class TestHashAndModulus:
         column = SparseColumn.from_lists(lists)
         result = PositiveModulus(FID, modulus).apply(batch_of(column))
         assert result.values.dtype == np.int64
-        assert result.to_lists() == [[v % modulus for v in ids] for ids in lists]
+        assert column_lists(result) == [[v % modulus for v in ids] for ids in lists]
 
 
 class TestEnumerateAndMapId:

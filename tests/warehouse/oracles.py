@@ -14,6 +14,11 @@ import numpy as np
 from repro.warehouse import FeatureType, Row, SampleGenerator, TableSchema
 
 
+def logged_features(row) -> set[int]:
+    """IDs of every feature a row logged, in any of its maps."""
+    return set(row.dense) | set(row.sparse) | set(row.scores)
+
+
 def oracle_generate_rows(
     generator: SampleGenerator, schema: TableSchema, n: int
 ) -> list[Row]:

@@ -15,7 +15,7 @@ from repro.common.errors import ConfigError
 from repro.warehouse import DatasetProfile, SampleGenerator, Table
 from repro.warehouse.row import SampleBatch
 
-from .oracles import oracle_generate_rows
+from .oracles import logged_features, oracle_generate_rows
 
 profiles = st.builds(
     DatasetProfile,
@@ -73,7 +73,7 @@ class TestSameRowsSameDraws:
     def test_batch_holds_the_draws_as_columns(self, profile, seed, n):
         subject, _, schema = twins(profile, seed)
         batch = subject.generate_batch(schema, n)
-        assert isinstance(batch, SampleBatch) and len(batch) == n
+        assert isinstance(batch, SampleBatch) and len(batch.labels) == n
         assert not batch.maps_built
         logged = [spec.feature_id for spec in schema.logged_features()]
         assert list(batch.columns) == [fid for fid in logged if fid in batch.columns]
@@ -116,7 +116,7 @@ class TestRowCounts:
     def test_zero_rows_is_an_empty_batch(self, generator):
         schema = generator.build_schema("t")
         batch = generator.generate_batch(schema, 0)
-        assert len(batch) == 0 and not batch.columns and batch.rows() == []
+        assert len(batch.labels) == 0 and not batch.columns and batch.rows() == []
         assert generator.generate_rows(schema, 0) == []
         assert list(generator.iter_rows(schema, 0)) == []
 
@@ -129,7 +129,7 @@ class TestFullCoverage:
         assert [spec.coverage for spec in schema] == [1.0] * 7
         rows = generator.generate_rows(schema, 200)
         everything = set(schema.feature_ids())
-        assert all(row.feature_ids() == everything for row in rows)
+        assert all(logged_features(row) == everything for row in rows)
 
     def test_partial_coverage_still_draws_from_the_beta(self):
         # The full-coverage shortcut must not shift any other profile's draws.

@@ -9,9 +9,13 @@ from repro.warehouse import (
     FeatureType,
     SampleGenerator,
     Table,
-    measured_avg_sparse_length,
-    measured_coverage,
 )
+
+from .oracles import logged_features
+
+
+def of_type(schema, ftype):
+    return [spec for spec in schema if spec.ftype is ftype]
 
 
 def make_generator(seed=0, **overrides):
@@ -30,23 +34,19 @@ class TestProfile:
         with pytest.raises(ConfigError):
             DatasetProfile(n_dense=-1, n_sparse=1)
 
-    def test_total_features(self):
-        profile = DatasetProfile(n_dense=3, n_sparse=4, n_scored=2)
-        assert profile.total_features == 9
-
 
 class TestSchemaGeneration:
     def test_feature_counts_by_type(self):
         gen = make_generator()
         schema = gen.build_schema("t")
-        assert len(schema.features_of_type(FeatureType.DENSE)) == 20
-        assert len(schema.features_of_type(FeatureType.SPARSE)) == 10
-        assert len(schema.features_of_type(FeatureType.SCORED_SPARSE)) == 2
+        assert len(of_type(schema, FeatureType.DENSE)) == 20
+        assert len(of_type(schema, FeatureType.SPARSE)) == 10
+        assert len(of_type(schema, FeatureType.SCORED_SPARSE)) == 2
 
     def test_id_ranges_disjoint(self):
         schema = make_generator().build_schema("t")
-        dense_ids = {s.feature_id for s in schema.features_of_type(FeatureType.DENSE)}
-        sparse_ids = {s.feature_id for s in schema.features_of_type(FeatureType.SPARSE)}
+        dense_ids = {s.feature_id for s in of_type(schema, FeatureType.DENSE)}
+        sparse_ids = {s.feature_id for s in of_type(schema, FeatureType.SPARSE)}
         assert not dense_ids & sparse_ids
 
     def test_coverage_mean_near_target(self):
@@ -60,34 +60,31 @@ class TestRowGeneration:
     def test_rows_respect_schema_features(self):
         gen = make_generator()
         schema = gen.build_schema("t")
-        row = gen.generate_row(schema)
         valid_ids = set(schema.feature_ids())
-        assert row.feature_ids() <= valid_ids
+        for row in gen.generate_rows(schema, 20):
+            assert logged_features(row) <= valid_ids
 
     def test_scored_features_have_parallel_weights(self):
         gen = make_generator(n_scored=5, avg_coverage=0.95)
         schema = gen.build_schema("t")
-        for _ in range(20):
-            row = gen.generate_row(schema)
+        for row in gen.generate_rows(schema, 20):
             for fid, weights in row.scores.items():
                 assert len(weights) == len(row.sparse[fid])
 
     def test_deterministic_under_seed(self):
         gen_a = make_generator(seed=42)
-        schema_a = gen_a.build_schema("t")
-        rows_a = [gen_a.generate_row(schema_a) for _ in range(5)]
+        rows_a = gen_a.generate_rows(gen_a.build_schema("t"), 5)
         gen_b = make_generator(seed=42)
-        schema_b = gen_b.build_schema("t")
-        rows_b = [gen_b.generate_row(schema_b) for _ in range(5)]
+        rows_b = gen_b.generate_rows(gen_b.build_schema("t"), 5)
         for a, b in zip(rows_a, rows_b):
             assert a.label == b.label
             assert a.sparse == b.sparse
 
-    def test_bulk_matches_statistics_of_scalar_path(self):
+    def test_bulk_matches_the_feature_coverage(self):
         gen = make_generator(seed=1)
         schema = gen.build_schema("t")
         bulk = gen.generate_rows(schema, 400)
-        fid = schema.features_of_type(FeatureType.SPARSE)[0].feature_id
+        fid = of_type(schema, FeatureType.SPARSE)[0].feature_id
         spec_coverage = gen._coverages[fid]
         measured = sum(1 for r in bulk if fid in r.sparse) / len(bulk)
         assert measured == pytest.approx(spec_coverage, abs=0.12)
@@ -118,25 +115,15 @@ class TestMeasuredStatistics:
     def test_measured_coverage(self):
         gen = make_generator(seed=3, avg_coverage=0.6)
         schema = gen.build_schema("t")
-        table = Table(schema)
-        gen.populate_table(table, ["p0"], 500)
+        rows = gen.generate_rows(schema, 500)
         fid = schema.feature_ids()[0]
-        expected = gen._coverages[fid]
-        assert measured_coverage(table, fid) == pytest.approx(expected, abs=0.08)
+        measured = sum(row.has_feature(fid) for row in rows) / len(rows)
+        assert measured == pytest.approx(gen._coverages[fid], abs=0.08)
 
     def test_measured_sparse_length(self):
         gen = make_generator(seed=4, avg_sparse_length=12.0, avg_coverage=0.9)
         schema = gen.build_schema("t")
-        table = Table(schema)
-        gen.populate_table(table, ["p0"], 500)
-        fid = schema.features_of_type(FeatureType.SPARSE)[0].feature_id
-        expected = gen._lengths[fid]
-        assert measured_avg_sparse_length(table, fid) == pytest.approx(
-            expected, rel=0.25
-        )
-
-    def test_coverage_of_empty_table_raises(self):
-        gen = make_generator()
-        schema = gen.build_schema("t")
-        with pytest.raises(ConfigError):
-            measured_coverage(Table(schema), schema.feature_ids()[0])
+        rows = gen.generate_rows(schema, 500)
+        fid = of_type(schema, FeatureType.SPARSE)[0].feature_id
+        lengths = [len(row.sparse[fid]) for row in rows if fid in row.sparse]
+        assert np.mean(lengths) == pytest.approx(gen._lengths[fid], rel=0.25)

@@ -74,12 +74,6 @@ class TestTableSchema:
         schema.add_feature(dense(3))
         assert [s.feature_id for s in schema] == [1, 3, 5]
 
-    def test_features_of_type(self):
-        schema = TableSchema("t")
-        schema.add_feature(dense(1))
-        schema.add_feature(sparse(2))
-        assert [s.feature_id for s in schema.features_of_type(FeatureType.SPARSE)] == [2]
-
     def test_remove_feature(self):
         schema = TableSchema("t")
         schema.add_feature(dense(1))

@@ -27,13 +27,6 @@ class TestModelConstants:
         assert RM2.table_sizes.each_partition == pytest.approx(0.32 * PB)
         assert RM3.table_sizes.used_partitions == pytest.approx(1.95 * PB)
 
-    def test_partition_counts_consistent(self):
-        for model in ALL_MODELS:
-            assert model.table_sizes.n_partitions == pytest.approx(
-                model.table_sizes.all_partitions / model.table_sizes.each_partition,
-                rel=0.02,
-            )
-
     def test_table4_feature_counts(self):
         assert (RM1.features.n_dense, RM1.features.n_sparse) == (1221, 298)
         assert RM3.features.n_derived == 1
@@ -67,11 +60,6 @@ class TestHardwareSpecs:
         generations while per-core NIC bandwidth grows."""
         assert C_V3.mem_bw_per_core_gbs < C_V1.mem_bw_per_core_gbs
         assert C_VSOTA.nic_bw_per_core_gbps > C_V1.nic_bw_per_core_gbps
-
-    def test_resource_spec_conversion(self):
-        spec = C_V1.resource_spec()
-        assert spec.cpu_cycles_per_s == pytest.approx(18 * 2.5e9)
-        assert spec.nic_bytes_per_s == pytest.approx(12.5e9 / 8)
 
     def test_trainer_nodes(self):
         assert V100_TRAINER.total_cores == 56
