@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.cluster import release
 from repro.cluster import (
     JobKind,
     JobStatus,
@@ -34,6 +35,21 @@ class TestTrainingJob:
         a = TrainingJob("m", JobKind.COMBO, 0, 1, 1, 0.5)
         b = TrainingJob("m", JobKind.COMBO, 0, 1, 1, 0.5)
         assert a.job_id != b.job_id
+
+
+WINDOW = release.COMBO_WINDOW_DAYS
+# Per phase: job count, trainer nodes, and start-day window after the
+# iteration's start.
+PHASES = {
+    JobKind.EXPLORATORY: (
+        release.N_EXPLORATORY, release.EXPLORATORY_TRAINER_NODES, (0.0, WINDOW)
+    ),
+    JobKind.COMBO: (release.N_COMBO, release.COMBO_TRAINER_NODES, (WINDOW, 2 * WINDOW)),
+    JobKind.RELEASE_CANDIDATE: (
+        release.N_RELEASE_CANDIDATES, release.RC_TRAINER_NODES,
+        (2 * WINDOW, 2 * WINDOW + 3.0),
+    ),
+}
 
 
 class TestReleaseProcess:
@@ -83,6 +99,51 @@ class TestReleaseProcess:
         a = generate_release_iteration("RM1", 0.0, seed=9)
         b = generate_release_iteration("RM1", 0.0, seed=9)
         assert [j.duration_days for j in a.jobs] == [j.duration_days for j in b.jobs]
+
+    def test_seeds_draw_different_iterations(self):
+        a = generate_release_iteration("RM1", 0.0, seed=1)
+        b = generate_release_iteration("RM1", 0.0, seed=2)
+        assert [j.duration_days for j in a.jobs] != [j.duration_days for j in b.jobs]
+
+    def test_iteration_holds_every_phase(self):
+        iteration = generate_release_iteration("RM1", 0.0, seed=1)
+        counts = {kind: len(iteration.jobs_of_kind(kind)) for kind in PHASES}
+        assert counts == {kind: n for kind, (n, _, _) in PHASES.items()}
+        assert len(iteration.jobs) == sum(counts.values())
+        assert all(job.model_name == "RM1" for job in iteration.jobs)
+
+    @pytest.mark.parametrize("kind", list(PHASES), ids=lambda kind: kind.value)
+    def test_each_phase_runs_its_trainer_count(self, kind):
+        iteration = generate_release_iteration("RM1", 0.0, seed=1)
+        _, nodes, _ = PHASES[kind]
+        assert {job.trainer_nodes for job in iteration.jobs_of_kind(kind)} == {nodes}
+
+    @pytest.mark.parametrize("kind", list(PHASES), ids=lambda kind: kind.value)
+    def test_each_phase_starts_inside_its_window(self, kind):
+        start = 100.0
+        iteration = generate_release_iteration("RM1", start, seed=1)
+        _, _, (lo, hi) = PHASES[kind]
+        for job in iteration.jobs_of_kind(kind):
+            assert start + lo <= job.start_day < start + hi
+
+    def test_start_day_shifts_every_job(self):
+        a = generate_release_iteration("RM1", 0.0, seed=4)
+        b = generate_release_iteration("RM1", 30.0, seed=4)
+        for early, late in zip(a.jobs, b.jobs):
+            assert late.start_day == pytest.approx(early.start_day + 30.0)
+            assert late.duration_days == early.duration_days
+
+    def test_status_rates_follow_the_constants(self):
+        statuses = [
+            job.status
+            for seed in range(5)
+            for job in generate_release_iteration("RM1", 0.0, seed=seed).jobs
+            if job.kind is not JobKind.RELEASE_CANDIDATE
+        ]
+        killed = statuses.count(JobStatus.KILLED) / len(statuses)
+        failed = statuses.count(JobStatus.FAILED) / len(statuses)
+        assert killed == pytest.approx(release.KILL_RATE, abs=0.03)
+        assert failed == pytest.approx(release.FAILURE_RATE, abs=0.03)
 
 
 class TestYearSimulation:

@@ -17,6 +17,16 @@ def make_spec(**overrides):
     return ResourceSpec(**defaults)
 
 
+# (usage field, report field, capacity under make_spec()) per resource.
+RESOURCES = [
+    ("cpu_cycles", "cpu", 1e9),
+    ("mem_bytes", "mem_bw", 1e9),
+    ("nic_rx_bytes", "nic_rx", 1e8),
+    ("nic_tx_bytes", "nic_tx", 1e8),
+    ("memory_resident_bytes", "memory_capacity", 1e9),
+]
+
+
 class TestResourceSpec:
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(ConfigError):
@@ -27,6 +37,10 @@ class TestResourceSpec:
     def test_memory_capacity_optional(self):
         spec = make_spec(memory_capacity_bytes=0.0)
         assert spec.memory_capacity_bytes == 0.0
+
+    def test_negative_memory_capacity_rejected(self):
+        with pytest.raises(ConfigError):
+            make_spec(memory_capacity_bytes=-1.0)
 
 
 class TestUtilization:
@@ -45,6 +59,23 @@ class TestUtilization:
         host = HostModel(make_spec())
         host.usage = ResourceUsage(memory_resident_bytes=5e8)
         assert host.utilization().memory_capacity == pytest.approx(0.5)
+
+    def test_memory_capacity_unset_reads_zero(self):
+        host = HostModel(make_spec(memory_capacity_bytes=0.0))
+        host.usage = ResourceUsage(memory_resident_bytes=5e8)
+        assert host.utilization().memory_capacity == 0.0
+        assert host.max_sustainable_scale() == float("inf")
+
+    @pytest.mark.parametrize("usage_field, report_field, capacity", RESOURCES)
+    def test_each_resource_is_its_usage_over_its_capacity(
+        self, usage_field, report_field, capacity
+    ):
+        host = HostModel(make_spec())
+        host.usage = ResourceUsage(**{usage_field: 0.3 * capacity})
+        report = host.utilization()
+        for _, other, _ in RESOURCES:
+            expected = 0.3 if other == report_field else 0.0
+            assert getattr(report, other) == pytest.approx(expected)
 
 
 class TestSustainableScale:
@@ -66,3 +97,17 @@ class TestSustainableScale:
         host = HostModel(make_spec())
         host.usage = ResourceUsage(cpu_cycles=2e9)
         assert host.max_sustainable_scale() == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("usage_field, report_field, capacity", RESOURCES)
+    def test_the_most_utilized_resource_bounds_the_scale(
+        self, usage_field, report_field, capacity
+    ):
+        # Every resource at 10%, the one under test at 40%: the scale is
+        # its ceiling over 40% (memory bandwidth saturates at 70% of peak).
+        host = HostModel(make_spec(), mem_bw_saturation=0.7)
+        host.usage = ResourceUsage(
+            **{field: (0.4 if field == usage_field else 0.1) * cap
+               for field, _, cap in RESOURCES}
+        )
+        ceiling = 0.7 if report_field == "mem_bw" else 1.0
+        assert host.max_sustainable_scale() == pytest.approx(ceiling / 0.4)

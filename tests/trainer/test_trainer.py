@@ -73,6 +73,33 @@ class TestLoadingTax:
         for model in ALL_MODELS:
             assert max_loading_rate(ZIONEX_TRAINER) > model.trainer_bytes_per_s
 
+    def test_utilization_monotone_in_rate(self):
+        reports = [loading_utilization(V100_TRAINER, i * GB) for i in range(6)]
+        for field in ("cpu", "mem_bw", "nic_rx"):
+            values = [getattr(report, field) for report in reports]
+            assert values == sorted(values)
+
+    def test_idle_loader_uses_nothing(self):
+        report = loading_utilization(V100_TRAINER, 0.0)
+        assert (report.cpu, report.mem_bw, report.nic_rx) == (0.0, 0.0, 0.0)
+
+    def test_loading_receives_only(self):
+        """Ingest lands on the NIC's receive side at the loading rate."""
+        rate = 4 * GB
+        report = loading_utilization(V100_TRAINER, rate)
+        assert report.nic_tx == 0.0
+        assert report.nic_rx == pytest.approx(
+            rate / V100_TRAINER.resource_spec().nic_bytes_per_s
+        )
+
+    @pytest.mark.parametrize(
+        "node", [V100_TRAINER, ZIONEX_TRAINER], ids=lambda node: node.name
+    )
+    def test_max_loading_rate_saturates_one_resource(self, node):
+        report = loading_utilization(node, max_loading_rate(node))
+        headroom = max(report.cpu, report.mem_bw / 0.7, report.nic_rx)
+        assert headroom == pytest.approx(1.0, rel=1e-9)
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
             loading_utilization(V100_TRAINER, -1)

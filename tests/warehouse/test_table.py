@@ -76,3 +76,23 @@ class TestTable:
             table.create_partition(f"p{i}").append(make_row(label=float(i)))
         labels = [row.label for row in table.scan()]
         assert labels == [0.0, 1.0, 2.0]
+
+    def test_scan_of_an_empty_table_yields_nothing(self):
+        table = Table(make_schema())
+        assert list(table.scan()) == []
+        table.create_partition("p0")
+        assert list(table.scan()) == []
+
+    def test_scan_skips_dropped_partitions(self):
+        table = Table(make_schema())
+        for i in range(3):
+            table.create_partition(f"p{i}").append(make_row(label=float(i)))
+        table.drop_partition("p1")
+        assert [row.label for row in table.scan()] == [0.0, 2.0]
+
+    def test_partition_nominal_bytes_sum_its_rows(self):
+        part = Table(make_schema()).create_partition("p0")
+        rows = [make_row(), Row(label=0, sparse={2: list(range(50))})]
+        for row in rows:
+            part.append(row)
+        assert part.nominal_bytes() == sum(row.nominal_bytes() for row in rows)

@@ -36,6 +36,11 @@ class TestModelConstants:
             assert 8 <= model.dataset.pct_features_used <= 12
             assert model.dataset.pct_bytes_used > model.dataset.pct_features_used
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+    def test_table3_sizes_nest(self, model):
+        sizes = model.table_sizes
+        assert 0 < sizes.each_partition < sizes.used_partitions <= sizes.all_partitions
+
     def test_lookup_by_name(self):
         assert model_by_name("RM2") is RM2
         with pytest.raises(ConfigError):
@@ -66,6 +71,17 @@ class TestHardwareSpecs:
         assert ZIONEX_TRAINER.total_cores == 112
         assert len(ZIONEX_TRAINER.nics_gbps) == 4
         assert ZIONEX_TRAINER.total_watts > V100_TRAINER.total_watts
+
+    @pytest.mark.parametrize(
+        "node", [V100_TRAINER, ZIONEX_TRAINER], ids=lambda node: node.name
+    )
+    def test_trainer_resource_spec(self, node):
+        spec = node.resource_spec()
+        assert spec.cpu_cycles_per_s == pytest.approx(
+            node.total_cores * node.frequency_ghz * 1e9
+        )
+        assert spec.nic_bytes_per_s == pytest.approx(sum(node.nics_gbps) * 1e9 / 8)
+        assert spec.mem_bw_bytes_per_s == pytest.approx(node.peak_mem_bw_gbs * 1e9)
 
     def test_generations_ordered(self):
         cores = [g.physical_cores for g in COMPUTE_GENERATIONS]
