@@ -164,14 +164,13 @@ class DppWorker:
     held ``CostReport``, so transform cycles, ``stats`` and every report
     are those of an execution.
 
-    The rule is read off the input, not set: a stripe read once is not
-    kept (a single-pass job keeps nothing), and a stripe with a needed
-    stream that carries no checksum is never kept, because nothing
-    would prove its bytes unchanged.  What is kept is what the second
-    read's decode and transforms produced anyway (≈5 KB of flatmap and
-    ≈4 KB of output columns for a 64-row stripe of five projected
-    features and three ops), read-only, until the worker fails, retires
-    or is dropped.
+    The rule is read off the input, not set: a stripe is kept once it
+    has been handed twice, so a single-pass job keeps nothing.  Every
+    stream carries a CRC, so a clean verify proves a kept stripe's
+    bytes unchanged.  What is kept is what the second read's decode and
+    transforms produced anyway (≈5 KB of flatmap and ≈4 KB of output
+    columns for a 64-row stripe of five projected features and three
+    ops), read-only, until the worker fails, retires or is dropped.
     """
 
     def __init__(
@@ -199,9 +198,9 @@ class DppWorker:
         self.stats = WorkerStats()
         self.io_trace = IOTrace()
         self._readers: dict[str, DwrfReader] = {}
-        # (reader, stripe) -> None after a first read of a checksummed
-        # stripe, its (labels, columns, value count, one holder per
-        # piece) after a second.
+        # (reader, stripe) -> None after a first read of the stripe, its
+        # (labels, columns, value count, one holder per piece) after a
+        # second.
         self._flatmaps: dict[
             tuple[DwrfReader, int],
             tuple[np.ndarray, dict, int, tuple[_Transformed, ...]] | None,
@@ -531,7 +530,7 @@ class DppWorker:
             pieces = tuple(_Transformed() for _ in range(n_pieces))
             self._flatmaps[key] = (batch.labels, dict(batch.columns), n_values, pieces)
             batch = _KeptBatch(batch.labels, batch.columns, pieces)
-        elif reader.stripe_checksummed(stripe_index):
+        else:
             self._flatmaps[key] = None
         return batch, n_values
 

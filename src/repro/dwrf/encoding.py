@@ -126,9 +126,9 @@ def unpack_bitmap(data: bytes, count: int) -> np.ndarray:
 def xor_in_place(buffer: np.ndarray) -> None:
     """Apply the cipher to a writable uint8 *buffer* where it lies.
 
-    The key restarts at the buffer's first byte, so every sealed stream
-    laid at a multiple of :data:`KEY_PERIOD` is deciphered (XOR is its
-    own inverse) exactly as :func:`unseal` would decipher it alone.
+    The key restarts at the buffer's first byte, so a buffer holds one
+    sealed stream: :func:`seal` enciphers and :func:`unseal` deciphers
+    through this one body (XOR is its own inverse).
     """
     for lo in range(0, buffer.size, _XOR_KEY_TILE.size):  # whole periods
         part = buffer[lo : lo + _XOR_KEY_TILE.size]
@@ -143,7 +143,7 @@ def seal(payload: bytes) -> bytes:
 
 
 def unseal(data: bytes) -> bytes:
-    """Invert :func:`seal`."""
+    """Invert :func:`seal`: the one way a stream is opened."""
     buffer = np.frombuffer(data, dtype=np.uint8).copy()
     xor_in_place(buffer)
     try:

@@ -15,23 +15,19 @@ storage models consume to compute seeks, IOPS, and throughput.
 
 A stripe costs one pass.  What depends only on the footer and the
 :class:`ReadOptions` — which streams are needed, how :func:`plan_reads`
-groups them into physical reads, where each stream sits inside its read
-and in a scratch buffer, the reads' :class:`IORecord` s with their
-totals, and which payloads make up each projected feature — is worked
-out on the first read of a stripe and kept on the reader.  What depends
-on bytes runs once per stripe, not once per stream, in two halves.
-:meth:`DwrfReader._fetch_verified` is the half storage and the trace
-see: fetch each planned read, check its length, check every needed
-stream against its CRC, one trace extension.  It is the whole of
-:meth:`DwrfReader.verify_stripe`, for a caller that still holds what
-the stripe decodes to and needs only the reads made, charged and
-proven unchanged.  :meth:`DwrfReader._fetch_streams` runs the same loop
-with the reader's scratch to copy each verified stream into, then one
-XOR and one inflate per stream from where it lies; one decode follows,
-:meth:`DwrfReader.decode_stripe`, which the row arm
-(:meth:`DwrfReader.read_stripe`) and the DPP worker's columnar arm both
-consume.  :func:`encoding.unseal` stays the single-payload statement of
-the same thing, and the scratch form is tested against it.
+groups them into physical reads, where each stream sits inside its
+read, the reads' :class:`IORecord` s with their totals, and which
+payloads make up each projected feature — is worked out on the first
+read of a stripe and kept on the reader.  What depends on bytes is one
+loop, :meth:`DwrfReader._fetch_verified`: fetch each planned read,
+check its length, check every needed stream against its CRC, one trace
+extension; it hands back the verified sealed streams.  That loop is the
+whole of :meth:`DwrfReader.verify_stripe`, for a caller that still
+holds what the stripe decodes to and needs only the reads made, charged
+and proven unchanged.  :meth:`DwrfReader.decode_stripe` (which the row
+arm, :meth:`DwrfReader.read_stripe`, and the DPP worker's columnar arm
+consume) opens each verified stream with :func:`encoding.unseal`, in
+plan order, once the whole stripe is verified, then decodes.
 """
 
 from __future__ import annotations
@@ -206,34 +202,26 @@ class _StripePlan(NamedTuple):
     """How one stripe is read under one reader's options.
 
     ``reads`` are the physical reads in issue order, each ``(offset,
-    length, members)`` with a member ``(start, end, slot, slot end,
-    StreamInfo)`` locating one needed stream inside the read and inside
-    the reader's scratch buffer; ``records`` are the same reads as the
-    :class:`IORecord` s the trace gains, with their totals in
-    ``bytes_read`` and ``useful_bytes``.  ``slots`` lists every
-    member's ``(slot, slot end)`` in order; each slot starts at a
-    multiple of the cipher's key period, so one XOR over the first
-    ``scratch_bytes`` of the scratch deciphers them all.  Members in
-    that order number the stripe's payloads; ``labels``, ``map_rows``
-    and the entries of ``features`` are positions in that numbering,
-    with ``-1`` (the payload list ends in a ``None``) for a stream the
-    stripe does not have.  ``features``
-    holds, per projected feature present in the stripe and in the
-    footer's feature order, ``(feature_id, presence, dense values,
-    lengths, sparse values, scores)``.  ``checksummed`` says every
-    member carries a CRC.  Nothing here grows with the streams' bytes.
+    length, members)`` with a member ``(start, end, StreamInfo)``
+    locating one needed stream inside the read; ``records`` are the
+    same reads as the :class:`IORecord` s the trace gains, with their
+    totals in ``bytes_read`` and ``useful_bytes``.  Members in that
+    order number the stripe's payloads; ``labels``, ``map_rows`` and
+    the entries of ``features`` are positions in that numbering, with
+    ``-1`` (the payload list ends in a ``None``) for a stream the
+    stripe does not have.  ``features`` holds, per projected feature
+    present in the stripe and in the footer's feature order,
+    ``(feature_id, presence, dense values, lengths, sparse values,
+    scores)``.  Nothing here grows with the streams' bytes.
     """
 
     reads: tuple
     records: tuple
     bytes_read: int
     useful_bytes: int
-    slots: tuple
-    scratch_bytes: int
     labels: int
     map_rows: int
     features: tuple
-    checksummed: bool
 
 
 _FEATURE_KINDS = (
@@ -264,10 +252,6 @@ class DwrfReader:
         # One plan per stripe, built on its first read.  The footer and
         # the options are immutable, so a plan is never invalidated.
         self._plans: list[_StripePlan | None] = [None] * len(footer.stripes)
-        # Where a stripe's sealed streams are deciphered: grows to the
-        # largest stripe read so far, never shrinks, never outlives a
-        # call as anything a caller holds (payloads are fresh bytes).
-        self._scratch = np.empty(0, dtype=np.uint8)
 
     @classmethod
     def for_file(
@@ -298,19 +282,17 @@ class DwrfReader:
             or projection is None
             or info.feature_id in projection
         ]
-        reads, records, slots = [], [], []
+        reads, records = [], []
         positions: dict[tuple[int, StreamKind], int] = {}
-        slot = slot_end = 0
+        n_streams = 0
         for physical, useful in plan_reads(needed, self.options.coalesce_window):
             members = []
             for info in physical.members:
                 # The first stream in file order wins a repeated key.
-                positions.setdefault((info.feature_id, info.kind), len(slots))
+                positions.setdefault((info.feature_id, info.kind), n_streams)
+                n_streams += 1
                 start = info.offset - physical.offset
-                slot = slot_end + -slot_end % encoding.KEY_PERIOD
-                slot_end = slot + info.length
-                slots.append((slot, slot_end))
-                members.append((start, start + info.length, slot, slot_end, info))
+                members.append((start, start + info.length, info))
             reads.append((physical.offset, physical.length, tuple(members)))
             records.append(IORecord(physical.offset, physical.length, useful))
         features = []
@@ -327,30 +309,26 @@ class DwrfReader:
             tuple(records),
             sum(record.length for record in records),
             sum(record.useful_bytes for record in records),
-            tuple(slots),
-            slot_end,
             positions.get((ROW_LEVEL, StreamKind.LABEL), -1),
             positions.get((ROW_LEVEL, StreamKind.MAP_ROWS), -1),
             tuple(features),
-            all(info.checksum for info in needed),
         )
 
     # -- physical reads ----------------------------------------------------
 
-    def _fetch_verified(
-        self, plan: _StripePlan, scratch: memoryview | None = None
-    ) -> None:
+    def _fetch_verified(self, plan: _StripePlan) -> list[bytes]:
         """Fetch the planned reads and verify each needed stream.
 
         Every read is length-checked and every needed stream checked
-        against its CRC while its read is in hand; given a *scratch*,
-        the stream is then copied to its slot there.  Over-read bytes
-        are fetched and accounted, never copied or checked.  The trace
-        gains the stripe's reads in one step once all are fetched — or,
-        when a fetch or a checksum fails, the reads served by then.
+        against its CRC while its read is in hand.  Returns the verified
+        sealed streams in plan order, as slices of the fetched reads;
+        over-read bytes are fetched and accounted, never checked.  The
+        trace gains the stripe's reads in one step once all are fetched
+        — or, when a fetch or a checksum fails, the reads served by then.
         """
         fetch = self._fetch
         crc32 = zlib.crc32
+        streams = []
         fetched = 0
         try:
             for offset, length, members in plan.reads:
@@ -358,41 +336,29 @@ class DwrfReader:
                 if len(data) != length:
                     raise FormatError("short read from fetcher")
                 fetched += 1
-                for start, end, slot, slot_end, info in members:
+                for start, end, info in members:
                     sealed = data[start:end]
-                    if info.checksum and crc32(sealed) != info.checksum:
+                    if crc32(sealed) != info.checksum:
                         raise FormatError(
                             f"checksum mismatch in stream ({info.feature_id}, "
                             f"{info.kind.value}) at offset {info.offset}: "
                             "corrupt replica or torn read"
                         )
-                    if scratch is not None:
-                        scratch[slot:slot_end] = sealed
+                    streams.append(sealed)
         except BaseException:
             for record in plan.records[:fetched]:
                 self.trace.add(*record)
             raise
         self.trace.extend(plan.records, plan.bytes_read, plan.useful_bytes)
+        return streams
 
-    def _fetch_streams(self, plan: _StripePlan) -> list[bytes | None]:
-        """Fetch the planned reads; verify and unseal each needed stream.
-
-        Returns the stripe's payloads in plan order plus a trailing
-        ``None``.  :meth:`_fetch_verified` lays the verified streams in
-        the scratch; then the cipher comes off every slot in one pass
-        and each stream inflates straight from the scratch.
-        """
-        if plan.scratch_bytes > self._scratch.size:
-            self._scratch = np.empty(plan.scratch_bytes, dtype=np.uint8)
-        scratch = self._scratch.data
-        self._fetch_verified(plan, scratch)
-        encoding.xor_in_place(self._scratch[: plan.scratch_bytes])
-        inflate = zlib.decompress
-        payloads: list[bytes | None]
-        try:
-            payloads = [inflate(scratch[lo:hi]) for lo, hi in plan.slots]
-        except zlib.error as exc:
-            raise FormatError(f"corrupt compressed stream: {exc}") from exc
+    def _open_stripe(self, plan: _StripePlan) -> list[bytes | None]:
+        """The stripe's payloads in plan order plus a trailing ``None``:
+        every needed stream fetched and verified, then each opened by
+        :func:`encoding.unseal`."""
+        payloads: list[bytes | None] = [
+            encoding.unseal(sealed) for sealed in self._fetch_verified(plan)
+        ]
         payloads.append(None)
         return payloads
 
@@ -405,12 +371,6 @@ class DwrfReader:
         """
         self._fetch_verified(self._plan(index))
 
-    def stripe_checksummed(self, index: int) -> bool:
-        """Whether every needed stream of the stripe carries a CRC —
-        only then does a clean :meth:`verify_stripe` prove the bytes
-        are the ones an earlier decode saw."""
-        return self._plan(index).checksummed
-
     # -- decode ------------------------------------------------------------
 
     def decode_stripe(
@@ -422,7 +382,7 @@ class DwrfReader:
         (in the footer's feature order), its :class:`DecodedFeature`.
         """
         plan = self._plan(index)
-        payloads = self._fetch_streams(plan)
+        payloads = self._open_stripe(plan)
         row_count = self.footer.stripes[index].row_count
         features: dict[int, DecodedFeature] = {}
         for fid, presence, dense, lengths, sparse, scores in plan.features:
@@ -443,7 +403,7 @@ class DwrfReader:
         """Materialize rows of one stripe under the projection."""
         if self.footer.options.layout is FileLayout.MAP:
             plan = self._plan(index)
-            payloads = self._fetch_streams(plan)
+            payloads = self._open_stripe(plan)
             return decode_map_stripe(
                 payloads[plan.labels],
                 payloads[plan.map_rows],

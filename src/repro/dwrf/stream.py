@@ -36,14 +36,15 @@ class StreamInfo:
 
     ``checksum`` is the CRC-32 of the sealed stream bytes; readers
     verify it on every fetch, so silent corruption anywhere between
-    the writer and a storage replica is detected at read time.
+    the writer and a storage replica is detected at read time.  Every
+    value is a CRC, 0 included: no stream is read unverified.
     """
 
     feature_id: int
     kind: StreamKind
     offset: int
     length: int
-    checksum: int = 0
+    checksum: int
 
     @property
     def end(self) -> int:

@@ -147,9 +147,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             resume=bool(args.resume),
             trace=bool(args.trace),
         )
+        report, trace = outcome if args.trace else (outcome, None)
+        if not args.quiet:
+            print(report.render())
+        if args.out:
+            target = report.write(args.out)
+            print(f"sweep artifact → {target}")
+        if trace is not None:
+            target = trace.write(args.trace)
+            print(f"trace artifact → {target}")
     except KeyboardInterrupt:
         # Workers are already terminated and the journal closed (every
-        # append was fsync'd), so the campaign is safe to pick up.
+        # append was fsync'd), so the campaign is safe to pick up.  Once
+        # the cells are done, --resume only rewrites the artifacts, and
+        # each is written atomically: none is left half-written.
         print("sweep interrupted", file=sys.stderr)
         if journal_path:
             print(
@@ -158,15 +169,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 130
-    report, trace = outcome if args.trace else (outcome, None)
-    if not args.quiet:
-        print(report.render())
-    if args.out:
-        target = report.write(args.out)
-        print(f"sweep artifact → {target}")
-    if trace is not None:
-        target = trace.write(args.trace)
-        print(f"trace artifact → {target}")
     return 0
 
 

@@ -42,19 +42,9 @@ def max_min_share(demands: Sequence[float], capacity: float) -> list[float]:
     if capacity < 0:
         raise ConfigError("capacity cannot be negative")
     n = len(demands)
-    # Uncontended fast path: when capacity covers the total ask, the
-    # water level sits above every demand and each job is granted
-    # exactly what it asked — no sort needed.  (At any position the
-    # remaining capacity covers the remaining demands, all at least the
-    # current one, so ``asked <= fair`` always holds and the full loop
-    # would copy demands through verbatim.)
-    total = 0.0
     for asked in demands:
-        total += asked
         if asked < 0.0:
             raise ConfigError("demands cannot be negative")
-    if total <= capacity:
-        return list(demands)
     order = sorted(range(n), key=demands.__getitem__)
     grants = [0.0] * n
     filled_below = 0.0

@@ -12,9 +12,10 @@ master must hand out, count and checkpoint.
 kept the flatmaps of stripes it re-reads, and their transformed pieces:
 every hand-over of a stripe fetches, verifies, unseals, decodes and
 builds its columns afresh (``_read_stripe_columnar`` below is that
-body), through readers whose ``_fetch_streams`` is the one-piece body
-kept beside the other read oracles in ``tests/dwrf/oracles.py``, and
-every batch runs the session DAG (``transform_batch`` below).
+body), through readers that open each stream as its read arrives
+(``oracle_fetch_planned_streams``, kept beside the other read oracles
+in ``tests/dwrf/oracles.py``), and every batch runs the session DAG
+(``transform_batch`` below).
 
 ``OracleAutoscalingController`` is the controller ``repro.dpp.autoscaler``
 shipped before the launch/drain rule became the one function
@@ -40,7 +41,7 @@ from repro.telemetry.tracer import NULL_TRACER
 from repro.transforms.batch import DenseColumn, FeatureBatch, SparseColumn
 from repro.transforms.cost import execute_with_cost
 
-from ..dwrf.oracles import oracle_fetch_scratch_streams
+from ..dwrf.oracles import oracle_fetch_planned_streams
 
 
 @dataclass
@@ -369,7 +370,7 @@ class OracleDppWorker(DppWorker):
 
     def _reader(self, file_name):
         reader = super()._reader(file_name)
-        reader._fetch_streams = types.MethodType(oracle_fetch_scratch_streams, reader)
+        reader._open_stripe = types.MethodType(oracle_fetch_planned_streams, reader)
         return reader
 
     def _read_stripe_columnar(self, reader, stripe_index):

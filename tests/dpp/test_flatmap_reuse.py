@@ -12,8 +12,9 @@ the DAG, cost reports, ``IOTrace`` record for record, ``stats`` field
 for field, what every storage node served and where the replica
 round-robin stands — on clean bytes, across a DAG that grows between
 passes, and on bytes damaged between two epochs; and the kept arm must
-be *earned*: a stripe read once is not kept, one with an unchecksummed
-needed stream never is, and what is kept cannot be written to.
+be *earned*: a stripe read once is not kept, one read twice is — a
+stream whose CRC happens to be 0 included — and what is kept cannot be
+written to.
 
 The tables, encodings and the schema are those of
 ``tests/dwrf/test_read_differential.py``; the DAGs are drawn from every
@@ -32,8 +33,8 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import FormatError
 from repro.dpp import DppMaster, DppWorker, SessionSpec
 from repro.dwrf import FileLayout, write_table_partition
-from repro.dwrf import reader as reader_module
-from repro.dwrf.stream import ROW_LEVEL
+from repro.dwrf import encoding, reader as reader_module
+from repro.dwrf.stream import ROW_LEVEL, StreamKind
 from repro.transforms import FirstX, Logit, SigridHash, TransformDag
 
 from ..dwrf.test_read_differential import (
@@ -50,7 +51,7 @@ from ..dwrf.test_read_differential import (
     refusal_file,
     stored,
     tables,
-    with_streams,
+    with_stream_bytes,
 )
 from ..transforms.test_plan import DENSE, SCORED, SPARSE, dags
 from .oracles import OracleDppWorker
@@ -324,7 +325,8 @@ def test_a_short_read_between_epochs_is_refused_as_a_fresh_reader_refuses_it(win
 
 
 def counted_zlib(monkeypatch):
-    """The reader's view of zlib, counting bytes per call."""
+    """The reader's CRCs and the streams it unseals, counting bytes per
+    call."""
     checked, inflated = [], []
 
     def counting(calls, real):
@@ -337,12 +339,9 @@ def counted_zlib(monkeypatch):
     monkeypatch.setattr(
         reader_module,
         "zlib",
-        types.SimpleNamespace(
-            crc32=counting(checked, zlib.crc32),
-            decompress=counting(inflated, zlib.decompress),
-            error=zlib.error,
-        ),
+        types.SimpleNamespace(crc32=counting(checked, zlib.crc32)),
     )
+    monkeypatch.setattr(encoding, "unseal", counting(inflated, encoding.unseal))
     return checked, inflated
 
 
@@ -372,61 +371,50 @@ def test_a_stripe_is_inflated_twice_and_checked_every_epoch(epochs, monkeypatch)
     )
 
 
-@pytest.mark.parametrize("unchecked", [ROW_LEVEL, 10])
-def test_a_stripe_with_an_unchecksummed_needed_stream_is_never_kept(
-    unchecked, monkeypatch
+def with_crc_zero(sealed: bytes) -> bytes:
+    """*sealed* and four bytes more, chosen so that the CRC-32 of the
+    whole is 0.  zlib stops at the end of the deflate stream, so the
+    stream unseals as before.  CRC-32 is affine in the four bytes:
+    solve for them over GF(2), one bit at a time."""
+    base = zlib.crc32(sealed + bytes(4))
+    basis = []  # (effect on the CRC, bits), distinct leading bits
+    for bit in range(32):
+        effect = zlib.crc32(sealed + (1 << bit).to_bytes(4, "little")) ^ base
+        bits = 1 << bit
+        for pivot, pivot_bits in basis:
+            if effect ^ pivot < effect:
+                effect, bits = effect ^ pivot, bits ^ pivot_bits
+        basis.append((effect, bits))
+        basis.sort(reverse=True)
+    remaining, tail = base, 0
+    for pivot, pivot_bits in basis:
+        if remaining ^ pivot < remaining:
+            remaining, tail = remaining ^ pivot, tail ^ pivot_bits
+    forged = sealed + tail.to_bytes(4, "little")
+    assert zlib.crc32(forged) == 0
+    assert encoding.unseal(forged) == encoding.unseal(sealed)
+    return forged
+
+
+@pytest.mark.parametrize(
+    "feature_id, kind", [(ROW_LEVEL, StreamKind.LABEL), (10, StreamKind.SPARSE_VALUES)]
+)
+def test_a_stripe_whose_stream_crc_is_zero_is_kept_like_any_other(
+    feature_id, kind, monkeypatch
 ):
-    """Nothing would prove its bytes unchanged, so it decodes every time."""
-    dwrf_file, lengths = counts_file()
-    stripe_1_starts = min(info.offset for info in dwrf_file.footer.stripes[1].streams)
-    blind = with_streams(
-        dwrf_file,
-        lambda info: (
-            dataclasses.replace(info, checksum=0)
-            if info.feature_id == unchecked and info.offset < stripe_1_starts
-            else info
-        ),
-    )
-    zeroed = [
-        info.length
-        for info in blind.footer.stripes[0].streams
-        if not info.checksum
-    ]
-    assert zeroed and all(info.checksum for info in blind.footer.stripes[1].streams)
-    per_stripe = len(lengths) // 2
+    """0 is a CRC like any other: its stripe is checked every pass and
+    inflated on two, as every stripe is."""
+    dwrf_file, _ = counts_file()
+    zero = with_stream_bytes(dwrf_file, feature_id, kind, with_crc_zero)
+    streams = [info for stripe in zero.footer.stripes for info in stripe.streams]
+    assert sum(info.checksum == 0 for info in streams) == 2  # one per stripe
+    lengths = [info.length for info in streams]
     checked, inflated = counted_zlib(monkeypatch)
-    worker = worker_over(
-        DppWorker, blind, stored(blind, 1 << 20), frozenset(LOGGED_IDS)
-    )
+    worker = worker_over(DppWorker, zero, stored(zero, 1 << 20), frozenset(LOGGED_IDS))
     for _ in range(PASSES):
         one_pass(worker)
-    # Stripe 0 inflates on every pass, stripe 1 on two.
-    assert len(inflated) == (PASSES + 2) * per_stripe
-    assert sum(inflated) == PASSES * sum(lengths[:per_stripe]) + 2 * sum(
-        lengths[per_stripe:]
-    )
-    assert sum(checked) == PASSES * (sum(lengths) - sum(zeroed))
-
-
-def test_an_unchecksummed_stream_outside_the_projection_does_not_matter(monkeypatch):
-    dwrf_file, lengths = counts_file()
-    blind = with_streams(
-        dwrf_file,
-        lambda info: dataclasses.replace(info, checksum=0)
-        if info.feature_id == 20
-        else info,
-    )
-    needed = [
-        info.length
-        for stripe in blind.footer.stripes
-        for info in stripe.streams
-        if info.feature_id != 20
-    ]
-    checked, inflated = counted_zlib(monkeypatch)
-    worker = worker_over(DppWorker, blind, stored(blind, 1 << 20), frozenset({1, 10}))
-    for _ in range(PASSES):
-        one_pass(worker)
-    assert checked == PASSES * needed and inflated == 2 * needed
+    assert checked == PASSES * lengths
+    assert inflated == 2 * lengths
 
 
 def column_refs(batches) -> list:

@@ -231,3 +231,31 @@ class TestSeal:
         sealed = encoding.seal(data)
         assert sealed == oracle_seal(data)
         assert encoding.unseal(sealed) == oracle_unseal(sealed) == data
+
+    @given(
+        st.sampled_from(CIPHER_SIZES[:5]) | st.integers(0, 5 * KEY),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_unseal_agrees_with_the_oracle_on_any_bytes(self, size, seed, sealed):
+        """Sealed bytes open to the same payload; raw bytes (every edge
+        length, never sealed) are refused in the same words."""
+        data = np.random.default_rng(seed).bytes(size)
+        if sealed:
+            data = encoding.seal(data)
+        assert _outcome(encoding.unseal, data) == _outcome(oracle_unseal, data)
+
+    @pytest.mark.parametrize("size", CIPHER_SIZES[:5])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_a_flipped_header_or_trailer_is_refused_as_the_oracle_refuses_it(
+        self, size, position
+    ):
+        """The first sealed byte is the zlib header under the key's first
+        byte, the last the Adler-32 trailer under the key's phase at the
+        stream's end; zlib refuses the two in different words."""
+        damaged = bytearray(encoding.seal(np.random.default_rng(size).bytes(size)))
+        damaged[position] ^= 0xFF
+        refusal = _outcome(encoding.unseal, bytes(damaged))
+        assert refusal == _outcome(oracle_unseal, bytes(damaged))
+        assert refusal[0] == "refused"
+        assert refusal[1].startswith("corrupt compressed stream")

@@ -8,20 +8,28 @@ the same arrays byte for byte, the same rows, the same ``IOTrace``
 records in the same order and the same storage-node accounting, and
 refuse the same damaged inputs with the same words.
 
-The byte-dependent half of that pass (``_fetch_streams``) is also held
-to the per-stream loop it replaced, ``oracle_fetch_planned_streams``:
-same payloads, and the same ``IOTrace`` *after* a refusal.
+The byte-dependent half of that pass (``_open_stripe``: fetch and
+verify the whole stripe, then ``encoding.unseal`` each stream) is also
+held to the per-stream loop ``oracle_fetch_planned_streams``, which
+unseals each stream as its read arrives: same payloads for any stream
+lengths (the key is 36 bytes long and its pre-tiled copy just under
+1 MiB, so 0, 1, 35, 36, 37 and anything past the tile are where a phase
+slip would show), and the same refusal and ``IOTrace`` *after* a
+refusal.
 """
 
 import dataclasses
+import re
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import FormatError
 from repro.dpp import DppMaster, DppWorker, SessionSpec
 from repro.dwrf import (
+    DwrfFile,
     DwrfReader,
     EncodingOptions,
     FileLayout,
@@ -30,7 +38,7 @@ from repro.dwrf import (
     write_table_partition,
 )
 from repro.dwrf.layout import FileFooter, StripeMeta
-from repro.dwrf.stream import StreamKind
+from repro.dwrf.stream import StreamInfo, StreamKind
 from repro.tectonic import TectonicFilesystem
 from repro.transforms.batch import DenseColumn
 from repro.warehouse import FeatureSpec, FeatureType, Row, TableSchema
@@ -40,6 +48,7 @@ from .oracles import (
     oracle_read_stripe,
     oracle_read_stripe_columnar,
     oracle_stream,
+    oracle_unseal,
 )
 
 DENSE_IDS = (1, 2, 3)
@@ -273,10 +282,10 @@ def with_streams(dwrf_file, edit):
     )
 
 
-def with_payload_cut(dwrf_file, feature_id, kind, length):
-    """The file with each (feature, kind) stream's payload cut to its
-    first *length* bytes and sealed again where it lay; the streams
-    after it move, and every stream keeps a CRC of its new bytes."""
+def with_stream_bytes(dwrf_file, feature_id, kind, remake):
+    """The file with each (feature, kind) stream's sealed bytes replaced
+    by ``remake(sealed)`` where they lay; the streams after it move, and
+    every stream keeps a CRC of its new bytes."""
     data = bytearray()
     stripes = []
     for stripe in dwrf_file.footer.stripes:
@@ -284,7 +293,7 @@ def with_payload_cut(dwrf_file, feature_id, kind, length):
         for info in stripe.streams:
             sealed = dwrf_file.data[info.offset : info.end]
             if (info.feature_id, info.kind) == (feature_id, kind):
-                sealed = encoding.seal(encoding.unseal(sealed)[:length])
+                sealed = remake(sealed)
             infos.append(
                 dataclasses.replace(
                     info,
@@ -300,6 +309,28 @@ def with_payload_cut(dwrf_file, feature_id, kind, length):
         dwrf_file,
         data=bytes(data),
         footer=FileFooter(footer.options, footer.feature_ids, stripes, len(data)),
+    )
+
+
+def with_payload_cut(dwrf_file, feature_id, kind, length):
+    """The file with each (feature, kind) stream's payload cut to its
+    first *length* bytes and sealed again where it lay."""
+    return with_stream_bytes(
+        dwrf_file,
+        feature_id,
+        kind,
+        lambda sealed: encoding.seal(encoding.unseal(sealed)[:length]),
+    )
+
+
+def crc_matched(dwrf_file, data):
+    """*dwrf_file* holding *data* under a footer whose every CRC is
+    that of *data*'s bytes: damage only the decoder can catch."""
+    return with_streams(
+        dataclasses.replace(dwrf_file, data=data),
+        lambda info: dataclasses.replace(
+            info, checksum=zlib.crc32(data[info.offset : info.end])
+        ),
     )
 
 
@@ -324,18 +355,38 @@ def test_a_flipped_byte_in_any_stream_is_refused_in_the_same_words(window):
         assert f"({info.feature_id}, {info.kind.value}) at offset {info.offset}" in ours
 
 
-def test_an_unchecksummed_corrupt_stream_fails_in_unseal_in_the_same_words():
+def test_a_corrupt_stream_under_a_matching_crc_fails_in_unseal_in_the_same_words():
     dwrf_file, options = dense_sparse_scored_file()
     target = oracle_stream(dwrf_file.footer.stripes[0], 10, StreamKind.SPARSE_VALUES)
     data = bytearray(dwrf_file.data)
     data[target.offset] ^= 0xFF
-    damaged = with_streams(
-        dataclasses.replace(dwrf_file, data=bytes(data)),
-        lambda info: dataclasses.replace(info, checksum=0),
-    )
+    damaged = crc_matched(dwrf_file, bytes(data))
     ours, theirs = refusals(lambda: DwrfReader.for_file(damaged, options))
     assert ours == theirs
     assert ours.startswith("corrupt compressed stream")
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_a_zero_footer_crc_is_checked_like_any_other(window):
+    """0 is a CRC-32 like any other: a stream whose footer says 0 while
+    its bytes say otherwise is refused, by a decoding read and by a
+    verifying one, naming the stream."""
+    dwrf_file, options = dense_sparse_scored_file(window=window)
+    target = oracle_stream(dwrf_file.footer.stripes[1], 10, StreamKind.SPARSE_VALUES)
+    assert zlib.crc32(dwrf_file.data[target.offset : target.end]) != 0
+    zeroed = with_streams(
+        dwrf_file,
+        lambda info: dataclasses.replace(info, checksum=0) if info == target else info,
+    )
+    words = f"checksum mismatch in stream (10, sparse_values) at offset {target.offset}"
+    for read in (
+        lambda reader: reader.read_stripe(1, SCHEMA),
+        lambda reader: reader.decode_stripe(1, SCHEMA),
+        lambda reader: reader.verify_stripe(1),
+    ):
+        with pytest.raises(FormatError, match=re.escape(words)):
+            read(DwrfReader.for_file(zeroed, options))
+    DwrfReader.for_file(zeroed, options).read_stripe(0, SCHEMA)  # stripe 0 is clean
 
 
 @pytest.mark.parametrize("window", WINDOWS)
@@ -444,7 +495,7 @@ def refused_fetch(fetch_streams, footer, fetcher, options):
     return str(caught.value), reader.trace
 
 
-BODIES = (DwrfReader._fetch_streams, oracle_fetch_planned_streams)
+BODIES = (DwrfReader._open_stripe, oracle_fetch_planned_streams)
 
 
 def assert_same_trace(ours, theirs):
@@ -503,23 +554,22 @@ def test_a_checksum_mismatch_leaves_the_same_trace(window):
 
 @pytest.mark.parametrize("window", REFUSAL_WINDOWS)
 def test_a_corrupt_deflate_stream_leaves_every_fetched_read_in_the_trace(window):
-    """Where the two bodies part, on purpose.  The replaced loop inflated
-    each stream before it fetched the next read, so it stopped fetching
-    at the bad one; the scratch form has fetched the whole stripe before
-    it inflates anything.  Each trace holds what its reader really
+    """Where the two bodies part, on purpose.  The per-stream loop
+    inflated each stream before it fetched the next read, so it stopped
+    fetching at the bad one; the reader verifies the whole stripe before
+    it unseals anything.  Each trace holds what its reader really
     fetched — the old one a prefix of the new, the new one every read
-    of the stripe — and that is what the storage nodes say they served."""
+    of the stripe — and that is what the storage nodes say they served.
+    Each damaged stream's CRC matches its damaged bytes, so only the
+    inflate can refuse it."""
     dwrf_file, options, streams_per_read = refusal_file(window)
-    unchecked = with_streams(
-        dwrf_file, lambda info: dataclasses.replace(info, checksum=0)
-    )
-    clean = DwrfReader.for_file(unchecked, options)
+    clean = DwrfReader.for_file(dwrf_file, options)
     clean.read_stripe(1, SCHEMA)
     assert clean.trace.io_count == len(streams_per_read)
-    for info in unchecked.footer.stripes[1].streams:
-        data = bytearray(unchecked.data)
+    for info in dwrf_file.footer.stripes[1].streams:
+        data = bytearray(dwrf_file.data)
         data[info.offset] ^= 0xFF
-        damaged = dataclasses.replace(unchecked, data=bytes(data))
+        damaged = crc_matched(dwrf_file, bytes(data))
         outcomes = []
         for fetch_streams in BODIES:
             filesystem = stored(damaged, 1 << 20)
@@ -533,3 +583,148 @@ def test_a_corrupt_deflate_stream_leaves_every_fetched_read_in_the_trace(window)
         assert ours_words.startswith("corrupt compressed stream")
         assert_same_trace(ours, clean.trace)
         assert theirs.records == ours.records[: theirs.io_count]
+
+
+# -- a stripe's streams, opened one by one -------------------------------------
+
+KEY = encoding.KEY_PERIOD
+TILE = encoding._XOR_KEY_TILE.size
+EDGE_LENGTHS = (0, 1, KEY - 1, KEY, KEY + 1, 2 * KEY - 1, 2 * KEY, 2 * KEY + 1)
+
+
+def synthetic_stripe(sealed_streams, gaps):
+    """A one-stripe file whose streams are *sealed_streams*, each after
+    ``gaps[i]`` bytes nothing needs (what a coalesced read over-reads)."""
+    data = bytearray()
+    infos = []
+    for index, (sealed, gap) in enumerate(zip(sealed_streams, gaps)):
+        data += b"\xa5" * gap
+        infos.append(
+            StreamInfo(
+                index, StreamKind.PRESENCE, len(data), len(sealed), zlib.crc32(sealed)
+            )
+        )
+        data += sealed
+    footer = FileFooter(
+        EncodingOptions(),
+        tuple(range(len(infos))),
+        [StripeMeta(1, tuple(infos))],
+        len(data),
+    )
+    return DwrfFile(bytes(data), footer)
+
+
+def opened(open_stripe, dwrf_file, window):
+    """What *open_stripe* made of stripe 0, or the words it refused with."""
+    reader = DwrfReader.for_file(dwrf_file, ReadOptions(None, window))
+    try:
+        return open_stripe(reader, reader._plan(0))
+    except FormatError as refusal:
+        return str(refusal)
+
+
+def one_by_one(sealed_streams):
+    """Each stream through ``oracle_unseal``, or the first refusal."""
+    try:
+        return [oracle_unseal(sealed) for sealed in sealed_streams] + [None]
+    except FormatError as refusal:
+        return str(refusal)
+
+
+lengths = st.sampled_from(EDGE_LENGTHS) | st.integers(0, 5 * KEY)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(lengths, st.integers(0, 40)), min_size=1, max_size=12),
+    st.sampled_from((0, 64, 1_310_720)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_stripe_opens_as_each_stream_unseals_alone(
+    shape, window, sealed_lengths, seed
+):
+    """*sealed_lengths* picks whether the drawn lengths are the payloads'
+    or the sealed streams' own — the latter (raw bytes that were never
+    sealed) reach every edge length, where both sides must then refuse
+    the first stream that does not inflate in the same words."""
+    rng = np.random.default_rng(seed)
+    blobs = [rng.bytes(length) for length, _ in shape]
+    sealed_streams = blobs if sealed_lengths else [encoding.seal(b) for b in blobs]
+    dwrf_file = synthetic_stripe(sealed_streams, [gap for _, gap in shape])
+    expected = one_by_one(sealed_streams)
+    assert opened(DwrfReader._open_stripe, dwrf_file, window) == expected
+    if not sealed_lengths:
+        assert expected[:-1] == blobs
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        (TILE + KEY + 1,),  # one stream longer than the key tile
+        (TILE - 5, 3 * KEY + 1),  # the second starts just short of the tile's end
+        (400_000, 0, 400_000, 1, 400_000, KEY),  # the tile ends mid-stream
+    ],
+)
+def test_streams_past_the_key_tile_open_alike(sizes):
+    rng = np.random.default_rng(len(sizes))
+    blobs = [rng.bytes(size) for size in sizes]  # incompressible: sealed ≈ size
+    sealed_streams = [encoding.seal(blob) for blob in blobs]
+    assert sum(map(len, sealed_streams)) > TILE
+    dwrf_file = synthetic_stripe(sealed_streams, [7] * len(sizes))
+    assert opened(DwrfReader._open_stripe, dwrf_file, 0) == blobs + [None]
+    assert one_by_one(sealed_streams) == blobs + [None]
+
+
+def assert_flips_refused_alike(window, crc_matches, position):
+    """Flip the byte at ``position(info)`` of each stream in turn; the
+    reader and the per-stream oracle must refuse it in the same words."""
+    rng = np.random.default_rng(9)
+    blobs = [rng.bytes(length) * 3 for length in (5, KEY, 2 * KEY + 1, 90)]
+    dwrf_file = synthetic_stripe([encoding.seal(b) for b in blobs], [3, 0, 20, 9])
+    refusals = []
+    for info in dwrf_file.footer.stripes[0].streams:
+        data = bytearray(dwrf_file.data)
+        data[position(info)] ^= 0xFF
+        damaged = (
+            crc_matched(dwrf_file, bytes(data))
+            if crc_matches
+            else dataclasses.replace(dwrf_file, data=bytes(data))
+        )
+        ours, theirs = (
+            opened(open_stripe, damaged, window) for open_stripe in BODIES
+        )
+        assert ours == theirs
+        if crc_matches:
+            assert ours.startswith("corrupt compressed stream")
+        else:
+            assert f"({info.feature_id}, presence) at offset {info.offset}" in ours
+        refusals.append(ours)
+    return refusals
+
+
+@pytest.mark.parametrize("window", [0, 64, 1_310_720])
+@pytest.mark.parametrize("crc_matches", [True, False])
+def test_one_flipped_byte_is_refused_naming_the_same_stream(window, crc_matches):
+    """The CRC names the stream; under a CRC of the damaged bytes, the
+    stream fails to inflate in ``unseal``'s words — on both sides."""
+    assert_flips_refused_alike(window, crc_matches, lambda info: info.offset + 1)
+
+
+# A stream's first sealed byte is its zlib header under the key's first
+# byte, its last the Adler-32 trailer under the key's phase at the
+# stream's end; zlib refuses the two in different words.
+STREAM_ENDS = {
+    "first": (lambda info: info.offset, "incorrect header check"),
+    "last": (lambda info: info.offset + info.length - 1, "incorrect data check"),
+}
+
+
+@pytest.mark.parametrize("window", [0, 64, 1_310_720])
+@pytest.mark.parametrize("end", sorted(STREAM_ENDS))
+def test_a_flip_at_either_end_of_a_stream_is_refused_alike(end, window):
+    """A damaged header or trailer under a matching CRC is refused in
+    the words ``unseal`` gives, whichever key phase the stream ends on."""
+    position, words = STREAM_ENDS[end]
+    refusals = assert_flips_refused_alike(window, True, position)
+    assert all(refusal.endswith(words) for refusal in refusals)

@@ -1,5 +1,10 @@
 """DWRF writer/reader round-trips, layouts, and footer invariants."""
 
+import dataclasses
+import re
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.common.errors import FormatError
@@ -9,9 +14,11 @@ from repro.dwrf import (
     EncodingOptions,
     FileLayout,
     ReadOptions,
+    StripeMeta,
     write_table_partition,
 )
 from repro.dwrf.stream import ROW_LEVEL
+from repro.dwrf.stripe import DecodedFeature
 from repro.warehouse import Row
 
 from ..warehouse.oracles import logged_features
@@ -143,13 +150,71 @@ class TestFooter:
         present = [fid for fid in reordered if fid in set(seen)]
         assert seen == present
 
+    @staticmethod
+    def footer_with(footer, index, info):
+        """*footer* with stream *index* of its first stripe replaced."""
+        first = footer.stripes[0]
+        streams = list(first.streams)
+        streams[index] = info
+        stripes = [StripeMeta(first.row_count, tuple(streams)), *footer.stripes[1:]]
+        return dataclasses.replace(footer, stripes=stripes)
+
+    def test_a_gap_before_a_stream_is_refused(self, small_dataset):
+        schema, rows = small_dataset
+        footer = write_table_partition(rows, schema).footer
+        info = footer.stripes[0].streams[1]
+        gapped = self.footer_with(
+            footer, 1, dataclasses.replace(info, offset=info.offset + 1)
+        )
+        words = f"stream at {info.offset + 1} expected at {info.offset}"
+        with pytest.raises(FormatError, match=f"^{words}$"):
+            gapped.validate()
+
+    def test_a_negative_stream_length_is_refused(self, small_dataset):
+        schema, rows = small_dataset
+        footer = write_table_partition(rows, schema).footer
+        info = footer.stripes[0].streams[0]
+        negative = self.footer_with(footer, 0, dataclasses.replace(info, length=-1))
+        with pytest.raises(FormatError, match="^negative stream length$"):
+            negative.validate()
+
+    @pytest.mark.parametrize("slack", [-1, 1])
+    def test_a_footer_that_does_not_cover_the_data_is_refused(
+        self, small_dataset, slack
+    ):
+        schema, rows = small_dataset
+        footer = write_table_partition(rows, schema).footer
+        covered = footer.data_length
+        wrong = dataclasses.replace(footer, data_length=covered + slack)
+        words = f"footer covers {covered} bytes but file has {covered + slack}"
+        with pytest.raises(FormatError, match=f"^{re.escape(words)}$"):
+            wrong.validate()
+
+
+class TestDecodedFeature:
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            lambda feature: feature.present_offsets(),
+            lambda feature: feature.row_offsets(3),
+        ],
+    )
+    def test_a_dense_feature_has_no_sparse_offsets(self, offsets):
+        dense = DecodedFeature(
+            presence=np.array([True, False, True]),
+            dense_values=np.array([0.5, 2.0], dtype=np.float32),
+        )
+        with pytest.raises(FormatError, match="^dense feature has no sparse offsets$"):
+            offsets(dense)
+
 
 class TestChecksums:
     def test_streams_carry_crcs(self, small_dataset):
         schema, rows = small_dataset
         dwrf = write_table_partition(rows[:64], schema, EncodingOptions(stripe_rows=64))
         for stripe in dwrf.footer.stripes:
-            assert all(info.checksum != 0 for info in stripe.streams)
+            for info in stripe.streams:
+                assert info.checksum == zlib.crc32(dwrf.data[info.offset : info.end])
 
     def test_corruption_detected_on_read(self, small_dataset):
         schema, rows = small_dataset

@@ -9,6 +9,7 @@ inherit it.
 
 import contextlib
 import os
+import time
 from unittest import mock
 
 import repro.experiments.runner as runner_module
@@ -42,3 +43,9 @@ def kill_on_cell(name: str, exit_code: int = 9):
     segfault or an OOM kill would end it.  Pooled runs only: inline, the
     process that dies is the caller's."""
     return _on_cells([name], lambda: os._exit(exit_code))
+
+
+def stall_on_cell(name: str, seconds: float = 600.0):
+    """Cell *name* sleeps *seconds* before it runs, so a sweep that
+    holds it cannot finish before a signal sent meanwhile."""
+    return _on_cells([name], lambda: time.sleep(seconds))

@@ -29,6 +29,8 @@ from repro.experiments import (
     load_journal,
     quick_grid,
 )
+from repro.experiments.__main__ import main
+from repro.experiments.report import SweepReport
 import repro.experiments.runner as runner_module
 from repro.fleet import FleetConfig, FleetMix, PoolConfig, StorageFabric
 
@@ -234,6 +236,17 @@ def _sweep_command(journal, out, jobs=2, seeds="0,1,2,3,4,5"):
     ]
 
 
+# ``python -c`` body: the CLI's sweep, with the cell named by argv[1]
+# stalled (``faults.stall_on_cell``); argv[2:] is the CLI's own argv.
+_STALLED_SWEEP = """
+import sys
+from repro.experiments.__main__ import main
+from tests.experiments.faults import stall_on_cell
+with stall_on_cell(sys.argv[1]):
+    sys.exit(main(sys.argv[2:]))
+"""
+
+
 def _wait_for_journal(path, min_records, timeout_s=60.0, process=None):
     """Block until the journal holds *min_records* cell records."""
     deadline = time.monotonic() + timeout_s
@@ -302,12 +315,47 @@ class TestCrashRecoveryCli:
             resumed.deterministic_json() == reference.deterministic_json()
         )
 
+    def test_an_interrupt_while_writing_the_artifact_exits_resumable(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A Ctrl-C after the cells — here in ``report.write`` — is the
+        same clean exit as one during them, and the journal, complete by
+        then, resumes to the artifact alone."""
+        journal = tmp_path / "run.journal.jsonl"
+        out = tmp_path / "sweep.json"
+        argv = _sweep_command(journal, out, jobs=1, seeds="0")[3:]
+
+        def interrupted(report, path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(SweepReport, "write", interrupted)
+        assert main(argv) == 130
+        stderr = capsys.readouterr().err
+        assert "sweep interrupted" in stderr
+        assert f"resumable from {journal}: re-run with --resume {journal}" in stderr
+        assert not out.exists()
+        monkeypatch.undo()
+        calls = []
+        real = runner_module.run_scenario_spec
+        monkeypatch.setattr(
+            runner_module,
+            "run_scenario_spec",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        assert main(argv) == 0
+        assert calls == []  # every cell came from the journal
+        assert len(report_from_json(out.read_text()).cells) == 2
+
     def test_sigint_exits_resumable_without_orphans(self, tmp_path):
         journal = tmp_path / "run.journal.jsonl"
         out = tmp_path / "sweep.json"
         command = _sweep_command(journal, out, seeds="0,1,2,3,4,5,6,7")
+        # The grid's last cell stalls, so the sweep cannot finish before
+        # the signal: every run of this test takes the interrupted path.
+        grid = grid_from_json(command[command.index("--grid") + 1])
+        stalled = grid.scenario_at(len(grid) - 1).name
         victim = subprocess.Popen(
-            command,
+            [sys.executable, "-c", _STALLED_SWEEP, stalled, *command[3:]],
             env=_cli_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
@@ -322,8 +370,6 @@ class TestCrashRecoveryCli:
             if victim.poll() is None:
                 victim.kill()
                 victim.wait()
-        if victim.returncode == 0:
-            return  # the sweep won the race; nothing to resume
         assert victim.returncode == 130, stderr
         assert "resumable from" in stderr
         assert f"--resume {journal}" in stderr
